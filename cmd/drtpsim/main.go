@@ -24,7 +24,6 @@ import (
 	drtpcore "github.com/rtcl/drtp/internal/drtp"
 	"github.com/rtcl/drtp/internal/experiments"
 	"github.com/rtcl/drtp/internal/faultinject"
-	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/metrics"
 	"github.com/rtcl/drtp/internal/scenario"
 	"github.com/rtcl/drtp/internal/sim"
@@ -58,7 +57,6 @@ func run(args []string, w io.Writer) error {
 		cpuProf   = fs.String("pprof", "", "write a CPU profile of the experiment to this file")
 		workers   = fs.Int("workers", runtime.GOMAXPROCS(0),
 			"goroutines evaluating experiment cells concurrently (output is identical at any count)")
-		state      = fs.String("state", "auto", "APLV storage layout: auto|dense|sparse (dense is the O(links²) baseline)")
 		scaleNodes = fs.Int("scale-nodes", 0, "-exp scale: network size (default 10000; -quick: 300)")
 		scaleConns = fs.Int("scale-conns", 0, "-exp scale: request arrivals per cell (default 100000; -quick: 4000)")
 		scaleFails = fs.Int("scale-failures", 0, "-exp scale: destructive edge failures per cell (default 32)")
@@ -71,16 +69,6 @@ func run(args []string, w io.Writer) error {
 	p.Seed = *seed
 	p.Replications = *reps
 	p.Workers = *workers
-	switch *state {
-	case "auto":
-		p.State = lsdb.AutoState
-	case "dense":
-		p.State = lsdb.DenseState
-	case "sparse":
-		p.State = lsdb.SparseState
-	default:
-		return fmt.Errorf("unknown -state %q (want auto, dense or sparse)", *state)
-	}
 	if *quick {
 		p.Nodes = 30
 		p.Duration = 160

@@ -109,22 +109,13 @@ func TestRunScaleExperiment(t *testing.T) {
 	}
 }
 
-func TestRunScaleDenseState(t *testing.T) {
-	var buf bytes.Buffer
-	args := []string{"-exp", "scale", "-quick", "-state", "dense", "-scale-nodes", "60",
-		"-scale-conns", "400", "-scale-failures", "2", "-workers", "4"}
-	if err := run(args, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "APLV dense") {
-		t.Fatalf("dense state not reflected in output:\n%s", buf.String())
-	}
-}
-
+// TestRunBadState: the APLV layout is chosen per link by lsdb, so there is
+// no -state flag to set it.
 func TestRunBadState(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-exp", "fig4", "-state", "nope"}, &buf); err == nil {
-		t.Fatal("invalid -state accepted")
+	err := run([]string{"-exp", "fig4", "-state", "dense"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-state should be an unknown flag, got %v", err)
 	}
 }
 

@@ -1,9 +1,8 @@
-// Package bitvec implements a fixed-length bit vector with two storage
-// representations behind one API: a dense word slice and a roaring-style
-// sparse container directory (see sparse.go). It backs the Conflict
-// Vectors of the D-LSR routing scheme, where each link advertises one bit
-// per network link — at web scale those vectors are long and almost
-// empty, which is exactly the sparse representation's sweet spot.
+// Package bitvec implements a dense, fixed-length bit vector. It backs the
+// Conflict Vectors of the D-LSR routing scheme, where each link advertises
+// one bit per network link. A vector is n/8 bytes whatever it holds, so a
+// view of every link's CV is links² bits; the web-scale path never builds
+// one (see lsdb.ConflictCountsInto and lsdb.AppendCV).
 package bitvec
 
 import (
@@ -15,40 +14,18 @@ import (
 const wordBits = 64
 
 // Vector is a fixed-length bit vector. The zero value is an empty vector
-// of length 0; use New to create one with a given length. The two wire
-// and semantic invariants hold for either representation: Bytes is the
-// dense little-endian layout, and all operations produce identical
-// results dense or sparse (pinned by the differential test suite).
+// of length 0; use New to create one with a given length.
 type Vector struct {
-	n   int
-	rep Rep
-	// sparseOn selects the active representation; the inactive side's
-	// storage is retained where possible so representation switches can
-	// reuse it.
-	sparseOn bool
-	words    []uint64
-	sp       *sparse
+	n     int
+	words []uint64
 }
 
-// New creates a zeroed vector of n bits with the automatic
-// representation policy (dense below sparseMinBits, sparse above).
-func New(n int) *Vector { return NewRep(n, AutoRep) }
-
-// NewRep creates a zeroed vector of n bits with an explicit
-// representation policy. DenseRep and SparseRep pin the storage form;
-// AutoRep switches by density at bulk loads and on upward Set pressure.
-func NewRep(n int, rep Rep) *Vector {
+// New creates a zeroed vector of n bits.
+func New(n int) *Vector {
 	if n < 0 {
 		n = 0
 	}
-	v := &Vector{n: n, rep: rep}
-	if rep == SparseRep || (rep == AutoRep && n >= sparseMinBits) {
-		v.sparseOn = true
-		v.sp = &sparse{}
-	} else {
-		v.words = make([]uint64, (n+wordBits-1)/wordBits)
-	}
-	return v
+	return &Vector{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
 // FromBits creates a vector from 0/1 integers, one per bit.
@@ -65,47 +42,26 @@ func FromBits(bits []int) *Vector {
 // Len returns the number of bits.
 func (v *Vector) Len() int { return v.n }
 
-// IsSparse reports whether the vector currently uses the sparse
-// container representation.
-func (v *Vector) IsSparse() bool { return v.sparseOn }
-
 // Set sets bit i to 1.
 func (v *Vector) Set(i int) {
 	v.check(i)
-	if v.sparseOn {
-		v.sp.set(i)
-		if v.rep == AutoRep && v.sp.card*autoDenseDen > v.n {
-			v.toDense()
-		}
-		return
-	}
 	v.words[i/wordBits] |= 1 << uint(i%wordBits)
 }
 
 // Clear sets bit i to 0.
 func (v *Vector) Clear(i int) {
 	v.check(i)
-	if v.sparseOn {
-		v.sp.clear(i)
-		return
-	}
 	v.words[i/wordBits] &^= 1 << uint(i%wordBits)
 }
 
 // Get reports whether bit i is set.
 func (v *Vector) Get(i int) bool {
 	v.check(i)
-	if v.sparseOn {
-		return v.sp.get(i)
-	}
 	return v.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
 }
 
 // Count returns the number of set bits (population count).
 func (v *Vector) Count() int {
-	if v.sparseOn {
-		return v.sp.card
-	}
 	total := 0
 	for _, w := range v.words {
 		total += bits.OnesCount64(w)
@@ -115,9 +71,6 @@ func (v *Vector) Count() int {
 
 // Any reports whether any bit is set.
 func (v *Vector) Any() bool {
-	if v.sparseOn {
-		return v.sp.card > 0
-	}
 	for _, w := range v.words {
 		if w != 0 {
 			return true
@@ -130,14 +83,6 @@ func (v *Vector) Any() bool {
 // It panics if lengths differ.
 func (v *Vector) AndCount(other *Vector) int {
 	v.checkLen(other)
-	switch {
-	case v.sparseOn && other.sparseOn:
-		return spAndCountSparse(v.sp, other.sp)
-	case v.sparseOn:
-		return spAndCountWords(v.sp, other.words)
-	case other.sparseOn:
-		return spAndCountWords(other.sp, v.words)
-	}
 	total := 0
 	for i, w := range v.words {
 		total += bits.OnesCount64(w & other.words[i])
@@ -148,61 +93,14 @@ func (v *Vector) AndCount(other *Vector) int {
 // Or sets v to the bitwise OR of v and other. It panics if lengths differ.
 func (v *Vector) Or(other *Vector) {
 	v.checkLen(other)
-	switch {
-	case !v.sparseOn && !other.sparseOn:
-		for i := range v.words {
-			v.words[i] |= other.words[i]
-		}
-		return
-	case !v.sparseOn: // dense |= sparse
-		for i, key := range other.sp.keys {
-			other.sp.ctrs[i].orIntoWords(chunkWindow(v.words, key))
-		}
-		return
-	case other.sparseOn:
-		spOrSparse(v.sp, other.sp)
-	default: // sparse |= dense
-		spOrWords(v.sp, other.words)
-	}
-	if v.rep == AutoRep && v.sp.card*autoDenseDen > v.n {
-		v.toDense()
+	for i := range v.words {
+		v.words[i] |= other.words[i]
 	}
 }
 
 // Intersects reports whether v and other share any set bit.
 func (v *Vector) Intersects(other *Vector) bool {
 	v.checkLen(other)
-	switch {
-	case v.sparseOn && other.sparseOn:
-		a, b := v.sp, other.sp
-		i, j := 0, 0
-		for i < len(a.keys) && j < len(b.keys) {
-			switch {
-			case a.keys[i] < b.keys[j]:
-				i++
-			case a.keys[i] > b.keys[j]:
-				j++
-			default:
-				if andCountCtr(&a.ctrs[i], &b.ctrs[j]) > 0 {
-					return true
-				}
-				i++
-				j++
-			}
-		}
-		return false
-	case v.sparseOn || other.sparseOn:
-		s, words := v.sp, other.words
-		if !v.sparseOn {
-			s, words = other.sp, v.words
-		}
-		for i, key := range s.keys {
-			if s.ctrs[i].andCountWords(chunkWindow(words, key)) > 0 {
-				return true
-			}
-		}
-		return false
-	}
 	for i, w := range v.words {
 		if w&other.words[i] != 0 {
 			return true
@@ -213,33 +111,22 @@ func (v *Vector) Intersects(other *Vector) bool {
 
 // Reset clears all bits, retaining storage.
 func (v *Vector) Reset() {
-	if v.sparseOn {
-		v.sp.reset()
-		return
-	}
 	for i := range v.words {
 		v.words[i] = 0
 	}
 }
 
-// Clone returns a deep copy of the vector (same representation).
+// Clone returns a deep copy of the vector.
 func (v *Vector) Clone() *Vector {
-	c := &Vector{n: v.n, rep: v.rep}
-	if v.sparseOn {
-		c.sparseOn = true
-		c.sp = &sparse{}
-		v.sp.cloneInto(c.sp)
-		return c
-	}
-	c.words = make([]uint64, len(v.words))
+	c := &Vector{n: v.n, words: make([]uint64, len(v.words))}
 	copy(c.words, v.words)
 	return c
 }
 
-// CloneInto copies v into dst — value, representation and policy —
-// reusing dst's storage when its capacity suffices, and returns the
-// destination. A nil dst behaves like Clone. The hot paths use this to
-// refresh a retained vector without fresh allocations per update.
+// CloneInto copies v into dst, reusing dst's storage when its capacity
+// suffices, and returns the destination. A nil dst behaves like Clone.
+// The hot paths use this to refresh a retained vector without fresh
+// allocations per update.
 //
 //drtplint:hotpath
 func (v *Vector) CloneInto(dst *Vector) *Vector {
@@ -247,16 +134,6 @@ func (v *Vector) CloneInto(dst *Vector) *Vector {
 		return v.Clone()
 	}
 	dst.n = v.n
-	dst.rep = v.rep
-	if v.sparseOn {
-		dst.sparseOn = true
-		if dst.sp == nil {
-			dst.sp = &sparse{}
-		}
-		v.sp.cloneInto(dst.sp)
-		return dst
-	}
-	dst.sparseOn = false
 	if cap(dst.words) < len(v.words) {
 		dst.words = make([]uint64, len(v.words))
 	}
@@ -270,29 +147,17 @@ func (v *Vector) Equal(other *Vector) bool {
 	if v.n != other.n {
 		return false
 	}
-	if !v.sparseOn && !other.sparseOn {
-		for i := range v.words {
-			if v.words[i] != other.words[i] {
-				return false
-			}
+	for i := range v.words {
+		if v.words[i] != other.words[i] {
+			return false
 		}
-		return true
 	}
-	// Mixed or sparse pair: identical sets iff equal cardinality and a
-	// full-cardinality intersection (A ⊆ B with |A| = |B| forces A = B).
-	c := v.Count()
-	return c == other.Count() && v.AndCount(other) == c
+	return true
 }
 
 // Ones returns the indices of all set bits in increasing order.
 func (v *Vector) Ones() []int {
 	result := make([]int, 0, v.Count())
-	if v.sparseOn {
-		for i, key := range v.sp.keys {
-			result = v.sp.ctrs[i].appendOnes(int(key)*chunkBits, result)
-		}
-		return result
-	}
 	for wi, w := range v.words {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
@@ -308,22 +173,15 @@ func (v *Vector) Ones() []int {
 func (v *Vector) SizeBytes() int { return (v.n + 7) / 8 }
 
 // Bytes packs the vector little-endian into SizeBytes() bytes, the wire
-// form of a Conflict Vector advertisement — identical for both
-// representations.
+// form of a Conflict Vector advertisement.
 func (v *Vector) Bytes() []byte {
 	out := make([]byte, v.SizeBytes())
 	v.writeBytes(out)
 	return out
 }
 
-// writeBytes fills out (pre-zeroed, SizeBytes long) with the wire form.
+// writeBytes fills out (SizeBytes long) with the wire form.
 func (v *Vector) writeBytes(out []byte) {
-	if v.sparseOn {
-		for i, key := range v.sp.keys {
-			v.sp.ctrs[i].writeBits(byteWindow(out, key))
-		}
-		return
-	}
 	for i, w := range v.words {
 		for b := 0; b < 8; b++ {
 			idx := i*8 + b
@@ -346,30 +204,10 @@ func FromBytes(n int, data []byte) *Vector {
 // SetBytes reloads the vector in place from its Bytes wire form without
 // changing its length, so a long-lived vector (a router's mirrored
 // Conflict Vector view) absorbs each advertisement with zero
-// allocations. Extra bytes are ignored; missing bytes read as zero. An
-// AutoRep vector re-evaluates its representation against the loaded
-// density.
+// allocations. Extra bytes are ignored; missing bytes read as zero.
 //
 //drtplint:hotpath
 func (v *Vector) SetBytes(data []byte) {
-	sparse := v.rep == SparseRep
-	if v.rep == AutoRep && v.n >= sparseMinBits {
-		sparse = popcountWire(v.n, data)*autoDenseDen <= v.n
-	}
-	if sparse {
-		if v.sp == nil {
-			v.sp = newSparse()
-		}
-		v.sparseOn = true
-		v.sp.setBytes(v.n, data)
-		return
-	}
-	v.sparseOn = false
-	need := (v.n + wordBits - 1) / wordBits
-	if cap(v.words) < need {
-		v.words = make([]uint64, need)
-	}
-	v.words = v.words[:need]
 	for i := range v.words {
 		var w uint64
 		for b := 0; b < 8; b++ {
@@ -418,157 +256,6 @@ func (v *Vector) String() string {
 	}
 	b.WriteByte(')')
 	return b.String()
-}
-
-// toDense switches the active representation to the flat word slice,
-// reusing the retained dense storage when possible. The sparse directory
-// is kept as a pool for a later switch back.
-func (v *Vector) toDense() {
-	need := (v.n + wordBits - 1) / wordBits
-	if cap(v.words) < need {
-		v.words = make([]uint64, need)
-	}
-	v.words = v.words[:need]
-	for i := range v.words {
-		v.words[i] = 0
-	}
-	for i, key := range v.sp.keys {
-		v.sp.ctrs[i].orIntoWords(chunkWindow(v.words, key))
-	}
-	v.sparseOn = false
-}
-
-// newSparse allocates an empty container directory (split out so the
-// hotpath-annotated callers contain no composite-literal allocation).
-func newSparse() *sparse { return &sparse{} }
-
-// chunkWindow returns chunk key's word window of a dense word slice
-// (shorter than chunkWordCount in the final chunk).
-func chunkWindow(words []uint64, key uint16) []uint64 {
-	w := words[int(key)*chunkWordCount:]
-	if len(w) > chunkWordCount {
-		w = w[:chunkWordCount]
-	}
-	return w
-}
-
-// byteWindow returns chunk key's byte window of a wire buffer.
-func byteWindow(out []byte, key uint16) []byte {
-	b := out[int(key)*chunkByteCount:]
-	if len(b) > chunkByteCount {
-		b = b[:chunkByteCount]
-	}
-	return b
-}
-
-// popcountWire counts the set bits of the wire form data for an n-bit
-// vector: bytes beyond SizeBytes and bits beyond n are ignored.
-func popcountWire(n int, data []byte) int {
-	size := (n + 7) / 8
-	if len(data) > size {
-		data = data[:size]
-	}
-	total := 0
-	for _, b := range data {
-		total += bits.OnesCount8(b)
-	}
-	if rem := n % 8; rem != 0 && len(data) == size {
-		total -= bits.OnesCount8(data[size-1] &^ (byte(1)<<uint(rem) - 1))
-	}
-	return total
-}
-
-// spAndCountWords returns |s ∩ words| for a sparse directory against a
-// dense word slice of the same length.
-func spAndCountWords(s *sparse, words []uint64) int {
-	total := 0
-	for i, key := range s.keys {
-		if int(key)*chunkWordCount >= len(words) {
-			break
-		}
-		total += s.ctrs[i].andCountWords(chunkWindow(words, key))
-	}
-	return total
-}
-
-// spAndCountSparse returns |a ∩ b| for two sparse directories.
-func spAndCountSparse(a, b *sparse) int {
-	total, i, j := 0, 0, 0
-	for i < len(a.keys) && j < len(b.keys) {
-		switch {
-		case a.keys[i] < b.keys[j]:
-			i++
-		case a.keys[i] > b.keys[j]:
-			j++
-		default:
-			total += andCountCtr(&a.ctrs[i], &b.ctrs[j])
-			i++
-			j++
-		}
-	}
-	return total
-}
-
-// spOrSparse ORs src into dst chunk by chunk. Chunks already subsumed by
-// dst are no-ops, so repeated ORs of the same operand reach a zero-
-// allocation steady state.
-func spOrSparse(dst, src *sparse) {
-	for i := range src.keys {
-		key, sc := src.keys[i], &src.ctrs[i]
-		at, ok := dst.findKey(key)
-		if !ok {
-			c := dst.insertCtr(at, key)
-			c.copyFrom(sc)
-			dst.card += int(sc.card)
-			continue
-		}
-		c := &dst.ctrs[at]
-		overlap := andCountCtr(c, sc)
-		if overlap == int(sc.card) {
-			continue
-		}
-		if c.kind != ctrBitmap {
-			c.toBitmap()
-		}
-		sc.orIntoWords(c.bmp)
-		dst.card += int(sc.card) - overlap
-		c.card += sc.card - int32(overlap)
-	}
-}
-
-// spOrWords ORs a dense word slice into the sparse directory dst.
-func spOrWords(dst *sparse, words []uint64) {
-	for ci := 0; ci*chunkWordCount < len(words); ci++ {
-		key := uint16(ci)
-		w := chunkWindow(words, key)
-		pop := 0
-		for _, word := range w {
-			pop += bits.OnesCount64(word)
-		}
-		if pop == 0 {
-			continue
-		}
-		at, ok := dst.findKey(key)
-		if !ok {
-			c := dst.insertCtr(at, key)
-			c.loadWords(w)
-			dst.card += int(c.card)
-			continue
-		}
-		c := &dst.ctrs[at]
-		overlap := c.andCountWords(w)
-		if overlap == pop {
-			continue
-		}
-		if c.kind != ctrBitmap {
-			c.toBitmap()
-		}
-		for i, word := range w {
-			c.bmp[i] |= word
-		}
-		dst.card += pop - overlap
-		c.card += int32(pop - overlap)
-	}
 }
 
 func (v *Vector) check(i int) {

@@ -1,9 +1,6 @@
 package bitvec
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // FuzzFromBytes checks that arbitrary byte inputs never panic and always
 // round-trip consistently through Bytes().
@@ -28,51 +25,6 @@ func FuzzFromBytes(f *testing.F) {
 		again := FromBytes(n, v.Bytes())
 		if !v.Equal(again) {
 			t.Fatal("Bytes/FromBytes round trip diverged")
-		}
-	})
-}
-
-// FuzzSparseCV feeds arbitrary wire bytes through the sparse container
-// decoder and holds it to the dense reference: identical re-encode,
-// identical counts, identical point reads. This is the fuzz face of the
-// dense-vs-sparse equivalence tier.
-func FuzzSparseCV(f *testing.F) {
-	f.Add(10, []byte{0xff})
-	f.Add(70000, []byte{1, 0, 0xff, 0xff, 0xff, 0xff, 0x80})
-	f.Add(65536, []byte{})
-	f.Add(4097, []byte{0xaa, 0x55, 0xaa, 0x55})
-
-	f.Fuzz(func(t *testing.T, n int, data []byte) {
-		if n < 0 || n > 1<<20 {
-			return
-		}
-		dense := NewRep(n, DenseRep)
-		dense.SetBytes(data)
-		sparse := NewRep(n, SparseRep)
-		sparse.SetBytes(data)
-		if dense.Count() != sparse.Count() {
-			t.Fatalf("Count diverges: dense %d, sparse %d", dense.Count(), sparse.Count())
-		}
-		dw, sw := dense.Bytes(), sparse.Bytes()
-		if !bytes.Equal(dw, sw) {
-			t.Fatal("re-encoded wire bytes diverge between representations")
-		}
-		if !dense.Equal(sparse) || !sparse.Equal(dense) {
-			t.Fatal("Equal disagrees across representations")
-		}
-		// Probe a few positions derived from the input itself.
-		for _, b := range data {
-			if n == 0 {
-				break
-			}
-			i := int(b) % n
-			if dense.Get(i) != sparse.Get(i) {
-				t.Fatalf("Get(%d) diverges", i)
-			}
-		}
-		// Decoding the sparse re-encode densely closes the loop.
-		if !FromBytes(n, sw).Equal(dense) {
-			t.Fatal("sparse re-encode does not decode back to the dense value")
 		}
 	})
 }

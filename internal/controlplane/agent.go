@@ -221,13 +221,18 @@ func (a *Agent) Close() error {
 }
 
 // Ready implements the node runtime's readiness condition: unready
-// before the router's first link-state sync and while draining.
+// before the router's first link-state sync, before the coordinator
+// has acked registration (it rejects requests from an unregistered
+// source) and while draining.
 func (a *Agent) Ready() (bool, string) {
 	if !a.r.Synced() {
 		return false, "awaiting link-state sync"
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if !a.registered {
+		return false, "awaiting registration"
+	}
 	if a.draining {
 		return false, "draining"
 	}

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"github.com/rtcl/drtp/internal/controlplane"
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/lsdb"
+	"github.com/rtcl/drtp/internal/proto"
 	"github.com/rtcl/drtp/internal/router"
 	"github.com/rtcl/drtp/internal/telemetry"
 	"github.com/rtcl/drtp/internal/topology"
@@ -367,4 +369,82 @@ func httpGet(t *testing.T, url string) (int, string) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, string(body)
+}
+
+// TestRouteFinderDropsHostileLinkAdvert feeds the route finder link
+// summaries whose link IDs lie outside the topology on both sides. It
+// must drop and count them, keep its view, and keep answering queries.
+func TestRouteFinderDropsHostileLinkAdvert(t *testing.T) {
+	g := trident(t)
+	mem := transport.NewMem()
+	t.Cleanup(func() { _ = mem.Close() })
+	rfEP, err := mem.Attach(controlplane.RouteFinderID(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := telemetry.NewBuffer()
+	rf, err := controlplane.NewRouteFinder(controlplane.RouteFinderConfig{
+		Graph: g, Capacity: 10, UnitBW: 1, Telemetry: telemetry.NewTracer(events),
+	}, rfEP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = rf.Close() })
+	client, err := mem.Attach(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(m proto.Message) {
+		t.Helper()
+		if err := client.Send(controlplane.RouteFinderID(g), m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// query is also the barrier: the finder handles one sender's messages
+	// in order, so a reply means everything sent before it was handled.
+	var queryID uint64
+	query := func() proto.RouteReply {
+		t.Helper()
+		queryID++
+		send(proto.RouteQuery{ID: queryID, Src: 0, Dst: 1})
+		select {
+		case env := <-client.Recv():
+			reply, ok := env.Msg.(proto.RouteReply)
+			if !ok || reply.ID != queryID || !reply.OK {
+				t.Fatalf("query %d: got %#v", queryID, env.Msg)
+			}
+			return reply
+		case <-time.After(5 * time.Second):
+			t.Fatalf("query %d: no reply; the route finder is gone", queryID)
+			return proto.RouteReply{}
+		}
+	}
+
+	// A genuine advert first, so the view has something to lose: with no
+	// primary bandwidth on 0->2 the primary must leave through 3.
+	l02, _ := g.LinkBetween(0, 2)
+	send(proto.LSUpdate{Origin: 0, Seq: 1, Links: []proto.LinkAdvert{{Link: l02, AvailBackup: 10}}})
+	before := query()
+	if before.Primary[1] != 3 {
+		t.Fatalf("primary %v ignores the advert for link %d", before.Primary, l02)
+	}
+
+	n := graph.LinkID(g.NumLinks())
+	send(proto.LSUpdate{Origin: 2, Seq: 1, Links: []proto.LinkAdvert{
+		{Link: -1, AvailPrim: 10, AvailBackup: 10, CV: []byte{0xff}},
+		{Link: n, AvailPrim: 10, AvailBackup: 10, CV: []byte{0xff}},
+	}})
+	after := query()
+	if !reflect.DeepEqual(before.Primary, after.Primary) || !reflect.DeepEqual(before.Backups, after.Backups) {
+		t.Fatalf("routes changed: before %+v, after %+v", before, after)
+	}
+	dropped := 0
+	for _, e := range events.Events() {
+		if e.Kind == telemetry.EvLSUpdate && e.Reason == "out-of-range" {
+			dropped += e.N
+		}
+	}
+	if dropped != 2 {
+		t.Fatalf("counted %d dropped adverts, want 2", dropped)
+	}
 }

@@ -168,12 +168,13 @@ func (rf *RouteFinder) dispatch(env proto.Envelope) {
 // direct evidence the origin is alive again after a declared death.
 func (rf *RouteFinder) handleLSUpdate(m proto.LSUpdate) {
 	rf.mu.Lock()
-	fresh := rf.view.apply(m)
+	fresh, dropped := rf.view.apply(m)
 	revived := fresh && rf.down[m.Origin]
 	if revived {
 		delete(rf.down, m.Origin)
 	}
 	rf.mu.Unlock()
+	rf.cfg.Telemetry.LSUpdateDropped(int(rf.ep.Node()), dropped)
 	if revived {
 		rf.log.Info("node revived by advert", "node", int(m.Origin))
 	}

@@ -1,73 +1,45 @@
 package controlplane
 
 import (
-	"math"
-
-	"github.com/rtcl/drtp/internal/bitvec"
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/proto"
 	"github.com/rtcl/drtp/internal/router"
 )
 
-// linkView is the route finder's view of one link, assembled from the
-// adverts each router mirrors to the service (router.Config.Mirrors).
-type linkView struct {
-	availPrim   int
-	availBackup int
-	norm        int
-	cv          *bitvec.Vector
-}
-
-// netView is the route finder's network-wide link-state snapshot. It is
-// not goroutine-safe; the owning service serializes access.
+// netView is the route finder's network-wide link-state snapshot: the
+// routers' own view type, fed by the adverts each router mirrors to the
+// service (router.Config.Mirrors). It is not goroutine-safe; the owning
+// service serializes access.
 type netView struct {
-	g      *graph.Graph
-	scheme router.BackupScheme
-	unitBW int
-	links  []linkView
+	g     *graph.Graph
+	links *router.LinkStateView
 	// seqSeen records the highest advert sequence per origin; a node has
 	// synced once it appears here.
 	seqSeen map[graph.NodeID]uint64
 }
 
-// newNetView starts from the routers' optimistic initial view: every
-// link empty until adverts arrive.
 func newNetView(g *graph.Graph, capacity, unitBW int, scheme router.BackupScheme) *netView {
-	v := &netView{
+	return &netView{
 		g:       g,
-		scheme:  scheme,
-		unitBW:  unitBW,
-		links:   make([]linkView, g.NumLinks()),
+		links:   router.NewLinkStateView(g, capacity, unitBW, scheme),
 		seqSeen: make(map[graph.NodeID]uint64),
 	}
-	for i := range v.links {
-		v.links[i] = linkView{
-			availPrim:   capacity,
-			availBackup: capacity,
-			cv:          bitvec.New(g.NumLinks()),
-		}
-	}
-	return v
 }
 
-// apply installs a mirrored advert; stale sequences are dropped.
-func (v *netView) apply(m proto.LSUpdate) bool {
+// apply installs a mirrored advert and returns how many of its link
+// summaries were dropped as out of range; stale sequences are not fresh
+// and install nothing.
+func (v *netView) apply(m proto.LSUpdate) (fresh bool, dropped int) {
 	if m.Seq <= v.seqSeen[m.Origin] {
-		return false
+		return false, 0
 	}
 	v.seqSeen[m.Origin] = m.Seq
 	for _, a := range m.Links {
-		if int(a.Link) >= len(v.links) {
-			continue
-		}
-		v.links[a.Link] = linkView{
-			availPrim:   a.AvailPrim,
-			availBackup: a.AvailBackup,
-			norm:        a.Norm,
-			cv:          bitvec.FromBytes(v.g.NumLinks(), a.CV),
+		if !v.links.Apply(a) {
+			dropped++
 		}
 	}
-	return true
+	return true, dropped
 }
 
 // synced reports whether every topology node has mirrored at least one
@@ -76,85 +48,27 @@ func (v *netView) synced() bool {
 	return len(v.seqSeen) >= v.g.NumNodes()
 }
 
-// routePrimary computes a minimum-hop feasible primary route, never
-// touching an excluded node. It mirrors the routers' local primary
-// selection (router.routePrimaryLocked) with exclusion added.
-func (v *netView) routePrimary(src, dst graph.NodeID, excluded map[graph.NodeID]bool) graph.Path {
-	cost := func(l graph.LinkID) float64 {
-		lk := v.g.Link(l)
-		if excluded[lk.From] || excluded[lk.To] {
-			return graph.Unreachable
-		}
-		if v.links[l].availPrim < v.unitBW {
-			return graph.Unreachable
-		}
-		return 1
-	}
-	p, total := graph.ShortestPath(v.g, src, dst, cost)
-	if math.IsInf(total, 1) {
-		return graph.Path{}
-	}
-	return p
-}
-
-// routeBackup computes the scheme's backup route given the primary,
-// penalizing the avoid set (primary plus earlier backups) and hard-
-// excluding drained or dead nodes. It mirrors the routers' backup
-// selection (router.routeBackupLocked): D-LSR counts Conflict-Vector
-// overlaps with the primary's links, P-LSR uses the advertised ‖APLV‖₁.
-func (v *netView) routeBackup(src, dst graph.NodeID, primary graph.Path, avoid map[graph.LinkID]struct{}, excluded map[graph.NodeID]bool) graph.Path {
-	const (
-		q   = 1e6
-		eps = 1e-3
-	)
-	lset := primary.Links()
-	cost := func(l graph.LinkID) float64 {
-		lk := v.g.Link(l)
-		if excluded[lk.From] || excluded[lk.To] {
-			return graph.Unreachable
-		}
-		lv := &v.links[l]
-		c := eps
-		switch v.scheme {
-		case router.PLSR:
-			c += float64(lv.norm)
-		default:
-			for _, pl := range lset {
-				if lv.cv.Get(int(pl)) {
-					c++
-				}
-			}
-		}
-		if _, ok := avoid[l]; ok {
-			c += q
-		} else if lv.availBackup < v.unitBW {
-			c += q
-		}
-		return c
-	}
-	p, total := graph.ShortestPath(v.g, src, dst, cost)
-	if math.IsInf(total, 1) {
-		return graph.Path{}
-	}
-	return p
-}
-
 // routes answers one route query: a primary plus up to backups backup
 // routes, the first possibly overlapping the primary as a last resort,
 // later ones fully disjoint (the routers' own selection policy).
 func (v *netView) routes(src, dst graph.NodeID, backups int, excluded map[graph.NodeID]bool) (primary []graph.NodeID, backupRoutes [][]graph.NodeID, reason string) {
-	p := v.routePrimary(src, dst, excluded)
+	// Drained or dead nodes are hard-excluded from both routes.
+	blocked := func(l graph.LinkID) bool {
+		lk := v.g.Link(l)
+		return excluded[lk.From] || excluded[lk.To]
+	}
+	p := v.links.RoutePrimary(src, dst, blocked)
 	if p.Empty() {
 		return nil, nil, "no-route"
 	}
 	avoid := p.LinkSet()
 	var chosen []graph.Path
 	for k := 0; k < backups; k++ {
-		b := v.routeBackup(src, dst, p, avoid, excluded)
+		b := v.links.RouteBackup(src, dst, p, avoid, blocked)
 		if b.Empty() {
 			break
 		}
-		if k > 0 && (b.SharedLinks(p) > 0 || overlapsAny(b, chosen)) {
+		if k > 0 && (b.SharedLinks(p) > 0 || b.OverlapsAny(chosen)) {
 			break
 		}
 		chosen = append(chosen, b)
@@ -169,14 +83,4 @@ func (v *netView) routes(src, dst graph.NodeID, backups int, excluded map[graph.
 		backupRoutes = append(backupRoutes, b.Nodes(v.g))
 	}
 	return p.Nodes(v.g), backupRoutes, ""
-}
-
-// overlapsAny reports whether p shares a link with any of the paths.
-func overlapsAny(p graph.Path, paths []graph.Path) bool {
-	for _, other := range paths {
-		if p.SharedLinks(other) > 0 {
-			return true
-		}
-	}
-	return false
 }

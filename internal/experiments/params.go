@@ -53,12 +53,6 @@ type Params struct {
 	Replications int
 	// Mode selects backup multiplexing (default) or dedicated spares.
 	Mode lsdb.Mode
-	// State selects the link-state database's APLV storage layout:
-	// AutoState (default, per-link sparse-to-dense), DenseState (the
-	// O(links²) seed layout, the scale experiment's memory baseline) or
-	// SparseState (pinned pair lists). Every layout computes identical
-	// link state, so results are byte-identical across states.
-	State lsdb.State
 	// Workers is the number of goroutines evaluating experiment cells
 	// concurrently. Non-positive means one per available CPU
 	// (runtime.GOMAXPROCS). Results are bit-identical at any worker
@@ -165,7 +159,7 @@ func (p Params) cellSeed(label string) int64 {
 // scheme is instantiated with a seed derived from the cell label so
 // randomized schemes are reproducible per cell.
 func runCell(p Params, g *graph.Graph, spec SchemeSpec, sc *scenario.Scenario) (*sim.Result, drtp.Scheme, error) {
-	net, err := drtp.NewNetworkWithMode(g, p.Capacity, p.UnitBW, p.Mode, lsdb.WithState(p.State))
+	net, err := drtp.NewNetworkWithMode(g, p.Capacity, p.UnitBW, p.Mode)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -11,7 +11,6 @@ import (
 
 	"github.com/rtcl/drtp/internal/drtp"
 	"github.com/rtcl/drtp/internal/graph"
-	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/metrics"
 	"github.com/rtcl/drtp/internal/rng"
 	"github.com/rtcl/drtp/internal/scenario"
@@ -22,9 +21,11 @@ import (
 // one large topology, sustained Poisson arrivals per (scheme, lambda)
 // cell, and a schedule of destructive edge failures whose per-connection
 // recovery latencies are sampled. It exists to exercise — and measure —
-// the sparse conflict-vector/APLV storage and the sharded link-state
-// database on networks two orders of magnitude beyond the paper's 60
-// nodes, where the seed's dense O(links²) layout does not fit.
+// the pair-list APLV storage and the sharded link-state database on
+// networks two orders of magnitude beyond the paper's 60 nodes, where a
+// dense O(links²) layout does not fit. No Conflict Vector is materialized
+// on this path: routing reads the pair lists through
+// lsdb.ConflictCountsInto.
 //
 // Everything rendered by Table is deterministic at any worker count (the
 // engine.go contract: stable per-cell seeds, ordered merge, ordered
@@ -35,7 +36,7 @@ import (
 // ScaleParams configures a web-scale run.
 type ScaleParams struct {
 	// Params supplies the topology (Nodes, Degree, Seed), link dimensions
-	// (Capacity, UnitBW, Mode, State), the lambda sweep and Workers.
+	// (Capacity, UnitBW, Mode), the lambda sweep and Workers.
 	Params Params
 	// Schemes lists the routing schemes to evaluate; the default is D-LSR
 	// and P-LSR. Bounded flooding is excluded by default: it consults the
@@ -159,7 +160,7 @@ func RunScale(p ScaleParams) (*Scale, error) {
 		tracer, done := stream.cell(i)
 		defer done()
 		pc.Telemetry = tracer
-		net, err := drtp.NewNetworkWithMode(g, pc.Capacity, pc.UnitBW, pc.Mode, lsdb.WithState(pc.State))
+		net, err := drtp.NewNetworkWithMode(g, pc.Capacity, pc.UnitBW, pc.Mode)
 		if err != nil {
 			return err
 		}
@@ -274,8 +275,8 @@ func percentileInt(sorted []int, q float64) int {
 // recovery-latency percentiles (hops) and APLV storage per cell.
 func (s *Scale) Table() *metrics.Table {
 	t := metrics.NewTable(
-		fmt.Sprintf("Scale: %d nodes, %d links, %d conns/cell, %d failures, APLV %s",
-			s.Nodes, s.Links, s.Params.Connections, s.Params.Failures, s.Params.Params.State),
+		fmt.Sprintf("Scale: %d nodes, %d links, %d conns/cell, %d failures",
+			s.Nodes, s.Links, s.Params.Connections, s.Params.Failures),
 		"scheme", "lambda", "arrivals", "accepted", "switched", "dropped",
 		"detP50", "actP50", "totP50", "totP90", "totP99", "aplvBytes", "B/conn")
 	for _, r := range s.Rows {
@@ -294,7 +295,6 @@ func (s *Scale) Table() *metrics.Table {
 type ScaleSummary struct {
 	Nodes            int     `json:"nodes"`
 	Links            int     `json:"links"`
-	State            string  `json:"aplv_state"`
 	Cells            int     `json:"cells"`
 	Arrivals         int64   `json:"arrivals"`
 	Accepted         int64   `json:"accepted"`
@@ -314,7 +314,6 @@ func (s *Scale) Summary() ScaleSummary {
 	sum := ScaleSummary{
 		Nodes:      s.Nodes,
 		Links:      s.Links,
-		State:      s.Params.Params.State.String(),
 		Cells:      len(s.Rows),
 		ElapsedSec: s.Elapsed.Seconds(),
 	}
@@ -355,8 +354,8 @@ func (s *Scale) SummaryJSON() (string, error) {
 }
 
 // heapWatcher samples the runtime heap on a ticker and tracks the
-// high-water mark of in-use bytes. The scale smoke test compares this
-// peak between the sparse and dense APLV layouts.
+// high-water mark of in-use bytes. The scale smoke test holds this peak
+// under an absolute ceiling.
 type heapWatcher struct {
 	stop chan struct{}
 	done chan struct{}

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/telemetry"
 )
 
@@ -109,42 +108,6 @@ func TestScaleStreamedTraceBytes(t *testing.T) {
 	}
 }
 
-// TestScaleStateEquivalence asserts the APLV layouts are observationally
-// identical at the experiment level: the dense baseline, the pinned
-// sparse form and the auto-switching default must all render the same
-// scale table — the same admissions, the same recovery percentiles.
-// (APLVBytes and B/conn differ by design, so they are compared via the
-// layout-independent columns only.)
-func TestScaleStateEquivalence(t *testing.T) {
-	row := func(state lsdb.State) []*ScaleRow {
-		sp := tinyScaleParams()
-		sp.Params.State = state
-		return scaleWithWorkers(t, sp, 4).Rows
-	}
-	auto := row(lsdb.AutoState)
-	dense := row(lsdb.DenseState)
-	sparse := row(lsdb.SparseState)
-	if len(auto) != len(dense) || len(auto) != len(sparse) {
-		t.Fatalf("row counts differ: auto=%d dense=%d sparse=%d", len(auto), len(dense), len(sparse))
-	}
-	for i := range auto {
-		for _, other := range []*ScaleRow{dense[i], sparse[i]} {
-			if auto[i].Result.Stats != other.Result.Stats ||
-				auto[i].Result.Switched != other.Result.Switched ||
-				auto[i].Result.Dropped != other.Result.Dropped ||
-				auto[i].TotalP50 != other.TotalP50 ||
-				auto[i].TotalP99 != other.TotalP99 {
-				t.Errorf("row %d (%s/%v): APLV layouts disagree:\nauto:  %+v\nother: %+v",
-					i, auto[i].Scheme, auto[i].Lambda, auto[i], other)
-			}
-		}
-		if dense[i].APLVBytes <= sparse[i].APLVBytes {
-			t.Errorf("row %d: dense APLV storage (%d B) not larger than sparse (%d B)",
-				i, dense[i].APLVBytes, sparse[i].APLVBytes)
-		}
-	}
-}
-
 // TestScaleRecoverySamples asserts the recovery-latency pipeline end to
 // end: destructive failures must produce samples, recovered samples must
 // have positive activation lengths, and the percentiles must be ordered.
@@ -193,32 +156,6 @@ func TestScaleSummaryJSON(t *testing.T) {
 	for _, want := range []string{`"establishments_per_sec"`, `"bytes_per_conn"`, `"peak_heap_bytes"`} {
 		if !bytes.Contains([]byte(js), []byte(want)) {
 			t.Fatalf("SCALE_JSON missing %s:\n%s", want, js)
-		}
-	}
-}
-
-// TestFig4GoldenSparseCV is the tentpole's representation-equivalence pin
-// at figure level: the quick Figure 4 sweep with the sparse APLV/CV
-// layout pinned on — and with the dense baseline pinned on — must render
-// byte-identical to the existing fig4_quick.golden produced by the
-// default layout. One golden, three storage layouts.
-func TestFig4GoldenSparseCV(t *testing.T) {
-	golden := filepath.Join("testdata", "fig4_quick.golden")
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (TestParallelSweepGolden maintains this file)", err)
-	}
-	for _, state := range []lsdb.State{lsdb.SparseState, lsdb.DenseState} {
-		p := quickFig4Params()
-		p.State = state
-		s := sweepWithWorkers(t, p, 8)
-		var buf bytes.Buffer
-		if err := s.Fig4Table().Render(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("Figure 4 with %s APLV state deviates from %s:\ngot:\n%s\nwant:\n%s",
-				state, golden, buf.Bytes(), want)
 		}
 	}
 }

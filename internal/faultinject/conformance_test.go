@@ -240,6 +240,39 @@ func establishUnderChaos(t *testing.T, r *router.Router, base lsdb.ConnID, dst g
 	return router.ConnInfo{}
 }
 
+// switchUnderChaos establishes DR-connections from node 0 and fails each
+// one's primary until one switches to its backup, and returns that
+// connection as it stands after the switch. Under 10% signalling loss an
+// activation may exhaust its retry budget, and the connection then dies
+// cleanly — a terminal outcome, the one scenario 2 ends in — so the test
+// accepts a bounded number of clean deaths; a connection left neither
+// switched nor dead is a hang and fails at once. Failed adjacencies
+// revive on the next hello (NbrRecovery), so every attempt finds routes.
+func switchUnderChaos(t *testing.T, c *router.Cluster, base lsdb.ConnID, dst graph.NodeID) router.ConnInfo {
+	t.Helper()
+	const attempts = 4
+	for i := 0; i < attempts; i++ {
+		// establishUnderChaos consumes up to 6 IDs from its base.
+		info := establishUnderChaos(t, c.Router(0), base+lsdb.ConnID(10*i), dst)
+		if len(info.Backup) == 0 {
+			t.Fatalf("no backup on %+v", info)
+		}
+		c.FailEdge(info.Primary[0], info.Primary[1])
+		var got router.ConnInfo
+		waitCond(t, "switch to backup or clean death", func() bool {
+			var ok bool
+			got, ok = c.Router(0).Conn(info.ID)
+			return ok && (got.Switched || got.Dead)
+		})
+		if got.Switched && !got.Dead {
+			return got
+		}
+		t.Logf("attempt %d: conn %d died cleanly (activation budget exhausted), retrying with a fresh ID", i, info.ID)
+	}
+	t.Fatalf("no connection switched to its backup in %d attempts under 10%% loss", attempts)
+	return router.ConnInfo{}
+}
+
 func distributedTransports(t *testing.T, g *graph.Graph) map[string]func() (faultinject.Attacher, func()) {
 	t.Helper()
 	return map[string]func() (faultinject.Attacher, func()){
@@ -279,23 +312,14 @@ func TestConformanceDistributed(t *testing.T) {
 				})
 
 				// Scenario 1: establish, fail the primary, backup activates.
-				info := establishUnderChaos(t, c.Router(0), 1, 1)
-				if len(info.Backup) == 0 {
-					t.Fatalf("no backup on %+v", info)
-				}
-				c.FailEdge(info.Primary[0], info.Primary[1])
-				waitCond(t, "switch to backup", func() bool {
-					got, ok := c.Router(0).Conn(info.ID)
-					return ok && got.Switched && !got.Dead
-				})
+				got := switchUnderChaos(t, c, 1, 1)
 
 				// Scenario 2: the promoted backup fails too; with no spare
 				// route left registered, the connection dies cleanly —
 				// terminal state, resources released, no hang.
-				got, _ := c.Router(0).Conn(info.ID)
 				c.FailEdge(got.Primary[0], got.Primary[1])
 				waitCond(t, "terminal state after second failure", func() bool {
-					cur, ok := c.Router(0).Conn(info.ID)
+					cur, ok := c.Router(0).Conn(got.ID)
 					return ok && (cur.Dead || cur.Switched)
 				})
 

@@ -127,6 +127,16 @@ func (p Path) SharedLinks(other Path) int {
 	return shared
 }
 
+// OverlapsAny reports whether the path shares a link with any of others.
+func (p Path) OverlapsAny(others []Path) bool {
+	for _, other := range others {
+		if p.SharedLinks(other) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // SharedEdges returns the number of physical edges the path shares with
 // other, counting each edge once even if both directions appear.
 func (p Path) SharedEdges(g *Graph, other Path) int {

@@ -1,48 +1,37 @@
 package lsdb
 
-// This file holds the APLV counter storage. The seed implementation kept
-// a dense []int32 with one slot per network link on *every* link record —
-// O(links²) memory before the first connection arrives, the structural
-// blocker for 10k+-node topologies (ROADMAP item 2). APLV_l is populated
-// only at indices of links whose primaries have backups through l, so at
-// web scale it is overwhelmingly empty; the counters below store exactly
-// the nonzero entries as a sorted pair list and up-convert a hot link to
-// the dense form once its pair list stops being small.
+// This file holds the APLV counter storage. APLV_l is populated only at
+// indices of links whose primaries have backups through l, so a dense
+// []int32 per link is O(links²) memory that is overwhelmingly zero on a
+// large network. Each link therefore starts as a sorted pair list of its
+// nonzero entries and is up-converted, one way, to the dense array once
+// the list passes aplvDenseAt entries. The choice is made per link from
+// what the code observes; no caller selects it.
+//
+// Both forms earn their place (bench/run.sh, 15 s, five alternating pairs
+// against a build that never up-converts):
+//
+//	workload     metric            pair lists only   with up-convert
+//	paper_sweep  establish_per_s   33.6-36.7 k       44.7-48.1 k
+//	paper_sweep  establish_p90_us  43-51             19-22
+//	scale_2k     establish_per_s   709 / 713         702 / 671
+//	scale_2k     live_heap_mb      7.3               7.3
+//
+// At paper scale (60 nodes) links carry hundreds of backups and the
+// binary-search insertions of a long pair list cost a quarter of the
+// establishment rate; at 2 000 nodes almost no link reaches the
+// threshold, so the dense form costs nothing there.
 
-// State selects how APLV counter storage is laid out.
-type State int
+// aplvDenseMaxEntries caps the up-convert threshold: past 4096 nonzero
+// entries the pair list's binary-search insertions stop beating the dense
+// array even on huge networks.
+const aplvDenseMaxEntries = 4096
 
-const (
-	// AutoState starts every link's APLV sparse and up-converts it to the
-	// dense array once its nonzero count crosses the density threshold
-	// (one-way, per link). The default.
-	AutoState State = iota
-	// DenseState pins the seed behavior: a dense counter array per link,
-	// allocated eagerly at construction. O(links²) memory — kept as the
-	// ablation baseline the scale experiment measures against.
-	DenseState
-	// SparseState pins the sorted pair list regardless of density.
-	SparseState
-)
-
-// String returns a short identifier for the state.
-func (s State) String() string {
-	switch s {
-	case AutoState:
-		return "auto"
-	case DenseState:
-		return "dense"
-	case SparseState:
-		return "sparse"
-	default:
-		return "State(?)"
-	}
+// aplvDenseThreshold returns the pair-list length past which a link's
+// APLV becomes a dense array on a network of n links: min(n/4, 4096).
+func aplvDenseThreshold(n int) int {
+	return min(n/4, aplvDenseMaxEntries)
 }
-
-// aplvDenseMaxSpan caps the AutoState up-convert threshold: past 4096
-// nonzero entries the pair list's binary-search insertions stop beating
-// the dense array even on huge networks.
-const aplvDenseMaxSpan = 4096
 
 // aplvCounters holds one link's APLV. Exactly one form is active: dense
 // (dense != nil) indexes counters by link ID; sparse keeps the nonzero
@@ -72,8 +61,8 @@ func (c *aplvCounters) at(j int) int32 {
 }
 
 // inc increments the counter for link j and returns the new value.
-// denseAt is the AutoState up-convert threshold (negative pins sparse);
-// n is the network's link count, needed for the dense allocation.
+// denseAt is the up-convert threshold (DB.aplvDenseAt); n is the network's
+// link count, needed for the dense allocation.
 func (c *aplvCounters) inc(j, denseAt, n int) int32 {
 	if c.dense != nil {
 		c.dense[j]++
@@ -117,8 +106,7 @@ func (c *aplvCounters) dec(j int) int32 {
 }
 
 // maxVal returns max_j APLV[j]. The sparse form scans only the nonzero
-// entries, which turns the seed's O(links) maxElem recompute into
-// O(backups actually conflicting) on big networks.
+// entries: O(backups actually conflicting) rather than O(links).
 func (c *aplvCounters) maxVal() int {
 	m := int32(0)
 	if c.dense != nil {

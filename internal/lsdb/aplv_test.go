@@ -1,0 +1,258 @@
+package lsdb
+
+import (
+	"bytes"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"github.com/rtcl/drtp/internal/graph"
+	"github.com/rtcl/drtp/internal/topology"
+)
+
+// aplvOracle is the map model the property test holds the database to:
+// per-link counters, the registry that produced them, and which links
+// have ever held more than the up-convert threshold of nonzero entries
+// (the conversion is one-way, so that history decides the storage form).
+type aplvOracle struct {
+	n, denseAt int
+	counts     []map[graph.LinkID]int
+	lsets      []map[ConnID][]graph.LinkID
+	dense      []bool
+}
+
+func newAPLVOracle(n, denseAt int) *aplvOracle {
+	o := &aplvOracle{n: n, denseAt: denseAt, dense: make([]bool, n)}
+	for l := 0; l < n; l++ {
+		o.counts = append(o.counts, map[graph.LinkID]int{})
+		o.lsets = append(o.lsets, map[ConnID][]graph.LinkID{})
+	}
+	return o
+}
+
+func (o *aplvOracle) register(id ConnID, l graph.LinkID, lset []graph.LinkID) {
+	o.lsets[l][id] = slices.Clone(lset)
+	for _, j := range lset {
+		o.counts[l][j]++
+	}
+	// Entries only accumulate during a register, so the list is longest
+	// at its end.
+	if len(o.counts[l]) > o.denseAt {
+		o.dense[l] = true
+	}
+}
+
+func (o *aplvOracle) release(id ConnID, l graph.LinkID) {
+	for _, j := range o.lsets[l][id] {
+		if o.counts[l][j]--; o.counts[l][j] == 0 {
+			delete(o.counts[l], j)
+		}
+	}
+	delete(o.lsets[l], id)
+}
+
+func (o *aplvOracle) cvBytes(l graph.LinkID) []byte {
+	out := make([]byte, (o.n+7)/8)
+	for j := range o.counts[l] {
+		out[j/8] |= 1 << uint(j%8)
+	}
+	return out
+}
+
+func (o *aplvOracle) aplvBytes() int64 {
+	var total int64
+	for l := range o.counts {
+		if o.dense[l] {
+			total += 4 * int64(o.n)
+		} else {
+			total += 8 * int64(len(o.counts[l]))
+		}
+	}
+	return total
+}
+
+// checkLink compares every per-link APLV read of link l with the oracle.
+func (o *aplvOracle) checkLink(t *testing.T, db *DB, l graph.LinkID, step int) {
+	t.Helper()
+	norm, maxElem := 0, 0
+	for j := 0; j < o.n; j++ {
+		want := o.counts[l][graph.LinkID(j)]
+		norm += want
+		if want > maxElem {
+			maxElem = want
+		}
+		if got := db.APLVAt(l, graph.LinkID(j)); got != want {
+			t.Fatalf("step %d: APLVAt(%d,%d) = %d, oracle %d", step, l, j, got, want)
+		}
+	}
+	if got := db.APLVNorm(l); got != norm {
+		t.Fatalf("step %d: APLVNorm(%d) = %d, oracle %d", step, l, got, norm)
+	}
+	if got := db.APLVMax(l); got != maxElem {
+		t.Fatalf("step %d: APLVMax(%d) = %d, oracle %d", step, l, got, maxElem)
+	}
+	wire := o.cvBytes(l)
+	if got := db.CV(l).Bytes(); !bytes.Equal(got, wire) {
+		t.Fatalf("step %d: CV(%d) = %x, oracle %x", step, l, got, wire)
+	}
+	if got := db.AppendCV(l, []byte{0xee}); got[0] != 0xee || !bytes.Equal(got[1:], wire) {
+		t.Fatalf("step %d: AppendCV(%d) = %x, oracle ee%x", step, l, got, wire)
+	}
+	if got := db.lsLocked(l).aplv.dense != nil; got != o.dense[l] {
+		t.Fatalf("step %d: link %d dense = %v, oracle %v (%d entries, threshold %d)",
+			step, l, got, o.dense[l], len(o.counts[l]), o.denseAt)
+	}
+}
+
+// checkAggregates compares the whole-database reads with the oracle.
+func (o *aplvOracle) checkAggregates(t *testing.T, db *DB, lset []graph.LinkID, counts []float64, step int) []float64 {
+	t.Helper()
+	counts = db.ConflictCountsInto(lset, counts)
+	for l := 0; l < o.n; l++ {
+		want := 0
+		for _, j := range lset {
+			if o.counts[l][j] > 0 {
+				want++
+			}
+		}
+		if counts[l] != float64(want) {
+			t.Fatalf("step %d: ConflictCountsInto(%v)[%d] = %v, oracle %d", step, lset, l, counts[l], want)
+		}
+	}
+	if got, want := db.APLVBytes(), o.aplvBytes(); got != want {
+		t.Fatalf("step %d: APLVBytes = %d, oracle %d", step, got, want)
+	}
+	return counts
+}
+
+// TestAPLVCrossesDenseThreshold drives links through the one
+// representation switch the database has: random backups are registered
+// until pair lists pass aplvDenseAt and are up-converted mid-stream, then
+// released until every counter is back at zero, with every APLV read
+// checked against a map oracle after each operation. Cold links never
+// reach the threshold, so both forms and the transition between them are
+// live in the same database throughout.
+func TestAPLVCrossesDenseThreshold(t *testing.T) {
+	g, err := topology.Grid(5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		crossDenseThreshold(t, g, seed)
+	}
+}
+
+func crossDenseThreshold(t *testing.T, g *graph.Graph, seed int64) {
+	t.Helper()
+	n := g.NumLinks()
+	// Capacity is never the constraint: no primaries are reserved, and a
+	// backup registers whenever capacity - prime >= unit.
+	db, err := New(g, 10, 1, WithShardCount(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.aplvDenseAt != aplvDenseThreshold(n) || db.aplvDenseAt < 8 {
+		t.Fatalf("aplvDenseAt = %d on %d links; the test needs the production threshold and room below it", db.aplvDenseAt, n)
+	}
+	o := newAPLVOracle(n, db.aplvDenseAt)
+	r := rand.New(rand.NewSource(seed))
+	hot := []graph.LinkID{3, graph.LinkID(n / 2), graph.LinkID(n - 1)}
+
+	type reg struct {
+		id ConnID
+		l  graph.LinkID
+	}
+	var (
+		live   []reg
+		nextID ConnID
+		counts []float64
+		step   int
+	)
+	randomLSET := func() []graph.LinkID {
+		lset := make([]graph.LinkID, 1+r.Intn(5))
+		for i := range lset {
+			lset[i] = graph.LinkID(r.Intn(n))
+		}
+		return lset
+	}
+	register := func() {
+		// Three in four registrations land on a hot link.
+		l := graph.LinkID(r.Intn(n))
+		if r.Intn(4) != 0 {
+			l = hot[r.Intn(len(hot))]
+		}
+		nextID++
+		lset := randomLSET()
+		if err := db.RegisterBackup(nextID, l, lset); err != nil {
+			t.Fatalf("step %d: register %d on link %d: %v", step, nextID, l, err)
+		}
+		o.register(nextID, l, lset)
+		live = append(live, reg{nextID, l})
+		o.checkLink(t, db, l, step)
+	}
+	release := func() {
+		k := r.Intn(len(live))
+		x := live[k]
+		live[k] = live[len(live)-1]
+		live = live[:len(live)-1]
+		if err := db.ReleaseBackup(x.id, x.l); err != nil {
+			t.Fatalf("step %d: release %d on link %d: %v", step, x.id, x.l, err)
+		}
+		o.release(x.id, x.l)
+		o.checkLink(t, db, x.l, step)
+	}
+	allHotDense := func() bool {
+		for _, l := range hot {
+			if !o.dense[l] {
+				return false
+			}
+		}
+		return true
+	}
+
+	// Up: registrations outnumber releases until every hot link has
+	// crossed the threshold.
+	for ; !allHotDense(); step++ {
+		if step > 5000 {
+			t.Fatal("hot links never crossed the threshold")
+		}
+		if len(live) > 0 && r.Intn(4) == 0 {
+			release()
+		} else {
+			register()
+		}
+		counts = o.checkAggregates(t, db, randomLSET(), counts, step)
+	}
+	sawPairList := false
+	for l := 0; l < n; l++ {
+		if !o.dense[l] && len(o.counts[l]) > 0 {
+			sawPairList = true
+		}
+		o.checkLink(t, db, graph.LinkID(l), step)
+	}
+	if !sawPairList {
+		t.Fatal("no loaded link stayed in the pair-list form; the test no longer covers both")
+	}
+	t.Logf("seed %d: %d links, threshold %d: hot links dense after %d ops with %d backups live", seed, n, db.aplvDenseAt, step, len(live))
+
+	// Down: releases outnumber registrations until nothing is left.
+	for ; len(live) > 0; step++ {
+		if r.Intn(4) == 0 {
+			register()
+		} else {
+			release()
+		}
+		counts = o.checkAggregates(t, db, randomLSET(), counts, step)
+	}
+	for l := 0; l < n; l++ {
+		o.checkLink(t, db, graph.LinkID(l), step)
+		if db.SpareBW(graph.LinkID(l)) != 0 {
+			t.Fatalf("link %d keeps %d spare with no backups", l, db.SpareBW(graph.LinkID(l)))
+		}
+	}
+	// The conversion is one-way: the emptied hot links keep the dense
+	// array, and the accounting says so.
+	if want := 4 * int64(n) * int64(len(hot)); db.APLVBytes() < want {
+		t.Fatalf("APLVBytes = %d after draining, want at least %d for the %d dense links", db.APLVBytes(), want, len(hot))
+	}
+}

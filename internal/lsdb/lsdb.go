@@ -117,15 +117,16 @@ type DB struct {
 	g      *graph.Graph
 	unitBW int
 	mode   Mode
-	state  State
 	n      int // total links; immutable after construction
 
 	shardShift uint
 	shardMask  int
 	shards     []dbShard
 
-	// aplvDenseAt is the per-link AutoState up-convert threshold for the
-	// APLV pair lists; negative pins the sparse form.
+	// aplvDenseAt is the pair-list length past which a link's APLV is
+	// up-converted to the dense array (aplvDenseThreshold). Tests in this
+	// package pin it before the first registration: 0 makes every link
+	// dense on first use, negative never up-converts.
 	aplvDenseAt int
 
 	// backupOps counts RegisterBackup + ReleaseBackup calls: each is one
@@ -138,10 +139,6 @@ type DB struct {
 
 // Option configures a DB at construction.
 type Option func(*DB)
-
-// WithState selects the APLV counter layout (AutoState by default; see
-// the State constants).
-func WithState(s State) Option { return func(db *DB) { db.state = s } }
 
 // WithShardCount overrides the automatic shard sizing with (about) count
 // shards, clamped to [1, 64] and rounded so each shard spans a power of
@@ -170,22 +167,9 @@ func NewWithMode(g *graph.Graph, capacity, unitBW int, mode Mode, opts ...Option
 		return nil, fmt.Errorf("lsdb: invalid mode %d", int(mode))
 	}
 	n := g.NumLinks()
-	db := &DB{g: g, unitBW: unitBW, mode: mode, n: n}
+	db := &DB{g: g, unitBW: unitBW, mode: mode, n: n, aplvDenseAt: aplvDenseThreshold(n)}
 	for _, opt := range opts {
 		opt(db)
-	}
-	switch db.state {
-	case AutoState:
-		db.aplvDenseAt = n / 4
-		if db.aplvDenseAt > aplvDenseMaxSpan {
-			db.aplvDenseAt = aplvDenseMaxSpan
-		}
-	case DenseState:
-		db.aplvDenseAt = 0
-	case SparseState:
-		db.aplvDenseAt = -1
-	default:
-		return nil, fmt.Errorf("lsdb: invalid state %d", int(db.state))
 	}
 	db.layoutShards()
 	for si := range db.shards {
@@ -195,11 +179,6 @@ func NewWithMode(g *graph.Graph, capacity, unitBW int, mode Mode, opts ...Option
 				capacity:  capacity,
 				backups:   make(map[ConnID][]graph.LinkID),
 				primaries: make(map[ConnID]struct{}),
-			}
-			if db.state == DenseState {
-				// The seed's eager O(links²) layout, kept as the
-				// ablation baseline.
-				sh.links[i].aplv.dense = make([]int32, n)
 			}
 		}
 	}
@@ -219,9 +198,6 @@ func (db *DB) layoutShards() {
 		for span*hint < db.n {
 			span *= 2
 		}
-	}
-	for span < defaultShardSpan && db.shardCountHint <= 0 {
-		span = defaultShardSpan
 	}
 	for (db.n+span-1)/span > maxShards {
 		span *= 2
@@ -262,9 +238,6 @@ func (db *DB) NumLinks() int { return db.n }
 
 // NumShards returns the number of link-range shards.
 func (db *DB) NumShards() int { return len(db.shards) }
-
-// State returns the APLV counter layout policy.
-func (db *DB) State() State { return db.state }
 
 // Capacity returns the total bandwidth of link l.
 func (db *DB) Capacity(l graph.LinkID) int {
@@ -535,8 +508,9 @@ func (db *DB) CVBit(l, j graph.LinkID) bool {
 }
 
 // CV materializes link l's Conflict Vector, the bit-vector D-LSR
-// advertises in place of the full APLV. On large networks the returned
-// vector picks bitvec's sparse representation automatically.
+// advertises in place of the full APLV: links/8 bytes per call. The
+// routing hot path reads conflicts through ConflictCountsInto and
+// adverts are built by AppendCV, neither of which materializes one.
 func (db *DB) CV(l graph.LinkID) *bitvec.Vector {
 	sh := db.shardFor(l)
 	sh.mu.Lock()
@@ -672,11 +646,11 @@ func (db *DB) TotalCapacity() int {
 }
 
 // APLVBytes returns the bytes of APLV counter storage currently held
-// across all links: 4 bytes per dense slot, 8 per sparse nonzero entry.
-// This is the quantity the sparse representation exists to shrink — the
-// DenseState baseline pins it at links² × 4 bytes regardless of load,
-// while the sparse forms grow with the conflicts that actually exist —
-// and the scale experiment reports it per accepted connection.
+// across all links: 4 bytes per dense slot, 8 per pair-list entry. This
+// is the quantity the pair lists exist to shrink — dense arrays on every
+// link would pin it at links² × 4 bytes regardless of load, while pair
+// lists grow with the conflicts that actually exist — and the scale
+// experiment reports it per accepted connection.
 func (db *DB) APLVBytes() int64 {
 	var total int64
 	for si := range db.shards {

@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the sharded-LSDB verification tier: a differential test
-// holding the sharded/sparse database to a single-shard dense baseline
+// holding a sharded pair-list database to a single-shard dense baseline
 // op for op (errors included), a deterministic first-failure rollback
 // check, and a randomized concurrent stress test whose final state is
 // validated against per-link invariants recomputed from the workers' own
@@ -98,24 +98,28 @@ func errString(err error) string {
 
 // TestShardedEquivalenceDifferential drives the same randomized op
 // sequence — including operations destined to fail and roll back —
-// through a many-shard sparse-APLV database and a single-shard dense
-// baseline, asserting identical errors and identical observable state
-// throughout. This is the equivalence face of the shard/sparse swap: any
-// divergence in bookkeeping, rollback, spare sizing or CV derivation
-// fails here before it can skew a simulation.
+// through a many-shard database whose APLVs never leave the pair-list
+// form and a single-shard baseline whose APLVs are dense from the first
+// entry (the up-convert threshold pinned at -1 and 0), asserting
+// identical errors and identical observable state throughout. Any
+// divergence between the two APLV forms or across shard boundaries — in
+// bookkeeping, rollback, spare sizing or CV derivation — fails here
+// before it can skew a simulation.
 func TestShardedEquivalenceDifferential(t *testing.T) {
 	g, err := topology.Grid(3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := New(g, 3, 1, WithShardCount(8), WithState(SparseState))
+	sharded, err := New(g, 3, 1, WithShardCount(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := New(g, 3, 1, WithShardCount(1), WithState(DenseState))
+	sharded.aplvDenseAt = -1
+	baseline, err := New(g, 3, 1, WithShardCount(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	baseline.aplvDenseAt = 0
 	if sharded.NumShards() < 2 {
 		t.Fatalf("sharded DB has %d shards; the test needs shard crossings", sharded.NumShards())
 	}

@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/rtcl/drtp/internal/bitvec"
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/proto"
@@ -187,14 +186,6 @@ type transitRec struct {
 	trace uint64
 }
 
-// linkView is the router's view of one (possibly remote) link.
-type linkView struct {
-	availPrim   int
-	availBackup int
-	norm        int
-	cv          *bitvec.Vector
-}
-
 type pendingKey struct {
 	conn    lsdb.ConnID
 	channel proto.ChannelKind
@@ -253,7 +244,7 @@ type Router struct {
 	mu sync.Mutex
 	db *lsdb.DB // reservations for this node's outgoing links; has its own lock
 	// view is the advertised state of every link; guarded by mu.
-	view []linkView
+	view *LinkStateView
 	// seqSeen records the highest LS sequence per origin; guarded by mu.
 	seqSeen map[graph.NodeID]uint64
 	// mySeq numbers this router's own adverts; guarded by mu.
@@ -343,7 +334,7 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 		ep:          ep,
 		g:           cfg.Graph,
 		db:          db,
-		view:        make([]linkView, cfg.Graph.NumLinks()),
+		view:        NewLinkStateView(cfg.Graph, cfg.Capacity, cfg.UnitBW, cfg.Scheme),
 		seqSeen:     make(map[graph.NodeID]uint64),
 		pending:     make(map[pendingKey]pendingSetup),
 		pendingAct:  make(map[lsdb.ConnID]pendingActivation),
@@ -377,14 +368,6 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 		r.mHopBackup = hops.With("backup")
 		r.mHopActivate = hops.With("activate")
 		r.mHopTeardown = hops.With("teardown")
-	}
-	// Optimistic initial view: every link empty until adverts arrive.
-	for i := range r.view {
-		r.view[i] = linkView{
-			availPrim:   cfg.Capacity,
-			availBackup: cfg.Capacity,
-			cv:          bitvec.New(cfg.Graph.NumLinks()),
-		}
 	}
 	now := time.Now()
 	for _, nbr := range r.g.Neighbors(cfg.Node) {
@@ -447,8 +430,7 @@ func (r *Router) Synced() bool {
 func (r *Router) View(l graph.LinkID) (availPrim, availBackup, norm int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	v := &r.view[l]
-	return v.availPrim, v.availBackup, v.norm
+	return r.view.Link(l)
 }
 
 // loop is the router's single processing goroutine: inbound messages,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"log/slog"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -11,7 +12,9 @@ import (
 
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/lsdb"
+	"github.com/rtcl/drtp/internal/proto"
 	"github.com/rtcl/drtp/internal/router"
+	"github.com/rtcl/drtp/internal/telemetry"
 	"github.com/rtcl/drtp/internal/topology"
 	"github.com/rtcl/drtp/internal/transport"
 )
@@ -673,5 +676,73 @@ func TestEstablishSurvivesModerateLoss(t *testing.T) {
 	}
 	if mem.Dropped() == 0 {
 		t.Fatal("loss injection inactive")
+	}
+}
+
+// TestHostileLinkAdvertIsDropped feeds a router link summaries whose
+// link IDs lie outside the topology on both sides (LinkAdvert.Link is a
+// signed varint on the wire). The router must drop and count them, keep
+// its view, and keep serving.
+func TestHostileLinkAdvertIsDropped(t *testing.T) {
+	g := theta(t)
+	mem := transport.NewMem()
+	events := telemetry.NewBuffer()
+	c, err := router.NewCluster(router.Config{
+		Graph:         g,
+		Capacity:      10,
+		UnitBW:        1,
+		HelloInterval: 10 * time.Millisecond,
+		HelloMiss:     3,
+		LSInterval:    20 * time.Millisecond,
+		SetupTimeout:  3 * time.Second,
+		Telemetry:     telemetry.NewTracer(events),
+	}, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		c.Close()
+		_ = mem.Close()
+	})
+	attacker, err := mem.Attach(graph.NodeID(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const target = 4
+	view := func() (out [][3]int) {
+		for l := 0; l < g.NumLinks(); l++ {
+			p, b, n := c.Router(target).View(graph.LinkID(l))
+			out = append(out, [3]int{p, b, n})
+		}
+		return out
+	}
+	before := view()
+
+	n := graph.LinkID(g.NumLinks())
+	hostile := proto.LSUpdate{Origin: 60, Seq: 1, Links: []proto.LinkAdvert{
+		{Link: -1, AvailPrim: 1, AvailBackup: 1, Norm: 9, CV: []byte{0xff}},
+		{Link: n, AvailPrim: 1, AvailBackup: 1, Norm: 9, CV: []byte{0xff}},
+		{Link: n + 1000, AvailPrim: 1, AvailBackup: 1, Norm: 9},
+	}}
+	if err := attacker.Send(target, hostile); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "dropped adverts counted at the target", func() bool {
+		for _, e := range events.Events() {
+			if e.Kind == telemetry.EvLSUpdate && e.Reason == "out-of-range" && e.Node == target {
+				if e.N != len(hostile.Links) {
+					t.Fatalf("dropped %d adverts, want %d", e.N, len(hostile.Links))
+				}
+				return true
+			}
+		}
+		return false
+	})
+	if after := view(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("view changed:\nbefore %v\nafter  %v", before, after)
+	}
+	if _, err := c.Router(target).Establish(1, 1); err != nil {
+		t.Fatalf("router stopped serving after the hostile advert: %v", err)
 	}
 }

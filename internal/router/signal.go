@@ -75,7 +75,7 @@ func (r *Router) Establish(id lsdb.ConnID, dst graph.NodeID) (ConnInfo, error) {
 		if backup.Empty() {
 			break
 		}
-		if k > 0 && (backup.SharedLinks(primary) > 0 || overlapsAnyPath(backup, backups)) {
+		if k > 0 && (backup.SharedLinks(primary) > 0 || backup.OverlapsAny(backups)) {
 			break
 		}
 		if err := r.setupChannel(id, proto.Backup, backup, primary.Links(), trace); err != nil {
@@ -219,16 +219,6 @@ func (r *Router) pathFromNodes(nodes []graph.NodeID, dst graph.NodeID) (graph.Pa
 		return graph.Path{}, fmt.Errorf("route %v does not end at node %d", nodes, dst)
 	}
 	return graph.PathFromNodes(r.g, nodes)
-}
-
-// overlapsAnyPath reports whether p shares a link with any of the paths.
-func overlapsAnyPath(p graph.Path, paths []graph.Path) bool {
-	for _, other := range paths {
-		if p.SharedLinks(other) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Release terminates a connection originated at this router.

@@ -114,7 +114,7 @@ func (s *LinkState) Route(net *drtp.Network, req drtp.Request) (drtp.Route, erro
 		// backups must be fully disjoint from the primary and from each
 		// other — an overlapping extra backup protects nothing the
 		// earlier channels do not.
-		if k > 0 && (backup.SharedLinks(primary) > 0 || overlapsAny(backup, route.Backups)) {
+		if k > 0 && (backup.SharedLinks(primary) > 0 || backup.OverlapsAny(route.Backups)) {
 			break
 		}
 		route.Backups = append(route.Backups, backup)
@@ -151,7 +151,7 @@ func (s *LinkState) RouteBackupsFor(net *drtp.Network, req drtp.Request, primary
 		}
 		// Overlapping routes are acceptable only as the sole protection.
 		if len(existing)+len(out) > 0 &&
-			(b.SharedLinks(primary) > 0 || overlapsAny(b, existing) || overlapsAny(b, out)) {
+			(b.SharedLinks(primary) > 0 || b.OverlapsAny(existing) || b.OverlapsAny(out)) {
 			break
 		}
 		out = append(out, b)
@@ -218,16 +218,6 @@ func (s *LinkState) routeBackup(net *drtp.Network, primary graph.Path, req drtp.
 		return graph.Path{}
 	}
 	return backup
-}
-
-// overlapsAny reports whether p shares a link with any of the paths.
-func overlapsAny(p graph.Path, paths []graph.Path) bool {
-	for _, other := range paths {
-		if p.SharedLinks(other) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // PLSR is the probabilistic link-state scheme: the conflict metric is

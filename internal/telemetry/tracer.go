@@ -38,7 +38,8 @@ const (
 	// test, "hop-limit" for the distance test against hc_limit).
 	EvCDPDrop
 	// EvLSUpdate records a link-state advertisement flood (N = number of
-	// link summaries carried).
+	// link summaries carried). With Reason "out-of-range" it records N
+	// received summaries dropped for naming a link outside the topology.
 	EvLSUpdate
 	// EvConnRequest opens a connection's lifecycle span: one per
 	// Establish attempt, before any routing or signalling.
@@ -511,6 +512,15 @@ func (t *Tracer) LSUpdate(node, n int) {
 		return
 	}
 	t.Emit(Event{Kind: EvLSUpdate, Conn: -1, Node: node, Link: -1, Hops: -1, N: n})
+}
+
+// LSUpdateDropped records n link summaries node received and dropped
+// because they name a link outside the topology.
+func (t *Tracer) LSUpdateDropped(node, n int) {
+	if !t.Enabled() || n <= 0 {
+		return
+	}
+	t.Emit(Event{Kind: EvLSUpdate, Conn: -1, Node: node, Link: -1, Hops: -1, N: n, Reason: "out-of-range"})
 }
 
 // LinkState samples link occupancy at an evaluation epoch: prime/spare
