@@ -28,6 +28,21 @@ func bySeq(a, b *Connection) int {
 	return 0
 }
 
+// affectedBy returns the connections whose primary hits the failed
+// component, in establishment order. The slice is the evaluation scratch:
+// valid until the next call.
+func (m *Manager) affectedBy(hits func(graph.Path) bool) []*Connection {
+	affected := m.eval.affected[:0]
+	for _, c := range m.conns {
+		if hits(c.Primary) {
+			affected = append(affected, c)
+		}
+	}
+	slices.SortFunc(affected, bySeq)
+	m.eval.affected = affected
+	return affected
+}
+
 // FailureModel selects the granularity of simulated failures.
 type FailureModel int
 
@@ -102,14 +117,7 @@ func (m *Manager) EvaluateEdgeFailure(e graph.EdgeID) FailureOutcome {
 func (m *Manager) evaluateFailure(out *FailureOutcome, hits func(graph.Path) bool) {
 	db := m.net.DB()
 
-	affected := m.eval.affected[:0]
-	for _, c := range m.conns {
-		if hits(c.Primary) {
-			affected = append(affected, c)
-		}
-	}
-	slices.SortFunc(affected, bySeq)
-	m.eval.affected = affected
+	affected := m.affectedBy(hits)
 	out.Affected = len(affected)
 
 	// slots[l] is the remaining activation capacity of link l, filled from
@@ -211,14 +219,7 @@ func (m *Manager) EvaluateLinkFailureReactive(l graph.LinkID) FailureOutcome {
 	unit := db.UnitBW()
 	sc := m.net.Scratch()
 
-	affected := m.eval.affected[:0]
-	for _, c := range m.conns {
-		if c.Primary.Contains(l) {
-			affected = append(affected, c)
-		}
-	}
-	slices.SortFunc(affected, bySeq)
-	m.eval.affected = affected
+	affected := m.affectedBy(func(p graph.Path) bool { return p.Contains(l) })
 	out.Affected = len(affected)
 
 	// avail[x] is the remaining free bandwidth of link x during this

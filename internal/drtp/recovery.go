@@ -1,10 +1,6 @@
 package drtp
 
-import (
-	"sort"
-
-	"github.com/rtcl/drtp/internal/graph"
-)
+import "github.com/rtcl/drtp/internal/graph"
 
 // RecoveryOutcome summarizes one destructive failure application: unlike
 // the non-destructive Evaluate* sweeps, ApplyLinkFailure/ApplyEdgeFailure
@@ -83,13 +79,7 @@ func (m *Manager) ApplyEdgeFailure(e graph.EdgeID) RecoveryOutcome {
 
 func (m *Manager) applyFailure(hits func(graph.Path) bool, link int) RecoveryOutcome {
 	var out RecoveryOutcome
-	var affected []*Connection
-	for _, c := range m.conns {
-		if hits(c.Primary) {
-			affected = append(affected, c)
-		}
-	}
-	sort.Slice(affected, func(i, j int) bool { return affected[i].seq < affected[j].seq })
+	affected := m.affectedBy(hits)
 	out.Affected = len(affected)
 
 	for _, c := range affected {

@@ -6,12 +6,10 @@
 //
 // Messages are plain structs so the in-memory transport can pass them
 // directly; the TCP transport frames them with the deterministic binary
-// codec in wire.go (see WriteFrame/ReadFrame). The encoding/gob
-// registration is retained for callers that persist envelopes with gob.
+// codec in wire.go (see WriteFrame/ReadFrame).
 package proto
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"github.com/rtcl/drtp/internal/graph"
@@ -187,31 +185,3 @@ type ActivateResult struct {
 
 // Kind implements Message.
 func (ActivateResult) Kind() string { return "activate-result" }
-
-// RegisterGob registers all message types with encoding/gob so the TCP
-// transport can encode Envelope values. Safe to call more than once.
-func RegisterGob() {
-	gob.Register(Hello{})
-	gob.Register(LSUpdate{})
-	gob.Register(Setup{})
-	gob.Register(SetupResult{})
-	gob.Register(Teardown{})
-	gob.Register(FailureReport{})
-	gob.Register(Activate{})
-	gob.Register(ActivateResult{})
-	gob.Register(Register{})
-	gob.Register(RegisterAck{})
-	gob.Register(Heartbeat{})
-	gob.Register(NodeDown{})
-	gob.Register(Unschedulable{})
-	gob.Register(RouteQuery{})
-	gob.Register(RouteReply{})
-	gob.Register(EstablishRequest{})
-	gob.Register(EstablishReply{})
-	gob.Register(ReleaseRequest{})
-	gob.Register(ReleaseReply{})
-	gob.Register(DrainRequest{})
-	gob.Register(DrainReply{})
-	gob.Register(ConnCommand{})
-	gob.Register(ConnCommandResult{})
-}

@@ -1,31 +1,10 @@
 package proto_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
-	"github.com/rtcl/drtp/internal/graph"
-	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/proto"
 )
-
-func TestGobEnvelopeRoundTrip(t *testing.T) {
-	proto.RegisterGob()
-	var buf bytes.Buffer
-	env := proto.Envelope{From: 0, To: 1, Msg: proto.Setup{Conn: 7, Route: []graph.NodeID{0, 1}, Hop: 1}}
-	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var out proto.Envelope
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	s, ok := out.Msg.(proto.Setup)
-	if !ok || s.Conn != 7 {
-		t.Fatalf("got %#v", out)
-	}
-}
 
 func TestMessageKinds(t *testing.T) {
 	tests := []struct {
@@ -54,38 +33,5 @@ func TestChannelKindString(t *testing.T) {
 	}
 	if proto.ChannelKind(9).String() == "" {
 		t.Fatal("unknown kind empty")
-	}
-}
-
-func TestRegisterGobIdempotent(t *testing.T) {
-	proto.RegisterGob()
-	proto.RegisterGob() // must not panic on duplicate registration
-}
-
-func TestGobAllMessagesRoundTrip(t *testing.T) {
-	proto.RegisterGob()
-	msgs := []proto.Message{
-		proto.Hello{From: 3, Seq: 9},
-		proto.LSUpdate{Origin: 1, Seq: 5, Links: []proto.LinkAdvert{{Link: 2, AvailPrim: 7, AvailBackup: 9, Norm: 3, CV: []byte{1, 2}}}},
-		proto.Setup{Conn: 11, Channel: proto.Backup, Route: []graph.NodeID{0, 1, 2}, Hop: 1, PrimaryLSET: []graph.LinkID{4, 5}},
-		proto.SetupResult{Conn: 11, Channel: proto.Primary, OK: true},
-		proto.Teardown{Conn: 11, Channel: proto.Backup, Route: []graph.NodeID{0, 1}, Hop: 0, UpTo: 1},
-		proto.FailureReport{Link: 4, Conns: []lsdb.ConnID{11, 12}},
-		proto.Activate{Conn: 11, Route: []graph.NodeID{0, 1}, Hop: 1},
-		proto.ActivateResult{Conn: 11, OK: false, Reason: "contention"},
-	}
-	for _, msg := range msgs {
-		var buf bytes.Buffer
-		env := proto.Envelope{From: 0, To: 1, Msg: msg}
-		if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-			t.Fatalf("%s: encode: %v", msg.Kind(), err)
-		}
-		var out proto.Envelope
-		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-			t.Fatalf("%s: decode: %v", msg.Kind(), err)
-		}
-		if out.Msg.Kind() != msg.Kind() {
-			t.Fatalf("kind mismatch: %s vs %s", out.Msg.Kind(), msg.Kind())
-		}
 	}
 }

@@ -567,8 +567,8 @@ func marshalMsg(m Message) ([]byte, error) {
 }
 
 // unmarshalMsg decodes a tagged payload into the matching value type (the
-// same dynamic types the gob path produces, so type switches downstream
-// are unaffected).
+// same dynamic types the in-memory transport passes, so type switches
+// downstream are unaffected).
 func unmarshalMsg(tag byte, payload []byte) (Message, error) {
 	switch tag {
 	case tagHello:

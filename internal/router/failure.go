@@ -1,7 +1,6 @@
 package router
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/rtcl/drtp/internal/graph"
@@ -210,8 +209,8 @@ func (r *Router) switchToBackup(id lsdb.ConnID, failedLink int, trace uint64) {
 	// source — the point the paper measures service disruption from.
 	start := time.Now()
 	r.mu.Lock()
-	c, ok := r.conns[id]
-	if !ok {
+	c := r.conns[id]
+	if c == nil {
 		r.mu.Unlock()
 		return
 	}
@@ -238,220 +237,68 @@ func (r *Router) switchToBackup(id lsdb.ConnID, failedLink int, trace uint64) {
 	go r.runSwitch(id, failedLink, trace, oldPrimary, backups, start)
 }
 
-// runSwitch tries each backup in order; the first successful activation
-// becomes the new primary, surviving backups stay registered, and the old
-// primary's remaining reservations are reconfigured away. start is when
-// the failure report arrived, closing the disruption-time span.
+// runSwitch tries each backup in order, one activation round trip each;
+// the first to succeed becomes the new primary, surviving backups stay
+// registered, and the old primary's remaining reservations are
+// reconfigured away. start is when the failure report arrived, closing
+// the disruption-time span.
 func (r *Router) runSwitch(id lsdb.ConnID, failedLink int, trace uint64, oldPrimary graph.Path, backups []graph.Path, start time.Time) {
 	defer r.wg.Done()
 	for i, backup := range backups {
-		if !r.activateBackup(id, backup, trace) {
+		res, err := r.roundTrip(signal{
+			sigID: sigID{kind: sigActivate, conn: id},
+			route: backup.Nodes(r.g), trace: trace,
+		})
+		if err != nil || !res.ok {
 			// Release the failed attempt's registrations and any hops
 			// already converted to primary bandwidth. Recovery runs in a
 			// possibly-degraded network, so the sweeps are retransmitted.
-			r.teardownChannel(id, proto.Backup, backup, -1, trace, true)
-			r.teardownChannel(id, proto.Primary, backup, -1, trace, true)
+			r.teardownChannel(id, proto.Backup, backup, 0, -1, trace, true)
+			r.teardownChannel(id, proto.Primary, backup, 0, -1, trace, true)
 			continue
 		}
 		r.mu.Lock()
-		if c, ok := r.conns[id]; ok {
+		if c := r.conns[id]; c != nil {
 			c.switching = false
 			c.info.Switched = true
-			c.primaryPath = backup
-			c.info.Primary = backup.Nodes(r.g)
-			c.backupPaths = append(backups[:i:i], backups[i+1:]...)
-			c.info.Backup = nil
-			c.info.Backups = nil
-			for _, b := range c.backupPaths {
-				c.info.Backups = append(c.info.Backups, b.Nodes(r.g))
-			}
-			if len(c.backupPaths) > 0 {
-				c.info.Backup = c.backupPaths[0].Nodes(r.g)
-			}
+			c.setRoutes(r.g, backup, append(backups[:i:i], backups[i+1:]...))
 		}
 		r.mu.Unlock()
 		r.log.Warn("channel switched to backup", "conn", int64(id), "attempt", i+1)
 		r.mDisruptionSeconds.ObserveSince(start)
 		r.tracer.BackupActivate(r.schemeName, trace, int64(id), failedLink, "switch")
-		// Resource reconfiguration: release what the failed primary still
-		// holds on surviving links.
-		r.teardownChannel(id, proto.Primary, oldPrimary, -1, trace, true)
+		r.releaseOldPrimary(id, oldPrimary, backup, trace)
 		return
 	}
 
 	r.mu.Lock()
-	if c, ok := r.conns[id]; ok {
+	if c := r.conns[id]; c != nil {
 		c.switching = false
 		c.info.Dead = true
-		c.backupPaths = nil
-		c.info.Backup = nil
-		c.info.Backups = nil
+		c.setRoutes(r.g, c.primaryPath, nil)
 	}
 	r.mu.Unlock()
 	r.log.Error("connection lost", "conn", int64(id), "backupsTried", len(backups))
 	r.tracer.ActivationDenied(r.schemeName, trace, int64(id), failedLink, "dropped")
-	r.teardownChannel(id, proto.Primary, oldPrimary, -1, trace, true)
+	r.releaseOldPrimary(id, oldPrimary, graph.Path{}, trace)
 }
 
-// getActivateChLocked pops a pooled activation reply channel, or makes
-// one. Callers must hold r.mu.
-func (r *Router) getActivateChLocked() chan proto.ActivateResult {
-	if n := len(r.activateChPool); n > 0 {
-		ch := r.activateChPool[n-1]
-		r.activateChPool = r.activateChPool[:n-1]
-		return ch
-	}
-	return make(chan proto.ActivateResult, 1)
-}
-
-// activateBackup runs one activation round trip, retransmitting timed-out
-// attempts under the same backoff-and-dedup discipline as setupChannel.
-func (r *Router) activateBackup(id lsdb.ConnID, backup graph.Path, trace uint64) bool {
-	r.mu.Lock()
-	ch := r.getActivateChLocked()
-	seq := r.nextSeqLocked()
-	r.pendingAct[id] = pendingActivation{ch: ch, seq: seq}
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		delete(r.pendingAct, id)
-		// Drain a straggler reply, then recycle; see setupChannel.
-		select {
-		case <-ch:
-		default:
+// releaseOldPrimary is the resource reconfiguration after a failure:
+// release what the failed primary still holds on surviving links. Links
+// the new primary reuses keep their reservation (the activation left it
+// in place), so the sweep is sent once per maximal run of links outside
+// reused, each starting at the run's first router.
+func (r *Router) releaseOldPrimary(id lsdb.ConnID, old, reused graph.Path, trace uint64) {
+	links := old.Links()
+	for from := 0; from < len(links); from++ {
+		if reused.Contains(links[from]) {
+			continue
 		}
-		r.activateChPool = append(r.activateChPool, ch)
-		r.mu.Unlock()
-	}()
-
-	msg := proto.Activate{
-		Conn:  id,
-		Route: backup.Nodes(r.g),
-		Hop:   0,
-		Trace: trace,
-		Seq:   seq,
-	}
-	attempts := r.cfg.RetryLimit
-	if attempts < 1 {
-		attempts = 1
-	}
-	deadline := time.Now().Add(r.cfg.SetupTimeout)
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			r.tracer.Retry(r.schemeName, trace, int64(id), "activate")
+		upTo := from + 1
+		for upTo < len(links) && !reused.Contains(links[upTo]) {
+			upTo++
 		}
-		r.send(r.cfg.Node, msg)
-		timer := time.NewTimer(r.attemptTimeout(a, attempts, time.Until(deadline)))
-		select {
-		case res := <-ch:
-			timer.Stop()
-			return res.OK
-		case <-timer.C:
-		case <-r.stop:
-			timer.Stop()
-			return false
-		}
-	}
-	return false
-}
-
-// handleActivate converts one hop of a backup into primary bandwidth.
-// Like handleSetup it is idempotent: duplicates replay the recorded
-// outcome, and activates arriving after the connection's teardown are
-// discarded.
-func (r *Router) handleActivate(m proto.Activate) {
-	i := m.Hop
-	if i < 0 || i >= len(m.Route) || m.Route[i] != r.cfg.Node {
-		return
-	}
-	origin := m.Route[0]
-	key := dedupKey{kind: sigActivate, conn: m.Conn, seq: m.Seq, hop: i}
-
-	r.mu.Lock()
-	if r.entombedLocked(m.Conn, m.Seq) {
-		r.mu.Unlock()
-		r.tracer.DedupHit(m.Trace, int64(m.Conn), int(r.cfg.Node), "stale-activate")
-		return
-	}
-	if rec, dup := r.seenSig[key]; dup {
-		r.mu.Unlock()
-		r.tracer.DedupHit(m.Trace, int64(m.Conn), int(r.cfg.Node), "activate")
-		switch {
-		case !rec.ok:
-			r.send(origin, proto.ActivateResult{Conn: m.Conn, Reason: rec.reason, Seq: m.Seq})
-		case i == len(m.Route)-1:
-			r.send(origin, proto.ActivateResult{Conn: m.Conn, OK: true, Seq: m.Seq})
-		default:
-			m.Hop++
-			r.send(m.Route[i+1], m)
-		}
-		return
-	}
-	if i == len(m.Route)-1 {
-		r.recordSeenLocked(key, dedupRec{ok: true})
-		r.mu.Unlock()
-		r.tracer.HopSignal(m.Trace, int64(m.Conn), int(r.cfg.Node), -1, "activate")
-		r.send(origin, proto.ActivateResult{Conn: m.Conn, OK: true, Seq: m.Seq})
-		return
-	}
-	next := m.Route[i+1]
-	l, ok := r.g.LinkBetween(r.cfg.Node, next)
-	if !ok {
-		r.recordSeenLocked(key, dedupRec{ok: false, reason: "no link"})
-		r.mu.Unlock()
-		r.send(origin, proto.ActivateResult{Conn: m.Conn, Reason: "no link", Seq: m.Seq})
-		return
-	}
-
-	var err error
-	switch {
-	case r.downNbr[next]:
-		err = fmt.Errorf("backup link %d->%d is down", r.cfg.Node, next)
-	default:
-		// Atomically convert one spare activation slot into primary
-		// bandwidth; failure here is spare-resource contention among
-		// conflicting backups multiplexed on the same spare pool.
-		if err = r.db.PromoteBackup(m.Conn, l); err == nil {
-			if r.transitPrim[l] == nil {
-				r.transitPrim[l] = make(map[lsdb.ConnID]transitRec)
-			}
-			r.transitPrim[l][m.Conn] = transitRec{src: origin, trace: m.Trace}
-		}
-	}
-	if err == nil {
-		r.markDirtyLocked()
-		r.recordSeenLocked(key, dedupRec{ok: true})
-	} else {
-		r.recordSeenLocked(key, dedupRec{ok: false, reason: err.Error()})
-	}
-	r.mu.Unlock()
-
-	if err != nil {
-		r.send(origin, proto.ActivateResult{Conn: m.Conn, Reason: err.Error(), Seq: m.Seq})
-		return
-	}
-	r.tracer.HopSignal(m.Trace, int64(m.Conn), int(r.cfg.Node), int(l), "activate")
-	m.Hop++
-	r.send(next, m)
-}
-
-// handleActivateResult completes a pending activation, dropping straggler
-// replies from superseded round trips. Delivery happens under mu so a
-// reply can never land in a channel already drained and pooled by the
-// round trip's owner (see handleSetupResult).
-func (r *Router) handleActivateResult(m proto.ActivateResult) {
-	r.mu.Lock()
-	p, ok := r.pendingAct[m.Conn]
-	if ok && m.Seq == p.seq {
-		select {
-		case p.ch <- m:
-		default:
-		}
-		r.mu.Unlock()
-		return
-	}
-	r.mu.Unlock()
-	if ok {
-		r.tracer.DedupHit(0, int64(m.Conn), int(r.cfg.Node), "stale-activate-result")
+		r.teardownChannel(id, proto.Primary, old, from, upTo, trace, true)
+		from = upTo
 	}
 }

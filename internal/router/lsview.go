@@ -222,21 +222,3 @@ func (r *Router) handleLSUpdate(from graph.NodeID, m proto.LSUpdate) {
 		}
 	}
 }
-
-// routePrimaryLocked computes a minimum-hop feasible primary route from the
-// view, never leaving through a link to a neighbour declared down.
-// Callers must hold r.mu.
-func (r *Router) routePrimaryLocked(dst graph.NodeID) graph.Path {
-	return r.view.RoutePrimary(r.cfg.Node, dst, func(l graph.LinkID) bool {
-		lk := r.g.Link(l)
-		return lk.From == r.cfg.Node && r.downNbr[lk.To]
-	})
-}
-
-// routeBackupLocked computes the scheme's backup route given the established
-// primary, penalizing the avoid set (primary plus earlier backups). Links
-// to down neighbours advertise zero bandwidth, which already makes them a
-// last resort. Callers must hold r.mu.
-func (r *Router) routeBackupLocked(dst graph.NodeID, primary graph.Path, avoid map[graph.LinkID]struct{}) graph.Path {
-	return r.view.RouteBackup(r.cfg.Node, dst, primary, avoid, nil)
-}

@@ -12,6 +12,22 @@
 // deliver control traffic even when data-plane links fail, as link-state
 // routers re-route control traffic around failures.
 //
+// Signalling is one engine (signal.go). Setup, backup register and activate
+// are the same walk — visit the route's nodes, apply one effect per
+// out-link, answer the source — so they share the originator's round trip
+// (roundTrip: one sequence number, one pending map, one reply pool, one
+// retry/backoff loop) and the hop handler (handleHop: hop validation,
+// teardown tombstone, dedup replay, reply or forward). Only the lsdb link
+// operation, the reply message and the forwarded wire struct differ by
+// kind. Establish and EstablishRoutes feed one establishment sequence with
+// local or commanded routes. Two rules live there: an activation hop whose
+// link already carries the connection's primary (a backup overlapping its
+// primary on a bridge) keeps that reservation and only drops the backup
+// registration, and the sweep of the old primary skips such links; and an
+// establishment claims its ID (a nil record in conns) under the lock that
+// checked for duplicates, so concurrent requests for one ID cannot share
+// round trips.
+//
 // Known simplification: after a channel switch, surviving backup channels
 // keep their original registrations, whose piggybacked LSETs describe the
 // old (failed) primary; the affected links' APLVs are therefore slightly
@@ -178,6 +194,20 @@ type conn struct {
 	switching bool
 }
 
+// setRoutes records the route carrying primary bandwidth and the
+// still-registered backups, keeping the info snapshot in step.
+func (c *conn) setRoutes(g *graph.Graph, primary graph.Path, backups []graph.Path) {
+	c.primaryPath, c.backupPaths = primary, backups
+	c.info.Primary = primary.Nodes(g)
+	c.info.Backup, c.info.Backups = nil, nil
+	for _, b := range backups {
+		c.info.Backups = append(c.info.Backups, b.Nodes(g))
+	}
+	if len(backups) > 0 {
+		c.info.Backup = c.info.Backups[0]
+	}
+}
+
 // transitRec remembers, per transit primary reservation, the source
 // router to notify on failure and the connection's span context so the
 // failure report carries the trace ID back to the source.
@@ -186,30 +216,28 @@ type transitRec struct {
 	trace uint64
 }
 
-type pendingKey struct {
-	conn    lsdb.ConnID
-	channel proto.ChannelKind
-}
-
-// pendingSetup pairs a setup's result channel with the sequence number it
-// was sent under, so stale results from superseded attempts are ignored.
-type pendingSetup struct {
-	ch  chan proto.SetupResult
-	seq uint64
-}
-
-// pendingActivation is the activation counterpart of pendingSetup.
-type pendingActivation struct {
-	ch  chan proto.ActivateResult
-	seq uint64
-}
-
-// Signalling kinds for dedup keys.
+// Signalling kinds.
 const (
 	sigSetup uint8 = iota + 1
 	sigTeardown
 	sigActivate
 )
+
+// sigID names one signalling exchange of a connection: which walk, on
+// which channel (zero for activate). It keys the originator's pending
+// round trips and, with sequence and hop, the per-hop dedup records.
+type sigID struct {
+	kind    uint8
+	conn    lsdb.ConnID
+	channel proto.ChannelKind
+}
+
+// pendingTrip pairs a round trip's reply channel with the sequence number
+// it was sent under, so stale replies from superseded attempts are ignored.
+type pendingTrip struct {
+	ch  chan sigResult
+	seq uint64
+}
 
 // Bounds for the dedup structures: FIFO eviction keeps memory constant on
 // long runs while comfortably outlasting any in-flight retransmission.
@@ -219,20 +247,13 @@ const (
 )
 
 // dedupKey identifies one hop-level processing of one signalling message;
-// a retransmission maps to the same key.
+// a retransmission maps to the same key. The recorded sigResult lets a
+// duplicate replay the same reply (or re-forward) without touching state
+// again.
 type dedupKey struct {
-	kind    uint8
-	conn    lsdb.ConnID
-	channel proto.ChannelKind
-	seq     uint64
-	hop     int
-}
-
-// dedupRec remembers the outcome of the first processing so a duplicate
-// replays the same reply (or re-forward) without touching state again.
-type dedupRec struct {
-	ok     bool
-	reason string
+	sigID
+	seq uint64
+	hop int
 }
 
 // Router is one DRTP node.
@@ -251,15 +272,14 @@ type Router struct {
 	mySeq uint64
 	// dirty marks the local view changed since the last advert; guarded by mu.
 	dirty bool
-	// pending holds per-setup result channels; guarded by mu.
-	pending map[pendingKey]pendingSetup
-	// pendingAct holds per-activation result channels; guarded by mu.
-	pendingAct map[lsdb.ConnID]pendingActivation
+	// pending holds the reply channels of round trips in flight (setup,
+	// register, activate); guarded by mu.
+	pending map[sigID]pendingTrip
 	// sigSeq numbers signalling round trips originated here; guarded by mu.
 	sigSeq uint64
 	// seenSig dedups hop-level signalling processing (at-least-once
 	// delivery, idempotent handling); FIFO-bounded; guarded by mu.
-	seenSig   map[dedupKey]dedupRec
+	seenSig   map[dedupKey]sigResult
 	seenOrder []dedupKey
 	// tombstones records, per connection, the highest teardown sequence
 	// processed here, so stale setups and activates that a reordering
@@ -270,15 +290,14 @@ type Router struct {
 	// frPending holds failure reports awaiting retransmission (resent on
 	// hello ticks with exponential spacing); guarded by mu.
 	frPending []frRetry
-	// setupChPool and activateChPool recycle the one-shot buffered reply
-	// channels of signalling round trips. Recycling is safe because
-	// results are delivered under mu only to the channel still registered
-	// in pending/pendingAct, and the round trip's owner unregisters and
-	// drains the channel under the same mutex before pooling it; guarded
-	// by mu.
-	setupChPool    []chan proto.SetupResult
-	activateChPool []chan proto.ActivateResult
-	// conns records connections originated here; guarded by mu.
+	// replyPool recycles the one-shot buffered reply channels of
+	// signalling round trips. Recycling is safe because results are
+	// delivered under mu only to the channel still registered in pending,
+	// and the round trip's owner unregisters and drains the channel under
+	// the same mutex before pooling it; guarded by mu.
+	replyPool []chan sigResult
+	// conns records connections originated here; a nil record is an ID
+	// claimed by an establishment still signalling; guarded by mu.
 	conns map[lsdb.ConnID]*conn
 	// transitPrim maps outgoing links to transit reservations; guarded by mu.
 	transitPrim map[graph.LinkID]map[lsdb.ConnID]transitRec
@@ -336,9 +355,8 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 		db:          db,
 		view:        NewLinkStateView(cfg.Graph, cfg.Capacity, cfg.UnitBW, cfg.Scheme),
 		seqSeen:     make(map[graph.NodeID]uint64),
-		pending:     make(map[pendingKey]pendingSetup),
-		pendingAct:  make(map[lsdb.ConnID]pendingActivation),
-		seenSig:     make(map[dedupKey]dedupRec),
+		pending:     make(map[sigID]pendingTrip),
+		seenSig:     make(map[dedupKey]sigResult),
 		tombstones:  make(map[lsdb.ConnID]uint64),
 		conns:       make(map[lsdb.ConnID]*conn),
 		transitPrim: make(map[graph.LinkID]map[lsdb.ConnID]transitRec),
@@ -400,8 +418,8 @@ func (r *Router) Close() error {
 func (r *Router) Conn(id lsdb.ConnID) (ConnInfo, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.conns[id]
-	if !ok {
+	c := r.conns[id]
+	if c == nil {
 		return ConnInfo{}, false
 	}
 	return c.info, true
@@ -474,14 +492,18 @@ func (r *Router) dispatch(env proto.Envelope) {
 		// Per-hop signalling time: how long this router held the loop to
 		// process one hop — the quantity that bounds signalling throughput.
 		start := time.Now()
-		r.handleSetup(m)
+		r.handleHop(signal{
+			sigID: sigID{kind: sigSetup, conn: m.Conn, channel: m.Channel},
+			route: m.Route, hop: m.Hop, lset: m.PrimaryLSET, trace: m.Trace, seq: m.Seq,
+		})
 		if m.Channel == proto.Primary {
 			r.mHopPrimary.ObserveSince(start)
 		} else {
 			r.mHopBackup.ObserveSince(start)
 		}
 	case proto.SetupResult:
-		r.handleSetupResult(m)
+		r.completeRoundTrip(sigID{kind: sigSetup, conn: m.Conn, channel: m.Channel}, m.Seq,
+			sigResult{ok: m.OK, failedHop: m.FailedHop, reason: m.Reason})
 	case proto.Teardown:
 		start := time.Now()
 		r.handleTeardown(m)
@@ -490,10 +512,14 @@ func (r *Router) dispatch(env proto.Envelope) {
 		r.handleFailureReport(m)
 	case proto.Activate:
 		start := time.Now()
-		r.handleActivate(m)
+		r.handleHop(signal{
+			sigID: sigID{kind: sigActivate, conn: m.Conn},
+			route: m.Route, hop: m.Hop, trace: m.Trace, seq: m.Seq,
+		})
 		r.mHopActivate.ObserveSince(start)
 	case proto.ActivateResult:
-		r.handleActivateResult(m)
+		r.completeRoundTrip(sigID{kind: sigActivate, conn: m.Conn}, m.Seq,
+			sigResult{ok: m.OK, reason: m.Reason})
 	}
 }
 
@@ -511,13 +537,10 @@ func (r *Router) nextSeqLocked() uint64 {
 	return r.sigSeq
 }
 
-// recordSeenLocked stores the outcome of a first processing, evicting the
-// oldest record when the dedup window is full.
-func (r *Router) recordSeenLocked(k dedupKey, rec dedupRec) {
-	if _, dup := r.seenSig[k]; dup {
-		r.seenSig[k] = rec
-		return
-	}
+// recordSeenLocked stores the outcome of a first processing (callers have
+// just missed k in seenSig), evicting the oldest record when the dedup
+// window is full.
+func (r *Router) recordSeenLocked(k dedupKey, rec sigResult) {
 	if len(r.seenOrder) >= maxSeenSig {
 		old := r.seenOrder[0]
 		r.seenOrder = r.seenOrder[1:]

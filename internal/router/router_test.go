@@ -190,15 +190,7 @@ func TestFailureSwitchesToBackup(t *testing.T) {
 	if err := src.Release(1); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "all reservations released", func() bool {
-		for n := 0; n < c.Size(); n++ {
-			db := c.Router(graph.NodeID(n)).DB()
-			if db.TotalPrimeBW() != 0 || db.TotalSpareBW() != 0 {
-				return false
-			}
-		}
-		return true
-	})
+	waitDrained(t, c)
 }
 
 func TestContentionKillsSecondSwitch(t *testing.T) {
@@ -428,15 +420,7 @@ func TestChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "network drained", func() bool {
-		for n := 0; n < c.Size(); n++ {
-			db := c.Router(graph.NodeID(n)).DB()
-			if db.TotalPrimeBW() != 0 || db.TotalSpareBW() != 0 {
-				return false
-			}
-		}
-		return true
-	})
+	waitDrained(t, c)
 }
 
 // TestSwitchedThenReleasedLeavesCleanState is the regression test for the
@@ -468,15 +452,7 @@ func TestSwitchedThenReleasedLeavesCleanState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "network drained", func() bool {
-		for n := 0; n < c.Size(); n++ {
-			db := c.Router(graph.NodeID(n)).DB()
-			if db.TotalPrimeBW() != 0 || db.TotalSpareBW() != 0 {
-				return false
-			}
-		}
-		return true
-	})
+	waitDrained(t, c)
 }
 
 func TestLoggerReceivesProtocolEvents(t *testing.T) {
@@ -572,15 +548,7 @@ func TestMultiBackupEstablish(t *testing.T) {
 	if err := c.Router(0).Release(1); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "network drained", func() bool {
-		for n := 0; n < c.Size(); n++ {
-			db := c.Router(graph.NodeID(n)).DB()
-			if db.TotalPrimeBW() != 0 || db.TotalSpareBW() != 0 {
-				return false
-			}
-		}
-		return true
-	})
+	waitDrained(t, c)
 }
 
 func TestSwitchKeepsSurvivingBackup(t *testing.T) {
@@ -744,5 +712,103 @@ func TestHostileLinkAdvertIsDropped(t *testing.T) {
 	}
 	if _, err := c.Router(target).Establish(1, 1); err != nil {
 		t.Fatalf("router stopped serving after the hostile advert: %v", err)
+	}
+}
+
+// waitDrained waits until no router of c holds any reservation.
+func waitDrained(t *testing.T, c *router.Cluster) {
+	t.Helper()
+	waitFor(t, "all reservations released", func() bool {
+		for n := 0; n < c.Size(); n++ {
+			db := c.Router(graph.NodeID(n)).DB()
+			if db.TotalPrimeBW() != 0 || db.TotalSpareBW() != 0 {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// TestActivateOverSharedLink pins the shared-link activation rule: node 0
+// reaches the rest of the network over the bridge 0-1 only, so the backup
+// of 0 -> 3 overlaps its primary there (the Q "last resort"). A failure
+// past the bridge spares the backup, so the connection must switch — the
+// bridge hop keeps the reservation it already holds — and the
+// reconfiguration sweep of the old primary must leave that reservation
+// alone.
+func TestActivateOverSharedLink(t *testing.T) {
+	g, err := topology.FromEdgeList(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {1, 4}, {4, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCluster(t, g, 10)
+	src := c.Router(0)
+	info, err := src.Establish(1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !nodesEqual(info.Primary, 0, 1, 2, 3) || !nodesEqual(info.Backup, 0, 1, 4, 3) {
+		t.Fatalf("primary %v backup %v, want [0 1 2 3] and [0 1 4 3]", info.Primary, info.Backup)
+	}
+
+	c.Router(1).FailLink(2)
+	waitFor(t, "switched or dead", func() bool {
+		info, _ = src.Conn(1)
+		return info.Switched || info.Dead
+	})
+	if info.Dead || !nodesEqual(info.Primary, 0, 1, 4, 3) {
+		t.Fatalf("after the failure: %+v, want switched onto [0 1 4 3]", info)
+	}
+	l12, _ := g.LinkBetween(1, 2)
+	l23, _ := g.LinkBetween(2, 3)
+	waitFor(t, "old primary's tail released", func() bool {
+		return c.Router(1).DB().PrimeBW(l12) == 0 && c.Router(2).DB().PrimeBW(l23) == 0
+	})
+	l01, _ := g.LinkBetween(0, 1)
+	if p, b := src.DB().PrimeBW(l01), src.DB().NumBackupsOn(l01); p != 1 || b != 0 {
+		t.Fatalf("bridge 0->1 after the sweep: prime=%d backups=%d, want 1 and 0", p, b)
+	}
+	if err := src.Release(1); err != nil {
+		t.Fatal(err)
+	}
+	waitDrained(t, c)
+}
+
+// TestConcurrentDuplicateEstablish pins the ID-claim rule: of two
+// concurrent requests for one ID exactly one is signalled; the other is
+// refused at once instead of sharing (and corrupting) its round trips.
+func TestConcurrentDuplicateEstablish(t *testing.T) {
+	c := newCluster(t, theta(t), 10)
+	src := c.Router(0)
+	for id := lsdb.ConnID(1); id <= 5; id++ {
+		var (
+			wg    sync.WaitGroup
+			start = make(chan struct{})
+			errs  [2]error
+		)
+		for i := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				_, errs[i] = src.Establish(id, 1)
+			}()
+		}
+		begun := time.Now()
+		close(start)
+		wg.Wait()
+		if errs[0] != nil {
+			errs[0], errs[1] = errs[1], errs[0]
+		}
+		if errs[0] != nil || errs[1] == nil || !strings.Contains(errs[1].Error(), "already exists") {
+			t.Fatalf("conn %d: errors %v, want one success and one \"already exists\"", id, errs)
+		}
+		if d := time.Since(begun); d > time.Second {
+			t.Fatalf("conn %d: the refused request took %v, it must not wait out a timeout", id, d)
+		}
+		if err := src.Release(id); err != nil {
+			t.Fatal(err)
+		}
+		waitDrained(t, c)
 	}
 }

@@ -27,112 +27,47 @@ var (
 // the primary channel hop-by-hop, then registers the backup channel
 // carrying the primary's LSET. If the backup cannot be established the
 // primary is torn down and the request fails (the backup-required
-// admission policy).
+// admission policy). Routes come from the local link-state view as the
+// channels go up.
 func (r *Router) Establish(id lsdb.ConnID, dst graph.NodeID) (ConnInfo, error) {
-	start := time.Now()
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return ConnInfo{}, ErrClosed
-	}
-	if _, dup := r.conns[id]; dup {
-		r.mu.Unlock()
-		return ConnInfo{}, fmt.Errorf("router: connection %d already exists", id)
-	}
-	primary := r.routePrimaryLocked(dst)
-	r.mu.Unlock()
-	// The span context rides inside every signalling packet of this
-	// connection so remote hops stamp the same trace ID; derived only
-	// when tracing to keep the untraced hot path at a nil check.
-	var trace uint64
-	if r.tracer.Enabled() {
-		trace = telemetry.ConnTrace(r.schemeName, int64(id))
-		r.tracer.ConnRequest(r.schemeName, trace, int64(id))
-	}
-	if primary.Empty() {
-		r.tracer.ConnReject(r.schemeName, trace, int64(id), "no-route")
-		return ConnInfo{}, ErrNoRoute
-	}
-
-	if err := r.setupChannel(id, proto.Primary, primary, nil, trace); err != nil {
-		r.tracer.ConnReject(r.schemeName, trace, int64(id), "no-capacity")
-		return ConnInfo{}, err
-	}
-	r.tracer.PrimarySetup(r.schemeName, trace, int64(id), primary.Hops())
-
-	// Route and register up to cfg.Backups backup channels: the first may
-	// overlap the primary as a last resort, later ones must be disjoint
-	// from everything established so far.
-	var (
-		backups  []graph.Path
-		firstErr error
-	)
-	avoid := primary.LinkSet()
-	for k := 0; k < r.cfg.Backups; k++ {
+	var avoid map[graph.LinkID]struct{} // the primary's links plus every backup's so far
+	return r.establish(id, dst, func() (graph.Path, error) {
+		// Minimum-hop and feasible on the view, never leaving through a
+		// link to a neighbour declared down.
 		r.mu.Lock()
-		backup := r.routeBackupLocked(dst, primary, avoid)
+		p := r.view.RoutePrimary(r.cfg.Node, dst, func(l graph.LinkID) bool {
+			lk := r.g.Link(l)
+			return lk.From == r.cfg.Node && r.downNbr[lk.To]
+		})
 		r.mu.Unlock()
-		if backup.Empty() {
-			break
+		if p.Empty() {
+			return p, ErrNoRoute
 		}
-		if k > 0 && (backup.SharedLinks(primary) > 0 || backup.OverlapsAny(backups)) {
-			break
+		avoid = p.LinkSet()
+		return p, nil
+	}, func(k int, primary graph.Path, got []graph.Path) (graph.Path, error) {
+		// Up to cfg.Backups channels: the first may overlap the primary as
+		// a last resort, later ones must be disjoint from everything
+		// established so far. A rejected candidate ends the feed (k has
+		// outrun got): the view that produced it would produce it again.
+		if k >= r.cfg.Backups || k > len(got) {
+			return graph.Path{}, nil
 		}
-		if err := r.setupChannel(id, proto.Backup, backup, primary.Links(), trace); err != nil {
-			r.tracer.BackupRegister(r.schemeName, trace, int64(id), backup.Hops(), "rejected")
-			if firstErr == nil {
-				firstErr = err
+		if k > 0 {
+			for _, l := range got[k-1].Links() {
+				avoid[l] = struct{}{}
 			}
-			break
 		}
-		r.tracer.BackupRegister(r.schemeName, trace, int64(id), backup.Hops(), "")
-		backups = append(backups, backup)
-		for _, l := range backup.Links() {
-			avoid[l] = struct{}{}
+		// Links to down neighbours advertise zero bandwidth, which already
+		// makes them a last resort.
+		r.mu.Lock()
+		b := r.view.RouteBackup(r.cfg.Node, dst, primary, avoid, nil)
+		r.mu.Unlock()
+		if k > 0 && (b.SharedLinks(primary) > 0 || b.OverlapsAny(got)) {
+			return graph.Path{}, nil
 		}
-	}
-	if len(backups) == 0 {
-		// Retransmit the rollback sweep only when the backup failure was a
-		// timeout: the signalling path is then known lossy.
-		r.teardownChannel(id, proto.Primary, primary, -1, trace, errors.Is(firstErr, ErrTimeout))
-		r.tracer.ConnReject(r.schemeName, trace, int64(id), "no-backup")
-		if firstErr != nil {
-			return ConnInfo{}, fmt.Errorf("%w: %v", ErrNoBackup, firstErr)
-		}
-		return ConnInfo{}, ErrNoBackup
-	}
-
-	return r.commitConn(id, dst, primary, backups, trace, start)
-}
-
-// commitConn records a fully signalled connection and emits the
-// establishment telemetry; shared by Establish and EstablishRoutes.
-func (r *Router) commitConn(id lsdb.ConnID, dst graph.NodeID, primary graph.Path, backups []graph.Path, trace uint64, start time.Time) (ConnInfo, error) {
-	c := &conn{
-		info: ConnInfo{
-			ID:      id,
-			Src:     r.cfg.Node,
-			Dst:     dst,
-			Primary: primary.Nodes(r.g),
-			Backup:  backups[0].Nodes(r.g),
-		},
-		primaryPath: primary,
-		backupPaths: backups,
-		trace:       trace,
-	}
-	for _, b := range backups {
-		c.info.Backups = append(c.info.Backups, b.Nodes(r.g))
-	}
-	r.mu.Lock()
-	r.conns[id] = c
-	info := c.info
-	r.mu.Unlock()
-	r.log.Info("connection established", "conn", int64(id), "dst", int(dst),
-		"primaryHops", primary.Hops(), "backups", len(backups))
-	r.tracer.ConnEstablish(r.schemeName, trace, int64(id), primary.Hops())
-	r.mEstablishSeconds.Observe(time.Since(start).Seconds())
-	r.mActiveConns.Add(1)
-	return info, nil
+		return b, nil
+	})
 }
 
 // EstablishRoutes sets up a DR-connection along externally computed
@@ -142,31 +77,67 @@ func (r *Router) commitConn(id lsdb.ConnID, dst graph.NodeID, primary graph.Path
 // backup must register or the primary is rolled back (the same
 // backup-required admission policy as Establish). Unlike Establish, no
 // local re-routing happens on a mid-path rejection — route selection
-// belongs to the caller.
+// belongs to the caller — and a candidate that fails validation or
+// registration is skipped for the next one.
 func (r *Router) EstablishRoutes(id lsdb.ConnID, dst graph.NodeID, primaryNodes []graph.NodeID, backupNodes [][]graph.NodeID) (ConnInfo, error) {
+	return r.establish(id, dst, func() (graph.Path, error) {
+		p, err := r.pathFromNodes(primaryNodes, dst)
+		if err != nil {
+			err = fmt.Errorf("%w: %v", ErrNoRoute, err)
+		}
+		return p, err
+	}, func(k int, _ graph.Path, _ []graph.Path) (graph.Path, error) {
+		if k >= len(backupNodes) {
+			return graph.Path{}, nil
+		}
+		return r.pathFromNodes(backupNodes[k], dst)
+	})
+}
+
+// establish is the one establishment sequence: claim the ID, set up the
+// primary, register backups until the feed runs dry, roll the primary
+// back if none registered, commit. The callers feed it routes:
+// primaryRoute yields the primary or the error the request fails with;
+// backupRoute yields the k-th backup candidate given the backups got so
+// far, where an error skips the candidate and the empty path ends the feed.
+func (r *Router) establish(id lsdb.ConnID, dst graph.NodeID, primaryRoute func() (graph.Path, error),
+	backupRoute func(k int, primary graph.Path, got []graph.Path) (graph.Path, error)) (info ConnInfo, err error) {
 	start := time.Now()
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		return ConnInfo{}, ErrClosed
 	}
-	if _, dup := r.conns[id]; dup {
+	if _, taken := r.conns[id]; taken {
 		r.mu.Unlock()
 		return ConnInfo{}, fmt.Errorf("router: connection %d already exists", id)
 	}
+	// Claim the ID under the lock that checked it: a nil record marks a
+	// connection still being signalled, so a concurrent request for the
+	// same ID fails above instead of sharing this one's round trips.
+	r.conns[id] = nil
 	r.mu.Unlock()
+	defer func() {
+		if err != nil {
+			r.mu.Lock()
+			delete(r.conns, id)
+			r.mu.Unlock()
+		}
+	}()
 
+	// The span context rides inside every signalling packet of this
+	// connection so remote hops stamp the same trace ID; derived only
+	// when tracing to keep the untraced hot path at a nil check.
 	var trace uint64
 	if r.tracer.Enabled() {
 		trace = telemetry.ConnTrace(r.schemeName, int64(id))
 		r.tracer.ConnRequest(r.schemeName, trace, int64(id))
 	}
-	primary, err := r.pathFromNodes(primaryNodes, dst)
+	primary, err := primaryRoute()
 	if err != nil {
 		r.tracer.ConnReject(r.schemeName, trace, int64(id), "no-route")
-		return ConnInfo{}, fmt.Errorf("%w: %v", ErrNoRoute, err)
+		return ConnInfo{}, err
 	}
-
 	if err := r.setupChannel(id, proto.Primary, primary, nil, trace); err != nil {
 		r.tracer.ConnReject(r.schemeName, trace, int64(id), "no-capacity")
 		return ConnInfo{}, err
@@ -177,16 +148,17 @@ func (r *Router) EstablishRoutes(id lsdb.ConnID, dst graph.NodeID, primaryNodes 
 		backups  []graph.Path
 		firstErr error
 	)
-	for _, nodes := range backupNodes {
-		backup, err := r.pathFromNodes(nodes, dst)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+	for k := 0; ; k++ {
+		backup, err := backupRoute(k, primary, backups)
+		if err == nil && backup.Empty() {
+			break
 		}
-		if err := r.setupChannel(id, proto.Backup, backup, primary.Links(), trace); err != nil {
-			r.tracer.BackupRegister(r.schemeName, trace, int64(id), backup.Hops(), "rejected")
+		if err == nil {
+			if err = r.setupChannel(id, proto.Backup, backup, primary.Links(), trace); err != nil {
+				r.tracer.BackupRegister(r.schemeName, trace, int64(id), backup.Hops(), "rejected")
+			}
+		}
+		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -196,14 +168,28 @@ func (r *Router) EstablishRoutes(id lsdb.ConnID, dst graph.NodeID, primaryNodes 
 		backups = append(backups, backup)
 	}
 	if len(backups) == 0 {
-		r.teardownChannel(id, proto.Primary, primary, -1, trace, errors.Is(firstErr, ErrTimeout))
+		// Retransmit the rollback sweep only when the backup failure was a
+		// timeout: the signalling path is then known lossy.
+		r.teardownChannel(id, proto.Primary, primary, 0, -1, trace, errors.Is(firstErr, ErrTimeout))
 		r.tracer.ConnReject(r.schemeName, trace, int64(id), "no-backup")
 		if firstErr != nil {
 			return ConnInfo{}, fmt.Errorf("%w: %v", ErrNoBackup, firstErr)
 		}
 		return ConnInfo{}, ErrNoBackup
 	}
-	return r.commitConn(id, dst, primary, backups, trace, start)
+
+	c := &conn{trace: trace, info: ConnInfo{ID: id, Src: r.cfg.Node, Dst: dst}}
+	c.setRoutes(r.g, primary, backups)
+	r.mu.Lock()
+	r.conns[id] = c
+	info = c.info
+	r.mu.Unlock()
+	r.log.Info("connection established", "conn", int64(id), "dst", int(dst),
+		"primaryHops", primary.Hops(), "backups", len(backups))
+	r.tracer.ConnEstablish(r.schemeName, trace, int64(id), primary.Hops())
+	r.mEstablishSeconds.Observe(time.Since(start).Seconds())
+	r.mActiveConns.Add(1)
+	return info, nil
 }
 
 // pathFromNodes validates a commanded route: it must start at this
@@ -224,13 +210,12 @@ func (r *Router) pathFromNodes(nodes []graph.NodeID, dst graph.NodeID) (graph.Pa
 // Release terminates a connection originated at this router.
 func (r *Router) Release(id lsdb.ConnID) error {
 	r.mu.Lock()
-	c, ok := r.conns[id]
-	if !ok {
+	c := r.conns[id]
+	if c == nil {
 		r.mu.Unlock()
 		return fmt.Errorf("router: connection %d not found", id)
 	}
 	delete(r.conns, id)
-	info := c.info
 	primary, backups, trace := c.primaryPath, c.backupPaths, c.trace
 	r.mu.Unlock()
 
@@ -242,96 +227,179 @@ func (r *Router) Release(id lsdb.ConnID) error {
 	// primaryPath always names the route currently carrying primary
 	// bandwidth (the activated backup after a switch); backupPaths only
 	// the still-registered backup channels.
-	_ = info
-	r.teardownChannel(id, proto.Primary, primary, -1, trace, false)
+	r.teardownChannel(id, proto.Primary, primary, 0, -1, trace, false)
 	for _, b := range backups {
-		r.teardownChannel(id, proto.Backup, b, -1, trace, false)
+		r.teardownChannel(id, proto.Backup, b, 0, -1, trace, false)
 	}
 	r.tracer.ConnTeardown(r.schemeName, trace, int64(id))
 	return nil
 }
 
-// setupChannel runs one hop-by-hop setup round trip, retransmitting timed
-// out attempts with jittered exponential backoff. All attempts share the
-// SetupTimeout budget and the same sequence number, so the caller-visible
-// deadline is unchanged and duplicates are absorbed by per-hop dedup.
-func (r *Router) setupChannel(id lsdb.ConnID, kind proto.ChannelKind, path graph.Path, lset []graph.LinkID, trace uint64) error {
-	key := pendingKey{conn: id, channel: kind}
+// signal is one hop-by-hop signalling packet in kind-independent form.
+// Every DRTP walk has one shape — visit the route's nodes in order, apply
+// one effect to each out-link, answer the source from the last hop — so
+// Setup (primary reserve, backup register) and Activate share the
+// originator's round trip and the hop handler; only the link operation,
+// the reply message and the forwarded wire struct depend on the sigID.
+type signal struct {
+	sigID
+	route []graph.NodeID
+	hop   int
+	lset  []graph.LinkID // backup register only: the primary's links
+	trace uint64
+	seq   uint64
+}
+
+// sigResult is a walk's outcome: what a hop remembers for replay and what
+// the reply carries back to the source.
+type sigResult struct {
+	ok        bool
+	failedHop int
+	reason    string
+}
+
+// packet returns the wire message carrying s.
+func (s *signal) packet() proto.Message {
+	if s.kind == sigActivate {
+		return proto.Activate{Conn: s.conn, Route: s.route, Hop: s.hop, Trace: s.trace, Seq: s.seq}
+	}
+	return proto.Setup{Conn: s.conn, Channel: s.channel, Route: s.route, Hop: s.hop,
+		PrimaryLSET: s.lset, Trace: s.trace, Seq: s.seq}
+}
+
+// reply returns the wire message reporting res to s's source.
+func (s *signal) reply(res sigResult) proto.Message {
+	if s.kind == sigActivate {
+		return proto.ActivateResult{Conn: s.conn, OK: res.ok, Reason: res.reason, Seq: s.seq}
+	}
+	return proto.SetupResult{Conn: s.conn, Channel: s.channel, OK: res.ok, Reason: res.reason,
+		FailedHop: res.failedHop, Seq: s.seq}
+}
+
+// role labels the walk in hop-signal events.
+func (id sigID) role() string {
+	if id.kind == sigActivate {
+		return "activate"
+	}
+	return id.channel.String()
+}
+
+// sigLabels are the dedup reasons of each walk kind: a retransmission
+// (also the retry label), a packet outrun by the connection's teardown,
+// and a reply to a superseded round trip.
+var sigLabels = [...]struct{ dup, stale, staleResult string }{
+	sigSetup:    {"setup", "stale-setup", "stale-setup-result"},
+	sigActivate: {"activate", "stale-activate", "stale-activate-result"},
+}
+
+// roundTrip runs one signalling walk from this router and waits for the
+// answer of its last (or rejecting) hop, retransmitting timed-out attempts
+// with jittered exponential backoff. All attempts share the SetupTimeout
+// budget and one sequence number, so the caller-visible deadline is
+// unchanged and duplicates are absorbed by per-hop dedup. It returns
+// ErrTimeout when no attempt was answered and ErrClosed when the router
+// stopped; rolling back what the walk left behind is the caller's job.
+func (r *Router) roundTrip(s signal) (sigResult, error) {
 	r.mu.Lock()
-	ch := r.getSetupChLocked()
-	seq := r.nextSeqLocked()
-	r.pending[key] = pendingSetup{ch: ch, seq: seq}
+	var ch chan sigResult
+	if n := len(r.replyPool); n > 0 {
+		ch, r.replyPool = r.replyPool[n-1], r.replyPool[:n-1]
+	} else {
+		ch = make(chan sigResult, 1)
+	}
+	s.seq = r.nextSeqLocked()
+	r.pending[s.sigID] = pendingTrip{ch: ch, seq: s.seq}
 	r.mu.Unlock()
 	defer func() {
 		r.mu.Lock()
-		delete(r.pending, key)
+		delete(r.pending, s.sigID)
 		// Drain a reply that landed after the last receive, then recycle:
 		// with the pending entry gone no handler can touch ch again.
 		select {
 		case <-ch:
 		default:
 		}
-		r.setupChPool = append(r.setupChPool, ch)
+		r.replyPool = append(r.replyPool, ch)
 		r.mu.Unlock()
 	}()
 
-	msg := proto.Setup{
-		Conn:        id,
-		Channel:     kind,
-		Route:       path.Nodes(r.g),
-		Hop:         0,
-		PrimaryLSET: lset,
-		Trace:       trace,
-		Seq:         seq,
-	}
-	attempts := r.cfg.RetryLimit
-	if attempts < 1 {
-		attempts = 1
-	}
+	msg := s.packet()
+	attempts := max(r.cfg.RetryLimit, 1)
 	deadline := time.Now().Add(r.cfg.SetupTimeout)
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			r.tracer.Retry(r.schemeName, trace, int64(id), "setup")
+			r.tracer.Retry(r.schemeName, s.trace, int64(s.conn), sigLabels[s.kind].dup)
 		}
 		r.send(r.cfg.Node, msg)
 		timer := time.NewTimer(r.attemptTimeout(a, attempts, time.Until(deadline)))
 		select {
 		case res := <-ch:
 			timer.Stop()
-			if !res.OK {
-				// The reply is definitive, so roll back the hops reserved
-				// before the failure without blind retransmission.
-				r.teardownChannel(id, kind, path, res.FailedHop, trace, false)
-				return fmt.Errorf("router: %s setup rejected at hop %d: %s", kind, res.FailedHop, res.Reason)
-			}
-			return nil
+			return res, nil
 		case <-timer.C:
 		case <-r.stop:
 			timer.Stop()
-			return ErrClosed
+			return sigResult{}, ErrClosed
 		}
 	}
-	// Every attempt timed out: sweep the whole route. Stragglers of the
-	// final attempt trail this teardown in per-pair FIFO order, and a
-	// transport that reorders past it is covered by the teardown tombstone.
-	r.teardownChannel(id, kind, path, -1, trace, true)
-	return ErrTimeout
+	return sigResult{}, ErrTimeout
 }
 
-// teardownChannel releases a channel's reservations along a route. upTo
-// bounds the number of out-links released (-1 = all). With retry set the
-// sweep is retransmitted on a backoff schedule: teardown has no reply to
-// arm a retry on, so callers pass retry only when loss was already
-// observed; dedup absorbs the duplicates on hops the original reached.
-func (r *Router) teardownChannel(id lsdb.ConnID, kind proto.ChannelKind, path graph.Path, upTo int, trace uint64, retry bool) {
-	nodes := path.Nodes(r.g)
-	if len(nodes) < 2 {
+// completeRoundTrip hands a reply to the round trip waiting on id; a reply
+// whose sequence does not match is a straggler of a superseded round trip
+// and is dropped. Delivery happens under mu so a reply can never land in a
+// channel already drained and pooled by the round trip's owner.
+func (r *Router) completeRoundTrip(id sigID, seq uint64, res sigResult) {
+	r.mu.Lock()
+	p, ok := r.pending[id]
+	if ok && seq == p.seq {
+		select {
+		case p.ch <- res:
+		default:
+		}
+		r.mu.Unlock()
 		return
 	}
+	r.mu.Unlock()
+	if ok {
+		r.tracer.DedupHit(0, int64(id.conn), int(r.cfg.Node), sigLabels[id.kind].staleResult)
+	}
+}
+
+// setupChannel reserves (primary) or registers (backup) one channel along
+// path and rolls back whatever a failed walk left behind.
+func (r *Router) setupChannel(id lsdb.ConnID, kind proto.ChannelKind, path graph.Path, lset []graph.LinkID, trace uint64) error {
+	res, err := r.roundTrip(signal{
+		sigID: sigID{kind: sigSetup, conn: id, channel: kind},
+		route: path.Nodes(r.g), lset: lset, trace: trace,
+	})
+	switch {
+	case errors.Is(err, ErrTimeout):
+		// Every attempt timed out: sweep the whole route. Stragglers of the
+		// final attempt trail this teardown in per-pair FIFO order, and a
+		// transport that reorders past it is covered by the teardown tombstone.
+		r.teardownChannel(id, kind, path, 0, -1, trace, true)
+	case err == nil && !res.ok:
+		// The reply is definitive, so roll back the hops reserved before
+		// the failure without blind retransmission.
+		r.teardownChannel(id, kind, path, 0, res.failedHop, trace, false)
+		err = fmt.Errorf("router: %s setup rejected at hop %d: %s", kind, res.failedHop, res.reason)
+	}
+	return err
+}
+
+// teardownChannel releases a channel's reservations on the out-links of
+// route hops [from, upTo) (upTo -1 = to the end); the sweep starts at hop
+// from's router. With retry set it is retransmitted on a backoff schedule:
+// teardown has no reply to arm a retry on, so callers pass retry only when
+// loss was already observed; dedup absorbs the duplicates on hops the
+// original reached.
+func (r *Router) teardownChannel(id lsdb.ConnID, kind proto.ChannelKind, path graph.Path, from, upTo int, trace uint64, retry bool) {
+	nodes := path.Nodes(r.g)
 	if upTo < 0 || upTo > len(nodes)-1 {
 		upTo = len(nodes) - 1
 	}
-	if upTo == 0 {
+	if from >= upTo {
 		return
 	}
 	r.mu.Lock()
@@ -341,12 +409,12 @@ func (r *Router) teardownChannel(id lsdb.ConnID, kind proto.ChannelKind, path gr
 		Conn:    id,
 		Channel: kind,
 		Route:   nodes,
-		Hop:     0,
+		Hop:     from,
 		UpTo:    upTo,
 		Trace:   trace,
 		Seq:     seq,
 	}
-	r.send(r.cfg.Node, msg)
+	r.send(nodes[from], msg)
 	if !retry || r.cfg.RetryLimit < 2 {
 		return
 	}
@@ -361,130 +429,99 @@ func (r *Router) teardownChannel(id lsdb.ConnID, kind proto.ChannelKind, path gr
 				return
 			}
 			r.tracer.Retry(r.schemeName, trace, int64(id), "teardown")
-			r.send(r.cfg.Node, msg)
+			r.send(nodes[from], msg)
 		})
 	}
 }
 
-// handleSetup processes one hop of a channel setup. Processing is
-// idempotent: a retransmission replays the first attempt's outcome (reply
-// or forward) without touching reservation state, and a setup arriving
-// after the connection's teardown (reordering transport) is discarded.
-func (r *Router) handleSetup(m proto.Setup) {
-	i := m.Hop
-	if i < 0 || i >= len(m.Route) || m.Route[i] != r.cfg.Node {
+// handleHop processes one hop of a setup or activate walk. The skeleton
+// is shared: validate the hop, drop a packet the connection's teardown
+// outran (reordering transport), replay a retransmission's recorded
+// outcome without touching reservation state, otherwise apply the kind's
+// link effect once and record it; then answer the source (rejection, or
+// success at the last hop) or forward.
+func (r *Router) handleHop(s signal) {
+	i := s.hop
+	if i < 0 || i >= len(s.route) || s.route[i] != r.cfg.Node {
 		return
 	}
-	origin := m.Route[0]
-	key := dedupKey{kind: sigSetup, conn: m.Conn, channel: m.Channel, seq: m.Seq, hop: i}
+	last := i == len(s.route)-1
+	key := dedupKey{sigID: s.sigID, seq: s.seq, hop: i}
+	labels := &sigLabels[s.kind]
 
 	r.mu.Lock()
-	if r.entombedLocked(m.Conn, m.Seq) {
+	if r.entombedLocked(s.conn, s.seq) {
 		r.mu.Unlock()
-		r.tracer.DedupHit(m.Trace, int64(m.Conn), int(r.cfg.Node), "stale-setup")
+		r.tracer.DedupHit(s.trace, int64(s.conn), int(r.cfg.Node), labels.stale)
 		return
 	}
-	if rec, dup := r.seenSig[key]; dup {
-		r.mu.Unlock()
-		r.tracer.DedupHit(m.Trace, int64(m.Conn), int(r.cfg.Node), "setup")
-		// Replay the recorded outcome: the retransmission still needs the
-		// reply (or forward) its lost predecessor never produced.
-		switch {
-		case !rec.ok:
-			r.send(origin, proto.SetupResult{
-				Conn: m.Conn, Channel: m.Channel, FailedHop: i, Reason: rec.reason, Seq: m.Seq,
-			})
-		case i == len(m.Route)-1:
-			r.send(origin, proto.SetupResult{Conn: m.Conn, Channel: m.Channel, OK: true, Seq: m.Seq})
-		default:
-			m.Hop++
-			r.send(m.Route[i+1], m)
+	link := graph.LinkID(-1)
+	res, dup := r.seenSig[key]
+	if !dup {
+		res = sigResult{ok: true}
+		if !last {
+			var err error
+			if link, err = r.applyLinkLocked(&s, s.route[i+1]); err != nil {
+				res = sigResult{failedHop: i, reason: err.Error()}
+			} else {
+				r.markDirtyLocked()
+			}
 		}
-		return
+		r.recordSeenLocked(key, res)
 	}
-	if i == len(m.Route)-1 {
-		r.recordSeenLocked(key, dedupRec{ok: true})
-		r.mu.Unlock()
-		r.tracer.HopSignal(m.Trace, int64(m.Conn), int(r.cfg.Node), -1, m.Channel.String())
-		r.send(origin, proto.SetupResult{Conn: m.Conn, Channel: m.Channel, OK: true, Seq: m.Seq})
-		return
-	}
-	next := m.Route[i+1]
-	l, ok := r.g.LinkBetween(r.cfg.Node, next)
-	if !ok {
-		reason := fmt.Sprintf("no link %d->%d", r.cfg.Node, next)
-		r.recordSeenLocked(key, dedupRec{ok: false, reason: reason})
-		r.mu.Unlock()
-		r.send(origin, proto.SetupResult{
-			Conn: m.Conn, Channel: m.Channel, FailedHop: i, Reason: reason, Seq: m.Seq,
-		})
-		return
-	}
+	r.mu.Unlock()
 
+	switch {
+	case dup:
+		// The retransmission still needs the reply (or forward) its lost
+		// predecessor never produced.
+		r.tracer.DedupHit(s.trace, int64(s.conn), int(r.cfg.Node), labels.dup)
+	case res.ok:
+		r.tracer.HopSignal(s.trace, int64(s.conn), int(r.cfg.Node), int(link), s.role())
+	}
+	if !res.ok || last {
+		r.send(s.route[0], s.reply(res))
+		return
+	}
+	s.hop++
+	r.send(s.route[i+1], s.packet())
+}
+
+// applyLinkLocked applies s's effect to the out-link towards next — the
+// one step of a hop that depends on the signalling kind. Callers must
+// hold r.mu.
+func (r *Router) applyLinkLocked(s *signal, next graph.NodeID) (graph.LinkID, error) {
+	l, ok := r.g.LinkBetween(r.cfg.Node, next)
+	switch {
+	case !ok:
+		return -1, fmt.Errorf("no link %d->%d", r.cfg.Node, next)
+	case r.downNbr[next]:
+		return -1, fmt.Errorf("link %d->%d is down", r.cfg.Node, next)
+	}
 	var err error
 	switch {
-	case r.downNbr[next]:
-		err = fmt.Errorf("link %d->%d is down", r.cfg.Node, next)
-	case m.Channel == proto.Primary:
-		if err = r.db.ReservePrimary(m.Conn, l); err == nil {
-			if r.transitPrim[l] == nil {
-				r.transitPrim[l] = make(map[lsdb.ConnID]transitRec)
-			}
-			r.transitPrim[l][m.Conn] = transitRec{src: origin, trace: m.Trace}
-		}
+	case s.kind == sigSetup && s.channel != proto.Primary:
+		return l, r.db.RegisterBackup(s.conn, l, s.lset)
+	case s.kind == sigSetup:
+		err = r.db.ReservePrimary(s.conn, l)
+	case r.db.HasPrimary(s.conn, l):
+		// The backup shares this link with the failed primary: keep the
+		// reservation the connection already holds here and drop only the
+		// backup registration, as drtp.Manager.promoteBackup does.
+		err = r.db.ReleaseBackup(s.conn, l)
 	default:
-		err = r.db.RegisterBackup(m.Conn, l, m.PrimaryLSET)
+		// Atomically convert one spare activation slot into primary
+		// bandwidth; failure here is spare-resource contention among
+		// conflicting backups multiplexed on the same spare pool.
+		err = r.db.PromoteBackup(s.conn, l)
 	}
 	if err == nil {
-		r.markDirtyLocked()
-		r.recordSeenLocked(key, dedupRec{ok: true})
-	} else {
-		r.recordSeenLocked(key, dedupRec{ok: false, reason: err.Error()})
-	}
-	r.mu.Unlock()
-
-	if err != nil {
-		r.send(origin, proto.SetupResult{
-			Conn: m.Conn, Channel: m.Channel, FailedHop: i, Reason: err.Error(), Seq: m.Seq,
-		})
-		return
-	}
-	r.tracer.HopSignal(m.Trace, int64(m.Conn), int(r.cfg.Node), int(l), m.Channel.String())
-	m.Hop++
-	r.send(next, m)
-}
-
-// handleSetupResult completes a pending setup round trip; replies whose
-// sequence does not match the pending attempt are stragglers from a
-// superseded round trip and are dropped. Delivery happens under mu so a
-// reply can never land in a channel already drained and pooled by the
-// round trip's owner.
-func (r *Router) handleSetupResult(m proto.SetupResult) {
-	r.mu.Lock()
-	p, ok := r.pending[pendingKey{conn: m.Conn, channel: m.Channel}]
-	if ok && m.Seq == p.seq {
-		select {
-		case p.ch <- m:
-		default:
+		if r.transitPrim[l] == nil {
+			r.transitPrim[l] = make(map[lsdb.ConnID]transitRec)
 		}
-		r.mu.Unlock()
-		return
+		r.transitPrim[l][s.conn] = transitRec{src: s.route[0], trace: s.trace}
 	}
-	r.mu.Unlock()
-	if ok {
-		r.tracer.DedupHit(0, int64(m.Conn), int(r.cfg.Node), "stale-setup-result")
-	}
-}
-
-// getSetupChLocked pops a pooled setup reply channel, or makes one.
-// Callers must hold r.mu.
-func (r *Router) getSetupChLocked() chan proto.SetupResult {
-	if n := len(r.setupChPool); n > 0 {
-		ch := r.setupChPool[n-1]
-		r.setupChPool = r.setupChPool[:n-1]
-		return ch
-	}
-	return make(chan proto.SetupResult, 1)
+	return l, err
 }
 
 // handleTeardown releases one hop and forwards the sweep. The release is
@@ -498,13 +535,13 @@ func (r *Router) handleTeardown(m proto.Teardown) {
 		return
 	}
 	next := m.Route[i+1]
-	key := dedupKey{kind: sigTeardown, conn: m.Conn, channel: m.Channel, seq: m.Seq, hop: i}
+	key := dedupKey{sigID: sigID{kind: sigTeardown, conn: m.Conn, channel: m.Channel}, seq: m.Seq, hop: i}
 	released := graph.LinkID(-1)
 	r.mu.Lock()
 	r.recordTombstoneLocked(m.Conn, m.Seq)
 	_, dup := r.seenSig[key]
 	if !dup {
-		r.recordSeenLocked(key, dedupRec{ok: true})
+		r.recordSeenLocked(key, sigResult{ok: true})
 		if l, ok := r.g.LinkBetween(r.cfg.Node, next); ok {
 			r.releaseLocalLocked(m.Conn, m.Channel, l)
 			r.markDirtyLocked()

@@ -1,6 +1,7 @@
 // Package transport moves DRTP protocol messages between routers. Two
 // implementations are provided: an in-memory switchboard for simulations
-// and tests, and a TCP mesh using encoding/gob for real deployments.
+// and tests, and a TCP mesh framing messages with proto's binary wire
+// codec for real deployments.
 package transport
 
 import (
