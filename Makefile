@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json vet fmt lint lint-test lint-json lint-self lint-list experiments quick clean
+.PHONY: all build test race bench vet fmt lint lint-test lint-json lint-self lint-list experiments quick clean
 
 all: build test
 
@@ -16,13 +16,10 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Package micro-benchmarks. The performance ledger is `go run ./bench`
+# (see bench/README.md).
 bench:
 	$(GO) test -bench . -benchmem ./...
-
-# One reproduction per experiment benchmark, three samples each, written
-# to BENCH_<date>.json for cross-commit comparison (see scripts/bench.sh).
-bench-json:
-	GO="$(GO)" ./scripts/bench.sh
 
 vet:
 	$(GO) vet ./...

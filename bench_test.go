@@ -1,10 +1,9 @@
 package drtp_test
 
-// Benchmarks regenerating the paper's evaluation artifacts, one per table
-// and figure (see the experiment index in DESIGN.md), plus micro-benches
-// for the hot paths. The figure benches run scaled-down parameter points
-// (smaller network, shorter horizon) so `go test -bench` stays fast; the
-// full-scale reproduction is `drtpsim -exp all` and EXPERIMENTS.md.
+// The one benchmark CI's bench-guard job runs: the Figure 4/5 cell set at
+// fixed worker counts, on a scaled-down parameter point (smaller network,
+// shorter horizon). Everything else that measures performance lives in
+// the ledger — `go run ./bench` / `bash bench/run.sh`, see bench/README.md.
 
 import (
 	"fmt"
@@ -13,50 +12,15 @@ import (
 	"github.com/rtcl/drtp"
 )
 
-// benchParams returns a scaled-down evaluation point.
-func benchParams(degree float64) drtp.ExperimentParams {
-	p := drtp.DefaultExperimentParams(degree)
+// benchParams returns the scaled-down evaluation point.
+func benchParams() drtp.ExperimentParams {
+	p := drtp.DefaultExperimentParams(3)
 	p.Nodes = 30
 	p.Duration = 120
 	p.Warmup = 60
 	p.EvalInterval = 20
-	if degree >= 4 {
-		p.Lambdas = []float64{0.8}
-	} else {
-		p.Lambdas = []float64{0.4}
-	}
+	p.Lambdas = []float64{0.2, 0.4, 0.6}
 	return p
-}
-
-// BenchmarkTable1 regenerates Table 1 (simulation setup): topology plus
-// network construction at the paper's full scale.
-func BenchmarkTable1(b *testing.B) {
-	p := drtp.DefaultExperimentParams(3)
-	for i := 0; i < b.N; i++ {
-		g, err := p.Topology()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := drtp.NewNetwork(g, p.Capacity, p.UnitBW); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchmarkSweep runs one Figure 4/5 evaluation cell set per iteration.
-func benchmarkSweep(b *testing.B, degree float64) {
-	p := benchParams(degree)
-	for i := 0; i < b.N; i++ {
-		sweep, err := drtp.RunSweep(p, drtp.PaperSchemes())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range sweep.Rows {
-			if !row.Result.FTValid {
-				b.Fatalf("cell %s/%s has no fault-tolerance sample", row.Pattern, row.Scheme)
-			}
-		}
-	}
 }
 
 // BenchmarkSweepParallel regenerates the Figure 4/5 cell set at fixed
@@ -67,8 +31,7 @@ func benchmarkSweep(b *testing.B, degree float64) {
 func BenchmarkSweepParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			p := benchParams(3)
-			p.Lambdas = []float64{0.2, 0.4, 0.6}
+			p := benchParams()
 			p.Workers = workers
 			for i := 0; i < b.N; i++ {
 				sweep, err := drtp.RunSweep(p, drtp.PaperSchemes())
@@ -80,266 +43,5 @@ func BenchmarkSweepParallel(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkFig4E3 regenerates Figure 4(a): fault tolerance vs lambda, E=3.
-func BenchmarkFig4E3(b *testing.B) { benchmarkSweep(b, 3) }
-
-// BenchmarkFig4E4 regenerates Figure 4(b): fault tolerance vs lambda, E=4.
-func BenchmarkFig4E4(b *testing.B) { benchmarkSweep(b, 4) }
-
-// BenchmarkFig5E3 regenerates Figure 5(a): capacity overhead vs lambda,
-// E=3 (the same runs as Figure 4 plus the no-backup baseline; the
-// overhead arithmetic itself is what this bench adds).
-func BenchmarkFig5E3(b *testing.B) {
-	p := benchParams(3)
-	for i := 0; i < b.N; i++ {
-		sweep, err := drtp.RunSweep(p, drtp.PaperSchemes())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range sweep.Rows {
-			if oh := row.CapacityOverhead(); oh < 0 || oh > 1 {
-				b.Fatalf("overhead = %v", oh)
-			}
-		}
-	}
-}
-
-// BenchmarkFig5E4 regenerates Figure 5(b): capacity overhead, E=4.
-func BenchmarkFig5E4(b *testing.B) {
-	p := benchParams(4)
-	for i := 0; i < b.N; i++ {
-		sweep, err := drtp.RunSweep(p, drtp.PaperSchemes())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range sweep.Rows {
-			_ = row.CapacityOverhead()
-		}
-	}
-}
-
-// BenchmarkOverheadX1 regenerates the §6 discovery-overhead comparison
-// (experiment X1 in DESIGN.md).
-func BenchmarkOverheadX1(b *testing.B) {
-	p := benchParams(3)
-	for i := 0; i < b.N; i++ {
-		if _, err := drtp.RunOverhead(p, drtp.UT, 0.4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationX2 regenerates the design-choice ablation (experiment
-// X2 in DESIGN.md: multiplexed vs dedicated spares, conflict-aware vs
-// blind routing).
-func BenchmarkAblationX2(b *testing.B) {
-	p := benchParams(3)
-	for i := 0; i < b.N; i++ {
-		if _, err := drtp.RunAblation(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- micro-benchmarks -----------------------------------------------
-
-func benchNetwork(b *testing.B, degree float64) (*drtp.Graph, *drtp.Network) {
-	b.Helper()
-	g, err := drtp.Waxman(drtp.WaxmanConfig{Nodes: 60, AvgDegree: degree, MinDegree: 2, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	net, err := drtp.NewNetwork(g, 40, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g, net
-}
-
-// benchmarkEstablishRelease measures one establish+release cycle. Pairs
-// for which the scheme finds no backup (possible for BF on sparse
-// topologies) are skipped rather than failed — that is an admission
-// outcome, not a benchmark error.
-func benchmarkEstablishRelease(b *testing.B, scheme drtp.Scheme, opts ...drtp.ManagerOption) {
-	g, net := benchNetwork(b, 3)
-	mgr := drtp.NewManager(net, scheme, opts...)
-	n := drtp.NodeID(g.NumNodes())
-	established := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src := drtp.NodeID(i) % n
-		dst := (src + n/2) % n
-		id := drtp.ConnID(i)
-		if _, err := mgr.Establish(drtp.Request{ID: id, Src: src, Dst: dst}); err != nil {
-			continue
-		}
-		established++
-		if err := mgr.Release(id); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if established == 0 {
-		b.Fatal("no request succeeded")
-	}
-}
-
-func BenchmarkEstablishDLSR(b *testing.B) { benchmarkEstablishRelease(b, drtp.NewDLSR()) }
-
-// BenchmarkEstablishDLSRTraced is BenchmarkEstablishDLSR with a sink-less
-// tracer attached: the diff between the two is the telemetry subsystem's
-// cost on the admission hot path when tracing is configured but inert
-// (it must stay within noise — a few ns against an ~µs establish).
-func BenchmarkEstablishDLSRTraced(b *testing.B) {
-	benchmarkEstablishRelease(b, drtp.NewDLSR(), drtp.WithTelemetry(drtp.NewTracer()))
-}
-
-func BenchmarkEstablishPLSR(b *testing.B) { benchmarkEstablishRelease(b, drtp.NewPLSR()) }
-
-func BenchmarkEstablishBF(b *testing.B) {
-	benchmarkEstablishRelease(b, drtp.NewBoundedFloodingDefault())
-}
-
-// BenchmarkFailureSweep measures a full single-link failure sweep over a
-// loaded network.
-func BenchmarkFailureSweep(b *testing.B) {
-	g, net := benchNetwork(b, 3)
-	mgr := drtp.NewManager(net, drtp.NewDLSR())
-	n := drtp.NodeID(g.NumNodes())
-	for i := 0; i < 300; i++ {
-		src := drtp.NodeID(i) % n
-		dst := (src + 1 + drtp.NodeID(i/2)%(n-1)) % n
-		if src == dst {
-			continue
-		}
-		// Saturation rejections are fine; keep whatever fits.
-		_, _ = mgr.Establish(drtp.Request{ID: drtp.ConnID(i), Src: src, Dst: dst})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		outcomes := mgr.SweepFailures(drtp.LinkFailures)
-		if len(outcomes) != g.NumLinks() {
-			b.Fatal("short sweep")
-		}
-	}
-}
-
-// BenchmarkScenarioGenerate measures trace generation at full scale.
-func BenchmarkScenarioGenerate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sc, err := drtp.GenerateScenario(drtp.ScenarioConfig{
-			Nodes:    60,
-			Lambda:   0.5,
-			Duration: 400,
-			Pattern:  drtp.NT,
-			Seed:     int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sc.NumArrivals() == 0 {
-			b.Fatal("empty scenario")
-		}
-	}
-}
-
-// BenchmarkWaxman measures topology generation at full scale.
-func BenchmarkWaxman(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		g, err := drtp.Waxman(drtp.WaxmanConfig{
-			Nodes: 60, AvgDegree: 3, MinDegree: 2, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !g.Connected() {
-			b.Fatal("disconnected")
-		}
-	}
-}
-
-// BenchmarkMultiBackupX3 regenerates the multiple-backup study
-// (experiment X3 in DESIGN.md).
-func BenchmarkMultiBackupX3(b *testing.B) {
-	p := benchParams(3)
-	for i := 0; i < b.N; i++ {
-		if _, err := drtp.RunMultiBackup(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAvailabilityX4 regenerates the destructive-failure
-// availability study (experiment X4 in DESIGN.md).
-func BenchmarkAvailabilityX4(b *testing.B) {
-	ap := drtp.DefaultAvailabilityParams(3)
-	ap.Params = benchParams(3)
-	ap.Lambda = 0.4
-	for i := 0; i < b.N; i++ {
-		if _, err := drtp.RunAvailability(ap); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkQoSX5 regenerates the delay-bound study (experiment X5 in
-// DESIGN.md).
-func BenchmarkQoSX5(b *testing.B) {
-	p := benchParams(3)
-	for i := 0; i < b.N; i++ {
-		if _, err := drtp.RunQoS(p, 0.4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBoundedDijkstra measures the constrained shortest-path search
-// behind QoS-bounded backups.
-func BenchmarkBoundedDijkstra(b *testing.B) {
-	g, _ := benchNetwork(b, 3)
-	cost := func(drtp.LinkID) float64 { return 1 }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src := drtp.NodeID(i % g.NumNodes())
-		dst := drtp.NodeID((i + 29) % g.NumNodes())
-		if src == dst {
-			continue
-		}
-		drtp.ShortestPathBounded(g, src, dst, cost, 8)
-	}
-}
-
-// BenchmarkApplyFailure measures one destructive failure application on a
-// loaded network (switching + re-protection).
-func BenchmarkApplyFailure(b *testing.B) {
-	g, net := benchNetwork(b, 3)
-	mgr := drtp.NewManager(net, drtp.NewDLSR())
-	n := drtp.NodeID(g.NumNodes())
-	for i := 0; i < 200; i++ {
-		src := drtp.NodeID(i) % n
-		dst := (src + 1 + drtp.NodeID(i/2)%(n-1)) % n
-		if src == dst {
-			continue
-		}
-		_, _ = mgr.Establish(drtp.Request{ID: drtp.ConnID(i), Src: src, Dst: dst})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := drtp.EdgeID(i % g.NumEdges())
-		mgr.ApplyEdgeFailure(e)
-		net.RestoreEdge(e)
-	}
-}
-
-// BenchmarkTopologiesX6 regenerates the topology-sensitivity study
-// (experiment X6 in DESIGN.md).
-func BenchmarkTopologiesX6(b *testing.B) {
-	p := benchParams(3)
-	for i := 0; i < b.N; i++ {
-		if _, err := drtp.RunTopologySensitivity(p, 0.4); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -238,7 +238,7 @@ func run(args []string, w io.Writer) error {
 				return err
 			}
 			// Wall-clock metrics live outside the table: machine-readable,
-			// one line, parsed by scripts/scale_smoke.sh and bench.sh.
+			// one line, parsed by scripts/scale_smoke.sh.
 			js, err := s.SummaryJSON()
 			if err != nil {
 				return err

@@ -15,7 +15,7 @@ import (
 )
 
 // latencySummary is the percentile digest of one latency population, in
-// seconds. It is the shape embedded into BENCH_*.json.
+// seconds.
 type latencySummary struct {
 	Samples int     `json:"samples"`
 	Mean    float64 `json:"mean"`

@@ -135,10 +135,9 @@ func NewNetwork(g *graph.Graph, capacity, unitBW int) (*Network, error) {
 }
 
 // NewNetworkWithMode is NewNetwork with an explicit spare-sizing mode
-// (lsdb.Dedicated disables backup multiplexing, for ablation runs) and
-// optional link-state database tuning (shard count, APLV storage state).
-func NewNetworkWithMode(g *graph.Graph, capacity, unitBW int, mode lsdb.Mode, opts ...lsdb.Option) (*Network, error) {
-	db, err := lsdb.NewWithMode(g, capacity, unitBW, mode, opts...)
+// (lsdb.Dedicated disables backup multiplexing, for ablation runs).
+func NewNetworkWithMode(g *graph.Graph, capacity, unitBW int, mode lsdb.Mode) (*Network, error) {
+	db, err := lsdb.NewWithMode(g, capacity, unitBW, mode)
 	if err != nil {
 		return nil, err
 	}

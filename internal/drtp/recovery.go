@@ -121,39 +121,33 @@ func (m *Manager) applyFailure(hits func(graph.Path) bool, link int) RecoveryOut
 }
 
 // rerouteConnection performs reactive recovery: a fresh primary route is
-// reserved from free capacity and the old one released.
+// reserved from free capacity and the old one released. Links the two
+// routes share keep their reservation.
 func (m *Manager) rerouteConnection(c *Connection) bool {
 	fresh, err := m.net.RoutePrimary(c.Src, c.Dst)
 	if err != nil {
 		return false
 	}
 	db := m.net.DB()
-	old := c.Primary.LinkSet()
-	var reserved []graph.LinkID
-	rollback := func() {
-		for _, l := range reserved {
-			mustRelease(db.ReleasePrimary(c.ID, l))
-		}
+	if db.ReservePrimaryPath(c.ID, linksOutside(fresh, c.Primary)) != nil {
+		return false
 	}
-	for _, l := range fresh.Links() {
-		if _, shared := old[l]; shared {
-			continue // reuse the existing reservation
-		}
-		if err := db.ReservePrimary(c.ID, l); err != nil {
-			rollback()
-			return false
-		}
-		reserved = append(reserved, l)
-	}
-	newLinks := fresh.LinkSet()
-	for _, l := range c.Primary.Links() {
-		if _, shared := newLinks[l]; shared {
-			continue
-		}
-		mustRelease(db.ReleasePrimary(c.ID, l))
-	}
+	mustRelease(db.ReleasePrimaryPath(c.ID, linksOutside(c.Primary, fresh)))
 	c.Primary = fresh
 	return true
+}
+
+// linksOutside returns the links of p that q does not traverse, in p's
+// order.
+func linksOutside(p, q graph.Path) []graph.LinkID {
+	in := q.LinkSet()
+	var out []graph.LinkID
+	for _, l := range p.Links() {
+		if _, shared := in[l]; !shared {
+			out = append(out, l)
+		}
+	}
+	return out
 }
 
 // pathAlive reports whether no link of p is marked failed.
@@ -180,18 +174,15 @@ func (m *Manager) switchConnection(c *Connection, out *RecoveryOutcome) bool {
 		if !m.signalOK(c.trace, c.ID, "activate") {
 			continue
 		}
-		if !m.promoteBackup(c, backup) {
+		// Spare slots become primary bandwidth link by link (links the old
+		// primary already holds keep their reservation); contention on any
+		// link leaves the backup registered as it was.
+		if db.PromoteBackupPath(c.ID, backup.Links()) != nil {
 			continue
 		}
 		// Release the old primary's reservations except links shared
 		// with (and reused by) the new primary.
-		newLinks := backup.LinkSet()
-		for _, l := range oldPrimary.Links() {
-			if _, shared := newLinks[l]; shared {
-				continue
-			}
-			mustRelease(db.ReleasePrimary(c.ID, l))
-		}
+		mustRelease(db.ReleasePrimaryPath(c.ID, linksOutside(oldPrimary, backup)))
 		// Surviving backups were registered with the old primary's LSET;
 		// release and re-register them against the new primary.
 		survivors := make([]graph.Path, 0, len(c.Backups)-1)
@@ -199,9 +190,7 @@ func (m *Manager) switchConnection(c *Connection, out *RecoveryOutcome) bool {
 			if j == i {
 				continue
 			}
-			for _, l := range b.Links() {
-				mustRelease(db.ReleaseBackup(c.ID, l))
-			}
+			mustRelease(db.ReleaseBackupPath(c.ID, b.Links()))
 			survivors = append(survivors, b)
 		}
 		c.Primary = backup
@@ -219,42 +208,6 @@ func (m *Manager) switchConnection(c *Connection, out *RecoveryOutcome) bool {
 		return true
 	}
 	return false
-}
-
-// promoteBackup converts the backup's registrations into primary
-// bandwidth link by link, reusing links the old primary already holds;
-// on any contention it rolls the conversion back.
-func (m *Manager) promoteBackup(c *Connection, backup graph.Path) bool {
-	db := m.net.DB()
-	oldLSET := c.Primary.Links()
-	type step struct {
-		link     graph.LinkID
-		promoted bool // false: reused the old primary's reservation
-	}
-	var done []step
-	rollback := func() {
-		for _, d := range done {
-			if d.promoted {
-				mustRelease(db.ReleasePrimary(c.ID, d.link))
-			}
-			mustRelease(db.RegisterBackup(c.ID, d.link, oldLSET))
-		}
-	}
-	for _, l := range backup.Links() {
-		if db.HasPrimary(c.ID, l) {
-			// Shared with the old primary: keep the reservation, drop
-			// the backup registration.
-			mustRelease(db.ReleaseBackup(c.ID, l))
-			done = append(done, step{link: l})
-			continue
-		}
-		if err := db.PromoteBackup(c.ID, l); err != nil {
-			rollback()
-			return false
-		}
-		done = append(done, step{link: l, promoted: true})
-	}
-	return true
 }
 
 // restoreProtection routes and registers fresh backups for c's current

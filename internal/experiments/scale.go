@@ -21,7 +21,7 @@ import (
 // one large topology, sustained Poisson arrivals per (scheme, lambda)
 // cell, and a schedule of destructive edge failures whose per-connection
 // recovery latencies are sampled. It exists to exercise — and measure —
-// the pair-list APLV storage and the sharded link-state database on
+// the pair-list APLV storage and the link-state database on
 // networks two orders of magnitude beyond the paper's 60 nodes, where a
 // dense O(links²) layout does not fit. No Conflict Vector is materialized
 // on this path: routing reads the pair lists through
@@ -290,8 +290,7 @@ func (s *Scale) Table() *metrics.Table {
 
 // ScaleSummary is the machine-readable roll-up of one run, including the
 // wall-clock quantities Table deliberately omits. cmd/drtpsim prints it
-// as a single SCALE_JSON line; scripts/scale_smoke.sh and bench.sh parse
-// it.
+// as a single SCALE_JSON line; scripts/scale_smoke.sh parses it.
 type ScaleSummary struct {
 	Nodes            int     `json:"nodes"`
 	Links            int     `json:"links"`

@@ -98,7 +98,7 @@ func (o *aplvOracle) checkLink(t *testing.T, db *DB, l graph.LinkID, step int) {
 	if got := db.AppendCV(l, []byte{0xee}); got[0] != 0xee || !bytes.Equal(got[1:], wire) {
 		t.Fatalf("step %d: AppendCV(%d) = %x, oracle ee%x", step, l, got, wire)
 	}
-	if got := db.lsLocked(l).aplv.dense != nil; got != o.dense[l] {
+	if got := db.links[l].aplv.dense != nil; got != o.dense[l] {
 		t.Fatalf("step %d: link %d dense = %v, oracle %v (%d entries, threshold %d)",
 			step, l, got, o.dense[l], len(o.counts[l]), o.denseAt)
 	}
@@ -147,7 +147,7 @@ func crossDenseThreshold(t *testing.T, g *graph.Graph, seed int64) {
 	n := g.NumLinks()
 	// Capacity is never the constraint: no primaries are reserved, and a
 	// backup registers whenever capacity - prime >= unit.
-	db, err := New(g, 10, 1, WithShardCount(4))
+	db, err := New(g, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

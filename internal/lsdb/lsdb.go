@@ -14,24 +14,29 @@
 // All DR-connections reserve the same bandwidth (the paper's constant
 // bw-req), fixed at construction as the DB's unit bandwidth.
 //
-// The database is sharded by link range: each shard guards a contiguous
-// slice of link records with its own mutex, so concurrent workloads on
-// disjoint parts of a large topology do not serialize on one lock. Every
-// multi-shard operation — the whole-path batch surface and the aggregate
-// scans — acquires shard locks in ascending shard order, which keeps the
-// lock graph acyclic. Single-call snapshots and totals lock shards one at
-// a time, so under concurrent mutation they are coherent per shard rather
-// than globally — the single-threaded route-then-reserve discipline of
-// the Manager and simulator is unaffected, and the concurrent stress tier
-// checks exactly the per-link invariants that remain global.
+// A DB has one writer — a simulator cell is one goroutine, a router
+// mutates its DB from its own loop under Router.mu — so the link records
+// are one flat slice behind one mutex. The mutex is kept only because a
+// router's DB is also read from outside that loop (tests, examples, the
+// drtpnode console via Router.DB()); the routing hot paths take it once
+// per batch read (snapshot.go), not once per link.
+//
+// Each of the paper's per-link transitions — reserve a primary, release
+// it, register a backup, release it, promote it on activation — has
+// exactly one body, a ...Locked method below. The per-link methods are
+// lock + body; the whole-path methods (snapshot.go) are lock + a loop
+// over the same body + first-failure rollback. The shared-link activation
+// rule (a link that already carries the connection's primary keeps that
+// reservation and only drops the backup registration) lives in the
+// promote body, so the simulator's Manager and the router's hop handler
+// both get it by calling PromoteBackupPath / PromoteBackup.
 package lsdb
 
 import (
 	"fmt"
-	"math/bits"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/rtcl/drtp/internal/bitvec"
 	"github.com/rtcl/drtp/internal/graph"
@@ -92,23 +97,6 @@ type linkState struct {
 	primaries map[ConnID]struct{}
 }
 
-// dbShard guards one contiguous range of link records.
-type dbShard struct {
-	mu sync.Mutex
-	// links holds this shard's per-link records; guarded by mu.
-	links []linkState
-	_     [40]byte // pad to a cache line so neighbor shards don't false-share
-}
-
-const (
-	// defaultShardSpan is the number of links per shard before the 64-
-	// shard cap widens it.
-	defaultShardSpan = 1024
-	// maxShards bounds the shard count so multi-shard operations can
-	// carry their lock set as one uint64 mask.
-	maxShards = 64
-)
-
 // DB is the aggregate link-state database over all links of a network. In
 // a deployment each router owns the records for its outgoing links and
 // advertises summaries; the simulator keeps them in one place, mirroring
@@ -119,9 +107,10 @@ type DB struct {
 	mode   Mode
 	n      int // total links; immutable after construction
 
-	shardShift uint
-	shardMask  int
-	shards     []dbShard
+	mu sync.Mutex
+	// links holds the per-link records, indexed by graph.LinkID;
+	// guarded by mu.
+	links []linkState
 
 	// aplvDenseAt is the pair-list length past which a link's APLV is
 	// up-converted to the dense array (aplvDenseThreshold). Tests in this
@@ -129,34 +118,21 @@ type DB struct {
 	// dense on first use, negative never up-converts.
 	aplvDenseAt int
 
-	// backupOps counts RegisterBackup + ReleaseBackup calls: each is one
-	// per-link update driven by a backup-register/release packet, the
-	// signalling volume of the link-state schemes.
-	backupOps atomic.Int64
-
-	shardCountHint int
-}
-
-// Option configures a DB at construction.
-type Option func(*DB)
-
-// WithShardCount overrides the automatic shard sizing with (about) count
-// shards, clamped to [1, 64] and rounded so each shard spans a power of
-// two links. Tests use it to force heavy shard crossings on small
-// topologies.
-func WithShardCount(count int) Option {
-	return func(db *DB) { db.shardCountHint = count }
+	// backupOps counts per-link backup register/release/promote updates:
+	// each is driven by one backup-register/release/activate packet, the
+	// signalling volume of the link-state schemes; guarded by mu.
+	backupOps int64
 }
 
 // New creates a database for graph g where every link has the given
 // capacity and every DR-connection reserves unitBW, with backup
 // multiplexing enabled.
-func New(g *graph.Graph, capacity, unitBW int, opts ...Option) (*DB, error) {
-	return NewWithMode(g, capacity, unitBW, Multiplexed, opts...)
+func New(g *graph.Graph, capacity, unitBW int) (*DB, error) {
+	return NewWithMode(g, capacity, unitBW, Multiplexed)
 }
 
 // NewWithMode is New with an explicit spare-sizing mode.
-func NewWithMode(g *graph.Graph, capacity, unitBW int, mode Mode, opts ...Option) (*DB, error) {
+func NewWithMode(g *graph.Graph, capacity, unitBW int, mode Mode) (*DB, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("lsdb: capacity must be positive, got %d", capacity)
 	}
@@ -168,63 +144,15 @@ func NewWithMode(g *graph.Graph, capacity, unitBW int, mode Mode, opts ...Option
 	}
 	n := g.NumLinks()
 	db := &DB{g: g, unitBW: unitBW, mode: mode, n: n, aplvDenseAt: aplvDenseThreshold(n)}
-	for _, opt := range opts {
-		opt(db)
-	}
-	db.layoutShards()
-	for si := range db.shards {
-		sh := &db.shards[si]
-		for i := range sh.links {
-			sh.links[i] = linkState{
-				capacity:  capacity,
-				backups:   make(map[ConnID][]graph.LinkID),
-				primaries: make(map[ConnID]struct{}),
-			}
+	db.links = make([]linkState, n)
+	for i := range db.links {
+		db.links[i] = linkState{
+			capacity:  capacity,
+			backups:   make(map[ConnID][]graph.LinkID),
+			primaries: make(map[ConnID]struct{}),
 		}
 	}
 	return db, nil
-}
-
-// layoutShards picks the shard span (a power of two) and allocates the
-// shard array: defaultShardSpan-sized shards, widened until the count
-// fits maxShards, or sized to the WithShardCount hint.
-func (db *DB) layoutShards() {
-	span := defaultShardSpan
-	if hint := db.shardCountHint; hint > 0 {
-		if hint > maxShards {
-			hint = maxShards
-		}
-		span = 1
-		for span*hint < db.n {
-			span *= 2
-		}
-	}
-	for (db.n+span-1)/span > maxShards {
-		span *= 2
-	}
-	db.shardShift = uint(bits.TrailingZeros(uint(span)))
-	db.shardMask = span - 1
-	count := (db.n + span - 1) / span
-	if count == 0 {
-		count = 1
-	}
-	db.shards = make([]dbShard, count)
-	for si := range db.shards {
-		lo := si * span
-		hi := lo + span
-		if hi > db.n {
-			hi = db.n
-		}
-		db.shards[si].links = make([]linkState, hi-lo)
-	}
-}
-
-// shardFor returns the shard owning link l.
-func (db *DB) shardFor(l graph.LinkID) *dbShard { return &db.shards[int(l)>>db.shardShift] }
-
-// lsLocked returns link l's record; the caller must hold l's shard lock.
-func (db *DB) lsLocked(l graph.LinkID) *linkState {
-	return &db.shards[int(l)>>db.shardShift].links[int(l)&db.shardMask]
 }
 
 // Graph returns the underlying topology.
@@ -236,40 +164,33 @@ func (db *DB) UnitBW() int { return db.unitBW }
 // NumLinks returns the number of unidirectional links tracked.
 func (db *DB) NumLinks() int { return db.n }
 
-// NumShards returns the number of link-range shards.
-func (db *DB) NumShards() int { return len(db.shards) }
-
 // Capacity returns the total bandwidth of link l.
 func (db *DB) Capacity(l graph.LinkID) int {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return db.lsLocked(l).capacity
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.links[l].capacity
 }
 
 // PrimeBW returns the bandwidth reserved by primary channels on link l.
 func (db *DB) PrimeBW(l graph.LinkID) int {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return db.lsLocked(l).prime
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.links[l].prime
 }
 
 // SpareBW returns the bandwidth reserved for backup channels on link l.
 func (db *DB) SpareBW(l graph.LinkID) int {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return db.lsLocked(l).spare
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.links[l].spare
 }
 
 // FreeBW returns the unallocated bandwidth on link l
 // (capacity - prime - spare).
 func (db *DB) FreeBW(l graph.LinkID) int {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := db.lsLocked(l)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	s := &db.links[l]
 	return s.capacity - s.prime - s.spare
 }
 
@@ -281,20 +202,24 @@ func (db *DB) AvailableForPrimary(l graph.LinkID) int { return db.FreeBW(l) }
 // routing: unallocated bandwidth plus the spare bandwidth already shared by
 // backups (capacity - prime).
 func (db *DB) AvailableForBackup(l graph.LinkID) int {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := db.lsLocked(l)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	s := &db.links[l]
 	return s.capacity - s.prime
 }
 
 // ReservePrimary reserves unit bandwidth for connection id's primary
 // channel on link l.
 func (db *DB) ReservePrimary(id ConnID, l graph.LinkID) error {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := db.lsLocked(l)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.reservePrimaryLocked(id, l)
+}
+
+// reservePrimaryLocked is the reserve transition; the caller must hold
+// db.mu.
+func (db *DB) reservePrimaryLocked(id ConnID, l graph.LinkID) error {
+	s := &db.links[l]
 	if free := s.capacity - s.prime - s.spare; free < db.unitBW {
 		return &ErrInsufficientBandwidth{Link: l, Need: db.unitBW, Have: free}
 	}
@@ -308,10 +233,15 @@ func (db *DB) ReservePrimary(id ConnID, l graph.LinkID) error {
 
 // ReleasePrimary releases connection id's primary reservation on link l.
 func (db *DB) ReleasePrimary(id ConnID, l graph.LinkID) error {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := db.lsLocked(l)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.releasePrimaryLocked(id, l)
+}
+
+// releasePrimaryLocked is the release-primary transition; the caller must
+// hold db.mu. Spare is not resized here: it follows backup operations only.
+func (db *DB) releasePrimaryLocked(id ConnID, l graph.LinkID) error {
+	s := &db.links[l]
 	if _, ok := s.primaries[id]; !ok {
 		return fmt.Errorf("lsdb: connection %d has no primary on link %d", id, l)
 	}
@@ -327,13 +257,21 @@ func (db *DB) ReleasePrimary(id ConnID, l graph.LinkID) error {
 // allows; if it does not, the backup is multiplexed on the existing spare
 // resources anyway (paper §5, choice 2) and the link runs a deficit.
 //
-// Registration fails only when the link cannot hold even one activation of
-// this backup, i.e. capacity - prime < unit bandwidth.
+// Registration fails when the link cannot hold even one activation of
+// this backup, i.e. capacity - prime < unit bandwidth, or when primaryLSET
+// names a link outside the network.
 func (db *DB) RegisterBackup(id ConnID, l graph.LinkID, primaryLSET []graph.LinkID) error {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := db.lsLocked(l)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.registerBackupLocked(id, l, slices.Clone(primaryLSET))
+}
+
+// registerBackupLocked is the register transition; the caller must hold
+// db.mu. lset is stored as given — the caller passes a copy the database
+// may keep (one per call, shared by all links of a path). An LSET arrives
+// off the wire, so its entries are checked before anything is mutated.
+func (db *DB) registerBackupLocked(id ConnID, l graph.LinkID, lset []graph.LinkID) error {
+	s := &db.links[l]
 	if avail := s.capacity - s.prime; avail < db.unitBW {
 		return &ErrInsufficientBandwidth{Link: l, Need: db.unitBW, Have: avail}
 	}
@@ -346,18 +284,22 @@ func (db *DB) RegisterBackup(id ConnID, l graph.LinkID, primaryLSET []graph.Link
 	if _, dup := s.backups[id]; dup {
 		return fmt.Errorf("lsdb: connection %d already has a backup on link %d", id, l)
 	}
-	db.backupOps.Add(1)
-	lset := make([]graph.LinkID, len(primaryLSET))
-	copy(lset, primaryLSET)
-	s.backups[id] = lset
-	db.applyLSETLocked(s, lset)
-	db.resizeSpareLocked(s)
+	for _, pl := range lset {
+		if pl < 0 || int(pl) >= db.n {
+			return fmt.Errorf("lsdb: LSET entry %d out of range [0,%d)", pl, db.n)
+		}
+	}
+	db.attachBackupLocked(id, s, lset)
 	return nil
 }
 
-// applyLSETLocked adds one backup's LSET contribution to s's APLV; the
-// caller must hold s's shard lock.
-func (db *DB) applyLSETLocked(s *linkState, lset []graph.LinkID) {
+// attachBackupLocked stores a backup registration on s, folds its LSET
+// into the APLV and resizes spare; it counts one backup op. The caller
+// must hold db.mu.
+func (db *DB) attachBackupLocked(id ConnID, s *linkState, lset []graph.LinkID) {
+	db.backupOps++
+	//drtplint:ignore cvclone lset is already the registry's own copy: the exported callers clone before the lock, rollback re-attaches what the registry held
+	s.backups[id] = lset
 	for _, pl := range lset {
 		v := int(s.aplv.inc(int(pl), db.aplvDenseAt, db.n))
 		s.norm++
@@ -365,61 +307,16 @@ func (db *DB) applyLSETLocked(s *linkState, lset []graph.LinkID) {
 			s.maxElem = v
 		}
 	}
-}
-
-// ReleaseBackup removes connection id's backup channel from link l,
-// reversing the APLV updates using the LSET stored at registration and
-// shrinking spare resources to the new requirement.
-func (db *DB) ReleaseBackup(id ConnID, l graph.LinkID) error {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := db.lsLocked(l)
-	if _, ok := s.backups[id]; !ok {
-		return fmt.Errorf("lsdb: connection %d has no backup on link %d", id, l)
-	}
-	db.releaseBackupLocked(id, s)
-	return nil
-}
-
-// PromoteBackup activates connection id's backup on link l: one unit of
-// the spare pool is converted into primary bandwidth and the backup
-// registration is removed (its APLV contribution disappears with it).
-// It fails with ErrInsufficientBandwidth when the spare pool has no free
-// activation slot — the contention among conflicting backups multiplexed
-// on the same spare resources.
-func (db *DB) PromoteBackup(id ConnID, l graph.LinkID) error {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := db.lsLocked(l)
-	lset, ok := s.backups[id]
-	if !ok {
-		return fmt.Errorf("lsdb: connection %d has no backup on link %d", id, l)
-	}
-	if _, dup := s.primaries[id]; dup {
-		return fmt.Errorf("lsdb: connection %d already has a primary on link %d", id, l)
-	}
-	if s.spare < db.unitBW {
-		return &ErrInsufficientBandwidth{Link: l, Need: db.unitBW, Have: s.spare}
-	}
-	// Consume one activation slot: the promoted channel's bandwidth moves
-	// from the shared spare pool into primary bandwidth.
-	s.prime += db.unitBW
-	s.primaries[id] = struct{}{}
-
-	// Drop the backup registration and its APLV contribution.
-	db.backupOps.Add(1)
-	delete(s.backups, id)
-	db.removeLSETLocked(s, lset)
 	db.resizeSpareLocked(s)
-	return nil
 }
 
-// removeLSETLocked reverses applyLSETLocked, recomputing the maximum only
-// when a counter at the maximum decreased; the caller must hold s's shard
-// lock.
-func (db *DB) removeLSETLocked(s *linkState, lset []graph.LinkID) {
+// detachBackupLocked reverses attachBackupLocked for a registration known
+// to be present, recomputing the APLV maximum only when a counter at the
+// maximum decreased; it counts one backup op. The caller must hold db.mu.
+func (db *DB) detachBackupLocked(id ConnID, s *linkState) {
+	db.backupOps++
+	lset := s.backups[id]
+	delete(s.backups, id)
 	recompute := false
 	for _, pl := range lset {
 		if int(s.aplv.at(int(pl))) == s.maxElem {
@@ -431,12 +328,77 @@ func (db *DB) removeLSETLocked(s *linkState, lset []graph.LinkID) {
 	if recompute {
 		s.maxElem = s.aplv.maxVal()
 	}
+	db.resizeSpareLocked(s)
+}
+
+// ReleaseBackup removes connection id's backup channel from link l,
+// reversing the APLV updates using the LSET stored at registration and
+// shrinking spare resources to the new requirement.
+func (db *DB) ReleaseBackup(id ConnID, l graph.LinkID) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.releaseBackupLocked(id, l)
+}
+
+// releaseBackupLocked is the release-backup transition; the caller must
+// hold db.mu.
+func (db *DB) releaseBackupLocked(id ConnID, l graph.LinkID) error {
+	s := &db.links[l]
+	if _, ok := s.backups[id]; !ok {
+		return fmt.Errorf("lsdb: connection %d has no backup on link %d", id, l)
+	}
+	db.detachBackupLocked(id, s)
+	return nil
+}
+
+// PromoteBackup activates connection id's backup on link l: one unit of
+// the spare pool is converted into primary bandwidth and the backup
+// registration is removed (its APLV contribution disappears with it). On a
+// link that already carries the connection's primary — the backup shares
+// it with the failed primary — the reservation is kept and only the
+// registration is dropped. It fails with ErrInsufficientBandwidth when the
+// spare pool has no free activation slot — the contention among
+// conflicting backups multiplexed on the same spare resources.
+func (db *DB) PromoteBackup(id ConnID, l graph.LinkID) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	_, err := db.promoteBackupLocked(id, l)
+	return err
+}
+
+// promotion is what promoteBackupLocked did to one link, enough to undo it.
+type promotion struct {
+	link      graph.LinkID
+	lset      []graph.LinkID // the registration's stored LSET
+	converted bool           // false: the link already held id's primary
+}
+
+// promoteBackupLocked is the promote transition; the caller must hold
+// db.mu.
+func (db *DB) promoteBackupLocked(id ConnID, l graph.LinkID) (promotion, error) {
+	s := &db.links[l]
+	lset, ok := s.backups[id]
+	if !ok {
+		return promotion{}, fmt.Errorf("lsdb: connection %d has no backup on link %d", id, l)
+	}
+	_, shared := s.primaries[id]
+	if !shared {
+		if s.spare < db.unitBW {
+			return promotion{}, &ErrInsufficientBandwidth{Link: l, Need: db.unitBW, Have: s.spare}
+		}
+		// Consume one activation slot: the promoted channel's bandwidth
+		// moves from the shared spare pool into primary bandwidth.
+		s.prime += db.unitBW
+		s.primaries[id] = struct{}{}
+	}
+	db.detachBackupLocked(id, s)
+	return promotion{link: l, lset: lset, converted: !shared}, nil
 }
 
 // resizeSpareLocked sets a link's spare bandwidth to the mode's requirement:
 // max_j APLV[j] activations under multiplexing, or one unit per backup
 // under dedicated reservation; capped at what fits beside the primaries.
-// The caller must hold the link's shard lock.
+// The caller must hold db.mu.
 func (db *DB) resizeSpareLocked(s *linkState) {
 	required := s.maxElem * db.unitBW
 	if db.mode == Dedicated {
@@ -453,23 +415,25 @@ func (db *DB) Mode() Mode { return db.mode }
 
 // BackupOps returns the cumulative number of backup register/release
 // per-link updates processed by this database.
-func (db *DB) BackupOps() int64 { return db.backupOps.Load() }
+func (db *DB) BackupOps() int64 {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.backupOps
+}
 
 // APLVAt returns APLV_l[j].
 func (db *DB) APLVAt(l, j graph.LinkID) int {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return int(db.lsLocked(l).aplv.at(int(j)))
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return int(db.links[l].aplv.at(int(j)))
 }
 
 // APLV returns a copy of link l's APLV.
 func (db *DB) APLV(l graph.LinkID) []int {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	out := make([]int, db.n)
-	a := &db.lsLocked(l).aplv
+	a := &db.links[l].aplv
 	if a.dense != nil {
 		for i, v := range a.dense {
 			out[i] = int(v)
@@ -484,81 +448,59 @@ func (db *DB) APLV(l graph.LinkID) []int {
 
 // APLVNorm returns ‖APLV_l‖₁, the scalar advertised by P-LSR.
 func (db *DB) APLVNorm(l graph.LinkID) int {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return db.lsLocked(l).norm
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.links[l].norm
 }
 
 // APLVMax returns max_j APLV_l[j], which sizes the spare resources.
 func (db *DB) APLVMax(l graph.LinkID) int {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return db.lsLocked(l).maxElem
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.links[l].maxElem
 }
 
 // CVBit returns the Conflict Vector bit c_{l,j}: true iff at least one
 // primary channel through link j has its backup on link l.
 func (db *DB) CVBit(l, j graph.LinkID) bool {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return db.lsLocked(l).aplv.at(int(j)) > 0
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.links[l].aplv.at(int(j)) > 0
 }
 
 // CV materializes link l's Conflict Vector, the bit-vector D-LSR
-// advertises in place of the full APLV: links/8 bytes per call. The
-// routing hot path reads conflicts through ConflictCountsInto and
+// advertises in place of the full APLV, from its wire form (AppendCV).
+// The routing hot path reads conflicts through ConflictCountsInto and
 // adverts are built by AppendCV, neither of which materializes one.
 func (db *DB) CV(l graph.LinkID) *bitvec.Vector {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	v := bitvec.New(db.n)
-	a := &db.lsLocked(l).aplv
-	if a.dense != nil {
-		for j, c := range a.dense {
-			if c > 0 {
-				v.Set(j)
-			}
-		}
-		return v
-	}
-	for _, j := range a.idx {
-		v.Set(int(j))
-	}
-	return v
+	return bitvec.FromBytes(db.n, db.AppendCV(l, nil))
 }
 
 // SC returns the number of backups on link l that can be activated
 // simultaneously from the reserved spare resources (paper's SC_i).
 func (db *DB) SC(l graph.LinkID) int {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	return db.scLocked(l)
 }
 
-// scLocked is SC without locking; callers must hold l's shard lock.
-func (db *DB) scLocked(l graph.LinkID) int { return db.lsLocked(l).spare / db.unitBW }
+// scLocked is SC without locking; callers must hold db.mu.
+func (db *DB) scLocked(l graph.LinkID) int { return db.links[l].spare / db.unitBW }
 
 // HasDeficit reports whether link l multiplexes conflicting backups beyond
 // its spare resources, i.e. some single link failure could require more
 // activations than SC_l allows.
 func (db *DB) HasDeficit(l graph.LinkID) bool {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return db.lsLocked(l).maxElem > db.scLocked(l)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.links[l].maxElem > db.scLocked(l)
 }
 
 // BackupsOn returns the connection IDs with backups registered on link l.
 func (db *DB) BackupsOn(l graph.LinkID) []ConnID {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := db.lsLocked(l)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	s := &db.links[l]
 	out := make([]ConnID, 0, len(s.backups))
 	for id := range s.backups {
 		out = append(out, id)
@@ -569,80 +511,60 @@ func (db *DB) BackupsOn(l graph.LinkID) []ConnID {
 
 // NumBackupsOn returns the number of backups registered on link l.
 func (db *DB) NumBackupsOn(l graph.LinkID) int {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return len(db.lsLocked(l).backups)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return len(db.links[l].backups)
 }
 
 // PrimariesOn returns the number of primary channels on link l.
 func (db *DB) PrimariesOn(l graph.LinkID) int {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return len(db.lsLocked(l).primaries)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return len(db.links[l].primaries)
 }
 
 // HasPrimary reports whether connection id's primary traverses link l.
 func (db *DB) HasPrimary(id ConnID, l graph.LinkID) bool {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := db.lsLocked(l).primaries[id]
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	_, ok := db.links[l].primaries[id]
 	return ok
 }
 
 // HasBackup reports whether connection id's backup traverses link l.
 func (db *DB) HasBackup(id ConnID, l graph.LinkID) bool {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := db.lsLocked(l).backups[id]
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	_, ok := db.links[l].backups[id]
 	return ok
+}
+
+// sumLinks adds up one scalar of every link record under the lock.
+func (db *DB) sumLinks(field func(*linkState) int) int {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	total := 0
+	for i := range db.links {
+		total += field(&db.links[i])
+	}
+	return total
 }
 
 // TotalPrimeBW returns the sum of primary bandwidth over all links, a
 // measure of carried load.
 func (db *DB) TotalPrimeBW() int {
-	total := 0
-	for si := range db.shards {
-		sh := &db.shards[si]
-		sh.mu.Lock()
-		for i := range sh.links {
-			total += sh.links[i].prime
-		}
-		sh.mu.Unlock()
-	}
-	return total
+	return db.sumLinks(func(s *linkState) int { return s.prime })
 }
 
 // TotalSpareBW returns the sum of spare bandwidth over all links, the
 // paper's fault-tolerance resource overhead.
 func (db *DB) TotalSpareBW() int {
-	total := 0
-	for si := range db.shards {
-		sh := &db.shards[si]
-		sh.mu.Lock()
-		for i := range sh.links {
-			total += sh.links[i].spare
-		}
-		sh.mu.Unlock()
-	}
-	return total
+	return db.sumLinks(func(s *linkState) int { return s.spare })
 }
 
 // TotalCapacity returns the sum of capacity over all links.
 func (db *DB) TotalCapacity() int {
-	total := 0
-	for si := range db.shards {
-		sh := &db.shards[si]
-		sh.mu.Lock()
-		for i := range sh.links {
-			total += sh.links[i].capacity
-		}
-		sh.mu.Unlock()
-	}
-	return total
+	return db.sumLinks(func(s *linkState) int { return s.capacity })
 }
 
 // APLVBytes returns the bytes of APLV counter storage currently held
@@ -652,19 +574,10 @@ func (db *DB) TotalCapacity() int {
 // lists grow with the conflicts that actually exist — and the scale
 // experiment reports it per accepted connection.
 func (db *DB) APLVBytes() int64 {
-	var total int64
-	for si := range db.shards {
-		sh := &db.shards[si]
-		sh.mu.Lock()
-		for i := range sh.links {
-			a := &sh.links[i].aplv
-			if a.dense != nil {
-				total += 4 * int64(len(a.dense))
-			} else {
-				total += 8 * int64(len(a.idx))
-			}
+	return int64(db.sumLinks(func(s *linkState) int {
+		if s.aplv.dense != nil {
+			return 4 * len(s.aplv.dense)
 		}
-		sh.mu.Unlock()
-	}
-	return total
+		return 8 * len(s.aplv.idx)
+	}))
 }

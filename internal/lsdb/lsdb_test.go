@@ -1,6 +1,7 @@
 package lsdb
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -246,6 +247,39 @@ func TestRegisterBackupCopiesLSET(t *testing.T) {
 	}
 	if db.APLVNorm(l) != 0 {
 		t.Fatal("mutating caller LSET corrupted the registry")
+	}
+}
+
+// TestRegisterBackupRejectsOutOfRangeLSET: an LSET arrives off the wire
+// as signed varints, so an entry outside [0, NumLinks) must be an error
+// that mutates nothing and counts no backup op — accepted, a high entry
+// indexes past the Conflict Vector at the next AppendCV and a negative
+// one corrupts it silently.
+func TestRegisterBackupRejectsOutOfRangeLSET(t *testing.T) {
+	db := newTestDB(t, 10)
+	n := graph.LinkID(db.NumLinks())
+	path := []graph.LinkID{0, 1}
+	for _, bad := range [][]graph.LinkID{{n + 5}, {n}, {-1}, {2, -7, 3}} {
+		if err := db.RegisterBackup(1, 0, bad); err == nil {
+			t.Fatalf("RegisterBackup accepted LSET %v", bad)
+		}
+		if err := db.RegisterBackupPath(1, path, bad); err == nil {
+			t.Fatalf("RegisterBackupPath accepted LSET %v", bad)
+		}
+	}
+	for _, l := range path {
+		if db.HasBackup(1, l) || db.APLVNorm(l) != 0 || db.SpareBW(l) != 0 {
+			t.Fatalf("link %d mutated by a rejected registration", l)
+		}
+		if cv := db.AppendCV(l, nil); !bytes.Equal(cv, make([]byte, (int(n)+7)/8)) {
+			t.Fatalf("link %d: CV %x after rejected registrations", l, cv)
+		}
+	}
+	if db.BackupOps() != 0 {
+		t.Fatalf("rejected registrations counted %d backup ops", db.BackupOps())
+	}
+	if err := db.RegisterBackupPath(1, path, []graph.LinkID{0, n - 1}); err != nil {
+		t.Fatalf("in-range LSET rejected: %v", err)
 	}
 }
 

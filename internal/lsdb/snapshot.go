@@ -1,7 +1,7 @@
 package lsdb
 
 import (
-	"fmt"
+	"slices"
 
 	"github.com/rtcl/drtp/internal/graph"
 )
@@ -10,15 +10,15 @@ import (
 // routing and failure-evaluation hot paths used to call one locked
 // accessor per link from inside Dijkstra cost callbacks — at ~30 µs per
 // backup route that mutex traffic dominated the CPU profile. Each batch
-// call below takes each shard lock once, fills (or applies) per-link
-// arrays the caller retains across calls, and leaves the per-call
-// accessors intact for the cold paths.
+// read below takes the lock once and fills per-link arrays the caller
+// retains across calls; the per-call accessors stay for the cold paths.
 //
-// The whole-path operations stay atomic across shards: they collect the
-// set of shards their links touch into a bit mask, acquire those locks in
-// ascending shard order (keeping the lock graph acyclic), perform every
-// per-link step under the full lock set — including first-failure
-// rollback — and release in reverse order.
+// The whole-path operations add no transition logic of their own: each
+// takes the lock once, runs the per-link ...Locked body of lsdb.go over
+// the path in order, and on the first link that refuses undoes the links
+// before it with the inverse body — so a path call returns exactly the
+// error, leaves exactly the state and counts exactly the backup ops of
+// the per-link loop it replaces.
 
 // Snapshot is a point-in-time copy of the per-link scalars the routing
 // hot paths read: the backup-availability and free-bandwidth tests and
@@ -35,12 +35,11 @@ type Snapshot struct {
 	Norm []int
 }
 
-// SnapshotInto fills s with the current per-link state, locking each
-// shard once, and returns it. The database is unlocked when this
-// returns — and shards are visited sequentially — so the snapshot is
-// only coherent while the caller performs no interleaved reservations:
-// exactly the single-threaded route-then-reserve discipline of the
-// Manager and the simulator.
+// SnapshotInto fills s with the current per-link state under one lock
+// acquisition and returns it. The database is unlocked when this returns,
+// so the snapshot stays current only while the caller performs no
+// interleaved reservations: exactly the single-writer route-then-reserve
+// discipline of the Manager and the simulator.
 //
 //drtplint:hotpath
 func (db *DB) SnapshotInto(s *Snapshot) *Snapshot {
@@ -48,18 +47,14 @@ func (db *DB) SnapshotInto(s *Snapshot) *Snapshot {
 	s.AvailBackup = growInts(s.AvailBackup, n)
 	s.Free = growInts(s.Free, n)
 	s.Norm = growInts(s.Norm, n)
-	for si := range db.shards {
-		sh := &db.shards[si]
-		base := si << db.shardShift
-		sh.mu.Lock()
-		for i := range sh.links {
-			ls := &sh.links[i]
-			avail := ls.capacity - ls.prime
-			s.AvailBackup[base+i] = avail
-			s.Free[base+i] = avail - ls.spare
-			s.Norm[base+i] = ls.norm
-		}
-		sh.mu.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for i := range db.links {
+		ls := &db.links[i]
+		avail := ls.capacity - ls.prime
+		s.AvailBackup[i] = avail
+		s.Free[i] = avail - ls.spare
+		s.Norm[i] = ls.norm
 	}
 	return s
 }
@@ -67,10 +62,10 @@ func (db *DB) SnapshotInto(s *Snapshot) *Snapshot {
 // ConflictCountsInto writes, for every link l, the number of links in
 // lset whose existing backups traverse l — Σ_{L_j ∈ LSET} c_{l,j}, the
 // per-request conflict metric D-LSR derives from the Conflict Vectors —
-// into dst and returns it (resized as needed). One lock acquisition per
-// shard replaces a CVBit call per (link, LSET entry) pair, and links
-// with empty APLVs — the overwhelming majority at web scale — are
-// skipped without touching lset at all.
+// into dst and returns it (resized as needed). One lock acquisition
+// replaces a CVBit call per (link, LSET entry) pair, and links with empty
+// APLVs — the overwhelming majority at web scale — are skipped without
+// touching lset at all.
 //
 //drtplint:hotpath
 func (db *DB) ConflictCountsInto(lset []graph.LinkID, dst []float64) []float64 {
@@ -79,25 +74,21 @@ func (db *DB) ConflictCountsInto(lset []graph.LinkID, dst []float64) []float64 {
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
-	for si := range db.shards {
-		sh := &db.shards[si]
-		base := si << db.shardShift
-		sh.mu.Lock()
-		for i := range sh.links {
-			a := &sh.links[i].aplv
-			if a.empty() {
-				dst[base+i] = 0
-				continue
-			}
-			c := 0
-			for _, j := range lset {
-				if a.at(int(j)) > 0 {
-					c++
-				}
-			}
-			dst[base+i] = float64(c)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for i := range db.links {
+		a := &db.links[i].aplv
+		if a.empty() {
+			dst[i] = 0
+			continue
 		}
-		sh.mu.Unlock()
+		c := 0
+		for _, j := range lset {
+			if a.at(int(j)) > 0 {
+				c++
+			}
+		}
+		dst[i] = float64(c)
 	}
 	return dst
 }
@@ -110,14 +101,10 @@ func (db *DB) ConflictCountsInto(lset []graph.LinkID, dst []float64) []float64 {
 //drtplint:hotpath
 func (db *DB) SCInto(dst []int) []int {
 	dst = growInts(dst, db.n)
-	for si := range db.shards {
-		sh := &db.shards[si]
-		base := si << db.shardShift
-		sh.mu.Lock()
-		for i := range sh.links {
-			dst[base+i] = sh.links[i].spare / db.unitBW
-		}
-		sh.mu.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for i := range db.links {
+		dst[i] = db.links[i].spare / db.unitBW
 	}
 	return dst
 }
@@ -128,16 +115,15 @@ func (db *DB) SCInto(dst []int) []int {
 //
 //drtplint:hotpath
 func (db *DB) AppendCV(l graph.LinkID, dst []byte) []byte {
-	sh := db.shardFor(l)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	start := len(dst)
 	size := (db.n + 7) / 8
 	for i := 0; i < size; i++ {
 		dst = append(dst, 0)
 	}
 	out := dst[start:]
-	a := &db.lsLocked(l).aplv
+	a := &db.links[l].aplv
 	if a.dense != nil {
 		for j, c := range a.dense {
 			if c > 0 {
@@ -152,89 +138,37 @@ func (db *DB) AppendCV(l graph.LinkID, dst []byte) []byte {
 	return dst
 }
 
-// shardMaskOf returns the bit mask of shards owning the given links
-// (shard counts are capped at maxShards, so one word always suffices).
-func (db *DB) shardMaskOf(links []graph.LinkID) uint64 {
-	var mask uint64
-	for _, l := range links {
-		mask |= 1 << uint(int(l)>>db.shardShift)
-	}
-	return mask
-}
-
-// lockShardMask acquires every shard in mask in ascending shard order.
-func (db *DB) lockShardMask(mask uint64) {
-	for si := range db.shards {
-		if mask&(1<<uint(si)) != 0 {
-			db.shards[si].mu.Lock()
-		}
-	}
-}
-
-// unlockShardMask releases every shard in mask in descending shard order.
-func (db *DB) unlockShardMask(mask uint64) {
-	for si := len(db.shards) - 1; si >= 0; si-- {
-		if mask&(1<<uint(si)) != 0 {
-			db.shards[si].mu.Unlock()
-		}
-	}
-}
-
 // ReservePrimaryPath reserves unit bandwidth for connection id's primary
-// channel on every link of the path, in order, holding every involved
-// shard lock for the duration. On the first link that cannot admit the
-// reservation the earlier links are rolled back and that link's error is
-// returned — byte-for-byte the error a per-link ReservePrimary loop
-// would surface.
+// channel on every link of the path, in order. On the first link that
+// cannot admit the reservation the earlier links are released again and
+// that link's error is returned.
 func (db *DB) ReservePrimaryPath(id ConnID, links []graph.LinkID) error {
-	mask := db.shardMaskOf(links)
-	db.lockShardMask(mask)
-	defer db.unlockShardMask(mask)
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	for i, l := range links {
-		s := db.lsLocked(l)
-		if free := s.capacity - s.prime - s.spare; free < db.unitBW {
-			db.releasePrimaryPrefixLocked(id, links[:i])
-			return &ErrInsufficientBandwidth{Link: l, Need: db.unitBW, Have: free}
+		if err := db.reservePrimaryLocked(id, l); err != nil {
+			for _, done := range links[:i] {
+				_ = db.releasePrimaryLocked(id, done) // reserved above: cannot fail
+			}
+			return err
 		}
-		if _, dup := s.primaries[id]; dup {
-			db.releasePrimaryPrefixLocked(id, links[:i])
-			return fmt.Errorf("lsdb: connection %d already has a primary on link %d", id, l)
-		}
-		s.prime += db.unitBW
-		s.primaries[id] = struct{}{}
 	}
 	return nil
 }
 
 // ReleasePrimaryPath releases connection id's primary reservation on
-// every link of the path under one multi-shard lock acquisition. It
-// fails on the first link without a matching reservation (bookkeeping
-// corruption; preceding links stay released, as a per-link loop would
-// leave them).
+// every link of the path. It fails on the first link without a matching
+// reservation (bookkeeping corruption; preceding links stay released, as
+// a per-link loop would leave them).
 func (db *DB) ReleasePrimaryPath(id ConnID, links []graph.LinkID) error {
-	mask := db.shardMaskOf(links)
-	db.lockShardMask(mask)
-	defer db.unlockShardMask(mask)
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	for _, l := range links {
-		s := db.lsLocked(l)
-		if _, ok := s.primaries[id]; !ok {
-			return fmt.Errorf("lsdb: connection %d has no primary on link %d", id, l)
+		if err := db.releasePrimaryLocked(id, l); err != nil {
+			return err
 		}
-		delete(s.primaries, id)
-		s.prime -= db.unitBW
 	}
 	return nil
-}
-
-// releasePrimaryPrefixLocked rolls back reservations made earlier in the
-// same ReservePrimaryPath call; the caller must hold the shard locks
-// covering links.
-func (db *DB) releasePrimaryPrefixLocked(id ConnID, links []graph.LinkID) {
-	for _, l := range links {
-		s := db.lsLocked(l)
-		delete(s.primaries, id)
-		s.prime -= db.unitBW
-	}
 }
 
 // RegisterBackupPath registers connection id's backup channel on every
@@ -245,73 +179,60 @@ func (db *DB) releasePrimaryPrefixLocked(id ConnID, links []graph.LinkID) {
 // per-link register — and each rollback release — counts one backup op,
 // matching the signalling volume of the per-link loop.
 func (db *DB) RegisterBackupPath(id ConnID, links, primaryLSET []graph.LinkID) error {
-	mask := db.shardMaskOf(links)
-	db.lockShardMask(mask)
-	defer db.unlockShardMask(mask)
-	var lset []graph.LinkID
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	lset := slices.Clone(primaryLSET)
 	for i, l := range links {
-		s := db.lsLocked(l)
-		if avail := s.capacity - s.prime; avail < db.unitBW {
-			db.releaseBackupPrefixLocked(id, links[:i])
-			return &ErrInsufficientBandwidth{Link: l, Need: db.unitBW, Have: avail}
-		}
-		if db.mode == Dedicated {
-			// No overbooking: the spare pool must grow by a full unit.
-			if free := s.capacity - s.prime - s.spare; free < db.unitBW {
-				db.releaseBackupPrefixLocked(id, links[:i])
-				return &ErrInsufficientBandwidth{Link: l, Need: db.unitBW, Have: free}
+		if err := db.registerBackupLocked(id, l, lset); err != nil {
+			for _, done := range links[:i] {
+				_ = db.releaseBackupLocked(id, done) // registered above: cannot fail
 			}
+			return err
 		}
-		if _, dup := s.backups[id]; dup {
-			db.releaseBackupPrefixLocked(id, links[:i])
-			return fmt.Errorf("lsdb: connection %d already has a backup on link %d", id, l)
-		}
-		if lset == nil {
-			lset = make([]graph.LinkID, len(primaryLSET))
-			copy(lset, primaryLSET)
-		}
-		db.backupOps.Add(1)
-		s.backups[id] = lset
-		db.applyLSETLocked(s, lset)
-		db.resizeSpareLocked(s)
 	}
 	return nil
 }
 
 // ReleaseBackupPath releases connection id's backup registration on
-// every link of the path under one multi-shard lock acquisition, with
-// per-link ReleaseBackup semantics (including the backup-op count).
+// every link of the path, with per-link ReleaseBackup semantics
+// (including the backup-op count and stopping at the first link without
+// a registration).
 func (db *DB) ReleaseBackupPath(id ConnID, links []graph.LinkID) error {
-	mask := db.shardMaskOf(links)
-	db.lockShardMask(mask)
-	defer db.unlockShardMask(mask)
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	for _, l := range links {
-		s := db.lsLocked(l)
-		if _, ok := s.backups[id]; !ok {
-			return fmt.Errorf("lsdb: connection %d has no backup on link %d", id, l)
+		if err := db.releaseBackupLocked(id, l); err != nil {
+			return err
 		}
-		db.releaseBackupLocked(id, s)
 	}
 	return nil
 }
 
-// releaseBackupPrefixLocked rolls back registrations made earlier in the
-// same RegisterBackupPath call; the caller must hold the shard locks
-// covering links.
-func (db *DB) releaseBackupPrefixLocked(id ConnID, links []graph.LinkID) {
+// PromoteBackupPath activates connection id's backup on every link of
+// the path, in order (PromoteBackup per link, shared-link rule included).
+// On the first link without a free activation slot the earlier links are
+// restored — a converted slot goes back to the spare pool and the
+// registration is re-attached with the LSET it held — and that link's
+// error is returned. Every promoted link and every restored registration
+// counts one backup op.
+func (db *DB) PromoteBackupPath(id ConnID, links []graph.LinkID) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	done := make([]promotion, 0, len(links))
 	for _, l := range links {
-		db.releaseBackupLocked(id, db.lsLocked(l))
+		p, err := db.promoteBackupLocked(id, l)
+		if err != nil {
+			for _, u := range done {
+				if u.converted {
+					_ = db.releasePrimaryLocked(id, u.link) // converted above: cannot fail
+				}
+				db.attachBackupLocked(id, &db.links[u.link], u.lset)
+			}
+			return err
+		}
+		done = append(done, p)
 	}
-}
-
-// releaseBackupLocked is ReleaseBackup's body for a known-present
-// registration; the caller must hold the link's shard lock.
-func (db *DB) releaseBackupLocked(id ConnID, s *linkState) {
-	lset := s.backups[id]
-	db.backupOps.Add(1)
-	delete(s.backups, id)
-	db.removeLSETLocked(s, lset)
-	db.resizeSpareLocked(s)
+	return nil
 }
 
 // growInts returns s resized to n entries, reallocating only when the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,12 +12,13 @@ import (
 	"github.com/rtcl/drtp/internal/topology"
 )
 
-// This file is the sharded-LSDB verification tier: a differential test
-// holding a sharded pair-list database to a single-shard dense baseline
-// op for op (errors included), a deterministic first-failure rollback
-// check, and a randomized concurrent stress test whose final state is
-// validated against per-link invariants recomputed from the workers' own
-// logs. The concurrent test is the one the CI -race run exists for.
+// This file is the LSDB verification tier: a differential test holding a
+// pair-list database to a dense one op for op (errors included), a
+// deterministic first-failure rollback check, PromoteBackupPath against
+// the per-link loop it replaced, and a randomized concurrent stress test
+// whose final state is validated against per-link invariants recomputed
+// from the workers' own logs. The concurrent test is the one the CI -race
+// run exists for.
 
 // observableState captures everything the public API exposes for one
 // link.
@@ -43,6 +45,15 @@ func captureLink(db *DB, l graph.LinkID) observableState {
 		aplv:         db.APLV(l),
 		cv:           db.CV(l).Bytes(),
 	}
+}
+
+// captureAll captures every link of db.
+func captureAll(db *DB) []observableState {
+	out := make([]observableState, db.NumLinks())
+	for l := range out {
+		out[l] = captureLink(db, graph.LinkID(l))
+	}
+	return out
 }
 
 func diffState(a, b observableState) string {
@@ -96,33 +107,29 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// TestShardedEquivalenceDifferential drives the same randomized op
-// sequence — including operations destined to fail and roll back —
-// through a many-shard database whose APLVs never leave the pair-list
-// form and a single-shard baseline whose APLVs are dense from the first
-// entry (the up-convert threshold pinned at -1 and 0), asserting
-// identical errors and identical observable state throughout. Any
-// divergence between the two APLV forms or across shard boundaries — in
-// bookkeeping, rollback, spare sizing or CV derivation — fails here
-// before it can skew a simulation.
-func TestShardedEquivalenceDifferential(t *testing.T) {
+// TestAPLVFormsDifferential drives the same randomized op sequence —
+// including operations destined to fail and roll back — through a database
+// whose APLVs never leave the pair-list form and one whose APLVs are dense
+// from the first entry (the up-convert threshold pinned at -1 and 0),
+// asserting identical errors and identical observable state throughout.
+// Any divergence between the two APLV forms — in bookkeeping, rollback,
+// spare sizing or CV derivation — fails here before it can skew a
+// simulation.
+func TestAPLVFormsDifferential(t *testing.T) {
 	g, err := topology.Grid(3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := New(g, 3, 1, WithShardCount(8))
+	pairs, err := New(g, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded.aplvDenseAt = -1
-	baseline, err := New(g, 3, 1, WithShardCount(1))
+	pairs.aplvDenseAt = -1
+	dense, err := New(g, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline.aplvDenseAt = 0
-	if sharded.NumShards() < 2 {
-		t.Fatalf("sharded DB has %d shards; the test needs shard crossings", sharded.NumShards())
-	}
+	dense.aplvDenseAt = 0
 	r := rand.New(rand.NewSource(42))
 	conns := []ConnID{1, 2, 3, 4, 5}
 	for step := 0; step < 2000; step++ {
@@ -131,31 +138,34 @@ func TestShardedEquivalenceDifferential(t *testing.T) {
 		if len(path) == 0 {
 			continue
 		}
-		var errS, errB error
-		switch r.Intn(6) {
+		var errP, errD error
+		switch r.Intn(7) {
 		case 0:
-			errS = sharded.ReservePrimaryPath(id, path)
-			errB = baseline.ReservePrimaryPath(id, path)
+			errP = pairs.ReservePrimaryPath(id, path)
+			errD = dense.ReservePrimaryPath(id, path)
 		case 1:
-			errS = sharded.ReleasePrimaryPath(id, path)
-			errB = baseline.ReleasePrimaryPath(id, path)
+			errP = pairs.ReleasePrimaryPath(id, path)
+			errD = dense.ReleasePrimaryPath(id, path)
 		case 2:
 			lset := randomWalk(r, g, 4)
-			errS = sharded.RegisterBackupPath(id, path, lset)
-			errB = baseline.RegisterBackupPath(id, path, lset)
+			errP = pairs.RegisterBackupPath(id, path, lset)
+			errD = dense.RegisterBackupPath(id, path, lset)
 		case 3:
-			errS = sharded.ReleaseBackupPath(id, path)
-			errB = baseline.ReleaseBackupPath(id, path)
+			errP = pairs.ReleaseBackupPath(id, path)
+			errD = dense.ReleaseBackupPath(id, path)
 		case 4:
-			errS = sharded.PromoteBackup(id, path[0])
-			errB = baseline.PromoteBackup(id, path[0])
+			errP = pairs.PromoteBackup(id, path[0])
+			errD = dense.PromoteBackup(id, path[0])
+		case 5:
+			errP = pairs.PromoteBackupPath(id, path)
+			errD = dense.PromoteBackupPath(id, path)
 		default:
 			lset := randomWalk(r, g, 3)
-			errS = sharded.RegisterBackup(id, path[0], lset)
-			errB = baseline.RegisterBackup(id, path[0], lset)
+			errP = pairs.RegisterBackup(id, path[0], lset)
+			errD = dense.RegisterBackup(id, path[0], lset)
 		}
-		if errString(errS) != errString(errB) {
-			t.Fatalf("step %d: errors diverge: sharded %q, baseline %q", step, errString(errS), errString(errB))
+		if errString(errP) != errString(errD) {
+			t.Fatalf("step %d: errors diverge: pair-list %q, dense %q", step, errString(errP), errString(errD))
 		}
 		// Full-state comparison every few steps keeps runtime small while
 		// still localizing a divergence near the op that caused it.
@@ -163,26 +173,26 @@ func TestShardedEquivalenceDifferential(t *testing.T) {
 			continue
 		}
 		for l := 0; l < g.NumLinks(); l++ {
-			if d := diffState(captureLink(sharded, graph.LinkID(l)), captureLink(baseline, graph.LinkID(l))); d != "" {
+			if d := diffState(captureLink(pairs, graph.LinkID(l)), captureLink(dense, graph.LinkID(l))); d != "" {
 				t.Fatalf("step %d link %d: %s", step, l, d)
 			}
 		}
 	}
-	if sharded.BackupOps() != baseline.BackupOps() {
-		t.Fatalf("backup op counts diverge: %d vs %d", sharded.BackupOps(), baseline.BackupOps())
+	if pairs.BackupOps() != dense.BackupOps() {
+		t.Fatalf("backup op counts diverge: %d vs %d", pairs.BackupOps(), dense.BackupOps())
 	}
 }
 
 // TestWholePathRollbackLeavesNoTrace pins the first-failure semantics of
-// the batch surface across a shard boundary: a path whose second link
-// cannot admit the reservation must roll back the first link completely
-// and surface the per-link loop's exact error.
+// the batch surface: a path whose second link cannot admit the
+// reservation must roll back the first link completely and surface the
+// per-link loop's exact error.
 func TestWholePathRollbackLeavesNoTrace(t *testing.T) {
 	g, err := topology.Grid(3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := New(g, 2, 1, WithShardCount(8))
+	db, err := New(g, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,10 +209,7 @@ func TestWholePathRollbackLeavesNoTrace(t *testing.T) {
 	if other == full {
 		other = 1
 	}
-	before := make([]observableState, g.NumLinks())
-	for l := range before {
-		before[l] = captureLink(db, graph.LinkID(l))
-	}
+	before := captureAll(db)
 	// Primary reservation: second link is full.
 	err = db.ReservePrimaryPath(1, []graph.LinkID{other, full})
 	want := fmt.Sprintf("lsdb: link %d has 0 bandwidth, need 1", full)
@@ -235,16 +242,17 @@ type connTrack struct {
 	lset    []graph.LinkID // LSET as carried at registration time
 }
 
-// TestShardedConcurrentStress hammers the whole-path batch surface —
+// TestConcurrentStress hammers the whole-path batch surface —
 // reserve, register, promote (the recovery first-failure path), release —
 // from many goroutines over disjoint connection ID ranges, then verifies
 // the database's final per-link state against invariants recomputed from
 // the workers' own logs: bandwidth conservation, registry counts, APLV
 // contents, the derived CV bits and the spare-sizing rule. Run under
-// -race in CI, it is the lock-correctness proof of the shard split; a
-// lost update, broken rollback, or torn multi-shard batch surfaces as an
-// invariant mismatch even when the race detector stays quiet.
-func TestShardedConcurrentStress(t *testing.T) {
+// -race in CI, it is the lock-correctness proof of the single mutex (the
+// router's DB is read from outside the router loop); a lost update, broken
+// rollback, or torn whole-path batch surfaces as an invariant mismatch
+// even when the race detector stays quiet.
+func TestConcurrentStress(t *testing.T) {
 	g, err := topology.Grid(6, 6)
 	if err != nil {
 		t.Fatal(err)
@@ -255,12 +263,9 @@ func TestShardedConcurrentStress(t *testing.T) {
 		workers  = 8
 		ops      = 400
 	)
-	db, err := New(g, capacity, unit, WithShardCount(16))
+	db, err := New(g, capacity, unit)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if db.NumShards() < 4 {
-		t.Fatalf("only %d shards; stress needs real shard crossings", db.NumShards())
 	}
 	final := make([]map[ConnID]*connTrack, workers)
 	var wg sync.WaitGroup
@@ -314,7 +319,11 @@ func TestShardedConcurrentStress(t *testing.T) {
 								break
 							}
 						}
-						c.primary = append(c.primary, l)
+						// A link shared with the primary keeps its one
+						// reservation.
+						if !slices.Contains(c.primary, l) {
+							c.primary = append(c.primary, l)
+						}
 					}
 				default: // teardown
 					if len(ids) == 0 {

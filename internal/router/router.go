@@ -20,10 +20,9 @@
 // teardown tombstone, dedup replay, reply or forward). Only the lsdb link
 // operation, the reply message and the forwarded wire struct differ by
 // kind. Establish and EstablishRoutes feed one establishment sequence with
-// local or commanded routes. Two rules live there: an activation hop whose
-// link already carries the connection's primary (a backup overlapping its
-// primary on a bridge) keeps that reservation and only drops the backup
-// registration, and the sweep of the old primary skips such links; and an
+// local or commanded routes. Two rules live there: the sweep of a failed
+// primary skips links its activated backup shares with it (what an
+// activation hop does on such a link is lsdb.PromoteBackup's rule); and an
 // establishment claims its ID (a nil record in conns) under the lock that
 // checked for duplicates, so concurrent requests for one ID cannot share
 // round trips.
@@ -317,7 +316,7 @@ type Router struct {
 	// method on them is nil-safe). Hop-signal children are resolved once
 	// here so the dispatch path observes without any lookup or
 	// allocation.
-	mEstablishSeconds  *telemetry.Histogram
+	mEstablishSeconds  *telemetry.LatencyHist
 	mActiveConns       *telemetry.Gauge
 	mDisruptionSeconds *telemetry.LatencyHist
 	mHopPrimary        *telemetry.LatencyHist
@@ -372,8 +371,8 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 	// routers sharing RetrySeed still draw independent jitter streams.
 	r.retryRNG = rng.New(cfg.RetrySeed).Split(fmt.Sprintf("retry/%d", int(cfg.Node)))
 	if cfg.Metrics != nil {
-		r.mEstablishSeconds = cfg.Metrics.Histogram("drtp_router_establish_seconds",
-			"Latency of successful DR-connection establishments.", nil)
+		r.mEstablishSeconds = cfg.Metrics.Latency("drtp_router_establish_seconds",
+			"Latency of successful DR-connection establishments.")
 		r.mActiveConns = cfg.Metrics.GaugeVec("drtp_router_active_connections",
 			"Connections originated at each node.", "node").
 			//drtplint:ignore instrumentnames node IDs are a small fixed set (one per router), not unbounded cardinality

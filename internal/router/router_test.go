@@ -715,6 +715,91 @@ func TestHostileLinkAdvertIsDropped(t *testing.T) {
 	}
 }
 
+// TestHostileSetupLSETIsRejected sends a router backup-register packets
+// whose PrimaryLSET names links outside the topology on both sides
+// (LSET entries are signed varints on the wire). The hop must answer with
+// an ordinary rejection and register nothing — an accepted entry would
+// index past the Conflict Vector when the next advertisement is built —
+// then keep advertising and keep serving.
+func TestHostileSetupLSETIsRejected(t *testing.T) {
+	g := theta(t)
+	mem := transport.NewMem()
+	events := telemetry.NewBuffer()
+	c, err := router.NewCluster(router.Config{
+		Graph:         g,
+		Capacity:      10,
+		UnitBW:        1,
+		HelloInterval: 10 * time.Millisecond,
+		HelloMiss:     3,
+		LSInterval:    20 * time.Millisecond,
+		SetupTimeout:  3 * time.Second,
+		Telemetry:     telemetry.NewTracer(events),
+	}, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		c.Close()
+		_ = mem.Close()
+	})
+	const (
+		attackerID = graph.NodeID(50)
+		target     = graph.NodeID(0)
+		next       = graph.NodeID(1)
+	)
+	attacker, err := mem.Attach(attackerID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _ := g.LinkBetween(target, next)
+	db := c.Router(target).DB()
+
+	n := graph.LinkID(g.NumLinks())
+	for i, lset := range [][]graph.LinkID{{n + 5}, {0, -1}, {n}} {
+		conn := lsdb.ConnID(700 + i)
+		// The attacker names itself as the route's source so the hop's
+		// answer comes back to it.
+		if err := attacker.Send(target, proto.Setup{
+			Conn: conn, Channel: proto.Backup, Seq: 1,
+			Route: []graph.NodeID{attackerID, target, next}, Hop: 1,
+			PrimaryLSET: lset,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case env := <-attacker.Recv():
+			res, ok := env.Msg.(proto.SetupResult)
+			if !ok || res.Conn != conn || res.OK || !strings.Contains(res.Reason, "out of range") {
+				t.Fatalf("LSET %v: got %#v, want an out-of-range rejection", lset, env.Msg)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("LSET %v: no answer; the router is gone", lset)
+		}
+		if db.HasBackup(conn, out) {
+			t.Fatalf("LSET %v: rejected registration left on link %d", lset, out)
+		}
+	}
+	if db.NumBackupsOn(out) != 0 || db.APLVNorm(out) != 0 || db.BackupOps() != 0 {
+		t.Fatalf("hostile setups mutated link %d: backups=%d norm=%d ops=%d",
+			out, db.NumBackupsOn(out), db.APLVNorm(out), db.BackupOps())
+	}
+
+	// Force advertisements: each one serialises every local link's CV.
+	adverts := func() (count int) {
+		for _, e := range events.Events() {
+			if e.Kind == telemetry.EvLSUpdate && e.Node == int(target) && e.Reason == "" {
+				count++
+			}
+		}
+		return count
+	}
+	seen := adverts()
+	waitFor(t, "two more advertisements from the target", func() bool { return adverts() >= seen+2 })
+	if _, err := c.Router(target).Establish(1, next); err != nil {
+		t.Fatalf("router stopped serving after the hostile setups: %v", err)
+	}
+}
+
 // waitDrained waits until no router of c holds any reservation.
 func waitDrained(t *testing.T, c *router.Cluster) {
 	t.Helper()

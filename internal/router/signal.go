@@ -187,7 +187,7 @@ func (r *Router) establish(id lsdb.ConnID, dst graph.NodeID, primaryRoute func()
 	r.log.Info("connection established", "conn", int64(id), "dst", int(dst),
 		"primaryHops", primary.Hops(), "backups", len(backups))
 	r.tracer.ConnEstablish(r.schemeName, trace, int64(id), primary.Hops())
-	r.mEstablishSeconds.Observe(time.Since(start).Seconds())
+	r.mEstablishSeconds.ObserveSince(start)
 	r.mActiveConns.Add(1)
 	return info, nil
 }
@@ -504,15 +504,11 @@ func (r *Router) applyLinkLocked(s *signal, next graph.NodeID) (graph.LinkID, er
 		return l, r.db.RegisterBackup(s.conn, l, s.lset)
 	case s.kind == sigSetup:
 		err = r.db.ReservePrimary(s.conn, l)
-	case r.db.HasPrimary(s.conn, l):
-		// The backup shares this link with the failed primary: keep the
-		// reservation the connection already holds here and drop only the
-		// backup registration, as drtp.Manager.promoteBackup does.
-		err = r.db.ReleaseBackup(s.conn, l)
 	default:
-		// Atomically convert one spare activation slot into primary
-		// bandwidth; failure here is spare-resource contention among
-		// conflicting backups multiplexed on the same spare pool.
+		// Convert one spare activation slot into primary bandwidth (or, on
+		// a link shared with the failed primary, keep its reservation);
+		// failure here is spare-resource contention among conflicting
+		// backups multiplexed on the same spare pool.
 		err = r.db.PromoteBackup(s.conn, l)
 	}
 	if err == nil {
@@ -562,18 +558,15 @@ func (r *Router) handleTeardown(m proto.Teardown) {
 
 // releaseLocalLocked releases whatever the connection holds on link l for the
 // given channel kind; releases are idempotent (teardown sweeps may cross
-// rollbacks). Callers must hold r.mu.
+// rollbacks): the database refuses, without side effects, to release what
+// is not there. Callers must hold r.mu.
 func (r *Router) releaseLocalLocked(id lsdb.ConnID, kind proto.ChannelKind, l graph.LinkID) {
-	if kind == proto.Primary {
-		if r.db.HasPrimary(id, l) {
-			_ = r.db.ReleasePrimary(id, l)
-		}
-		if m := r.transitPrim[l]; m != nil {
-			delete(m, id)
-		}
+	if kind != proto.Primary {
+		_ = r.db.ReleaseBackup(id, l)
 		return
 	}
-	if r.db.HasBackup(id, l) {
-		_ = r.db.ReleaseBackup(id, l)
+	_ = r.db.ReleasePrimary(id, l)
+	if m := r.transitPrim[l]; m != nil {
+		delete(m, id)
 	}
 }

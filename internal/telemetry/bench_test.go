@@ -9,7 +9,7 @@ import (
 
 // Every benchmark resets the timer after constructing its instrument:
 // registry construction and family registration allocate, and at small
-// -benchtime values (bench.sh uses 1x passes for alloc counts) that
+// -benchtime values (a 1x pass for alloc counts) that
 // setup would otherwise dominate the measurement and misreport the hot
 // path as allocating.
 
@@ -65,16 +65,6 @@ func BenchmarkCounterAddParallel(b *testing.B) {
 			c.Inc()
 		}
 	})
-}
-
-// BenchmarkHistogramObserve measures the lock-free histogram path.
-func BenchmarkHistogramObserve(b *testing.B) {
-	h := telemetry.NewRegistry().Histogram("bench_seconds", "", nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i%100) / 1000)
-	}
 }
 
 // BenchmarkLatencyObserve measures the log2-bucketed latency histogram's

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/rtcl/drtp/internal/telemetry"
 )
@@ -43,56 +44,65 @@ func TestExpositionLabelEscaping(t *testing.T) {
 	}
 }
 
-// TestExpositionHistogramInfBucket checks the +Inf overflow bucket line:
-// it is always last, cumulative, and equals the _count series.
+// TestExpositionHistogramInfBucket checks the +Inf overflow bucket line
+// of the latency histogram: it is always last, cumulative, and equals the
+// _count series; finite bucket lines appear only where the count advances
+// and carry the power-of-two bound in seconds.
 func TestExpositionHistogramInfBucket(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	h := reg.Histogram("test_lat_seconds", "latency", []float64{0.1, 1})
-	// Power-of-two fractions keep the sum exact in binary floating point.
-	for _, v := range []float64{0.0625, 0.5, 99, 100} { // two above the top bound
-		h.Observe(v)
+	h := reg.Latency("test_lat_seconds", "latency")
+	// The sum is kept in integer nanoseconds, so it prints exactly.
+	for _, d := range []time.Duration{
+		time.Microsecond, 500 * time.Millisecond, 4 * time.Second, 4 * time.Second,
+	} {
+		h.Observe(d)
 	}
 
 	out := exposition(t, reg)
 	for _, want := range []string{
-		`test_lat_seconds_bucket{le="0.1"} 1`,
-		`test_lat_seconds_bucket{le="1"} 2`,
+		"# TYPE test_lat_seconds histogram",
+		`test_lat_seconds_bucket{le="1.024e-06"} 1`,
+		`test_lat_seconds_bucket{le="0.536870912"} 2`,
+		`test_lat_seconds_bucket{le="4.294967296"} 4`,
 		`test_lat_seconds_bucket{le="+Inf"} 4`,
 		`test_lat_seconds_count 4`,
-		`test_lat_seconds_sum 199.5625`,
+		`test_lat_seconds_sum 8.500001`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}
 	}
-	// Cumulative ordering: +Inf is the last bucket line.
-	lines := strings.Split(out, "\n")
+	// Cumulative ordering: +Inf is the last bucket line, and empty
+	// buckets between the observed ones are not printed.
+	buckets := 0
 	lastBucket := ""
-	for _, l := range lines {
+	for _, l := range strings.Split(out, "\n") {
 		if strings.HasPrefix(l, "test_lat_seconds_bucket") {
+			buckets++
 			lastBucket = l
 		}
 	}
 	if !strings.Contains(lastBucket, `le="+Inf"`) {
 		t.Fatalf("+Inf bucket not last: %q", lastBucket)
 	}
+	if buckets != 4 {
+		t.Fatalf("%d bucket lines, want 3 observed + +Inf:\n%s", buckets, out)
+	}
 }
 
 // TestExpositionEmptyHistogram: a registered unlabeled histogram with no
-// observations still prints its full (all-zero) bucket set — scrapers
-// need the series to exist before the first sample — while a labeled
-// family with no children prints nothing at all.
+// observations still prints its series — the (zero) +Inf bucket, sum and
+// count; scrapers need them to exist before the first sample — while a
+// labeled family with no children prints nothing at all.
 func TestExpositionEmptyHistogram(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	reg.Histogram("test_idle_seconds", "never observed", []float64{1, 2})
-	reg.HistogramVec("test_empty_vec_seconds", "no children", []float64{1}, "scheme")
+	reg.Latency("test_idle_seconds", "never observed")
+	reg.LatencyVec("test_empty_vec_seconds", "no children", "scheme")
 	reg.CounterVec("test_empty_counter_total", "no children", "scheme")
 
 	out := exposition(t, reg)
 	for _, want := range []string{
 		"# TYPE test_idle_seconds histogram",
-		`test_idle_seconds_bucket{le="1"} 0`,
-		`test_idle_seconds_bucket{le="2"} 0`,
 		`test_idle_seconds_bucket{le="+Inf"} 0`,
 		"test_idle_seconds_sum 0",
 		"test_idle_seconds_count 0",
@@ -112,16 +122,16 @@ func TestExpositionEmptyHistogram(t *testing.T) {
 // carry both the family labels and the le bound, le last.
 func TestExpositionHistogramVecLabels(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	hv := reg.HistogramVec("test_hops_bytes", "route lengths", []float64{2}, "scheme")
-	hv.With("D-LSR").Observe(1)
-	hv.With("D-LSR").Observe(5)
+	hv := reg.LatencyVec("test_hop_seconds", "hop latency", "scheme")
+	hv.With("D-LSR").Observe(time.Microsecond)
+	hv.With("D-LSR").Observe(4 * time.Second)
 
 	out := exposition(t, reg)
 	for _, want := range []string{
-		`test_hops_bytes_bucket{scheme="D-LSR",le="2"} 1`,
-		`test_hops_bytes_bucket{scheme="D-LSR",le="+Inf"} 2`,
-		`test_hops_bytes_sum{scheme="D-LSR"} 6`,
-		`test_hops_bytes_count{scheme="D-LSR"} 2`,
+		`test_hop_seconds_bucket{scheme="D-LSR",le="1.024e-06"} 1`,
+		`test_hop_seconds_bucket{scheme="D-LSR",le="+Inf"} 2`,
+		`test_hop_seconds_sum{scheme="D-LSR"} 4.000001`,
+		`test_hop_seconds_count{scheme="D-LSR"} 2`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)

@@ -177,7 +177,7 @@ func (r *Registry) Latency(name, help string) *LatencyHist {
 	if r == nil {
 		return nil
 	}
-	return r.family(name, help, kindLatency, nil, nil).child(nil).(*LatencyHist)
+	return r.family(name, help, kindLatency, nil).child(nil).(*LatencyHist)
 }
 
 // LatencyVec is a log2 latency histogram family keyed by label values.
@@ -188,7 +188,7 @@ func (r *Registry) LatencyVec(name, help string, labels ...string) *LatencyVec {
 	if r == nil {
 		return nil
 	}
-	return &LatencyVec{f: r.family(name, help, kindLatency, labels, nil)}
+	return &LatencyVec{f: r.family(name, help, kindLatency, labels)}
 }
 
 // With returns the child histogram for the label values, creating it on

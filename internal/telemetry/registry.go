@@ -1,7 +1,7 @@
 // Package telemetry is the runtime observability layer: a lock-cheap
-// metrics registry (counters, gauges, histograms with atomic fast paths,
-// labeled families) plus a structured event bus (Tracer) with pluggable
-// sinks. Both are nil-safe: a nil *Tracer and a nil *Registry are valid
+// metrics registry (counters, gauges, log2 latency histograms with atomic
+// fast paths, labeled families) plus a structured event bus (Tracer) with
+// pluggable sinks. Both are nil-safe: a nil *Tracer and a nil *Registry are valid
 // no-op instruments, so hot paths can stay instrumented unconditionally
 // without branching on configuration.
 //
@@ -13,8 +13,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -75,66 +73,12 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Histogram accumulates observations into cumulative buckets, Prometheus
-// style: bucket i counts observations <= Bounds[i], with an implicit +Inf
-// bucket at the end. Observe is lock-free (atomic adds plus a CAS loop
-// for the float sum).
-type Histogram struct {
-	bounds []float64
-	counts []atomic.Int64 // len(bounds)+1; last is +Inf
-	count  atomic.Int64
-	sum    atomic.Uint64 // float64 bits
-}
-
-// DefBuckets is a general-purpose latency bucket layout in seconds.
-var DefBuckets = []float64{1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1, 0.5, 1, 5}
-
-func newHistogram(bounds []float64) *Histogram {
-	bs := make([]float64, len(bounds))
-	copy(bs, bounds)
-	sort.Float64s(bs)
-	return &Histogram{bounds: bs, counts: make([]atomic.Int64, len(bs)+1)}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		upd := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, upd) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations. A nil histogram reads zero.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load())
-}
-
 // metric kinds, matching the Prometheus TYPE annotations.
 type metricKind uint8
 
 const (
 	kindCounter metricKind = iota + 1
 	kindGauge
-	kindHistogram
 	// kindLatency is the log2-bucketed LatencyHist; it exposes as a
 	// Prometheus histogram with power-of-two second bounds.
 	kindLatency
@@ -146,7 +90,7 @@ func (k metricKind) String() string {
 		return "counter"
 	case kindGauge:
 		return "gauge"
-	case kindHistogram, kindLatency:
+	case kindLatency:
 		return "histogram"
 	default:
 		return "untyped"
@@ -160,7 +104,6 @@ type family struct {
 	help   string
 	kind   metricKind
 	labels []string
-	bounds []float64 // histograms only
 
 	mu       sync.RWMutex
 	order    []string // child keys in creation order
@@ -196,8 +139,6 @@ func (f *family) child(values []string) any {
 		c = &Gauge{}
 	case kindLatency:
 		c = &LatencyHist{}
-	default:
-		c = newHistogram(f.bounds)
 	}
 	f.children[key] = c
 	vs := make([]string, len(values))
@@ -222,7 +163,7 @@ func NewRegistry() *Registry {
 }
 
 // family finds or creates a family, enforcing schema consistency.
-func (r *Registry) family(name, help string, kind metricKind, labels []string, bounds []float64) *family {
+func (r *Registry) family(name, help string, kind metricKind, labels []string) *family {
 	r.mu.RLock()
 	f, ok := r.byName[name]
 	r.mu.RUnlock()
@@ -232,7 +173,7 @@ func (r *Registry) family(name, help string, kind metricKind, labels []string, b
 			ls := make([]string, len(labels))
 			copy(ls, labels)
 			f = &family{
-				name: name, help: help, kind: kind, labels: ls, bounds: bounds,
+				name: name, help: help, kind: kind, labels: ls,
 				children: make(map[string]any), values: make(map[string][]string),
 			}
 			r.byName[name] = f
@@ -252,7 +193,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.family(name, help, kindCounter, nil, nil).child(nil).(*Counter)
+	return r.family(name, help, kindCounter, nil).child(nil).(*Counter)
 }
 
 // Gauge returns the unlabeled gauge with the given name.
@@ -260,19 +201,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.family(name, help, kindGauge, nil, nil).child(nil).(*Gauge)
-}
-
-// Histogram returns the unlabeled histogram with the given name and
-// bucket upper bounds (DefBuckets when empty).
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	if len(bounds) == 0 {
-		bounds = DefBuckets
-	}
-	return r.family(name, help, kindHistogram, nil, bounds).child(nil).(*Histogram)
+	return r.family(name, help, kindGauge, nil).child(nil).(*Gauge)
 }
 
 // CounterVec is a counter family keyed by label values.
@@ -284,7 +213,7 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	return &CounterVec{f: r.family(name, help, kindCounter, labels, nil)}
+	return &CounterVec{f: r.family(name, help, kindCounter, labels)}
 }
 
 // With returns the child counter for the label values, creating it on
@@ -304,7 +233,7 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	if r == nil {
 		return nil
 	}
-	return &GaugeVec{f: r.family(name, help, kindGauge, labels, nil)}
+	return &GaugeVec{f: r.family(name, help, kindGauge, labels)}
 }
 
 // With returns the child gauge for the label values.
@@ -313,29 +242,6 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 		return nil
 	}
 	return v.f.child(values).(*Gauge)
-}
-
-// HistogramVec is a histogram family keyed by label values.
-type HistogramVec struct{ f *family }
-
-// HistogramVec returns the labeled histogram family with the given name
-// and bucket upper bounds (DefBuckets when empty).
-func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	if len(bounds) == 0 {
-		bounds = DefBuckets
-	}
-	return &HistogramVec{f: r.family(name, help, kindHistogram, labels, bounds)}
-}
-
-// With returns the child histogram for the label values.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	return v.f.child(values).(*Histogram)
 }
 
 // WritePrometheus writes every family in Prometheus text exposition
@@ -381,10 +287,6 @@ func (f *family) write(w io.Writer) error {
 			if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, labelString(f.labels, values, ""), c.Value()); err != nil {
 				return err
 			}
-		case *Histogram:
-			if err := c.write(w, f.name, f.labels, values); err != nil {
-				return err
-			}
 		case *LatencyHist:
 			if err := c.write(w, f.name, f.labels, values); err != nil {
 				return err
@@ -392,26 +294,6 @@ func (f *family) write(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func (h *Histogram) write(w io.Writer, name string, labels, values []string) error {
-	cum := int64(0)
-	for i, bound := range h.bounds {
-		cum += h.counts[i].Load()
-		le := fmt.Sprintf("%g", bound)
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelString(labels, values, le), cum); err != nil {
-			return err
-		}
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelString(labels, values, "+Inf"), cum); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %g\n", name, labelString(labels, values, ""), h.Sum()); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, labelString(labels, values, ""), h.Count())
-	return err
 }
 
 // labelString renders {k="v",...}; le, when non-empty, is appended as the

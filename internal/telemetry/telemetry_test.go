@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/rtcl/drtp/internal/telemetry"
 )
@@ -19,7 +20,7 @@ func TestRegistryConcurrency(t *testing.T) {
 	cv := reg.CounterVec("test_ops_total", "ops", "worker")
 	shared := reg.Counter("test_shared_total", "shared")
 	g := reg.Gauge("test_inflight", "inflight")
-	h := reg.Histogram("test_latency_seconds", "latency", []float64{1, 10, 100})
+	h := reg.Latency("test_latency_seconds", "latency")
 
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {
@@ -37,7 +38,7 @@ func TestRegistryConcurrency(t *testing.T) {
 				shared.Add(2)
 				g.Add(1)
 				g.Add(-1)
-				h.Observe(float64(i % 128))
+				h.Observe(time.Duration(i % 128))
 			}
 		}(w)
 	}
@@ -130,10 +131,10 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var reg *telemetry.Registry
 	reg.Counter("a_total", "").Inc()
 	reg.Gauge("b", "").Set(3)
-	reg.Histogram("c_seconds", "", nil).Observe(1)
+	reg.Latency("c_seconds", "").Observe(1)
 	reg.CounterVec("d_total", "", "l").With("v").Add(2)
 	reg.GaugeVec("e", "", "l").With("v").Add(2)
-	reg.HistogramVec("f_seconds", "", nil, "l").With("v").Observe(2)
+	reg.LatencyVec("f_seconds", "", "l").With("v").Observe(2)
 	if err := reg.WritePrometheus(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +195,10 @@ func TestPrometheusExposition(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("ops_total", "Operations.").Add(5)
 	reg.GaugeVec("conns", "Connections.", "node").With("0").Set(2)
-	h := reg.Histogram("lat_seconds", "Latency.", []float64{0.1, 1})
-	h.Observe(0.05)
-	h.Observe(0.5)
-	h.Observe(5)
+	h := reg.Latency("lat_seconds", "Latency.")
+	h.Observe(time.Microsecond)
+	h.Observe(500 * time.Millisecond)
+	h.Observe(4 * time.Second)
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -210,10 +211,10 @@ func TestPrometheusExposition(t *testing.T) {
 		"ops_total 5",
 		`conns{node="0"} 2`,
 		"# TYPE lat_seconds histogram",
-		`lat_seconds_bucket{le="0.1"} 1`,
-		`lat_seconds_bucket{le="1"} 2`,
+		`lat_seconds_bucket{le="1.024e-06"} 1`,
+		`lat_seconds_bucket{le="0.536870912"} 2`,
 		`lat_seconds_bucket{le="+Inf"} 3`,
-		"lat_seconds_sum 5.55",
+		"lat_seconds_sum 4.500001",
 		"lat_seconds_count 3",
 	} {
 		if !strings.Contains(out, want) {
@@ -222,16 +223,28 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// TestHistogramBucketBoundary pins the latency histogram's bucket edges:
+// bucket b holds [2^(b-1), 2^b) ns and is exposed under the bound 2^b ns,
+// so 1023 ns counts under le=1.024e-06 and exactly 1024 ns under the next
+// bound; non-positive durations land in the zero bucket.
 func TestHistogramBucketBoundary(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	h := reg.Histogram("h_seconds", "", []float64{1, 2})
-	h.Observe(1) // le="1" is inclusive
+	h := reg.Latency("h_seconds", "")
+	h.Observe(0)
+	h.Observe(1023)
+	h.Observe(1024)
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `h_seconds_bucket{le="1"} 1`) {
-		t.Errorf("boundary observation landed in the wrong bucket:\n%s", buf.String())
+	for _, want := range []string{
+		`h_seconds_bucket{le="1e-09"} 1`,
+		`h_seconds_bucket{le="1.024e-06"} 2`,
+		`h_seconds_bucket{le="2.048e-06"} 3`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("boundary observation landed in the wrong bucket, missing %q:\n%s", want, buf.String())
+		}
 	}
 }
 

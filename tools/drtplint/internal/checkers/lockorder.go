@@ -29,7 +29,11 @@ import (
 // cross-package callees on a struct that carries a mutex field are
 // conservatively assumed to acquire it (the repo's "guarded by mu" style
 // keeps one mutex per shared structure), except callees whose name ends
-// in "Locked" — by convention they run under an already-held lock.
+// in "Locked" — by convention they run under an already-held lock. The
+// body of a "...Locked" method is in turn walked with that lock held: the
+// mutexes its receiver's "guarded by" annotations name for the fields the
+// body touches (lockguard's contract for the suffix), so what it acquires
+// or calls is ordered after the caller's lock.
 var LockOrder = &analysis.Analyzer{
 	Name: "lockorder",
 	Doc: "flags lock-acquisition-order cycles, blocking operations inside " +
@@ -78,14 +82,19 @@ type callSite struct {
 
 type lockOrder struct {
 	pass      *analysis.Pass
+	guarded   map[string]*guardedStruct
 	summaries map[*types.Func]*funcSummary
 	edges     []LockEdge
 	edgeSeen  map[[2]string]bool
 }
 
 func newLockOrder(pass *analysis.Pass) *lockOrder {
+	// Annotation errors are lockguard's to report: collect on a copy of
+	// the pass so they are not reported twice.
+	quiet := *pass
 	return &lockOrder{
 		pass:      pass,
+		guarded:   collectGuardedStructs(&quiet),
 		summaries: make(map[*types.Func]*funcSummary),
 		edgeSeen:  make(map[[2]string]bool),
 	}
@@ -113,7 +122,7 @@ func (lo *lockOrder) analyze(report *analysis.Pass) {
 			continue
 		}
 		w := &lockOrderWalker{lo: lo, summary: lo.summaries[obj]}
-		w.stmts(fd.Body.List, newHeldSet())
+		w.stmts(fd.Body.List, lo.heldOnEntry(fd))
 	}
 	// Pass 2: transitive closure of acquires over same-package calls.
 	lo.closeAcquires()
@@ -124,8 +133,29 @@ func (lo *lockOrder) analyze(report *analysis.Pass) {
 			continue
 		}
 		w := &lockOrderWalker{lo: lo, summary: lo.summaries[obj], report: report, emit: true}
-		w.stmts(fd.Body.List, newHeldSet())
+		w.stmts(fd.Body.List, lo.heldOnEntry(fd))
 	}
+}
+
+// heldOnEntry returns the locks held when fd's body starts: none, except
+// for a "...Locked" method, which starts under the mutexes guarding the
+// receiver fields it touches.
+func (lo *lockOrder) heldOnEntry(fd *ast.FuncDecl) *heldSet {
+	held := newHeldSet()
+	gs := lo.guarded[recvTypeName(fd)]
+	if gs == nil || !strings.HasSuffix(fd.Name.Name, "Locked") {
+		return held
+	}
+	mus := make(map[string]bool)
+	for field := range fieldMentions(lo.pass, fd) {
+		if mu, ok := gs.fields[field]; ok {
+			mus[mu] = true
+		}
+	}
+	for _, mu := range sortedKeys(mus) {
+		held.lock(lo.pass.Pkg.Name()+"."+gs.name+"."+mu, false)
+	}
+	return held
 }
 
 // closeAcquires folds each same-package callee's acquisitions into its

@@ -188,3 +188,39 @@ func (y *Y) CrossLocked(st *sub.Store) int {
 	defer y.mu.Unlock()
 	return st.SizeLocked()
 }
+
+// Z hides its cross-package call inside a *Locked helper: the helper's
+// body is walked with the mutex guarding the fields it touches held, so
+// the ordering the caller's lock imposes is still seen (here it closes a
+// cycle with Hold).
+type Z struct {
+	mu sync.Mutex
+	// n counts reads; guarded by mu.
+	n int
+}
+
+func (z *Z) Hold(st *sub.Store) {
+	st.Mu.Lock()
+	defer st.Mu.Unlock()
+	z.mu.Lock() // want "lock-order cycle: lockorder.Z.mu acquired while holding sub.Store.Mu"
+	z.n++
+	z.mu.Unlock()
+}
+
+func (z *Z) Read(st *sub.Store) int {
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	return z.readLocked(st)
+}
+
+func (z *Z) readLocked(st *sub.Store) int {
+	z.n++
+	return st.Get() // want "lock-order cycle: sub.Store.Mu acquired while holding lockorder.Z.mu"
+}
+
+// relockLocked re-acquires the lock its suffix says the caller holds.
+func (z *Z) relockLocked() {
+	z.mu.Lock() // want "lockorder.Z.mu.Lock while lockorder.Z.mu is already held"
+	z.n++
+	z.mu.Unlock()
+}
