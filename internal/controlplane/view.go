@@ -8,8 +8,10 @@ import (
 
 // netView is the route finder's network-wide link-state snapshot: the
 // routers' own view type, fed by the adverts each router mirrors to the
-// service (router.Config.Mirrors). It is not goroutine-safe; the owning
-// service serializes access.
+// service (router.Config.Mirrors). Route selection is the view's, i.e.
+// internal/lsr's; what is the route finder's own is advert sequencing,
+// the synced test and the excluded-node block list. It is not
+// goroutine-safe; the owning service serializes access.
 type netView struct {
 	g     *graph.Graph
 	links *router.LinkStateView
@@ -49,8 +51,7 @@ func (v *netView) synced() bool {
 }
 
 // routes answers one route query: a primary plus up to backups backup
-// routes, the first possibly overlapping the primary as a last resort,
-// later ones fully disjoint (the routers' own selection policy).
+// routes, selected as the routers select their own (router.LinkStateView).
 func (v *netView) routes(src, dst graph.NodeID, backups int, excluded map[graph.NodeID]bool) (primary []graph.NodeID, backupRoutes [][]graph.NodeID, reason string) {
 	// Drained or dead nodes are hard-excluded from both routes.
 	blocked := func(l graph.LinkID) bool {
@@ -61,20 +62,13 @@ func (v *netView) routes(src, dst graph.NodeID, backups int, excluded map[graph.
 	if p.Empty() {
 		return nil, nil, "no-route"
 	}
-	avoid := p.LinkSet()
 	var chosen []graph.Path
-	for k := 0; k < backups; k++ {
-		b := v.links.RouteBackup(src, dst, p, avoid, blocked)
+	for len(chosen) < backups {
+		b := v.links.NextBackup(p, chosen, blocked)
 		if b.Empty() {
 			break
 		}
-		if k > 0 && (b.SharedLinks(p) > 0 || b.OverlapsAny(chosen)) {
-			break
-		}
 		chosen = append(chosen, b)
-		for _, l := range b.Links() {
-			avoid[l] = struct{}{}
-		}
 	}
 	if len(chosen) == 0 {
 		return nil, nil, "no-backup"

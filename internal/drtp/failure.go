@@ -215,9 +215,8 @@ func (m *Manager) EvaluateMultiLinkFailure(links []graph.LinkID) FailureOutcome 
 func (m *Manager) EvaluateLinkFailureReactive(l graph.LinkID) FailureOutcome {
 	out := FailureOutcome{Link: l, Edge: graph.InvalidEdge}
 	g := m.net.Graph()
-	db := m.net.DB()
-	unit := db.UnitBW()
-	sc := m.net.Scratch()
+	unit := m.net.UnitBW()
+	sel, snap := m.net.Selector()
 
 	affected := m.affectedBy(func(p graph.Path) bool { return p.Contains(l) })
 	out.Affected = len(affected)
@@ -225,7 +224,7 @@ func (m *Manager) EvaluateLinkFailureReactive(l graph.LinkID) FailureOutcome {
 	// avail[x] is the remaining free bandwidth of link x during this
 	// recovery storm, snapshotted once up front (the evaluation itself
 	// never touches the database) and drawn down as re-routes land.
-	avail := db.SnapshotInto(&sc.Snap).Free
+	avail := snap.Free
 	for _, c := range affected {
 		cost := func(x graph.LinkID) float64 {
 			if x == l || avail[x] < unit {
@@ -233,7 +232,7 @@ func (m *Manager) EvaluateLinkFailureReactive(l graph.LinkID) FailureOutcome {
 			}
 			return 1
 		}
-		path, total := sc.Graph.ShortestPath(g, c.Src, c.Dst, cost)
+		path, total := sel.Scratch.ShortestPath(g, c.Src, c.Dst, cost)
 		if total == graph.Unreachable {
 			out.Contention++
 			m.tracer.ActivationDenied(m.schemeName, c.trace, int64(c.ID), int(l), "no-route")

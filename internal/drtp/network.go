@@ -22,6 +22,7 @@ import (
 
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/lsdb"
+	"github.com/rtcl/drtp/internal/lsr"
 )
 
 // ConnID identifies a DR-connection. It aliases the lsdb type so IDs flow
@@ -98,34 +99,14 @@ type Network struct {
 	// Dijkstra cost callbacks pay an array read, not a map lookup.
 	failed    []bool
 	numFailed int
-	// scratch holds the reusable routing buffers; see RouteScratch.
-	scratch RouteScratch
-}
-
-// RouteScratch bundles the per-network buffers the routing hot paths
-// reuse across route computations: the Dijkstra scratch space, the
-// link-state snapshot, the per-link conflict-metric vector and the dense
-// avoid set. A Network — like the Manager above it — serves one
-// establishment or evaluation at a time, so a single scratch per network
-// suffices; it is not safe for concurrent use.
-type RouteScratch struct {
-	Graph   graph.Scratch
-	Snap    lsdb.Snapshot
-	Metrics []float64
-	avoid   []bool
-}
-
-// AvoidFor returns the dense avoid-set buffer sized for n links with
-// every entry cleared.
-func (rs *RouteScratch) AvoidFor(n int) []bool {
-	if cap(rs.avoid) < n {
-		rs.avoid = make([]bool, n)
-	}
-	a := rs.avoid[:n]
-	for i := range a {
-		a[i] = false
-	}
-	return a
+	// snap and sel are the reusable routing buffers: the link-state
+	// snapshot and the route selector reading it (which owns the Dijkstra
+	// scratch, the avoid set and the conflict-metric vector). A Network —
+	// like the Manager above it — serves one establishment or evaluation
+	// at a time, so one of each suffices; neither is safe for concurrent
+	// use.
+	snap lsdb.Snapshot
+	sel  lsr.Selector
 }
 
 // NewNetwork creates a network where every link has the given capacity and
@@ -141,10 +122,12 @@ func NewNetworkWithMode(g *graph.Graph, capacity, unitBW int, mode lsdb.Mode) (*
 	if err != nil {
 		return nil, err
 	}
+	failed := make([]bool, g.NumLinks())
 	return &Network{
 		g:      g,
 		db:     db,
-		failed: make([]bool, g.NumLinks()),
+		failed: failed,
+		sel:    lsr.Selector{G: g, Unit: unitBW, Down: failed},
 	}, nil
 }
 
@@ -202,55 +185,35 @@ func (n *Network) RestoreEdge(e graph.EdgeID) {
 // NumFailedLinks returns the number of links currently marked failed.
 func (n *Network) NumFailedLinks() int { return n.numFailed }
 
-// Scratch returns the network's reusable routing buffers. Routing
-// schemes and failure evaluation share it; a Network handles one
-// operation at a time, so no synchronization is involved.
-func (n *Network) Scratch() *RouteScratch { return &n.scratch }
+// Snapshot refreshes the network's reusable link-state snapshot under one
+// database lock and returns it. It stays current only until the next
+// reservation; routing schemes and failure evaluation share it.
+func (n *Network) Snapshot() *lsdb.Snapshot { return n.db.SnapshotInto(&n.snap) }
 
-// PrimaryCost is the link-cost function shared by the link-state schemes'
-// primary routing: minimum hops over live links that can admit a new
-// primary reservation.
-func (n *Network) PrimaryCost() graph.CostFunc {
-	db := n.db
-	unit := db.UnitBW()
-	return func(l graph.LinkID) float64 {
-		if n.failed[l] || db.AvailableForPrimary(l) < unit {
-			return graph.Unreachable
-		}
-		return 1
-	}
+// Selector returns the network's route selector — the paper's primary and
+// backup selection over the link-state database and the failed-link marks
+// — reading a fresh Snapshot, which it also returns. The caller fills the
+// selector's Metric before asking it for backups.
+func (n *Network) Selector() (*lsr.Selector, *lsdb.Snapshot) {
+	snap := n.Snapshot()
+	n.sel.Free, n.sel.AvailBackup = snap.Free, snap.AvailBackup
+	return &n.sel, snap
 }
 
 // RoutePrimary selects a minimum-hop feasible primary route, the primary
-// selection used by the link-state schemes. It reads link state through
-// a single snapshot and reuses the network's Dijkstra scratch, so a
-// route computation costs one lock acquisition and one Path allocation.
+// selection used by the link-state schemes.
 func (n *Network) RoutePrimary(src, dst graph.NodeID) (graph.Path, error) {
-	snap := n.db.SnapshotInto(&n.scratch.Snap)
-	unit := n.db.UnitBW()
-	cost := func(l graph.LinkID) float64 {
-		if n.failed[l] || snap.Free[l] < unit {
-			return graph.Unreachable
-		}
-		return 1
-	}
-	p, total := n.scratch.Graph.ShortestPath(n.g, src, dst, cost)
-	if total == graph.Unreachable {
-		return graph.Path{}, ErrNoRoute
-	}
-	return p, nil
+	return n.RoutePrimaryBounded(src, dst, 0)
 }
 
 // RoutePrimaryBounded is RoutePrimary under a QoS hop bound (maxHops <= 0
-// means unbounded). Minimum-hop routing already minimizes delay, so the
-// bound is a feasibility check.
+// means unbounded). A route computation costs one database lock and one
+// Path allocation.
 func (n *Network) RoutePrimaryBounded(src, dst graph.NodeID, maxHops int) (graph.Path, error) {
-	p, err := n.RoutePrimary(src, dst)
-	if err != nil {
-		return graph.Path{}, err
-	}
-	if maxHops > 0 && p.Hops() > maxHops {
-		return graph.Path{}, ErrNoRoute
+	sel, _ := n.Selector()
+	p := sel.Primary(src, dst, maxHops)
+	if p.Empty() {
+		return p, ErrNoRoute
 	}
 	return p, nil
 }

@@ -1,0 +1,215 @@
+package faultinject_test
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"github.com/rtcl/drtp/internal/drtp"
+	"github.com/rtcl/drtp/internal/graph"
+	"github.com/rtcl/drtp/internal/lsdb"
+	"github.com/rtcl/drtp/internal/proto"
+	"github.com/rtcl/drtp/internal/rng"
+	"github.com/rtcl/drtp/internal/router"
+	"github.com/rtcl/drtp/internal/routing"
+	"github.com/rtcl/drtp/internal/topology"
+)
+
+// The cross-source tests hold link state fixed and ask both state sources
+// of internal/lsr for routes: the simulator's (a routing scheme on a
+// drtp.Network, reading lsdb) and the routers' (a router.LinkStateView
+// fed the adverts a router emits for its links). Identical state must
+// give identical routes — including where costs tie and the tie is broken
+// by the last bit of a float64.
+
+// mirrorInto installs every link of db into v through the advert fields
+// Router.advertForLocked emits.
+func mirrorInto(db *lsdb.DB, v *router.LinkStateView) {
+	for i := 0; i < db.NumLinks(); i++ {
+		l := graph.LinkID(i)
+		v.Apply(proto.LinkAdvert{
+			Link:        l,
+			AvailPrim:   db.AvailableForPrimary(l),
+			AvailBackup: db.AvailableForBackup(l),
+			Norm:        db.APLVNorm(l),
+			CV:          db.AppendCV(l, nil),
+		})
+	}
+}
+
+// viewBackups is the k-backup top-up on a view.
+func viewBackups(v *router.LinkStateView, primary graph.Path, k int) []graph.Path {
+	var got []graph.Path
+	for len(got) < k {
+		b := v.NextBackup(primary, got, nil)
+		if b.Empty() {
+			break
+		}
+		got = append(got, b)
+	}
+	return got
+}
+
+func nodesOf(g *graph.Graph, paths []graph.Path) [][]graph.NodeID {
+	var out [][]graph.NodeID
+	for _, p := range paths {
+		out = append(out, p.Nodes(g))
+	}
+	return out
+}
+
+func TestRouteSelectionCrossSource(t *testing.T) {
+	const capacity = 24
+	schemes := []struct {
+		name string
+		sim  func(...routing.Option) *routing.LinkState
+		view router.BackupScheme
+	}{
+		{"D-LSR", routing.NewDLSR, router.DLSR},
+		{"P-LSR", routing.NewPLSR, router.PLSR},
+	}
+	for _, sc := range schemes {
+		for _, k := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/k=%d", sc.name, k), func(t *testing.T) {
+				g, err := topology.Waxman(topology.WaxmanConfig{Nodes: 40, AvgDegree: 3, MinDegree: 2, Seed: 11})
+				if err != nil {
+					t.Fatal(err)
+				}
+				net, err := drtp.NewNetwork(g, capacity, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scheme := sc.sim(routing.WithBackupCount(k))
+				mgr := drtp.NewManager(net, scheme)
+				r := rng.New(3)
+				for id := lsdb.ConnID(1); id <= 400; id++ {
+					src := graph.NodeID(r.Intn(g.NumNodes()))
+					dst := graph.NodeID(r.Intn(g.NumNodes() - 1))
+					if dst >= src {
+						dst++
+					}
+					_, _ = mgr.Establish(drtp.Request{ID: id, Src: src, Dst: dst}) // rejections are part of the load
+				}
+				db := net.DB()
+				view := router.NewLinkStateView(g, capacity, 1, sc.view)
+				mirrorInto(db, view)
+
+				var (
+					counts   []float64
+					deep     int // pairs whose primary has >= 4 hops and meets a conflict count >= 4
+					noRoute  int
+					noBackup int
+				)
+				for s := 0; s < g.NumNodes(); s++ {
+					for d := 0; d < g.NumNodes(); d++ {
+						if s == d {
+							continue
+						}
+						src, dst := graph.NodeID(s), graph.NodeID(d)
+						want, err := scheme.Route(net, drtp.Request{Src: src, Dst: dst})
+						primary := view.RoutePrimary(src, dst, nil)
+						if (err != nil) != primary.Empty() {
+							t.Fatalf("%d->%d: simulator says %v, view primary %v", s, d, err, primary.Nodes(g))
+						}
+						if err != nil {
+							noRoute++
+							continue
+						}
+						if !reflect.DeepEqual(primary.Links(), want.Primary.Links()) {
+							t.Fatalf("%d->%d: view primary %v, simulator %v", s, d, primary.Nodes(g), want.Primary.Nodes(g))
+						}
+						got := viewBackups(view, primary, k)
+						if !reflect.DeepEqual(nodesOf(g, got), nodesOf(g, want.Backups)) {
+							t.Fatalf("%d->%d: view backups %v, simulator %v", s, d, nodesOf(g, got), nodesOf(g, want.Backups))
+						}
+						if len(got) == 0 {
+							noBackup++
+						}
+						if primary.Hops() >= 4 {
+							counts = db.ConflictCountsInto(primary.Links(), counts)
+							for _, c := range counts {
+								if c >= 4 {
+									deep++
+									break
+								}
+							}
+						}
+					}
+				}
+				// The float64 costs ε+n of the two parent implementations
+				// differed for n = 4..7 only, so the fixture must reach there.
+				if deep < 20 {
+					t.Fatalf("fixture too tame: %d pairs see a conflict count >= 4 from a >= 4-hop primary", deep)
+				}
+				t.Logf("%d pairs with conflict counts >= 4, %d without a route, %d without a backup", deep, noRoute, noBackup)
+			})
+		}
+	}
+}
+
+// TestBackupCostTieCrossSource is the direct case: the backup of a
+// connection 0 -> 1 can take route A, whose first link conflicts with n of
+// the primary's links, or route B, whose two links conflict with a and
+// n-a of them. In exact arithmetic both cost n + 2ε; in float64 the
+// outcome depends on how a link's cost is composed, and the parent's
+// router (ε+1+…+1) and simulator (ε+float64(n)) composed it differently
+// for n = 4..7 — the router saw a tie where the simulator saw A > B. Both
+// sources must now agree, whichever route has the lower link IDs.
+func TestBackupCostTieCrossSource(t *testing.T) {
+	for _, aFirst := range []bool{true, false} {
+		// Primary 0-2-3-4-5-6-7-8-1 (8 hops); A = 0-9-1, B = 0-10-1.
+		edges := [][2]int{{0, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 8}, {8, 1}}
+		a, b := [][2]int{{0, 9}, {9, 1}}, [][2]int{{0, 10}, {10, 1}}
+		if aFirst {
+			edges = append(append(edges, a...), b...)
+		} else {
+			edges = append(append(edges, b...), a...)
+		}
+		g, err := topology.FromEdgeList(11, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		primary, err := graph.PathFromNodes(g, []graph.NodeID{0, 2, 3, 4, 5, 6, 7, 8, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		link := func(u, v graph.NodeID) graph.LinkID {
+			l, _ := g.LinkBetween(u, v)
+			return l
+		}
+		for n := 4; n <= 7; n++ {
+			for split := 1; split < n; split++ {
+				net, err := drtp.NewNetwork(g, 10, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				db := net.DB()
+				// One registered backup per link whose primary covers the
+				// first c links of ours gives that link conflict count c.
+				conflicts := map[graph.LinkID]int{link(0, 9): n, link(0, 10): split, link(10, 1): n - split}
+				id := lsdb.ConnID(1)
+				for l, c := range conflicts {
+					if err := db.RegisterBackup(id, l, primary.Links()[:c]); err != nil {
+						t.Fatal(err)
+					}
+					id++
+				}
+				counts := db.ConflictCountsInto(primary.Links(), nil)
+				for l, c := range conflicts {
+					if counts[l] != float64(c) {
+						t.Fatalf("link %d: conflict count %v, want %d", l, counts[l], c)
+					}
+				}
+				view := router.NewLinkStateView(g, 10, 1, router.DLSR)
+				mirrorInto(db, view)
+
+				want := routing.NewDLSR().RouteBackupsFor(net, drtp.Request{Src: 0, Dst: 1}, primary, nil)
+				got := viewBackups(view, primary, 1)
+				if !reflect.DeepEqual(nodesOf(g, got), nodesOf(g, want)) {
+					t.Errorf("aFirst=%v n=%d split %d+%d: view backup %v, simulator %v",
+						aFirst, n, split, n-split, nodesOf(g, got), nodesOf(g, want))
+				}
+			}
+		}
+	}
+}

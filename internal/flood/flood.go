@@ -218,7 +218,6 @@ func (s *Scheme) flood(net *drtp.Network, req drtp.Request) []candidate {
 		}()
 	}
 	g := net.Graph()
-	db := net.DB()
 	dist := net.Distances()
 	unit := net.UnitBW()
 
@@ -235,7 +234,7 @@ func (s *Scheme) flood(net *drtp.Network, req drtp.Request) []candidate {
 
 	// The flood never mutates the database, so one snapshot serves every
 	// bandwidth test of this request.
-	snap := db.SnapshotInto(&net.Scratch().Snap)
+	snap := net.Snapshot()
 
 	// minDist is the flood-scoped pending-connection table: the shortest
 	// hop count at which each node has seen this connection's CDP.

@@ -1,46 +1,51 @@
 package router
 
 import (
-	"math"
-
 	"github.com/rtcl/drtp/internal/bitvec"
 	"github.com/rtcl/drtp/internal/graph"
+	"github.com/rtcl/drtp/internal/lsr"
 	"github.com/rtcl/drtp/internal/proto"
 )
 
-// linkView is the advertised state of one (possibly remote) link.
-type linkView struct {
-	availPrim   int
-	availBackup int
-	norm        int
-	cv          *bitvec.Vector
-}
-
 // LinkStateView is one node's picture of every link in the network,
-// assembled from link-state adverts, and the route selection both tiers
-// run on it: a router keeps one for the routes it originates, the control
-// plane's route finder keeps one fed by mirrored adverts. It holds a
-// Conflict Vector per link, links² bits in all — 4.5 MB at 2 000 nodes
-// (6 000 links), 112 MB at 10 000 — which is why routers are exercised at
-// tens of nodes and the web-scale simulator path reads lsdb directly.
-// Not goroutine-safe; the owner serializes access.
+// assembled from link-state adverts, and the state source both tiers
+// select routes from: a router keeps one for the routes it originates,
+// the control plane's route finder keeps one fed by mirrored adverts.
+// Selection itself is internal/lsr's — the same primary rule, backup cost
+// and k-backup rule the simulator runs — reading the advertised
+// bandwidths directly and, as the conflict metric, the advertised ‖APLV‖₁
+// (P-LSR) or the primary's links set in each Conflict Vector (D-LSR).
+// The view holds a Conflict Vector per link, links² bits in all — 4.5 MB
+// at 2 000 nodes (6 000 links), 112 MB at 10 000 — which is why routers
+// are exercised at tens of nodes and the web-scale simulator path reads
+// lsdb directly. Not goroutine-safe; the owner serializes access.
 type LinkStateView struct {
-	g      *graph.Graph
 	scheme BackupScheme
-	unitBW int
-	links  []linkView
+	// sel holds the advertised bandwidths (Free is the bandwidth available
+	// to primaries) and the per-request block list and conflict metric.
+	sel  lsr.Selector
+	norm []int
+	cv   []*bitvec.Vector
 }
 
 // NewLinkStateView starts from the optimistic initial view: every link
 // empty until adverts arrive.
 func NewLinkStateView(g *graph.Graph, capacity, unitBW int, scheme BackupScheme) *LinkStateView {
-	v := &LinkStateView{g: g, scheme: scheme, unitBW: unitBW, links: make([]linkView, g.NumLinks())}
-	for i := range v.links {
-		v.links[i] = linkView{
-			availPrim:   capacity,
-			availBackup: capacity,
-			cv:          bitvec.New(g.NumLinks()),
-		}
+	n := g.NumLinks()
+	v := &LinkStateView{
+		scheme: scheme,
+		sel: lsr.Selector{
+			G: g, Unit: unitBW,
+			Free: make([]int, n), AvailBackup: make([]int, n),
+			Down: make([]bool, n), Metric: make([]float64, n),
+		},
+		norm: make([]int, n),
+		cv:   make([]*bitvec.Vector, n),
+	}
+	for l := range v.cv {
+		v.sel.Free[l] = capacity
+		v.sel.AvailBackup[l] = capacity
+		v.cv[l] = bitvec.New(n)
 	}
 	return v
 }
@@ -50,14 +55,13 @@ func NewLinkStateView(g *graph.Graph, capacity, unitBW int, scheme BackupScheme)
 // link outside the topology — Link arrives as a signed varint off the
 // wire — is dropped: Apply reports false and the view is unchanged.
 func (v *LinkStateView) Apply(a proto.LinkAdvert) bool {
-	if a.Link < 0 || int(a.Link) >= len(v.links) {
+	if a.Link < 0 || int(a.Link) >= len(v.cv) {
 		return false
 	}
-	lv := &v.links[a.Link]
-	lv.availPrim = a.AvailPrim
-	lv.availBackup = a.AvailBackup
-	lv.norm = a.Norm
-	lv.cv.SetBytes(a.CV)
+	v.sel.Free[a.Link] = a.AvailPrim
+	v.sel.AvailBackup[a.Link] = a.AvailBackup
+	v.norm[a.Link] = a.Norm
+	v.cv[a.Link].SetBytes(a.CV)
 	return true
 }
 
@@ -65,8 +69,7 @@ func (v *LinkStateView) Apply(a proto.LinkAdvert) bool {
 // primaries, the bandwidth available to backups, and the advertised
 // ‖APLV‖₁.
 func (v *LinkStateView) Link(l graph.LinkID) (availPrim, availBackup, norm int) {
-	lv := &v.links[l]
-	return lv.availPrim, lv.availBackup, lv.norm
+	return v.sel.Free[l], v.sel.AvailBackup[l], v.norm[l]
 }
 
 // RoutePrimary computes a minimum-hop route from src to dst over links
@@ -74,60 +77,48 @@ func (v *LinkStateView) Link(l graph.LinkID) (availPrim, availBackup, norm int) 
 // true for (nil blocks nothing). It returns the empty path when there is
 // none.
 func (v *LinkStateView) RoutePrimary(src, dst graph.NodeID, blocked func(graph.LinkID) bool) graph.Path {
-	cost := func(l graph.LinkID) float64 {
-		if v.links[l].availPrim < v.unitBW || (blocked != nil && blocked(l)) {
-			return graph.Unreachable
-		}
-		return 1
-	}
-	return v.shortest(src, dst, cost)
+	v.block(blocked)
+	return v.sel.Primary(src, dst, 0)
 }
 
-// RouteBackup computes the scheme's backup route for an established
-// primary: each link costs its conflict metric — for D-LSR the number of
-// the primary's links set in the link's Conflict Vector, for P-LSR the
-// advertised ‖APLV‖₁ — plus ε per hop, plus Q when the link is in the
-// avoid set (the primary and earlier backups) or lacks backup bandwidth,
-// so such links are a last resort rather than forbidden. Links blocked
-// reports true for are never used (nil blocks nothing).
-func (v *LinkStateView) RouteBackup(src, dst graph.NodeID, primary graph.Path, avoid map[graph.LinkID]struct{}, blocked func(graph.LinkID) bool) graph.Path {
-	const (
-		q   = 1e6
-		eps = 1e-3
-	)
-	lset := primary.Links()
-	cost := func(l graph.LinkID) float64 {
-		if blocked != nil && blocked(l) {
-			return graph.Unreachable
-		}
-		lv := &v.links[l]
-		c := eps
-		switch v.scheme {
-		case PLSR:
-			c += float64(lv.norm)
-		default:
+// NextBackup computes the scheme's next backup route for a connection
+// with the given primary and existing backups (lsr.Selector.NextBackup:
+// the first backup may overlap the primary as a last resort, later ones
+// must be disjoint from everything). Links blocked reports true for are
+// never used (nil blocks nothing). It returns the empty path when there
+// is none.
+func (v *LinkStateView) NextBackup(primary graph.Path, existing []graph.Path, blocked func(graph.LinkID) bool) graph.Path {
+	v.block(blocked)
+	v.fillMetric(primary.Links())
+	return v.sel.NextBackup(primary, existing, 0)
+}
+
+// block marks the links blocked reports true for as down for the
+// selection that follows.
+func (v *LinkStateView) block(blocked func(graph.LinkID) bool) {
+	for l := range v.sel.Down {
+		v.sel.Down[l] = blocked != nil && blocked(graph.LinkID(l))
+	}
+}
+
+// fillMetric writes the scheme's conflict metric for a primary with the
+// given LSET: the advertised norm (P-LSR) or the number of LSET links set
+// in the link's Conflict Vector (D-LSR).
+//
+//drtplint:hotpath
+func (v *LinkStateView) fillMetric(lset []graph.LinkID) {
+	for l := range v.sel.Metric {
+		n := v.norm[l]
+		if v.scheme != PLSR {
+			n = 0
 			for _, pl := range lset {
-				if lv.cv.Get(int(pl)) {
-					c++
+				if v.cv[l].Get(int(pl)) {
+					n++
 				}
 			}
 		}
-		if _, ok := avoid[l]; ok {
-			c += q
-		} else if lv.availBackup < v.unitBW {
-			c += q
-		}
-		return c
+		v.sel.Metric[l] = float64(n)
 	}
-	return v.shortest(src, dst, cost)
-}
-
-func (v *LinkStateView) shortest(src, dst graph.NodeID, cost graph.CostFunc) graph.Path {
-	p, total := graph.ShortestPath(v.g, src, dst, cost)
-	if math.IsInf(total, 1) {
-		return graph.Path{}
-	}
-	return p
 }
 
 // localLinks returns the IDs of this node's outgoing links.

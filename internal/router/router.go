@@ -27,6 +27,9 @@
 // checked for duplicates, so concurrent requests for one ID cannot share
 // round trips.
 //
+// Routes a router originates are selected on its link-state view
+// (lsview.go) by internal/lsr, the route selection the simulator runs.
+//
 // Known simplification: after a channel switch, surviving backup channels
 // keep their original registrations, whose piggybacked LSETs describe the
 // old (failed) primary; the affected links' APLVs are therefore slightly

@@ -30,7 +30,6 @@ var (
 // admission policy). Routes come from the local link-state view as the
 // channels go up.
 func (r *Router) Establish(id lsdb.ConnID, dst graph.NodeID) (ConnInfo, error) {
-	var avoid map[graph.LinkID]struct{} // the primary's links plus every backup's so far
 	return r.establish(id, dst, func() (graph.Path, error) {
 		// Minimum-hop and feasible on the view, never leaving through a
 		// link to a neighbour declared down.
@@ -43,29 +42,19 @@ func (r *Router) Establish(id lsdb.ConnID, dst graph.NodeID) (ConnInfo, error) {
 		if p.Empty() {
 			return p, ErrNoRoute
 		}
-		avoid = p.LinkSet()
 		return p, nil
 	}, func(k int, primary graph.Path, got []graph.Path) (graph.Path, error) {
-		// Up to cfg.Backups channels: the first may overlap the primary as
-		// a last resort, later ones must be disjoint from everything
-		// established so far. A rejected candidate ends the feed (k has
-		// outrun got): the view that produced it would produce it again.
+		// Up to cfg.Backups channels. A candidate that failed to register
+		// ends the feed (k has outrun got): the view that produced it
+		// would produce it again.
 		if k >= r.cfg.Backups || k > len(got) {
 			return graph.Path{}, nil
-		}
-		if k > 0 {
-			for _, l := range got[k-1].Links() {
-				avoid[l] = struct{}{}
-			}
 		}
 		// Links to down neighbours advertise zero bandwidth, which already
 		// makes them a last resort.
 		r.mu.Lock()
-		b := r.view.RouteBackup(r.cfg.Node, dst, primary, avoid, nil)
+		b := r.view.NextBackup(primary, got, nil)
 		r.mu.Unlock()
-		if k > 0 && (b.SharedLinks(primary) > 0 || b.OverlapsAny(got)) {
-			return graph.Path{}, nil
-		}
 		return b, nil
 	})
 }

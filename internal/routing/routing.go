@@ -1,66 +1,45 @@
-// Package routing implements the paper's link-state routing schemes for
-// backup channels (P-LSR and D-LSR) along with baseline schemes used in
-// the evaluation (no-backup, conflict-blind min-hop, random).
+// Package routing holds the simulator's routing schemes: the paper's
+// link-state schemes for backup channels (P-LSR and D-LSR) along with the
+// baselines used in the evaluation (no-backup, conflict-blind min-hop,
+// random, joint).
 //
-// All link-state schemes share the same primary selection (minimum-hop
-// feasible path) and differ only in the link cost assigned when searching
-// for the backup route:
-//
-//	C_i = Q_i + conflictMetric_i + ε
-//
-// where Q is a very large constant added when the connection's own primary
-// traverses L_i or L_i fails the backup bandwidth test, and ε < 1 breaks
-// ties toward shorter backups (paper §3.1–3.2).
+// The link-state schemes share one route selection — internal/lsr: a
+// minimum-hop feasible primary, then Dijkstra over C_i = Q_i +
+// conflictMetric_i + ε for each backup (paper §3.1–3.2) — and differ only
+// in the conflict metric they read from the link-state database. This
+// package supplies that metric and the backup count; drtp.Network supplies
+// the link state.
 package routing
 
 import (
+	"slices"
+
 	"github.com/rtcl/drtp/internal/drtp"
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/lsdb"
+	"github.com/rtcl/drtp/internal/lsr"
 	"github.com/rtcl/drtp/internal/rng"
 )
 
-const (
-	// Q is the paper's "very large constant" penalizing links that overlap
-	// the connection's primary or fail the bandwidth test. It dominates
-	// any achievable conflict metric but keeps such links usable as a
-	// last resort, exactly as in the paper.
-	Q = 1e6
-	// Epsilon is the paper's small positive constant (< 1) selecting the
-	// shortest route among candidates with equal conflict degree.
-	Epsilon = 1e-3
-)
+// metricFiller fills dst (resized as needed) with a scheme's per-link
+// conflict metric — its estimate of the backup conflicts created by
+// putting the backup on each link, given the primary's LSET — and returns
+// it. A nil return means the metric is identically zero.
+type metricFiller func(db *lsdb.DB, snap *lsdb.Snapshot, lset []graph.LinkID, dst []float64) []float64
 
-// BackupCoster produces, for one connection request, the link-cost metric
-// a link-state scheme uses to find the backup route. The primary path of
-// the connection has already been selected.
-type BackupCoster interface {
-	// Name returns the scheme identifier.
-	Name() string
-	// ConflictMetric returns the scheme's estimate of backup conflicts
-	// created by putting the backup on link l, given the primary's LSET.
-	ConflictMetric(db *lsdb.DB, l graph.LinkID, primary graph.Path) float64
-}
-
-// bulkCoster is the batch fast path of a BackupCoster: it fills a dense
-// per-link conflict-metric vector up front (one database lock) instead of
-// being called once per link from inside the Dijkstra cost callback. A
-// nil return means the metric is identically zero. The built-in costers
-// implement it; external costers fall back to per-link ConflictMetric.
-type bulkCoster interface {
-	conflictMetricsInto(db *lsdb.DB, snap *lsdb.Snapshot, primary graph.Path, dst []float64) []float64
-}
-
-// LinkState is a drtp.Scheme assembled from a BackupCoster: min-hop
-// primary, then Dijkstra over Q/metric/ε costs for each backup. By
-// default one backup is routed; WithBackupCount enables the paper's
-// "one or more backup channels".
+// LinkState is a link-state drtp.Scheme: lsr's route selection fed the
+// scheme's conflict metric. By default one backup is routed;
+// WithBackupCount enables the paper's "one or more backup channels".
 type LinkState struct {
-	coster  BackupCoster
+	name    string
+	fill    metricFiller
 	backups int
 }
 
-var _ drtp.Scheme = (*LinkState)(nil)
+var (
+	_ drtp.Scheme       = (*LinkState)(nil)
+	_ drtp.BackupRouter = (*LinkState)(nil)
+)
 
 // Option configures a LinkState scheme.
 type Option interface {
@@ -81,9 +60,8 @@ func (o backupCountOption) apply(s *LinkState) {
 // connection).
 func WithBackupCount(k int) Option { return backupCountOption(k) }
 
-// NewLinkState wraps a BackupCoster into a complete routing scheme.
-func NewLinkState(coster BackupCoster, opts ...Option) *LinkState {
-	s := &LinkState{coster: coster, backups: 1}
+func newLinkState(name string, fill metricFiller, opts []Option) *LinkState {
+	s := &LinkState{name: name, fill: fill, backups: 1}
 	for _, o := range opts {
 		o.apply(s)
 	}
@@ -91,7 +69,7 @@ func NewLinkState(coster BackupCoster, opts ...Option) *LinkState {
 }
 
 // Name implements drtp.Scheme.
-func (s *LinkState) Name() string { return s.coster.Name() }
+func (s *LinkState) Name() string { return s.name }
 
 // Route implements drtp.Scheme.
 func (s *LinkState) Route(net *drtp.Network, req drtp.Request) (drtp.Route, error) {
@@ -99,151 +77,40 @@ func (s *LinkState) Route(net *drtp.Network, req drtp.Request) (drtp.Route, erro
 	if err != nil {
 		return drtp.Route{}, err
 	}
-	route := drtp.Route{Primary: primary}
-	avoid := net.Scratch().AvoidFor(net.Graph().NumLinks())
-	for _, l := range primary.Links() {
-		avoid[l] = true
-	}
-	for k := 0; k < s.backups; k++ {
-		backup := s.routeBackup(net, primary, req, avoid, req.MaxHops)
-		if backup.Empty() {
-			break
-		}
-		// The first backup may overlap the primary as a last resort
-		// (the paper's Q semantics, needed on bridges). Additional
-		// backups must be fully disjoint from the primary and from each
-		// other — an overlapping extra backup protects nothing the
-		// earlier channels do not.
-		if k > 0 && (backup.SharedLinks(primary) > 0 || backup.OverlapsAny(route.Backups)) {
-			break
-		}
-		route.Backups = append(route.Backups, backup)
-		for _, l := range backup.Links() {
-			avoid[l] = true
-		}
-	}
-	return route, nil
+	return drtp.Route{Primary: primary, Backups: s.RouteBackupsFor(net, req, primary, nil)}, nil
 }
 
-// RouteBackupsFor implements drtp.BackupRouter: it computes fresh backup
-// routes for an existing primary (used to restore protection after a
-// channel switch), topping the connection up to the scheme's backup
-// count.
+// RouteBackupsFor implements drtp.BackupRouter: it tops a connection with
+// the given primary and existing backups up to the scheme's backup count
+// and returns the added routes — all of a new connection's backups, or
+// fresh protection after a channel switch.
 func (s *LinkState) RouteBackupsFor(net *drtp.Network, req drtp.Request, primary graph.Path, existing []graph.Path) []graph.Path {
-	need := s.backups - len(existing)
-	if need <= 0 {
+	if len(existing) >= s.backups {
 		return nil
 	}
-	avoid := net.Scratch().AvoidFor(net.Graph().NumLinks())
-	for _, l := range primary.Links() {
-		avoid[l] = true
-	}
-	for _, b := range existing {
-		for _, l := range b.Links() {
-			avoid[l] = true
-		}
-	}
-	var out []graph.Path
-	for k := 0; k < need; k++ {
-		b := s.routeBackup(net, primary, req, avoid, req.MaxHops)
+	sel, snap := net.Selector()
+	sel.Metric = s.fill(net.DB(), snap, primary.Links(), sel.Metric)
+	have := slices.Clip(existing)
+	for len(have) < s.backups {
+		b := sel.NextBackup(primary, have, req.MaxHops)
 		if b.Empty() {
 			break
 		}
-		// Overlapping routes are acceptable only as the sole protection.
-		if len(existing)+len(out) > 0 &&
-			(b.SharedLinks(primary) > 0 || b.OverlapsAny(existing) || b.OverlapsAny(out)) {
-			break
-		}
-		out = append(out, b)
-		for _, l := range b.Links() {
-			avoid[l] = true
-		}
+		have = append(have, b)
 	}
-	return out
+	return have[len(existing):]
 }
 
-var _ drtp.BackupRouter = (*LinkState)(nil)
-
-// routeBackup finds one backup route penalizing the avoid set with Q. A
-// positive maxHops constrains the search to the QoS delay bound. Link
-// state is read through one snapshot (and, for the built-in costers, one
-// dense metric vector), so the Dijkstra cost callback touches no locks.
-func (s *LinkState) routeBackup(net *drtp.Network, primary graph.Path, req drtp.Request, avoid []bool, maxHops int) graph.Path {
-	db := net.DB()
-	unit := net.UnitBW()
-	sc := net.Scratch()
-	snap := db.SnapshotInto(&sc.Snap)
-	var cost graph.CostFunc
-	if bc, ok := s.coster.(bulkCoster); ok {
-		var metrics []float64
-		if ms := bc.conflictMetricsInto(db, snap, primary, sc.Metrics); ms != nil {
-			sc.Metrics = ms
-			metrics = ms
-		}
-		cost = func(l graph.LinkID) float64 {
-			if net.LinkFailed(l) {
-				return graph.Unreachable
-			}
-			c := Epsilon
-			if metrics != nil {
-				c += metrics[l]
-			}
-			if avoid[l] || snap.AvailBackup[l] < unit {
-				c += Q
-			}
-			return c
-		}
-	} else {
-		cost = func(l graph.LinkID) float64 {
-			if net.LinkFailed(l) {
-				return graph.Unreachable
-			}
-			c := Epsilon + s.coster.ConflictMetric(db, l, primary)
-			if avoid[l] || snap.AvailBackup[l] < unit {
-				c += Q
-			}
-			return c
-		}
-	}
-	var (
-		backup graph.Path
-		total  float64
-	)
-	if maxHops > 0 {
-		backup, total = sc.Graph.ShortestPathBounded(net.Graph(), req.Src, req.Dst, cost, maxHops)
-	} else {
-		backup, total = sc.Graph.ShortestPath(net.Graph(), req.Src, req.Dst, cost)
-	}
-	if total == graph.Unreachable {
-		return graph.Path{}
-	}
-	return backup
-}
-
-// PLSR is the probabilistic link-state scheme: the conflict metric is
-// ‖APLV_i‖₁, the only per-link scalar P-LSR requires routers to
+// NewPLSR returns the probabilistic link-state scheme: the conflict metric
+// is ‖APLV_i‖₁, the only per-link scalar P-LSR requires routers to
 // disseminate. Minimizing the path sum maximizes the estimated probability
 // of successful backup activation (paper eq. 1–3).
-type PLSR struct{}
+func NewPLSR(opts ...Option) *LinkState { return newLinkState("P-LSR", normMetric, opts) }
 
-var _ BackupCoster = PLSR{}
-
-// NewPLSR returns the P-LSR scheme.
-func NewPLSR(opts ...Option) *LinkState { return NewLinkState(PLSR{}, opts...) }
-
-// Name implements BackupCoster.
-func (PLSR) Name() string { return "P-LSR" }
-
-// ConflictMetric implements BackupCoster.
-func (PLSR) ConflictMetric(db *lsdb.DB, l graph.LinkID, _ graph.Path) float64 {
-	return float64(db.APLVNorm(l))
-}
-
-// conflictMetricsInto implements bulkCoster: the norms are already in the
-// snapshot, so this just widens them to float64.
+// normMetric widens the norms already in the snapshot to float64.
 //
 //drtplint:hotpath
-func (PLSR) conflictMetricsInto(_ *lsdb.DB, snap *lsdb.Snapshot, _ graph.Path, dst []float64) []float64 {
+func normMetric(_ *lsdb.DB, snap *lsdb.Snapshot, _ []graph.LinkID, dst []float64) []float64 {
 	n := len(snap.Norm)
 	if cap(dst) < n {
 		dst = make([]float64, n)
@@ -255,63 +122,26 @@ func (PLSR) conflictMetricsInto(_ *lsdb.DB, snap *lsdb.Snapshot, _ graph.Path, d
 	return dst
 }
 
-// DLSR is the deterministic link-state scheme: the conflict metric is the
-// exact number of the primary's links whose existing backups traverse L_i,
-// read from the Conflict Vector: Σ_{L_j ∈ LSET(P_x)} c_{i,j}.
-type DLSR struct{}
+// NewDLSR returns the deterministic link-state scheme: the conflict metric
+// is the exact number of the primary's links whose existing backups
+// traverse L_i, read from the Conflict Vector: Σ_{L_j ∈ LSET(P_x)} c_{i,j}.
+func NewDLSR(opts ...Option) *LinkState { return newLinkState("D-LSR", conflictMetric, opts) }
 
-var _ BackupCoster = DLSR{}
-
-// NewDLSR returns the D-LSR scheme.
-func NewDLSR(opts ...Option) *LinkState { return NewLinkState(DLSR{}, opts...) }
-
-// Name implements BackupCoster.
-func (DLSR) Name() string { return "D-LSR" }
-
-// ConflictMetric implements BackupCoster.
-func (DLSR) ConflictMetric(db *lsdb.DB, l graph.LinkID, primary graph.Path) float64 {
-	conflicts := 0
-	for _, pl := range primary.Links() {
-		if db.CVBit(l, pl) {
-			conflicts++
-		}
-	}
-	return float64(conflicts)
-}
-
-// conflictMetricsInto implements bulkCoster: one locked pass over the
-// database replaces a CVBit call per (link, LSET entry) pair.
+// conflictMetric counts the conflicts in one locked pass over the database.
 //
 //drtplint:hotpath
-func (DLSR) conflictMetricsInto(db *lsdb.DB, _ *lsdb.Snapshot, primary graph.Path, dst []float64) []float64 {
-	return db.ConflictCountsInto(primary.Links(), dst)
+func conflictMetric(db *lsdb.DB, _ *lsdb.Snapshot, lset []graph.LinkID, dst []float64) []float64 {
+	return db.ConflictCountsInto(lset, dst)
 }
 
-// MinHopDisjoint is the conflict-blind baseline: the backup is simply the
-// shortest feasible path avoiding the primary's links, ignoring APLV/CV
-// information entirely. It isolates the value of conflict awareness.
-type MinHopDisjoint struct{}
+// NewMinHopDisjoint returns the conflict-blind baseline scheme: the backup
+// is simply the shortest feasible path avoiding the primary's links,
+// ignoring APLV/CV information entirely. It isolates the value of conflict
+// awareness.
+func NewMinHopDisjoint(opts ...Option) *LinkState { return newLinkState("MinHop", noMetric, opts) }
 
-var _ BackupCoster = MinHopDisjoint{}
-
-// NewMinHopDisjoint returns the conflict-blind baseline scheme.
-func NewMinHopDisjoint(opts ...Option) *LinkState { return NewLinkState(MinHopDisjoint{}, opts...) }
-
-// Name implements BackupCoster.
-func (MinHopDisjoint) Name() string { return "MinHop" }
-
-// ConflictMetric implements BackupCoster.
-func (MinHopDisjoint) ConflictMetric(*lsdb.DB, graph.LinkID, graph.Path) float64 {
-	return 0
-}
-
-// conflictMetricsInto implements bulkCoster: a nil vector means the
-// metric is identically zero.
-//
-//drtplint:hotpath
-func (MinHopDisjoint) conflictMetricsInto(*lsdb.DB, *lsdb.Snapshot, graph.Path, []float64) []float64 {
-	return nil
-}
+// noMetric is the identically-zero metric.
+func noMetric(*lsdb.DB, *lsdb.Snapshot, []graph.LinkID, []float64) []float64 { return nil }
 
 // NoBackup establishes primary channels only. It is the baseline against
 // which the paper defines capacity overhead.
@@ -339,8 +169,9 @@ func (NoBackup) Route(net *drtp.Network, req drtp.Request) (drtp.Route, error) {
 // paper's remark that in highly-connected networks "even random selection
 // can find a backup route with small conflicts".
 type Random struct {
-	src    *rng.Source
-	jitter []float64
+	src       *rng.Source
+	jitter    []float64
+	onPrimary []bool
 }
 
 var _ drtp.Scheme = (*Random)(nil)
@@ -359,19 +190,18 @@ func (r *Random) Route(net *drtp.Network, req drtp.Request) (drtp.Route, error) 
 	if err != nil {
 		return drtp.Route{}, err
 	}
-	db := net.DB()
 	unit := net.UnitBW()
-	sc := net.Scratch()
-	snap := db.SnapshotInto(&sc.Snap)
+	sel, snap := net.Selector()
 	n := net.Graph().NumLinks()
-	onPrimary := sc.AvoidFor(n)
+	if cap(r.jitter) < n {
+		r.jitter = make([]float64, n)
+		r.onPrimary = make([]bool, n)
+	}
+	jitter, onPrimary := r.jitter[:n], r.onPrimary[:n]
+	clear(onPrimary)
 	for _, l := range primary.Links() {
 		onPrimary[l] = true
 	}
-	if cap(r.jitter) < n {
-		r.jitter = make([]float64, n)
-	}
-	jitter := r.jitter[:n]
 	for i := range jitter {
 		jitter[i] = r.src.Float64()
 	}
@@ -381,7 +211,7 @@ func (r *Random) Route(net *drtp.Network, req drtp.Request) (drtp.Route, error) 
 		}
 		c := 1 + jitter[l]
 		if onPrimary[l] || snap.AvailBackup[l] < unit {
-			c += Q
+			c += lsr.Q
 		}
 		return c
 	}
@@ -390,9 +220,9 @@ func (r *Random) Route(net *drtp.Network, req drtp.Request) (drtp.Route, error) 
 		total  float64
 	)
 	if req.MaxHops > 0 {
-		backup, total = sc.Graph.ShortestPathBounded(net.Graph(), req.Src, req.Dst, cost, req.MaxHops)
+		backup, total = sel.Scratch.ShortestPathBounded(net.Graph(), req.Src, req.Dst, cost, req.MaxHops)
 	} else {
-		backup, total = sc.Graph.ShortestPath(net.Graph(), req.Src, req.Dst, cost)
+		backup, total = sel.Scratch.ShortestPath(net.Graph(), req.Src, req.Dst, cost)
 	}
 	if total == graph.Unreachable {
 		return drtp.Route{Primary: primary}, nil
