@@ -24,8 +24,8 @@ import (
 // the pair-list APLV storage and the link-state database on
 // networks two orders of magnitude beyond the paper's 60 nodes, where a
 // dense O(links²) layout does not fit. No Conflict Vector is materialized
-// on this path: routing reads the pair lists through
-// lsdb.ConflictCountsInto.
+// on this path: D-LSR reads its conflict counts off the posting lists the
+// database keeps beside the pair lists (lsdb.ConflictCountsInto).
 //
 // Everything rendered by Table is deterministic at any worker count (the
 // engine.go contract: stable per-cell seeds, ordered merge, ordered

@@ -4,11 +4,12 @@ import "math"
 
 // Scratch holds the reusable working state for repeated shortest-path
 // queries on graphs of a bounded size: the Dijkstra dist/prev/settled
-// arrays, the priority queue, the layered Bellman-Ford tables of the
-// hop-bounded variant, and the path-reversal stack. A zero Scratch is
-// ready to use; buffers grow on demand and are retained across queries,
-// so a caller issuing many queries per topology (the experiment sweep
-// runs thousands per cell) allocates only the returned Path per query.
+// arrays, the priority queue, the breadth-first queue of the minimum-hop
+// search, the layered Bellman-Ford tables of the hop-bounded variant, and
+// the path-reversal stack. A zero Scratch is ready to use; buffers grow on
+// demand and are retained across queries, so a caller issuing many queries
+// per topology (the experiment sweep runs thousands per cell) allocates
+// only the returned Path per query.
 //
 // A Scratch is not safe for concurrent use. Results are identical to the
 // package-level ShortestPath/ShortestPathBounded: the heap operations
@@ -19,6 +20,7 @@ type Scratch struct {
 	prev    []LinkID
 	settled []bool
 	pq      []pqItem
+	queue   []NodeID
 	stack   []LinkID
 
 	// Layered tables for the hop-bounded variant; row h holds the best
@@ -58,11 +60,7 @@ func (s *Scratch) ShortestDistancesInto(g *Graph, src NodeID, cost CostFunc) []f
 //drtplint:hotpath
 func (s *Scratch) dijkstra(g *Graph, src, stopAt NodeID, cost CostFunc) (dist []float64, prev []LinkID) {
 	n := g.NumNodes()
-	if cap(s.dist) < n {
-		s.dist = make([]float64, n)
-		s.prev = make([]LinkID, n)
-		s.settled = make([]bool, n)
-	}
+	s.growNodeArrays(n)
 	dist, prev = s.dist[:n], s.prev[:n]
 	settled := s.settled[:n]
 	for i := range dist {
@@ -101,6 +99,63 @@ func (s *Scratch) dijkstra(g *Graph, src, stopAt NodeID, cost CostFunc) (dist []
 		}
 	}
 	return dist, prev
+}
+
+// growNodeArrays makes the per-node arrays hold at least n entries.
+//
+//drtplint:hotpath
+func (s *Scratch) growNodeArrays(n int) {
+	if cap(s.dist) < n {
+		s.dist = make([]float64, n)
+		s.prev = make([]LinkID, n)
+		s.settled = make([]bool, n)
+	}
+}
+
+// MinHopPath returns the minimum-hop path from src to dst over the links
+// open admits, and whether dst is reachable at all. It is ShortestPath at
+// unit cost — the same path, link for link — found breadth first: every
+// hop-d node is settled before any hop-(d+1) node, so the tree link of a
+// hop-(d+1) node is the smallest-ID open link into it from a hop-d node,
+// whatever order the level is visited in, which is exactly Dijkstra's
+// tie-break. The search stops once dst's level is complete.
+//
+//drtplint:hotpath
+func (s *Scratch) MinHopPath(g *Graph, src, dst NodeID, open func(LinkID) bool) (Path, bool) {
+	n := g.NumNodes()
+	s.growNodeArrays(n)
+	prev, settled := s.prev[:n], s.settled[:n]
+	for i := range prev {
+		prev[i] = InvalidLink
+	}
+	clear(settled)
+	settled[src] = true
+	queue := append(s.queue[:0], src)
+	// queue[lo:hi] is the level being expanded, queue[hi:] the next one.
+	for lo, hi := 0, 1; !settled[dst] && lo < hi; lo, hi = hi, len(queue) {
+		for _, u := range queue[lo:hi] {
+			for _, l := range g.out[u] {
+				v := g.links[l].To
+				if settled[v] || !open(l) {
+					continue
+				}
+				if prev[v] == InvalidLink {
+					prev[v] = l
+					queue = append(queue, v)
+				} else if l < prev[v] {
+					prev[v] = l
+				}
+			}
+		}
+		for _, v := range queue[hi:] {
+			settled[v] = true
+		}
+	}
+	s.queue = queue
+	if !settled[dst] {
+		return Path{}, false
+	}
+	return s.tracePath(g, prev, src, dst), true
 }
 
 // tracePath reconstructs the path to dst using the reusable reversal

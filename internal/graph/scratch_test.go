@@ -155,3 +155,77 @@ func TestScratchShortestPathAllocs(t *testing.T) {
 		t.Errorf("Scratch.ShortestPathBounded allocates %.1f objects per query, want <= 1", avg)
 	}
 }
+
+// TestMinHopPathMatchesUnitCostDijkstra is the differential test for the
+// breadth-first primary search: over random graphs and random closed-link
+// masks, MinHopPath must return the very link sequence ShortestPath
+// returns at unit cost — not merely a path of the same length — and agree
+// on unreachability and on src == dst. One Scratch serves both searches,
+// interleaved, so neither may leave state the other trips over.
+func TestMinHopPathMatchesUnitCostDijkstra(t *testing.T) {
+	s := graph.NewScratch()
+	unreachable, multiHop := 0, 0
+	for name, g := range randomGraphs(t) {
+		for maskSeed := int64(20); maskSeed <= 24; maskSeed++ {
+			// Closed share 0 %, 15 %, … 60 %: from every tie in play to
+			// a network in pieces.
+			src := rng.New(maskSeed)
+			closed := make([]bool, g.NumLinks())
+			for l := range closed {
+				closed[l] = src.Intn(100) < 15*int(maskSeed-20)
+			}
+			open := func(l graph.LinkID) bool { return !closed[l] }
+			cost := func(l graph.LinkID) float64 {
+				if closed[l] {
+					return graph.Unreachable
+				}
+				return 1
+			}
+			for a := 0; a < g.NumNodes(); a++ {
+				for b := 0; b < g.NumNodes(); b++ {
+					want, total := s.ShortestPath(g, graph.NodeID(a), graph.NodeID(b), cost)
+					got, ok := s.MinHopPath(g, graph.NodeID(a), graph.NodeID(b), open)
+					if ok != (total != graph.Unreachable) {
+						t.Fatalf("%s mask=%d %d->%d: MinHopPath reachable = %v, Dijkstra cost %v", name, maskSeed, a, b, ok, total)
+					}
+					if !sameLinks(got, want) {
+						t.Fatalf("%s mask=%d %d->%d: MinHopPath %v, Dijkstra %v", name, maskSeed, a, b, got.Links(), want.Links())
+					}
+					if !ok {
+						unreachable++
+					}
+					if a == b && (!ok || !got.Empty()) {
+						t.Fatalf("%s mask=%d %d->%d: got (%v, %v), want the empty path", name, maskSeed, a, b, got.Links(), ok)
+					}
+					if ok && got.Hops() > 1 {
+						multiHop++
+					}
+				}
+			}
+		}
+	}
+	if unreachable == 0 || multiHop == 0 {
+		t.Fatalf("corpus too tame: %d unreachable pairs, %d multi-hop paths", unreachable, multiHop)
+	}
+}
+
+// TestMinHopPathAllocs is the allocation budget of the primary search:
+// once the buffers are warm, only the returned Path is allocated.
+func TestMinHopPathAllocs(t *testing.T) {
+	g, err := topology.Waxman(topology.WaxmanConfig{
+		Nodes: 60, AvgDegree: 3, MinDegree: 2, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(l graph.LinkID) bool { return l%7 != 0 }
+	s := graph.NewScratch()
+	if _, ok := s.MinHopPath(g, 0, 59, open); !ok { // warm the buffers
+		t.Fatal("0 -> 59 unreachable; pick another mask")
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		s.MinHopPath(g, 0, 59, open)
+	}); avg > 1 {
+		t.Errorf("Scratch.MinHopPath allocates %.1f objects per query, want <= 1 (the Path)", avg)
+	}
+}

@@ -37,17 +37,12 @@ func aplvDenseThreshold(n int) int {
 // (dense != nil) indexes counters by link ID; sparse keeps the nonzero
 // entries as parallel sorted slices with idx[k] the link ID and val[k]
 // its counter. Iteration over the sparse form follows ascending idx, so
-// every derived artifact (CV bytes, maxima, conflict counts) is
-// deterministic.
+// every derived artifact (CV bytes, maxima) is deterministic.
 type aplvCounters struct {
 	dense []int32
 	idx   []int32
 	val   []int32
 }
-
-// empty reports whether every counter is zero (sparse form only; a dense
-// link is never considered empty — it must be scanned).
-func (c *aplvCounters) empty() bool { return c.dense == nil && len(c.idx) == 0 }
 
 // at returns the counter for link j.
 func (c *aplvCounters) at(j int) int32 {

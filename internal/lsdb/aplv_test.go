@@ -2,6 +2,7 @@ package lsdb
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -189,6 +190,7 @@ func crossDenseThreshold(t *testing.T, g *graph.Graph, seed int64) {
 		o.register(nextID, l, lset)
 		live = append(live, reg{nextID, l})
 		o.checkLink(t, db, l, step)
+		checkDerivedState(t, db, fmt.Sprintf("step %d", step))
 	}
 	release := func() {
 		k := r.Intn(len(live))
@@ -200,6 +202,7 @@ func crossDenseThreshold(t *testing.T, g *graph.Graph, seed int64) {
 		}
 		o.release(x.id, x.l)
 		o.checkLink(t, db, x.l, step)
+		checkDerivedState(t, db, fmt.Sprintf("step %d", step))
 	}
 	allHotDense := func() bool {
 		for _, l := range hot {
@@ -254,5 +257,38 @@ func crossDenseThreshold(t *testing.T, g *graph.Graph, seed int64) {
 	// array, and the accounting says so.
 	if want := 4 * int64(n) * int64(len(hot)); db.APLVBytes() < want {
 		t.Fatalf("APLVBytes = %d after draining, want at least %d for the %d dense links", db.APLVBytes(), want, len(hot))
+	}
+}
+
+// TestPostingListRepeatedLSETEntry: an LSET naming a link twice moves its
+// counter 0→1→2 on register and 2→1→0 on release; the backup link must
+// enter that primary link's posting list once and leave it once, and the
+// conflict count must see the repeated entry twice, as the CV sum does.
+func TestPostingListRepeatedLSETEntry(t *testing.T) {
+	db := newTestDB(t, 10)
+	twice := lset(2, 7, 2)
+	if err := db.RegisterBackup(1, 5, twice); err != nil {
+		t.Fatal(err)
+	}
+	checkDerivedState(t, db, "after registering 1")
+	if err := db.RegisterBackup(2, 5, lset(2)); err != nil {
+		t.Fatal(err)
+	}
+	checkDerivedState(t, db, "after registering 2")
+	if got := db.ConflictCountsInto(twice, nil)[5]; got != 3 {
+		t.Fatalf("ConflictCountsInto(%v)[5] = %v, want 3", twice, got)
+	}
+	if err := db.ReleaseBackup(2, 5); err != nil {
+		t.Fatal(err)
+	}
+	checkDerivedState(t, db, "after releasing 2")
+	if err := db.ReleaseBackup(1, 5); err != nil {
+		t.Fatal(err)
+	}
+	checkDerivedState(t, db, "after releasing 1")
+	for j := range db.links {
+		if len(db.links[j].post) != 0 {
+			t.Fatalf("post[%d] = %v with no backup registered", j, db.links[j].post)
+		}
 	}
 }

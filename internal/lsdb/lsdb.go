@@ -93,8 +93,16 @@ type linkState struct {
 	// backups maps each backup channel registered on this link to the
 	// LSET of its primary (carried in backup-register packets).
 	backups map[ConnID][]graph.LinkID
-	// primaries counts primary channels of DR-connections on this link.
-	primaries map[ConnID]struct{}
+	// primaries lists the DR-connections with a primary channel on this
+	// link, in no particular order. A link holds at most capacity/unitBW of
+	// them, so membership is a short scan.
+	primaries []ConnID
+	// post is this link's column of the Conflict Vectors as a posting
+	// list: the links l with APLV_l[this link] > 0, each once, in no
+	// particular order (only counts are read from it). It is maintained
+	// where a counter crosses zero — attachBackupLocked and
+	// detachBackupLocked — so every transition keeps it.
+	post []int32
 }
 
 // DB is the aggregate link-state database over all links of a network. In
@@ -122,6 +130,11 @@ type DB struct {
 	// each is driven by one backup-register/release/activate packet, the
 	// signalling volume of the link-state schemes; guarded by mu.
 	backupOps int64
+
+	// totalPrime and totalSpare are Σ prime and Σ spare over all links,
+	// kept current where either changes (the reserve, release and promote
+	// bodies, resizeSpareLocked); guarded by mu.
+	totalPrime, totalSpare int
 }
 
 // New creates a database for graph g where every link has the given
@@ -147,9 +160,8 @@ func NewWithMode(g *graph.Graph, capacity, unitBW int, mode Mode) (*DB, error) {
 	db.links = make([]linkState, n)
 	for i := range db.links {
 		db.links[i] = linkState{
-			capacity:  capacity,
-			backups:   make(map[ConnID][]graph.LinkID),
-			primaries: make(map[ConnID]struct{}),
+			capacity: capacity,
+			backups:  make(map[ConnID][]graph.LinkID),
 		}
 	}
 	return db, nil
@@ -223,11 +235,12 @@ func (db *DB) reservePrimaryLocked(id ConnID, l graph.LinkID) error {
 	if free := s.capacity - s.prime - s.spare; free < db.unitBW {
 		return &ErrInsufficientBandwidth{Link: l, Need: db.unitBW, Have: free}
 	}
-	if _, dup := s.primaries[id]; dup {
+	if slices.Contains(s.primaries, id) {
 		return fmt.Errorf("lsdb: connection %d already has a primary on link %d", id, l)
 	}
 	s.prime += db.unitBW
-	s.primaries[id] = struct{}{}
+	db.totalPrime += db.unitBW
+	s.primaries = append(s.primaries, id)
 	return nil
 }
 
@@ -242,11 +255,13 @@ func (db *DB) ReleasePrimary(id ConnID, l graph.LinkID) error {
 // hold db.mu. Spare is not resized here: it follows backup operations only.
 func (db *DB) releasePrimaryLocked(id ConnID, l graph.LinkID) error {
 	s := &db.links[l]
-	if _, ok := s.primaries[id]; !ok {
+	k := slices.Index(s.primaries, id)
+	if k < 0 {
 		return fmt.Errorf("lsdb: connection %d has no primary on link %d", id, l)
 	}
-	delete(s.primaries, id)
+	s.primaries = swapRemove(s.primaries, k)
 	s.prime -= db.unitBW
+	db.totalPrime -= db.unitBW
 	return nil
 }
 
@@ -289,19 +304,25 @@ func (db *DB) registerBackupLocked(id ConnID, l graph.LinkID, lset []graph.LinkI
 			return fmt.Errorf("lsdb: LSET entry %d out of range [0,%d)", pl, db.n)
 		}
 	}
-	db.attachBackupLocked(id, s, lset)
+	db.attachBackupLocked(id, l, lset)
 	return nil
 }
 
-// attachBackupLocked stores a backup registration on s, folds its LSET
-// into the APLV and resizes spare; it counts one backup op. The caller
-// must hold db.mu.
-func (db *DB) attachBackupLocked(id ConnID, s *linkState, lset []graph.LinkID) {
+// attachBackupLocked stores a backup registration on link l, folds its
+// LSET into the APLV — entering l in the posting list of every primary
+// link whose counter leaves zero — and resizes spare; it counts one backup
+// op. The caller must hold db.mu.
+func (db *DB) attachBackupLocked(id ConnID, l graph.LinkID, lset []graph.LinkID) {
 	db.backupOps++
+	s := &db.links[l]
 	//drtplint:ignore cvclone lset is already the registry's own copy: the exported callers clone before the lock, rollback re-attaches what the registry held
 	s.backups[id] = lset
 	for _, pl := range lset {
 		v := int(s.aplv.inc(int(pl), db.aplvDenseAt, db.n))
+		if v == 1 {
+			p := &db.links[pl]
+			p.post = appendPosting(p.post, int32(l))
+		}
 		s.norm++
 		if v > s.maxElem {
 			s.maxElem = v
@@ -310,19 +331,46 @@ func (db *DB) attachBackupLocked(id ConnID, s *linkState, lset []graph.LinkID) {
 	db.resizeSpareLocked(s)
 }
 
+// appendPosting appends l to a posting list, growing a full list by a
+// quarter where append would double it: a 2 000-node network spreads some
+// 100 000 postings over 6 000 lists, and the slack doubling leaves in them
+// is 3 % of the simulator's live heap.
+func appendPosting(post []int32, l int32) []int32 {
+	if len(post) == cap(post) {
+		grown := make([]int32, len(post), len(post)+len(post)/4+1)
+		copy(grown, post)
+		post = grown
+	}
+	return append(post, l)
+}
+
+// swapRemove removes s[k] from a slice whose order carries no meaning.
+func swapRemove[T any](s []T, k int) []T {
+	last := len(s) - 1
+	s[k] = s[last]
+	return s[:last]
+}
+
 // detachBackupLocked reverses attachBackupLocked for a registration known
-// to be present, recomputing the APLV maximum only when a counter at the
-// maximum decreased; it counts one backup op. The caller must hold db.mu.
-func (db *DB) detachBackupLocked(id ConnID, s *linkState) {
+// to be present on link l — l leaves the posting list of every primary
+// link whose counter returns to zero — recomputing the APLV maximum only
+// when a counter at the maximum decreased; it counts one backup op. The
+// caller must hold db.mu.
+func (db *DB) detachBackupLocked(id ConnID, l graph.LinkID) {
 	db.backupOps++
+	s := &db.links[l]
 	lset := s.backups[id]
 	delete(s.backups, id)
 	recompute := false
 	for _, pl := range lset {
-		if int(s.aplv.at(int(pl))) == s.maxElem {
+		v := int(s.aplv.dec(int(pl)))
+		if v+1 == s.maxElem {
 			recompute = true
 		}
-		s.aplv.dec(int(pl))
+		if v == 0 {
+			p := &db.links[pl]
+			p.post = swapRemove(p.post, slices.Index(p.post, int32(l)))
+		}
 		s.norm--
 	}
 	if recompute {
@@ -347,7 +395,7 @@ func (db *DB) releaseBackupLocked(id ConnID, l graph.LinkID) error {
 	if _, ok := s.backups[id]; !ok {
 		return fmt.Errorf("lsdb: connection %d has no backup on link %d", id, l)
 	}
-	db.detachBackupLocked(id, s)
+	db.detachBackupLocked(id, l)
 	return nil
 }
 
@@ -381,7 +429,7 @@ func (db *DB) promoteBackupLocked(id ConnID, l graph.LinkID) (promotion, error) 
 	if !ok {
 		return promotion{}, fmt.Errorf("lsdb: connection %d has no backup on link %d", id, l)
 	}
-	_, shared := s.primaries[id]
+	shared := slices.Contains(s.primaries, id)
 	if !shared {
 		if s.spare < db.unitBW {
 			return promotion{}, &ErrInsufficientBandwidth{Link: l, Need: db.unitBW, Have: s.spare}
@@ -389,9 +437,10 @@ func (db *DB) promoteBackupLocked(id ConnID, l graph.LinkID) (promotion, error) 
 		// Consume one activation slot: the promoted channel's bandwidth
 		// moves from the shared spare pool into primary bandwidth.
 		s.prime += db.unitBW
-		s.primaries[id] = struct{}{}
+		db.totalPrime += db.unitBW
+		s.primaries = append(s.primaries, id)
 	}
-	db.detachBackupLocked(id, s)
+	db.detachBackupLocked(id, l)
 	return promotion{link: l, lset: lset, converted: !shared}, nil
 }
 
@@ -407,6 +456,7 @@ func (db *DB) resizeSpareLocked(s *linkState) {
 	if room := s.capacity - s.prime; required > room {
 		required = room
 	}
+	db.totalSpare += required - s.spare
 	s.spare = required
 }
 
@@ -527,8 +577,7 @@ func (db *DB) PrimariesOn(l graph.LinkID) int {
 func (db *DB) HasPrimary(id ConnID, l graph.LinkID) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	_, ok := db.links[l].primaries[id]
-	return ok
+	return slices.Contains(db.links[l].primaries, id)
 }
 
 // HasBackup reports whether connection id's backup traverses link l.
@@ -553,13 +602,17 @@ func (db *DB) sumLinks(field func(*linkState) int) int {
 // TotalPrimeBW returns the sum of primary bandwidth over all links, a
 // measure of carried load.
 func (db *DB) TotalPrimeBW() int {
-	return db.sumLinks(func(s *linkState) int { return s.prime })
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.totalPrime
 }
 
 // TotalSpareBW returns the sum of spare bandwidth over all links, the
 // paper's fault-tolerance resource overhead.
 func (db *DB) TotalSpareBW() int {
-	return db.sumLinks(func(s *linkState) int { return s.spare })
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.totalSpare
 }
 
 // TotalCapacity returns the sum of capacity over all links.

@@ -224,6 +224,7 @@ func TestPromoteBackupPathMatchesLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 		same("after promotion", captureAll(batch), captureAll(loop))
+		checkDerivedState(t, batch, "after the shared-link promotion")
 		if batch.PrimeBW(2) != 1 || batch.HasBackup(1, 2) {
 			t.Fatalf("shared link 2: prime=%d backup=%v", batch.PrimeBW(2), batch.HasBackup(1, 2))
 		}
@@ -245,6 +246,7 @@ func TestPromoteBackupPathMatchesLoop(t *testing.T) {
 			t.Fatalf("errors diverge: batch %q, loop %q", errString(errBatch), errString(errLoop))
 		}
 		same("rollback vs pre-call", before, captureAll(batch))
+		checkDerivedState(t, batch, "after the promote rollback")
 		same("rollback vs loop", captureAll(batch), captureAll(loop))
 		if got := storedLSETs(batch, 1); !reflect.DeepEqual(got, beforeLSETs) {
 			t.Fatalf("stored LSETs after rollback = %v, want %v", got, beforeLSETs)

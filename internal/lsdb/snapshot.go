@@ -62,10 +62,10 @@ func (db *DB) SnapshotInto(s *Snapshot) *Snapshot {
 // ConflictCountsInto writes, for every link l, the number of links in
 // lset whose existing backups traverse l — Σ_{L_j ∈ LSET} c_{l,j}, the
 // per-request conflict metric D-LSR derives from the Conflict Vectors —
-// into dst and returns it (resized as needed). One lock acquisition
-// replaces a CVBit call per (link, LSET entry) pair, and links with empty
-// APLVs — the overwhelming majority at web scale — are skipped without
-// touching lset at all.
+// into dst and returns it (resized as needed). The Conflict Vectors are
+// read by column: each LSET entry's posting list names exactly the links
+// whose count it raises, so a request costs O(links) to clear dst plus
+// the postings of its own primary, under one lock acquisition.
 //
 //drtplint:hotpath
 func (db *DB) ConflictCountsInto(lset []graph.LinkID, dst []float64) []float64 {
@@ -74,21 +74,13 @@ func (db *DB) ConflictCountsInto(lset []graph.LinkID, dst []float64) []float64 {
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
+	clear(dst)
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for i := range db.links {
-		a := &db.links[i].aplv
-		if a.empty() {
-			dst[i] = 0
-			continue
+	for _, j := range lset {
+		for _, l := range db.links[j].post {
+			dst[l]++
 		}
-		c := 0
-		for _, j := range lset {
-			if a.at(int(j)) > 0 {
-				c++
-			}
-		}
-		dst[i] = float64(c)
 	}
 	return dst
 }
@@ -226,7 +218,7 @@ func (db *DB) PromoteBackupPath(id ConnID, links []graph.LinkID) error {
 				if u.converted {
 					_ = db.releasePrimaryLocked(id, u.link) // converted above: cannot fail
 				}
-				db.attachBackupLocked(id, &db.links[u.link], u.lset)
+				db.attachBackupLocked(id, u.link, u.lset)
 			}
 			return err
 		}

@@ -187,6 +187,7 @@ func TestRegisterBackupPathMatchesLoop(t *testing.T) {
 			t.Fatalf("link %d kept a registration after rollback", l)
 		}
 	}
+	checkDerivedState(t, batch, "after the register rollback")
 }
 
 // TestSnapshotIntoAllocs is the allocation budget for the per-route

@@ -74,6 +74,40 @@ func diffState(a, b observableState) string {
 	return ""
 }
 
+// checkDerivedState recomputes what the database keeps up to date beside
+// the APLVs and fails on any drift: for every primary link j the posting
+// list post[j] must hold exactly the links l with APLV_l[j] > 0, each
+// once, and the running load totals must equal the per-link sums.
+func checkDerivedState(t *testing.T, db *DB, when string) {
+	t.Helper()
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	n := db.n
+	posted := make([]bool, n*n) // posted[j*n+l]: post[j] lists l
+	prime, spare := 0, 0
+	for j := range db.links {
+		s := &db.links[j]
+		prime += s.prime
+		spare += s.spare
+		for _, l := range s.post {
+			if posted[j*n+int(l)] {
+				t.Fatalf("%s: post[%d] = %v lists link %d twice", when, j, s.post, l)
+			}
+			posted[j*n+int(l)] = true
+		}
+	}
+	for l := range db.links {
+		for j := 0; j < n; j++ {
+			if c := db.links[l].aplv.at(j); posted[j*n+l] != (c > 0) {
+				t.Fatalf("%s: post[%d] lists link %d = %v, but APLV_%d[%d] = %d", when, j, l, posted[j*n+l], l, j, c)
+			}
+		}
+	}
+	if db.totalPrime != prime || db.totalSpare != spare {
+		t.Fatalf("%s: running totals prime=%d spare=%d, per-link sums %d and %d", when, db.totalPrime, db.totalSpare, prime, spare)
+	}
+}
+
 // randomWalk returns a short loop-free random walk as link IDs.
 func randomWalk(r *rand.Rand, g *graph.Graph, maxHops int) []graph.LinkID {
 	node := graph.NodeID(r.Intn(g.NumNodes()))
@@ -167,6 +201,8 @@ func TestAPLVFormsDifferential(t *testing.T) {
 		if errString(errP) != errString(errD) {
 			t.Fatalf("step %d: errors diverge: pair-list %q, dense %q", step, errString(errP), errString(errD))
 		}
+		checkDerivedState(t, pairs, fmt.Sprintf("step %d, pair-list", step))
+		checkDerivedState(t, dense, fmt.Sprintf("step %d, dense", step))
 		// Full-state comparison every few steps keeps runtime small while
 		// still localizing a divergence near the op that caused it.
 		if step%25 != 0 {
@@ -354,6 +390,7 @@ func TestConcurrentStress(t *testing.T) {
 	// Recompute the expected per-link state from the union of the
 	// workers' surviving connections (ID ranges are disjoint, so the
 	// union is exact).
+	checkDerivedState(t, db, "after the workers")
 	n := g.NumLinks()
 	expPrim := make([]int, n)
 	expBack := make([]int, n)

@@ -1,5 +1,6 @@
 // Package lsr is the paper's link-state route selection (§3.1–3.2), written
-// once: a minimum-hop feasible primary, then for each backup Dijkstra over
+// once: a minimum-hop feasible primary (a breadth-first search), then for
+// each backup Dijkstra over
 //
 //	C_i = Q_i + conflictMetric_i + ε
 //
@@ -50,7 +51,7 @@ type Selector struct {
 	// everywhere (conflict-blind selection).
 	Metric []float64
 
-	// Scratch is the Dijkstra work space, exported so the owner's other
+	// Scratch is the path-search work space, exported so the owner's other
 	// searches on G share it.
 	Scratch graph.Scratch
 	avoid   []bool
@@ -62,14 +63,9 @@ type Selector struct {
 // already minimizes delay, so the bound is a feasibility check).
 func (s *Selector) Primary(src, dst graph.NodeID, maxHops int) graph.Path {
 	free, down, unit := s.Free, s.Down, s.Unit
-	cost := func(l graph.LinkID) float64 {
-		if down[l] || free[l] < unit {
-			return graph.Unreachable
-		}
-		return 1
-	}
-	p, total := s.Scratch.ShortestPath(s.G, src, dst, cost)
-	if total == graph.Unreachable || (maxHops > 0 && p.Hops() > maxHops) {
+	open := func(l graph.LinkID) bool { return !down[l] && free[l] >= unit }
+	p, ok := s.Scratch.MinHopPath(s.G, src, dst, open)
+	if !ok || (maxHops > 0 && p.Hops() > maxHops) {
 		return graph.Path{}
 	}
 	return p

@@ -2,10 +2,13 @@ package lsr_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/lsr"
+	"github.com/rtcl/drtp/internal/rng"
+	"github.com/rtcl/drtp/internal/topology"
 )
 
 const (
@@ -108,6 +111,54 @@ func TestPrimary(t *testing.T) {
 				t.Fatalf("Primary = %v, want %v", got.Nodes(s.G), tc.want)
 			}
 		})
+	}
+}
+
+// TestPrimaryMatchesUnitCostDijkstra holds the breadth-first primary to
+// the definition it replaced — Dijkstra at unit cost over the links that
+// are up and have room, refused when longer than the hop bound — link for
+// link, on a Waxman graph under random failures and random saturation.
+func TestPrimaryMatchesUnitCostDijkstra(t *testing.T) {
+	g, err := topology.Waxman(topology.WaxmanConfig{Nodes: 40, AvgDegree: 3.5, MinDegree: 2, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumLinks()
+	s := &lsr.Selector{G: g, Unit: unit, Free: make([]int, n), Down: make([]bool, n)}
+	var ref graph.Scratch
+	r := rng.New(7)
+	refused, bounded := 0, 0
+	for round := 0; round < 6; round++ {
+		for l := 0; l < n; l++ {
+			s.Down[l] = r.Intn(10) == 0
+			s.Free[l] = r.Intn(2 + round) // more rounds, fewer saturated links
+		}
+		cost := func(l graph.LinkID) float64 {
+			if s.Down[l] || s.Free[l] < unit {
+				return graph.Unreachable
+			}
+			return 1
+		}
+		for src := 0; src < g.NumNodes(); src++ {
+			for dst := 0; dst < g.NumNodes(); dst++ {
+				maxHops := r.Intn(6) // 0: unbounded
+				want, total := ref.ShortestPath(g, graph.NodeID(src), graph.NodeID(dst), cost)
+				if total == graph.Unreachable {
+					want = graph.Path{}
+					refused++
+				} else if maxHops > 0 && want.Hops() > maxHops {
+					want = graph.Path{}
+					bounded++
+				}
+				got := s.Primary(graph.NodeID(src), graph.NodeID(dst), maxHops)
+				if !slices.Equal(got.Links(), want.Links()) {
+					t.Fatalf("round %d, %d->%d within %d hops: Primary %v, Dijkstra %v", round, src, dst, maxHops, got.Links(), want.Links())
+				}
+			}
+		}
+	}
+	if refused == 0 || bounded == 0 {
+		t.Fatalf("corpus too tame: %d pairs unreachable, %d over their hop bound", refused, bounded)
 	}
 }
 

@@ -71,25 +71,33 @@ func newLinkState(name string, fill metricFiller, opts []Option) *LinkState {
 // Name implements drtp.Scheme.
 func (s *LinkState) Name() string { return s.name }
 
-// Route implements drtp.Scheme.
+// Route implements drtp.Scheme. The primary and every backup are selected
+// from one link-state snapshot: nothing is reserved in between.
 func (s *LinkState) Route(net *drtp.Network, req drtp.Request) (drtp.Route, error) {
-	primary, err := net.RoutePrimaryBounded(req.Src, req.Dst, req.MaxHops)
-	if err != nil {
-		return drtp.Route{}, err
+	sel, snap := net.Selector()
+	primary := sel.Primary(req.Src, req.Dst, req.MaxHops)
+	if primary.Empty() {
+		return drtp.Route{}, drtp.ErrNoRoute
 	}
-	return drtp.Route{Primary: primary, Backups: s.RouteBackupsFor(net, req, primary, nil)}, nil
+	return drtp.Route{Primary: primary, Backups: s.topUp(net.DB(), sel, snap, req, primary, nil)}, nil
 }
 
 // RouteBackupsFor implements drtp.BackupRouter: it tops a connection with
 // the given primary and existing backups up to the scheme's backup count
-// and returns the added routes — all of a new connection's backups, or
-// fresh protection after a channel switch.
+// and returns the added routes — fresh protection after a channel switch.
 func (s *LinkState) RouteBackupsFor(net *drtp.Network, req drtp.Request, primary graph.Path, existing []graph.Path) []graph.Path {
 	if len(existing) >= s.backups {
 		return nil
 	}
 	sel, snap := net.Selector()
-	sel.Metric = s.fill(net.DB(), snap, primary.Links(), sel.Metric)
+	return s.topUp(net.DB(), sel, snap, req, primary, existing)
+}
+
+// topUp selects backups for the primary from sel, whose snapshot is snap,
+// until the connection has the scheme's backup count or no further route,
+// and returns the ones it added to existing.
+func (s *LinkState) topUp(db *lsdb.DB, sel *lsr.Selector, snap *lsdb.Snapshot, req drtp.Request, primary graph.Path, existing []graph.Path) []graph.Path {
+	sel.Metric = s.fill(db, snap, primary.Links(), sel.Metric)
 	have := slices.Clip(existing)
 	for len(have) < s.backups {
 		b := sel.NextBackup(primary, have, req.MaxHops)
@@ -127,7 +135,7 @@ func normMetric(_ *lsdb.DB, snap *lsdb.Snapshot, _ []graph.LinkID, dst []float64
 // traverse L_i, read from the Conflict Vector: Σ_{L_j ∈ LSET(P_x)} c_{i,j}.
 func NewDLSR(opts ...Option) *LinkState { return newLinkState("D-LSR", conflictMetric, opts) }
 
-// conflictMetric counts the conflicts in one locked pass over the database.
+// conflictMetric reads the conflict counts off the database's CV index.
 //
 //drtplint:hotpath
 func conflictMetric(db *lsdb.DB, _ *lsdb.Snapshot, lset []graph.LinkID, dst []float64) []float64 {
@@ -186,12 +194,12 @@ func (*Random) Name() string { return "Random" }
 
 // Route implements drtp.Scheme.
 func (r *Random) Route(net *drtp.Network, req drtp.Request) (drtp.Route, error) {
-	primary, err := net.RoutePrimaryBounded(req.Src, req.Dst, req.MaxHops)
-	if err != nil {
-		return drtp.Route{}, err
+	sel, snap := net.Selector()
+	primary := sel.Primary(req.Src, req.Dst, req.MaxHops)
+	if primary.Empty() {
+		return drtp.Route{}, drtp.ErrNoRoute
 	}
 	unit := net.UnitBW()
-	sel, snap := net.Selector()
 	n := net.Graph().NumLinks()
 	if cap(r.jitter) < n {
 		r.jitter = make([]float64, n)
