@@ -35,7 +35,14 @@ func TestControlPlaneOverTCP(t *testing.T) {
 	g := trident(t)
 	mesh := tcpAttacher(g)
 	defer mesh.Close()
-	d := deploy(t, deployConfig(g, ring), mesh)
+	cfg := deployConfig(g, ring)
+	// deployConfig's 10 ms x 3 detector declares a live node dead when a
+	// goroutine on the socket path is descheduled for 30 ms, which a busy
+	// machine does: endpoints get excluded, backups die with their nodes.
+	// Half a second is a silence only the killed node produces.
+	cfg.HeartbeatInterval = 50 * time.Millisecond
+	cfg.HeartbeatMiss = 10
+	d := deploy(t, cfg, mesh)
 
 	reply, err := d.Node(0).Agent.Request(1, 1)
 	if err != nil || !reply.OK {
@@ -51,7 +58,12 @@ func TestControlPlaneOverTCP(t *testing.T) {
 		return ok && info.Switched && !info.Dead
 	})
 
-	// The rest of the deployment keeps admitting.
+	// The rest of the deployment keeps admitting — once the route finder
+	// has heard of the death: the coordinator announces it to the route
+	// finder and to the agents over separate connections, so the source
+	// can have switched first, and a request in that window is routed
+	// over the dead node.
+	waitFor(t, "route finder excludes dead node", func() bool { return d.RF.Excluded(mid) })
 	fresh, err := d.Node(0).Agent.Request(2, 1)
 	if err != nil || !fresh.OK {
 		t.Fatalf("post-failure establish over TCP: err=%v reason=%s", err, fresh.Reason)

@@ -8,10 +8,12 @@ import (
 )
 
 // evalScratch holds the buffers the failure sweeps reuse across
-// evaluations: the affected-connection list and the dense per-link
-// activation-slot vector. Sweeps evaluate |E| failures back to back, so
-// per-evaluation maps and slices used to dominate the allocation profile.
+// evaluations: the IDs lsdb lists on the failed links, the
+// affected-connection list and the dense per-link activation-slot vector.
+// Sweeps evaluate |E| failures back to back, so per-evaluation maps and
+// slices used to dominate the allocation profile.
 type evalScratch struct {
+	ids      []ConnID
 	affected []*Connection
 	slots    []int
 }
@@ -28,17 +30,28 @@ func bySeq(a, b *Connection) int {
 	return 0
 }
 
-// affectedBy returns the connections whose primary hits the failed
-// component, in establishment order. The slice is the evaluation scratch:
-// valid until the next call.
-func (m *Manager) affectedBy(hits func(graph.Path) bool) []*Connection {
+// affectedBy returns the connections whose primary traverses a link of the
+// failed component, in establishment order. It costs what the failure
+// touches: the database lists the primaries on each failed link, so no
+// other connection is looked at. An ID this manager does not own (another
+// user of Network.DB()) is skipped; a primary crossing two failed links is
+// listed twice and kept once. The slice is the evaluation scratch: valid
+// until the next call.
+func (m *Manager) affectedBy(failed []graph.LinkID) []*Connection {
+	db := m.net.DB()
+	ids := m.eval.ids[:0]
+	for _, l := range failed {
+		ids = db.AppendPrimariesOn(ids, l)
+	}
+	m.eval.ids = ids
 	affected := m.eval.affected[:0]
-	for _, c := range m.conns {
-		if hits(c.Primary) {
+	for _, id := range ids {
+		if c, ok := m.conns[id]; ok {
 			affected = append(affected, c)
 		}
 	}
 	slices.SortFunc(affected, bySeq)
+	affected = slices.Compact(affected)
 	m.eval.affected = affected
 	return affected
 }
@@ -98,8 +111,7 @@ type FailureOutcome struct {
 // order. The evaluation is non-destructive.
 func (m *Manager) EvaluateLinkFailure(l graph.LinkID) FailureOutcome {
 	out := FailureOutcome{Link: l, Edge: graph.InvalidEdge}
-	hits := func(p graph.Path) bool { return p.Contains(l) }
-	m.evaluateFailure(&out, hits)
+	m.evaluateFailure(&out, []graph.LinkID{l})
 	return out
 }
 
@@ -107,17 +119,18 @@ func (m *Manager) EvaluateLinkFailure(l graph.LinkID) FailureOutcome {
 // directions at once). See EvaluateLinkFailure for the contention model.
 func (m *Manager) EvaluateEdgeFailure(e graph.EdgeID) FailureOutcome {
 	out := FailureOutcome{Link: graph.InvalidLink, Edge: e}
-	g := m.net.Graph()
-	hits := func(p graph.Path) bool { return p.ContainsEdge(g, e) }
-	m.evaluateFailure(&out, hits)
+	fwd, bwd := m.net.Graph().EdgeLinks(e)
+	m.evaluateFailure(&out, []graph.LinkID{fwd, bwd})
 	return out
 }
 
-// evaluateFailure fills out for a failure whose reach is defined by hits.
-func (m *Manager) evaluateFailure(out *FailureOutcome, hits func(graph.Path) bool) {
+// evaluateFailure fills out for the failure of every link in failed. It
+// costs Σ over the failed links of the primaries on it × the hops of their
+// backups, plus one SCInto when any activation is attempted.
+func (m *Manager) evaluateFailure(out *FailureOutcome, failed []graph.LinkID) {
 	db := m.net.DB()
 
-	affected := m.affectedBy(hits)
+	affected := m.affectedBy(failed)
 	out.Affected = len(affected)
 
 	// slots[l] is the remaining activation capacity of link l, filled from
@@ -137,7 +150,7 @@ func (m *Manager) evaluateFailure(out *FailureOutcome, hits func(graph.Path) boo
 		// without spare slots on every link loses to contention.
 		recovered, allHit := false, true
 		for _, backup := range c.Backups {
-			if hits(backup) {
+			if slices.ContainsFunc(failed, backup.Contains) {
 				continue
 			}
 			allHit = false
@@ -187,19 +200,7 @@ func (m *Manager) EvaluateMultiLinkFailure(links []graph.LinkID) FailureOutcome 
 	if len(links) == 1 {
 		out.Link = links[0]
 	}
-	failed := make(map[graph.LinkID]struct{}, len(links))
-	for _, l := range links {
-		failed[l] = struct{}{}
-	}
-	hits := func(p graph.Path) bool {
-		for _, l := range p.Links() {
-			if _, ok := failed[l]; ok {
-				return true
-			}
-		}
-		return false
-	}
-	m.evaluateFailure(&out, hits)
+	m.evaluateFailure(&out, links)
 	return out
 }
 
@@ -218,7 +219,7 @@ func (m *Manager) EvaluateLinkFailureReactive(l graph.LinkID) FailureOutcome {
 	unit := m.net.UnitBW()
 	sel, snap := m.net.Selector()
 
-	affected := m.affectedBy(func(p graph.Path) bool { return p.Contains(l) })
+	affected := m.affectedBy([]graph.LinkID{l})
 	out.Affected = len(affected)
 
 	// avail[x] is the remaining free bandwidth of link x during this

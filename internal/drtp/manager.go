@@ -2,7 +2,7 @@ package drtp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/telemetry"
@@ -211,7 +211,7 @@ func (m *Manager) Connections() []*Connection {
 	for _, c := range m.conns {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
+	slices.SortFunc(out, bySeq)
 	return out
 }
 

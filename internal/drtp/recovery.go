@@ -60,26 +60,23 @@ type BackupRouter interface {
 func (m *Manager) ApplyLinkFailure(l graph.LinkID) RecoveryOutcome {
 	m.net.FailLink(l)
 	m.tracer.LinkFail(-1, int(l))
-	hits := func(p graph.Path) bool { return p.Contains(l) }
-	return m.applyFailure(hits, int(l))
+	return m.applyFailure([]graph.LinkID{l}, int(l))
 }
 
 // ApplyEdgeFailure destructively fails both directions of an edge.
 func (m *Manager) ApplyEdgeFailure(e graph.EdgeID) RecoveryOutcome {
 	m.net.FailEdge(e)
-	g := m.net.Graph()
-	if m.tracer.Enabled() {
-		fwd, bwd := g.EdgeLinks(e)
-		m.tracer.LinkFail(-1, int(fwd))
-		m.tracer.LinkFail(-1, int(bwd))
-	}
-	hits := func(p graph.Path) bool { return p.ContainsEdge(g, e) }
-	return m.applyFailure(hits, -1)
+	fwd, bwd := m.net.Graph().EdgeLinks(e)
+	m.tracer.LinkFail(-1, int(fwd))
+	m.tracer.LinkFail(-1, int(bwd))
+	return m.applyFailure([]graph.LinkID{fwd, bwd}, -1)
 }
 
-func (m *Manager) applyFailure(hits func(graph.Path) bool, link int) RecoveryOutcome {
+// applyFailure recovers the connections hit by the failed links. The
+// affected list is taken before the first switch rewrites any primary.
+func (m *Manager) applyFailure(failed []graph.LinkID, link int) RecoveryOutcome {
 	var out RecoveryOutcome
-	affected := m.affectedBy(hits)
+	affected := m.affectedBy(failed)
 	out.Affected = len(affected)
 
 	for _, c := range affected {
@@ -140,10 +137,9 @@ func (m *Manager) rerouteConnection(c *Connection) bool {
 // linksOutside returns the links of p that q does not traverse, in p's
 // order.
 func linksOutside(p, q graph.Path) []graph.LinkID {
-	in := q.LinkSet()
 	var out []graph.LinkID
 	for _, l := range p.Links() {
-		if _, shared := in[l]; !shared {
+		if !q.Contains(l) {
 			out = append(out, l)
 		}
 	}

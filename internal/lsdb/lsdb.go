@@ -573,6 +573,15 @@ func (db *DB) PrimariesOn(l graph.LinkID) int {
 	return len(db.links[l].primaries)
 }
 
+// AppendPrimariesOn appends to dst the IDs of the connections with a
+// primary channel on link l, each once, in no particular order: what a
+// failure of l touches, without a scan over the connections.
+func (db *DB) AppendPrimariesOn(dst []ConnID, l graph.LinkID) []ConnID {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return append(dst, db.links[l].primaries...)
+}
+
 // HasPrimary reports whether connection id's primary traverses link l.
 func (db *DB) HasPrimary(id ConnID, l graph.LinkID) bool {
 	db.mu.Lock()

@@ -77,7 +77,10 @@ func diffState(a, b observableState) string {
 // checkDerivedState recomputes what the database keeps up to date beside
 // the APLVs and fails on any drift: for every primary link j the posting
 // list post[j] must hold exactly the links l with APLV_l[j] > 0, each
-// once, and the running load totals must equal the per-link sums.
+// once; every link's primaries list — what failure evaluation reads in
+// place of a scan over the connections — must hold each ID once and
+// account for the link's primary bandwidth; and the running load totals
+// must equal the per-link sums.
 func checkDerivedState(t *testing.T, db *DB, when string) {
 	t.Helper()
 	db.mu.Lock()
@@ -89,6 +92,14 @@ func checkDerivedState(t *testing.T, db *DB, when string) {
 		s := &db.links[j]
 		prime += s.prime
 		spare += s.spare
+		for k, id := range s.primaries {
+			if slices.Contains(s.primaries[:k], id) {
+				t.Fatalf("%s: primaries[%d] = %v lists connection %d twice", when, j, s.primaries, id)
+			}
+		}
+		if want := len(s.primaries) * db.unitBW; s.prime != want {
+			t.Fatalf("%s: link %d has prime %d, its %d primaries account for %d", when, j, s.prime, len(s.primaries), want)
+		}
 		for _, l := range s.post {
 			if posted[j*n+int(l)] {
 				t.Fatalf("%s: post[%d] = %v lists link %d twice", when, j, s.post, l)
