@@ -424,10 +424,12 @@ func BarabasiAlbert(cfg BarabasiAlbertConfig) (*Graph, error) {
 // ShortestPathBounded finds the minimum-cost path using at most maxHops
 // links (the constrained search behind QoS-bounded backup routing).
 func ShortestPathBounded(g *Graph, src, dst NodeID, cost CostFunc, maxHops int) (Path, float64) {
-	return graph.ShortestPathBounded(g, src, dst, cost, maxHops)
+	var s graph.Scratch
+	return s.ShortestPathBounded(g, src, dst, cost, maxHops)
 }
 
 // ShortestPath runs Dijkstra's algorithm under the given link costs.
 func ShortestPath(g *Graph, src, dst NodeID, cost CostFunc) (Path, float64) {
-	return graph.ShortestPath(g, src, dst, cost)
+	var s graph.Scratch
+	return s.ShortestPath(g, src, dst, cost)
 }

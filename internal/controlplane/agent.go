@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/rtcl/drtp/internal/dedup"
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/proto"
@@ -14,8 +15,8 @@ import (
 	"github.com/rtcl/drtp/internal/transport"
 )
 
-// maxCmdResults bounds the agent's command-dedup window; FIFO eviction
-// keeps memory constant while comfortably outlasting retransmissions.
+// maxCmdResults is the capacity of the agent's command-dedup window (see
+// dedup.Window): constant memory, comfortably outlasting retransmissions.
 const maxCmdResults = 1024
 
 // SplitEndpoint divides one transport endpoint between a node's router
@@ -165,9 +166,8 @@ type Agent struct {
 	hbSeq uint64
 	// cmdResults dedups connection commands by sequence: nil marks an
 	// execution in flight, non-nil a completed result to replay;
-	// FIFO-bounded; guarded by mu.
-	cmdResults map[uint64]*proto.ConnCommandResult
-	cmdOrder   []uint64
+	// bounded; guarded by mu.
+	cmdResults *dedup.Window[uint64, *proto.ConnCommandResult]
 	// pending routes coordinator replies to client-API waiters; guarded
 	// by mu.
 	pending map[pendKey]chan proto.Message
@@ -193,7 +193,7 @@ func NewAgent(cfg AgentConfig, r *router.Router, ep transport.Endpoint, in <-cha
 		ep:         ep,
 		in:         in,
 		log:        cfg.Logger.With("agent", int(cfg.Node)),
-		cmdResults: make(map[uint64]*proto.ConnCommandResult),
+		cmdResults: dedup.NewWindow[uint64, *proto.ConnCommandResult](maxCmdResults),
 		pending:    make(map[pendKey]chan proto.Message),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
@@ -343,20 +343,14 @@ func (a *Agent) handleNodeDown(m proto.NodeDown) {
 // completed one replays the recorded result.
 func (a *Agent) handleCommand(from graph.NodeID, m proto.ConnCommand) {
 	a.mu.Lock()
-	if res, seen := a.cmdResults[m.Seq]; seen {
+	if res, seen := a.cmdResults.Get(m.Seq); seen {
 		a.mu.Unlock()
 		if res != nil {
 			_ = a.ep.Send(from, *res)
 		}
 		return
 	}
-	if len(a.cmdOrder) >= maxCmdResults {
-		old := a.cmdOrder[0]
-		a.cmdOrder = a.cmdOrder[1:]
-		delete(a.cmdResults, old)
-	}
-	a.cmdResults[m.Seq] = nil
-	a.cmdOrder = append(a.cmdOrder, m.Seq)
+	a.cmdResults.Put(m.Seq, nil)
 	a.mu.Unlock()
 
 	a.wg.Add(1)
@@ -364,7 +358,7 @@ func (a *Agent) handleCommand(from graph.NodeID, m proto.ConnCommand) {
 		defer a.wg.Done()
 		res := a.execute(m)
 		a.mu.Lock()
-		a.cmdResults[m.Seq] = &res
+		a.cmdResults.Put(m.Seq, &res)
 		a.mu.Unlock()
 		_ = a.ep.Send(from, res)
 	}()

@@ -76,6 +76,25 @@ func TestControlPlaneOverTCP(t *testing.T) {
 	}
 }
 
+// throughputConfig is the deployment the throughput benchmark, the heap
+// test and the ledger's control-plane workloads run: ample capacity and
+// liveness detection kept off the hot path.
+func throughputConfig(g *graph.Graph) controlplane.DeployConfig {
+	cfg := controlplane.DeployConfig{
+		Graph:             g,
+		Capacity:          1 << 20,
+		UnitBW:            1,
+		HeartbeatInterval: 50 * time.Millisecond,
+		HeartbeatMiss:     100,
+		RPCTimeout:        5 * time.Second,
+		RetryLimit:        3,
+	}
+	cfg.Router.HelloInterval = time.Second
+	cfg.Router.HelloMiss = 100
+	cfg.Router.LSInterval = 50 * time.Millisecond
+	return cfg
+}
+
 // BenchmarkEstablishThroughput measures end-to-end connection setup
 // throughput (request -> route query -> hop-by-hop establishment ->
 // reply, then release) with N concurrent clients over loopback TCP.
@@ -86,18 +105,7 @@ func BenchmarkEstablishThroughput(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cfg := controlplane.DeployConfig{
-				Graph:             g,
-				Capacity:          1 << 20,
-				UnitBW:            1,
-				HeartbeatInterval: 50 * time.Millisecond,
-				HeartbeatMiss:     100, // liveness off the hot path
-				RPCTimeout:        5 * time.Second,
-				RetryLimit:        3,
-			}
-			cfg.Router.HelloInterval = time.Second
-			cfg.Router.HelloMiss = 100
-			cfg.Router.LSInterval = 50 * time.Millisecond
+			cfg := throughputConfig(g)
 			mesh := tcpAttacher(g)
 			defer mesh.Close()
 			d, err := controlplane.Deploy(cfg, mesh)

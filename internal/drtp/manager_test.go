@@ -273,8 +273,8 @@ func TestEstablishReleaseLeavesCleanStateProperty(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			p, _ := graph.ShortestPath(g, src, dst, graph.UnitCost)
-			b, _ := graph.ShortestPath(g, src, dst, func(l graph.LinkID) float64 {
+			p, _ := new(graph.Scratch).ShortestPath(g, src, dst, graph.UnitCost)
+			b, _ := new(graph.Scratch).ShortestPath(g, src, dst, func(l graph.LinkID) float64 {
 				if p.Contains(l) {
 					return 5
 				}

@@ -9,20 +9,20 @@ import (
 
 func TestShortestPathBoundedBasics(t *testing.T) {
 	g := buildDiamond(t)
-	p, cost := ShortestPathBounded(g, 0, 3, UnitCost, 4)
+	p, cost := new(Scratch).ShortestPathBounded(g, 0, 3, UnitCost, 4)
 	if cost != 2 || p.Hops() != 2 {
 		t.Fatalf("cost=%v hops=%d", cost, p.Hops())
 	}
 	// Bound below the shortest path: unreachable.
-	if _, cost := ShortestPathBounded(g, 0, 3, UnitCost, 1); !math.IsInf(cost, 1) {
+	if _, cost := new(Scratch).ShortestPathBounded(g, 0, 3, UnitCost, 1); !math.IsInf(cost, 1) {
 		t.Fatalf("cost = %v, want unreachable under bound 1", cost)
 	}
 	// Self path costs nothing regardless of bound.
-	if p, cost := ShortestPathBounded(g, 2, 2, UnitCost, 0); cost != 0 || !p.Empty() {
+	if p, cost := new(Scratch).ShortestPathBounded(g, 2, 2, UnitCost, 0); cost != 0 || !p.Empty() {
 		t.Fatalf("self path = %v cost %v", p, cost)
 	}
 	// Non-positive bound to another node: unreachable.
-	if _, cost := ShortestPathBounded(g, 0, 1, UnitCost, 0); !math.IsInf(cost, 1) {
+	if _, cost := new(Scratch).ShortestPathBounded(g, 0, 1, UnitCost, 0); !math.IsInf(cost, 1) {
 		t.Fatal("zero bound reached another node")
 	}
 }
@@ -38,7 +38,7 @@ func TestShortestPathBoundedPrefersCheapLongerPath(t *testing.T) {
 		}
 		return 1
 	}
-	p, total := ShortestPathBounded(g, 0, 3, cost, 2)
+	p, total := new(Scratch).ShortestPathBounded(g, 0, 3, cost, 2)
 	if total != 2 || p.Contains(l01) {
 		t.Fatalf("total=%v path=%s", total, p.Format(g))
 	}
@@ -64,12 +64,12 @@ func TestShortestPathBoundedPrefersCheapLongerPath(t *testing.T) {
 		return 1
 	}
 	// Unbounded (large bound): cheap 3-hop detour.
-	p, total = ShortestPathBounded(g2, 0, 1, cost2, 10)
+	p, total = new(Scratch).ShortestPathBounded(g2, 0, 1, cost2, 10)
 	if total != 3 || p.Hops() != 3 {
 		t.Fatalf("unbounded-ish: total=%v hops=%d", total, p.Hops())
 	}
 	// Bound 2: only the direct link fits.
-	p, total = ShortestPathBounded(g2, 0, 1, cost2, 2)
+	p, total = new(Scratch).ShortestPathBounded(g2, 0, 1, cost2, 2)
 	if total != 10 || p.Hops() != 1 {
 		t.Fatalf("bounded: total=%v hops=%d", total, p.Hops())
 	}
@@ -84,7 +84,7 @@ func TestShortestPathBoundedExcludedLinks(t *testing.T) {
 		}
 		return 1
 	}
-	p, total := ShortestPathBounded(g, 0, 3, cost, 3)
+	p, total := new(Scratch).ShortestPathBounded(g, 0, 3, cost, 3)
 	if math.IsInf(total, 1) || p.Contains(l01) {
 		t.Fatalf("total=%v path=%s", total, p.Format(g))
 	}
@@ -104,8 +104,8 @@ func TestBoundedMatchesDijkstraProperty(t *testing.T) {
 		cost := func(l LinkID) float64 { return costs[l] }
 		src := NodeID(r.Intn(n))
 		dst := NodeID(r.Intn(n))
-		_, want := ShortestPath(g, src, dst, cost)
-		_, got := ShortestPathBounded(g, src, dst, cost, n)
+		_, want := new(Scratch).ShortestPath(g, src, dst, cost)
+		_, got := new(Scratch).ShortestPathBounded(g, src, dst, cost, n)
 		if math.IsInf(want, 1) != math.IsInf(got, 1) {
 			return false
 		}
@@ -136,7 +136,7 @@ func TestBoundedRespectsBoundProperty(t *testing.T) {
 		}
 		prev := math.Inf(1)
 		for bound := n; bound >= 1; bound-- {
-			p, total := ShortestPathBounded(g, src, dst, cost, bound)
+			p, total := new(Scratch).ShortestPathBounded(g, src, dst, cost, bound)
 			if math.IsInf(total, 1) {
 				prev = total
 				continue

@@ -20,7 +20,8 @@ func DisjointPair(g *Graph, src, dst NodeID, cost CostFunc) (Path, Path, bool) {
 	if src == dst {
 		return Path{}, Path{}, false
 	}
-	first, total := ShortestPath(g, src, dst, cost)
+	var s Scratch
+	first, total := s.ShortestPath(g, src, dst, cost)
 	if math.IsInf(total, 1) {
 		return Path{}, Path{}, false
 	}

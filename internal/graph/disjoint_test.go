@@ -123,8 +123,8 @@ func TestDisjointPairProperty(t *testing.T) {
 			}
 		}
 		// Joint total <= greedy total (when greedy finds a pair).
-		g1, c1 := ShortestPath(g, src, dst, cost)
-		greedySecond, c2 := ShortestPath(g, src, dst, func(l LinkID) float64 {
+		g1, c1 := new(Scratch).ShortestPath(g, src, dst, cost)
+		greedySecond, c2 := new(Scratch).ShortestPath(g, src, dst, func(l LinkID) float64 {
 			if g1.Contains(l) {
 				return Unreachable
 			}
@@ -182,11 +182,11 @@ func TestDisjointPairFindsWhenGreedyFails(t *testing.T) {
 	// Greedy: shortest is 0-1-4-5 (cost 2.1). An edge-disjoint backup
 	// (physical failures kill both directions) then needs to avoid edges
 	// 0-1, 1-4 and 4-5 — impossible here, so greedy finds nothing...
-	p1, _ := ShortestPath(g, 0, 5, cost)
+	p1, _ := new(Scratch).ShortestPath(g, 0, 5, cost)
 	if p1.Format(g) != "0->1->4->5" {
 		t.Fatalf("unexpected shortest path %s", p1.Format(g))
 	}
-	_, c2 := ShortestPath(g, 0, 5, func(l LinkID) float64 {
+	_, c2 := new(Scratch).ShortestPath(g, 0, 5, func(l LinkID) float64 {
 		if p1.ContainsEdge(g, g.Link(l).Edge) {
 			return Unreachable
 		}

@@ -11,10 +11,11 @@ import "math"
 // per topology (the experiment sweep runs thousands per cell) allocates
 // only the returned Path per query.
 //
-// A Scratch is not safe for concurrent use. Results are identical to the
-// package-level ShortestPath/ShortestPathBounded: the heap operations
-// reproduce container/heap's sift order exactly, so tie-breaking — and
-// therefore every byte of downstream sweep output — is unchanged.
+// A Scratch is not safe for concurrent use. Results do not depend on what
+// it was used for before: a reused Scratch answers exactly as a zero one
+// (the heap operations reproduce container/heap's sift order, so
+// tie-breaking, and with it every byte of downstream sweep output, is
+// fixed).
 type Scratch struct {
 	dist    []float64
 	prev    []LinkID
@@ -32,8 +33,12 @@ type Scratch struct {
 // NewScratch returns an empty scratch space.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// ShortestPath is the scratch-reusing equivalent of the package-level
-// ShortestPath; see its documentation for the contract.
+// ShortestPath runs Dijkstra's algorithm from src to dst under the given
+// link-cost function and returns the minimum-cost path and its cost.
+// If dst is unreachable it returns an empty path and Unreachable.
+//
+// Ties are broken deterministically by preferring the link with the lower
+// ID at equal cost, so results are reproducible across runs.
 func (s *Scratch) ShortestPath(g *Graph, src, dst NodeID, cost CostFunc) (Path, float64) {
 	dist, prev := s.dijkstra(g, src, dst, cost)
 	if math.IsInf(dist[dst], 1) {
@@ -247,9 +252,11 @@ func (s *Scratch) pqDown(i0, n int) {
 	}
 }
 
-// ShortestPathBounded is the scratch-reusing equivalent of the
-// package-level ShortestPathBounded; see its documentation for the
-// contract.
+// ShortestPathBounded finds the minimum-cost path from src to dst using
+// at most maxHops links (a constrained shortest path, used for QoS
+// delay-bounded backup routing). It runs a layered Bellman-Ford over hop
+// counts in O(maxHops·E). A non-positive maxHops returns no path unless
+// src == dst.
 //
 //drtplint:hotpath
 func (s *Scratch) ShortestPathBounded(g *Graph, src, dst NodeID, cost CostFunc, maxHops int) (Path, float64) {

@@ -75,7 +75,7 @@ func TestScratchMatchesFreshDijkstra(t *testing.T) {
 				ref := graph.BellmanFordDistances(g, graph.NodeID(src), cost)
 				for dst := 0; dst < g.NumNodes(); dst += 3 {
 					sp, sc := reused.ShortestPath(g, graph.NodeID(src), graph.NodeID(dst), cost)
-					fp, fc := graph.ShortestPath(g, graph.NodeID(src), graph.NodeID(dst), cost)
+					fp, fc := new(graph.Scratch).ShortestPath(g, graph.NodeID(src), graph.NodeID(dst), cost)
 					if sc != fc {
 						t.Fatalf("%s cost=%d %d->%d: scratch cost %v, fresh %v",
 							name, costSeed, src, dst, sc, fc)
@@ -91,7 +91,7 @@ func TestScratchMatchesFreshDijkstra(t *testing.T) {
 					// Alternate in a bounded query so the layered tables and
 					// the plain arrays cross through the same scratch.
 					bp, bc := reused.ShortestPathBounded(g, graph.NodeID(src), graph.NodeID(dst), cost, 4)
-					fbp, fbc := graph.ShortestPathBounded(g, graph.NodeID(src), graph.NodeID(dst), cost, 4)
+					fbp, fbc := new(graph.Scratch).ShortestPathBounded(g, graph.NodeID(src), graph.NodeID(dst), cost, 4)
 					if bc != fbc || !sameLinks(bp, fbp) {
 						t.Fatalf("%s cost=%d %d->%d: bounded scratch (%v, %v) != fresh (%v, %v)",
 							name, costSeed, src, dst, bp.Links(), bc, fbp.Links(), fbc)

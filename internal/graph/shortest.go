@@ -12,42 +12,10 @@ var Unreachable = math.Inf(1)
 // UnitCost assigns cost 1 to every link, yielding min-hop routing.
 func UnitCost(LinkID) float64 { return 1 }
 
-// ShortestPath runs Dijkstra's algorithm from src to dst under the given
-// link-cost function and returns the minimum-cost path and its cost.
-// If dst is unreachable it returns an empty path and Unreachable.
-//
-// Ties are broken deterministically by preferring the link with the lower
-// ID at equal cost, so results are reproducible across runs.
-//
-// Callers issuing many queries against one topology should hold a
-// Scratch and use its methods instead; this convenience form allocates
-// fresh working state per call.
-func ShortestPath(g *Graph, src, dst NodeID, cost CostFunc) (Path, float64) {
-	var s Scratch
-	return s.ShortestPath(g, src, dst, cost)
-}
-
-// ShortestDistances runs Dijkstra's algorithm from src to all nodes and
-// returns the distance vector.
-func ShortestDistances(g *Graph, src NodeID, cost CostFunc) []float64 {
-	var s Scratch
-	return s.ShortestDistancesInto(g, src, cost)
-}
-
 type pqItem struct {
 	node NodeID
 	dist float64
 	via  LinkID // link used to reach node; tie-break key
-}
-
-// ShortestPathBounded finds the minimum-cost path from src to dst using
-// at most maxHops links (a constrained shortest path, used for QoS
-// delay-bounded backup routing). It runs a layered Bellman-Ford over hop
-// counts in O(maxHops·E). A non-positive maxHops returns no path unless
-// src == dst. Repeated callers should use Scratch.ShortestPathBounded.
-func ShortestPathBounded(g *Graph, src, dst NodeID, cost CostFunc, maxHops int) (Path, float64) {
-	var s Scratch
-	return s.ShortestPathBounded(g, src, dst, cost, maxHops)
 }
 
 // HopDistances returns the BFS hop distance from src to every node, with -1

@@ -9,7 +9,7 @@ import (
 
 func TestShortestPathMinHop(t *testing.T) {
 	g := buildDiamond(t)
-	p, cost := ShortestPath(g, 0, 3, UnitCost)
+	p, cost := new(Scratch).ShortestPath(g, 0, 3, UnitCost)
 	if cost != 2 || p.Hops() != 2 {
 		t.Fatalf("cost=%v hops=%d, want 2,2", cost, p.Hops())
 	}
@@ -20,7 +20,7 @@ func TestShortestPathMinHop(t *testing.T) {
 
 func TestShortestPathSameNode(t *testing.T) {
 	g := buildDiamond(t)
-	p, cost := ShortestPath(g, 2, 2, UnitCost)
+	p, cost := new(Scratch).ShortestPath(g, 2, 2, UnitCost)
 	if cost != 0 || !p.Empty() {
 		t.Fatalf("self path cost=%v hops=%d", cost, p.Hops())
 	}
@@ -31,7 +31,7 @@ func TestShortestPathUnreachable(t *testing.T) {
 	if _, err := g.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	p, cost := ShortestPath(g, 0, 2, UnitCost)
+	p, cost := new(Scratch).ShortestPath(g, 0, 2, UnitCost)
 	if !math.IsInf(cost, 1) || !p.Empty() {
 		t.Fatalf("unreachable returned cost=%v path=%v", cost, p)
 	}
@@ -46,7 +46,7 @@ func TestShortestPathExcludedLinks(t *testing.T) {
 		}
 		return 1
 	}
-	p, c := ShortestPath(g, 0, 3, cost)
+	p, c := new(Scratch).ShortestPath(g, 0, 3, cost)
 	if c != 2 {
 		t.Fatalf("cost = %v, want 2 via 0->2->3", c)
 	}
@@ -64,7 +64,7 @@ func TestShortestPathWeighted(t *testing.T) {
 		}
 		return 1
 	}
-	p, c := ShortestPath(g, 0, 3, cost)
+	p, c := new(Scratch).ShortestPath(g, 0, 3, cost)
 	if c != 2 || p.Contains(l01) {
 		t.Fatalf("cost=%v via %s, want cheap route", c, p.Format(g))
 	}
@@ -72,9 +72,9 @@ func TestShortestPathWeighted(t *testing.T) {
 
 func TestShortestPathDeterministicTieBreak(t *testing.T) {
 	g := buildDiamond(t)
-	first, _ := ShortestPath(g, 0, 3, UnitCost)
+	first, _ := new(Scratch).ShortestPath(g, 0, 3, UnitCost)
 	for i := 0; i < 20; i++ {
-		p, _ := ShortestPath(g, 0, 3, UnitCost)
+		p, _ := new(Scratch).ShortestPath(g, 0, 3, UnitCost)
 		if p.String() != first.String() {
 			t.Fatalf("run %d: path %s differs from %s", i, p.String(), first.String())
 		}
@@ -83,7 +83,7 @@ func TestShortestPathDeterministicTieBreak(t *testing.T) {
 
 func TestShortestDistances(t *testing.T) {
 	g := buildDiamond(t)
-	dist := ShortestDistances(g, 0, UnitCost)
+	dist := new(Scratch).ShortestDistancesInto(g, 0, UnitCost)
 	want := []float64{0, 1, 1, 2}
 	for i, w := range want {
 		if dist[i] != w {
@@ -156,7 +156,7 @@ func TestDijkstraMatchesBellmanFordProperty(t *testing.T) {
 		}
 		cost := func(l LinkID) float64 { return costs[l] }
 		src := NodeID(r.Intn(n))
-		dj := ShortestDistances(g, src, cost)
+		dj := new(Scratch).ShortestDistancesInto(g, src, cost)
 		bf := BellmanFordDistances(g, src, cost)
 		for i := range dj {
 			if math.Abs(dj[i]-bf[i]) > 1e-9 {
@@ -183,7 +183,7 @@ func TestShortestPathCostMatchesLinkSumProperty(t *testing.T) {
 		cost := func(l LinkID) float64 { return costs[l] }
 		src := NodeID(r.Intn(n))
 		dst := NodeID(r.Intn(n))
-		p, total := ShortestPath(g, src, dst, cost)
+		p, total := new(Scratch).ShortestPath(g, src, dst, cost)
 		if src == dst {
 			return total == 0 && p.Empty()
 		}
@@ -205,7 +205,7 @@ func TestHopDistanceMatchesUnitDijkstraProperty(t *testing.T) {
 		g := randomConnectedGraph(r, n)
 		src := NodeID(r.Intn(n))
 		hops := HopDistances(g, src)
-		dj := ShortestDistances(g, src, UnitCost)
+		dj := new(Scratch).ShortestDistancesInto(g, src, UnitCost)
 		for i := range hops {
 			if float64(hops[i]) != dj[i] {
 				return false

@@ -5,14 +5,11 @@
 // and controlplane.CoordinatorID); the messages below never index the
 // graph, so the transport carries them untouched.
 //
-// Every message follows the wire.go discipline: varint integers,
-// length-prefixed strings, count-prefixed slices, strict trailing-byte
-// checks, and full field coverage in both MarshalBinary and
-// UnmarshalBinary (enforced by drtplint's protoroundtrip analyzer).
+// Every message follows the wire.go discipline: one field list beside
+// the struct, run by the codec in both directions, and one registry row.
 package proto
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"github.com/rtcl/drtp/internal/graph"
@@ -52,6 +49,13 @@ type Register struct {
 // Kind implements Message.
 func (Register) Kind() string { return "register" }
 
+func (m Register) fields(c *codec) Message {
+	c.tag(tagRegister)
+	vint(c, "Register.Node", &m.Node)
+	c.uvarint("Register.Seq", &m.Seq)
+	return decoded(c, &m)
+}
+
 // RegisterAck acknowledges a Register.
 type RegisterAck struct {
 	Node   graph.NodeID
@@ -61,6 +65,14 @@ type RegisterAck struct {
 
 // Kind implements Message.
 func (RegisterAck) Kind() string { return "register-ack" }
+
+func (m RegisterAck) fields(c *codec) Message {
+	c.tag(tagRegisterAck)
+	vint(c, "RegisterAck.Node", &m.Node)
+	c.bool("RegisterAck.OK", &m.OK)
+	c.string("RegisterAck.Reason", &m.Reason)
+	return decoded(c, &m)
+}
 
 // Heartbeat is the node runtime's liveness beacon to the coordinator.
 type Heartbeat struct {
@@ -73,6 +85,14 @@ type Heartbeat struct {
 
 // Kind implements Message.
 func (Heartbeat) Kind() string { return "heartbeat" }
+
+func (m Heartbeat) fields(c *codec) Message {
+	c.tag(tagHeartbeat)
+	vint(c, "Heartbeat.Node", &m.Node)
+	c.uvarint("Heartbeat.Seq", &m.Seq)
+	c.bool("Heartbeat.Draining", &m.Draining)
+	return decoded(c, &m)
+}
 
 // NodeDown announces a node's death (missed heartbeats or explicit leave)
 // to the route finder and every live node agent. Agents adjacent to the
@@ -87,6 +107,13 @@ type NodeDown struct {
 // Kind implements Message.
 func (NodeDown) Kind() string { return "node-down" }
 
+func (m NodeDown) fields(c *codec) Message {
+	c.tag(tagNodeDown)
+	vint(c, "NodeDown.Node", &m.Node)
+	c.string("NodeDown.Reason", &m.Reason)
+	return decoded(c, &m)
+}
+
 // Unschedulable toggles a node's scheduling eligibility at the route
 // finder (and notifies the node itself so its readiness probe flips):
 // an unschedulable node carries existing connections but is excluded
@@ -98,6 +125,13 @@ type Unschedulable struct {
 
 // Kind implements Message.
 func (Unschedulable) Kind() string { return "unschedulable" }
+
+func (m Unschedulable) fields(c *codec) Message {
+	c.tag(tagUnschedulable)
+	vint(c, "Unschedulable.Node", &m.Node)
+	c.bool("Unschedulable.On", &m.On)
+	return decoded(c, &m)
+}
 
 // RouteQuery asks the route finder for a primary route and backup routes
 // from Src to Dst. Exclude lists nodes whose links must not be used
@@ -112,6 +146,15 @@ type RouteQuery struct {
 // Kind implements Message.
 func (RouteQuery) Kind() string { return "route-query" }
 
+func (m RouteQuery) fields(c *codec) Message {
+	c.tag(tagRouteQuery)
+	c.uvarint("RouteQuery.ID", &m.ID)
+	vint(c, "RouteQuery.Src", &m.Src)
+	vint(c, "RouteQuery.Dst", &m.Dst)
+	ints(c, "RouteQuery.Exclude", &m.Exclude)
+	return decoded(c, &m)
+}
+
 // RouteReply answers a RouteQuery. Primary and Backups are node
 // sequences (source first); Backups is ordered by activation preference.
 type RouteReply struct {
@@ -124,6 +167,16 @@ type RouteReply struct {
 
 // Kind implements Message.
 func (RouteReply) Kind() string { return "route-reply" }
+
+func (m RouteReply) fields(c *codec) Message {
+	c.tag(tagRouteReply)
+	c.uvarint("RouteReply.ID", &m.ID)
+	c.bool("RouteReply.OK", &m.OK)
+	c.string("RouteReply.Reason", &m.Reason)
+	ints(c, "RouteReply.Primary", &m.Primary)
+	slice(c, "RouteReply.Backups", &m.Backups, ints)
+	return decoded(c, &m)
+}
 
 // EstablishRequest asks the setup coordinator to admit and establish a
 // DR-connection for a tenant. The reply goes back to the requesting
@@ -138,6 +191,15 @@ type EstablishRequest struct {
 // Kind implements Message.
 func (EstablishRequest) Kind() string { return "establish-request" }
 
+func (m EstablishRequest) fields(c *codec) Message {
+	c.tag(tagEstablishRequest)
+	vint(c, "EstablishRequest.Conn", &m.Conn)
+	c.string("EstablishRequest.Tenant", &m.Tenant)
+	vint(c, "EstablishRequest.Src", &m.Src)
+	vint(c, "EstablishRequest.Dst", &m.Dst)
+	return decoded(c, &m)
+}
+
 // EstablishReply reports the outcome of an EstablishRequest.
 type EstablishReply struct {
 	Conn    lsdb.ConnID
@@ -150,6 +212,16 @@ type EstablishReply struct {
 // Kind implements Message.
 func (EstablishReply) Kind() string { return "establish-reply" }
 
+func (m EstablishReply) fields(c *codec) Message {
+	c.tag(tagEstablishReply)
+	vint(c, "EstablishReply.Conn", &m.Conn)
+	c.bool("EstablishReply.OK", &m.OK)
+	c.string("EstablishReply.Reason", &m.Reason)
+	ints(c, "EstablishReply.Primary", &m.Primary)
+	slice(c, "EstablishReply.Backups", &m.Backups, ints)
+	return decoded(c, &m)
+}
+
 // ReleaseRequest asks the coordinator to release a tenant's connection.
 type ReleaseRequest struct {
 	Conn   lsdb.ConnID
@@ -158,6 +230,13 @@ type ReleaseRequest struct {
 
 // Kind implements Message.
 func (ReleaseRequest) Kind() string { return "release-request" }
+
+func (m ReleaseRequest) fields(c *codec) Message {
+	c.tag(tagReleaseRequest)
+	vint(c, "ReleaseRequest.Conn", &m.Conn)
+	c.string("ReleaseRequest.Tenant", &m.Tenant)
+	return decoded(c, &m)
+}
 
 // ReleaseReply reports the outcome of a ReleaseRequest.
 type ReleaseReply struct {
@@ -169,6 +248,14 @@ type ReleaseReply struct {
 // Kind implements Message.
 func (ReleaseReply) Kind() string { return "release-reply" }
 
+func (m ReleaseReply) fields(c *codec) Message {
+	c.tag(tagReleaseReply)
+	vint(c, "ReleaseReply.Conn", &m.Conn)
+	c.bool("ReleaseReply.OK", &m.OK)
+	c.string("ReleaseReply.Reason", &m.Reason)
+	return decoded(c, &m)
+}
+
 // DrainRequest asks the coordinator to drain a node: mark it
 // unschedulable and migrate its re-routable connections off it.
 type DrainRequest struct {
@@ -177,6 +264,12 @@ type DrainRequest struct {
 
 // Kind implements Message.
 func (DrainRequest) Kind() string { return "drain-request" }
+
+func (m DrainRequest) fields(c *codec) Message {
+	c.tag(tagDrainRequest)
+	vint(c, "DrainRequest.Node", &m.Node)
+	return decoded(c, &m)
+}
 
 // DrainReply reports drain completion: Migrated connections were moved
 // onto routes avoiding the node, Dropped could not be (connections
@@ -192,6 +285,16 @@ type DrainReply struct {
 
 // Kind implements Message.
 func (DrainReply) Kind() string { return "drain-reply" }
+
+func (m DrainReply) fields(c *codec) Message {
+	c.tag(tagDrainReply)
+	vint(c, "DrainReply.Node", &m.Node)
+	c.bool("DrainReply.OK", &m.OK)
+	c.string("DrainReply.Reason", &m.Reason)
+	vint(c, "DrainReply.Migrated", &m.Migrated)
+	vint(c, "DrainReply.Dropped", &m.Dropped)
+	return decoded(c, &m)
+}
 
 // ConnCommand carries one coordinator-driven operation to the source
 // node's agent. For OpEstablish, Primary and Backups are the routes the
@@ -210,6 +313,17 @@ type ConnCommand struct {
 // Kind implements Message.
 func (ConnCommand) Kind() string { return "conn-command" }
 
+func (m ConnCommand) fields(c *codec) Message {
+	c.tag(tagConnCommand)
+	vint(c, "ConnCommand.Op", &m.Op)
+	vint(c, "ConnCommand.Conn", &m.Conn)
+	vint(c, "ConnCommand.Dst", &m.Dst)
+	ints(c, "ConnCommand.Primary", &m.Primary)
+	slice(c, "ConnCommand.Backups", &m.Backups, ints)
+	c.uvarint("ConnCommand.Seq", &m.Seq)
+	return decoded(c, &m)
+}
+
 // ConnCommandResult reports a ConnCommand's outcome back to the
 // coordinator, echoing Seq. On successful establishment Primary and
 // Backups reflect the channels actually reserved (a subset of the
@@ -226,296 +340,13 @@ type ConnCommandResult struct {
 // Kind implements Message.
 func (ConnCommandResult) Kind() string { return "conn-command-result" }
 
-// --- wire codecs -------------------------------------------------------
-
-// appendNodeLists encodes a count-prefixed list of node sequences.
-func appendNodeLists(b []byte, lists [][]graph.NodeID) []byte {
-	b = binary.AppendUvarint(b, uint64(len(lists)))
-	for _, ns := range lists {
-		b = appendNodes(b, ns)
-	}
-	return b
-}
-
-// nodeLists decodes a count-prefixed list of node sequences.
-func (r *wireReader) nodeLists(what string) [][]graph.NodeID {
-	n := r.count(what)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([][]graph.NodeID, n)
-	for i := range out {
-		out[i] = r.nodes(what)
-	}
-	return out
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *Register) MarshalBinary() ([]byte, error) {
-	b := appendInt(nil, int(m.Node))
-	b = binary.AppendUvarint(b, m.Seq)
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *Register) UnmarshalBinary(data []byte) error {
-	r := &wireReader{buf: data}
-	m.Node = graph.NodeID(r.int("Register.Node"))
-	m.Seq = r.uvarint("Register.Seq")
-	return r.finish()
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *RegisterAck) MarshalBinary() ([]byte, error) {
-	b := appendInt(nil, int(m.Node))
-	b = appendBool(b, m.OK)
-	b = appendString(b, m.Reason)
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *RegisterAck) UnmarshalBinary(data []byte) error {
-	r := &wireReader{buf: data}
-	m.Node = graph.NodeID(r.int("RegisterAck.Node"))
-	m.OK = r.bool("RegisterAck.OK")
-	m.Reason = r.string("RegisterAck.Reason")
-	return r.finish()
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *Heartbeat) MarshalBinary() ([]byte, error) {
-	b := appendInt(nil, int(m.Node))
-	b = binary.AppendUvarint(b, m.Seq)
-	b = appendBool(b, m.Draining)
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *Heartbeat) UnmarshalBinary(data []byte) error {
-	r := &wireReader{buf: data}
-	m.Node = graph.NodeID(r.int("Heartbeat.Node"))
-	m.Seq = r.uvarint("Heartbeat.Seq")
-	m.Draining = r.bool("Heartbeat.Draining")
-	return r.finish()
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *NodeDown) MarshalBinary() ([]byte, error) {
-	b := appendInt(nil, int(m.Node))
-	b = appendString(b, m.Reason)
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *NodeDown) UnmarshalBinary(data []byte) error {
-	r := &wireReader{buf: data}
-	m.Node = graph.NodeID(r.int("NodeDown.Node"))
-	m.Reason = r.string("NodeDown.Reason")
-	return r.finish()
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *Unschedulable) MarshalBinary() ([]byte, error) {
-	b := appendInt(nil, int(m.Node))
-	b = appendBool(b, m.On)
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *Unschedulable) UnmarshalBinary(data []byte) error {
-	r := &wireReader{buf: data}
-	m.Node = graph.NodeID(r.int("Unschedulable.Node"))
-	m.On = r.bool("Unschedulable.On")
-	return r.finish()
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *RouteQuery) MarshalBinary() ([]byte, error) {
-	b := binary.AppendUvarint(nil, m.ID)
-	b = appendInt(b, int(m.Src))
-	b = appendInt(b, int(m.Dst))
-	b = appendNodes(b, m.Exclude)
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *RouteQuery) UnmarshalBinary(data []byte) error {
-	r := &wireReader{buf: data}
-	m.ID = r.uvarint("RouteQuery.ID")
-	m.Src = graph.NodeID(r.int("RouteQuery.Src"))
-	m.Dst = graph.NodeID(r.int("RouteQuery.Dst"))
-	m.Exclude = r.nodes("RouteQuery.Exclude")
-	return r.finish()
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *RouteReply) MarshalBinary() ([]byte, error) {
-	b := binary.AppendUvarint(nil, m.ID)
-	b = appendBool(b, m.OK)
-	b = appendString(b, m.Reason)
-	b = appendNodes(b, m.Primary)
-	b = appendNodeLists(b, m.Backups)
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *RouteReply) UnmarshalBinary(data []byte) error {
-	r := &wireReader{buf: data}
-	m.ID = r.uvarint("RouteReply.ID")
-	m.OK = r.bool("RouteReply.OK")
-	m.Reason = r.string("RouteReply.Reason")
-	m.Primary = r.nodes("RouteReply.Primary")
-	m.Backups = r.nodeLists("RouteReply.Backups")
-	return r.finish()
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *EstablishRequest) MarshalBinary() ([]byte, error) {
-	b := appendInt(nil, int(m.Conn))
-	b = appendString(b, m.Tenant)
-	b = appendInt(b, int(m.Src))
-	b = appendInt(b, int(m.Dst))
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *EstablishRequest) UnmarshalBinary(data []byte) error {
-	r := &wireReader{buf: data}
-	m.Conn = lsdb.ConnID(r.int("EstablishRequest.Conn"))
-	m.Tenant = r.string("EstablishRequest.Tenant")
-	m.Src = graph.NodeID(r.int("EstablishRequest.Src"))
-	m.Dst = graph.NodeID(r.int("EstablishRequest.Dst"))
-	return r.finish()
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *EstablishReply) MarshalBinary() ([]byte, error) {
-	b := appendInt(nil, int(m.Conn))
-	b = appendBool(b, m.OK)
-	b = appendString(b, m.Reason)
-	b = appendNodes(b, m.Primary)
-	b = appendNodeLists(b, m.Backups)
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *EstablishReply) UnmarshalBinary(data []byte) error {
-	r := &wireReader{buf: data}
-	m.Conn = lsdb.ConnID(r.int("EstablishReply.Conn"))
-	m.OK = r.bool("EstablishReply.OK")
-	m.Reason = r.string("EstablishReply.Reason")
-	m.Primary = r.nodes("EstablishReply.Primary")
-	m.Backups = r.nodeLists("EstablishReply.Backups")
-	return r.finish()
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *ReleaseRequest) MarshalBinary() ([]byte, error) {
-	b := appendInt(nil, int(m.Conn))
-	b = appendString(b, m.Tenant)
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *ReleaseRequest) UnmarshalBinary(data []byte) error {
-	r := &wireReader{buf: data}
-	m.Conn = lsdb.ConnID(r.int("ReleaseRequest.Conn"))
-	m.Tenant = r.string("ReleaseRequest.Tenant")
-	return r.finish()
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *ReleaseReply) MarshalBinary() ([]byte, error) {
-	b := appendInt(nil, int(m.Conn))
-	b = appendBool(b, m.OK)
-	b = appendString(b, m.Reason)
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *ReleaseReply) UnmarshalBinary(data []byte) error {
-	r := &wireReader{buf: data}
-	m.Conn = lsdb.ConnID(r.int("ReleaseReply.Conn"))
-	m.OK = r.bool("ReleaseReply.OK")
-	m.Reason = r.string("ReleaseReply.Reason")
-	return r.finish()
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *DrainRequest) MarshalBinary() ([]byte, error) {
-	return appendInt(nil, int(m.Node)), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *DrainRequest) UnmarshalBinary(data []byte) error {
-	r := &wireReader{buf: data}
-	m.Node = graph.NodeID(r.int("DrainRequest.Node"))
-	return r.finish()
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *DrainReply) MarshalBinary() ([]byte, error) {
-	b := appendInt(nil, int(m.Node))
-	b = appendBool(b, m.OK)
-	b = appendString(b, m.Reason)
-	b = appendInt(b, m.Migrated)
-	b = appendInt(b, m.Dropped)
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *DrainReply) UnmarshalBinary(data []byte) error {
-	r := &wireReader{buf: data}
-	m.Node = graph.NodeID(r.int("DrainReply.Node"))
-	m.OK = r.bool("DrainReply.OK")
-	m.Reason = r.string("DrainReply.Reason")
-	m.Migrated = r.int("DrainReply.Migrated")
-	m.Dropped = r.int("DrainReply.Dropped")
-	return r.finish()
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *ConnCommand) MarshalBinary() ([]byte, error) {
-	b := appendInt(nil, int(m.Op))
-	b = appendInt(b, int(m.Conn))
-	b = appendInt(b, int(m.Dst))
-	b = appendNodes(b, m.Primary)
-	b = appendNodeLists(b, m.Backups)
-	b = binary.AppendUvarint(b, m.Seq)
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *ConnCommand) UnmarshalBinary(data []byte) error {
-	r := &wireReader{buf: data}
-	m.Op = ConnOp(r.int("ConnCommand.Op"))
-	m.Conn = lsdb.ConnID(r.int("ConnCommand.Conn"))
-	m.Dst = graph.NodeID(r.int("ConnCommand.Dst"))
-	m.Primary = r.nodes("ConnCommand.Primary")
-	m.Backups = r.nodeLists("ConnCommand.Backups")
-	m.Seq = r.uvarint("ConnCommand.Seq")
-	return r.finish()
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *ConnCommandResult) MarshalBinary() ([]byte, error) {
-	b := appendInt(nil, int(m.Conn))
-	b = binary.AppendUvarint(b, m.Seq)
-	b = appendBool(b, m.OK)
-	b = appendString(b, m.Reason)
-	b = appendNodes(b, m.Primary)
-	b = appendNodeLists(b, m.Backups)
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *ConnCommandResult) UnmarshalBinary(data []byte) error {
-	r := &wireReader{buf: data}
-	m.Conn = lsdb.ConnID(r.int("ConnCommandResult.Conn"))
-	m.Seq = r.uvarint("ConnCommandResult.Seq")
-	m.OK = r.bool("ConnCommandResult.OK")
-	m.Reason = r.string("ConnCommandResult.Reason")
-	m.Primary = r.nodes("ConnCommandResult.Primary")
-	m.Backups = r.nodeLists("ConnCommandResult.Backups")
-	return r.finish()
+func (m ConnCommandResult) fields(c *codec) Message {
+	c.tag(tagConnCommandResult)
+	vint(c, "ConnCommandResult.Conn", &m.Conn)
+	c.uvarint("ConnCommandResult.Seq", &m.Seq)
+	c.bool("ConnCommandResult.OK", &m.OK)
+	c.string("ConnCommandResult.Reason", &m.Reason)
+	ints(c, "ConnCommandResult.Primary", &m.Primary)
+	slice(c, "ConnCommandResult.Backups", &m.Backups, ints)
+	return decoded(c, &m)
 }

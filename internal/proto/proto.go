@@ -6,7 +6,9 @@
 //
 // Messages are plain structs so the in-memory transport can pass them
 // directly; the TCP transport frames them with the deterministic binary
-// codec in wire.go (see WriteFrame/ReadFrame).
+// codec in wire.go (see WriteFrame/ReadFrame). Each message states its
+// wire layout once, in the fields method beside its struct, and is listed
+// once in wire.go's registry.
 package proto
 
 import (
@@ -62,6 +64,13 @@ type Hello struct {
 // Kind implements Message.
 func (Hello) Kind() string { return "hello" }
 
+func (m Hello) fields(c *codec) Message {
+	c.tag(tagHello)
+	vint(c, "Hello.From", &m.From)
+	c.uvarint("Hello.Seq", &m.Seq)
+	return decoded(c, &m)
+}
+
 // LinkAdvert summarizes one link's state for the link-state database.
 // Norm is the scalar P-LSR uses; CV the bit-vector D-LSR uses. AvailPrim
 // and AvailBackup are the two bandwidth figures routing needs.
@@ -71,6 +80,18 @@ type LinkAdvert struct {
 	AvailBackup int
 	Norm        int
 	CV          []byte
+}
+
+// linkAdvert lays out one element of LSUpdate.Links: a length-prefixed
+// sub-message.
+func linkAdvert(c *codec, what string, la *LinkAdvert) {
+	c.sub(what, func() {
+		vint(c, "LinkAdvert.Link", &la.Link)
+		vint(c, "LinkAdvert.AvailPrim", &la.AvailPrim)
+		vint(c, "LinkAdvert.AvailBackup", &la.AvailBackup)
+		vint(c, "LinkAdvert.Norm", &la.Norm)
+		c.bytes("LinkAdvert.CV", &la.CV)
+	})
 }
 
 // LSUpdate floods the advertising router's local link summaries. Updates
@@ -84,6 +105,14 @@ type LSUpdate struct {
 
 // Kind implements Message.
 func (LSUpdate) Kind() string { return "ls-update" }
+
+func (m LSUpdate) fields(c *codec) Message {
+	c.tag(tagLSUpdate)
+	vint(c, "LSUpdate.Origin", &m.Origin)
+	c.uvarint("LSUpdate.Seq", &m.Seq)
+	slice(c, "LSUpdate.Links", &m.Links, linkAdvert)
+	return decoded(c, &m)
+}
 
 // Setup reserves a channel hop-by-hop along Route (node IDs, source
 // first). Hop indexes the node currently processing the message. For
@@ -109,6 +138,18 @@ type Setup struct {
 // Kind implements Message.
 func (Setup) Kind() string { return "setup" }
 
+func (m Setup) fields(c *codec) Message {
+	c.tag(tagSetup)
+	vint(c, "Setup.Conn", &m.Conn)
+	vint(c, "Setup.Channel", &m.Channel)
+	ints(c, "Setup.Route", &m.Route)
+	vint(c, "Setup.Hop", &m.Hop)
+	ints(c, "Setup.PrimaryLSET", &m.PrimaryLSET)
+	c.uvarint("Setup.Trace", &m.Trace)
+	c.uvarint("Setup.Seq", &m.Seq)
+	return decoded(c, &m)
+}
+
 // SetupResult reports setup success or failure back to the source.
 type SetupResult struct {
 	Conn    lsdb.ConnID
@@ -125,6 +166,17 @@ type SetupResult struct {
 
 // Kind implements Message.
 func (SetupResult) Kind() string { return "setup-result" }
+
+func (m SetupResult) fields(c *codec) Message {
+	c.tag(tagSetupResult)
+	vint(c, "SetupResult.Conn", &m.Conn)
+	vint(c, "SetupResult.Channel", &m.Channel)
+	c.bool("SetupResult.OK", &m.OK)
+	c.string("SetupResult.Reason", &m.Reason)
+	vint(c, "SetupResult.FailedHop", &m.FailedHop)
+	c.uvarint("SetupResult.Seq", &m.Seq)
+	return decoded(c, &m)
+}
 
 // Teardown releases a channel hop-by-hop along Route starting at Hop.
 // UpTo bounds the release to route prefixes (used to roll back partially
@@ -144,6 +196,18 @@ type Teardown struct {
 // Kind implements Message.
 func (Teardown) Kind() string { return "teardown" }
 
+func (m Teardown) fields(c *codec) Message {
+	c.tag(tagTeardown)
+	vint(c, "Teardown.Conn", &m.Conn)
+	vint(c, "Teardown.Channel", &m.Channel)
+	ints(c, "Teardown.Route", &m.Route)
+	vint(c, "Teardown.Hop", &m.Hop)
+	vint(c, "Teardown.UpTo", &m.UpTo)
+	c.uvarint("Teardown.Trace", &m.Trace)
+	c.uvarint("Teardown.Seq", &m.Seq)
+	return decoded(c, &m)
+}
+
 // FailureReport tells a connection's source router that a link on its
 // primary channel failed (DRTP step 3: failure reporting).
 type FailureReport struct {
@@ -156,6 +220,14 @@ type FailureReport struct {
 
 // Kind implements Message.
 func (FailureReport) Kind() string { return "failure-report" }
+
+func (m FailureReport) fields(c *codec) Message {
+	c.tag(tagFailureReport)
+	vint(c, "FailureReport.Link", &m.Link)
+	ints(c, "FailureReport.Conns", &m.Conns)
+	slice(c, "FailureReport.Traces", &m.Traces, (*codec).uvarint)
+	return decoded(c, &m)
+}
 
 // Activate promotes a backup channel to primary hop-by-hop: each hop
 // moves the connection's reservation from the shared spare pool into
@@ -173,6 +245,16 @@ type Activate struct {
 // Kind implements Message.
 func (Activate) Kind() string { return "activate" }
 
+func (m Activate) fields(c *codec) Message {
+	c.tag(tagActivate)
+	vint(c, "Activate.Conn", &m.Conn)
+	ints(c, "Activate.Route", &m.Route)
+	vint(c, "Activate.Hop", &m.Hop)
+	c.uvarint("Activate.Trace", &m.Trace)
+	c.uvarint("Activate.Seq", &m.Seq)
+	return decoded(c, &m)
+}
+
 // ActivateResult reports the outcome of a channel switch to the source.
 type ActivateResult struct {
 	Conn   lsdb.ConnID
@@ -185,3 +267,12 @@ type ActivateResult struct {
 
 // Kind implements Message.
 func (ActivateResult) Kind() string { return "activate-result" }
+
+func (m ActivateResult) fields(c *codec) Message {
+	c.tag(tagActivateResult)
+	vint(c, "ActivateResult.Conn", &m.Conn)
+	c.bool("ActivateResult.OK", &m.OK)
+	c.string("ActivateResult.Reason", &m.Reason)
+	c.uvarint("ActivateResult.Seq", &m.Seq)
+	return decoded(c, &m)
+}

@@ -5,76 +5,13 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/rtcl/drtp/internal/graph"
-	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/proto"
 )
-
-// sampleMessages covers every wire message with non-zero field values.
-func sampleMessages() []proto.Message {
-	return []proto.Message{
-		proto.Hello{From: 3, Seq: 17},
-		proto.LSUpdate{
-			Origin: 2,
-			Seq:    9,
-			Links: []proto.LinkAdvert{
-				{Link: 4, AvailPrim: 10, AvailBackup: 5, Norm: 2, CV: []byte{0xff, 0x01}},
-				{Link: 7, AvailPrim: 0, AvailBackup: 0, Norm: 0, CV: nil},
-			},
-		},
-		proto.Setup{
-			Conn:        42,
-			Channel:     proto.Backup,
-			Route:       []graph.NodeID{0, 3, 5},
-			Hop:         1,
-			PrimaryLSET: []graph.LinkID{2, 8, 13},
-			Trace:       0xdeadbeef,
-			Seq:         21,
-		},
-		proto.SetupResult{Conn: 42, Channel: proto.Primary, OK: false, Reason: "no bandwidth", FailedHop: 2, Seq: 21},
-		proto.Teardown{Conn: 42, Channel: proto.Backup, Route: []graph.NodeID{5, 3, 0}, Hop: 0, UpTo: -1, Trace: 7, Seq: 22},
-		proto.FailureReport{Link: 9, Conns: []lsdb.ConnID{1, 2, 3}, Traces: []uint64{11, 12, 13}},
-		proto.Activate{Conn: 8, Route: []graph.NodeID{1, 2}, Hop: 1, Trace: 99, Seq: 23},
-		proto.ActivateResult{Conn: 8, OK: true, Seq: 23},
-		proto.Register{Node: 3, Seq: 31},
-		proto.RegisterAck{Node: 3, OK: false, Reason: "unknown node"},
-		proto.Heartbeat{Node: 4, Seq: 32, Draining: true},
-		proto.NodeDown{Node: 2, Reason: "heartbeat-miss"},
-		proto.Unschedulable{Node: 2, On: true},
-		proto.RouteQuery{ID: 33, Src: 0, Dst: 1, Exclude: []graph.NodeID{2, 4}},
-		proto.RouteReply{
-			ID: 33, OK: true, Reason: "ok",
-			Primary: []graph.NodeID{0, 3, 1},
-			Backups: [][]graph.NodeID{{0, 4, 1}, {0, 2, 1}},
-		},
-		proto.EstablishRequest{Conn: 50, Tenant: "acme", Src: 0, Dst: 1},
-		proto.EstablishReply{
-			Conn: 50, OK: false, Reason: "quota-conns",
-			Primary: []graph.NodeID{0, 1},
-			Backups: [][]graph.NodeID{{0, 2, 1}},
-		},
-		proto.ReleaseRequest{Conn: 50, Tenant: "acme"},
-		proto.ReleaseReply{Conn: 50, OK: true, Reason: "not-found"},
-		proto.DrainRequest{Node: 2},
-		proto.DrainReply{Node: 2, OK: true, Reason: "done", Migrated: 3, Dropped: 1},
-		proto.ConnCommand{
-			Op: proto.OpEstablish, Conn: 51, Dst: 1,
-			Primary: []graph.NodeID{0, 2, 1},
-			Backups: [][]graph.NodeID{{0, 3, 1}},
-			Seq:     34,
-		},
-		proto.ConnCommandResult{
-			Conn: 51, Seq: 34, OK: true, Reason: "established",
-			Primary: []graph.NodeID{0, 2, 1},
-			Backups: [][]graph.NodeID{{0, 3, 1}},
-		},
-	}
-}
 
 // TestEnvelopeWireRoundTrip checks value-identity and byte-identity of the
 // codec for every message type.
 func TestEnvelopeWireRoundTrip(t *testing.T) {
-	for _, msg := range sampleMessages() {
+	for _, msg := range sampleMessages(t) {
 		env := proto.Envelope{From: 1, To: 2, Msg: msg}
 		data, err := env.MarshalBinary()
 		if err != nil {
@@ -101,7 +38,7 @@ func TestEnvelopeWireRoundTrip(t *testing.T) {
 // used by the TCP transport.
 func TestWireFraming(t *testing.T) {
 	var buf bytes.Buffer
-	msgs := sampleMessages()
+	msgs := sampleMessages(t)
 	for _, msg := range msgs {
 		if err := proto.WriteFrame(&buf, proto.Envelope{From: 4, To: 6, Msg: msg}); err != nil {
 			t.Fatalf("%s: write frame: %v", msg.Kind(), err)
@@ -124,7 +61,7 @@ func TestWireFraming(t *testing.T) {
 // TestWireTruncation verifies that every proper prefix of an encoded
 // envelope fails to decode rather than yielding a half-filled message.
 func TestWireTruncation(t *testing.T) {
-	for _, msg := range sampleMessages() {
+	for _, msg := range sampleMessages(t) {
 		env := proto.Envelope{From: 1, To: 2, Msg: msg}
 		data, err := env.MarshalBinary()
 		if err != nil {
@@ -152,7 +89,7 @@ func TestUnknownTag(t *testing.T) {
 // input that decodes must re-encode and re-decode to the same value and
 // the same canonical bytes.
 func FuzzPacketRoundTrip(f *testing.F) {
-	for _, msg := range sampleMessages() {
+	for _, msg := range sampleMessages(f) {
 		data, err := (&proto.Envelope{From: 1, To: 2, Msg: msg}).MarshalBinary()
 		if err != nil {
 			f.Fatalf("seed %s: %v", msg.Kind(), err)

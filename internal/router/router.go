@@ -45,6 +45,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/rtcl/drtp/internal/dedup"
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/proto"
@@ -241,7 +242,8 @@ type pendingTrip struct {
 	seq uint64
 }
 
-// Bounds for the dedup structures: FIFO eviction keeps memory constant on
+// Capacities of the dedup windows: each retains its most recent half to
+// all of these entries (see dedup.Window), which keeps memory constant on
 // long runs while comfortably outlasting any in-flight retransmission.
 const (
 	maxSeenSig    = 8192
@@ -280,15 +282,13 @@ type Router struct {
 	// sigSeq numbers signalling round trips originated here; guarded by mu.
 	sigSeq uint64
 	// seenSig dedups hop-level signalling processing (at-least-once
-	// delivery, idempotent handling); FIFO-bounded; guarded by mu.
-	seenSig   map[dedupKey]sigResult
-	seenOrder []dedupKey
+	// delivery, idempotent handling); bounded; guarded by mu.
+	seenSig *dedup.Window[dedupKey, sigResult]
 	// tombstones records, per connection, the highest teardown sequence
 	// processed here, so stale setups and activates that a reordering
 	// transport delivers after the teardown cannot resurrect reservations;
-	// FIFO-bounded; guarded by mu.
-	tombstones map[lsdb.ConnID]uint64
-	tombOrder  []lsdb.ConnID
+	// bounded; guarded by mu.
+	tombstones *dedup.Window[lsdb.ConnID, uint64]
 	// frPending holds failure reports awaiting retransmission (resent on
 	// hello ticks with exponential spacing); guarded by mu.
 	frPending []frRetry
@@ -358,8 +358,8 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 		view:        NewLinkStateView(cfg.Graph, cfg.Capacity, cfg.UnitBW, cfg.Scheme),
 		seqSeen:     make(map[graph.NodeID]uint64),
 		pending:     make(map[sigID]pendingTrip),
-		seenSig:     make(map[dedupKey]sigResult),
-		tombstones:  make(map[lsdb.ConnID]uint64),
+		seenSig:     dedup.NewWindow[dedupKey, sigResult](maxSeenSig),
+		tombstones:  dedup.NewWindow[lsdb.ConnID, uint64](maxTombstones),
 		conns:       make(map[lsdb.ConnID]*conn),
 		transitPrim: make(map[graph.LinkID]map[lsdb.ConnID]transitRec),
 		lastHello:   make(map[graph.NodeID]time.Time),
@@ -539,40 +539,17 @@ func (r *Router) nextSeqLocked() uint64 {
 	return r.sigSeq
 }
 
-// recordSeenLocked stores the outcome of a first processing (callers have
-// just missed k in seenSig), evicting the oldest record when the dedup
-// window is full.
-func (r *Router) recordSeenLocked(k dedupKey, rec sigResult) {
-	if len(r.seenOrder) >= maxSeenSig {
-		old := r.seenOrder[0]
-		r.seenOrder = r.seenOrder[1:]
-		delete(r.seenSig, old)
-	}
-	r.seenSig[k] = rec
-	r.seenOrder = append(r.seenOrder, k)
-}
-
 // recordTombstoneLocked raises the connection's teardown high-water mark.
 func (r *Router) recordTombstoneLocked(id lsdb.ConnID, seq uint64) {
-	if old, ok := r.tombstones[id]; ok {
-		if seq > old {
-			r.tombstones[id] = seq
-		}
-		return
+	if old, ok := r.tombstones.Get(id); !ok || seq > old {
+		r.tombstones.Put(id, seq)
 	}
-	if len(r.tombOrder) >= maxTombstones {
-		old := r.tombOrder[0]
-		r.tombOrder = r.tombOrder[1:]
-		delete(r.tombstones, old)
-	}
-	r.tombstones[id] = seq
-	r.tombOrder = append(r.tombOrder, id)
 }
 
 // entombedLocked reports whether a message with the given sequence is
 // stale relative to the connection's processed teardowns.
 func (r *Router) entombedLocked(id lsdb.ConnID, seq uint64) bool {
-	ts, ok := r.tombstones[id]
+	ts, ok := r.tombstones.Get(id)
 	return ok && seq <= ts
 }
 

@@ -445,7 +445,7 @@ func (r *Router) handleHop(s signal) {
 		return
 	}
 	link := graph.LinkID(-1)
-	res, dup := r.seenSig[key]
+	res, dup := r.seenSig.Get(key)
 	if !dup {
 		res = sigResult{ok: true}
 		if !last {
@@ -456,7 +456,7 @@ func (r *Router) handleHop(s signal) {
 				r.markDirtyLocked()
 			}
 		}
-		r.recordSeenLocked(key, res)
+		r.seenSig.Put(key, res)
 	}
 	r.mu.Unlock()
 
@@ -524,9 +524,9 @@ func (r *Router) handleTeardown(m proto.Teardown) {
 	released := graph.LinkID(-1)
 	r.mu.Lock()
 	r.recordTombstoneLocked(m.Conn, m.Seq)
-	_, dup := r.seenSig[key]
+	_, dup := r.seenSig.Get(key)
 	if !dup {
-		r.recordSeenLocked(key, sigResult{ok: true})
+		r.seenSig.Put(key, sigResult{ok: true})
 		if l, ok := r.g.LinkBetween(r.cfg.Node, next); ok {
 			r.releaseLocalLocked(m.Conn, m.Channel, l)
 			r.markDirtyLocked()

@@ -158,7 +158,7 @@ func disjointFeasiblePathExists(net *drtp.Network, primary graph.Path, src, dst 
 		}
 		return 1
 	}
-	_, total := graph.ShortestPath(net.Graph(), src, dst, cost)
+	_, total := new(graph.Scratch).ShortestPath(net.Graph(), src, dst, cost)
 	return total != graph.Unreachable
 }
 
@@ -171,7 +171,7 @@ func hopDistance(net *drtp.Network, src, dst graph.NodeID) int {
 		}
 		return 1
 	}
-	path, total := graph.ShortestPath(net.Graph(), src, dst, cost)
+	path, total := new(graph.Scratch).ShortestPath(net.Graph(), src, dst, cost)
 	if total == graph.Unreachable {
 		return 0
 	}

@@ -175,7 +175,7 @@ func TestRouteBackupsForRestoresProtection(t *testing.T) {
 	// disjoint backups for the new primary.
 	net := theta(t)
 	scheme := routing.NewDLSR(routing.WithBackupCount(2))
-	primary, _ := graph.ShortestPath(net.Graph(), 0, 1, graph.UnitCost)
+	primary, _ := new(graph.Scratch).ShortestPath(net.Graph(), 0, 1, graph.UnitCost)
 	fresh := scheme.RouteBackupsFor(net, drtp.Request{ID: 9, Src: 0, Dst: 1}, primary, nil)
 	if len(fresh) != 2 {
 		t.Fatalf("restored backups = %d, want 2", len(fresh))

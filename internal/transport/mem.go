@@ -215,6 +215,10 @@ func (e *memEndpoint) pump() {
 		have := false
 		if len(e.queue) > 0 {
 			env = e.queue[0]
+			// The backing array outlives the pop until append next
+			// reallocates: drop its reference to the message (an
+			// LSUpdate carries a CV per link).
+			e.queue[0] = proto.Envelope{}
 			e.queue = e.queue[1:]
 			have = true
 		}

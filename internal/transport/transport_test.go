@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -503,4 +504,44 @@ func TestLossyMemZeroRateLossless(t *testing.T) {
 	if m.Dropped() != 0 {
 		t.Fatalf("dropped = %d", m.Dropped())
 	}
+}
+
+// held is a pointer-typed message, so a finalizer can watch it.
+type held struct{ cv []byte }
+
+func (*held) Kind() string { return "held" }
+
+// TestMemDeliveredMessageIsReleased: once a message has been received and
+// dropped, the idle endpoint's mailbox must not keep it alive.
+func TestMemDeliveredMessageIsReleased(t *testing.T) {
+	m := transport.NewMem()
+	defer m.Close()
+	a, err := m.Attach(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := m.Attach(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	func() {
+		msg := &held{cv: make([]byte, 1<<16)}
+		runtime.SetFinalizer(msg, func(*held) { close(freed) })
+		if err := a.Send(1, msg); err != nil {
+			t.Fatal(err)
+		}
+		if got := recvOne(t, b).Msg; got != proto.Message(msg) {
+			t.Fatalf("received %v", got)
+		}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a delivered message is still reachable from the endpoint that delivered it")
 }

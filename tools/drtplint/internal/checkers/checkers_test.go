@@ -14,10 +14,6 @@ func TestNilTracer(t *testing.T) {
 	analysistest.Run(t, "testdata", NilTracer, "telemetry", "consumer")
 }
 
-func TestProtoRoundTrip(t *testing.T) {
-	analysistest.Run(t, "testdata", ProtoRoundTrip, "proto")
-}
-
 func TestCVClone(t *testing.T) {
 	analysistest.Run(t, "testdata", CVClone, "cvuser")
 }

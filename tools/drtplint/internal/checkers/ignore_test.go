@@ -14,7 +14,6 @@ import (
 var allAnalyzers = []*analysis.Analyzer{
 	Determinism,
 	NilTracer,
-	ProtoRoundTrip,
 	CVClone,
 	LockGuard,
 	InstrumentNames,

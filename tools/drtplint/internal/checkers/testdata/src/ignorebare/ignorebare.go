@@ -11,9 +11,6 @@ func a() {}
 //drtplint:ignore niltracer
 func b() {}
 
-//drtplint:ignore protoroundtrip
-func c() {}
-
 //drtplint:ignore cvclone
 func d() {}
 

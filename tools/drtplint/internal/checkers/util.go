@@ -1,4 +1,4 @@
-// Package checkers implements drtplint's five domain analyzers. They
+// Package checkers implements drtplint's domain analyzers. They
 // encode repo invariants by *shape*, matching types by package name and
 // type name rather than full import path so the same analyzers run
 // against both the real tree and self-contained analysistest fixtures.
@@ -7,6 +7,8 @@ package checkers
 import (
 	"go/ast"
 	"go/types"
+
+	"github.com/rtcl/drtp/tools/drtplint/internal/analysis"
 )
 
 // namedType unwraps t to its named type, looking through pointers and
@@ -56,6 +58,52 @@ func recvIdent(fd *ast.FuncDecl) *ast.Ident {
 		return nil
 	}
 	return id
+}
+
+// recvTypeName returns the bare receiver type name of a method ("" for
+// functions).
+func recvTypeName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) != 1 {
+		return ""
+	}
+	t := fd.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
+// fieldMentions collects the names of receiver fields mentioned anywhere
+// in the method body (reads and writes alike).
+func fieldMentions(pass *analysis.Pass, fd *ast.FuncDecl) map[string]bool {
+	out := make(map[string]bool)
+	recv := recvIdent(fd)
+	if recv == nil {
+		return out
+	}
+	robj := pass.TypesInfo.Defs[recv]
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if robj != nil && !isIdentFor(pass.TypesInfo, sel.X, robj) {
+			return true
+		}
+		if robj == nil {
+			// Degraded mode (type errors): match on receiver name text.
+			id, ok := ast.Unparen(sel.X).(*ast.Ident)
+			if !ok || id.Name != recv.Name {
+				return true
+			}
+		}
+		out[sel.Sel.Name] = true
+		return true
+	})
+	return out
 }
 
 // usesObject reports whether expr mentions the given object.

@@ -1,9 +1,8 @@
 // Command drtplint is the repo's domain-specific static analysis suite.
 // It enforces invariants the generic toolchain cannot know about:
-// simulation determinism, nil-safe telemetry, wire codec round-trip
-// coverage, conflict-vector aliasing, mutex guard annotations, metric
-// naming conventions, lock acquisition order, goroutine lifecycles, and
-// hot-path allocation discipline. Run with -list for the authoritative
+// simulation determinism, nil-safe telemetry, conflict-vector aliasing,
+// mutex guard annotations, metric naming conventions, lock acquisition
+// order, goroutine lifecycles, and hot-path allocation discipline. Run with -list for the authoritative
 // analyzer inventory; the Makefile and docs defer to that output rather
 // than repeating it.
 //
@@ -35,7 +34,6 @@ import (
 var analyzers = []*analysis.Analyzer{
 	checkers.Determinism,
 	checkers.NilTracer,
-	checkers.ProtoRoundTrip,
 	checkers.CVClone,
 	checkers.LockGuard,
 	checkers.InstrumentNames,
