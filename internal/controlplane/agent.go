@@ -2,7 +2,6 @@ package controlplane
 
 import (
 	"fmt"
-	"io"
 	"log/slog"
 	"sync"
 	"time"
@@ -12,6 +11,7 @@ import (
 	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/proto"
 	"github.com/rtcl/drtp/internal/router"
+	"github.com/rtcl/drtp/internal/telemetry"
 	"github.com/rtcl/drtp/internal/transport"
 )
 
@@ -126,7 +126,7 @@ func (c *AgentConfig) setDefaults(g *graph.Graph) {
 		c.RetryLimit = 3
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		c.Logger = telemetry.DiscardLogger()
 	}
 }
 

@@ -106,6 +106,7 @@ func BenchmarkEstablishThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 			cfg := throughputConfig(g)
+			cfg.Metrics = telemetry.NewRegistry()
 			mesh := tcpAttacher(g)
 			defer mesh.Close()
 			d, err := controlplane.Deploy(cfg, mesh)
@@ -152,6 +153,13 @@ func BenchmarkEstablishThroughput(b *testing.B) {
 				b.Fatalf("%d/%d establishments failed", f, total)
 			}
 			b.ReportMetric(float64(total)/elapsed.Seconds(), "conns/s")
+			// The flood behind the signalling: link-state adverts the five
+			// routers originated per cycle, and changes the hold-down
+			// folded into an advert already pending.
+			adverts := cfg.Metrics.CounterVec("drtp_router_ls_adverts_total", "", "event")
+			originated := float64(adverts.With("originated").Value())
+			b.ReportMetric(originated/float64(total), "adverts/conn")
+			b.ReportMetric(float64(adverts.With("coalesced").Value())/originated, "coalesced/advert")
 		})
 	}
 }

@@ -3,7 +3,6 @@ package controlplane
 import (
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"sync"
 	"time"
@@ -92,7 +91,7 @@ func (c *CoordinatorConfig) setDefaults() {
 		c.RetryLimit = 3
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		c.Logger = telemetry.DiscardLogger()
 	}
 }
 

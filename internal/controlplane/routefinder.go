@@ -2,7 +2,6 @@ package controlplane
 
 import (
 	"fmt"
-	"io"
 	"log/slog"
 	"sync"
 
@@ -43,7 +42,7 @@ func (c *RouteFinderConfig) setDefaults() {
 		c.Backups = 1
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		c.Logger = telemetry.DiscardLogger()
 	}
 }
 

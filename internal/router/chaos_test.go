@@ -25,11 +25,9 @@ func newChaosCluster(t *testing.T, g *graph.Graph, sched *faultinject.Schedule, 
 	}
 	cfg.UnitBW = 1
 	cfg.HelloInterval = 10 * time.Millisecond
-	// A generous miss budget keeps random drop schedules from permanently
-	// declaring an adjacency dead mid-test (three consecutive hello losses
-	// at 25% drop are common over hundreds of hello windows); the chaos
-	// tests probe the signalling retry layer, not failure detection.
-	cfg.HelloMiss = 8
+	// The chaos tests probe the signalling retry layer, not failure
+	// detection (TestNbrRecoveryRevivesAdjacency fails its edge by hand).
+	cfg.HelloMiss = noDetector
 	cfg.LSInterval = 20 * time.Millisecond
 	// The in-memory transport delivers instantly, so the round-trip budget
 	// only gates how fast lost signalling is retransmitted. Keep it short:

@@ -16,7 +16,7 @@ func (r *Router) sendHellos() {
 	r.helloSeq++
 	seq := r.helloSeq
 	var nbrs []graph.NodeID
-	for _, n := range r.g.Neighbors(r.cfg.Node) {
+	for _, n := range r.nbrs {
 		if r.cfg.NbrRecovery || !r.downNbr[n] {
 			nbrs = append(nbrs, n)
 		}
@@ -39,7 +39,9 @@ func (r *Router) handleHello(from graph.NodeID) {
 			return
 		}
 		delete(r.downNbr, from)
-		r.markDirtyLocked()
+		if l, ok := r.g.LinkBetween(r.cfg.Node, from); ok {
+			r.markDirtyLocked(l)
+		}
 		recovered = true
 	}
 	r.lastHello[from] = time.Now()
@@ -126,12 +128,12 @@ func (r *Router) declareDownLocked(nbr graph.NodeID) []failureReport {
 		return nil
 	}
 	r.downNbr[nbr] = true
-	r.markDirtyLocked()
 	r.log.Warn("link failure detected", "neighbor", int(nbr))
 	l, ok := r.g.LinkBetween(r.cfg.Node, nbr)
 	if !ok {
 		return nil
 	}
+	r.markDirtyLocked(l)
 	r.tracer.LinkFail(int(r.cfg.Node), int(l))
 	// Group the affected primaries by source and notify each, carrying
 	// each connection's span context alongside its ID.

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"time"
+
 	"github.com/rtcl/drtp/internal/bitvec"
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/lsr"
@@ -124,34 +126,62 @@ func (v *LinkStateView) fillMetric(lset []graph.LinkID) {
 // localLinks returns the IDs of this node's outgoing links.
 func (r *Router) localLinks() []graph.LinkID { return r.g.Out(r.cfg.Node) }
 
-// markDirtyLocked schedules a triggered link-state advertisement.
-func (r *Router) markDirtyLocked() { r.dirty = true }
+// holdDownsPerLSInterval sets the hold-down between two triggered adverts
+// from one router as a fraction of Config.LSInterval: 10 ms at the default
+// interval. It bounds a router's flood load by a constant instead of by
+// the request rate (every hop of every walk touches a link), at the price
+// of remote views and mirrors trailing the owner by at most hold-down +
+// flood time.
+const holdDownsPerLSInterval = 10
 
-// flushAdverts sends a triggered advertisement if local state changed.
-func (r *Router) flushAdverts() {
-	r.mu.Lock()
-	dirty := r.dirty
-	r.dirty = false
-	r.mu.Unlock()
-	if dirty {
-		r.advertise()
+// markDirtyLocked records a change to local link l: the local view, which
+// Establish routes on, mirrors it at once, and a triggered advertisement
+// is scheduled; a mark landing on one still pending is coalesced into it.
+// Callers must hold r.mu.
+func (r *Router) markDirtyLocked(l graph.LinkID) {
+	r.view.Apply(r.advertForLocked(l))
+	if r.dirty {
+		r.mAdvertsCoalesced.Inc()
 	}
+	r.dirty = true
 }
 
-// advertise floods this node's local link summaries.
+// flushAdverts is the one trigger path for adverts. A change after a quiet
+// period is flooded at once (leading edge); a change inside the hold-down
+// of the previous advert stays dirty and flushAdverts returns how long the
+// caller must wait before flushing again, so the window closes on one
+// advert carrying the final state (trailing edge). It returns zero when
+// nothing is left to send.
+func (r *Router) flushAdverts() time.Duration {
+	r.mu.Lock()
+	dirty, since := r.dirty, time.Since(r.lastAdvert)
+	r.mu.Unlock()
+	if !dirty {
+		return 0
+	}
+	if wait := r.cfg.LSInterval/holdDownsPerLSInterval - since; wait > 0 {
+		return wait
+	}
+	r.advertise()
+	return 0
+}
+
+// advertise floods this node's local link summaries, triggered or
+// periodic; either way it settles dirty and restarts the hold-down.
 func (r *Router) advertise() {
 	r.mu.Lock()
 	r.mySeq++
+	r.dirty, r.lastAdvert = false, time.Now()
 	update := proto.LSUpdate{Origin: r.cfg.Node, Seq: r.mySeq}
 	for _, l := range r.localLinks() {
 		update.Links = append(update.Links, r.advertForLocked(l))
 		// Local view mirrors local truth immediately.
 		r.view.Apply(update.Links[len(update.Links)-1])
 	}
-	nbrs := r.g.Neighbors(r.cfg.Node)
 	r.mu.Unlock()
+	r.mAdvertsOriginated.Inc()
 	r.tracer.LSUpdate(int(r.cfg.Node), len(update.Links))
-	for _, n := range nbrs {
+	for _, n := range r.nbrs {
 		r.send(n, update)
 	}
 	for _, m := range r.cfg.Mirrors {
@@ -204,10 +234,9 @@ func (r *Router) handleLSUpdate(from graph.NodeID, m proto.LSUpdate) {
 		}
 		r.view.Apply(a)
 	}
-	nbrs := r.g.Neighbors(r.cfg.Node)
 	r.mu.Unlock()
 	r.tracer.LSUpdateDropped(int(r.cfg.Node), dropped)
-	for _, n := range nbrs {
+	for _, n := range r.nbrs {
 		if n != from {
 			r.send(n, m)
 		}

@@ -29,6 +29,14 @@
 //
 // Routes a router originates are selected on its link-state view
 // (lsview.go) by internal/lsr, the route selection the simulator runs.
+// A router originates at most one triggered advert per hold-down
+// (LSInterval/10): a change after a quiet period floods at once, changes
+// inside the window ride one advert sent when it closes (flushAdverts).
+// Remote views and mirrors therefore trail an owner by at most hold-down +
+// flood time; a router's view of its own links never trails, and the
+// periodic refresh every LSInterval is unchanged. Nothing on the recovery
+// path reads a view: backups are pre-registered and failure reports go
+// straight to the source.
 //
 // Known simplification: after a channel switch, surviving backup channels
 // keep their original registrations, whose piggybacked LSETs describe the
@@ -40,7 +48,6 @@ package router
 
 import (
 	"fmt"
-	"io"
 	"log/slog"
 	"sync"
 	"time"
@@ -99,7 +106,8 @@ type Config struct {
 	// is declared failed (default 4).
 	HelloMiss int
 	// LSInterval is the periodic link-state advertisement period
-	// (default 100ms); adverts are also triggered by local changes.
+	// (default 100ms); adverts are also triggered by local changes, at
+	// most one per LSInterval/10.
 	LSInterval time.Duration
 	// SetupTimeout bounds how long Establish and Release wait for
 	// signalling round trips (default 5s).
@@ -160,7 +168,7 @@ func (c *Config) setDefaults() {
 		c.RetryLimit = 3
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		c.Logger = telemetry.DiscardLogger()
 	}
 	if c.Backups <= 0 {
 		c.Backups = 1
@@ -265,6 +273,9 @@ type Router struct {
 	cfg Config
 	ep  transport.Endpoint
 	g   *graph.Graph
+	// nbrs is the sorted neighbour list; the graph is static for a
+	// router's lifetime.
+	nbrs []graph.NodeID
 
 	mu sync.Mutex
 	db *lsdb.DB // reservations for this node's outgoing links; has its own lock
@@ -274,8 +285,11 @@ type Router struct {
 	seqSeen map[graph.NodeID]uint64
 	// mySeq numbers this router's own adverts; guarded by mu.
 	mySeq uint64
-	// dirty marks the local view changed since the last advert; guarded by mu.
+	// dirty marks local link state changed since the last advert; guarded by mu.
 	dirty bool
+	// lastAdvert stamps the last advert, triggered or periodic; the
+	// hold-down runs from it (flushAdverts); guarded by mu.
+	lastAdvert time.Time
 	// pending holds the reply channels of round trips in flight (setup,
 	// register, activate); guarded by mu.
 	pending map[sigID]pendingTrip
@@ -326,6 +340,8 @@ type Router struct {
 	mHopBackup         *telemetry.LatencyHist
 	mHopActivate       *telemetry.LatencyHist
 	mHopTeardown       *telemetry.LatencyHist
+	mAdvertsOriginated *telemetry.Counter
+	mAdvertsCoalesced  *telemetry.Counter
 
 	// retryRNG jitters retransmission backoff; guarded by retryMu (drawn
 	// from Establish/switch goroutines, not the router loop).
@@ -354,6 +370,7 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 		cfg:         cfg,
 		ep:          ep,
 		g:           cfg.Graph,
+		nbrs:        cfg.Graph.Neighbors(cfg.Node),
 		db:          db,
 		view:        NewLinkStateView(cfg.Graph, cfg.Capacity, cfg.UnitBW, cfg.Scheme),
 		seqSeen:     make(map[graph.NodeID]uint64),
@@ -388,9 +405,13 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 		r.mHopBackup = hops.With("backup")
 		r.mHopActivate = hops.With("activate")
 		r.mHopTeardown = hops.With("teardown")
+		adverts := cfg.Metrics.CounterVec("drtp_router_ls_adverts_total",
+			"Link-state adverts originated, and dirty marks coalesced into a pending advert by the hold-down.", "event")
+		r.mAdvertsOriginated = adverts.With("originated")
+		r.mAdvertsCoalesced = adverts.With("coalesced")
 	}
 	now := time.Now()
-	for _, nbr := range r.g.Neighbors(cfg.Node) {
+	for _, nbr := range r.nbrs {
 		r.lastHello[nbr] = now
 	}
 	go r.loop()
@@ -461,6 +482,14 @@ func (r *Router) loop() {
 	defer hello.Stop()
 	ls := time.NewTicker(r.cfg.LSInterval)
 	defer ls.Stop()
+	// holdDown is non-nil while a deferred advert waits for its window to
+	// close; it is armed only when nil, so one timer is pending at most.
+	var holdDown <-chan time.Time
+	flush := func() {
+		if wait := r.flushAdverts(); wait > 0 && holdDown == nil {
+			holdDown = time.After(wait)
+		}
+	}
 
 	r.sendHellos()
 	r.advertise()
@@ -471,11 +500,14 @@ func (r *Router) loop() {
 				return
 			}
 			r.dispatch(env)
-			r.flushAdverts()
+			flush()
 		case <-hello.C:
 			r.sendHellos()
 			r.checkNeighbors()
-			r.flushAdverts()
+			flush()
+		case <-holdDown:
+			holdDown = nil
+			flush()
 		case <-ls.C:
 			r.advertise()
 		case <-r.stop:

@@ -53,6 +53,12 @@ func newCluster(t *testing.T, g *graph.Graph, capacity int) *router.Cluster {
 	return c
 }
 
+// noDetector is a HelloMiss budget no test can exhaust, for tests that
+// need live adjacencies and do not test failure detection: a budget of a
+// few 10 ms hellos runs out whenever the process is descheduled that long,
+// every adjacency is declared down at once, and failed links stay failed.
+const noDetector = 1 << 20
+
 // waitFor polls cond until it holds or the deadline expires.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -622,6 +628,7 @@ func TestEstablishSurvivesModerateLoss(t *testing.T) {
 		Capacity:      10,
 		UnitBW:        1,
 		HelloInterval: 10 * time.Millisecond,
+		HelloMiss:     noDetector,
 		LSInterval:    20 * time.Millisecond,
 		SetupTimeout:  150 * time.Millisecond,
 	}, mem)
@@ -660,7 +667,7 @@ func TestHostileLinkAdvertIsDropped(t *testing.T) {
 		Capacity:      10,
 		UnitBW:        1,
 		HelloInterval: 10 * time.Millisecond,
-		HelloMiss:     3,
+		HelloMiss:     noDetector,
 		LSInterval:    20 * time.Millisecond,
 		SetupTimeout:  3 * time.Second,
 		Telemetry:     telemetry.NewTracer(events),
@@ -730,7 +737,7 @@ func TestHostileSetupLSETIsRejected(t *testing.T) {
 		Capacity:      10,
 		UnitBW:        1,
 		HelloInterval: 10 * time.Millisecond,
-		HelloMiss:     3,
+		HelloMiss:     noDetector,
 		LSInterval:    20 * time.Millisecond,
 		SetupTimeout:  3 * time.Second,
 		Telemetry:     telemetry.NewTracer(events),

@@ -453,7 +453,7 @@ func (r *Router) handleHop(s signal) {
 			if link, err = r.applyLinkLocked(&s, s.route[i+1]); err != nil {
 				res = sigResult{failedHop: i, reason: err.Error()}
 			} else {
-				r.markDirtyLocked()
+				r.markDirtyLocked(link)
 			}
 		}
 		r.seenSig.Put(key, res)
@@ -529,7 +529,7 @@ func (r *Router) handleTeardown(m proto.Teardown) {
 		r.seenSig.Put(key, sigResult{ok: true})
 		if l, ok := r.g.LinkBetween(r.cfg.Node, next); ok {
 			r.releaseLocalLocked(m.Conn, m.Channel, l)
-			r.markDirtyLocked()
+			r.markDirtyLocked(l)
 			released = l
 		}
 	}
