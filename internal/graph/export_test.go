@@ -1,0 +1,44 @@
+package graph
+
+import "math"
+
+// ReferenceShortestPath is ShortestPath by the plain one-ended search: the
+// answer the two-ended search must reproduce link for link and bit for bit.
+func (s *Scratch) ReferenceShortestPath(g *Graph, src, dst NodeID, cost CostFunc) (Path, float64) {
+	dist, prev := s.dijkstra(g, src, dst, cost)
+	if math.IsInf(dist[dst], 1) {
+		return Path{}, Unreachable
+	}
+	return s.tracePath(g, prev, src, dst), dist[dst]
+}
+
+// SettledByDijkstra counts the nodes the last ShortestPath or
+// ReferenceShortestPath on g settled, both directions together. A node is
+// settled backward once it carries a label that is no longer queued.
+func (s *Scratch) SettledByDijkstra(g *Graph, twoEnded bool) int {
+	n := g.NumNodes()
+	count := 0
+	for _, done := range s.settled[:n] {
+		if done {
+			count++
+		}
+	}
+	if !twoEnded {
+		return count
+	}
+	for _, d := range s.rdist[:n] {
+		if !math.IsInf(d, 1) {
+			count++
+		}
+	}
+	for _, it := range s.rpq {
+		if it.dist == s.rdist[it.node] {
+			count--
+		}
+	}
+	return count
+}
+
+// LabelledByMinHopPath counts the nodes the last MinHopPath reached, both
+// directions together.
+func (s *Scratch) LabelledByMinHopPath() int { return len(s.queue) + len(s.rqueue) }

@@ -60,12 +60,12 @@ func randomCost(g *graph.Graph, seed int64) graph.CostFunc {
 
 // TestScratchMatchesFreshDijkstra is the scratch-reuse property test: a
 // single long-lived Scratch answering an arbitrary query sequence must
-// return exactly what a fresh computation returns — same links, same
-// cost — on random Waxman and Barabási–Albert graphs. Interleaving
-// all-pairs unbounded and hop-bounded queries through one Scratch
-// maximizes the chance of stale-state leakage between query kinds, and
-// BellmanFordDistances cross-checks the distances against an independent
-// algorithm.
+// return exactly what a fresh one-ended reference search returns — same
+// links, same cost — on random Waxman and Barabási–Albert graphs.
+// Interleaving all-pairs unbounded and hop-bounded queries through one
+// Scratch maximizes the chance of stale-state leakage between query kinds,
+// and BellmanFordDistances cross-checks the distances against an
+// independent algorithm.
 func TestScratchMatchesFreshDijkstra(t *testing.T) {
 	reused := graph.NewScratch()
 	for name, g := range randomGraphs(t) {
@@ -75,7 +75,7 @@ func TestScratchMatchesFreshDijkstra(t *testing.T) {
 				ref := graph.BellmanFordDistances(g, graph.NodeID(src), cost)
 				for dst := 0; dst < g.NumNodes(); dst += 3 {
 					sp, sc := reused.ShortestPath(g, graph.NodeID(src), graph.NodeID(dst), cost)
-					fp, fc := new(graph.Scratch).ShortestPath(g, graph.NodeID(src), graph.NodeID(dst), cost)
+					fp, fc := new(graph.Scratch).ReferenceShortestPath(g, graph.NodeID(src), graph.NodeID(dst), cost)
 					if sc != fc {
 						t.Fatalf("%s cost=%d %d->%d: scratch cost %v, fresh %v",
 							name, costSeed, src, dst, sc, fc)
@@ -158,10 +158,11 @@ func TestScratchShortestPathAllocs(t *testing.T) {
 
 // TestMinHopPathMatchesUnitCostDijkstra is the differential test for the
 // breadth-first primary search: over random graphs and random closed-link
-// masks, MinHopPath must return the very link sequence ShortestPath
-// returns at unit cost — not merely a path of the same length — and agree
-// on unreachability and on src == dst. One Scratch serves both searches,
-// interleaved, so neither may leave state the other trips over.
+// masks, MinHopPath must return the very link sequence the one-ended
+// reference Dijkstra returns at unit cost — not merely a path of the same
+// length — and agree on unreachability and on src == dst. One Scratch
+// serves both searches, interleaved, so neither may leave state the other
+// trips over.
 func TestMinHopPathMatchesUnitCostDijkstra(t *testing.T) {
 	s := graph.NewScratch()
 	unreachable, multiHop := 0, 0
@@ -183,7 +184,7 @@ func TestMinHopPathMatchesUnitCostDijkstra(t *testing.T) {
 			}
 			for a := 0; a < g.NumNodes(); a++ {
 				for b := 0; b < g.NumNodes(); b++ {
-					want, total := s.ShortestPath(g, graph.NodeID(a), graph.NodeID(b), cost)
+					want, total := s.ReferenceShortestPath(g, graph.NodeID(a), graph.NodeID(b), cost)
 					got, ok := s.MinHopPath(g, graph.NodeID(a), graph.NodeID(b), open)
 					if ok != (total != graph.Unreachable) {
 						t.Fatalf("%s mask=%d %d->%d: MinHopPath reachable = %v, Dijkstra cost %v", name, maskSeed, a, b, ok, total)
