@@ -16,6 +16,7 @@ type evalScratch struct {
 	ids      []ConnID
 	affected []*Connection
 	slots    []int
+	avail    []int // the reactive evaluation's free bandwidth per link
 }
 
 // bySeq orders connections by establishment sequence, the deterministic
@@ -224,8 +225,10 @@ func (m *Manager) EvaluateLinkFailureReactive(l graph.LinkID) FailureOutcome {
 
 	// avail[x] is the remaining free bandwidth of link x during this
 	// recovery storm, snapshotted once up front (the evaluation itself
-	// never touches the database) and drawn down as re-routes land.
-	avail := snap.Free
+	// never touches the database) and drawn down as re-routes land — in a
+	// copy: a Snapshot is read-only to its holders.
+	avail := append(m.eval.avail[:0], snap.Free...)
+	m.eval.avail = avail
 	for _, c := range affected {
 		cost := func(x graph.LinkID) float64 {
 			if x == l || avail[x] < unit {

@@ -1,10 +1,12 @@
 package drtp_test
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/rtcl/drtp/internal/drtp"
 	"github.com/rtcl/drtp/internal/graph"
+	"github.com/rtcl/drtp/internal/lsdb"
 )
 
 func TestEstablishMultipleBackups(t *testing.T) {
@@ -202,6 +204,13 @@ func TestReactiveContentionAmongAffected(t *testing.T) {
 	// per route.
 	if out.Affected != 2 || out.Recovered != 2 {
 		t.Fatalf("outcome = %+v", out)
+	}
+	// The evaluation drew bandwidth down on both routes, in a buffer of its
+	// own: the network's snapshot is patched, not refilled, so a write
+	// through it would outlive the evaluation.
+	fresh := db.SnapshotInto(new(lsdb.Snapshot))
+	if snap := net.Snapshot(); !slices.Equal(snap.Free, fresh.Free) || !slices.Equal(snap.AvailBackup, fresh.AvailBackup) || !slices.Equal(snap.Norm, fresh.Norm) {
+		t.Fatalf("reactive evaluation left the network's snapshot with Free %v, a fresh fill has %v", snap.Free, fresh.Free)
 	}
 	// Take away the via-3-4 route entirely.
 	for _, hop := range [][2]graph.NodeID{{0, 3}} {

@@ -140,8 +140,9 @@ func checkSearchesAgree(tb testing.TB, s, ref *graph.Scratch, g *graph.Graph, co
 // TestSearchesMatchOneEndedReference is the licence for searching from both
 // ends: over thousands of seeded graphs of 2 to 300 nodes and every cost
 // family, one long-lived Scratch — reused across graphs of different
-// sizes, ShortestPath and MinHopPath interleaved — returns exactly what
-// the one-ended reference returns.
+// sizes, ShortestPath, MinHopPath and now and then the all-destinations
+// search interleaved — returns exactly what the one-ended reference
+// returns.
 func TestSearchesMatchOneEndedReference(t *testing.T) {
 	const (
 		graphs          = 1600
@@ -162,6 +163,11 @@ func TestSearchesMatchOneEndedReference(t *testing.T) {
 			src, dst := graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))
 			if q == 0 {
 				dst = src
+			}
+			if q%3 == 2 {
+				// The all-destinations search writes every label of the
+				// arrays ShortestPath resets only where it looks.
+				s.ShortestDistancesInto(g, dst, func(l graph.LinkID) float64 { return costs[l] })
 			}
 			checkSearchesAgree(t, s, ref, g, costs, src, dst, &tally)
 		}

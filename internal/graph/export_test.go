@@ -18,16 +18,18 @@ func (s *Scratch) ReferenceShortestPath(g *Graph, src, dst NodeID, cost CostFunc
 func (s *Scratch) SettledByDijkstra(g *Graph, twoEnded bool) int {
 	n := g.NumNodes()
 	count := 0
-	for _, done := range s.settled[:n] {
-		if done {
+	// The one-ended search resets every node; the two-ended one only those
+	// it stamps, and the labels of the others are stale.
+	for v, done := range s.settled[:n] {
+		if done && (!twoEnded || s.seen[v] == s.gen) {
 			count++
 		}
 	}
 	if !twoEnded {
 		return count
 	}
-	for _, d := range s.rdist[:n] {
-		if !math.IsInf(d, 1) {
+	for v, d := range s.rdist[:n] {
+		if s.seen[v] == s.gen && !math.IsInf(d, 1) {
 			count++
 		}
 	}

@@ -41,6 +41,11 @@ type Scratch struct {
 	lvl, rlvl     []int32
 	queue, rqueue []NodeID
 
+	// seen[v] == gen marks the nodes searchTo's current search has reset;
+	// the dist, rdist and settled of any other are left from earlier ones.
+	seen []uint32
+	gen  uint32
+
 	// Layered tables for the hop-bounded variant; row h holds the best
 	// <=h-hop distances.
 	bdist [][]float64
@@ -158,13 +163,18 @@ func (s *Scratch) searchTo(g *Graph, src, dst NodeID, cost CostFunc) (dist []flo
 	n := g.NumNodes()
 	s.growNodeArrays(n)
 	dist, prev = s.dist[:n], s.prev[:n]
-	settled, rdist := s.settled[:n], s.rdist[:n]
+	settled, rdist, seen := s.settled[:n], s.rdist[:n], s.seen[:n]
 	inf := math.Inf(1)
-	for i := range dist {
-		dist[i] = inf
-		rdist[i] = inf
-		settled[i] = false
+	// Nothing is reset up front: a node is, on the first relaxation that
+	// reaches it, so a search costs what it labels, not the graph's size.
+	s.gen++
+	if s.gen == 0 { // wrapped: stamps of 2³² searches ago would read as current
+		clear(s.seen)
+		s.gen++
 	}
+	gen := s.gen
+	seen[src], dist[src], rdist[src], settled[src] = gen, inf, inf, false
+	seen[dst], dist[dst], rdist[dst], settled[dst] = gen, inf, inf, false
 	// prev is read only where dist is finite, and there it has been written,
 	// except at src.
 	dist[src], prev[src], rdist[dst] = 0, InvalidLink, 0
@@ -206,6 +216,9 @@ func (s *Scratch) searchTo(g *Graph, src, dst NodeID, cost CostFunc) (dist []flo
 						continue
 					}
 					u := g.links[l].From
+					if seen[u] != gen {
+						seen[u], dist[u], rdist[u], settled[u] = gen, inf, inf, false
+					}
 					nd := item.dist + c
 					if nd >= rdist[u] {
 						continue
@@ -233,6 +246,9 @@ func (s *Scratch) searchTo(g *Graph, src, dst NodeID, cost CostFunc) (dist []flo
 				continue
 			}
 			v := g.links[l].To
+			if seen[v] != gen {
+				seen[v], dist[v], rdist[v], settled[v] = gen, inf, inf, false
+			}
 			if settled[v] {
 				continue
 			}
@@ -261,6 +277,7 @@ func (s *Scratch) growNodeArrays(n int) {
 		s.rdist = make([]float64, n)
 		s.prev = make([]LinkID, n)
 		s.settled = make([]bool, n)
+		s.seen = make([]uint32, n)
 		s.lvl = make([]int32, n)
 		s.rlvl = make([]int32, n)
 		// A node enters a breadth-first queue once.

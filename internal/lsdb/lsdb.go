@@ -135,6 +135,13 @@ type DB struct {
 	// kept current where either changes (the reserve, release and promote
 	// bodies, resizeSpareLocked); guarded by mu.
 	totalPrime, totalSpare int
+
+	// changed is the change log SnapshotInto patches from: the link of
+	// every transition that moved a snapshot scalar, oldest first, entry k
+	// being change number changedBase+k. It is cut once it holds n entries
+	// (a reader that far behind refills in full as cheaply); guarded by mu.
+	changed     []int32
+	changedBase uint64
 }
 
 // New creates a database for graph g where every link has the given
@@ -241,7 +248,18 @@ func (db *DB) reservePrimaryLocked(id ConnID, l graph.LinkID) error {
 	s.prime += db.unitBW
 	db.totalPrime += db.unitBW
 	s.primaries = append(s.primaries, id)
+	db.touchLocked(l)
 	return nil
+}
+
+// touchLocked logs that link l's prime, spare or norm — what a Snapshot
+// copies — moved: every transition body ends here. Caller holds db.mu.
+func (db *DB) touchLocked(l graph.LinkID) {
+	if len(db.changed) >= db.n {
+		db.changedBase += uint64(len(db.changed))
+		db.changed = db.changed[:0]
+	}
+	db.changed = append(db.changed, int32(l))
 }
 
 // ReleasePrimary releases connection id's primary reservation on link l.
@@ -262,6 +280,7 @@ func (db *DB) releasePrimaryLocked(id ConnID, l graph.LinkID) error {
 	s.primaries = swapRemove(s.primaries, k)
 	s.prime -= db.unitBW
 	db.totalPrime -= db.unitBW
+	db.touchLocked(l)
 	return nil
 }
 
@@ -329,6 +348,7 @@ func (db *DB) attachBackupLocked(id ConnID, l graph.LinkID, lset []graph.LinkID)
 		}
 	}
 	db.resizeSpareLocked(s)
+	db.touchLocked(l)
 }
 
 // appendPosting appends l to a posting list, growing a full list by a
@@ -355,11 +375,10 @@ func swapRemove[T any](s []T, k int) []T {
 // to be present on link l — l leaves the posting list of every primary
 // link whose counter returns to zero — recomputing the APLV maximum only
 // when a counter at the maximum decreased; it counts one backup op. The
-// caller must hold db.mu.
-func (db *DB) detachBackupLocked(id ConnID, l graph.LinkID) {
+// caller must hold db.mu and passes lset, the LSET it found registered.
+func (db *DB) detachBackupLocked(id ConnID, l graph.LinkID, lset []graph.LinkID) {
 	db.backupOps++
 	s := &db.links[l]
-	lset := s.backups[id]
 	delete(s.backups, id)
 	recompute := false
 	for _, pl := range lset {
@@ -377,6 +396,7 @@ func (db *DB) detachBackupLocked(id ConnID, l graph.LinkID) {
 		s.maxElem = s.aplv.maxVal()
 	}
 	db.resizeSpareLocked(s)
+	db.touchLocked(l)
 }
 
 // ReleaseBackup removes connection id's backup channel from link l,
@@ -391,11 +411,11 @@ func (db *DB) ReleaseBackup(id ConnID, l graph.LinkID) error {
 // releaseBackupLocked is the release-backup transition; the caller must
 // hold db.mu.
 func (db *DB) releaseBackupLocked(id ConnID, l graph.LinkID) error {
-	s := &db.links[l]
-	if _, ok := s.backups[id]; !ok {
+	lset, ok := db.links[l].backups[id]
+	if !ok {
 		return fmt.Errorf("lsdb: connection %d has no backup on link %d", id, l)
 	}
-	db.detachBackupLocked(id, l)
+	db.detachBackupLocked(id, l, lset)
 	return nil
 }
 
@@ -440,7 +460,7 @@ func (db *DB) promoteBackupLocked(id ConnID, l graph.LinkID) (promotion, error) 
 		db.totalPrime += db.unitBW
 		s.primaries = append(s.primaries, id)
 	}
-	db.detachBackupLocked(id, l)
+	db.detachBackupLocked(id, l, lset)
 	return promotion{link: l, lset: lset, converted: !shared}, nil
 }
 

@@ -25,14 +25,22 @@ import (
 // P-LSR's ‖APLV‖₁ metric. Refresh with DB.SnapshotInto before each
 // route computation; the arrays are indexed by graph.LinkID and reused
 // across refreshes.
+//
+// A filled Snapshot is read-only to its holders: a refresh rewrites only
+// the entries of links that changed since the last one, so an entry a
+// holder overwrote would stay wrong. Draw down a copy instead.
 type Snapshot struct {
 	// AvailBackup[l] is capacity - prime (DB.AvailableForBackup).
 	AvailBackup []int
 	// Free[l] is capacity - prime - spare (DB.FreeBW /
 	// DB.AvailableForPrimary).
 	Free []int
-	// Norm[l] is ‖APLV_l‖₁ (DB.APLVNorm).
-	Norm []int
+	// Norm[l] is ‖APLV_l‖₁ (DB.APLVNorm), as the float64 the route
+	// selector's metric vector holds, so P-LSR reads it in place.
+	Norm []float64
+
+	from *DB    // the database that filled the arrays
+	seq  uint64 // the change number (DB.changed) they are current to
 }
 
 // SnapshotInto fills s with the current per-link state under one lock
@@ -41,22 +49,43 @@ type Snapshot struct {
 // interleaved reservations: exactly the single-writer route-then-reserve
 // discipline of the Manager and the simulator.
 //
+// A snapshot this database filled, whose arrays still have its size and
+// whose change number the log reaches back to, is patched: only the links
+// logged since are rewritten, so a refresh costs what the requests in
+// between changed. Any other — a zero Snapshot, another database's, one the
+// log was cut past — is filled in full; every entry equals a fresh fill's
+// either way, and any number of snapshots may follow one database.
+//
 //drtplint:hotpath
 func (db *DB) SnapshotInto(s *Snapshot) *Snapshot {
 	n := db.n
-	s.AvailBackup = growInts(s.AvailBackup, n)
-	s.Free = growInts(s.Free, n)
-	s.Norm = growInts(s.Norm, n)
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for i := range db.links {
-		ls := &db.links[i]
-		avail := ls.capacity - ls.prime
-		s.AvailBackup[i] = avail
-		s.Free[i] = avail - ls.spare
-		s.Norm[i] = ls.norm
+	if s.from == db && s.seq >= db.changedBase && len(s.AvailBackup) == n && len(s.Free) == n && len(s.Norm) == n {
+		for _, l := range db.changed[s.seq-db.changedBase:] {
+			db.links[l].copyInto(s, int(l))
+		}
+	} else {
+		s.AvailBackup = grow(s.AvailBackup, n)
+		s.Free = grow(s.Free, n)
+		s.Norm = grow(s.Norm, n)
+		for i := range db.links {
+			db.links[i].copyInto(s, i)
+		}
+		s.from = db
 	}
+	s.seq = db.changedBase + uint64(len(db.changed))
 	return s
+}
+
+// copyInto writes the link's snapshot scalars to entry i of s.
+//
+//drtplint:hotpath
+func (ls *linkState) copyInto(s *Snapshot, i int) {
+	avail := ls.capacity - ls.prime
+	s.AvailBackup[i] = avail
+	s.Free[i] = avail - ls.spare
+	s.Norm[i] = float64(ls.norm)
 }
 
 // ConflictCountsInto writes, for every link l, the number of links in
@@ -92,7 +121,7 @@ func (db *DB) ConflictCountsInto(lset []graph.LinkID, dst []float64) []float64 {
 //
 //drtplint:hotpath
 func (db *DB) SCInto(dst []int) []int {
-	dst = growInts(dst, db.n)
+	dst = grow(dst, db.n)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for i := range db.links {
@@ -227,13 +256,13 @@ func (db *DB) PromoteBackupPath(id ConnID, links []graph.LinkID) error {
 	return nil
 }
 
-// growInts returns s resized to n entries, reallocating only when the
+// grow returns s resized to n entries, reallocating only when the
 // capacity is insufficient.
 //
 //drtplint:hotpath
-func growInts(s []int, n int) []int {
+func grow[T int | float64](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

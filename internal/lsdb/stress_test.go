@@ -18,7 +18,8 @@ import (
 // the per-link loop it replaced, and a randomized concurrent stress test
 // whose final state is validated against per-link invariants recomputed
 // from the workers' own logs. The concurrent test is the one the CI -race
-// run exists for.
+// run exists for. All three also hold long-lived Snapshots, patched from
+// the change log, to zero Snapshots filled in full (checkSnapshot).
 
 // observableState captures everything the public API exposes for one
 // link.
@@ -119,6 +120,21 @@ func checkDerivedState(t *testing.T, db *DB, when string) {
 	}
 }
 
+// checkSnapshot refreshes the long-lived snapshot s from db and fails
+// unless every entry equals that of a zero Snapshot filled at the same
+// moment: whatever s held before — an earlier state of db patched forward,
+// a state the log has since been cut past, another database's — a refresh
+// must be indistinguishable from a full fill.
+func checkSnapshot(t *testing.T, db *DB, s *Snapshot, when string) {
+	t.Helper()
+	db.SnapshotInto(s)
+	fresh := db.SnapshotInto(new(Snapshot))
+	if !slices.Equal(s.AvailBackup, fresh.AvailBackup) || !slices.Equal(s.Free, fresh.Free) || !slices.Equal(s.Norm, fresh.Norm) {
+		t.Fatalf("%s: refreshed snapshot differs from a fresh fill:\nAvailBackup %v\n      fresh %v\nFree %v\nfresh %v\nNorm %v\nfresh %v",
+			when, s.AvailBackup, fresh.AvailBackup, s.Free, fresh.Free, s.Norm, fresh.Norm)
+	}
+}
+
 // randomWalk returns a short loop-free random walk as link IDs.
 func randomWalk(r *rand.Rand, g *graph.Graph, maxHops int) []graph.LinkID {
 	node := graph.NodeID(r.Intn(g.NumNodes()))
@@ -160,6 +176,12 @@ func errString(err error) string {
 // Any divergence between the two APLV forms — in bookkeeping, rollback,
 // spare sizing or CV derivation — fails here before it can skew a
 // simulation.
+//
+// Three long-lived Snapshots follow the pair-list database through the same
+// sequence, failed and rolled-back operations included: one refreshed after
+// every op, which the log always reaches back to; one every seventh; one so
+// rarely that the log is cut in between. Now and then the first is moved to
+// a database in another state and to one of another size, and back.
 func TestAPLVFormsDifferential(t *testing.T) {
 	g, err := topology.Grid(3, 3)
 	if err != nil {
@@ -175,6 +197,27 @@ func TestAPLVFormsDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	dense.aplvDenseAt = 0
+	other, err := New(g, 5, 1) // same links, no entry in common with pairs
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.RegisterBackupPath(1, []graph.LinkID{0, 1, 2}, []graph.LinkID{3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	smallGrid, err := topology.Grid(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := New(smallGrid, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strides := [3]int{1, 7, 60}
+	var (
+		followers [3]Snapshot
+		patched   [3]int // refreshes the log still reached back to
+		overrun   [3]int // refreshes more than NumLinks transitions late
+	)
 	r := rand.New(rand.NewSource(42))
 	conns := []ConnID{1, 2, 3, 4, 5}
 	for step := 0; step < 2000; step++ {
@@ -182,6 +225,11 @@ func TestAPLVFormsDifferential(t *testing.T) {
 		path := randomWalk(r, g, 4)
 		if len(path) == 0 {
 			continue
+		}
+		if step%101 == 0 {
+			checkSnapshot(t, other, &followers[0], fmt.Sprintf("step %d, moved to a second database", step))
+			checkSnapshot(t, small, &followers[0], fmt.Sprintf("step %d, moved to a database of another size", step))
+			checkSnapshot(t, pairs, &followers[0], fmt.Sprintf("step %d, moved back", step))
 		}
 		var errP, errD error
 		switch r.Intn(7) {
@@ -214,6 +262,20 @@ func TestAPLVFormsDifferential(t *testing.T) {
 		}
 		checkDerivedState(t, pairs, fmt.Sprintf("step %d, pair-list", step))
 		checkDerivedState(t, dense, fmt.Sprintf("step %d, dense", step))
+		for k, stride := range strides {
+			if step%stride != 0 {
+				continue
+			}
+			if f := &followers[k]; f.from == pairs {
+				if f.seq >= pairs.changedBase {
+					patched[k]++
+				}
+				if pairs.changedBase+uint64(len(pairs.changed))-f.seq > uint64(pairs.n) {
+					overrun[k]++
+				}
+			}
+			checkSnapshot(t, pairs, &followers[k], fmt.Sprintf("step %d (error %q), follower of stride %d", step, errString(errP), stride))
+		}
 		// Full-state comparison every few steps keeps runtime small while
 		// still localizing a divergence near the op that caused it.
 		if step%25 != 0 {
@@ -227,6 +289,10 @@ func TestAPLVFormsDifferential(t *testing.T) {
 	}
 	if pairs.BackupOps() != dense.BackupOps() {
 		t.Fatalf("backup op counts diverge: %d vs %d", pairs.BackupOps(), dense.BackupOps())
+	}
+	if patched[0] == 0 || patched[1] == 0 || overrun[0] != 0 || overrun[2] == 0 {
+		t.Fatalf("followers of strides %v: patched %v times, overrun by the log %v times; want the first two patched, the first never overrun, the last overrun",
+			strides, patched, overrun)
 	}
 }
 
@@ -257,17 +323,23 @@ func TestWholePathRollbackLeavesNoTrace(t *testing.T) {
 		other = 1
 	}
 	before := captureAll(db)
+	// follow is patched across each rollback: the links a refused path
+	// call reserved and released again are logged like any other.
+	var follow Snapshot
+	checkSnapshot(t, db, &follow, "before the refused calls")
 	// Primary reservation: second link is full.
 	err = db.ReservePrimaryPath(1, []graph.LinkID{other, full})
 	want := fmt.Sprintf("lsdb: link %d has 0 bandwidth, need 1", full)
 	if err == nil || err.Error() != want {
 		t.Fatalf("error = %v, want %q", err, want)
 	}
+	checkSnapshot(t, db, &follow, "after the refused reservation")
 	// Backup registration: same failure link (capacity - prime = 0).
 	err = db.RegisterBackupPath(1, []graph.LinkID{other, full}, []graph.LinkID{other})
 	if err == nil || err.Error() != want {
 		t.Fatalf("register error = %v, want %q", err, want)
 	}
+	checkSnapshot(t, db, &follow, "after the refused registration")
 	// Duplicate-link path: the dup check fires on the repeated link and
 	// rolls the first reservation back.
 	err = db.ReservePrimaryPath(1, []graph.LinkID{other, other})
@@ -275,6 +347,7 @@ func TestWholePathRollbackLeavesNoTrace(t *testing.T) {
 	if err == nil || err.Error() != wantDup {
 		t.Fatalf("dup error = %v, want %q", err, wantDup)
 	}
+	checkSnapshot(t, db, &follow, "after the duplicate-link reservation")
 	for l := range before {
 		if d := diffState(before[l], captureLink(db, graph.LinkID(l))); d != "" {
 			t.Fatalf("rollback left a trace on link %d: %s", l, d)
@@ -315,6 +388,24 @@ func TestConcurrentStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := make([]map[ConnID]*connTrack, workers)
+	// A reader keeps one snapshot patched while the workers write: the
+	// change log is read and cut under the same mutex as the records.
+	var (
+		follow     Snapshot
+		stopReader = make(chan struct{})
+		readerDone = make(chan struct{})
+	)
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stopReader:
+				return
+			default:
+				db.SnapshotInto(&follow)
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -397,6 +488,9 @@ func TestConcurrentStress(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(stopReader)
+	<-readerDone
+	checkSnapshot(t, db, &follow, "after the workers")
 
 	// Recompute the expected per-link state from the union of the
 	// workers' surviving connections (ID ranges are disjoint, so the

@@ -21,19 +21,24 @@ import (
 	"github.com/rtcl/drtp/internal/rng"
 )
 
-// metricFiller fills dst (resized as needed) with a scheme's per-link
+// metricFiller returns, for the selector to read, scheme s's per-link
 // conflict metric — its estimate of the backup conflicts created by
-// putting the backup on each link, given the primary's LSET — and returns
-// it. A nil return means the metric is identically zero.
-type metricFiller func(db *lsdb.DB, snap *lsdb.Snapshot, lset []graph.LinkID, dst []float64) []float64
+// putting the backup on each link, given the primary's LSET: a column of
+// the snapshot as it stands, or s.metric filled for this request. A nil
+// return means the metric is identically zero.
+type metricFiller func(s *LinkState, db *lsdb.DB, snap *lsdb.Snapshot, lset []graph.LinkID) []float64
 
 // LinkState is a link-state drtp.Scheme: lsr's route selection fed the
 // scheme's conflict metric. By default one backup is routed;
 // WithBackupCount enables the paper's "one or more backup channels".
+// Like the Network it routes on, a LinkState serves one request at a time.
 type LinkState struct {
 	name    string
 	fill    metricFiller
 	backups int
+	// metric is what a computed metric is written to: never the selector's
+	// Metric, which P-LSR leaves pointing at a read-only snapshot column.
+	metric []float64
 }
 
 var (
@@ -97,7 +102,7 @@ func (s *LinkState) RouteBackupsFor(net *drtp.Network, req drtp.Request, primary
 // until the connection has the scheme's backup count or no further route,
 // and returns the ones it added to existing.
 func (s *LinkState) topUp(db *lsdb.DB, sel *lsr.Selector, snap *lsdb.Snapshot, req drtp.Request, primary graph.Path, existing []graph.Path) []graph.Path {
-	sel.Metric = s.fill(db, snap, primary.Links(), sel.Metric)
+	sel.Metric = s.fill(s, db, snap, primary.Links())
 	have := slices.Clip(existing)
 	for len(have) < s.backups {
 		b := sel.NextBackup(primary, have, req.MaxHops)
@@ -115,19 +120,9 @@ func (s *LinkState) topUp(db *lsdb.DB, sel *lsr.Selector, snap *lsdb.Snapshot, r
 // of successful backup activation (paper eq. 1–3).
 func NewPLSR(opts ...Option) *LinkState { return newLinkState("P-LSR", normMetric, opts) }
 
-// normMetric widens the norms already in the snapshot to float64.
-//
-//drtplint:hotpath
-func normMetric(_ *lsdb.DB, snap *lsdb.Snapshot, _ []graph.LinkID, dst []float64) []float64 {
-	n := len(snap.Norm)
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	for i, v := range snap.Norm {
-		dst[i] = float64(v)
-	}
-	return dst
+// normMetric is the snapshot's norm column, read in place.
+func normMetric(_ *LinkState, _ *lsdb.DB, snap *lsdb.Snapshot, _ []graph.LinkID) []float64 {
+	return snap.Norm
 }
 
 // NewDLSR returns the deterministic link-state scheme: the conflict metric
@@ -138,8 +133,9 @@ func NewDLSR(opts ...Option) *LinkState { return newLinkState("D-LSR", conflictM
 // conflictMetric reads the conflict counts off the database's CV index.
 //
 //drtplint:hotpath
-func conflictMetric(db *lsdb.DB, _ *lsdb.Snapshot, lset []graph.LinkID, dst []float64) []float64 {
-	return db.ConflictCountsInto(lset, dst)
+func conflictMetric(s *LinkState, db *lsdb.DB, _ *lsdb.Snapshot, lset []graph.LinkID) []float64 {
+	s.metric = db.ConflictCountsInto(lset, s.metric)
+	return s.metric
 }
 
 // NewMinHopDisjoint returns the conflict-blind baseline scheme: the backup
@@ -149,7 +145,7 @@ func conflictMetric(db *lsdb.DB, _ *lsdb.Snapshot, lset []graph.LinkID, dst []fl
 func NewMinHopDisjoint(opts ...Option) *LinkState { return newLinkState("MinHop", noMetric, opts) }
 
 // noMetric is the identically-zero metric.
-func noMetric(*lsdb.DB, *lsdb.Snapshot, []graph.LinkID, []float64) []float64 { return nil }
+func noMetric(*LinkState, *lsdb.DB, *lsdb.Snapshot, []graph.LinkID) []float64 { return nil }
 
 // NoBackup establishes primary channels only. It is the baseline against
 // which the paper defines capacity overhead.

@@ -1,10 +1,12 @@
 package routing_test
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/rtcl/drtp/internal/drtp"
 	"github.com/rtcl/drtp/internal/graph"
+	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/routing"
 	"github.com/rtcl/drtp/internal/topology"
 )
@@ -136,6 +138,37 @@ func TestPLSRAvoidsLoadedLinks(t *testing.T) {
 		t.Fatalf("conn2 backup = %s, want the conflict-free 3-hop route",
 			c2.Backup().Format(net.Graph()))
 	}
+}
+
+// TestPLSRThenDLSROnOneNetwork routes one network by P-LSR, then D-LSR,
+// then P-LSR again. P-LSR reads its metric off the network's snapshot in
+// place and leaves the shared selector pointing at that column; D-LSR
+// computes its own, and must not do so into whatever the selector last
+// held — the snapshot is patched, not refilled, so a column D-LSR cleared
+// would stay cleared.
+func TestPLSRThenDLSROnOneNetwork(t *testing.T) {
+	net := theta(t)
+	plsr, dlsr := routing.NewPLSR(), routing.NewDLSR()
+	establish(t, drtp.NewManager(net, plsr), 1, 0, 1) // backup via 2: ‖APLV‖₁ = 1 on 0->2 and 2->1
+	wantDetour := func(when string) {
+		t.Helper()
+		route, err := plsr.Route(net, drtp.Request{ID: 2, Src: 0, Dst: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if backupOf(route).Hops() != 3 {
+			t.Fatalf("%s: P-LSR backup = %s, want the 3-hop route around the loaded links", when, backupOf(route).Format(net.Graph()))
+		}
+	}
+	wantDetour("before D-LSR")
+	// A primary on 0->2 conflicts with nothing: D-LSR's metric is all zero.
+	if _, err := dlsr.Route(net, drtp.Request{ID: 3, Src: 0, Dst: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := net.Snapshot(), net.DB().SnapshotInto(new(lsdb.Snapshot)); !reflect.DeepEqual(got.Norm, want.Norm) {
+		t.Fatalf("after D-LSR the network's snapshot has Norm %v, a fresh fill %v", got.Norm, want.Norm)
+	}
+	wantDetour("after D-LSR")
 }
 
 // TestMinHopDisjointIgnoresConflicts shows the conflict-blind baseline
