@@ -94,7 +94,9 @@ func contains(nodes []graph.NodeID, n graph.NodeID) bool {
 func TestEstablishAndReleaseViaCoordinator(t *testing.T) {
 	ring := telemetry.NewRing(1 << 12)
 	g := trident(t)
-	d := deploy(t, deployConfig(g, ring), transport.NewMem())
+	cfg := deployConfig(g, ring)
+	cfg.Metrics = telemetry.NewRegistry()
+	d := deploy(t, cfg, transport.NewMem())
 
 	reply, err := d.Node(0).Agent.Request(1, 1)
 	if err != nil {
@@ -150,6 +152,18 @@ func TestEstablishAndReleaseViaCoordinator(t *testing.T) {
 	}
 	if ring.Count(telemetry.EvNodeJoin) < 5 {
 		t.Fatalf("node-join events = %d, want >= 5", ring.Count(telemetry.EvNodeJoin))
+	}
+	// Deploy hands the registry to the coordinator too: the one admitted
+	// request went through every setup stage once (the duplicate replays
+	// the recorded routes without entering the pipeline). total is
+	// observed after the reply is sent.
+	stages := cfg.Metrics.LatencyVec("drtp_cp_stage_seconds", "", "stage")
+	for _, stage := range []string{"admission", "route_query", "establish", "total"} {
+		h := stages.With(stage)
+		waitFor(t, "stage "+stage+" observed", func() bool { return h.Count() >= 1 })
+		if n := h.Count(); n != 1 {
+			t.Fatalf("drtp_cp_stage_seconds{stage=%q} count = %d, want 1", stage, n)
+		}
 	}
 }
 

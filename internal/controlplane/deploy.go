@@ -44,7 +44,8 @@ type DeployConfig struct {
 	// node by Deploy.
 	Router router.Config
 	// Logger and Telemetry are shared by every component; Metrics is
-	// passed to the routers.
+	// passed to the routers and the coordinator (its per-stage setup
+	// latency, drtp_cp_stage_seconds), as cmd/drtpnode wires them.
 	Logger    *slog.Logger
 	Telemetry *telemetry.Tracer
 	Metrics   *telemetry.Registry
@@ -104,7 +105,7 @@ func Deploy(cfg DeployConfig, at Attacher) (*Deployment, error) {
 		HeartbeatInterval: cfg.HeartbeatInterval, HeartbeatMiss: cfg.HeartbeatMiss,
 		RPCTimeout: cfg.RPCTimeout, RetryLimit: cfg.RetryLimit,
 		Quotas: cfg.Quotas, DefaultQuota: cfg.DefaultQuota,
-		Logger: cfg.Logger, Telemetry: cfg.Telemetry,
+		Logger: cfg.Logger, Telemetry: cfg.Telemetry, Metrics: cfg.Metrics,
 	}, coordEP)
 	if err != nil {
 		_ = coordEP.Close()

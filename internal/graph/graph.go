@@ -55,8 +55,6 @@ type Graph struct {
 	reverse []LinkID
 	// edges[e] lists the two links of edge e: [forward, backward].
 	edges [][2]LinkID
-	// edgeIndex maps an ordered node pair to the connecting link, if any.
-	edgeIndex map[[2]NodeID]LinkID
 }
 
 // New creates a graph with n nodes and no edges.
@@ -65,10 +63,9 @@ func New(n int) *Graph {
 		n = 0
 	}
 	return &Graph{
-		nodes:     n,
-		out:       make([][]LinkID, n),
-		in:        make([][]LinkID, n),
-		edgeIndex: make(map[[2]NodeID]LinkID),
+		nodes: n,
+		out:   make([][]LinkID, n),
+		in:    make([][]LinkID, n),
 	}
 }
 
@@ -103,7 +100,7 @@ func (g *Graph) AddEdge(u, v NodeID) (EdgeID, error) {
 	if u == v {
 		return InvalidEdge, fmt.Errorf("graph: self-loop on node %d", u)
 	}
-	if _, ok := g.edgeIndex[[2]NodeID{u, v}]; ok {
+	if _, ok := g.LinkBetween(u, v); ok {
 		return InvalidEdge, fmt.Errorf("graph: duplicate edge %d-%d", u, v)
 	}
 
@@ -120,7 +117,6 @@ func (g *Graph) addLink(edge EdgeID, from, to NodeID) LinkID {
 	g.links = append(g.links, Link{ID: id, Edge: edge, From: from, To: to})
 	g.out[from] = append(g.out[from], id)
 	g.in[to] = append(g.in[to], id)
-	g.edgeIndex[[2]NodeID{from, to}] = id
 	return id
 }
 
@@ -140,10 +136,20 @@ func (g *Graph) EdgeLinks(e EdgeID) (LinkID, LinkID) {
 	return pair[0], pair[1]
 }
 
-// LinkBetween returns the link from u to v, if one exists.
+// LinkBetween returns the link from u to v, if one exists. It scans u's
+// out-links, a handful on the topologies the schemes run on. Node IDs off
+// the wire reach it unchecked (commanded routes), so any u or v outside
+// the graph reports no link.
 func (g *Graph) LinkBetween(u, v NodeID) (LinkID, bool) {
-	id, ok := g.edgeIndex[[2]NodeID{u, v}]
-	return id, ok
+	if u < 0 || int(u) >= g.nodes {
+		return InvalidLink, false
+	}
+	for _, l := range g.out[u] {
+		if g.links[l].To == v {
+			return l, true
+		}
+	}
+	return InvalidLink, false
 }
 
 // Out returns the IDs of links leaving node n. The returned slice must not

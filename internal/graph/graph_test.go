@@ -108,6 +108,12 @@ func TestLinkBetween(t *testing.T) {
 	if _, ok := g.LinkBetween(0, 3); ok {
 		t.Fatal("LinkBetween(0,3) should not exist")
 	}
+	// Commanded routes hand it node IDs straight off the wire.
+	for _, p := range [][2]NodeID{{-1, 0}, {4, 0}, {1 << 40, 1}, {0, -1}, {0, 4}, {InvalidNode, InvalidNode}} {
+		if l, ok := g.LinkBetween(p[0], p[1]); ok || l != InvalidLink {
+			t.Fatalf("LinkBetween(%d,%d) = %d, %v for a node outside the graph", p[0], p[1], l, ok)
+		}
+	}
 }
 
 func TestOutInNeighbors(t *testing.T) {

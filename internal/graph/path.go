@@ -139,20 +139,13 @@ func (p Path) OverlapsAny(others []Path) bool {
 
 // SharedEdges returns the number of physical edges the path shares with
 // other, counting each edge once even if both directions appear.
+// Routes are tens of links long, so the edges are compared by scan.
 func (p Path) SharedEdges(g *Graph, other Path) int {
-	edges := make(map[EdgeID]struct{}, len(other.links))
-	for _, l := range other.links {
-		edges[g.Link(l).Edge] = struct{}{}
-	}
-	seen := make(map[EdgeID]struct{}, len(p.links))
 	shared := 0
-	for _, l := range p.links {
+	for i, l := range p.links {
 		e := g.Link(l).Edge
-		if _, dup := seen[e]; dup {
-			continue
-		}
-		seen[e] = struct{}{}
-		if _, ok := edges[e]; ok {
+		earlier := Path{links: p.links[:i]}
+		if !earlier.ContainsEdge(g, e) && other.ContainsEdge(g, e) {
 			shared++
 		}
 	}

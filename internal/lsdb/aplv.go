@@ -1,12 +1,21 @@
 package lsdb
 
+import "slices"
+
 // This file holds the APLV counter storage. APLV_l is populated only at
 // indices of links whose primaries have backups through l, so a dense
 // []int32 per link is O(links²) memory that is overwhelmingly zero on a
 // large network. Each link therefore starts as a sorted pair list of its
-// nonzero entries and is up-converted, one way, to the dense array once
-// the list passes aplvDenseAt entries. The choice is made per link from
-// what the code observes; no caller selects it.
+// nonzero entries, packed one uint64 per entry — the link ID j in the high
+// word, its counter in the low word, so ordering the words orders the IDs
+// and a row is one allocation and one run of cache lines — and is
+// up-converted, one way, to the dense array once the list passes
+// aplvDenseAt entries. The choice is made per link from what the code
+// observes; no caller selects it. The pair list follows the load both
+// ways: an entry whose counter returns to zero is removed, and a removal
+// that leaves the list at a quarter of its capacity halves the capacity,
+// down to the room one request needs (shrink, lsdb.go), so a row holds
+// what the link carries now, not its high-water mark.
 //
 // Both forms earn their place (bench/run.sh, 15 s, five alternating pairs
 // against a build that never up-converts):
@@ -35,22 +44,25 @@ func aplvDenseThreshold(n int) int {
 
 // aplvCounters holds one link's APLV. Exactly one form is active: dense
 // (dense != nil) indexes counters by link ID; sparse keeps the nonzero
-// entries as parallel sorted slices with idx[k] the link ID and val[k]
-// its counter. Iteration over the sparse form follows ascending idx, so
+// entries in pairs, ascending, each packed as j<<32 | count (pairLink,
+// pairCount). Iteration over the sparse form follows ascending j, so
 // every derived artifact (CV bytes, maxima) is deterministic.
 type aplvCounters struct {
 	dense []int32
-	idx   []int32
-	val   []int32
+	pairs []uint64
 }
+
+// pairLink and pairCount unpack a pair-list entry.
+func pairLink(e uint64) int  { return int(e >> 32) }
+func pairCount(e uint64) int { return int(uint32(e)) }
 
 // at returns the counter for link j.
 func (c *aplvCounters) at(j int) int32 {
 	if c.dense != nil {
 		return c.dense[j]
 	}
-	if k, ok := searchI32(c.idx, int32(j)); ok {
-		return c.val[k]
+	if k, ok := searchPairs(c.pairs, j); ok {
+		return int32(pairCount(c.pairs[k]))
 	}
 	return 0
 }
@@ -63,18 +75,13 @@ func (c *aplvCounters) inc(j, denseAt, n int) int32 {
 		c.dense[j]++
 		return c.dense[j]
 	}
-	k, ok := searchI32(c.idx, int32(j))
+	k, ok := searchPairs(c.pairs, j)
 	if ok {
-		c.val[k]++
-		return c.val[k]
+		c.pairs[k]++
+		return int32(pairCount(c.pairs[k]))
 	}
-	c.idx = append(c.idx, 0)
-	copy(c.idx[k+1:], c.idx[k:])
-	c.idx[k] = int32(j)
-	c.val = append(c.val, 0)
-	copy(c.val[k+1:], c.val[k:])
-	c.val[k] = 1
-	if denseAt >= 0 && len(c.idx) > denseAt {
+	c.pairs = slices.Insert(c.pairs, k, uint64(j)<<32|1)
+	if denseAt >= 0 && len(c.pairs) > denseAt {
 		c.toDense(n)
 	}
 	return 1
@@ -88,60 +95,46 @@ func (c *aplvCounters) dec(j int) int32 {
 		c.dense[j]--
 		return c.dense[j]
 	}
-	k, _ := searchI32(c.idx, int32(j))
-	c.val[k]--
-	if v := c.val[k]; v != 0 {
-		return v
+	k, _ := searchPairs(c.pairs, j)
+	c.pairs[k]--
+	if v := pairCount(c.pairs[k]); v != 0 {
+		return int32(v)
 	}
-	copy(c.idx[k:], c.idx[k+1:])
-	c.idx = c.idx[:len(c.idx)-1]
-	copy(c.val[k:], c.val[k+1:])
-	c.val = c.val[:len(c.val)-1]
+	c.pairs = shrink(slices.Delete(c.pairs, k, k+1), keepRoute)
 	return 0
 }
 
 // maxVal returns max_j APLV[j]. The sparse form scans only the nonzero
 // entries: O(backups actually conflicting) rather than O(links).
 func (c *aplvCounters) maxVal() int {
-	m := int32(0)
+	m := 0
 	if c.dense != nil {
 		for _, v := range c.dense {
-			if v > m {
-				m = v
-			}
+			m = max(m, int(v))
 		}
-		return int(m)
+		return m
 	}
-	for _, v := range c.val {
-		if v > m {
-			m = v
-		}
+	for _, e := range c.pairs {
+		m = max(m, pairCount(e))
 	}
-	return int(m)
+	return m
 }
 
 // toDense converts the counters to the dense form in place (one-way).
 func (c *aplvCounters) toDense(n int) {
 	d := make([]int32, n)
-	for k, j := range c.idx {
-		d[j] = c.val[k]
+	for _, e := range c.pairs {
+		d[pairLink(e)] = int32(pairCount(e))
 	}
 	c.dense = d
-	c.idx = nil
-	c.val = nil
+	c.pairs = nil
 }
 
-// searchI32 returns the position of v in the sorted slice a, or the
-// insertion point with found=false.
-func searchI32(a []int32, v int32) (int, bool) {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(a) && a[lo] == v
+// searchPairs returns the position of link j's entry in the sorted pair
+// list a, or the insertion point with found=false. Every entry of link j
+// is at least j<<32 and every entry of a smaller link below it, so the
+// search runs on whole words.
+func searchPairs(a []uint64, j int) (int, bool) {
+	k, _ := slices.BinarySearch(a, uint64(j)<<32)
+	return k, k < len(a) && pairLink(a[k]) == j
 }

@@ -103,6 +103,15 @@ func (o *aplvOracle) checkLink(t *testing.T, db *DB, l graph.LinkID, step int) {
 		t.Fatalf("step %d: link %d dense = %v, oracle %v (%d entries, threshold %d)",
 			step, l, got, o.dense[l], len(o.counts[l]), o.denseAt)
 	}
+	ids := db.BackupsOn(l)
+	if len(ids) != len(o.lsets[l]) {
+		t.Fatalf("step %d: BackupsOn(%d) = %v, oracle holds %d registrations", step, l, ids, len(o.lsets[l]))
+	}
+	for _, id := range ids {
+		if got, want := storedLSETs(db, id)[l], o.lsets[l][id]; !slices.Equal(got, want) {
+			t.Fatalf("step %d: link %d stores LSET %v for connection %d, oracle %v", step, l, got, id, want)
+		}
+	}
 }
 
 // checkAggregates compares the whole-database reads with the oracle.

@@ -33,9 +33,9 @@
 package lsdb
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"github.com/rtcl/drtp/internal/bitvec"
@@ -90,9 +90,11 @@ type linkState struct {
 	aplv     aplvCounters
 	norm     int // ‖APLV‖₁, maintained incrementally
 	maxElem  int // max_j APLV[j], maintained incrementally
-	// backups maps each backup channel registered on this link to the
-	// LSET of its primary (carried in backup-register packets).
-	backups map[ConnID][]graph.LinkID
+	// backups is the backup registry: every backup channel registered on
+	// this link with the LSET of its primary (carried in backup-register
+	// packets), connection IDs ascending. IDs grow with time, so a
+	// registration mostly appends; lookups are a binary search.
+	backups []backupReg
 	// primaries lists the DR-connections with a primary channel on this
 	// link, in no particular order. A link holds at most capacity/unitBW of
 	// them, so membership is a short scan.
@@ -102,7 +104,24 @@ type linkState struct {
 	// particular order (only counts are read from it). It is maintained
 	// where a counter crosses zero — attachBackupLocked and
 	// detachBackupLocked — so every transition keeps it.
+	//
+	// backups, the APLV pair list, primaries and post all give capacity
+	// back as they empty (shrink): a link holds what it carries now.
 	post []int32
+}
+
+// backupReg is one entry of a link's backup registry.
+type backupReg struct {
+	id   ConnID
+	lset []graph.LinkID // shared by every link of the backup's path
+}
+
+// findBackup returns the position of id in the link's backup registry, or
+// the position it would be inserted at, and whether it is registered.
+func (s *linkState) findBackup(id ConnID) (int, bool) {
+	return slices.BinarySearchFunc(s.backups, id, func(b backupReg, id ConnID) int {
+		return cmp.Compare(b.id, id)
+	})
 }
 
 // DB is the aggregate link-state database over all links of a network. In
@@ -166,10 +185,7 @@ func NewWithMode(g *graph.Graph, capacity, unitBW int, mode Mode) (*DB, error) {
 	db := &DB{g: g, unitBW: unitBW, mode: mode, n: n, aplvDenseAt: aplvDenseThreshold(n)}
 	db.links = make([]linkState, n)
 	for i := range db.links {
-		db.links[i] = linkState{
-			capacity: capacity,
-			backups:  make(map[ConnID][]graph.LinkID),
-		}
+		db.links[i].capacity = capacity
 	}
 	return db, nil
 }
@@ -277,7 +293,7 @@ func (db *DB) releasePrimaryLocked(id ConnID, l graph.LinkID) error {
 	if k < 0 {
 		return fmt.Errorf("lsdb: connection %d has no primary on link %d", id, l)
 	}
-	s.primaries = swapRemove(s.primaries, k)
+	s.primaries = shrink(swapRemove(s.primaries, k), keepOne)
 	s.prime -= db.unitBW
 	db.totalPrime -= db.unitBW
 	db.touchLocked(l)
@@ -315,7 +331,7 @@ func (db *DB) registerBackupLocked(id ConnID, l graph.LinkID, lset []graph.LinkI
 			return &ErrInsufficientBandwidth{Link: l, Need: db.unitBW, Have: free}
 		}
 	}
-	if _, dup := s.backups[id]; dup {
+	if _, dup := s.findBackup(id); dup {
 		return fmt.Errorf("lsdb: connection %d already has a backup on link %d", id, l)
 	}
 	for _, pl := range lset {
@@ -334,8 +350,10 @@ func (db *DB) registerBackupLocked(id ConnID, l graph.LinkID, lset []graph.LinkI
 func (db *DB) attachBackupLocked(id ConnID, l graph.LinkID, lset []graph.LinkID) {
 	db.backupOps++
 	s := &db.links[l]
-	//drtplint:ignore cvclone lset is already the registry's own copy: the exported callers clone before the lock, rollback re-attaches what the registry held
-	s.backups[id] = lset
+	// lset is already the registry's own copy: the exported callers clone
+	// before the lock, rollback re-attaches what the registry held.
+	k, _ := s.findBackup(id)
+	s.backups = slices.Insert(s.backups, k, backupReg{id: id, lset: lset})
 	for _, pl := range lset {
 		v := int(s.aplv.inc(int(pl), db.aplvDenseAt, db.n))
 		if v == 1 {
@@ -371,15 +389,40 @@ func swapRemove[T any](s []T, k int) []T {
 	return s[:last]
 }
 
-// detachBackupLocked reverses attachBackupLocked for a registration known
-// to be present on link l — l leaves the posting list of every primary
-// link whose counter returns to zero — recomputing the APLV maximum only
-// when a counter at the maximum decreased; it counts one backup op. The
-// caller must hold db.mu and passes lset, the LSET it found registered.
-func (db *DB) detachBackupLocked(id ConnID, l graph.LinkID, lset []graph.LinkID) {
+// shrink hands back the capacity a removal left idle: a slice at a
+// quarter of its capacity or less moves to one of half that capacity.
+// Growth doubles (a quarter for postings) and shrinking halves, so a slice
+// just resized must gain or lose a quarter of its capacity before it is
+// copied again — amortised O(1) per entry. Capacity up to keep is never
+// handed back.
+func shrink[T any](s []T, keep int) []T {
+	if c := cap(s); c <= keep || 4*len(s) > c {
+		return s
+	}
+	return append(make([]T, 0, max(cap(s)/2, keep)), s...)
+}
+
+// keepOne and keepRoute are the capacities shrink leaves a row: the room
+// one request needs on it, so a register/release pair on a lightly loaded
+// link allocates nothing. A request adds one entry to a link's registry
+// or primaries, but up to a route's links to a pair list (its LSET) or a
+// posting list (its backup path) — and the quarter rule leaves a row of L
+// entries only 2L of room.
+const (
+	keepOne   = 3
+	keepRoute = 16
+)
+
+// detachBackupLocked reverses attachBackupLocked for the registration at
+// position k of link l's registry — l leaves the posting list of every
+// primary link whose counter returns to zero — recomputing the APLV
+// maximum only when a counter at the maximum decreased; it counts one
+// backup op. The caller must hold db.mu.
+func (db *DB) detachBackupLocked(l graph.LinkID, k int) {
 	db.backupOps++
 	s := &db.links[l]
-	delete(s.backups, id)
+	lset := s.backups[k].lset
+	s.backups = shrink(slices.Delete(s.backups, k, k+1), keepOne)
 	recompute := false
 	for _, pl := range lset {
 		v := int(s.aplv.dec(int(pl)))
@@ -388,7 +431,7 @@ func (db *DB) detachBackupLocked(id ConnID, l graph.LinkID, lset []graph.LinkID)
 		}
 		if v == 0 {
 			p := &db.links[pl]
-			p.post = swapRemove(p.post, slices.Index(p.post, int32(l)))
+			p.post = shrink(swapRemove(p.post, slices.Index(p.post, int32(l))), keepRoute)
 		}
 		s.norm--
 	}
@@ -411,11 +454,11 @@ func (db *DB) ReleaseBackup(id ConnID, l graph.LinkID) error {
 // releaseBackupLocked is the release-backup transition; the caller must
 // hold db.mu.
 func (db *DB) releaseBackupLocked(id ConnID, l graph.LinkID) error {
-	lset, ok := db.links[l].backups[id]
+	k, ok := db.links[l].findBackup(id)
 	if !ok {
 		return fmt.Errorf("lsdb: connection %d has no backup on link %d", id, l)
 	}
-	db.detachBackupLocked(id, l, lset)
+	db.detachBackupLocked(l, k)
 	return nil
 }
 
@@ -445,7 +488,7 @@ type promotion struct {
 // db.mu.
 func (db *DB) promoteBackupLocked(id ConnID, l graph.LinkID) (promotion, error) {
 	s := &db.links[l]
-	lset, ok := s.backups[id]
+	k, ok := s.findBackup(id)
 	if !ok {
 		return promotion{}, fmt.Errorf("lsdb: connection %d has no backup on link %d", id, l)
 	}
@@ -460,7 +503,8 @@ func (db *DB) promoteBackupLocked(id ConnID, l graph.LinkID) (promotion, error) 
 		db.totalPrime += db.unitBW
 		s.primaries = append(s.primaries, id)
 	}
-	db.detachBackupLocked(id, l, lset)
+	lset := s.backups[k].lset
+	db.detachBackupLocked(l, k)
 	return promotion{link: l, lset: lset, converted: !shared}, nil
 }
 
@@ -510,8 +554,8 @@ func (db *DB) APLV(l graph.LinkID) []int {
 		}
 		return out
 	}
-	for k, j := range a.idx {
-		out[j] = int(a.val[k])
+	for _, e := range a.pairs {
+		out[pairLink(e)] = pairCount(e)
 	}
 	return out
 }
@@ -566,16 +610,16 @@ func (db *DB) HasDeficit(l graph.LinkID) bool {
 	return db.links[l].maxElem > db.scLocked(l)
 }
 
-// BackupsOn returns the connection IDs with backups registered on link l.
+// BackupsOn returns the connection IDs with backups registered on link
+// l, ascending.
 func (db *DB) BackupsOn(l graph.LinkID) []ConnID {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	s := &db.links[l]
-	out := make([]ConnID, 0, len(s.backups))
-	for id := range s.backups {
-		out = append(out, id)
+	out := make([]ConnID, len(s.backups))
+	for k, b := range s.backups {
+		out[k] = b.id
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -613,7 +657,7 @@ func (db *DB) HasPrimary(id ConnID, l graph.LinkID) bool {
 func (db *DB) HasBackup(id ConnID, l graph.LinkID) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	_, ok := db.links[l].backups[id]
+	_, ok := db.links[l].findBackup(id)
 	return ok
 }
 
@@ -660,6 +704,6 @@ func (db *DB) APLVBytes() int64 {
 		if s.aplv.dense != nil {
 			return 4 * len(s.aplv.dense)
 		}
-		return 8 * len(s.aplv.idx)
+		return 8 * len(s.aplv.pairs)
 	}))
 }

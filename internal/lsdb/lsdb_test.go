@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -234,6 +235,63 @@ func TestReleaseBackupRestoresState(t *testing.T) {
 	}
 }
 
+// TestCapacityFollowsLoad: a link keeps what it carries now, not its
+// high-water mark. Link b carries 64 backups with overlapping LSETs (its
+// registry and APLV pair list grow) and is the primary link of 64 backups
+// elsewhere (its posting list grows); once all are released its registry,
+// pair list and posting list are back under the capacity shrink keeps,
+// and loading again reaches the same state.
+func TestCapacityFollowsLoad(t *testing.T) {
+	g, err := topology.Grid(10, 10) // 360 links: pair lists stay sparse to 90 entries
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := New(g, 1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k, b = 64, graph.LinkID(300)
+	load := func(release bool) {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			window := make([]graph.LinkID, 8)
+			for j := range window {
+				window[j] = graph.LinkID(i + j)
+			}
+			var err1, err2 error
+			if release {
+				err1 = db.ReleaseBackup(ConnID(i+1), b)
+				err2 = db.ReleaseBackup(ConnID(k+i+1), graph.LinkID(100+i))
+			} else {
+				err1 = db.RegisterBackup(ConnID(i+1), b, window)
+				err2 = db.RegisterBackup(ConnID(k+i+1), graph.LinkID(100+i), []graph.LinkID{b})
+			}
+			if err := errors.Join(err1, err2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	caps := func() [3]int {
+		s := &db.links[b]
+		return [3]int{cap(s.backups), cap(s.aplv.pairs), cap(s.post)}
+	}
+	load(false)
+	loaded := caps()
+	if s := &db.links[b]; len(s.backups) != k || len(s.aplv.pairs) != k+7 || len(s.post) != k {
+		t.Fatalf("loaded link holds %d backups, %d APLV entries, %d postings; want %d, %d, %d",
+			len(s.backups), len(s.aplv.pairs), len(s.post), k, k+7, k)
+	}
+	load(true)
+	if released := caps(); slices.Max(released[:]) > keepRoute {
+		t.Errorf("released link keeps capacity %v (registry, pair list, postings), loaded %v; want each at most %d", released, loaded, keepRoute)
+	}
+	load(false)
+	checkDerivedState(t, db, "reloaded")
+	if got := db.BackupsOn(b); len(got) != k {
+		t.Fatalf("reloaded link lists %d backups, want %d", len(got), k)
+	}
+}
+
 func TestRegisterBackupCopiesLSET(t *testing.T) {
 	db := newTestDB(t, 10)
 	l := graph.LinkID(5)
@@ -400,14 +458,14 @@ func TestTotals(t *testing.T) {
 func TestBackupsOn(t *testing.T) {
 	db := newTestDB(t, 10)
 	l := graph.LinkID(5)
-	for id := ConnID(1); id <= 3; id++ {
+	// Registered out of ID order, listed in it.
+	for _, id := range []ConnID{3, 1, 2} {
 		if err := db.RegisterBackup(id, l, lset(int(id))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := db.BackupsOn(l)
-	if len(got) != 3 {
-		t.Fatalf("BackupsOn = %v", got)
+	if got := db.BackupsOn(l); !slices.Equal(got, []ConnID{1, 2, 3}) {
+		t.Fatalf("BackupsOn = %v, want [1 2 3]", got)
 	}
 }
 

@@ -167,8 +167,9 @@ func storedLSETs(db *DB, id ConnID) [][]graph.LinkID {
 	defer db.mu.Unlock()
 	out := make([][]graph.LinkID, len(db.links))
 	for l := range db.links {
-		if set, ok := db.links[l].backups[id]; ok {
-			out[l] = append([]graph.LinkID{}, set...)
+		s := &db.links[l]
+		if k, ok := s.findBackup(id); ok {
+			out[l] = append([]graph.LinkID{}, s.backups[k].lset...)
 		}
 	}
 	return out

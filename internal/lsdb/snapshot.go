@@ -153,7 +153,8 @@ func (db *DB) AppendCV(l graph.LinkID, dst []byte) []byte {
 		}
 		return dst
 	}
-	for _, j := range a.idx {
+	for _, e := range a.pairs {
+		j := pairLink(e)
 		out[j/8] |= 1 << uint(j%8)
 	}
 	return dst

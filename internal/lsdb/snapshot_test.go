@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -330,4 +331,155 @@ func benchSnapshotInto(b *testing.B, g *graph.Graph, full bool) {
 	}
 	b.ReportMetric(float64(spent.Nanoseconds())/float64(b.N), "ns/op")
 	b.ReportMetric(float64(rewritten)/float64(b.N), "rewritten/op")
+}
+
+// backupRoute is one connection's backup path and the LSET it carries.
+type backupRoute struct{ backup, lset []graph.LinkID }
+
+// steadyStateDB returns a database on g loaded the way scale_2k's D-LSR
+// cell stands at steady state — about 1.8 backups and 15 APLV entries per
+// link — with connections 1..len(load) registered: each a 9-hop backup,
+// the shortest route avoiding a minimum-hop primary between random end
+// points, carrying that primary's first 9 links as its LSET. more holds
+// extra routes drawn the same way, for IDs above the load (arrivals').
+func steadyStateDB(tb testing.TB, g *graph.Graph, extra int) (db *DB, load, more []backupRoute) {
+	tb.Helper()
+	db, err := New(g, 40, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const hops = 9
+	r := rand.New(rand.NewSource(5))
+	var scratch graph.Scratch
+	routes := make([]backupRoute, 0, g.NumLinks()/5+extra)
+	for len(routes) < cap(routes) {
+		src, dst := graph.NodeID(r.Intn(g.NumNodes())), graph.NodeID(r.Intn(g.NumNodes()))
+		primary, ok := scratch.MinHopPath(g, src, dst, func(graph.LinkID) bool { return true })
+		if !ok || primary.Hops() < hops {
+			continue
+		}
+		backup, ok := scratch.MinHopPath(g, src, dst, func(l graph.LinkID) bool { return !primary.Contains(l) })
+		if !ok || backup.Hops() < hops {
+			continue
+		}
+		routes = append(routes, backupRoute{backup: backup.Links()[:hops], lset: primary.Links()[:hops]})
+	}
+	load, more = routes[:g.NumLinks()/5], routes[g.NumLinks()/5:]
+	if err := loadBackups(db, load, false); err != nil {
+		tb.Fatal(err)
+	}
+	return db, load, more
+}
+
+// loadBackups registers (or, with unload, releases) route i of load as
+// connection i+1.
+func loadBackups(db *DB, load []backupRoute, unload bool) error {
+	for i, c := range load {
+		var err error
+		if unload {
+			err = db.ReleaseBackupPath(ConnID(i+1), c.backup)
+		} else {
+			err = db.RegisterBackupPath(ConnID(i+1), c.backup, c.lset)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestBackupPathAllocs is the allocation budget of the per-request backup
+// bookkeeping: on a database at steady state, a warmed RegisterBackupPath
+// + ReleaseBackupPath pair allocates at most one object, the LSET clone
+// the registration keeps — the registries, pair lists and posting lists
+// it touches grow and give capacity back without allocating once they
+// have carried the request.
+func TestBackupPathAllocs(t *testing.T) {
+	g, err := topology.Waxman(topology.WaxmanConfig{Nodes: 300, AvgDegree: 3, MinDegree: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, load, more := steadyStateDB(t, g, 16)
+	for i, c := range more {
+		id := ConnID(len(load) + 1 + i)
+		pair := func() {
+			if err := db.RegisterBackupPath(id, c.backup, c.lset); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.ReleaseBackupPath(id, c.backup); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pair() // warm
+		if avg := testing.AllocsPerRun(50, pair); avg > 1 {
+			t.Errorf("route %d: a register + release pair allocates %.1f objects, want at most 1 (the LSET clone)", i, avg)
+		}
+	}
+	checkDerivedState(t, db, "after the pairs")
+}
+
+// BenchmarkBackupPath times the backup bookkeeping a request pays beside
+// its route search — RegisterBackupPath of a 9-hop backup carrying a
+// 9-link LSET, then ReleaseBackupPath — on a database loaded to scale_2k's
+// steady state (6000 links) and to the same load per link at the 10k-node
+// experiment's size (30000 links). Beside BenchmarkSnapshotInto it is the
+// lsdb layer's home. Besides ns/op and allocs/op it reports the load
+// (backups/link, and entries/link of the APLV pair lists) and the heap a
+// second database holds per registered backup-link after it is loaded,
+// unloaded and loaded again (B/backup-link, LSET clones included): what
+// the bookkeeping costs in memory once the load has moved.
+func BenchmarkBackupPath(b *testing.B) {
+	for _, nodes := range []int{2000, 10000} {
+		g, err := topology.Waxman(topology.WaxmanConfig{Nodes: nodes, AvgDegree: 3, MinDegree: 2, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(strconv.Itoa(g.NumLinks()), func(b *testing.B) { benchBackupPath(b, g) })
+	}
+}
+
+func benchBackupPath(b *testing.B, g *graph.Graph) {
+	db, load, more := steadyStateDB(b, g, 64)
+	backupLinks, entries := 0, 0
+	for _, c := range load {
+		backupLinks += len(c.backup)
+	}
+	for l := range db.links {
+		entries += len(db.links[l].aplv.pairs)
+	}
+
+	other, err := New(g, 40, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	empty := ms.HeapAlloc
+	for _, unload := range []bool{false, true, false} {
+		if err := loadBackups(other, load, unload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	held := float64(ms.HeapAlloc) - float64(empty)
+	runtime.KeepAlive(other)
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(more)
+		id := ConnID(len(load) + 1 + k)
+		if err := db.RegisterBackupPath(id, more[k].backup, more[k].lset); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.ReleaseBackupPath(id, more[k].backup); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(backupLinks)/float64(db.n), "backups/link")
+	b.ReportMetric(float64(entries)/float64(db.n), "entries/link")
+	b.ReportMetric(held/float64(backupLinks), "B/backup-link")
 }

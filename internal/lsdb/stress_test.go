@@ -76,12 +76,15 @@ func diffState(a, b observableState) string {
 }
 
 // checkDerivedState recomputes what the database keeps up to date beside
-// the APLVs and fails on any drift: for every primary link j the posting
-// list post[j] must hold exactly the links l with APLV_l[j] > 0, each
-// once; every link's primaries list — what failure evaluation reads in
-// place of a scan over the connections — must hold each ID once and
-// account for the link's primary bandwidth; and the running load totals
-// must equal the per-link sums.
+// the APLVs and fails on any drift: every link's backup registry must list
+// its connections in strictly increasing ID order, and the LSETs it stores
+// must be the ones the link's counters were folded from — APLV, ‖APLV‖₁
+// and max recomputed from them equal the counters; for every primary link
+// j the posting list post[j] must hold exactly the links l with
+// APLV_l[j] > 0, each once; every link's primaries list — what failure
+// evaluation reads in place of a scan over the connections — must hold
+// each ID once and account for the link's primary bandwidth; and the
+// running load totals must equal the per-link sums.
 func checkDerivedState(t *testing.T, db *DB, when string) {
 	t.Helper()
 	db.mu.Lock()
@@ -93,6 +96,11 @@ func checkDerivedState(t *testing.T, db *DB, when string) {
 		s := &db.links[j]
 		prime += s.prime
 		spare += s.spare
+		for k := 1; k < len(s.backups); k++ {
+			if s.backups[k-1].id >= s.backups[k].id {
+				t.Fatalf("%s: link %d registry lists connection %d before %d", when, j, s.backups[k-1].id, s.backups[k].id)
+			}
+		}
 		for k, id := range s.primaries {
 			if slices.Contains(s.primaries[:k], id) {
 				t.Fatalf("%s: primaries[%d] = %v lists connection %d twice", when, j, s.primaries, id)
@@ -108,9 +116,26 @@ func checkDerivedState(t *testing.T, db *DB, when string) {
 			posted[j*n+int(l)] = true
 		}
 	}
+	folded := make([]int32, n)
 	for l := range db.links {
+		s := &db.links[l]
+		clear(folded)
+		norm := 0
+		for _, b := range s.backups {
+			for _, pl := range b.lset {
+				folded[pl]++
+				norm++
+			}
+		}
+		if maxElem := int(slices.Max(folded)); s.norm != norm || s.maxElem != maxElem {
+			t.Fatalf("%s: link %d has norm %d and max %d, its registry's LSETs give %d and %d", when, l, s.norm, s.maxElem, norm, maxElem)
+		}
 		for j := 0; j < n; j++ {
-			if c := db.links[l].aplv.at(j); posted[j*n+l] != (c > 0) {
+			c := s.aplv.at(j)
+			if c != folded[j] {
+				t.Fatalf("%s: APLV_%d[%d] = %d, its registry's LSETs give %d", when, l, j, c, folded[j])
+			}
+			if posted[j*n+l] != (c > 0) {
 				t.Fatalf("%s: post[%d] lists link %d = %v, but APLV_%d[%d] = %d", when, j, l, posted[j*n+l], l, j, c)
 			}
 		}
@@ -504,7 +529,7 @@ func TestConcurrentStress(t *testing.T) {
 		expAPLV[l] = make([]int, n)
 	}
 	for _, conns := range final {
-		for _, c := range conns {
+		for id, c := range conns {
 			for _, l := range c.primary {
 				expPrim[l]++
 			}
@@ -512,6 +537,9 @@ func TestConcurrentStress(t *testing.T) {
 				expBack[l]++
 				for _, pl := range c.lset {
 					expAPLV[l][pl]++
+				}
+				if got := storedLSETs(db, id)[l]; !slices.Equal(got, c.lset) {
+					t.Errorf("link %d: registry holds LSET %v for connection %d, it registered %v", l, got, id, c.lset)
 				}
 			}
 		}

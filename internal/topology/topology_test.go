@@ -219,8 +219,18 @@ func TestWaxmanValidProperty(t *testing.T) {
 			// for tight configs; everything else must succeed.
 			return int(math.Round(float64(n)*degree/2)) < n
 		}
+		for i := 0; i < n; i++ {
+			if g.Degree(graph.NodeID(i)) < 2 {
+				return false
+			}
+		}
 		return g.Connected() && g.NumNodes() == n &&
 			g.NumEdges() == int(math.Round(float64(n)*degree/2))
+	}
+	// Found by this property: 32 nodes, 40 edges, whose spanning tree had
+	// more leaves than 9 spare edges can pair up.
+	if !property(-6318998676484391055) {
+		t.Fatal("seed -6318998676484391055 failed")
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

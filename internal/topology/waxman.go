@@ -26,7 +26,8 @@ type WaxmanConfig struct {
 	// edges more likely. Default 0.4.
 	Beta float64
 	// MinDegree, when positive, guarantees every node at least this many
-	// incident edges (subject to the edge budget). Degree-1 nodes make
+	// incident edges (subject to the edge budget; MinDegree 2 always fits
+	// a budget of at least Nodes edges). Degree-1 nodes make
 	// primary/backup overlap unavoidable for every routing scheme, so
 	// the evaluation uses MinDegree 2 (see DESIGN.md).
 	MinDegree int
@@ -134,7 +135,19 @@ func Waxman(cfg WaxmanConfig) (*graph.Graph, error) {
 	// pairs so each added edge helps two nodes.
 	if cfg.MinDegree > 0 {
 		if err := raiseMinDegree(g, cfg, edgeRNG, weight, targetEdges, addEdge); err != nil {
-			return nil, err
+			// A bushy tree can have more leaves than the spare edges can
+			// pair up, even when the budget admits the min degree (a cycle
+			// has n edges and min degree 2). Restart from a Waxman-weighted
+			// Hamiltonian path, which has two leaves. Only configurations
+			// that failed here reach this branch, so every graph generated
+			// without it is unchanged.
+			g, added = graph.New(n), make(map[[2]int]bool, targetEdges)
+			if err := weightedPath(edgeRNG, n, weight, addEdge); err != nil {
+				return nil, err
+			}
+			if err := raiseMinDegree(g, cfg, edgeRNG, weight, targetEdges, addEdge); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -242,6 +255,38 @@ func sampleEdgesRejection(g *graph.Graph, edgeRNG *rng.Source, alpha float64, n,
 		if err := addEdge(i, j); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// weightedPath connects all n nodes in one path: from a random start, each
+// step extends the path to an unvisited node drawn with probability
+// proportional to its Waxman preference from the current end.
+func weightedPath(edgeRNG *rng.Source, n int, weight func(i, j int) float64, addEdge func(i, j int) error) error {
+	rest := edgeRNG.Perm(n)
+	cur := rest[0]
+	rest = rest[1:]
+	for len(rest) > 0 {
+		total := 0.0
+		for _, v := range rest {
+			total += weight(cur, v)
+		}
+		pick := edgeRNG.Float64() * total
+		k := len(rest) - 1
+		for i, v := range rest {
+			pick -= weight(cur, v)
+			if pick <= 0 {
+				k = i
+				break
+			}
+		}
+		next := rest[k]
+		if err := addEdge(cur, next); err != nil {
+			return err
+		}
+		rest[k] = rest[len(rest)-1]
+		rest = rest[:len(rest)-1]
+		cur = next
 	}
 	return nil
 }

@@ -10,7 +10,7 @@
 # The default operating point (2000 nodes, 6000 links, lambda 0.08, 6000
 # arrivals per cell) is the smallest where that O(links²) term (144 MB)
 # dwarfs the layout-independent heap (graph, scenario, per-connection
-# bookkeeping): the run peaks at 21–25 MB against a 72 MB ceiling, so a
+# bookkeeping): the run peaks at 20–23 MB against a 72 MB ceiling, so a
 # change that makes per-link state quadratic again fails here. At ~1k
 # nodes the shared state is too close to the ceiling to tell. GOGC=50 and
 # a single worker keep the peak-heap sample comparable run to run.
