@@ -22,25 +22,14 @@ const maxCmdResults = 1024
 // SplitEndpoint divides one transport endpoint between a node's router
 // and its control-plane agent: control messages (registration acks,
 // node deaths, drain notices, connection commands, request replies) go
-// to the agent channel, everything else to the router-facing endpoint.
-// The returned endpoint is what the router attaches to; closing it
-// closes the underlying endpoint and, once the pump drains, both
-// derived channels.
+// to the agent channel, everything else stays on the endpoint's Recv.
+// The endpoint applies the split where it delivers each message
+// (transport.Endpoint.Split), so nothing relays between it and either
+// reader. The returned endpoint, inner itself, is what the router
+// attaches to; closing it closes both channels. Call it before anything
+// reads from inner.
 func SplitEndpoint(inner transport.Endpoint) (transport.Endpoint, <-chan proto.Envelope) {
-	routerCh := make(chan proto.Envelope, 64)
-	agentCh := make(chan proto.Envelope, 64)
-	go func() {
-		defer close(routerCh)
-		defer close(agentCh)
-		for env := range inner.Recv() {
-			if agentBound(env.Msg) {
-				agentCh <- env
-			} else {
-				routerCh <- env
-			}
-		}
-	}()
-	return &splitEndpoint{inner: inner, recv: routerCh}, agentCh
+	return inner, inner.Split(agentBound)
 }
 
 // agentBound reports whether a message belongs to the node agent
@@ -54,34 +43,6 @@ func agentBound(m proto.Message) bool {
 	default:
 		return false
 	}
-}
-
-// splitEndpoint is the router's face of a shared endpoint.
-type splitEndpoint struct {
-	inner transport.Endpoint
-	recv  <-chan proto.Envelope
-	once  sync.Once
-	err   error
-}
-
-var _ transport.Endpoint = (*splitEndpoint)(nil)
-
-// Node implements transport.Endpoint.
-func (e *splitEndpoint) Node() graph.NodeID { return e.inner.Node() }
-
-// Send implements transport.Endpoint.
-func (e *splitEndpoint) Send(to graph.NodeID, msg proto.Message) error {
-	return e.inner.Send(to, msg)
-}
-
-// Recv implements transport.Endpoint.
-func (e *splitEndpoint) Recv() <-chan proto.Envelope { return e.recv }
-
-// Close implements transport.Endpoint; it closes the shared underlying
-// endpoint (idempotent, as the router and runtime may both close).
-func (e *splitEndpoint) Close() error {
-	e.once.Do(func() { e.err = e.inner.Close() })
-	return e.err
 }
 
 // AgentConfig parameterizes an Agent.

@@ -53,8 +53,8 @@ func FuzzChaosSchedule(f *testing.F) {
 			_ = src.Send(1, proto.Hello{From: 0})
 		}
 		inj.Flush()
-		// Drain whatever made it through; the pump goroutine must not be
-		// wedged by any schedule.
+		// Drain whatever made it through; delivery must not be wedged by
+		// any schedule.
 		for {
 			select {
 			case <-dst.Recv():

@@ -205,6 +205,12 @@ func (e *injEndpoint) Node() graph.NodeID { return e.inner.Node() }
 // Recv implements transport.Endpoint.
 func (e *injEndpoint) Recv() <-chan proto.Envelope { return e.inner.Recv() }
 
+// Split implements transport.Endpoint: faults act on sends, so the inner
+// endpoint applies the split where it delivers.
+func (e *injEndpoint) Split(divert func(proto.Message) bool) <-chan proto.Envelope {
+	return e.inner.Split(divert)
+}
+
 // Close implements transport.Endpoint.
 func (e *injEndpoint) Close() error { return e.inner.Close() }
 

@@ -141,7 +141,7 @@ func TestPropertyChaosQuiescence(t *testing.T) {
 // TestPropertyNoGoroutineLeak runs distributed clusters under random
 // chaos — lossy links, an edge failure mid-run — and checks that closing
 // the cluster releases every goroutine: retransmission timers, router
-// loops and transport pumps all terminate.
+// loops and transport backlog drainers all terminate.
 func TestPropertyNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	g, err := topology.Waxman(topology.WaxmanConfig{

@@ -10,10 +10,12 @@ import (
 )
 
 // Mem is an in-memory switchboard connecting router endpoints by node ID.
-// Delivery is asynchronous and order-preserving per sender-receiver pair;
-// senders never block on slow receivers (each endpoint has an unbounded
-// mailbox drained by its own pump goroutine). An optional drop rate
-// simulates a lossy signalling network for fault-injection tests.
+// Delivery is asynchronous and order-preserving per sender-receiver pair:
+// Send puts the message straight into the receiver's inbox channel, and
+// only when that is full does it join a backlog, fed into the inbox in
+// order by a goroutine that runs while the backlog exists. Senders never
+// block on slow receivers. An optional drop rate simulates a lossy
+// signalling network for fault-injection tests.
 type Mem struct {
 	mu        sync.Mutex
 	endpoints map[graph.NodeID]*memEndpoint
@@ -73,8 +75,7 @@ func (m *Mem) Attach(node graph.NodeID) (Endpoint, error) {
 	ep := &memEndpoint{
 		mem:  m,
 		node: node,
-		out:  make(chan proto.Envelope),
-		wake: make(chan struct{}, 1),
+		in:   inbox{recv: make(chan proto.Envelope, inboxDepth)},
 		done: make(chan struct{}),
 	}
 	if m.dropRate > 0 {
@@ -84,7 +85,6 @@ func (m *Mem) Attach(node graph.NodeID) (Endpoint, error) {
 		ep.dropRNG = rng.New(m.dropSeed).Split(fmt.Sprintf("drop/%d", node))
 	}
 	m.endpoints[node] = ep
-	go ep.pump()
 	return ep, nil
 }
 
@@ -114,15 +114,24 @@ func (m *Mem) lookup(node graph.NodeID) (*memEndpoint, bool) {
 type memEndpoint struct {
 	mem  *Mem
 	node graph.NodeID
-	out  chan proto.Envelope
-	wake chan struct{}
+	in   inbox
 	done chan struct{}
+	// drainers counts the backlog goroutine (at most one runs), so Close
+	// can wait for it before closing the inbox channels.
+	drainers sync.WaitGroup
 
-	mu      sync.Mutex
-	queue   []proto.Envelope
-	closed  bool
-	dropRNG *rng.Source // nil when the switchboard is lossless
-	dropped int64
+	mu sync.Mutex
+	// delivering is set once the inbox has opened; guarded by mu.
+	delivering bool
+	// backlog holds, in arrival order, the messages that found the inbox
+	// full or arrived before it opened; guarded by mu.
+	backlog []proto.Envelope
+	// draining is set while a drain goroutine owns delivery: every new
+	// message then joins the backlog; guarded by mu.
+	draining bool
+	closed   bool
+	dropRNG  *rng.Source // nil when the switchboard is lossless
+	dropped  int64
 }
 
 var _ Endpoint = (*memEndpoint)(nil)
@@ -170,7 +179,17 @@ func (e *memEndpoint) droppedCount() int64 {
 }
 
 // Recv implements Endpoint.
-func (e *memEndpoint) Recv() <-chan proto.Envelope { return e.out }
+func (e *memEndpoint) Recv() <-chan proto.Envelope {
+	if !e.in.opened.Load() {
+		e.in.open(nil, e.startDelivery)
+	}
+	return e.in.recv
+}
+
+// Split implements Endpoint.
+func (e *memEndpoint) Split(divert func(proto.Message) bool) <-chan proto.Envelope {
+	return e.in.split(divert, e.startDelivery)
+}
 
 // Close implements Endpoint.
 func (e *memEndpoint) Close() error {
@@ -180,8 +199,11 @@ func (e *memEndpoint) Close() error {
 		return nil
 	}
 	e.closed = true
+	e.backlog = nil
 	e.mu.Unlock()
 	close(e.done)
+	e.drainers.Wait()
+	e.in.close()
 	return nil
 }
 
@@ -191,49 +213,75 @@ func (e *memEndpoint) isClosed() bool {
 	return e.closed
 }
 
+// enqueue delivers one message: straight into its inbox channel when no
+// backlog is ahead of it and the channel has room, else onto the backlog,
+// starting the goroutine that drains it if none runs. The channel send
+// never blocks, so it is made under mu, which Close takes before closing
+// the channels; the split, the caller's code, runs before the lock. A
+// message that finds delivery begun but picked no channel (nil: the
+// inbox opened in between) takes the backlog path.
 func (e *memEndpoint) enqueue(env proto.Envelope) error {
+	var ch chan<- proto.Envelope
+	if e.in.opened.Load() {
+		ch = e.in.to(env.Msg)
+	}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed {
-		e.mu.Unlock()
 		return ErrClosed
 	}
-	e.queue = append(e.queue, env)
-	e.mu.Unlock()
-	select {
-	case e.wake <- struct{}{}:
-	default:
+	if e.delivering && !e.draining {
+		select {
+		case ch <- env:
+			return nil
+		default:
+			e.startDrainLocked()
+		}
 	}
+	e.backlog = append(e.backlog, env)
 	return nil
 }
 
-// pump drains the mailbox into the out channel until the endpoint closes.
-func (e *memEndpoint) pump() {
-	defer close(e.out)
+// startDelivery opens the inbox to deliveries, starting with whatever
+// arrived before it opened.
+func (e *memEndpoint) startDelivery() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.delivering = true
+	if len(e.backlog) > 0 && !e.closed {
+		e.startDrainLocked()
+	}
+}
+
+// startDrainLocked hands delivery to a new drain goroutine; the caller
+// holds mu.
+func (e *memEndpoint) startDrainLocked() {
+	e.draining = true
+	e.drainers.Add(1)
+	go e.drain()
+}
+
+// drain feeds the backlog into the inbox in arrival order, and exits once
+// the backlog is empty or the endpoint closes.
+func (e *memEndpoint) drain() {
+	defer e.drainers.Done()
 	for {
 		e.mu.Lock()
-		var env proto.Envelope
-		have := false
-		if len(e.queue) > 0 {
-			env = e.queue[0]
-			// The backing array outlives the pop until append next
-			// reallocates: drop its reference to the message (an
-			// LSUpdate carries a CV per link).
-			e.queue[0] = proto.Envelope{}
-			e.queue = e.queue[1:]
-			have = true
+		if len(e.backlog) == 0 || e.closed {
+			e.draining = false
+			e.backlog = nil
+			e.mu.Unlock()
+			return
 		}
+		env := e.backlog[0]
+		// The backing array outlives the pop until append next
+		// reallocates: drop its reference to the message (an LSUpdate
+		// carries a CV per link).
+		e.backlog[0] = proto.Envelope{}
+		e.backlog = e.backlog[1:]
 		e.mu.Unlock()
-
-		if !have {
-			select {
-			case <-e.wake:
-				continue
-			case <-e.done:
-				return
-			}
-		}
 		select {
-		case e.out <- env:
+		case e.in.to(env.Msg) <- env:
 		case <-e.done:
 			return
 		}

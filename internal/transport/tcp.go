@@ -87,7 +87,8 @@ func (m *TCPMesh) Attach(node graph.NodeID) (Endpoint, error) {
 		mesh:    m,
 		node:    node,
 		ln:      ln,
-		out:     make(chan proto.Envelope),
+		in:      inbox{recv: make(chan proto.Envelope, inboxDepth)},
+		ready:   make(chan struct{}),
 		done:    make(chan struct{}),
 		conns:   make(map[graph.NodeID]*tcpConn),
 		inbound: make(map[net.Conn]struct{}),
@@ -128,9 +129,12 @@ type tcpEndpoint struct {
 	mesh *TCPMesh
 	node graph.NodeID
 	ln   net.Listener
-	out  chan proto.Envelope
-	done chan struct{}
-	wg   sync.WaitGroup
+	in   inbox
+	// ready closes when the inbox opens; connection readers deliver
+	// nothing before.
+	ready chan struct{}
+	done  chan struct{}
+	wg    sync.WaitGroup
 
 	mu      sync.Mutex
 	conns   map[graph.NodeID]*tcpConn
@@ -231,7 +235,20 @@ func (e *tcpEndpoint) sendOnce(to graph.NodeID, msg proto.Message) (err error, b
 }
 
 // Recv implements Endpoint.
-func (e *tcpEndpoint) Recv() <-chan proto.Envelope { return e.out }
+func (e *tcpEndpoint) Recv() <-chan proto.Envelope {
+	if !e.in.opened.Load() {
+		e.in.open(nil, e.startDelivery)
+	}
+	return e.in.recv
+}
+
+// Split implements Endpoint.
+func (e *tcpEndpoint) Split(divert func(proto.Message) bool) <-chan proto.Envelope {
+	return e.in.split(divert, e.startDelivery)
+}
+
+// startDelivery releases the connection readers.
+func (e *tcpEndpoint) startDelivery() { close(e.ready) }
 
 // Close implements Endpoint.
 func (e *tcpEndpoint) Close() error {
@@ -257,7 +274,7 @@ func (e *tcpEndpoint) Close() error {
 		_ = c.Close()
 	}
 	e.wg.Wait()
-	close(e.out)
+	e.in.close()
 	return err
 }
 
@@ -281,6 +298,8 @@ func (e *tcpEndpoint) acceptLoop() {
 	}
 }
 
+// readLoop decodes one inbound connection's frames and delivers each, in
+// order, onto the inbox channel the split picks for it.
 func (e *tcpEndpoint) readLoop(conn net.Conn) {
 	defer e.wg.Done()
 	defer func() {
@@ -289,6 +308,11 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 		e.mu.Unlock()
 		_ = conn.Close()
 	}()
+	select {
+	case <-e.ready:
+	case <-e.done:
+		return
+	}
 	r := bufio.NewReader(conn)
 	for {
 		env, err := proto.ReadFrame(r)
@@ -296,7 +320,7 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 			return
 		}
 		select {
-		case e.out <- env:
+		case e.in.to(env.Msg) <- env:
 		case <-e.done:
 			return
 		}
