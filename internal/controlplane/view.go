@@ -62,14 +62,7 @@ func (v *netView) routes(src, dst graph.NodeID, backups int, excluded map[graph.
 	if p.Empty() {
 		return nil, nil, "no-route"
 	}
-	var chosen []graph.Path
-	for len(chosen) < backups {
-		b := v.links.NextBackup(p, chosen, blocked)
-		if b.Empty() {
-			break
-		}
-		chosen = append(chosen, b)
-	}
+	chosen := v.links.Backups(p, nil, backups, blocked)
 	if len(chosen) == 0 {
 		return nil, nil, "no-backup"
 	}

@@ -143,7 +143,7 @@ func (m *Manager) evaluateFailure(out *FailureOutcome, failed []graph.LinkID) {
 	for _, c := range affected {
 		if !c.HasBackup() {
 			out.NoBackup++
-			m.tracer.ActivationDenied(m.schemeName, c.trace, int64(c.ID), link, "no-backup")
+			m.tracer.ActivationDenied(m.schemeName, c.Trace, int64(c.ID), link, "no-backup")
 			continue
 		}
 		// Try the connection's backups in preference order; a backup
@@ -167,13 +167,13 @@ func (m *Manager) evaluateFailure(out *FailureOutcome, failed []graph.LinkID) {
 		switch {
 		case recovered:
 			out.Recovered++
-			m.tracer.BackupActivate(m.schemeName, c.trace, int64(c.ID), link, "")
+			m.tracer.BackupActivate(m.schemeName, c.Trace, int64(c.ID), link, "")
 		case allHit:
 			out.BackupHit++
-			m.tracer.ActivationDenied(m.schemeName, c.trace, int64(c.ID), link, "backup-hit")
+			m.tracer.ActivationDenied(m.schemeName, c.Trace, int64(c.ID), link, "backup-hit")
 		default:
 			out.Contention++
-			m.tracer.ActivationDenied(m.schemeName, c.trace, int64(c.ID), link, "contention")
+			m.tracer.ActivationDenied(m.schemeName, c.Trace, int64(c.ID), link, "contention")
 		}
 	}
 }
@@ -239,14 +239,14 @@ func (m *Manager) EvaluateLinkFailureReactive(l graph.LinkID) FailureOutcome {
 		path, total := sel.Scratch.ShortestPath(g, c.Src, c.Dst, cost)
 		if total == graph.Unreachable {
 			out.Contention++
-			m.tracer.ActivationDenied(m.schemeName, c.trace, int64(c.ID), int(l), "no-route")
+			m.tracer.ActivationDenied(m.schemeName, c.Trace, int64(c.ID), int(l), "no-route")
 			continue
 		}
 		for _, x := range path.Links() {
 			avail[x] -= unit
 		}
 		out.Recovered++
-		m.tracer.BackupActivate(m.schemeName, c.trace, int64(c.ID), int(l), "reactive")
+		m.tracer.BackupActivate(m.schemeName, c.Trace, int64(c.ID), int(l), "reactive")
 	}
 	return out
 }

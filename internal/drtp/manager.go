@@ -1,31 +1,26 @@
 package drtp
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
 	"github.com/rtcl/drtp/internal/graph"
+	"github.com/rtcl/drtp/internal/lifecycle"
+	"github.com/rtcl/drtp/internal/proto"
 	"github.com/rtcl/drtp/internal/telemetry"
 )
 
-// Connection is an established DR-connection.
+// Connection is an established DR-connection: the lifecycle record
+// (endpoints, primary, backups in activation-preference order, span
+// context) plus its establishment order. Backups is empty when the
+// connection has no backup (counts against fault tolerance; only possible
+// under the backup-optional admission policy).
 type Connection struct {
-	ID  ConnID
-	Src graph.NodeID
-	Dst graph.NodeID
-	// Primary is the primary channel route.
-	Primary graph.Path
-	// Backups are the established backup channel routes in activation-
-	// preference order. Empty when the connection has no backup (counts
-	// against fault tolerance; only possible under the backup-optional
-	// admission policy).
-	Backups []graph.Path
+	lifecycle.Conn
 	// seq orders connections by establishment for deterministic
 	// activation priority under contention.
 	seq int64
-	// trace keys the connection's lifecycle span (telemetry.ConnTrace);
-	// zero when the manager traces nothing.
-	trace uint64
 }
 
 // HasBackup reports whether the connection has at least one backup.
@@ -67,14 +62,6 @@ type Stats struct {
 	SignalTimeouts int64
 }
 
-// AcceptRatio returns Accepted/Requests, or 0 when no requests were made.
-func (s Stats) AcceptRatio() float64 {
-	if s.Requests == 0 {
-		return 0
-	}
-	return float64(s.Accepted) / float64(s.Requests)
-}
-
 // Manager is the DR-connection manager: it owns admission, resource
 // reservation, backup registration and teardown for one network under one
 // routing scheme.
@@ -84,7 +71,6 @@ type Manager struct {
 	conns            map[ConnID]*Connection
 	nexSeq           int64
 	stats            Stats
-	optionalBackup   bool
 	reactiveRecovery bool
 	// tracer receives protocol events; nil (the default) is a no-op, so
 	// the instrumented paths cost a nil check each.
@@ -101,47 +87,32 @@ type Manager struct {
 	// eval holds the failure-evaluation scratch buffers reused across
 	// Evaluate*Failure calls (see failure.go).
 	eval evalScratch
+	// life runs the connection lifecycle over the database (channels) and
+	// holds the admission policy.
+	life lifecycle.Lifecycle
 }
 
 // ManagerOption configures a Manager.
-type ManagerOption interface {
-	apply(*Manager)
-}
-
-type optionalBackupOption struct{}
-
-func (optionalBackupOption) apply(m *Manager) { m.optionalBackup = true }
+type ManagerOption func(*Manager)
 
 // WithOptionalBackup makes the manager admit connections even when no
 // backup channel can be established. The default (paper) policy rejects a
 // DR-connection request whose backup cannot be set up: a dependable
 // connection is a primary plus at least one backup.
-func WithOptionalBackup() ManagerOption { return optionalBackupOption{} }
-
-type reactiveRecoveryOption struct{}
-
-func (reactiveRecoveryOption) apply(m *Manager) { m.reactiveRecovery = true }
-
-type telemetryOption struct{ tracer *telemetry.Tracer }
-
-func (o telemetryOption) apply(m *Manager) { m.tracer = o.tracer }
+func WithOptionalBackup() ManagerOption { return func(m *Manager) { m.life.OptionalBackup = true } }
 
 // WithTelemetry attaches an event tracer to the manager: establishments,
 // rejections, backup registrations/releases and failure-recovery
 // outcomes are emitted as typed events. A nil tracer keeps the no-op
 // default.
-func WithTelemetry(tr *telemetry.Tracer) ManagerOption { return telemetryOption{tracer: tr} }
-
-type recoveryLatencyOption struct{}
-
-func (recoveryLatencyOption) apply(m *Manager) { m.collectRecovery = true }
+func WithTelemetry(tr *telemetry.Tracer) ManagerOption { return func(m *Manager) { m.tracer = tr } }
 
 // WithRecoveryLatency makes the manager record a RecoveryLatency sample
 // for every connection hit by a destructive failure (ApplyLinkFailure /
 // ApplyEdgeFailure). Off by default: sampling appends to a slice, and the
 // steady-state failure paths must stay allocation-free when nobody reads
 // the samples. Drain with TakeRecoveryLatencies.
-func WithRecoveryLatency() ManagerOption { return recoveryLatencyOption{} }
+func WithRecoveryLatency() ManagerOption { return func(m *Manager) { m.collectRecovery = true } }
 
 // WithReactiveRecovery makes destructive failure handling fall back to
 // re-routing a fresh primary from free capacity when a connection has no
@@ -149,7 +120,7 @@ func WithRecoveryLatency() ManagerOption { return recoveryLatencyOption{} }
 // without its signalling latency and retry contention). Combine with
 // WithOptionalBackup and the no-backup scheme for a purely reactive
 // baseline.
-func WithReactiveRecovery() ManagerOption { return reactiveRecoveryOption{} }
+func WithReactiveRecovery() ManagerOption { return func(m *Manager) { m.reactiveRecovery = true } }
 
 // NewManager creates a manager for the network using the given scheme.
 func NewManager(net *Network, scheme Scheme, opts ...ManagerOption) *Manager {
@@ -159,9 +130,10 @@ func NewManager(net *Network, scheme Scheme, opts ...ManagerOption) *Manager {
 		conns:  make(map[ConnID]*Connection),
 	}
 	for _, o := range opts {
-		o.apply(m)
+		o(m)
 	}
 	m.schemeName = scheme.Name()
+	m.life.Channels, m.life.Tracer, m.life.Scheme = channels{m}, m.tracer, m.schemeName
 	return m
 }
 
@@ -230,99 +202,35 @@ func (m *Manager) Establish(req Request) (*Connection, error) {
 	if _, dup := m.conns[req.ID]; dup {
 		return nil, fmt.Errorf("drtp: connection %d already active", req.ID)
 	}
-	// The span context is derived only when tracing is on: the hash is
-	// cheap but not free, and the disabled path must stay a nil check.
-	var trace uint64
-	if m.tracer.Enabled() {
-		trace = telemetry.ConnTrace(m.schemeName, int64(req.ID))
-		m.tracer.ConnRequest(m.schemeName, trace, int64(req.ID))
-	}
-	route, err := m.scheme.Route(m.net, req)
-	if err != nil {
-		m.stats.Rejected++
-		m.tracer.ConnReject(m.schemeName, trace, int64(req.ID), "no-route")
-		return nil, err
-	}
-	if route.Primary.Empty() {
-		m.stats.Rejected++
-		m.tracer.ConnReject(m.schemeName, trace, int64(req.ID), "no-route")
-		return nil, ErrNoRoute
-	}
-	if !m.optionalBackup && len(route.Backups) == 0 {
+	rec := lifecycle.Conn{ID: req.ID, Src: req.Src, Dst: req.Dst}
+	out := m.life.Establish(&rec, func() (graph.Path, []graph.Path, error) {
+		route, err := m.scheme.Route(m.net, req)
+		if err == nil && route.Primary.Empty() {
+			err = ErrNoRoute
+		}
+		return route.Primary, route.Backups, err
+	})
+	m.stats.BackupRegisterFailures += int64(out.Failed)
+	switch out.Reason {
+	case "":
+	case "no-backup":
 		m.stats.RejectedNoBackup++
-		m.tracer.ConnReject(m.schemeName, trace, int64(req.ID), "no-backup")
 		return nil, ErrNoBackup
+	default:
+		if out.Reason != "signal-timeout" {
+			m.stats.Rejected++
+		}
+		return nil, out.Err
 	}
-	// The primary-setup round trip travels before any resource is held, so
-	// losing it rejects the request without leaking reservations.
-	if !m.signalOK(trace, req.ID, "setup") {
-		m.tracer.ConnReject(m.schemeName, trace, int64(req.ID), "signal-timeout")
-		return nil, ErrSignalTimeout
-	}
-
-	db := m.net.DB()
-	if err := db.ReservePrimaryPath(req.ID, route.Primary.Links()); err != nil {
-		m.stats.Rejected++
-		m.tracer.ConnReject(m.schemeName, trace, int64(req.ID), "no-capacity")
-		return nil, fmt.Errorf("drtp: reserve primary: %w", err)
-	}
-	m.tracer.PrimarySetup(m.schemeName, trace, int64(req.ID), route.Primary.Hops())
-
-	conn := &Connection{
-		ID:      req.ID,
-		Src:     req.Src,
-		Dst:     req.Dst,
-		Primary: route.Primary,
-		seq:     m.nexSeq,
-		trace:   trace,
-	}
+	conn := &Connection{Conn: rec, seq: m.nexSeq}
 	m.nexSeq++
-
-	for _, backup := range route.Backups {
-		if backup.Empty() {
-			continue
-		}
-		if !m.signalOK(trace, req.ID, "setup") {
-			m.stats.BackupRegisterFailures++
-			m.tracer.BackupRegister(m.schemeName, trace, int64(req.ID), backup.Hops(), "signal-timeout")
-			continue
-		}
-		if m.registerBackup(req.ID, backup, route.Primary, conn.Backups) {
-			conn.Backups = append(conn.Backups, backup)
-			m.stats.BackupsEstablished++
-			m.tracer.BackupRegister(m.schemeName, trace, int64(req.ID), backup.Hops(), "")
-		} else {
-			m.stats.BackupRegisterFailures++
-			m.tracer.BackupRegister(m.schemeName, trace, int64(req.ID), backup.Hops(), "rejected")
-		}
-	}
-	if !conn.HasBackup() {
-		if !m.optionalBackup {
-			mustRelease(db.ReleasePrimaryPath(req.ID, route.Primary.Links()))
-			m.stats.RejectedNoBackup++
-			m.tracer.ConnReject(m.schemeName, trace, int64(req.ID), "no-backup")
-			return nil, ErrNoBackup
-		}
-		m.stats.BackupLess++
-	}
-
 	m.conns[req.ID] = conn
 	m.stats.Accepted++
-	m.tracer.ConnEstablish(m.schemeName, trace, int64(req.ID), conn.Primary.Hops())
-	return conn, nil
-}
-
-// registerBackup walks the backup path sending register packets; on a
-// rejection it rolls back and reports failure. Links already carrying one
-// of the connection's earlier backups reject the registration (each link
-// holds at most one backup per connection), which fails this backup.
-func (m *Manager) registerBackup(id ConnID, backup, primary graph.Path, existing []graph.Path) bool {
-	for _, prev := range existing {
-		if backup.SharedLinks(prev) > 0 {
-			return false
-		}
+	m.stats.BackupsEstablished += int64(len(conn.Backups))
+	if !conn.HasBackup() {
+		m.stats.BackupLess++
 	}
-	return m.net.DB().RegisterBackupPath(id, backup.Links(), primary.Links()) == nil
+	return conn, nil
 }
 
 // Release terminates an active connection, returning its primary resources
@@ -333,18 +241,68 @@ func (m *Manager) Release(id ConnID) error {
 	if !ok {
 		return fmt.Errorf("drtp: connection %d not active", id)
 	}
-	db := m.net.DB()
-	mustRelease(db.ReleasePrimaryPath(id, conn.Primary.Links()))
-	for _, backup := range conn.Backups {
-		mustRelease(db.ReleaseBackupPath(id, backup.Links()))
-	}
+	m.life.Release(&conn.Conn, false)
 	delete(m.conns, id)
-	if len(conn.Backups) > 0 {
-		m.tracer.BackupRelease(m.schemeName, conn.trace, int64(id), len(conn.Backups))
-	}
-	m.tracer.ConnTeardown(m.schemeName, conn.trace, int64(id))
 	return nil
 }
+
+// channels are the Manager's channel operations: each one database
+// transition over the whole path, behind the signalling fault model.
+type channels struct{ *Manager }
+
+// Reserve implements lifecycle.Channels.
+func (m channels) Reserve(id ConnID, trace uint64, p graph.Path) error {
+	if !m.signalOK(trace, id, "setup") {
+		return ErrSignalTimeout
+	}
+	if err := m.net.DB().ReservePrimaryPath(id, p.Links()); err != nil {
+		return fmt.Errorf("drtp: reserve primary: %w", err)
+	}
+	return nil
+}
+
+// Register implements lifecycle.Channels. A backup crossing a failed link
+// is refused before any signalling.
+func (m channels) Register(id ConnID, trace uint64, b, primary graph.Path) error {
+	if !m.pathAlive(b) {
+		return errLinkDown
+	}
+	if !m.signalOK(trace, id, "setup") {
+		return ErrSignalTimeout
+	}
+	return m.net.DB().RegisterBackupPath(id, b.Links(), primary.Links())
+}
+
+// Activate implements lifecycle.Channels: spare slots become primary
+// bandwidth link by link (links the old primary already holds keep their
+// reservation); contention on any link leaves the backup registered as it
+// was.
+func (m channels) Activate(id ConnID, trace uint64, b graph.Path) error {
+	if !m.pathAlive(b) {
+		return errLinkDown
+	}
+	if !m.signalOK(trace, id, "activate") {
+		return ErrSignalTimeout
+	}
+	return m.net.DB().PromoteBackupPath(id, b.Links())
+}
+
+// Release implements lifecycle.Channels.
+func (m channels) Release(id ConnID, _ uint64, k proto.ChannelKind, p graph.Path, _ bool) {
+	if k == proto.Primary {
+		mustRelease(m.net.DB().ReleasePrimaryPath(id, p.Links()))
+	} else {
+		mustRelease(m.net.DB().ReleaseBackupPath(id, p.Links()))
+	}
+}
+
+// ReleaseOutside implements lifecycle.Channels.
+func (m channels) ReleaseOutside(id ConnID, _ uint64, old, keep graph.Path) {
+	mustRelease(m.net.DB().ReleasePrimaryPath(id, linksOutside(old, keep)))
+}
+
+// errLinkDown refuses a channel operation on a path crossing a failed link.
+var errLinkDown = errors.New("drtp: path crosses a failed link")
 
 // mustRelease panics on release/rollback errors: they can only arise from
 // bookkeeping corruption, which must not be silently ignored.

@@ -3,17 +3,14 @@
 // link-state records (APLV, Conflict Vector, spare resources).
 //
 // Each dependable real-time (DR-) connection consists of one primary
-// channel and at most one backup channel. The Manager performs the four
-// DR-connection management steps of §2.2:
-//
-//  1. select a primary route and reserve resources,
-//  2. find a backup route (via a pluggable routing Scheme),
-//  3. register the backup along the selected path, carrying the primary's
-//     LSET so each link can update its APLV and size spare resources,
-//  4. release both routes when the connection terminates.
-//
-// Failure recovery (backup activation with contention on spare resources)
-// is implemented by Manager.EvaluateEdgeFailure.
+// channel and one or more backup channels. The Manager routes requests via
+// a pluggable Scheme and runs the connection lifecycle of §2.2
+// (internal/lifecycle, shared with the distributed routers) directly on
+// the link-state database: reserve the primary, register the backups
+// carrying the primary's LSET, switch and re-protect on a failure
+// (Manager.ApplyEdgeFailure), release on termination. Manager.Evaluate*
+// evaluate backup activation with contention on spare resources without
+// changing anything.
 package drtp
 
 import (

@@ -1,6 +1,9 @@
 package drtp
 
-import "github.com/rtcl/drtp/internal/graph"
+import (
+	"github.com/rtcl/drtp/internal/graph"
+	"github.com/rtcl/drtp/internal/lifecycle"
+)
 
 // RecoveryOutcome summarizes one destructive failure application: unlike
 // the non-destructive Evaluate* sweeps, ApplyLinkFailure/ApplyEdgeFailure
@@ -94,17 +97,17 @@ func (m *Manager) applyFailure(failed []graph.LinkID, link int) RecoveryOutcome 
 		}
 		switched := true
 		switch {
-		case m.switchConnection(c, &out):
+		case m.life.Switch(&c.Conn, link):
 			out.Switched++
-			m.tracer.BackupActivate(m.schemeName, c.trace, int64(c.ID), link, "switch")
+			out.BackupsReestablished += m.life.Reprotect(&c.Conn, m.topUp)
 		case m.reactiveRecovery && m.rerouteConnection(c):
 			out.Switched++
-			m.tracer.BackupActivate(m.schemeName, c.trace, int64(c.ID), link, "reroute")
+			m.tracer.BackupActivate(m.schemeName, c.Trace, int64(c.ID), link, "reroute")
 		default:
 			mustRelease(m.Release(c.ID))
 			out.Dropped++
 			switched = false
-			m.tracer.ActivationDenied(m.schemeName, c.trace, int64(c.ID), link, "dropped")
+			m.tracer.ActivationDenied(m.schemeName, c.Trace, int64(c.ID), link, "dropped")
 		}
 		if m.collectRecovery {
 			lat := RecoveryLatency{Detect: detect, Switched: switched}
@@ -117,6 +120,16 @@ func (m *Manager) applyFailure(failed []graph.LinkID, link int) RecoveryOutcome 
 	return out
 }
 
+// topUp routes fresh backups for a switched connection's new primary
+// (DRTP step 4) when the scheme can.
+func (m *Manager) topUp(c *lifecycle.Conn) []graph.Path {
+	br, ok := m.scheme.(BackupRouter)
+	if !ok {
+		return nil
+	}
+	return br.RouteBackupsFor(m.net, Request{ID: c.ID, Src: c.Src, Dst: c.Dst}, c.Primary, c.Backups)
+}
+
 // rerouteConnection performs reactive recovery: a fresh primary route is
 // reserved from free capacity and the old one released. Links the two
 // routes share keep their reservation.
@@ -125,11 +138,10 @@ func (m *Manager) rerouteConnection(c *Connection) bool {
 	if err != nil {
 		return false
 	}
-	db := m.net.DB()
-	if db.ReservePrimaryPath(c.ID, linksOutside(fresh, c.Primary)) != nil {
+	if m.net.DB().ReservePrimaryPath(c.ID, linksOutside(fresh, c.Primary)) != nil {
 		return false
 	}
-	mustRelease(db.ReleasePrimaryPath(c.ID, linksOutside(c.Primary, fresh)))
+	channels{m}.ReleaseOutside(c.ID, c.Trace, c.Primary, fresh)
 	c.Primary = fresh
 	return true
 }
@@ -154,73 +166,4 @@ func (m *Manager) pathAlive(p graph.Path) bool {
 		}
 	}
 	return true
-}
-
-// switchConnection promotes the first activatable backup of c to be the
-// new primary and re-registers/re-routes the remaining protection.
-func (m *Manager) switchConnection(c *Connection, out *RecoveryOutcome) bool {
-	db := m.net.DB()
-	oldPrimary := c.Primary
-	for i, backup := range c.Backups {
-		if !m.pathAlive(backup) {
-			continue
-		}
-		// The activation round trip can be lost under signal faults; the
-		// backup then stays registered and the next one is tried.
-		if !m.signalOK(c.trace, c.ID, "activate") {
-			continue
-		}
-		// Spare slots become primary bandwidth link by link (links the old
-		// primary already holds keep their reservation); contention on any
-		// link leaves the backup registered as it was.
-		if db.PromoteBackupPath(c.ID, backup.Links()) != nil {
-			continue
-		}
-		// Release the old primary's reservations except links shared
-		// with (and reused by) the new primary.
-		mustRelease(db.ReleasePrimaryPath(c.ID, linksOutside(oldPrimary, backup)))
-		// Surviving backups were registered with the old primary's LSET;
-		// release and re-register them against the new primary.
-		survivors := make([]graph.Path, 0, len(c.Backups)-1)
-		for j, b := range c.Backups {
-			if j == i {
-				continue
-			}
-			mustRelease(db.ReleaseBackupPath(c.ID, b.Links()))
-			survivors = append(survivors, b)
-		}
-		c.Primary = backup
-		c.Backups = nil
-		for _, b := range survivors {
-			if !m.pathAlive(b) || b.SharedLinks(c.Primary) > 0 {
-				continue
-			}
-			if m.registerBackup(c.ID, b, c.Primary, c.Backups) {
-				c.Backups = append(c.Backups, b)
-				out.BackupsReestablished++
-			}
-		}
-		m.restoreProtection(c, out)
-		return true
-	}
-	return false
-}
-
-// restoreProtection routes and registers fresh backups for c's current
-// primary when the scheme can (DRTP step 4).
-func (m *Manager) restoreProtection(c *Connection, out *RecoveryOutcome) {
-	br, ok := m.scheme.(BackupRouter)
-	if !ok {
-		return
-	}
-	req := Request{ID: c.ID, Src: c.Src, Dst: c.Dst}
-	for _, b := range br.RouteBackupsFor(m.net, req, c.Primary, c.Backups) {
-		if b.Empty() || !m.pathAlive(b) {
-			continue
-		}
-		if m.registerBackup(c.ID, b, c.Primary, c.Backups) {
-			c.Backups = append(c.Backups, b)
-			out.BackupsReestablished++
-		}
-	}
 }

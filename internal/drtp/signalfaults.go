@@ -3,13 +3,14 @@ package drtp
 import (
 	"fmt"
 
+	"github.com/rtcl/drtp/internal/lifecycle"
 	"github.com/rtcl/drtp/internal/rng"
 )
 
 // ErrSignalTimeout indicates a signalling round trip was lost on every
 // attempt of its retry budget; the operation is reported failed rather
 // than hanging (graceful degradation under chaos).
-var ErrSignalTimeout = fmt.Errorf("drtp: signalling timed out")
+var ErrSignalTimeout = fmt.Errorf("drtp: %w", lifecycle.ErrTimeout)
 
 // signalFaults models a lossy signalling network for the centralized
 // manager, which has no packet transport to inject faults into: each
@@ -22,34 +23,22 @@ type signalFaults struct {
 	src     *rng.Source
 }
 
-type signalFaultsOption struct {
-	drop    float64
-	retries int
-	seed    int64
-}
-
-func (o signalFaultsOption) apply(m *Manager) {
-	if o.drop <= 0 {
-		return
-	}
-	r := o.retries
-	if r < 1 {
-		r = 3
-	}
-	m.signal = &signalFaults{
-		drop:    o.drop,
-		retries: r,
-		src:     rng.New(o.seed).Split("signal"),
-	}
-}
-
-// WithSignalFaults makes the manager's signalling round trips (primary
-// setup, backup registration, backup activation) lossy: each attempt
+// WithSignalFaults makes the manager's signalling round trips (every
+// reserve, register and activate of the lifecycle) lossy: each attempt
 // fails with probability drop and is retried up to retries attempts
 // (default 3 when retries < 1) before the operation is reported failed.
 // Deterministic in seed. A drop of 0 disables the model.
 func WithSignalFaults(drop float64, retries int, seed int64) ManagerOption {
-	return signalFaultsOption{drop: drop, retries: retries, seed: seed}
+	return func(m *Manager) {
+		if drop <= 0 {
+			return
+		}
+		n := retries
+		if n < 1 {
+			n = 3
+		}
+		m.signal = &signalFaults{drop: drop, retries: n, src: rng.New(seed).Split("signal")}
+	}
 }
 
 // signalOK models one signalling round trip: lost attempts are retried

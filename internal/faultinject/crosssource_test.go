@@ -39,15 +39,7 @@ func mirrorInto(db *lsdb.DB, v *router.LinkStateView) {
 
 // viewBackups is the k-backup top-up on a view.
 func viewBackups(v *router.LinkStateView, primary graph.Path, k int) []graph.Path {
-	var got []graph.Path
-	for len(got) < k {
-		b := v.NextBackup(primary, got, nil)
-		if b.Empty() {
-			break
-		}
-		got = append(got, b)
-	}
-	return got
+	return v.Backups(primary, nil, k, nil)
 }
 
 func nodesOf(g *graph.Graph, paths []graph.Path) [][]graph.NodeID {

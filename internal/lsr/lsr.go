@@ -15,7 +15,11 @@
 // metric vector, and takes its routes from here.
 package lsr
 
-import "github.com/rtcl/drtp/internal/graph"
+import (
+	"slices"
+
+	"github.com/rtcl/drtp/internal/graph"
+)
 
 const (
 	// Q is the paper's "very large constant" penalizing links that overlap
@@ -125,4 +129,19 @@ func (s *Selector) NextBackup(primary graph.Path, existing []graph.Path, maxHops
 		return graph.Path{}
 	}
 	return b
+}
+
+// Backups is the k-backup rule: NextBackup until a connection with the
+// given primary and existing backups holds k, or no further route. It
+// returns the routes it added.
+func (s *Selector) Backups(primary graph.Path, existing []graph.Path, k, maxHops int) []graph.Path {
+	have := slices.Clip(existing)
+	for len(have) < k {
+		b := s.NextBackup(primary, have, maxHops)
+		if b.Empty() {
+			break
+		}
+		have = append(have, b)
+	}
+	return have[len(existing):]
 }

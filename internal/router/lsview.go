@@ -95,6 +95,15 @@ func (v *LinkStateView) NextBackup(primary graph.Path, existing []graph.Path, bl
 	return v.sel.NextBackup(primary, existing, 0)
 }
 
+// Backups tops a connection with the given primary and existing backups
+// up to k backups (lsr.Selector.Backups, the k-backup rule), never using a
+// link blocked reports true for. It returns the routes it added.
+func (v *LinkStateView) Backups(primary graph.Path, existing []graph.Path, k int, blocked func(graph.LinkID) bool) []graph.Path {
+	v.block(blocked)
+	v.fillMetric(primary.Links())
+	return v.sel.Backups(primary, existing, k, 0)
+}
+
 // block marks the links blocked reports true for as down for the
 // selection that follows.
 func (v *LinkStateView) block(blocked func(graph.LinkID) bool) {
@@ -122,9 +131,6 @@ func (v *LinkStateView) fillMetric(lset []graph.LinkID) {
 		v.sel.Metric[l] = float64(n)
 	}
 }
-
-// localLinks returns the IDs of this node's outgoing links.
-func (r *Router) localLinks() []graph.LinkID { return r.g.Out(r.cfg.Node) }
 
 // holdDownsPerLSInterval sets the hold-down between two triggered adverts
 // from one router as a fraction of Config.LSInterval: 10 ms at the default
@@ -173,7 +179,7 @@ func (r *Router) advertise() {
 	r.mySeq++
 	r.dirty, r.lastAdvert = false, time.Now()
 	update := proto.LSUpdate{Origin: r.cfg.Node, Seq: r.mySeq}
-	for _, l := range r.localLinks() {
+	for _, l := range r.g.Out(r.cfg.Node) {
 		update.Links = append(update.Links, r.advertForLocked(l))
 		// Local view mirrors local truth immediately.
 		r.view.Apply(update.Links[len(update.Links)-1])

@@ -19,13 +19,13 @@
 // retry/backoff loop) and the hop handler (handleHop: hop validation,
 // teardown tombstone, dedup replay, reply or forward). Only the lsdb link
 // operation, the reply message and the forwarded wire struct differ by
-// kind. Establish and EstablishRoutes feed one establishment sequence with
-// local or commanded routes. Two rules live there: the sweep of a failed
-// primary skips links its activated backup shares with it (what an
-// activation hop does on such a link is lsdb.PromoteBackup's rule); and an
-// establishment claims its ID (a nil record in conns) under the lock that
-// checked for duplicates, so concurrent requests for one ID cannot share
-// round trips.
+// kind.
+//
+// The connection lifecycle — establish, switch, re-protect, release — is
+// internal/lifecycle's, as in the simulator; the router supplies each
+// channel operation as a signalling walk (channels). An establishment
+// claims its ID (a nil record in conns) under the lock that checked for
+// duplicates, so concurrent requests for one ID cannot share round trips.
 //
 // Routes a router originates are selected on its link-state view
 // (lsview.go) by internal/lsr, the route selection the simulator runs.
@@ -35,15 +35,8 @@
 // Remote views and mirrors therefore trail an owner by at most hold-down +
 // flood time; a router's view of its own links never trails, and the
 // periodic refresh every LSInterval is unchanged. Nothing on the recovery
-// path reads a view: backups are pre-registered and failure reports go
-// straight to the source.
-//
-// Known simplification: after a channel switch, surviving backup channels
-// keep their original registrations, whose piggybacked LSETs describe the
-// old (failed) primary; the affected links' APLVs are therefore slightly
-// conservative until the connection is released. Re-registering under the
-// new primary (as the centralized drtp.Manager does) would cost another
-// signalling round trip per surviving backup.
+// path reads a view before the switch: backups are pre-registered and
+// failure reports go straight to the source.
 package router
 
 import (
@@ -54,6 +47,7 @@ import (
 
 	"github.com/rtcl/drtp/internal/dedup"
 	"github.com/rtcl/drtp/internal/graph"
+	"github.com/rtcl/drtp/internal/lifecycle"
 	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/proto"
 	"github.com/rtcl/drtp/internal/rng"
@@ -188,43 +182,34 @@ type ConnInfo struct {
 	// Switched is true once the backup has been activated as the new
 	// primary after a failure.
 	Switched bool
-	// Dead is true when the connection could not be recovered.
+	// Dead is true when no backup activated after a failure; the
+	// connection then holds nothing.
 	Dead bool
 }
 
-// conn is the router-internal connection record.
+// conn is the router-internal connection record: the lifecycle record,
+// the snapshot Conn serves, and the switch guard.
 type conn struct {
-	info        ConnInfo
-	primaryPath graph.Path
-	backupPaths []graph.Path
-	// trace keys the connection's telemetry span (telemetry.ConnTrace);
-	// zero when the router traces nothing.
-	trace uint64
+	lifecycle.Conn
+	info ConnInfo
 	// switching guards against duplicate switch attempts from repeated
-	// failure reports.
+	// failure reports. While it is set the switch goroutine owns the
+	// lifecycle record; everyone else reads info.
 	switching bool
 }
 
-// setRoutes records the route carrying primary bandwidth and the
-// still-registered backups, keeping the info snapshot in step.
-func (c *conn) setRoutes(g *graph.Graph, primary graph.Path, backups []graph.Path) {
-	c.primaryPath, c.backupPaths = primary, backups
-	c.info.Primary = primary.Nodes(g)
+// publish refreshes the info snapshot from the lifecycle record. Callers
+// must hold r.mu once c is in conns.
+func (c *conn) publish(g *graph.Graph) {
+	c.info.ID, c.info.Src, c.info.Dst = c.ID, c.Src, c.Dst
+	c.info.Primary = c.Primary.Nodes(g)
 	c.info.Backup, c.info.Backups = nil, nil
-	for _, b := range backups {
+	for _, b := range c.Backups {
 		c.info.Backups = append(c.info.Backups, b.Nodes(g))
 	}
-	if len(backups) > 0 {
+	if len(c.Backups) > 0 {
 		c.info.Backup = c.info.Backups[0]
 	}
-}
-
-// transitRec remembers, per transit primary reservation, the source
-// router to notify on failure and the connection's span context so the
-// failure report carries the trace ID back to the source.
-type transitRec struct {
-	src   graph.NodeID
-	trace uint64
 }
 
 // Signalling kinds.
@@ -303,9 +288,6 @@ type Router struct {
 	// transport delivers after the teardown cannot resurrect reservations;
 	// bounded; guarded by mu.
 	tombstones *dedup.Window[lsdb.ConnID, uint64]
-	// frPending holds failure reports awaiting retransmission (resent on
-	// hello ticks with exponential spacing); guarded by mu.
-	frPending []frRetry
 	// replyPool recycles the one-shot buffered reply channels of
 	// signalling round trips. Recycling is safe because results are
 	// delivered under mu only to the channel still registered in pending,
@@ -315,8 +297,10 @@ type Router struct {
 	// conns records connections originated here; a nil record is an ID
 	// claimed by an establishment still signalling; guarded by mu.
 	conns map[lsdb.ConnID]*conn
-	// transitPrim maps outgoing links to transit reservations; guarded by mu.
-	transitPrim map[graph.LinkID]map[lsdb.ConnID]transitRec
+	// transitPrim maps each outgoing link to the primaries reserved on it
+	// and their source routers, the ones to notify on failure; guarded by
+	// mu.
+	transitPrim map[graph.LinkID]map[lsdb.ConnID]graph.NodeID
 	// lastHello stamps the latest keep-alive per neighbor; guarded by mu.
 	lastHello map[graph.NodeID]time.Time
 	// helloSeq numbers outgoing hellos; guarded by mu.
@@ -329,6 +313,8 @@ type Router struct {
 	log        *slog.Logger
 	tracer     *telemetry.Tracer
 	schemeName string
+	// life runs the connection lifecycle over this router's signalling.
+	life lifecycle.Lifecycle
 	// Cached metric instruments (nil when Config.Metrics is nil; every
 	// method on them is nil-safe). Hop-signal children are resolved once
 	// here so the dispatch path observes without any lookup or
@@ -378,7 +364,7 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 		seenSig:     dedup.NewWindow[dedupKey, sigResult](maxSeenSig),
 		tombstones:  dedup.NewWindow[lsdb.ConnID, uint64](maxTombstones),
 		conns:       make(map[lsdb.ConnID]*conn),
-		transitPrim: make(map[graph.LinkID]map[lsdb.ConnID]transitRec),
+		transitPrim: make(map[graph.LinkID]map[lsdb.ConnID]graph.NodeID),
 		lastHello:   make(map[graph.NodeID]time.Time),
 		downNbr:     make(map[graph.NodeID]bool),
 		log:         cfg.Logger.With("node", int(cfg.Node)),
@@ -390,6 +376,7 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 	// New(seed).Split(label) is a pure function of (seed, label), so
 	// routers sharing RetrySeed still draw independent jitter streams.
 	r.retryRNG = rng.New(cfg.RetrySeed).Split(fmt.Sprintf("retry/%d", int(cfg.Node)))
+	r.life = lifecycle.Lifecycle{Channels: channels{r}, Tracer: r.tracer, Scheme: r.schemeName}
 	if cfg.Metrics != nil {
 		r.mEstablishSeconds = cfg.Metrics.Latency("drtp_router_establish_seconds",
 			"Latency of successful DR-connection establishments.")

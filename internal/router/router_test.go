@@ -3,8 +3,10 @@ package router_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"log/slog"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -557,24 +559,13 @@ func TestMultiBackupEstablish(t *testing.T) {
 	waitDrained(t, c)
 }
 
+// TestSwitchKeepsSurvivingBackup pins the re-protection of a survivor:
+// after the switch onto the first backup, the second is registered again
+// under the new primary's LSET, so its links' APLVs count the new
+// primary's links and no longer the failed one's.
 func TestSwitchKeepsSurvivingBackup(t *testing.T) {
 	g := theta(t)
-	mem := transport.NewMem()
-	c, err := router.NewCluster(router.Config{
-		Graph:         g,
-		Capacity:      10,
-		UnitBW:        1,
-		Backups:       2,
-		HelloInterval: 10 * time.Millisecond,
-		LSInterval:    20 * time.Millisecond,
-	}, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		c.Close()
-		_ = mem.Close()
-	}()
+	c := newBackupsCluster(t, g, 2)
 	if _, err := c.Router(0).Establish(1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -585,6 +576,105 @@ func TestSwitchKeepsSurvivingBackup(t *testing.T) {
 			nodesEqual(got.Primary, 0, 2, 1) &&
 			len(got.Backups) == 1 && nodesEqual(got.Backups[0], 0, 3, 4, 1)
 	})
+	l01, _ := g.LinkBetween(0, 1)
+	l02, _ := g.LinkBetween(0, 2)
+	l21, _ := g.LinkBetween(2, 1)
+	for _, hop := range [][2]graph.NodeID{{0, 3}, {3, 4}, {4, 1}} {
+		l, _ := g.LinkBetween(hop[0], hop[1])
+		db := c.Router(hop[0]).DB()
+		waitFor(t, fmt.Sprintf("survivor on %d->%d under the new LSET", hop[0], hop[1]), func() bool {
+			return db.HasBackup(1, l) && db.APLVAt(l, l02) == 1 && db.APLVAt(l, l21) == 1 && db.APLVAt(l, l01) == 0
+		})
+	}
+	if err := c.Router(0).Release(1); err != nil {
+		t.Fatal(err)
+	}
+	waitDrained(t, c)
+}
+
+// TestSwitchKeepsConnectionProtected pins the top-up after a switch: a
+// connection with one backup gets a fresh one routed for its new primary,
+// and when that primary fails too it switches again onto the fresh one.
+func TestSwitchKeepsConnectionProtected(t *testing.T) {
+	g := theta(t)
+	c := newBackupsCluster(t, g, 1)
+	src := c.Router(0)
+	if _, err := src.Establish(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	c.FailEdge(0, 1)
+	waitFor(t, "switched and protected again", func() bool {
+		got, ok := src.Conn(1)
+		return ok && got.Switched && !got.Dead && nodesEqual(got.Primary, 0, 2, 1) &&
+			len(got.Backups) == 1 && nodesEqual(got.Backups[0], 0, 3, 4, 1)
+	})
+	l34, _ := g.LinkBetween(3, 4)
+	l02, _ := g.LinkBetween(0, 2)
+	waitFor(t, "fresh backup registered under the new LSET", func() bool {
+		return c.Router(3).DB().APLVAt(l34, l02) == 1
+	})
+
+	c.FailEdge(0, 2)
+	waitFor(t, "switched again onto the fresh backup", func() bool {
+		got, ok := src.Conn(1)
+		return ok && !got.Dead && nodesEqual(got.Primary, 0, 3, 4, 1) && len(got.Backups) == 0
+	})
+	if err := src.Release(1); err != nil {
+		t.Fatal(err)
+	}
+	waitDrained(t, c)
+}
+
+// TestSwitchKeepsNothingAfterRelease releases each connection the moment
+// its activation is published, while its re-protection is still
+// signalling: the switch must release what it ends with.
+func TestSwitchKeepsNothingAfterRelease(t *testing.T) {
+	c := newBackupsCluster(t, theta(t), 2)
+	src := c.Router(0)
+	for id := lsdb.ConnID(1); id <= 3; id++ {
+		if _, err := src.Establish(id, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.FailEdge(0, 1)
+	for id := lsdb.ConnID(1); id <= 3; id++ {
+		// Spin, not sleep: the re-protection takes one round trip.
+		deadline := time.Now().Add(5 * time.Second)
+		for info, _ := src.Conn(id); !info.Switched && !info.Dead; info, _ = src.Conn(id) {
+			if time.Now().After(deadline) {
+				t.Fatalf("conn %d neither switched nor dead", id)
+			}
+			runtime.Gosched()
+		}
+		if err := src.Release(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitDrained(t, c)
+}
+
+// newBackupsCluster is newCluster with k backups per connection and no
+// hello-based detection: failures are injected.
+func newBackupsCluster(t *testing.T, g *graph.Graph, k int) *router.Cluster {
+	t.Helper()
+	mem := transport.NewMem()
+	c, err := router.NewCluster(router.Config{
+		Graph:         g,
+		Capacity:      10,
+		UnitBW:        1,
+		Backups:       k,
+		HelloInterval: 10 * time.Millisecond,
+		HelloMiss:     noDetector,
+		LSInterval:    20 * time.Millisecond,
+	}, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		c.Close()
+		_ = mem.Close()
+	})
+	return c
 }
 
 func TestEstablishTimesOutOnLostSignalling(t *testing.T) {
@@ -827,7 +917,8 @@ func waitDrained(t *testing.T, c *router.Cluster) {
 // past the bridge spares the backup, so the connection must switch — the
 // bridge hop keeps the reservation it already holds — and the
 // reconfiguration sweep of the old primary must leave that reservation
-// alone.
+// alone. The only backup left to route is the new primary itself, the
+// last resort again, registered under the new LSET.
 func TestActivateOverSharedLink(t *testing.T) {
 	g, err := topology.FromEdgeList(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {1, 4}, {4, 3}})
 	if err != nil {
@@ -857,8 +948,15 @@ func TestActivateOverSharedLink(t *testing.T) {
 		return c.Router(1).DB().PrimeBW(l12) == 0 && c.Router(2).DB().PrimeBW(l23) == 0
 	})
 	l01, _ := g.LinkBetween(0, 1)
-	if p, b := src.DB().PrimeBW(l01), src.DB().NumBackupsOn(l01); p != 1 || b != 0 {
-		t.Fatalf("bridge 0->1 after the sweep: prime=%d backups=%d, want 1 and 0", p, b)
+	l14, _ := g.LinkBetween(1, 4)
+	waitFor(t, "re-protected on the last resort", func() bool {
+		info, _ = src.Conn(1)
+		return len(info.Backups) == 1 && nodesEqual(info.Backups[0], 0, 1, 4, 3)
+	})
+	db := src.DB()
+	if p, b := db.PrimeBW(l01), db.NumBackupsOn(l01); p != 1 || b != 1 || db.APLVAt(l01, l12) != 0 || db.APLVAt(l01, l14) != 1 {
+		t.Fatalf("bridge 0->1 after the sweep: prime=%d backups=%d, APLV[1->2]=%d APLV[1->4]=%d, want 1, 1, 0, 1",
+			p, b, db.APLVAt(l01, l12), db.APLVAt(l01, l14))
 	}
 	if err := src.Release(1); err != nil {
 		t.Fatal(err)

@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"github.com/rtcl/drtp/internal/graph"
+	"github.com/rtcl/drtp/internal/lifecycle"
 	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/proto"
-	"github.com/rtcl/drtp/internal/telemetry"
 )
 
 // Exported signalling errors.
@@ -18,44 +18,43 @@ var (
 	// ErrNoBackup indicates no backup channel could be established.
 	ErrNoBackup = fmt.Errorf("router: no backup channel could be established")
 	// ErrTimeout indicates a signalling round trip timed out.
-	ErrTimeout = fmt.Errorf("router: signalling timeout")
+	ErrTimeout = fmt.Errorf("router: %w", lifecycle.ErrTimeout)
 	// ErrClosed indicates the router was closed.
 	ErrClosed = fmt.Errorf("router: closed")
 )
 
 // Establish sets up a DR-connection from this router to dst: it reserves
-// the primary channel hop-by-hop, then registers the backup channel
-// carrying the primary's LSET. If the backup cannot be established the
+// the primary channel hop-by-hop, then registers the backup channels
+// carrying the primary's LSET. If no backup can be established the
 // primary is torn down and the request fails (the backup-required
-// admission policy). Routes come from the local link-state view as the
-// channels go up.
+// admission policy). All routes come from the local link-state view before
+// anything is reserved, as the simulator's schemes take them from one
+// snapshot.
 func (r *Router) Establish(id lsdb.ConnID, dst graph.NodeID) (ConnInfo, error) {
-	return r.establish(id, dst, func() (graph.Path, error) {
-		// Minimum-hop and feasible on the view, never leaving through a
-		// link to a neighbour declared down.
+	return r.establish(id, dst, func() (graph.Path, []graph.Path, error) {
 		r.mu.Lock()
+		defer r.mu.Unlock()
+		// Minimum-hop and feasible on the view, never leaving through a
+		// link to a neighbour declared down; the backups need no such
+		// block, as such links advertise zero bandwidth.
 		p := r.view.RoutePrimary(r.cfg.Node, dst, func(l graph.LinkID) bool {
 			lk := r.g.Link(l)
 			return lk.From == r.cfg.Node && r.downNbr[lk.To]
 		})
-		r.mu.Unlock()
 		if p.Empty() {
-			return p, ErrNoRoute
+			return p, nil, ErrNoRoute
 		}
-		return p, nil
-	}, func(k int, primary graph.Path, got []graph.Path) (graph.Path, error) {
-		// Up to cfg.Backups channels. A candidate that failed to register
-		// ends the feed (k has outrun got): the view that produced it
-		// would produce it again.
-		if k >= r.cfg.Backups || k > len(got) {
-			return graph.Path{}, nil
-		}
-		// Links to down neighbours advertise zero bandwidth, which already
-		// makes them a last resort.
-		r.mu.Lock()
-		b := r.view.NextBackup(primary, got, nil)
-		r.mu.Unlock()
-		return b, nil
+		return p, r.view.Backups(p, nil, r.cfg.Backups, nil), nil
+	})
+}
+
+// topUp routes fresh backups for a connection switched off the failed
+// link, whose edge is blocked: the view may not carry the news yet.
+func (r *Router) topUp(c *lifecycle.Conn, failed graph.LinkID) []graph.Path {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.view.Backups(c.Primary, c.Backups, r.cfg.Backups, func(l graph.LinkID) bool {
+		return r.g.Link(l).Edge == r.g.Link(failed).Edge
 	})
 }
 
@@ -69,28 +68,29 @@ func (r *Router) Establish(id lsdb.ConnID, dst graph.NodeID) (ConnInfo, error) {
 // belongs to the caller — and a candidate that fails validation or
 // registration is skipped for the next one.
 func (r *Router) EstablishRoutes(id lsdb.ConnID, dst graph.NodeID, primaryNodes []graph.NodeID, backupNodes [][]graph.NodeID) (ConnInfo, error) {
-	return r.establish(id, dst, func() (graph.Path, error) {
+	return r.establish(id, dst, func() (graph.Path, []graph.Path, error) {
 		p, err := r.pathFromNodes(primaryNodes, dst)
 		if err != nil {
-			err = fmt.Errorf("%w: %v", ErrNoRoute, err)
+			return p, nil, fmt.Errorf("%w: %v", ErrNoRoute, err)
 		}
-		return p, err
-	}, func(k int, _ graph.Path, _ []graph.Path) (graph.Path, error) {
-		if k >= len(backupNodes) {
-			return graph.Path{}, nil
+		var backups []graph.Path
+		for _, nodes := range backupNodes {
+			if b, err := r.pathFromNodes(nodes, dst); err == nil {
+				backups = append(backups, b)
+			} else {
+				r.log.Warn("commanded backup route skipped", "conn", int64(id), "err", err)
+			}
 		}
-		return r.pathFromNodes(backupNodes[k], dst)
+		return p, backups, nil
 	})
 }
 
-// establish is the one establishment sequence: claim the ID, set up the
-// primary, register backups until the feed runs dry, roll the primary
-// back if none registered, commit. The callers feed it routes:
-// primaryRoute yields the primary or the error the request fails with;
-// backupRoute yields the k-th backup candidate given the backups got so
-// far, where an error skips the candidate and the empty path ends the feed.
-func (r *Router) establish(id lsdb.ConnID, dst graph.NodeID, primaryRoute func() (graph.Path, error),
-	backupRoute func(k int, primary graph.Path, got []graph.Path) (graph.Path, error)) (info ConnInfo, err error) {
+// establish claims the ID, runs the lifecycle's establishment on the
+// routes route yields and commits the record. The claim is a nil record in
+// conns, made under the lock that checked for duplicates, so a concurrent
+// request for the same ID fails at once instead of sharing this one's
+// round trips.
+func (r *Router) establish(id lsdb.ConnID, dst graph.NodeID, route func() (graph.Path, []graph.Path, error)) (ConnInfo, error) {
 	start := time.Now()
 	r.mu.Lock()
 	if r.closed {
@@ -101,81 +101,32 @@ func (r *Router) establish(id lsdb.ConnID, dst graph.NodeID, primaryRoute func()
 		r.mu.Unlock()
 		return ConnInfo{}, fmt.Errorf("router: connection %d already exists", id)
 	}
-	// Claim the ID under the lock that checked it: a nil record marks a
-	// connection still being signalled, so a concurrent request for the
-	// same ID fails above instead of sharing this one's round trips.
 	r.conns[id] = nil
 	r.mu.Unlock()
-	defer func() {
-		if err != nil {
-			r.mu.Lock()
-			delete(r.conns, id)
-			r.mu.Unlock()
-		}
-	}()
 
-	// The span context rides inside every signalling packet of this
-	// connection so remote hops stamp the same trace ID; derived only
-	// when tracing to keep the untraced hot path at a nil check.
-	var trace uint64
-	if r.tracer.Enabled() {
-		trace = telemetry.ConnTrace(r.schemeName, int64(id))
-		r.tracer.ConnRequest(r.schemeName, trace, int64(id))
-	}
-	primary, err := primaryRoute()
-	if err != nil {
-		r.tracer.ConnReject(r.schemeName, trace, int64(id), "no-route")
-		return ConnInfo{}, err
-	}
-	if err := r.setupChannel(id, proto.Primary, primary, nil, trace); err != nil {
-		r.tracer.ConnReject(r.schemeName, trace, int64(id), "no-capacity")
-		return ConnInfo{}, err
-	}
-	r.tracer.PrimarySetup(r.schemeName, trace, int64(id), primary.Hops())
-
-	var (
-		backups  []graph.Path
-		firstErr error
-	)
-	for k := 0; ; k++ {
-		backup, err := backupRoute(k, primary, backups)
-		if err == nil && backup.Empty() {
-			break
-		}
-		if err == nil {
-			if err = r.setupChannel(id, proto.Backup, backup, primary.Links(), trace); err != nil {
-				r.tracer.BackupRegister(r.schemeName, trace, int64(id), backup.Hops(), "rejected")
-			}
-		}
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		r.tracer.BackupRegister(r.schemeName, trace, int64(id), backup.Hops(), "")
-		backups = append(backups, backup)
-	}
-	if len(backups) == 0 {
-		// Retransmit the rollback sweep only when the backup failure was a
-		// timeout: the signalling path is then known lossy.
-		r.teardownChannel(id, proto.Primary, primary, 0, -1, trace, errors.Is(firstErr, ErrTimeout))
-		r.tracer.ConnReject(r.schemeName, trace, int64(id), "no-backup")
-		if firstErr != nil {
-			return ConnInfo{}, fmt.Errorf("%w: %v", ErrNoBackup, firstErr)
+	c := &conn{Conn: lifecycle.Conn{ID: id, Src: r.cfg.Node, Dst: dst}}
+	out := r.life.Establish(&c.Conn, route)
+	if out.Reason != "" {
+		r.mu.Lock()
+		delete(r.conns, id)
+		r.mu.Unlock()
+		switch {
+		case out.Reason != "no-backup":
+			return ConnInfo{}, out.Err
+		case out.Err != nil:
+			return ConnInfo{}, fmt.Errorf("%w: %v", ErrNoBackup, out.Err)
 		}
 		return ConnInfo{}, ErrNoBackup
 	}
-
-	c := &conn{trace: trace, info: ConnInfo{ID: id, Src: r.cfg.Node, Dst: dst}}
-	c.setRoutes(r.g, primary, backups)
+	// Not yet shared: a failure report may start a switch once c is in
+	// conns.
+	c.publish(r.g)
+	r.log.Info("connection established", "conn", int64(id), "dst", int(dst),
+		"primaryHops", c.Primary.Hops(), "backups", len(c.Backups))
 	r.mu.Lock()
 	r.conns[id] = c
-	info = c.info
+	info := c.info
 	r.mu.Unlock()
-	r.log.Info("connection established", "conn", int64(id), "dst", int(dst),
-		"primaryHops", primary.Hops(), "backups", len(backups))
-	r.tracer.ConnEstablish(r.schemeName, trace, int64(id), primary.Hops())
 	r.mEstablishSeconds.ObserveSince(start)
 	r.mActiveConns.Add(1)
 	return info, nil
@@ -196,7 +147,9 @@ func (r *Router) pathFromNodes(nodes []graph.NodeID, dst graph.NodeID) (graph.Pa
 	return graph.PathFromNodes(r.g, nodes)
 }
 
-// Release terminates a connection originated at this router.
+// Release terminates a connection originated at this router. A switch in
+// flight releases whatever it ends with, and a dropped connection holds
+// nothing, so only the record goes.
 func (r *Router) Release(id lsdb.ConnID) error {
 	r.mu.Lock()
 	c := r.conns[id]
@@ -205,23 +158,60 @@ func (r *Router) Release(id lsdb.ConnID) error {
 		return fmt.Errorf("router: connection %d not found", id)
 	}
 	delete(r.conns, id)
-	primary, backups, trace := c.primaryPath, c.backupPaths, c.trace
+	idle := !c.switching && !c.info.Dead
 	r.mu.Unlock()
 
 	r.log.Info("connection released", "conn", int64(id))
-	if len(backups) > 0 {
-		r.tracer.BackupRelease(r.schemeName, trace, int64(id), len(backups))
-	}
 	r.mActiveConns.Add(-1)
-	// primaryPath always names the route currently carrying primary
-	// bandwidth (the activated backup after a switch); backupPaths only
-	// the still-registered backup channels.
-	r.teardownChannel(id, proto.Primary, primary, 0, -1, trace, false)
-	for _, b := range backups {
-		r.teardownChannel(id, proto.Backup, b, 0, -1, trace, false)
+	if idle {
+		r.life.Release(&c.Conn, false)
 	}
-	r.tracer.ConnTeardown(r.schemeName, trace, int64(id))
 	return nil
+}
+
+// channels are the router's channel operations for the lifecycle, each a
+// signalling walk from this router.
+type channels struct{ *Router }
+
+// Reserve implements lifecycle.Channels.
+func (r channels) Reserve(id lsdb.ConnID, trace uint64, p graph.Path) error {
+	return r.walk(signal{sigID: sigID{kind: sigSetup, conn: id, channel: proto.Primary}, trace: trace}, p, proto.Primary)
+}
+
+// Register implements lifecycle.Channels.
+func (r channels) Register(id lsdb.ConnID, trace uint64, b, primary graph.Path) error {
+	return r.walk(signal{sigID: sigID{kind: sigSetup, conn: id, channel: proto.Backup}, lset: primary.Links(), trace: trace},
+		b, proto.Backup)
+}
+
+// Activate implements lifecycle.Channels: spare reservations become
+// primary bandwidth hop by hop.
+func (r channels) Activate(id lsdb.ConnID, trace uint64, b graph.Path) error {
+	return r.walk(signal{sigID: sigID{kind: sigActivate, conn: id}, trace: trace}, b, proto.Backup, proto.Primary)
+}
+
+// Release implements lifecycle.Channels.
+func (r channels) Release(id lsdb.ConnID, trace uint64, k proto.ChannelKind, p graph.Path, lossy bool) {
+	r.teardownChannel(id, k, p, 0, -1, trace, lossy)
+}
+
+// ReleaseOutside implements lifecycle.Channels: links the new primary
+// reuses keep their reservation (the activation left it in place), so the
+// sweep is sent once per maximal run of old links outside keep, each
+// starting at the run's first router, and retransmitted.
+func (r channels) ReleaseOutside(id lsdb.ConnID, trace uint64, old, keep graph.Path) {
+	links := old.Links()
+	for from := 0; from < len(links); from++ {
+		if keep.Contains(links[from]) {
+			continue
+		}
+		upTo := from + 1
+		for upTo < len(links) && !keep.Contains(links[upTo]) {
+			upTo++
+		}
+		r.teardownChannel(id, proto.Primary, old, from, upTo, trace, true)
+		from = upTo
+	}
 }
 
 // signal is one hop-by-hop signalling packet in kind-independent form.
@@ -355,34 +345,41 @@ func (r *Router) completeRoundTrip(id sigID, seq uint64, res sigResult) {
 	}
 }
 
-// setupChannel reserves (primary) or registers (backup) one channel along
-// path and rolls back whatever a failed walk left behind.
-func (r *Router) setupChannel(id lsdb.ConnID, kind proto.ChannelKind, path graph.Path, lset []graph.LinkID, trace uint64) error {
-	res, err := r.roundTrip(signal{
-		sigID: sigID{kind: sigSetup, conn: id, channel: kind},
-		route: path.Nodes(r.g), lset: lset, trace: trace,
-	})
+// walk runs s along path and sweeps away what a failed walk may have left
+// of the channels undo names: once, on the hops before the hop that
+// rejected a setup; retransmitted, on the whole route, after a timeout or
+// a failed activation (whose reply names no hop). Stragglers of a
+// timed-out walk trail the sweep in per-pair FIFO order, and a transport
+// that reorders past it is covered by the teardown tombstone.
+func (r *Router) walk(s signal, path graph.Path, undo ...proto.ChannelKind) error {
+	s.route = path.Nodes(r.g)
+	res, err := r.roundTrip(s)
 	switch {
-	case errors.Is(err, ErrTimeout):
-		// Every attempt timed out: sweep the whole route. Stragglers of the
-		// final attempt trail this teardown in per-pair FIFO order, and a
-		// transport that reorders past it is covered by the teardown tombstone.
-		r.teardownChannel(id, kind, path, 0, -1, trace, true)
-	case err == nil && !res.ok:
-		// The reply is definitive, so roll back the hops reserved before
-		// the failure without blind retransmission.
-		r.teardownChannel(id, kind, path, 0, res.failedHop, trace, false)
-		err = fmt.Errorf("router: %s setup rejected at hop %d: %s", kind, res.failedHop, res.reason)
+	case err == nil && res.ok:
+		return nil
+	case errors.Is(err, ErrClosed):
+		return err
+	}
+	upTo, lossy := -1, true
+	switch {
+	case err != nil:
+	case s.kind == sigSetup:
+		upTo, lossy = res.failedHop, false
+		err = fmt.Errorf("router: %s setup rejected at hop %d: %s", s.channel, res.failedHop, res.reason)
+	default:
+		err = fmt.Errorf("router: activation rejected: %s", res.reason)
+	}
+	for _, k := range undo {
+		r.teardownChannel(s.conn, k, path, 0, upTo, s.trace, lossy)
 	}
 	return err
 }
 
 // teardownChannel releases a channel's reservations on the out-links of
 // route hops [from, upTo) (upTo -1 = to the end); the sweep starts at hop
-// from's router. With retry set it is retransmitted on a backoff schedule:
-// teardown has no reply to arm a retry on, so callers pass retry only when
-// loss was already observed; dedup absorbs the duplicates on hops the
-// original reached.
+// from's router. With retry set it is retransmitted (resend): callers pass
+// retry only when loss was already observed or recovery runs in a
+// degraded network.
 func (r *Router) teardownChannel(id lsdb.ConnID, kind proto.ChannelKind, path graph.Path, from, upTo int, trace uint64, retry bool) {
 	nodes := path.Nodes(r.g)
 	if upTo < 0 || upTo > len(nodes)-1 {
@@ -404,21 +401,26 @@ func (r *Router) teardownChannel(id lsdb.ConnID, kind proto.ChannelKind, path gr
 		Seq:     seq,
 	}
 	r.send(nodes[from], msg)
-	if !retry || r.cfg.RetryLimit < 2 {
-		return
+	if retry && r.cfg.RetryLimit > 1 {
+		r.resend(nodes[from], msg, r.cfg.SetupTimeout>>(r.cfg.RetryLimit-1), trace, int64(id), "teardown")
 	}
+}
+
+// resend retransmits msg to `to` RetryLimit-1 times, the a-th time after
+// first·2^(a-1), unless the router has closed: the retry of messages no
+// reply arms one for (teardown sweeps, failure reports). Hop dedup and the
+// source's switch guard absorb the duplicates. Each resend is traced as a
+// retry of op.
+func (r *Router) resend(to graph.NodeID, msg proto.Message, first time.Duration, trace uint64, conn int64, op string) {
 	for a := 1; a < r.cfg.RetryLimit; a++ {
-		delay := time.Duration(float64(r.cfg.SetupTimeout) *
-			float64(uint64(1)<<a) / float64(uint64(1)<<r.cfg.RetryLimit))
-		time.AfterFunc(delay, func() {
+		time.AfterFunc(first<<(a-1), func() {
 			r.mu.Lock()
 			closed := r.closed
 			r.mu.Unlock()
-			if closed {
-				return
+			if !closed {
+				r.tracer.Retry(r.schemeName, trace, conn, op)
+				r.send(to, msg)
 			}
-			r.tracer.Retry(r.schemeName, trace, int64(id), "teardown")
-			r.send(nodes[from], msg)
 		})
 	}
 }
@@ -502,9 +504,9 @@ func (r *Router) applyLinkLocked(s *signal, next graph.NodeID) (graph.LinkID, er
 	}
 	if err == nil {
 		if r.transitPrim[l] == nil {
-			r.transitPrim[l] = make(map[lsdb.ConnID]transitRec)
+			r.transitPrim[l] = make(map[lsdb.ConnID]graph.NodeID)
 		}
-		r.transitPrim[l][s.conn] = transitRec{src: s.route[0], trace: s.trace}
+		r.transitPrim[l][s.conn] = s.route[0]
 	}
 	return l, err
 }

@@ -12,8 +12,6 @@
 package routing
 
 import (
-	"slices"
-
 	"github.com/rtcl/drtp/internal/drtp"
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/lsdb"
@@ -103,15 +101,7 @@ func (s *LinkState) RouteBackupsFor(net *drtp.Network, req drtp.Request, primary
 // and returns the ones it added to existing.
 func (s *LinkState) topUp(db *lsdb.DB, sel *lsr.Selector, snap *lsdb.Snapshot, req drtp.Request, primary graph.Path, existing []graph.Path) []graph.Path {
 	sel.Metric = s.fill(s, db, snap, primary.Links())
-	have := slices.Clip(existing)
-	for len(have) < s.backups {
-		b := sel.NextBackup(primary, have, req.MaxHops)
-		if b.Empty() {
-			break
-		}
-		have = append(have, b)
-	}
-	return have[len(existing):]
+	return sel.Backups(primary, existing, s.backups, req.MaxHops)
 }
 
 // NewPLSR returns the probabilistic link-state scheme: the conflict metric
