@@ -91,20 +91,6 @@ func (c *AgentConfig) setDefaults(g *graph.Graph) {
 	}
 }
 
-// pendKind discriminates the agent's pending client requests.
-type pendKind uint8
-
-const (
-	pendEstablish pendKind = iota + 1
-	pendRelease
-	pendDrain
-)
-
-type pendKey struct {
-	kind pendKind
-	id   uint64
-}
-
 // Agent is the control-plane side of a node runtime: it registers the
 // node with the coordinator, heartbeats, executes connection commands
 // through the co-located router (with sequence-number dedup, so the
@@ -129,15 +115,14 @@ type Agent struct {
 	// execution in flight, non-nil a completed result to replay;
 	// bounded; guarded by mu.
 	cmdResults *dedup.Window[uint64, *proto.ConnCommandResult]
-	// pending routes coordinator replies to client-API waiters; guarded
-	// by mu.
-	pending map[pendKey]chan proto.Message
 	// closed is set once Close begins; guarded by mu.
 	closed bool
 
 	stop chan struct{}
 	done chan struct{}
 	wg   sync.WaitGroup // command executions
+	// work runs command executions.
+	work *workers
 }
 
 // NewAgent creates and starts an agent for the router. ep is the shared
@@ -155,10 +140,10 @@ func NewAgent(cfg AgentConfig, r *router.Router, ep transport.Endpoint, in <-cha
 		in:         in,
 		log:        cfg.Logger.With("agent", int(cfg.Node)),
 		cmdResults: dedup.NewWindow[uint64, *proto.ConnCommandResult](maxCmdResults),
-		pending:    make(map[pendKey]chan proto.Message),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
+	a.work = newWorkers(&a.wg, a.stop)
 	go a.loop()
 	return a, nil
 }
@@ -215,7 +200,9 @@ func (a *Agent) Draining() bool {
 }
 
 // loop is the agent's single dispatch goroutine: inbound control
-// messages plus the heartbeat/registration tick.
+// messages plus the heartbeat/registration tick. Coordinator replies go
+// to the waiting client call where the endpoint delivers them; one
+// reaching the loop was awaited by nobody and is dropped.
 func (a *Agent) loop() {
 	defer close(a.done)
 	// Registration sequence: one fresh value per process incarnation so
@@ -273,12 +260,6 @@ func (a *Agent) dispatch(env proto.Envelope) {
 		a.log.Info("drain state changed", "draining", m.On)
 	case proto.ConnCommand:
 		a.handleCommand(env.From, m)
-	case proto.EstablishReply:
-		a.deliver(pendKey{pendEstablish, uint64(m.Conn)}, m)
-	case proto.ReleaseReply:
-		a.deliver(pendKey{pendRelease, uint64(m.Conn)}, m)
-	case proto.DrainReply:
-		a.deliver(pendKey{pendDrain, uint64(m.Node)}, m)
 	}
 }
 
@@ -314,15 +295,13 @@ func (a *Agent) handleCommand(from graph.NodeID, m proto.ConnCommand) {
 	a.cmdResults.Put(m.Seq, nil)
 	a.mu.Unlock()
 
-	a.wg.Add(1)
-	go func() {
-		defer a.wg.Done()
+	a.work.run(func() {
 		res := a.execute(m)
 		a.mu.Lock()
 		a.cmdResults.Put(m.Seq, &res)
 		a.mu.Unlock()
 		_ = a.ep.Send(from, res)
-	}()
+	})
 }
 
 // execute runs one connection command against the router.
@@ -355,24 +334,11 @@ func (a *Agent) execute(m proto.ConnCommand) proto.ConnCommandResult {
 	return res
 }
 
-// deliver hands a coordinator reply to its waiting client call.
-func (a *Agent) deliver(key pendKey, msg proto.Message) {
-	a.mu.Lock()
-	ch := a.pending[key]
-	a.mu.Unlock()
-	if ch != nil {
-		select {
-		case ch <- msg:
-		default:
-		}
-	}
-}
-
 // Request asks the coordinator to establish a DR-connection from this
 // node under the agent's tenant.
 func (a *Agent) Request(id lsdb.ConnID, dst graph.NodeID) (proto.EstablishReply, error) {
 	msg := proto.EstablishRequest{Conn: id, Tenant: a.cfg.Tenant, Src: a.cfg.Node, Dst: dst}
-	out, err := a.rpc(pendKey{pendEstablish, uint64(id)}, msg)
+	out, err := a.rpc(msg, proto.EstablishReply{Conn: id})
 	if err != nil {
 		return proto.EstablishReply{}, err
 	}
@@ -383,7 +349,7 @@ func (a *Agent) Request(id lsdb.ConnID, dst graph.NodeID) (proto.EstablishReply,
 // established under the agent's tenant.
 func (a *Agent) ReleaseConn(id lsdb.ConnID) (proto.ReleaseReply, error) {
 	msg := proto.ReleaseRequest{Conn: id, Tenant: a.cfg.Tenant}
-	out, err := a.rpc(pendKey{pendRelease, uint64(id)}, msg)
+	out, err := a.rpc(msg, proto.ReleaseReply{Conn: id})
 	if err != nil {
 		return proto.ReleaseReply{}, err
 	}
@@ -394,55 +360,28 @@ func (a *Agent) ReleaseConn(id lsdb.ConnID) (proto.ReleaseReply, error) {
 // this agent's).
 func (a *Agent) DrainNode(node graph.NodeID) (proto.DrainReply, error) {
 	msg := proto.DrainRequest{Node: node}
-	out, err := a.rpc(pendKey{pendDrain, uint64(node)}, msg)
+	out, err := a.rpc(msg, proto.DrainReply{Node: node})
 	if err != nil {
 		return proto.DrainReply{}, err
 	}
 	return out.(proto.DrainReply), nil
 }
 
-// rpc runs one client-API round trip to the coordinator: the request is
-// retransmitted across the attempt budget (the coordinator dedups) and
-// the first matching reply wins.
-func (a *Agent) rpc(key pendKey, msg proto.Message) (proto.Message, error) {
-	ch := make(chan proto.Message, 1)
+// rpc runs one client-API round trip to the coordinator, awaiting the
+// reply keyed like want: the request is retransmitted across the attempt
+// budget (the coordinator dedups) and the first matching reply wins. A
+// second request for a key in flight is refused.
+func (a *Agent) rpc(msg, want proto.Message) (proto.Message, error) {
 	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
+	closed := a.closed
+	a.mu.Unlock()
+	if closed {
 		return nil, ErrClosed
 	}
-	if _, busy := a.pending[key]; busy {
-		a.mu.Unlock()
-		return nil, fmt.Errorf("controlplane: request already in flight for %v", key)
-	}
-	a.pending[key] = ch
-	a.mu.Unlock()
-	defer func() {
-		a.mu.Lock()
-		delete(a.pending, key)
-		a.mu.Unlock()
-	}()
-
-	attempts := a.cfg.RetryLimit
-	if attempts < 1 {
-		attempts = 1
-	}
+	attempts := max(a.cfg.RetryLimit, 1)
 	per := a.cfg.RequestTimeout / time.Duration(attempts)
 	if per <= 0 {
 		per = time.Millisecond
 	}
-	for attempt := 0; attempt < attempts; attempt++ {
-		_ = a.ep.Send(a.cfg.Coordinator, msg)
-		timer := time.NewTimer(per)
-		select {
-		case out := <-ch:
-			timer.Stop()
-			return out, nil
-		case <-timer.C:
-		case <-a.stop:
-			timer.Stop()
-			return nil, ErrClosed
-		}
-	}
-	return nil, ErrTimeout
+	return call(a.ep, a.cfg.Coordinator, msg, want, attempts, per, a.stop)
 }

@@ -25,7 +25,12 @@
 package controlplane
 
 import (
+	"errors"
+	"fmt"
+	"time"
+
 	"github.com/rtcl/drtp/internal/graph"
+	"github.com/rtcl/drtp/internal/proto"
 	"github.com/rtcl/drtp/internal/transport"
 )
 
@@ -46,4 +51,36 @@ func CoordinatorID(g *graph.Graph) graph.NodeID {
 // chaos tests wire the control plane over any of them.
 type Attacher interface {
 	Attach(node graph.NodeID) (transport.Endpoint, error)
+}
+
+// call runs one request/reply exchange over ep: it awaits the reply keyed
+// like want, a reply holding only its correlation field, then sends msg to
+// `to` up to attempts times, waiting per after each, until the reply
+// arrives. Retransmissions share the key, so a late answer to an earlier
+// one still completes the call. A second call for a key in flight is
+// refused; a closed endpoint or stop ends the call with ErrClosed.
+func call(ep transport.Endpoint, to graph.NodeID, msg, want proto.Message, attempts int, per time.Duration, stop <-chan struct{}) (proto.Message, error) {
+	key, _ := proto.ReplyKeyOf(want)
+	ch := make(chan proto.Envelope, 1)
+	switch err := ep.Await(key, ch); {
+	case errors.Is(err, transport.ErrAwaited):
+		return nil, fmt.Errorf("controlplane: request already in flight: %w", err)
+	case err != nil:
+		return nil, ErrClosed
+	}
+	defer ep.Cancel(key)
+	for attempt := 0; attempt < attempts; attempt++ {
+		_ = ep.Send(to, msg)
+		timer := time.NewTimer(per)
+		select {
+		case env := <-ch:
+			timer.Stop()
+			return env.Msg, nil
+		case <-timer.C:
+		case <-stop:
+			timer.Stop()
+			return nil, ErrClosed
+		}
+	}
+	return nil, ErrTimeout
 }

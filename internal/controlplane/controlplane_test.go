@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/rtcl/drtp/internal/controlplane"
+	"github.com/rtcl/drtp/internal/faultinject"
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/proto"
@@ -164,6 +165,48 @@ func TestEstablishAndReleaseViaCoordinator(t *testing.T) {
 		if n := h.Count(); n != 1 {
 			t.Fatalf("drtp_cp_stage_seconds{stage=%q} count = %d, want 1", stage, n)
 		}
+	}
+}
+
+// TestReleaseOutrunsEstablishment: a release that reaches the coordinator
+// while the connection's establishment is still in flight — a client
+// whose request timed out, cleaning up — is carried out, and answered,
+// once the establishment settles: the source router holds nothing and
+// the tenant's quota is returned.
+func TestReleaseOutrunsEstablishment(t *testing.T) {
+	g := trident(t)
+	// What the coordinator sends node 0, its commands above all, is held
+	// back, so the establishment is still in flight when the release
+	// arrives.
+	sched := &faultinject.Schedule{Seed: 1, Links: []faultinject.LinkRule{
+		{From: int(controlplane.CoordinatorID(g)), To: 0, Delay: 200},
+	}}
+	d := deploy(t, deployConfig(g, telemetry.NewRing(1<<12)), faultinject.New(sched, transport.NewMem()))
+	agent := d.Node(0).Agent
+
+	established := make(chan proto.EstablishReply, 1)
+	go func() {
+		reply, _ := agent.Request(1, 1)
+		established <- reply
+	}()
+	waitFor(t, "the establishment admitted", func() bool { return d.Coord.TenantConns("default") == 1 })
+	rel, err := agent.ReleaseConn(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-established:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the establishment never settled")
+	}
+	if _, ok := d.Node(0).Router.Conn(1); ok {
+		t.Fatal("the source router still holds the connection")
+	}
+	if got := d.Coord.TenantConns("default"); got != 0 {
+		t.Fatalf("tenant usage = %d after the release, want 0", got)
+	}
+	if !rel.OK || rel.Reason != "" {
+		t.Fatalf("release reply: ok=%v reason=%q, want a plain OK", rel.OK, rel.Reason)
 	}
 }
 

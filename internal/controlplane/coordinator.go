@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -109,6 +110,15 @@ type nodeRec struct {
 	downcasts int
 }
 
+// pendingConn is an admitted establishment still in flight.
+type pendingConn struct {
+	tenant string
+	// releases lists the requesters of releases that arrived while the
+	// establishment was in flight; it is released, and they are answered,
+	// once it settles.
+	releases []graph.NodeID
+}
+
 // connRec is the coordinator's record of one admitted connection.
 type connRec struct {
 	tenant  string
@@ -152,25 +162,24 @@ type Coordinator struct {
 	nodes map[graph.NodeID]*nodeRec
 	// conns records admitted, established connections; guarded by mu.
 	conns map[lsdb.ConnID]*connRec
-	// pendingConns marks establishments in flight so duplicates from
-	// client retries attach to the original attempt; guarded by mu.
-	pendingConns map[lsdb.ConnID]bool
+	// pendingConns records establishments in flight, so duplicates from
+	// client retries attach to the original attempt and a release waits
+	// for it to settle; guarded by mu.
+	pendingConns map[lsdb.ConnID]*pendingConn
 	// usage counts connections per tenant, pending included; guarded by mu.
 	usage map[string]int
 	// drains marks nodes with a drain worker running; guarded by mu.
 	drains map[graph.NodeID]bool
 	// rpcID numbers route queries and node commands; guarded by mu.
 	rpcID uint64
-	// pendingRoute and pendingCmd route replies to waiting workers;
-	// guarded by mu.
-	pendingRoute map[uint64]chan proto.RouteReply
-	pendingCmd   map[uint64]chan proto.ConnCommandResult
 	// closed is set once Close begins; guarded by mu.
 	closed bool
 
 	stop chan struct{}
 	done chan struct{}
-	wg   sync.WaitGroup // request workers
+	wg   sync.WaitGroup // request workers and drains
+	// work runs establishments and releases.
+	work *workers
 }
 
 // NewCoordinator creates and starts a coordinator on the endpoint
@@ -192,14 +201,13 @@ func NewCoordinator(cfg CoordinatorConfig, ep transport.Endpoint) (*Coordinator,
 		rf:           rf,
 		nodes:        make(map[graph.NodeID]*nodeRec),
 		conns:        make(map[lsdb.ConnID]*connRec),
-		pendingConns: make(map[lsdb.ConnID]bool),
+		pendingConns: make(map[lsdb.ConnID]*pendingConn),
 		usage:        make(map[string]int),
 		drains:       make(map[graph.NodeID]bool),
-		pendingRoute: make(map[uint64]chan proto.RouteReply),
-		pendingCmd:   make(map[uint64]chan proto.ConnCommandResult),
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
 	}
+	c.work = newWorkers(&c.wg, c.stop)
 	stages := cfg.Metrics.LatencyVec("drtp_cp_stage_seconds",
 		"Setup-pipeline stage latency: admission, route_query, establish, total.", "stage")
 	c.latAdmission = stages.With("admission")
@@ -264,7 +272,9 @@ func (c *Coordinator) Conn(id lsdb.ConnID) (primary []graph.NodeID, backups [][]
 }
 
 // loop is the coordinator's single dispatch goroutine: inbound control
-// messages plus the heartbeat liveness tick.
+// messages plus the heartbeat liveness tick. Replies to its route queries
+// and node commands go to the waiting worker where the endpoint delivers
+// them; a reply reaching the loop was awaited by nobody and is dropped.
 func (c *Coordinator) loop() {
 	defer close(c.done)
 	tick := time.NewTicker(c.cfg.HeartbeatInterval)
@@ -298,26 +308,6 @@ func (c *Coordinator) dispatch(env proto.Envelope) {
 		c.handleRelease(env.From, m)
 	case proto.DrainRequest:
 		c.handleDrain(env.From, m)
-	case proto.RouteReply:
-		c.mu.Lock()
-		ch := c.pendingRoute[m.ID]
-		c.mu.Unlock()
-		if ch != nil {
-			select {
-			case ch <- m:
-			default:
-			}
-		}
-	case proto.ConnCommandResult:
-		c.mu.Lock()
-		ch := c.pendingCmd[m.Seq]
-		c.mu.Unlock()
-		if ch != nil {
-			select {
-			case ch <- m:
-			default:
-			}
-		}
 	}
 }
 
@@ -464,7 +454,7 @@ func (c *Coordinator) excludedNodesLocked() []graph.NodeID {
 }
 
 // handleEstablish admits a tenant request and, when admitted, runs the
-// route-query/establish-command pipeline in a worker goroutine.
+// route-query/establish-command pipeline on a worker.
 // Duplicate requests replay the recorded outcome (established) or
 // attach to the in-flight attempt (pending), so client retries are
 // idempotent.
@@ -489,7 +479,7 @@ func (c *Coordinator) handleEstablish(from graph.NodeID, m proto.EstablishReques
 		_ = c.ep.Send(from, reply)
 		return
 	}
-	if c.pendingConns[m.Conn] {
+	if c.pendingConns[m.Conn] != nil {
 		// The original attempt's worker will reply to the requester.
 		c.mu.Unlock()
 		return
@@ -526,29 +516,30 @@ func (c *Coordinator) handleEstablish(from graph.NodeID, m proto.EstablishReques
 		return
 	}
 	c.usage[m.Tenant]++
-	c.pendingConns[m.Conn] = true
+	c.pendingConns[m.Conn] = &pendingConn{tenant: m.Tenant}
 	exclude := c.excludedNodesLocked()
 	c.mu.Unlock()
 	c.latAdmission.ObserveSince(start)
 
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		c.establishWorker(from, m, exclude, start)
-	}()
+	c.work.run(func() { c.establishWorker(from, m, exclude, start) })
 }
 
-// establishWorker drives one admitted establishment to completion.
+// establishWorker drives one admitted establishment to completion, then
+// carries out the releases that arrived while it was in flight.
 // start is the request's arrival time, closing the total-latency span.
 func (c *Coordinator) establishWorker(from graph.NodeID, m proto.EstablishRequest, exclude []graph.NodeID, start time.Time) {
 	defer c.latTotal.ObserveSince(start)
 	fail := func(reason string) {
 		c.mu.Lock()
+		p := c.pendingConns[m.Conn]
 		delete(c.pendingConns, m.Conn)
 		c.usage[m.Tenant]--
 		c.mu.Unlock()
 		c.log.Info("establish failed", "conn", int64(m.Conn), "tenant", m.Tenant, "reason", reason)
 		_ = c.ep.Send(from, proto.EstablishReply{Conn: m.Conn, Reason: reason})
+		for _, to := range p.releases {
+			_ = c.ep.Send(to, proto.ReleaseReply{Conn: m.Conn, OK: true, Reason: "not-found"})
+		}
 	}
 	routeStart := time.Now()
 	rr, err := c.queryRoute(m.Src, m.Dst, exclude)
@@ -576,10 +567,15 @@ func (c *Coordinator) establishWorker(from graph.NodeID, m proto.EstablishReques
 		return
 	}
 	c.mu.Lock()
+	p := c.pendingConns[m.Conn]
 	delete(c.pendingConns, m.Conn)
-	c.conns[m.Conn] = &connRec{
-		tenant: m.Tenant, src: m.Src, dst: m.Dst,
-		primary: res.Primary, backups: res.Backups,
+	if len(p.releases) == 0 {
+		c.conns[m.Conn] = &connRec{
+			tenant: m.Tenant, src: m.Src, dst: m.Dst,
+			primary: res.Primary, backups: res.Backups,
+		}
+	} else {
+		c.usage[m.Tenant]--
 	}
 	c.mu.Unlock()
 	c.log.Info("connection admitted", "conn", int64(m.Conn), "tenant", m.Tenant,
@@ -587,12 +583,29 @@ func (c *Coordinator) establishWorker(from graph.NodeID, m proto.EstablishReques
 	_ = c.ep.Send(from, proto.EstablishReply{
 		Conn: m.Conn, OK: true, Primary: res.Primary, Backups: res.Backups,
 	})
+	if len(p.releases) > 0 {
+		c.release(m.Src, m.Conn, m.Tenant, p.releases...)
+	}
 }
 
 // handleRelease releases a tenant's connection via its source agent.
-// Releasing an unknown connection succeeds (idempotent for retries).
+// Releasing an unknown connection succeeds (idempotent for retries); a
+// release of an establishment still in flight is carried out, and
+// answered, when the establishment settles.
 func (c *Coordinator) handleRelease(from graph.NodeID, m proto.ReleaseRequest) {
 	c.mu.Lock()
+	if p := c.pendingConns[m.Conn]; p != nil {
+		switch {
+		case p.tenant != m.Tenant:
+			c.mu.Unlock()
+			_ = c.ep.Send(from, proto.ReleaseReply{Conn: m.Conn, Reason: "wrong-tenant"})
+			return
+		case !slices.Contains(p.releases, from):
+			p.releases = append(p.releases, from)
+		}
+		c.mu.Unlock()
+		return
+	}
 	rec, ok := c.conns[m.Conn]
 	if !ok {
 		c.mu.Unlock()
@@ -609,20 +622,24 @@ func (c *Coordinator) handleRelease(from graph.NodeID, m proto.ReleaseRequest) {
 	c.usage[tenant]--
 	c.mu.Unlock()
 
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		res, err := c.command(src, proto.ConnCommand{Op: proto.OpRelease, Conn: m.Conn})
-		reply := proto.ReleaseReply{Conn: m.Conn, OK: true}
-		switch {
-		case err != nil:
-			reply = proto.ReleaseReply{Conn: m.Conn, Reason: "release-command: " + err.Error()}
-		case !res.OK:
-			reply = proto.ReleaseReply{Conn: m.Conn, Reason: res.Reason}
-		}
-		c.log.Info("connection released", "conn", int64(m.Conn), "tenant", tenant, "ok", reply.OK)
-		_ = c.ep.Send(from, reply)
-	}()
+	c.work.run(func() { c.release(src, m.Conn, tenant, from) })
+}
+
+// release commands a connection's source to release it and answers each
+// requester with the outcome.
+func (c *Coordinator) release(src graph.NodeID, id lsdb.ConnID, tenant string, requesters ...graph.NodeID) {
+	res, err := c.command(src, proto.ConnCommand{Op: proto.OpRelease, Conn: id})
+	reply := proto.ReleaseReply{Conn: id, OK: true}
+	switch {
+	case err != nil:
+		reply = proto.ReleaseReply{Conn: id, Reason: "release-command: " + err.Error()}
+	case !res.OK:
+		reply = proto.ReleaseReply{Conn: id, Reason: res.Reason}
+	}
+	c.log.Info("connection released", "conn", int64(id), "tenant", tenant, "ok", reply.OK)
+	for _, to := range requesters {
+		_ = c.ep.Send(to, reply)
+	}
 }
 
 // handleDrain starts a graceful drain: the node is marked
@@ -788,81 +805,44 @@ func routesInvolve(rec *connRec, node graph.NodeID) bool {
 	return false
 }
 
-// nextIDLocked issues the next RPC identifier. Callers must hold c.mu.
-func (c *Coordinator) nextIDLocked() uint64 {
+// nextID issues the next RPC identifier, or ErrClosed once Close began.
+func (c *Coordinator) nextID() (uint64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return 0, ErrClosed
+	}
 	c.rpcID++
-	return c.rpcID
+	return c.rpcID, nil
 }
 
 // queryRoute runs one route-finder round trip with retries. Queries are
-// pure reads, so each attempt may use a fresh ID.
+// pure reads, so the route finder answers every retransmission.
 func (c *Coordinator) queryRoute(src, dst graph.NodeID, exclude []graph.NodeID) (proto.RouteReply, error) {
-	for attempt := 0; attempt < c.cfg.RetryLimit; attempt++ {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return proto.RouteReply{}, ErrClosed
-		}
-		id := c.nextIDLocked()
-		ch := make(chan proto.RouteReply, 1)
-		c.pendingRoute[id] = ch
-		c.mu.Unlock()
-		_ = c.ep.Send(c.rf, proto.RouteQuery{ID: id, Src: src, Dst: dst, Exclude: exclude})
-		timer := time.NewTimer(c.cfg.RPCTimeout)
-		select {
-		case rr := <-ch:
-			timer.Stop()
-			c.unregisterRoute(id)
-			return rr, nil
-		case <-timer.C:
-			c.unregisterRoute(id)
-		case <-c.stop:
-			timer.Stop()
-			c.unregisterRoute(id)
-			return proto.RouteReply{}, ErrClosed
-		}
+	id, err := c.nextID()
+	if err != nil {
+		return proto.RouteReply{}, err
 	}
-	return proto.RouteReply{}, ErrTimeout
-}
-
-func (c *Coordinator) unregisterRoute(id uint64) {
-	c.mu.Lock()
-	delete(c.pendingRoute, id)
-	c.mu.Unlock()
+	out, err := call(c.ep, c.rf, proto.RouteQuery{ID: id, Src: src, Dst: dst, Exclude: exclude},
+		proto.RouteReply{ID: id}, c.cfg.RetryLimit, c.cfg.RPCTimeout, c.stop)
+	if err != nil {
+		return proto.RouteReply{}, err
+	}
+	return out.(proto.RouteReply), nil
 }
 
 // command runs one node-command round trip. Retransmissions reuse the
 // sequence number, so the agent's dedup absorbs duplicates and replays
-// the recorded result; the pending slot survives across attempts so a
-// late reply to an earlier transmission still completes the call.
+// the recorded result.
 func (c *Coordinator) command(node graph.NodeID, cmd proto.ConnCommand) (proto.ConnCommandResult, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return proto.ConnCommandResult{}, ErrClosed
+	seq, err := c.nextID()
+	if err != nil {
+		return proto.ConnCommandResult{}, err
 	}
-	seq := c.nextIDLocked()
 	cmd.Seq = seq
-	ch := make(chan proto.ConnCommandResult, 1)
-	c.pendingCmd[seq] = ch
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.pendingCmd, seq)
-		c.mu.Unlock()
-	}()
-	for attempt := 0; attempt < c.cfg.RetryLimit; attempt++ {
-		_ = c.ep.Send(node, cmd)
-		timer := time.NewTimer(c.cfg.RPCTimeout)
-		select {
-		case res := <-ch:
-			timer.Stop()
-			return res, nil
-		case <-timer.C:
-		case <-c.stop:
-			timer.Stop()
-			return proto.ConnCommandResult{}, ErrClosed
-		}
+	out, err := call(c.ep, node, cmd, proto.ConnCommandResult{Seq: seq}, c.cfg.RetryLimit, c.cfg.RPCTimeout, c.stop)
+	if err != nil {
+		return proto.ConnCommandResult{}, err
 	}
-	return proto.ConnCommandResult{}, ErrTimeout
+	return out.(proto.ConnCommandResult), nil
 }

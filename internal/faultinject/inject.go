@@ -211,6 +211,15 @@ func (e *injEndpoint) Split(divert func(proto.Message) bool) <-chan proto.Envelo
 	return e.inner.Split(divert)
 }
 
+// Await implements transport.Endpoint: faults act on sends, so the inner
+// endpoint hands awaited replies to their waiters where it delivers.
+func (e *injEndpoint) Await(k proto.ReplyKey, ch chan<- proto.Envelope) error {
+	return e.inner.Await(k, ch)
+}
+
+// Cancel implements transport.Endpoint.
+func (e *injEndpoint) Cancel(k proto.ReplyKey) { e.inner.Cancel(k) }
+
 // Close implements transport.Endpoint.
 func (e *injEndpoint) Close() error { return e.inner.Close() }
 

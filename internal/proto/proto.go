@@ -53,6 +53,39 @@ type Envelope struct {
 	Msg  Message
 }
 
+// ReplyKey names the request a reply answers: the reply's kind and the
+// request's correlation value. Transports key their waiter tables by it
+// (see transport.Endpoint.Await).
+type ReplyKey struct {
+	tag byte
+	id  uint64
+}
+
+// ReplyKeyOf returns the key of the request m answers, and false when m
+// answers none. Setup and activate results correlate by Seq, route
+// replies by ID, command results by Seq, establish and release replies
+// by Conn, drain replies by Node. A caller builds the key it awaits
+// from a reply holding only that field, e.g. ReplyKeyOf(RouteReply{ID: id}).
+func ReplyKeyOf(m Message) (ReplyKey, bool) {
+	switch m := m.(type) {
+	case SetupResult:
+		return ReplyKey{tagSetupResult, m.Seq}, true
+	case ActivateResult:
+		return ReplyKey{tagActivateResult, m.Seq}, true
+	case RouteReply:
+		return ReplyKey{tagRouteReply, m.ID}, true
+	case ConnCommandResult:
+		return ReplyKey{tagConnCommandResult, m.Seq}, true
+	case EstablishReply:
+		return ReplyKey{tagEstablishReply, uint64(m.Conn)}, true
+	case ReleaseReply:
+		return ReplyKey{tagReleaseReply, uint64(m.Conn)}, true
+	case DrainReply:
+		return ReplyKey{tagDrainReply, uint64(m.Node)}, true
+	}
+	return ReplyKey{}, false
+}
+
 // Hello is the neighbor keep-alive used for failure detection. A router
 // that misses several consecutive hellos on a link declares the link
 // failed (DRTP step 2: detection of network failures).

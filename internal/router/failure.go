@@ -137,17 +137,19 @@ func (r *Router) handleFailureReport(m proto.FailureReport) {
 		r.mu.Lock()
 		c := r.conns[id]
 		switch {
-		case c == nil:
+		case c == nil || r.closed:
 			r.mu.Unlock()
 		case c.switching || c.info.Dead || !c.Primary.Contains(m.Link):
 			r.mu.Unlock()
 			r.tracer.DedupHit(c.Trace, int64(id), int(r.cfg.Node), "failure-report")
 		default:
+			// The switch's round trips block, so a helper goroutine runs
+			// it. It is counted under mu, before Close can mark the router
+			// closed and wait: a report handled in place on another
+			// goroutine starts no switch that Close misses.
 			c.switching = true
-			r.mu.Unlock()
-			// The activation round trips complete asynchronously in the
-			// router loop; a helper goroutine runs the switch.
 			r.wg.Add(1)
+			r.mu.Unlock()
 			go r.runSwitch(c, int(m.Link), start)
 		}
 	}

@@ -193,6 +193,34 @@ func TestHoldDownLeadingEdgeIsImmediate(t *testing.T) {
 	}
 }
 
+// TestHoldDownTrailingEdgeFromInPlaceHop: two one-hop establishments 0->1
+// inside one hold-down. Router 0 reserves link 0->1 at hop 0 of each
+// primary, which it handles in place on the establishing goroutine, and
+// router 1, the last hop, changes nothing; so the second reservation
+// reaches router 1's view only if that in-place hop armed the
+// trailing-edge advert.
+func TestHoldDownTrailingEdgeFromInPlaceHop(t *testing.T) {
+	g, c, _ := newHoldDownCluster(t)
+	l01, _ := g.LinkBetween(0, 1)
+	quiet()
+	start := time.Now()
+	for id := lsdb.ConnID(1); id <= 2; id++ {
+		if _, err := c.Router(0).Establish(id, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if took := time.Since(start); took >= holdDown {
+		t.Skipf("the establishments took %v, longer than a hold-down", took)
+	}
+	if !until(start.Add(holdDown+floodSlack), func() bool {
+		prim, _, _ := c.Router(1).View(l01)
+		return prim == 98
+	}) {
+		prim, _, _ := c.Router(1).View(l01)
+		t.Fatalf("router 1 sees %d free on 0->1 %v after the second reservation, want 98", prim, holdDown+floodSlack)
+	}
+}
+
 // TestHoldDownDefersFloodNotLocalTruth: inside the hold-down the source's
 // view of its own out-links follows every establishment at once, and a link
 // failure is flooded by the window's closing advert.

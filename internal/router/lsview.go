@@ -143,6 +143,10 @@ const holdDownsPerLSInterval = 10
 // markDirtyLocked records a change to local link l: the local view, which
 // Establish routes on, mirrors it at once, and a triggered advertisement
 // is scheduled; a mark landing on one still pending is coalesced into it.
+// Scheduling arms the loop's hold-down timer unless it already runs: to
+// fire at once after a quiet period (leading edge), else when the window
+// of the previous advert closes (trailing edge). A mark made on any
+// goroutine thus gets its advert, and only the loop sends one.
 // Callers must hold r.mu.
 func (r *Router) markDirtyLocked(l graph.LinkID) {
 	r.view.Apply(r.advertForLocked(l))
@@ -150,26 +154,38 @@ func (r *Router) markDirtyLocked(l graph.LinkID) {
 		r.mAdvertsCoalesced.Inc()
 	}
 	r.dirty = true
+	if !r.holdArmed {
+		r.holdArmed = true
+		r.holdDown.Reset(max(0, r.holdDownLeftLocked()))
+	}
 }
 
-// flushAdverts is the one trigger path for adverts. A change after a quiet
-// period is flooded at once (leading edge); a change inside the hold-down
-// of the previous advert stays dirty and flushAdverts returns how long the
-// caller must wait before flushing again, so the window closes on one
-// advert carrying the final state (trailing edge). It returns zero when
-// nothing is left to send.
-func (r *Router) flushAdverts() time.Duration {
+// holdDownLeftLocked is how long the hold-down of the last advert still
+// runs; zero or less once it has closed. Callers must hold r.mu.
+func (r *Router) holdDownLeftLocked() time.Duration {
+	return r.cfg.LSInterval/holdDownsPerLSInterval - time.Since(r.lastAdvert)
+}
+
+// flushAdverts is the one trigger path for triggered adverts, run by the
+// loop when the hold-down timer fires. A pending change whose window has
+// closed is flooded; one still inside it re-arms the timer for the rest
+// of the window, so the window closes on one advert carrying the final
+// state.
+func (r *Router) flushAdverts() {
 	r.mu.Lock()
-	dirty, since := r.dirty, time.Since(r.lastAdvert)
+	r.holdArmed = false
+	if !r.dirty {
+		r.mu.Unlock()
+		return
+	}
+	if wait := r.holdDownLeftLocked(); wait > 0 {
+		r.holdArmed = true
+		r.holdDown.Reset(wait)
+		r.mu.Unlock()
+		return
+	}
 	r.mu.Unlock()
-	if !dirty {
-		return 0
-	}
-	if wait := r.cfg.LSInterval/holdDownsPerLSInterval - since; wait > 0 {
-		return wait
-	}
 	r.advertise()
-	return 0
 }
 
 // advertise floods this node's local link summaries, triggered or

@@ -15,11 +15,18 @@
 // Signalling is one engine (signal.go). Setup, backup register and activate
 // are the same walk — visit the route's nodes, apply one effect per
 // out-link, answer the source — so they share the originator's round trip
-// (roundTrip: one sequence number, one pending map, one reply pool, one
-// retry/backoff loop) and the hop handler (handleHop: hop validation,
-// teardown tombstone, dedup replay, reply or forward). Only the lsdb link
-// operation, the reply message and the forwarded wire struct differ by
-// kind.
+// (roundTrip: one sequence number, one reply pool, one retry/backoff loop)
+// and the hop handler (handleHop: hop validation, teardown tombstone,
+// dedup replay, reply or forward). Only the lsdb link operation, the reply
+// message and the forwarded wire struct differ by kind. The reply table
+// lives in the endpoint: a round trip awaits its reply's key
+// (transport.Endpoint.Await), and the transport hands the reply to the
+// waiting goroutine where it delivers it, without passing through the
+// router loop. What a router sends itself and answers no request — a
+// walk's hop 0, a teardown sweep starting here, a failure report about a
+// connection it originated — is handled in place on the sending
+// goroutine, with the same per-hop metrics, instead of a trip through its
+// own inbox.
 //
 // The connection lifecycle — establish, switch, re-protect, release — is
 // internal/lifecycle's, as in the simulator; the router supplies each
@@ -220,19 +227,12 @@ const (
 )
 
 // sigID names one signalling exchange of a connection: which walk, on
-// which channel (zero for activate). It keys the originator's pending
-// round trips and, with sequence and hop, the per-hop dedup records.
+// which channel (zero for activate). With sequence and hop it keys the
+// per-hop dedup records.
 type sigID struct {
 	kind    uint8
 	conn    lsdb.ConnID
 	channel proto.ChannelKind
-}
-
-// pendingTrip pairs a round trip's reply channel with the sequence number
-// it was sent under, so stale replies from superseded attempts are ignored.
-type pendingTrip struct {
-	ch  chan sigResult
-	seq uint64
 }
 
 // Capacities of the dedup windows: each retains its most recent half to
@@ -275,9 +275,11 @@ type Router struct {
 	// lastAdvert stamps the last advert, triggered or periodic; the
 	// hold-down runs from it (flushAdverts); guarded by mu.
 	lastAdvert time.Time
-	// pending holds the reply channels of round trips in flight (setup,
-	// register, activate); guarded by mu.
-	pending map[sigID]pendingTrip
+	// holdDown tells the loop to flush a pending advert (markDirtyLocked
+	// arms it, flushAdverts runs when it fires); holdArmed is set while it
+	// runs, so one timer is pending at most; guarded by mu.
+	holdDown  *time.Timer
+	holdArmed bool
 	// sigSeq numbers signalling round trips originated here; guarded by mu.
 	sigSeq uint64
 	// seenSig dedups hop-level signalling processing (at-least-once
@@ -289,11 +291,11 @@ type Router struct {
 	// bounded; guarded by mu.
 	tombstones *dedup.Window[lsdb.ConnID, uint64]
 	// replyPool recycles the one-shot buffered reply channels of
-	// signalling round trips. Recycling is safe because results are
-	// delivered under mu only to the channel still registered in pending,
-	// and the round trip's owner unregisters and drains the channel under
-	// the same mutex before pooling it; guarded by mu.
-	replyPool []chan sigResult
+	// signalling round trips. Recycling is safe because the endpoint
+	// touches no channel after its wait is cancelled, and the round trip's
+	// owner cancels, then drains the channel, before pooling it; guarded
+	// by mu.
+	replyPool []chan proto.Envelope
 	// conns records connections originated here; a nil record is an ID
 	// claimed by an establishment still signalling; guarded by mu.
 	conns map[lsdb.ConnID]*conn
@@ -360,7 +362,7 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 		db:          db,
 		view:        NewLinkStateView(cfg.Graph, cfg.Capacity, cfg.UnitBW, cfg.Scheme),
 		seqSeen:     make(map[graph.NodeID]uint64),
-		pending:     make(map[sigID]pendingTrip),
+		holdDown:    time.NewTimer(time.Hour),
 		seenSig:     dedup.NewWindow[dedupKey, sigResult](maxSeenSig),
 		tombstones:  dedup.NewWindow[lsdb.ConnID, uint64](maxTombstones),
 		conns:       make(map[lsdb.ConnID]*conn),
@@ -373,6 +375,8 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
+	// The hold-down timer starts stopped; markDirtyLocked arms it.
+	r.holdDown.Stop()
 	// New(seed).Split(label) is a pure function of (seed, label), so
 	// routers sharing RetrySeed still draw independent jitter streams.
 	r.retryRNG = rng.New(cfg.RetrySeed).Split(fmt.Sprintf("retry/%d", int(cfg.Node)))
@@ -461,22 +465,15 @@ func (r *Router) View(l graph.LinkID) (availPrim, availBackup, norm int) {
 	return r.view.Link(l)
 }
 
-// loop is the router's single processing goroutine: inbound messages,
-// hello keep-alives and link-state flushes.
+// loop is the router's processing goroutine: inbound messages, hello
+// keep-alives and link-state flushes.
 func (r *Router) loop() {
 	defer close(r.done)
+	defer r.holdDown.Stop()
 	hello := time.NewTicker(r.cfg.HelloInterval)
 	defer hello.Stop()
 	ls := time.NewTicker(r.cfg.LSInterval)
 	defer ls.Stop()
-	// holdDown is non-nil while a deferred advert waits for its window to
-	// close; it is armed only when nil, so one timer is pending at most.
-	var holdDown <-chan time.Time
-	flush := func() {
-		if wait := r.flushAdverts(); wait > 0 && holdDown == nil {
-			holdDown = time.After(wait)
-		}
-	}
 
 	r.sendHellos()
 	r.advertise()
@@ -487,14 +484,11 @@ func (r *Router) loop() {
 				return
 			}
 			r.dispatch(env)
-			flush()
 		case <-hello.C:
 			r.sendHellos()
 			r.checkNeighbors()
-			flush()
-		case <-holdDown:
-			holdDown = nil
-			flush()
+		case <-r.holdDown.C:
+			r.flushAdverts()
 		case <-ls.C:
 			r.advertise()
 		case <-r.stop:
@@ -503,6 +497,9 @@ func (r *Router) loop() {
 	}
 }
 
+// dispatch handles one message, on the loop or, for a message this router
+// sent itself, in place. A reply reaches it only when no round trip
+// awaited it: a straggler of a superseded or finished attempt.
 func (r *Router) dispatch(env proto.Envelope) {
 	switch m := env.Msg.(type) {
 	case proto.Hello:
@@ -510,9 +507,9 @@ func (r *Router) dispatch(env proto.Envelope) {
 	case proto.LSUpdate:
 		r.handleLSUpdate(env.From, m)
 	case proto.Setup:
-		// Per-hop signalling time: how long this router held the loop to
-		// process one hop — the quantity that bounds signalling throughput.
-		start := time.Now()
+		// Per-hop signalling time: how long this router took to process one
+		// hop — the quantity that bounds signalling throughput.
+		start := r.hopStart()
 		r.handleHop(signal{
 			sigID: sigID{kind: sigSetup, conn: m.Conn, channel: m.Channel},
 			route: m.Route, hop: m.Hop, lset: m.PrimaryLSET, trace: m.Trace, seq: m.Seq,
@@ -523,29 +520,45 @@ func (r *Router) dispatch(env proto.Envelope) {
 			r.mHopBackup.ObserveSince(start)
 		}
 	case proto.SetupResult:
-		r.completeRoundTrip(sigID{kind: sigSetup, conn: m.Conn, channel: m.Channel}, m.Seq,
-			sigResult{ok: m.OK, failedHop: m.FailedHop, reason: m.Reason})
+		r.tracer.DedupHit(0, int64(m.Conn), int(r.cfg.Node), sigLabels[sigSetup].staleResult)
 	case proto.Teardown:
-		start := time.Now()
+		start := r.hopStart()
 		r.handleTeardown(m)
 		r.mHopTeardown.ObserveSince(start)
 	case proto.FailureReport:
 		r.handleFailureReport(m)
 	case proto.Activate:
-		start := time.Now()
+		start := r.hopStart()
 		r.handleHop(signal{
 			sigID: sigID{kind: sigActivate, conn: m.Conn},
 			route: m.Route, hop: m.Hop, trace: m.Trace, seq: m.Seq,
 		})
 		r.mHopActivate.ObserveSince(start)
 	case proto.ActivateResult:
-		r.completeRoundTrip(sigID{kind: sigActivate, conn: m.Conn}, m.Seq,
-			sigResult{ok: m.OK, reason: m.Reason})
+		r.tracer.DedupHit(0, int64(m.Conn), int(r.cfg.Node), sigLabels[sigActivate].staleResult)
 	}
 }
 
-// send transmits best-effort; signalling losses surface as timeouts.
+// hopStart starts a per-hop signalling clock, reading the wall clock only
+// when the hop histograms exist.
+func (r *Router) hopStart() time.Time {
+	if r.mHopPrimary == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// send transmits best-effort; signalling losses surface as timeouts. A
+// message to this router itself that answers no request is dispatched in
+// place, on the calling goroutine; a reply to itself goes through the
+// endpoint, whose waiter table hands it to the round trip awaiting it.
 func (r *Router) send(to graph.NodeID, msg proto.Message) {
+	if to == r.cfg.Node {
+		if _, reply := proto.ReplyKeyOf(msg); !reply {
+			r.dispatch(proto.Envelope{From: to, To: to, Msg: msg})
+			return
+		}
+	}
 	_ = r.ep.Send(to, msg)
 }
 

@@ -114,6 +114,46 @@ func TestEstablishReservesBothChannels(t *testing.T) {
 	}
 }
 
+// TestInPlaceHopsAreMetered: the hops a source handles in place — hop 0 of
+// its setup walks and of its teardown sweeps — count in its per-hop
+// signalling histograms like hops that arrive over the transport.
+func TestInPlaceHopsAreMetered(t *testing.T) {
+	g := theta(t)
+	mem := transport.NewMem()
+	t.Cleanup(func() { _ = mem.Close() })
+	// Router 0 gets a registry of its own, so its counts are only the hops
+	// router 0 handled.
+	reg := telemetry.NewRegistry()
+	routers := make([]*router.Router, g.NumNodes())
+	for n := range routers {
+		ep, err := mem.Attach(graph.NodeID(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := router.Config{Node: graph.NodeID(n), Graph: g, Capacity: 10, UnitBW: 1,
+			HelloInterval: time.Minute, LSInterval: 20 * time.Millisecond}
+		if n == 0 {
+			cfg.Metrics = reg
+		}
+		if routers[n], err = router.New(cfg, ep); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = routers[n].Close() })
+	}
+	if _, err := routers[0].Establish(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := routers[0].Release(1); err != nil {
+		t.Fatal(err)
+	}
+	hops := reg.LatencyVec("drtp_router_hop_signal_seconds", "", "role")
+	for role, want := range map[string]int64{"primary": 1, "backup": 1, "teardown": 2} {
+		if got := hops.With(role).Count(); got != want {
+			t.Errorf("router 0 counted %d %s hops, want %d", got, role, want)
+		}
+	}
+}
+
 func TestEstablishDuplicateAndUnknownRelease(t *testing.T) {
 	c := newCluster(t, theta(t), 10)
 	if _, err := c.Router(0).Establish(1, 1); err != nil {

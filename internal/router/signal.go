@@ -255,6 +255,17 @@ func (s *signal) reply(res sigResult) proto.Message {
 		FailedHop: res.failedHop, Seq: s.seq}
 }
 
+// replyKey is the key s's reply is awaited under.
+func (s *signal) replyKey() proto.ReplyKey {
+	var k proto.ReplyKey
+	if s.kind == sigActivate {
+		k, _ = proto.ReplyKeyOf(proto.ActivateResult{Seq: s.seq})
+	} else {
+		k, _ = proto.ReplyKeyOf(proto.SetupResult{Seq: s.seq})
+	}
+	return k
+}
+
 // role labels the walk in hop-signal events.
 func (id sigID) role() string {
 	if id.kind == sigActivate {
@@ -265,7 +276,7 @@ func (id sigID) role() string {
 
 // sigLabels are the dedup reasons of each walk kind: a retransmission
 // (also the retry label), a packet outrun by the connection's teardown,
-// and a reply to a superseded round trip.
+// and a reply no round trip awaits (superseded or already answered).
 var sigLabels = [...]struct{ dup, stale, staleResult string }{
 	sigSetup:    {"setup", "stale-setup", "stale-setup-result"},
 	sigActivate: {"activate", "stale-activate", "stale-activate-result"},
@@ -280,24 +291,29 @@ var sigLabels = [...]struct{ dup, stale, staleResult string }{
 // stopped; rolling back what the walk left behind is the caller's job.
 func (r *Router) roundTrip(s signal) (sigResult, error) {
 	r.mu.Lock()
-	var ch chan sigResult
+	var ch chan proto.Envelope
 	if n := len(r.replyPool); n > 0 {
 		ch, r.replyPool = r.replyPool[n-1], r.replyPool[:n-1]
 	} else {
-		ch = make(chan sigResult, 1)
+		ch = make(chan proto.Envelope, 1)
 	}
 	s.seq = r.nextSeqLocked()
-	r.pending[s.sigID] = pendingTrip{ch: ch, seq: s.seq}
 	r.mu.Unlock()
+	// The sequence number is this round trip's alone, so only a closed
+	// endpoint refuses the wait.
+	key := s.replyKey()
+	if err := r.ep.Await(key, ch); err != nil {
+		return sigResult{}, ErrClosed
+	}
 	defer func() {
-		r.mu.Lock()
-		delete(r.pending, s.sigID)
+		r.ep.Cancel(key)
 		// Drain a reply that landed after the last receive, then recycle:
-		// with the pending entry gone no handler can touch ch again.
+		// with the wait cancelled the endpoint cannot touch ch again.
 		select {
 		case <-ch:
 		default:
 		}
+		r.mu.Lock()
 		r.replyPool = append(r.replyPool, ch)
 		r.mu.Unlock()
 	}()
@@ -312,9 +328,9 @@ func (r *Router) roundTrip(s signal) (sigResult, error) {
 		r.send(r.cfg.Node, msg)
 		timer := time.NewTimer(r.attemptTimeout(a, attempts, time.Until(deadline)))
 		select {
-		case res := <-ch:
+		case env := <-ch:
 			timer.Stop()
-			return res, nil
+			return resultOf(env.Msg), nil
 		case <-timer.C:
 		case <-r.stop:
 			timer.Stop()
@@ -324,25 +340,13 @@ func (r *Router) roundTrip(s signal) (sigResult, error) {
 	return sigResult{}, ErrTimeout
 }
 
-// completeRoundTrip hands a reply to the round trip waiting on id; a reply
-// whose sequence does not match is a straggler of a superseded round trip
-// and is dropped. Delivery happens under mu so a reply can never land in a
-// channel already drained and pooled by the round trip's owner.
-func (r *Router) completeRoundTrip(id sigID, seq uint64, res sigResult) {
-	r.mu.Lock()
-	p, ok := r.pending[id]
-	if ok && seq == p.seq {
-		select {
-		case p.ch <- res:
-		default:
-		}
-		r.mu.Unlock()
-		return
+// resultOf reads a walk's outcome from its reply.
+func resultOf(msg proto.Message) sigResult {
+	if m, ok := msg.(proto.ActivateResult); ok {
+		return sigResult{ok: m.OK, reason: m.Reason}
 	}
-	r.mu.Unlock()
-	if ok {
-		r.tracer.DedupHit(0, int64(id.conn), int(r.cfg.Node), sigLabels[id.kind].staleResult)
-	}
+	m := msg.(proto.SetupResult)
+	return sigResult{ok: m.OK, failedHop: m.FailedHop, reason: m.Reason}
 }
 
 // walk runs s along path and sweeps away what a failed walk may have left

@@ -70,10 +70,14 @@ func (h *LatencyHist) Observe(d time.Duration) {
 	h.sum.Add(int64(d))
 }
 
-// ObserveSince records the elapsed wall time since start.
+// ObserveSince records the elapsed wall time since start. A nil
+// histogram returns before reading the clock.
 //
 //drtplint:hotpath
 func (h *LatencyHist) ObserveSince(start time.Time) {
+	if h == nil {
+		return
+	}
 	h.Observe(time.Since(start))
 }
 

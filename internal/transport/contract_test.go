@@ -2,6 +2,9 @@ package transport_test
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
+	"runtime"
 	"runtime/pprof"
 	"sync"
 	"testing"
@@ -148,6 +151,11 @@ func TestEndpointContract(t *testing.T) {
 			t.Run("BacklogOrder", func(t *testing.T) { testBacklogOrder(t, tr) })
 			t.Run("Split", func(t *testing.T) { testSplit(t, tr) })
 			t.Run("CloseWhileDraining", func(t *testing.T) { testCloseWhileDraining(t, tr) })
+			t.Run("ReplyPassesBacklog", func(t *testing.T) { testReplyPassesBacklog(t, tr) })
+			t.Run("UnawaitedReplyInOrder", func(t *testing.T) { testUnawaitedReplyInOrder(t, tr) })
+			t.Run("FullWaiterDrops", func(t *testing.T) { testFullWaiterDrops(t, tr) })
+			t.Run("AwaitTwiceRefused", func(t *testing.T) { testAwaitTwiceRefused(t, tr) })
+			t.Run("CloseWithWaiter", func(t *testing.T) { testCloseWithWaiter(t, tr) })
 			if tr.drainer != "" {
 				t.Run("BacklogDrainerExits", func(t *testing.T) { testDrainerExits(t, tr) })
 			}
@@ -297,6 +305,179 @@ func testDrainerExits(t *testing.T, tr contractTransport) {
 	for deadline := time.Now().Add(5 * time.Second); goroutinesIn(tr.drainer) > 0; {
 		if time.Now().After(deadline) {
 			t.Fatalf("a goroutine from %s is still running after its backlog drained", tr.drainer)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// replyKey is the key the contract's reply rows await: that of a route
+// reply with the given ID.
+func replyKey(id uint64) proto.ReplyKey {
+	k, _ := proto.ReplyKeyOf(proto.RouteReply{ID: id})
+	return k
+}
+
+// expectNone fails if ch yields a message within a short wait.
+func expectNone(t *testing.T, ch <-chan proto.Envelope, what string) {
+	t.Helper()
+	select {
+	case env := <-ch:
+		t.Fatalf("%s: got %s from node %d", what, env.Msg.Kind(), env.From)
+	case <-time.After(20 * time.Millisecond):
+	}
+}
+
+// testReplyPassesBacklog: with a burst ten inboxes deep queued for Recv, an
+// awaited reply from another sender still reaches its waiter at once, and
+// Recv then yields the whole burst, in order, without the reply.
+func testReplyPassesBacklog(t *testing.T, tr contractTransport) {
+	eps := tr.attach(t, contractSenders+2)
+	rx, replier := eps[contractSenders], eps[contractSenders+1]
+	in := rx.Recv()
+	if !sendBursts(eps, 0, contractBurst)(5 * time.Second) {
+		t.Fatal("a sender blocked on a receiver that is not reading")
+	}
+	waiter := make(chan proto.Envelope, 1)
+	if err := rx.Await(replyKey(7), waiter); err != nil {
+		t.Fatal(err)
+	}
+	if err := replier.Send(contractSenders, proto.RouteReply{ID: 7, OK: true}); err != nil {
+		t.Fatal(err)
+	}
+	if env := recvFrom(t, waiter); env.Msg.(proto.RouteReply).ID != 7 || env.From != contractSenders+1 {
+		t.Fatalf("waiter got %+v", env)
+	}
+	rx.Cancel(replyKey(7))
+	var next [contractSenders]uint64
+	for got := 0; got < contractSenders*contractBurst; got++ {
+		env := recvFrom(t, in)
+		hello, ok := env.Msg.(proto.Hello)
+		if !ok {
+			t.Fatalf("Recv yielded %s inside the burst", env.Msg.Kind())
+		}
+		if hello.Seq != next[env.From] {
+			t.Fatalf("message %d from node %d arrived when %d was due", hello.Seq, env.From, next[env.From])
+		}
+		next[env.From]++
+	}
+	expectNone(t, in, "Recv after the burst")
+}
+
+// testUnawaitedReplyInOrder: a reply nobody awaits, and one whose wait was
+// cancelled before it arrived, reach Recv in their sender's order, and the
+// cancelled waiter gets nothing.
+func testUnawaitedReplyInOrder(t *testing.T, tr contractTransport) {
+	eps := tr.attach(t, 2)
+	tx, rx := eps[0], eps[1]
+	in := rx.Recv()
+	waiter := make(chan proto.Envelope, 1)
+	if err := rx.Await(replyKey(2), waiter); err != nil {
+		t.Fatal(err)
+	}
+	rx.Cancel(replyKey(2))
+	sent := []proto.Message{
+		proto.Hello{Seq: 0}, proto.RouteReply{ID: 1}, proto.Hello{Seq: 1}, proto.RouteReply{ID: 2}, proto.Hello{Seq: 2},
+	}
+	for _, m := range sent {
+		if err := tx.Send(1, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, want := range sent {
+		if got := recvFrom(t, in).Msg; !reflect.DeepEqual(got, want) {
+			t.Fatalf("message %d on Recv is %+v, want %+v", i, got, want)
+		}
+	}
+	expectNone(t, waiter, "cancelled waiter")
+}
+
+// testFullWaiterDrops: a second reply to a waiter that has not read the
+// first is dropped without blocking its sender, and does not reach Recv.
+func testFullWaiterDrops(t *testing.T, tr contractTransport) {
+	eps := tr.attach(t, 2)
+	tx, rx := eps[0], eps[1]
+	in := rx.Recv()
+	waiter := make(chan proto.Envelope, 1)
+	if err := rx.Await(replyKey(3), waiter); err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan error, 1)
+	go func() {
+		for _, m := range []proto.Message{proto.RouteReply{ID: 3, Reason: "first"}, proto.RouteReply{ID: 3, Reason: "second"}, proto.Hello{Seq: 9}} {
+			if err := tx.Send(1, m); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a reply to a full waiter blocked its sender")
+	}
+	// The Hello follows both replies from one sender: once it is on Recv,
+	// both were delivered.
+	if env := recvFrom(t, in); env.Msg != (proto.Hello{Seq: 9}) {
+		t.Fatalf("Recv yielded %+v, want the closing Hello", env.Msg)
+	}
+	if env := recvFrom(t, waiter); env.Msg.(proto.RouteReply).Reason != "first" {
+		t.Fatalf("waiter got %+v, want the first reply", env.Msg)
+	}
+	expectNone(t, waiter, "waiter after the first reply")
+	rx.Cancel(replyKey(3))
+}
+
+// testAwaitTwiceRefused: a key has one waiter at a time; Cancel frees it.
+func testAwaitTwiceRefused(t *testing.T, tr contractTransport) {
+	rx := tr.attach(t, 1)[0]
+	rx.Recv()
+	a, b := make(chan proto.Envelope, 1), make(chan proto.Envelope, 1)
+	if err := rx.Await(replyKey(4), a); err != nil {
+		t.Fatal(err)
+	}
+	if err := rx.Await(replyKey(4), b); !errors.Is(err, transport.ErrAwaited) {
+		t.Fatalf("second Await of one key: err=%v, want ErrAwaited", err)
+	}
+	if err := rx.Await(replyKey(5), b); err != nil {
+		t.Fatalf("Await of another key: %v", err)
+	}
+	rx.Cancel(replyKey(4))
+	if err := rx.Await(replyKey(4), a); err != nil {
+		t.Fatalf("Await after Cancel: %v", err)
+	}
+}
+
+// testCloseWithWaiter: closing an endpoint that has a waiter registered
+// leaves no goroutine behind, refuses later waits, and hands the old
+// waiter nothing more.
+func testCloseWithWaiter(t *testing.T, tr contractTransport) {
+	before := runtime.NumGoroutine()
+	eps := tr.attach(t, 2)
+	tx, rx := eps[0], eps[1]
+	in := rx.Recv()
+	waiter := make(chan proto.Envelope, 1)
+	if err := rx.Await(replyKey(6), waiter); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Send(1, proto.Hello{Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	recvFrom(t, in)
+	_ = rx.Close()
+	_ = tx.Send(1, proto.RouteReply{ID: 6})
+	_ = tx.Close()
+	expectNone(t, waiter, "waiter of a closed endpoint")
+	if err := rx.Await(replyKey(7), waiter); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("Await on a closed endpoint: err=%v, want ErrClosed", err)
+	}
+	rx.Cancel(replyKey(6))
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the endpoints", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(time.Millisecond)
 	}

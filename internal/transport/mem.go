@@ -191,6 +191,14 @@ func (e *memEndpoint) Split(divert func(proto.Message) bool) <-chan proto.Envelo
 	return e.in.split(divert, e.startDelivery)
 }
 
+// Await implements Endpoint.
+func (e *memEndpoint) Await(k proto.ReplyKey, ch chan<- proto.Envelope) error {
+	return e.in.await(k, ch)
+}
+
+// Cancel implements Endpoint.
+func (e *memEndpoint) Cancel(k proto.ReplyKey) { e.in.cancel(k) }
+
 // Close implements Endpoint.
 func (e *memEndpoint) Close() error {
 	e.mu.Lock()
@@ -213,16 +221,20 @@ func (e *memEndpoint) isClosed() bool {
 	return e.closed
 }
 
-// enqueue delivers one message: straight into its inbox channel when no
-// backlog is ahead of it and the channel has room, else onto the backlog,
-// starting the goroutine that drains it if none runs. The channel send
-// never blocks, so it is made under mu, which Close takes before closing
-// the channels; the split, the caller's code, runs before the lock. A
-// message that finds delivery begun but picked no channel (nil: the
-// inbox opened in between) takes the backlog path.
+// enqueue delivers one message: an awaited reply to its waiter; any other
+// straight into its inbox channel when no backlog is ahead of it and the
+// channel has room, else onto the backlog, starting the goroutine that
+// drains it if none runs. The channel send never blocks, so it is made
+// under mu, which Close takes before closing the channels; the split, the
+// caller's code, runs before the lock. A message that finds delivery
+// begun but picked no channel (nil: the inbox opened in between) takes
+// the backlog path.
 func (e *memEndpoint) enqueue(env proto.Envelope) error {
 	var ch chan<- proto.Envelope
 	if e.in.opened.Load() {
+		if e.in.complete(env) {
+			return nil
+		}
 		ch = e.in.to(env.Msg)
 	}
 	e.mu.Lock()
@@ -262,7 +274,8 @@ func (e *memEndpoint) startDrainLocked() {
 }
 
 // drain feeds the backlog into the inbox in arrival order, and exits once
-// the backlog is empty or the endpoint closes.
+// the backlog is empty or the endpoint closes. A reply that waited in the
+// backlog for the inbox to open goes to its waiter, if it has one.
 func (e *memEndpoint) drain() {
 	defer e.drainers.Done()
 	for {
@@ -280,6 +293,9 @@ func (e *memEndpoint) drain() {
 		e.backlog[0] = proto.Envelope{}
 		e.backlog = e.backlog[1:]
 		e.mu.Unlock()
+		if e.in.complete(env) {
+			continue
+		}
 		select {
 		case e.in.to(env.Msg) <- env:
 		case <-e.done:

@@ -247,6 +247,14 @@ func (e *tcpEndpoint) Split(divert func(proto.Message) bool) <-chan proto.Envelo
 	return e.in.split(divert, e.startDelivery)
 }
 
+// Await implements Endpoint.
+func (e *tcpEndpoint) Await(k proto.ReplyKey, ch chan<- proto.Envelope) error {
+	return e.in.await(k, ch)
+}
+
+// Cancel implements Endpoint.
+func (e *tcpEndpoint) Cancel(k proto.ReplyKey) { e.in.cancel(k) }
+
 // startDelivery releases the connection readers.
 func (e *tcpEndpoint) startDelivery() { close(e.ready) }
 
@@ -299,7 +307,8 @@ func (e *tcpEndpoint) acceptLoop() {
 }
 
 // readLoop decodes one inbound connection's frames and delivers each, in
-// order, onto the inbox channel the split picks for it.
+// order, to its waiter if it is an awaited reply, else onto the inbox
+// channel the split picks for it.
 func (e *tcpEndpoint) readLoop(conn net.Conn) {
 	defer e.wg.Done()
 	defer func() {
@@ -318,6 +327,9 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 		env, err := proto.ReadFrame(r)
 		if err != nil {
 			return
+		}
+		if e.in.complete(env) {
+			continue
 		}
 		select {
 		case e.in.to(env.Msg) <- env:

@@ -19,6 +19,10 @@ var ErrClosed = errors.New("transport: closed")
 // ErrUnknownPeer is returned when sending to a node with no endpoint.
 var ErrUnknownPeer = errors.New("transport: unknown peer")
 
+// ErrAwaited is returned by Await for a reply key that already has a
+// waiter.
+var ErrAwaited = errors.New("transport: reply already awaited")
+
 // Endpoint is one router's attachment to the transport. Every
 // implementation guarantees:
 //
@@ -35,9 +39,15 @@ var ErrUnknownPeer = errors.New("transport: unknown peer")
 //     whatever arrives before waits. Split installs a predicate that is
 //     applied where each message is delivered, so no goroutine relays
 //     between the endpoint and either reader.
+//   - Replies to their waiter: a reply whose key (proto.ReplyKeyOf) is
+//     awaited goes, where it is delivered, straight to the channel its
+//     caller passed to Await: it bypasses Recv, Split and any backlog, so
+//     it may overtake earlier messages from its sender. A reply nobody
+//     awaits, or whose wait was cancelled, is delivered like any other
+//     message.
 //   - Close: messages in a backlog or still in flight are dropped; those
 //     already in an inbox channel stay readable, after which the channel
-//     reports closed.
+//     reports closed. Waits end with the endpoint.
 type Endpoint interface {
 	// Node returns the ID this endpoint belongs to.
 	Node() graph.NodeID
@@ -55,6 +65,14 @@ type Endpoint interface {
 	// Close; a later call panics, since messages may already have been
 	// delivered undiverted.
 	Split(divert func(proto.Message) bool) <-chan proto.Envelope
+	// Await hands every inbound reply keyed k to ch, until Cancel(k), with
+	// a send that never blocks: a reply finding ch full is dropped. It
+	// refuses a key already awaited (ErrAwaited) and a closed endpoint
+	// (ErrClosed). The caller owns ch; the endpoint never closes it.
+	Await(k proto.ReplyKey, ch chan<- proto.Envelope) error
+	// Cancel ends the wait for k. Once it returns, no delivery touches the
+	// channel Await was given.
+	Cancel(k proto.ReplyKey)
 	// Close shuts the endpoint down and releases its resources.
 	Close() error
 }
@@ -66,8 +84,9 @@ type Endpoint interface {
 const inboxDepth = 16
 
 // inbox is the receiving side of an endpoint: the channel Recv returns,
-// the channel a Split diverts to, and the predicate between them. Both
-// are fixed once, when the inbox opens, before anything is delivered.
+// the channel a Split diverts to, and the predicate between them, fixed
+// once, when the inbox opens, before anything is delivered; and the
+// table of awaited replies.
 type inbox struct {
 	recv   chan proto.Envelope
 	agent  chan proto.Envelope // nil without a split
@@ -76,6 +95,14 @@ type inbox struct {
 	// goroutine may pick a message's channel with to.
 	opened atomic.Bool
 	once   sync.Once
+
+	wmu sync.Mutex
+	// waiters maps each awaited reply key to its caller's channel;
+	// guarded by wmu.
+	waiters map[proto.ReplyKey]chan<- proto.Envelope
+	// sealed is set by close, after which nothing is awaited; guarded by
+	// wmu.
+	sealed bool
 }
 
 // open installs divert (nil: no split), then runs start, which lets
@@ -111,11 +138,59 @@ func (b *inbox) to(msg proto.Message) chan<- proto.Envelope {
 	return b.recv
 }
 
-// close closes the channels; no delivery may be running or start later.
-// It seals the inbox first, so a Split after Close panics like one after
-// Recv.
+// await implements Endpoint.Await.
+func (b *inbox) await(k proto.ReplyKey, ch chan<- proto.Envelope) error {
+	b.wmu.Lock()
+	defer b.wmu.Unlock()
+	switch {
+	case b.sealed:
+		return ErrClosed
+	case b.waiters[k] != nil:
+		return ErrAwaited
+	case b.waiters == nil:
+		b.waiters = make(map[proto.ReplyKey]chan<- proto.Envelope)
+	}
+	b.waiters[k] = ch
+	return nil
+}
+
+// cancel implements Endpoint.Cancel.
+func (b *inbox) cancel(k proto.ReplyKey) {
+	b.wmu.Lock()
+	delete(b.waiters, k)
+	b.wmu.Unlock()
+}
+
+// complete hands env to the waiter of its reply key and reports whether
+// one awaited it; a waiter whose channel is full loses env. The send is
+// made under wmu, so a cancelled waiter's channel is never touched after
+// cancel returns.
+func (b *inbox) complete(env proto.Envelope) bool {
+	k, ok := proto.ReplyKeyOf(env.Msg)
+	if !ok {
+		return false
+	}
+	b.wmu.Lock()
+	defer b.wmu.Unlock()
+	ch := b.waiters[k]
+	if ch == nil {
+		return false
+	}
+	select {
+	case ch <- env:
+	default:
+	}
+	return true
+}
+
+// close closes the channels and ends every wait; no delivery to the
+// channels may be running or start later. It seals the inbox first, so a
+// Split after Close panics like one after Recv.
 func (b *inbox) close() {
 	b.once.Do(func() {})
+	b.wmu.Lock()
+	b.sealed, b.waiters = true, nil
+	b.wmu.Unlock()
 	close(b.recv)
 	if b.agent != nil {
 		close(b.agent)
