@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench vet fmt lint lint-test lint-json lint-self lint-list experiments quick clean
+.PHONY: all build test race bench vet fmt lint lint-test lint-self experiments quick clean
 
 all: build test
 
@@ -25,9 +25,9 @@ vet:
 	$(GO) vet ./...
 
 # Domain-specific static analysis (tools/drtplint, its own stdlib-only
-# module). The analyzer inventory lives in one place — `make lint-list`
-# (drtplint -list) — so it is never repeated here. Runs over every
-# package of the main module; exits non-zero on findings.
+# module): determinism of the simulation core and lock discipline
+# (guarded-by fields, lock order). Runs over every package of the main
+# module; exits non-zero on findings.
 DRTPLINT := bin/drtplint
 DRTPLINT_SRC := $(shell find tools/drtplint -name '*.go' -not -path '*/testdata/*')
 
@@ -35,20 +35,12 @@ $(DRTPLINT): $(DRTPLINT_SRC) tools/drtplint/go.mod
 	$(GO) -C tools/drtplint build -o $(CURDIR)/$(DRTPLINT) .
 
 lint: $(DRTPLINT)
-	./$(DRTPLINT) -timings
-
-# Machine-readable findings + per-analyzer timings (CI uploads this).
-lint-json: $(DRTPLINT)
-	./$(DRTPLINT) -json -o drtplint.json -timings
+	./$(DRTPLINT)
 
 # The suite applied to its own source: the tool must hold itself to the
 # concurrency and suppression contracts it enforces.
 lint-self: $(DRTPLINT)
 	./$(DRTPLINT) -module tools/drtplint
-
-# The authoritative analyzer inventory.
-lint-list: $(DRTPLINT)
-	./$(DRTPLINT) -list
 
 # The analyzers' own fixture tests.
 lint-test:

@@ -204,7 +204,6 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	fmt.Fprint(out, env.banner)
 
 	consoleDone := make(chan error, 1)
-	//drtplint:spawns stopped-by=stdin-EOF
 	go func() { consoleDone <- consoleCtl(env, in, out) }()
 	select {
 	case err := <-consoleDone:
@@ -223,7 +222,6 @@ func serveMetrics(addr string, reg *telemetry.Registry, ready func() (bool, stri
 		return nil, "", fmt.Errorf("metrics listener: %w", err)
 	}
 	srv := &http.Server{Handler: telemetry.HandlerWithReady(reg, ready)}
-	//drtplint:spawns stopped-by=srv.Shutdown
 	go func() { _ = srv.Serve(ln) }()
 	shutdown := func() {
 		sctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)

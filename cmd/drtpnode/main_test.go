@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -228,6 +229,7 @@ func TestRunMetricsEndpoint(t *testing.T) {
 	}
 	tracePath := filepath.Join(t.TempDir(), "events.jsonl")
 
+	before := nodeGoroutines()
 	inR, inW := io.Pipe()
 	var out syncBuffer
 	done := make(chan error, 1)
@@ -235,7 +237,7 @@ func TestRunMetricsEndpoint(t *testing.T) {
 		done <- run([]string{
 			"-node", "0", "-topology", topoPath,
 			"-peers", "0=127.0.0.1:0,1=127.0.0.1:0,2=127.0.0.1:0",
-			"-metrics", "127.0.0.1:0", "-trace", tracePath,
+			"-metrics", "127.0.0.1:0", "-trace", tracePath, "-runtime-metrics",
 		}, inR, &out)
 	}()
 
@@ -289,4 +291,26 @@ func TestRunMetricsEndpoint(t *testing.T) {
 	if _, err := os.Stat(tracePath); err != nil {
 		t.Fatalf("trace file missing: %v", err)
 	}
+	// run leaves none of its goroutines behind: the console reader ends at
+	// quit, the metrics server at Shutdown, and the runtime sampler, the
+	// trace stream, the TCP mesh and the router at their stop or Close.
+	for deadline := time.Now().Add(5 * time.Second); nodeGoroutines() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines of the node still run after quit, %d before", nodeGoroutines(), before)
+		}
+	}
+}
+
+// nodeGoroutines counts the goroutines that run, or were started by, code
+// of this module; the calling test's own goroutine is one of them.
+func nodeGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("github.com/rtcl/drtp/")) {
+			n++
+		}
+	}
+	return n
 }

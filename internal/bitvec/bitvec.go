@@ -127,8 +127,6 @@ func (v *Vector) Clone() *Vector {
 // suffices, and returns the destination. A nil dst behaves like Clone.
 // The hot paths use this to refresh a retained vector without fresh
 // allocations per update.
-//
-//drtplint:hotpath
 func (v *Vector) CloneInto(dst *Vector) *Vector {
 	if dst == nil {
 		return v.Clone()
@@ -205,8 +203,6 @@ func FromBytes(n int, data []byte) *Vector {
 // changing its length, so a long-lived vector (a router's mirrored
 // Conflict Vector view) absorbs each advertisement with zero
 // allocations. Extra bytes are ignored; missing bytes read as zero.
-//
-//drtplint:hotpath
 func (v *Vector) SetBytes(data []byte) {
 	for i := range v.words {
 		var w uint64
@@ -228,8 +224,6 @@ func (v *Vector) SetBytes(data []byte) {
 // AppendBytes appends the vector's Bytes wire form to dst and returns
 // the extended slice, letting callers that assemble advertisements reuse
 // one buffer instead of allocating per Bytes call.
-//
-//drtplint:hotpath
 func (v *Vector) AppendBytes(dst []byte) []byte {
 	start := len(dst)
 	for i := 0; i < v.SizeBytes(); i++ {

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -263,6 +264,7 @@ func TestQuotaRejection(t *testing.T) {
 }
 
 func TestDrainMigratesConnections(t *testing.T) {
+	before := runtime.NumGoroutine()
 	ring := telemetry.NewRing(1 << 12)
 	g := trident(t)
 	d := deploy(t, deployConfig(g, ring), transport.NewMem())
@@ -357,6 +359,14 @@ func TestDrainMigratesConnections(t *testing.T) {
 	if code, _ := httpGet(t, srvUp.URL+"/readyz"); code != 200 {
 		t.Fatalf("healthy node /readyz = %d, want 200", code)
 	}
+
+	// Close ends every goroutine the deployment started: the route
+	// finder, coordinator and agent loops, the drain worker, and the
+	// parked request workers.
+	srv.Close()
+	srvUp.Close()
+	d.Close()
+	waitFor(t, "the deployment's goroutines to end", func() bool { return runtime.NumGoroutine() <= before })
 }
 
 func TestHeartbeatMissPropagatesAsLinkDeath(t *testing.T) {

@@ -99,10 +99,15 @@ func RunAblation(p Params) (*Ablation, error) {
 		}
 	}
 
-	simCfg := sim.Config{Warmup: p.Warmup, EvalInterval: p.EvalInterval}
+	simCfg := sim.Config{Warmup: p.Warmup, EvalInterval: p.EvalInterval, Chaos: p.Chaos}
 	results := make([]*sim.Result, len(jobs))
+	stream := newTelemetryStream(p.Telemetry, len(jobs), p.workerCount())
 	err = runParallel(p.workerCount(), len(jobs), func(i int) error {
 		j := jobs[i]
+		tracer, done := stream.cell(i)
+		defer done()
+		simCfg := simCfg
+		simCfg.Telemetry = tracer
 		if j.variant == nil {
 			baseNet, err := drtp.NewNetworkWithMode(g, p.Capacity, p.UnitBW, lsdb.Multiplexed)
 			if err != nil {

@@ -108,6 +108,7 @@ func RunAvailability(p AvailabilityParams) (*Availability, error) {
 			FailureSchedule: schedule,
 			ManagerOpts:     spec.opts,
 			Telemetry:       tracer,
+			Chaos:           p.Chaos,
 		})
 		if err != nil {
 			return fmt.Errorf("experiments: availability %s: %w", spec.name, err)

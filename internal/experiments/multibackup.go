@@ -63,6 +63,7 @@ func RunMultiBackup(p Params) (*MultiBackup, error) {
 		EvalInterval: p.EvalInterval,
 		PairSamples:  200,
 		PairSeed:     p.Seed,
+		Chaos:        p.Chaos,
 	}
 
 	// One job per (lambda, baseline-or-k) run, sharded across the worker
@@ -87,8 +88,13 @@ func RunMultiBackup(p Params) (*MultiBackup, error) {
 	}
 
 	results := make([]*sim.Result, len(jobs))
+	stream := newTelemetryStream(p.Telemetry, len(jobs), p.workerCount())
 	err = runParallel(p.workerCount(), len(jobs), func(i int) error {
 		j := jobs[i]
+		tracer, done := stream.cell(i)
+		defer done()
+		simCfg := simCfg
+		simCfg.Telemetry = tracer
 		net, err := drtp.NewNetwork(g, p.Capacity, p.UnitBW)
 		if err != nil {
 			return err

@@ -57,37 +57,44 @@ func RunOverhead(p Params, pattern scenario.Pattern, lambda float64) (*OverheadR
 	if err != nil {
 		return nil, err
 	}
-	simCfg := sim.Config{Warmup: p.Warmup, EvalInterval: 0}
+	simCfg := sim.Config{Warmup: p.Warmup, EvalInterval: 0, Chaos: p.Chaos}
 
 	// The BF and D-LSR measurement runs replay the identical scenario on
 	// separate networks, so they shard across the worker pool like any
 	// other pair of cells.
 	bf := flood.NewDefault()
 	var dlsrNet *drtp.Network
-	runs := []func() error{
-		func() error {
+	runs := []func(sim.Config) error{
+		func(cfg sim.Config) error {
 			bfNet, err := drtp.NewNetworkWithMode(g, p.Capacity, p.UnitBW, p.Mode)
 			if err != nil {
 				return err
 			}
-			if _, err := sim.Run(bfNet, bf, sc, simCfg); err != nil {
+			if _, err := sim.Run(bfNet, bf, sc, cfg); err != nil {
 				return fmt.Errorf("experiments: overhead BF run: %w", err)
 			}
 			return nil
 		},
-		func() error {
+		func(cfg sim.Config) error {
 			net, err := drtp.NewNetworkWithMode(g, p.Capacity, p.UnitBW, p.Mode)
 			if err != nil {
 				return err
 			}
-			if _, err := sim.Run(net, routing.NewDLSR(), sc, simCfg); err != nil {
+			if _, err := sim.Run(net, routing.NewDLSR(), sc, cfg); err != nil {
 				return fmt.Errorf("experiments: overhead D-LSR run: %w", err)
 			}
 			dlsrNet = net
 			return nil
 		},
 	}
-	if err := runParallel(p.workerCount(), len(runs), func(i int) error { return runs[i]() }); err != nil {
+	stream := newTelemetryStream(p.Telemetry, len(runs), p.workerCount())
+	if err := runParallel(p.workerCount(), len(runs), func(i int) error {
+		cfg := simCfg
+		var done func()
+		cfg.Telemetry, done = stream.cell(i)
+		defer done()
+		return runs[i](cfg)
+	}); err != nil {
 		return nil, err
 	}
 	bfStats := bf.Stats()

@@ -58,7 +58,8 @@ func RunQoS(p Params, lambda float64) (*QoS, error) {
 			if err != nil {
 				return nil, err
 			}
-			cfg := sim.Config{Warmup: p.Warmup, EvalInterval: p.EvalInterval}
+			cfg := sim.Config{Warmup: p.Warmup, EvalInterval: p.EvalInterval,
+				Telemetry: p.Telemetry, Chaos: p.Chaos}
 			if slack >= 0 {
 				cfg.QoSBound = true
 				cfg.QoSSlack = slack

@@ -177,6 +177,7 @@ func RunScale(p ScaleParams) (*Scale, error) {
 			EndTime:         c.endTime,
 			ManagerOpts:     c.spec.ManagerOpts,
 			Telemetry:       pc.Telemetry,
+			Chaos:           pc.Chaos,
 			FailureSchedule: c.fails,
 			CollectRecovery: true,
 		})

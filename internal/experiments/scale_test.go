@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/rtcl/drtp/internal/telemetry"
 )
@@ -49,12 +51,21 @@ func renderScale(t *testing.T, s *Scale) []byte {
 // must be byte-identical at workers=1 and workers=8, and match the golden
 // file. Refresh with go test ./internal/experiments -run ScaleWorkersGolden -update.
 func TestScaleWorkersGolden(t *testing.T) {
+	before := runtime.NumGoroutine()
 	sp := tinyScaleParams()
 	serial := renderScale(t, scaleWithWorkers(t, sp, 1))
 	parallel := renderScale(t, scaleWithWorkers(t, sp, 8))
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("scale table differs between workers=1 and workers=8:\nserial:\n%s\nparallel:\n%s",
 			serial, parallel)
+	}
+	// RunScale leaves no goroutine behind: its heap watcher stops and its
+	// worker pool drains before it returns.
+	for polls := 0; runtime.NumGoroutine() > before; polls++ {
+		if polls == 5000 {
+			t.Fatalf("%d goroutines after RunScale, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	golden := filepath.Join("testdata", "scale_small.golden")

@@ -96,6 +96,8 @@ func RunTopologySensitivity(p Params, lambda float64) (*TopologySensitivity, err
 			res, err := sim.Run(net, spec.new(), sc, sim.Config{
 				Warmup:       p.Warmup,
 				EvalInterval: p.EvalInterval,
+				Telemetry:    p.Telemetry,
+				Chaos:        p.Chaos,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: topology %s/%s: %w", tp.name, spec.name, err)

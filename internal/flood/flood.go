@@ -324,8 +324,6 @@ func (s *Scheme) flood(net *drtp.Network, req drtp.Request) []candidate {
 
 // minDistFor returns the pending-connection table sized for n nodes with
 // every entry reset to "not seen".
-//
-//drtplint:hotpath
 func (fs *floodScratch) minDistFor(n int) []int32 {
 	if cap(fs.minDist) < n {
 		fs.minDist = make([]int32, n)
@@ -341,16 +339,12 @@ func (fs *floodScratch) minDistFor(n int) []int32 {
 // appendNode extends chain by one node in the arena and returns the new
 // chain head. Chains share tails — a CDP forwarded over several links
 // costs one entry per copy, not one list copy per copy.
-//
-//drtplint:hotpath
 func (fs *floodScratch) appendNode(chain int32, n graph.NodeID) int32 {
 	fs.entries = append(fs.entries, pathEntry{node: n, parent: chain})
 	return int32(len(fs.entries) - 1)
 }
 
 // chainContains reports whether the chain includes node n.
-//
-//drtplint:hotpath
 func (fs *floodScratch) chainContains(chain int32, n graph.NodeID) bool {
 	for i := chain; i >= 0; {
 		e := &fs.entries[i]
@@ -364,8 +358,6 @@ func (fs *floodScratch) chainContains(chain int32, n graph.NodeID) bool {
 
 // chainNodes reassembles a chain into source-first node order with last
 // appended, reusing the scratch node buffer (valid until the next call).
-//
-//drtplint:hotpath
 func (fs *floodScratch) chainNodes(chain int32, last graph.NodeID) []graph.NodeID {
 	nodes := fs.nodes[:0]
 	for i := chain; i >= 0; {
@@ -446,8 +438,6 @@ type hopQueue struct {
 
 // reset empties the queue, keeping bucket capacity, and ensures at least
 // maxHops+1 buckets exist.
-//
-//drtplint:hotpath
 func (q *hopQueue) reset(maxHops int) {
 	for i := range q.buckets {
 		q.buckets[i] = q.buckets[i][:0]
@@ -460,7 +450,6 @@ func (q *hopQueue) reset(maxHops int) {
 	q.current = 0
 }
 
-//drtplint:hotpath
 func (q *hopQueue) push(m cdp) {
 	for m.hcCurr >= len(q.buckets) {
 		q.buckets = append(q.buckets, nil)
@@ -469,7 +458,6 @@ func (q *hopQueue) push(m cdp) {
 	q.buckets[m.hcCurr] = append(q.buckets[m.hcCurr], m)
 }
 
-//drtplint:hotpath
 func (q *hopQueue) pop() (cdp, bool) {
 	for q.current < len(q.buckets) {
 		if h := q.heads[q.current]; h < len(q.buckets[q.current]) {

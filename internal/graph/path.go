@@ -51,8 +51,6 @@ func (p Path) Hops() int { return len(p.links) }
 
 // Links returns the path's links in order. The caller must not modify the
 // returned slice.
-//
-//drtplint:ignore cvclone zero-copy accessor on the routing hot path; the no-modify contract above is the API
 func (p Path) Links() []LinkID { return p.links }
 
 // Source returns the first node of the path.

@@ -72,8 +72,6 @@ func (s *Scratch) ShortestPath(g *Graph, src, dst NodeID, cost CostFunc) (Path, 
 // ShortestDistancesInto runs Dijkstra from src to all nodes and returns
 // the distance vector. The returned slice aliases the scratch space and
 // is valid until the next query.
-//
-//drtplint:hotpath
 func (s *Scratch) ShortestDistancesInto(g *Graph, src NodeID, cost CostFunc) []float64 {
 	dist, _ := s.dijkstra(g, src, InvalidNode, cost)
 	return dist
@@ -85,8 +83,6 @@ func (s *Scratch) ShortestDistancesInto(g *Graph, src NodeID, cost CostFunc) []f
 // shortest-path tree (InvalidLink for src/unreached). It is the plain
 // one-ended search: the all-destinations form, and the reference the
 // tests hold searchTo to.
-//
-//drtplint:hotpath
 func (s *Scratch) dijkstra(g *Graph, src, stopAt NodeID, cost CostFunc) (dist []float64, prev []LinkID) {
 	n := g.NumNodes()
 	s.growNodeArrays(n)
@@ -157,8 +153,6 @@ const pruneSlack = 1e-9
 // dijkstra (see Scratch). Nodes off every minimum-cost route hand nothing
 // tight to nodes on one, and which of them sit in the queue does not
 // reorder the others. dist and prev are meaningful only along that route.
-//
-//drtplint:hotpath
 func (s *Scratch) searchTo(g *Graph, src, dst NodeID, cost CostFunc) (dist []float64, prev []LinkID) {
 	n := g.NumNodes()
 	s.growNodeArrays(n)
@@ -269,8 +263,6 @@ func (s *Scratch) searchTo(g *Graph, src, dst NodeID, cost CostFunc) (dist []flo
 }
 
 // growNodeArrays makes the per-node arrays hold at least n entries.
-//
-//drtplint:hotpath
 func (s *Scratch) growNodeArrays(n int) {
 	if cap(s.dist) < n {
 		s.dist = make([]float64, n)
@@ -303,8 +295,6 @@ func (s *Scratch) growNodeArrays(n int) {
 // visits passes, and every hop-d node with an open link to a hop-(d+1) node
 // of such a route is on one too, so the smallest-ID rule picks among the
 // same links.
-//
-//drtplint:hotpath
 func (s *Scratch) MinHopPath(g *Graph, src, dst NodeID, open func(LinkID) bool) (Path, bool) {
 	n := g.NumNodes()
 	s.growNodeArrays(n)
@@ -383,8 +373,6 @@ func (s *Scratch) MinHopPath(g *Graph, src, dst NodeID, open func(LinkID) bool) 
 
 // tracePath reconstructs the path to dst using the reusable reversal
 // stack; only the final Path's link slice is allocated.
-//
-//drtplint:hotpath
 func (s *Scratch) tracePath(g *Graph, prev []LinkID, src, dst NodeID) Path {
 	stack := s.stack[:0]
 	for at := dst; at != src; {
@@ -397,7 +385,6 @@ func (s *Scratch) tracePath(g *Graph, prev []LinkID, src, dst NodeID) Path {
 		at = g.Link(l).From
 	}
 	s.stack = stack
-	//drtplint:ignore hotalloc the returned Path must own its links; one allocation per query is the documented contract
 	links := make([]LinkID, len(stack))
 	for i, l := range stack {
 		links[len(stack)-1-i] = l
@@ -417,13 +404,11 @@ func pqLess(a, b pqItem) bool {
 	return a.via < b.via
 }
 
-//drtplint:hotpath
 func (q *pqueue) push(it pqItem) {
 	*q = append(*q, it)
 	q.up(len(*q) - 1)
 }
 
-//drtplint:hotpath
 func (q *pqueue) pop() pqItem {
 	pq := *q
 	n := len(pq) - 1
@@ -433,7 +418,6 @@ func (q *pqueue) pop() pqItem {
 	return pq[n]
 }
 
-//drtplint:hotpath
 func (q pqueue) up(j int) {
 	for {
 		i := (j - 1) / 2 // parent
@@ -445,7 +429,6 @@ func (q pqueue) up(j int) {
 	}
 }
 
-//drtplint:hotpath
 func (q pqueue) down(i, n int) {
 	for {
 		j := 2*i + 1
@@ -468,8 +451,6 @@ func (q pqueue) down(i, n int) {
 // delay-bounded backup routing). It runs a layered Bellman-Ford over hop
 // counts in O(maxHops·E). A non-positive maxHops returns no path unless
 // src == dst.
-//
-//drtplint:hotpath
 func (s *Scratch) ShortestPathBounded(g *Graph, src, dst NodeID, cost CostFunc, maxHops int) (Path, float64) {
 	if src == dst {
 		return Path{}, 0
@@ -524,7 +505,6 @@ func (s *Scratch) ShortestPathBounded(g *Graph, src, dst NodeID, cost CostFunc, 
 		h--
 	}
 	s.stack = stack
-	//drtplint:ignore hotalloc the returned Path must own its links; one allocation per query is the documented contract
 	links := make([]LinkID, len(stack))
 	for i, l := range stack {
 		links[len(stack)-1-i] = l
@@ -535,8 +515,6 @@ func (s *Scratch) ShortestPathBounded(g *Graph, src, dst NodeID, cost CostFunc, 
 // boundedTables returns the layered dist/prev tables with at least rows
 // rows of n columns each, reusing retained storage. Row contents are
 // stale; ShortestPathBounded fully overwrites every row it reads.
-//
-//drtplint:hotpath
 func (s *Scratch) boundedTables(rows, n int) ([][]float64, [][]LinkID) {
 	for len(s.bdist) < rows {
 		s.bdist = append(s.bdist, nil)

@@ -55,8 +55,6 @@ type Snapshot struct {
 // between changed. Any other — a zero Snapshot, another database's, one the
 // log was cut past — is filled in full; every entry equals a fresh fill's
 // either way, and any number of snapshots may follow one database.
-//
-//drtplint:hotpath
 func (db *DB) SnapshotInto(s *Snapshot) *Snapshot {
 	n := db.n
 	db.mu.Lock()
@@ -79,8 +77,6 @@ func (db *DB) SnapshotInto(s *Snapshot) *Snapshot {
 }
 
 // copyInto writes the link's snapshot scalars to entry i of s.
-//
-//drtplint:hotpath
 func (ls *linkState) copyInto(s *Snapshot, i int) {
 	avail := ls.capacity - ls.prime
 	s.AvailBackup[i] = avail
@@ -95,8 +91,6 @@ func (ls *linkState) copyInto(s *Snapshot, i int) {
 // read by column: each LSET entry's posting list names exactly the links
 // whose count it raises, so a request costs O(links) to clear dst plus
 // the postings of its own primary, under one lock acquisition.
-//
-//drtplint:hotpath
 func (db *DB) ConflictCountsInto(lset []graph.LinkID, dst []float64) []float64 {
 	n := db.n
 	if cap(dst) < n {
@@ -118,8 +112,6 @@ func (db *DB) ConflictCountsInto(lset []graph.LinkID, dst []float64) []float64 {
 // link into dst and returns it (resized as needed). The failure sweeps
 // refresh this once per evaluated failure instead of locking per backup
 // link touched.
-//
-//drtplint:hotpath
 func (db *DB) SCInto(dst []int) []int {
 	dst = grow(dst, db.n)
 	db.mu.Lock()
@@ -133,8 +125,6 @@ func (db *DB) SCInto(dst []int) []int {
 // AppendCV appends link l's Conflict Vector in its wire form (the bytes
 // of DB.CV(l).Bytes()) to dst and returns the extended slice, without
 // materializing the intermediate vector.
-//
-//drtplint:hotpath
 func (db *DB) AppendCV(l graph.LinkID, dst []byte) []byte {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -259,8 +249,6 @@ func (db *DB) PromoteBackupPath(id ConnID, links []graph.LinkID) error {
 
 // grow returns s resized to n entries, reallocating only when the
 // capacity is insufficient.
-//
-//drtplint:hotpath
 func grow[T int | float64](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)

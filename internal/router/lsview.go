@@ -115,8 +115,6 @@ func (v *LinkStateView) block(blocked func(graph.LinkID) bool) {
 // fillMetric writes the scheme's conflict metric for a primary with the
 // given LSET: the advertised norm (P-LSR) or the number of LSET links set
 // in the link's Conflict Vector (D-LSR).
-//
-//drtplint:hotpath
 func (v *LinkStateView) fillMetric(lset []graph.LinkID) {
 	for l := range v.sel.Metric {
 		n := v.norm[l]

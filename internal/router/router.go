@@ -386,7 +386,6 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 			"Latency of successful DR-connection establishments.")
 		r.mActiveConns = cfg.Metrics.GaugeVec("drtp_router_active_connections",
 			"Connections originated at each node.", "node").
-			//drtplint:ignore instrumentnames node IDs are a small fixed set (one per router), not unbounded cardinality
 			With(fmt.Sprint(int(cfg.Node)))
 		r.mDisruptionSeconds = cfg.Metrics.Latency("drtp_router_disruption_seconds",
 			"Service disruption from failure report to backup activation.")

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/rtcl/drtp/internal/faultinject"
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/proto"
@@ -717,13 +718,23 @@ func newBackupsCluster(t *testing.T, g *graph.Graph, k int) *router.Cluster {
 	return c
 }
 
+// lossy wraps mem in an injector that drops every message but hellos
+// with probability drop, drawing from per-sender-receiver streams seeded
+// by seed.
+func lossy(mem *transport.Mem, drop float64, seed int64) *faultinject.Injector {
+	return faultinject.New(&faultinject.Schedule{
+		Seed:  seed,
+		Links: []faultinject.LinkRule{{From: -1, To: -1, Drop: drop}},
+	}, mem)
+}
+
 func TestEstablishTimesOutOnLostSignalling(t *testing.T) {
 	// Full signalling loss (hellos still flow): the setup round trip
 	// times out and the caller gets ErrTimeout with nothing leaked
 	// locally (remote partial state cannot be rolled back when teardowns
 	// are lost too — that is what the timeout models).
 	g := theta(t)
-	mem := transport.NewLossyMem(1.0, 3)
+	mem := transport.NewMem()
 	c, err := router.NewCluster(router.Config{
 		Graph:         g,
 		Capacity:      10,
@@ -731,7 +742,7 @@ func TestEstablishTimesOutOnLostSignalling(t *testing.T) {
 		HelloInterval: 10 * time.Millisecond,
 		LSInterval:    20 * time.Millisecond,
 		SetupTimeout:  100 * time.Millisecond,
-	}, mem)
+	}, lossy(mem, 1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -752,7 +763,8 @@ func TestEstablishSurvivesModerateLoss(t *testing.T) {
 	// With moderate loss some setups fail by timeout, but retries under
 	// fresh IDs eventually succeed, and nothing panics or wedges.
 	g := theta(t)
-	mem := transport.NewLossyMem(0.2, 11)
+	mem := transport.NewMem()
+	inj := lossy(mem, 0.2, 11)
 	c, err := router.NewCluster(router.Config{
 		Graph:         g,
 		Capacity:      10,
@@ -761,7 +773,7 @@ func TestEstablishSurvivesModerateLoss(t *testing.T) {
 		HelloMiss:     noDetector,
 		LSInterval:    20 * time.Millisecond,
 		SetupTimeout:  150 * time.Millisecond,
-	}, mem)
+	}, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -779,7 +791,7 @@ func TestEstablishSurvivesModerateLoss(t *testing.T) {
 	if succeeded == 0 {
 		t.Fatal("no establishment succeeded under 20% loss")
 	}
-	if mem.Dropped() == 0 {
+	if inj.Stats().Drops == 0 {
 		t.Fatal("loss injection inactive")
 	}
 }

@@ -121,8 +121,6 @@ func normMetric(_ *LinkState, _ *lsdb.DB, snap *lsdb.Snapshot, _ []graph.LinkID)
 func NewDLSR(opts ...Option) *LinkState { return newLinkState("D-LSR", conflictMetric, opts) }
 
 // conflictMetric reads the conflict counts off the database's CV index.
-//
-//drtplint:hotpath
 func conflictMetric(s *LinkState, db *lsdb.DB, _ *lsdb.Snapshot, lset []graph.LinkID) []float64 {
 	s.metric = db.ConflictCountsInto(lset, s.metric)
 	return s.metric

@@ -34,8 +34,6 @@ type LatencyHist struct {
 }
 
 // latencyBucket maps a duration to its bucket index.
-//
-//drtplint:hotpath
 func latencyBucket(d time.Duration) int {
 	if d <= 0 {
 		return 0
@@ -59,8 +57,6 @@ func latencyMid(b int) time.Duration {
 }
 
 // Observe records one duration (non-positive durations land in bucket 0).
-//
-//drtplint:hotpath
 func (h *LatencyHist) Observe(d time.Duration) {
 	if h == nil {
 		return
@@ -72,8 +68,6 @@ func (h *LatencyHist) Observe(d time.Duration) {
 
 // ObserveSince records the elapsed wall time since start. A nil
 // histogram returns before reading the clock.
-//
-//drtplint:hotpath
 func (h *LatencyHist) ObserveSince(start time.Time) {
 	if h == nil {
 		return
@@ -83,8 +77,6 @@ func (h *LatencyHist) ObserveSince(start time.Time) {
 
 // add merges n observations of duration d in one step; the runtime
 // sampler uses it to fold runtime/metrics histogram deltas in bulk.
-//
-//drtplint:hotpath
 func (h *LatencyHist) add(d time.Duration, n int64) {
 	if h == nil || n <= 0 {
 		return

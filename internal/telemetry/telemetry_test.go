@@ -3,6 +3,7 @@ package telemetry_test
 import (
 	"bytes"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -101,42 +102,53 @@ func TestTracerConcurrency(t *testing.T) {
 	}
 }
 
+// TestNilInstrumentsAreNoOps calls every exported method of each
+// nil-safe instrument on a nil receiver, with zero-valued arguments: a
+// method added without its nil guard panics here, and none may report an
+// error.
 func TestNilInstrumentsAreNoOps(t *testing.T) {
+	for _, nilInst := range []any{
+		(*telemetry.Tracer)(nil),
+		(*telemetry.Registry)(nil),
+		(*telemetry.Counter)(nil),
+		(*telemetry.Gauge)(nil),
+		(*telemetry.LatencyHist)(nil),
+		(*telemetry.CounterVec)(nil),
+		(*telemetry.GaugeVec)(nil),
+		(*telemetry.LatencyVec)(nil),
+	} {
+		v := reflect.ValueOf(nilInst)
+		if v.NumMethod() == 0 {
+			t.Errorf("%s has no exported methods", v.Type())
+		}
+		for i := 0; i < v.NumMethod(); i++ {
+			name := v.Type().String() + "." + v.Type().Method(i).Name
+			m := v.Method(i)
+			args := make([]reflect.Value, m.Type().NumIn())
+			for a := range args {
+				args[a] = reflect.Zero(m.Type().In(a))
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s on a nil receiver panics: %v", name, r)
+					}
+				}()
+				call := m.Call
+				if m.Type().IsVariadic() {
+					call = m.CallSlice
+				}
+				for _, out := range call(args) {
+					if err, ok := out.Interface().(error); ok && err != nil {
+						t.Errorf("%s on a nil receiver returns %v", name, err)
+					}
+				}
+			}()
+		}
+	}
 	var tr *telemetry.Tracer
-	tr.ConnRequest("x", 9, 1)
-	tr.PrimarySetup("x", 9, 1, 2)
-	tr.ConnEstablish("x", 9, 1, 2)
-	tr.ConnReject("x", 9, 1, "no-route")
-	tr.BackupRegister("x", 9, 1, 2, "")
-	tr.BackupRelease("x", 9, 1, 1)
-	tr.ConnTeardown("x", 9, 1)
-	tr.LinkFail(0, 3)
-	tr.BackupActivate("x", 9, 1, 3, "")
-	tr.ActivationDenied("x", 9, 1, 3, "contention")
-	tr.HopSignal(9, 1, 0, 3, "primary")
-	tr.CDPForward("x", 9, 1, 7)
-	tr.CDPDrop("x", 9, 1, 7, "detour")
-	tr.LSUpdate(0, 4)
-	tr.LinkState("x", 3, 1, 2, 3)
-	tr.Emit(telemetry.Event{Kind: telemetry.EvLinkFail})
-	tr.SetClock(nil)
-	tr.SetNode(5)
 	if tr.Enabled() {
 		t.Fatal("nil tracer enabled")
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var reg *telemetry.Registry
-	reg.Counter("a_total", "").Inc()
-	reg.Gauge("b", "").Set(3)
-	reg.Latency("c_seconds", "").Observe(1)
-	reg.CounterVec("d_total", "", "l").With("v").Add(2)
-	reg.GaugeVec("e", "", "l").With("v").Add(2)
-	reg.LatencyVec("f_seconds", "", "l").With("v").Observe(2)
-	if err := reg.WritePrometheus(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
 	}
 }
 

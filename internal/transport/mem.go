@@ -1,12 +1,10 @@
 package transport
 
 import (
-	"fmt"
 	"sync"
 
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/proto"
-	"github.com/rtcl/drtp/internal/rng"
 )
 
 // Mem is an in-memory switchboard connecting router endpoints by node ID.
@@ -14,48 +12,17 @@ import (
 // Send puts the message straight into the receiver's inbox channel, and
 // only when that is full does it join a backlog, fed into the inbox in
 // order by a goroutine that runs while the backlog exists. Senders never
-// block on slow receivers. An optional drop rate simulates a lossy
-// signalling network for fault-injection tests.
+// block on slow receivers. Mem injects no loss of its own; wrap it in a
+// faultinject.Injector for a lossy signalling network.
 type Mem struct {
 	mu        sync.Mutex
 	endpoints map[graph.NodeID]*memEndpoint
 	closed    bool
-	dropRate  float64
-	dropSeed  int64
-	// droppedPrior accumulates the drop counts of endpoints replaced by a
-	// re-Attach, so Dropped never loses history.
-	droppedPrior int64
 }
 
 // NewMem creates an empty switchboard.
 func NewMem() *Mem {
 	return &Mem{endpoints: make(map[graph.NodeID]*memEndpoint)}
-}
-
-// NewLossyMem creates a switchboard that silently drops each message with
-// the given probability (deterministic in seed). Hello keep-alives are
-// never dropped, so loss exercises signalling timeouts rather than false
-// failure detections. Each endpoint draws drop decisions from its own
-// rng.Split-derived stream, consumed in that endpoint's send order — so
-// the decision sequence is independent of how sends from different nodes
-// interleave (a shared stream would make drops scheduling-dependent).
-func NewLossyMem(dropRate float64, seed int64) *Mem {
-	m := NewMem()
-	m.dropRate = dropRate
-	m.dropSeed = seed
-	return m
-}
-
-// Dropped returns the number of messages dropped so far, across all
-// endpoints (including endpoints since replaced by a re-Attach).
-func (m *Mem) Dropped() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := m.droppedPrior
-	for _, ep := range m.endpoints {
-		n += ep.droppedCount()
-	}
-	return n
 }
 
 // Attach creates the endpoint for a node. Attaching the same node twice
@@ -66,23 +33,14 @@ func (m *Mem) Attach(node graph.NodeID) (Endpoint, error) {
 	if m.closed {
 		return nil, ErrClosed
 	}
-	if old, ok := m.endpoints[node]; ok {
-		if !old.isClosed() {
-			return nil, ErrUnknownPeer
-		}
-		m.droppedPrior += old.droppedCount()
+	if old, ok := m.endpoints[node]; ok && !old.isClosed() {
+		return nil, ErrUnknownPeer
 	}
 	ep := &memEndpoint{
 		mem:  m,
 		node: node,
 		in:   inbox{recv: make(chan proto.Envelope, inboxDepth)},
 		done: make(chan struct{}),
-	}
-	if m.dropRate > 0 {
-		// New(seed).Split(label) is a pure function of (seed, label), so
-		// the endpoint's stream does not depend on Attach order, and a
-		// re-attached (restarted) node replays the same stream.
-		ep.dropRNG = rng.New(m.dropSeed).Split(fmt.Sprintf("drop/%d", node))
 	}
 	m.endpoints[node] = ep
 	return ep, nil
@@ -130,8 +88,6 @@ type memEndpoint struct {
 	// message then joins the backlog; guarded by mu.
 	draining bool
 	closed   bool
-	dropRNG  *rng.Source // nil when the switchboard is lossless
-	dropped  int64
 }
 
 var _ Endpoint = (*memEndpoint)(nil)
@@ -148,34 +104,7 @@ func (e *memEndpoint) Send(to graph.NodeID, msg proto.Message) error {
 	if !ok {
 		return ErrUnknownPeer
 	}
-	if e.shouldDrop(msg) {
-		return nil // lost in transit; the sender cannot tell
-	}
 	return dst.enqueue(proto.Envelope{From: e.node, To: to, Msg: msg})
-}
-
-// shouldDrop decides the fate of one outgoing message using this
-// endpoint's own stream, in this endpoint's send order.
-func (e *memEndpoint) shouldDrop(msg proto.Message) bool {
-	if e.dropRNG == nil {
-		return false
-	}
-	if _, isHello := msg.(proto.Hello); isHello {
-		return false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.dropRNG.Float64() < e.mem.dropRate {
-		e.dropped++
-		return true
-	}
-	return false
-}
-
-func (e *memEndpoint) droppedCount() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.dropped
 }
 
 // Recv implements Endpoint.

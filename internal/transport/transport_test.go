@@ -3,9 +3,7 @@ package transport_test
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -398,111 +396,6 @@ func TestTCPReconnectDisabled(t *testing.T) {
 	env := recvOne(t, b2)
 	if env.Msg.(proto.Hello).Seq != 999 {
 		t.Fatalf("unexpected message: %+v", env.Msg)
-	}
-}
-
-func TestLossyMemDropsMessages(t *testing.T) {
-	m := transport.NewLossyMem(1.0, 7) // drop everything but hellos
-	defer m.Close()
-	a, _ := m.Attach(0)
-	b, _ := m.Attach(1)
-	if err := a.Send(1, proto.Setup{Conn: 1}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case env := <-b.Recv():
-		t.Fatalf("message delivered despite full loss: %+v", env)
-	case <-time.After(50 * time.Millisecond):
-	}
-	if m.Dropped() != 1 {
-		t.Fatalf("dropped = %d", m.Dropped())
-	}
-	// Hellos always pass.
-	if err := a.Send(1, proto.Hello{From: 0}); err != nil {
-		t.Fatal(err)
-	}
-	env := recvOne(t, b)
-	if env.Msg.Kind() != "hello" {
-		t.Fatalf("msg = %v", env.Msg)
-	}
-}
-
-// lossyRun has several nodes concurrently blast messages at one receiver
-// over a lossy switchboard and returns the per-sender delivered conn IDs
-// plus the total drop count. Per-endpoint drop streams make the outcome a
-// pure function of (seed, per-sender send order), so two runs must agree
-// exactly no matter how the sender goroutines interleave.
-func lossyRun(t *testing.T, seed int64) (map[graph.NodeID][]int, int64) {
-	t.Helper()
-	const senders, msgs = 4, 200
-	m := transport.NewLossyMem(0.3, seed)
-	defer m.Close()
-	rx, err := m.Attach(senders)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for n := 0; n < senders; n++ {
-		ep, err := m.Attach(graph.NodeID(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(ep transport.Endpoint) {
-			defer wg.Done()
-			for i := 0; i < msgs; i++ {
-				if err := ep.Send(senders, proto.Setup{Conn: lsdb.ConnID(i)}); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(ep)
-	}
-	wg.Wait()
-	got := make(map[graph.NodeID][]int)
-	expected := senders*msgs - int(m.Dropped())
-	for i := 0; i < expected; i++ {
-		env := recvOne(t, rx)
-		got[env.From] = append(got[env.From], int(env.Msg.(proto.Setup).Conn))
-	}
-	return got, m.Dropped()
-}
-
-func TestLossyMemDeterministicAcrossRuns(t *testing.T) {
-	got1, dropped1 := lossyRun(t, 99)
-	got2, dropped2 := lossyRun(t, 99)
-	if dropped1 == 0 {
-		t.Fatal("lossy run dropped nothing; test is vacuous")
-	}
-	if dropped1 != dropped2 {
-		t.Fatalf("dropped counts differ across runs: %d vs %d", dropped1, dropped2)
-	}
-	if !reflect.DeepEqual(got1, got2) {
-		t.Fatalf("delivered sequences differ across runs:\n%v\nvs\n%v", got1, got2)
-	}
-	// A different seed must yield a different trace (sanity: the seed is
-	// actually feeding the streams).
-	got3, _ := lossyRun(t, 100)
-	if reflect.DeepEqual(got1, got3) {
-		t.Fatal("seeds 99 and 100 produced identical traces")
-	}
-}
-
-func TestLossyMemZeroRateLossless(t *testing.T) {
-	m := transport.NewLossyMem(0, 1)
-	defer m.Close()
-	a, _ := m.Attach(0)
-	b, _ := m.Attach(1)
-	for i := 0; i < 50; i++ {
-		if err := a.Send(1, proto.Setup{Conn: lsdb.ConnID(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 50; i++ {
-		recvOne(t, b)
-	}
-	if m.Dropped() != 0 {
-		t.Fatalf("dropped = %d", m.Dropped())
 	}
 }
 

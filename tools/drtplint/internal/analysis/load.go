@@ -105,11 +105,6 @@ func (l *Loader) LoadPath(path string) (*Package, error) {
 	return l.Load(path, dir)
 }
 
-// Run applies the analyzer to the package (method form of Run).
-func (l *Loader) Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	return Run(a, pkg)
-}
-
 // modulePath extracts the module path from a go.mod file.
 func modulePath(file string) (string, error) {
 	data, err := os.ReadFile(file)

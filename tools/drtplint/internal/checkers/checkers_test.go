@@ -10,30 +10,8 @@ func TestDeterminism(t *testing.T) {
 	analysistest.Run(t, "testdata", Determinism, "experiments", "sim", "webserver", "faultinject")
 }
 
-func TestNilTracer(t *testing.T) {
-	analysistest.Run(t, "testdata", NilTracer, "telemetry", "consumer")
-}
-
-func TestCVClone(t *testing.T) {
-	analysistest.Run(t, "testdata", CVClone, "cvuser")
-}
-
-func TestLockGuard(t *testing.T) {
-	analysistest.Run(t, "testdata", LockGuard, "lockfix")
-}
-
-func TestInstrumentNames(t *testing.T) {
-	analysistest.Run(t, "testdata", InstrumentNames, "instrument")
-}
-
+// TestLockOrder covers both halves of the analyzer: the acquisition graph
+// (lockorder) and the guarded-by field contract (lockfix).
 func TestLockOrder(t *testing.T) {
-	analysistest.Run(t, "testdata", LockOrder, "lockorder")
-}
-
-func TestGoroLife(t *testing.T) {
-	analysistest.Run(t, "testdata", GoroLife, "gorolife")
-}
-
-func TestHotAlloc(t *testing.T) {
-	analysistest.Run(t, "testdata", HotAlloc, "hotalloc")
+	analysistest.Run(t, "testdata", LockOrder, "lockorder", "lockfix")
 }

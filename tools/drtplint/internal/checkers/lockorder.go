@@ -4,15 +4,20 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"regexp"
 	"sort"
 	"strings"
 
 	"github.com/rtcl/drtp/tools/drtplint/internal/analysis"
 )
 
-// LockOrder builds the package's lock-acquisition graph and enforces the
-// invariants that keep the concurrent layers deadlock-free:
+// LockOrder walks every function body once over the set of held locks.
+// The walk enforces the invariants that keep the concurrent layers
+// deadlock-free and their shared state consistent:
 //
+//   - guarded fields: a struct field annotated "guarded by <mu>" is
+//     touched, in a method of its struct, only while <mu> is held; an
+//     annotation naming a missing or non-mutex field is itself a finding;
 //   - acquisition-order cycles: if any execution acquires lock B while
 //     holding A, no execution may acquire A while holding B (directly or
 //     through calls; lock identity is per mutex *field* of a named
@@ -32,12 +37,12 @@ import (
 // in "Locked" — by convention they run under an already-held lock. The
 // body of a "...Locked" method is in turn walked with that lock held: the
 // mutexes its receiver's "guarded by" annotations name for the fields the
-// body touches (lockguard's contract for the suffix), so what it acquires
-// or calls is ordered after the caller's lock.
+// body touches, so its guarded accesses pass and what it acquires or
+// calls is ordered after the caller's lock.
 var LockOrder = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc: "flags lock-acquisition-order cycles, blocking operations inside " +
-		"critical sections, and double-locking",
+	Doc: "flags 'guarded by mu' fields touched outside the mutex, lock-acquisition-order " +
+		"cycles, blocking operations inside critical sections, and double-locking",
 	Run: runLockOrder,
 }
 
@@ -89,25 +94,19 @@ type lockOrder struct {
 }
 
 func newLockOrder(pass *analysis.Pass) *lockOrder {
-	// Annotation errors are lockguard's to report: collect on a copy of
-	// the pass so they are not reported twice.
-	quiet := *pass
 	return &lockOrder{
 		pass:      pass,
-		guarded:   collectGuardedStructs(&quiet),
+		guarded:   collectGuardedStructs(pass),
 		summaries: make(map[*types.Func]*funcSummary),
 		edgeSeen:  make(map[[2]string]bool),
 	}
 }
 
-// analyze walks every non-test function twice: once to build summaries,
-// once to emit edges and (when report is non-nil) the local diagnostics.
+// analyze walks every function twice: once to build summaries, once to
+// emit edges and (when report is non-nil) the local diagnostics.
 func (lo *lockOrder) analyze(report *analysis.Pass) {
 	var decls []*ast.FuncDecl
 	for _, file := range lo.pass.Files {
-		if isTestFile(lo.pass, file) {
-			continue
-		}
 		for _, fd := range funcDecls(file) {
 			decls = append(decls, fd)
 			if obj := lo.funcObj(fd); obj != nil {
@@ -133,6 +132,9 @@ func (lo *lockOrder) analyze(report *analysis.Pass) {
 			continue
 		}
 		w := &lockOrderWalker{lo: lo, summary: lo.summaries[obj], report: report, emit: true}
+		if id := recvIdent(fd); id != nil {
+			w.recv, w.guards = lo.pass.TypesInfo.Defs[id], lo.guarded[recvTypeName(fd)]
+		}
 		w.stmts(fd.Body.List, lo.heldOnEntry(fd))
 	}
 }
@@ -153,9 +155,97 @@ func (lo *lockOrder) heldOnEntry(fd *ast.FuncDecl) *heldSet {
 		}
 	}
 	for _, mu := range sortedKeys(mus) {
-		held.lock(lo.pass.Pkg.Name()+"."+gs.name+"."+mu, false)
+		held.lock(lo.guardKey(gs, mu), false)
 	}
 	return held
+}
+
+// guardKey is the lock key of the mutex field mu of a guarded struct.
+func (lo *lockOrder) guardKey(gs *guardedStruct, mu string) string {
+	return lo.pass.Pkg.Name() + "." + gs.name + "." + mu
+}
+
+// guardedRE matches a "guarded by <mutex>" field annotation, e.g.
+//
+//	// conns holds active connections; guarded by mu.
+var guardedRE = regexp.MustCompile(`guarded by (\w+)`)
+
+// guardedStruct records one annotated struct.
+type guardedStruct struct {
+	name   string
+	fields map[string]string // guarded field -> mutex field
+}
+
+// collectGuardedStructs finds the package's structs with guarded-by
+// annotations, reporting annotations that name no sync.Mutex/RWMutex
+// field of the struct.
+func collectGuardedStructs(pass *analysis.Pass) map[string]*guardedStruct {
+	out := make(map[string]*guardedStruct)
+	for _, file := range pass.Files {
+		for _, d := range file.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				if ts, ok := spec.(*ast.TypeSpec); ok {
+					if gs := guardedFields(pass, ts); gs != nil {
+						out[ts.Name.Name] = gs
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// guardedFields returns the guarded fields of one struct declaration, or
+// nil when it has none.
+func guardedFields(pass *analysis.Pass, ts *ast.TypeSpec) *guardedStruct {
+	st, ok := ts.Type.(*ast.StructType)
+	if !ok {
+		return nil
+	}
+	fieldTypes := make(map[string]ast.Expr)
+	for _, f := range st.Fields.List {
+		for _, n := range f.Names {
+			fieldTypes[n.Name] = f.Type
+		}
+	}
+	gs := &guardedStruct{name: ts.Name.Name, fields: make(map[string]string)}
+	for _, f := range st.Fields.List {
+		mu := guardAnnotation(f)
+		if mu == "" {
+			continue
+		}
+		muType, ok := fieldTypes[mu]
+		if !ok {
+			pass.Reportf(f.Pos(), "guarded by %s: struct %s has no field %s", mu, ts.Name.Name, mu)
+			continue
+		}
+		if !isMutexValue(pass.TypesInfo, muType) {
+			pass.Reportf(f.Pos(), "guarded by %s: field %s is not a sync.Mutex or sync.RWMutex", mu, mu)
+			continue
+		}
+		for _, n := range f.Names {
+			gs.fields[n.Name] = mu
+		}
+	}
+	if len(gs.fields) == 0 {
+		return nil
+	}
+	return gs
+}
+
+// guardAnnotation extracts the mutex name from a field's doc or line
+// comment.
+func guardAnnotation(f *ast.Field) string {
+	for _, cg := range []*ast.CommentGroup{f.Doc, f.Comment} {
+		if m := guardedRE.FindStringSubmatch(cg.Text()); m != nil {
+			return m[1]
+		}
+	}
+	return ""
 }
 
 // closeAcquires folds each same-package callee's acquisitions into its
@@ -284,9 +374,9 @@ func (h *heldSet) unlock(key string) {
 }
 
 // lockOrderWalker is the statement walker shared by the summary and
-// emission passes. Like the lockguard walker, it is deliberately linear:
-// statements are visited in order and lock-state changes inside a branch
-// or loop do not escape it, matching the repo's Lock/defer-Unlock style.
+// emission passes. It is deliberately linear: statements are visited in
+// order and lock-state changes inside a branch or loop do not escape it,
+// matching the repo's Lock/defer-Unlock style.
 type lockOrderWalker struct {
 	lo      *lockOrder
 	summary *funcSummary
@@ -294,6 +384,10 @@ type lockOrderWalker struct {
 	// on edge recording (the summary pass only gathers acquires/calls).
 	report *analysis.Pass
 	emit   bool
+	// recv and guards are set for a method of a guarded struct: accesses
+	// to recv's guarded fields are checked against the held set.
+	recv   types.Object
+	guards *guardedStruct
 }
 
 func (w *lockOrderWalker) stmts(list []ast.Stmt, held *heldSet) {
@@ -420,6 +514,9 @@ func (w *lockOrderWalker) commStmt(stmt ast.Stmt, held *heldSet) {
 		for _, e := range s.Rhs {
 			w.exprSkipBlocking(e, held)
 		}
+		for _, e := range s.Lhs {
+			w.expr(e, held)
+		}
 	default:
 		w.stmt(stmt, held)
 	}
@@ -473,10 +570,11 @@ func (w *lockOrderWalker) lockOp(key, op string, pos token.Pos, held *heldSet) {
 	}
 }
 
-// expr scans an expression for lock-relevant events: receives, blocking
-// calls, and call edges. Function literals are skipped — their execution
-// time is unknown, so they are out of scope for this linear analysis
-// (goroutine bodies are checked lock-free via the GoStmt case).
+// expr scans an expression for lock-relevant events: guarded-field
+// accesses, receives, blocking calls, and call edges. Function literals
+// are skipped — their execution time is unknown, so they are out of
+// scope for this linear analysis (goroutine bodies are checked lock-free
+// via the GoStmt case).
 func (w *lockOrderWalker) expr(e ast.Expr, held *heldSet) {
 	w.exprInner(e, held, false)
 }
@@ -500,9 +598,25 @@ func (w *lockOrderWalker) exprInner(e ast.Expr, held *heldSet, skipBlocking bool
 			}
 		case *ast.CallExpr:
 			w.call(n, held)
+		case *ast.SelectorExpr:
+			w.guardedAccess(n, held)
 		}
 		return true
 	})
+}
+
+// guardedAccess reports, in the emission pass, a read or write of one of
+// the receiver's guarded fields while its mutex is not held.
+func (w *lockOrderWalker) guardedAccess(sel *ast.SelectorExpr, held *heldSet) {
+	if w.report == nil || w.guards == nil || w.recv == nil || !isIdentFor(w.lo.pass.TypesInfo, sel.X, w.recv) {
+		return
+	}
+	mu, guarded := w.guards.fields[sel.Sel.Name]
+	if !guarded || held.holds(w.lo.guardKey(w.guards, mu)) {
+		return
+	}
+	w.report.Reportf(sel.Pos(), "access to field %s (guarded by %s) outside %s critical section",
+		sel.Sel.Name, mu, mu)
 }
 
 // call handles one call expression: blocking classification, same-package
@@ -518,7 +632,7 @@ func (w *lockOrderWalker) call(call *ast.CallExpr, held *heldSet) {
 	}
 	if strings.HasSuffix(callee.Name(), "Locked") {
 		// Convention: *Locked runs under the caller's already-held lock
-		// and must not acquire anything itself (lockguard's exemption).
+		// and must not acquire anything itself.
 		return
 	}
 	if callSum, samePkg := w.lo.summaries[callee]; samePkg {
@@ -767,10 +881,4 @@ func fromNetPackage(t types.Type) bool {
 		return false
 	}
 	return n.Obj().Pkg().Path() == "net"
-}
-
-// isTestFile reports whether the file is a _test.go file; the
-// concurrency analyzers check production code only.
-func isTestFile(pass *analysis.Pass, file *ast.File) bool {
-	return strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go")
 }

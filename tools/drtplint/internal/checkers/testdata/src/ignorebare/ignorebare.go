@@ -8,23 +8,5 @@ package ignorebare
 //drtplint:ignore determinism
 func a() {}
 
-//drtplint:ignore niltracer
-func b() {}
-
-//drtplint:ignore cvclone
-func d() {}
-
-//drtplint:ignore lockguard
-func e() {}
-
-//drtplint:ignore instrumentnames
-func f() {}
-
 //drtplint:ignore lockorder
-func g() {}
-
-//drtplint:ignore gorolife
-func h() {}
-
-//drtplint:ignore hotalloc
-func i() {}
+func b() {}

@@ -3,13 +3,19 @@
 // line with two findings keeps one visible.
 package ignoreone
 
-func sinkTwo(x, y interface{}) {}
+import "sync"
 
-// Two boxes both arguments of one call — two findings on one line. The
-// directive absorbs the first; the second must survive.
-//
-//drtplint:hotpath
-func Two(a, b int) {
-	//drtplint:ignore hotalloc demonstrating that one directive suppresses one finding
-	sinkTwo(a, b)
+// Relay forwards under its lock: a send and a receive on one line.
+type Relay struct {
+	mu sync.Mutex
+	ch chan int
+}
+
+// Two blocks twice on one line while holding the lock — two findings.
+// The directive absorbs the first (the send); the receive must survive.
+func (r *Relay) Two() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	//drtplint:ignore lockorder demonstrating that one directive suppresses one finding
+	r.ch <- <-r.ch
 }

@@ -1,4 +1,4 @@
-// Package lockfix is the lockguard fixture: guarded-by annotations with
+// Package lockfix is lockorder's guarded-by fixture: annotations with
 // compliant critical sections, violations, and malformed annotations.
 package lockfix
 
@@ -47,7 +47,7 @@ func (p *Pool) Name() string {
 	return p.name
 }
 
-// lenLocked is exempt by the Locked-suffix convention.
+// lenLocked runs under the caller-held mu by the Locked-suffix convention.
 func (p *Pool) lenLocked() int {
 	return len(p.conns)
 }

@@ -1,63 +1,22 @@
-// Package telemetry is the niltracer fixture: a miniature of the repo's
-// nil-safe instrument contract with both compliant and violating methods.
+// Package telemetry is the miniature of the repo's telemetry surface that
+// the determinism and lockorder fixtures import: a sink interface and a
+// tracer whose emissions must not depend on map order.
 package telemetry
 
 // Sink receives events.
 type Sink interface{ Record(string) }
 
-// Tracer is nil-safe: a nil *Tracer is a valid no-op instance.
+// Tracer fans events out to its sinks; a nil *Tracer is a no-op.
 type Tracer struct {
 	sinks []Sink
 }
 
-// Enabled is the canonical combined guard shape.
-func (t *Tracer) Enabled() bool {
-	return t != nil && len(t.sinks) > 0
-}
-
-// Event guards through Enabled before touching fields.
+// Event records one event on every sink.
 func (t *Tracer) Event(name string) {
-	if !t.Enabled() {
+	if t == nil {
 		return
 	}
 	for _, s := range t.sinks {
 		s.Record(name)
 	}
-}
-
-// Wrapped guards by wrapping the whole body.
-func (t *Tracer) Wrapped(name string) {
-	if t != nil {
-		for _, s := range t.sinks {
-			s.Record(name)
-		}
-	}
-}
-
-// Flush touches t.sinks with no guard at all.
-func (t *Tracer) Flush() { // want "accesses receiver fields without a leading nil guard"
-	for _, s := range t.sinks {
-		s.Record("flush")
-	}
-}
-
-// Kind never dereferences the receiver: trivially nil-safe.
-func (t *Tracer) Kind() string { return "tracer" }
-
-// Registry is nil-safe like Tracer.
-type Registry struct {
-	names []string
-}
-
-// Register uses the early-return guard shape.
-func (r *Registry) Register(name string) {
-	if r == nil {
-		return
-	}
-	r.names = append(r.names, name)
-}
-
-// Names reads a field with no guard.
-func (r *Registry) Names() []string { // want "accesses receiver fields without a leading nil guard"
-	return r.names
 }

@@ -34,19 +34,6 @@ func isNamed(t types.Type, pkgName, name string) bool {
 	return n.Obj().Pkg().Name() == pkgName && n.Obj().Name() == name
 }
 
-// isSliceOfNamed reports whether t is a slice whose element is the named
-// type pkgName.name.
-func isSliceOfNamed(t types.Type, pkgName, name string) bool {
-	if t == nil {
-		return false
-	}
-	s, ok := types.Unalias(t).(*types.Slice)
-	if !ok {
-		return false
-	}
-	return isNamed(s.Elem(), pkgName, name)
-}
-
 // recvIdent returns the receiver identifier of a method declaration, or
 // nil for functions and anonymous receivers.
 func recvIdent(fd *ast.FuncDecl) *ast.Ident {
@@ -104,18 +91,6 @@ func fieldMentions(pass *analysis.Pass, fd *ast.FuncDecl) map[string]bool {
 		return true
 	})
 	return out
-}
-
-// usesObject reports whether expr mentions the given object.
-func usesObject(info *types.Info, expr ast.Expr, obj types.Object) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // isIdentFor reports whether e (possibly parenthesized) is an identifier

@@ -1,107 +1,46 @@
 // Command drtplint is the repo's domain-specific static analysis suite.
-// It enforces invariants the generic toolchain cannot know about:
-// simulation determinism, nil-safe telemetry, conflict-vector aliasing,
-// mutex guard annotations, metric naming conventions, lock acquisition
-// order, goroutine lifecycles, and hot-path allocation discipline. Run with -list for the authoritative
-// analyzer inventory; the Makefile and docs defer to that output rather
-// than repeating it.
+// It enforces the two invariants the generic toolchain cannot know about
+// and that have caught real defects here: simulation determinism (no wall
+// clock, global math/rand or map-order leak in the packages behind the
+// bit-identical figures) and lock discipline (guarded-by fields touched
+// only under their mutex, an acyclic lock-acquisition order, no blocking
+// or double-locking in a critical section).
 //
 // Usage:
 //
-//	drtplint [-only name[,name]] [-module dir] [-timings] [-json] [-o file] [packages...]
+//	drtplint [-module dir] [packages...]
 //
-// Packages are import paths inside the analyzed module ("./..."-style
-// patterns are expanded by make lint). With no arguments it lints every
-// package under the module root. -module roots the loader at an explicit
-// module directory (the self-lint target points it at tools/drtplint);
-// by default the outermost go.mod above the working directory wins.
+// Packages are import paths inside the analyzed module. With no arguments
+// it lints every package under the module root. -module roots the loader
+// at an explicit module directory (the self-lint target points it at
+// tools/drtplint); by default the outermost go.mod above the working
+// directory wins. Findings print one per line; the exit status is 1 when
+// there is any.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/rtcl/drtp/tools/drtplint/internal/analysis"
 	"github.com/rtcl/drtp/tools/drtplint/internal/checkers"
 )
 
-var analyzers = []*analysis.Analyzer{
-	checkers.Determinism,
-	checkers.NilTracer,
-	checkers.CVClone,
-	checkers.LockGuard,
-	checkers.InstrumentNames,
-	checkers.LockOrder,
-	checkers.GoroLife,
-	checkers.HotAlloc,
-}
-
-// finding is one diagnostic in the machine-readable report.
-type finding struct {
-	Position string `json:"position"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// timing is one analyzer's accumulated wall time across all packages.
-type timing struct {
-	Analyzer string  `json:"analyzer"`
-	Millis   float64 `json:"wall_ms"`
-	Packages int     `json:"packages"`
-}
-
-// report is the -json output document.
-type report struct {
-	Module   string    `json:"module"`
-	Packages []string  `json:"packages"`
-	Findings []finding `json:"findings"`
-	Timings  []timing  `json:"timings"`
-}
+var analyzers = []*analysis.Analyzer{checkers.Determinism, checkers.LockOrder}
 
 func main() {
-	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	list := flag.Bool("list", false, "list analyzers and exit")
 	module := flag.String("module", "", "module directory to lint (default: outermost go.mod above cwd)")
-	timings := flag.Bool("timings", false, "print per-analyzer wall time to stderr")
-	jsonOut := flag.Bool("json", false, "emit a JSON report (findings + timings)")
-	outFile := flag.String("o", "", "write the JSON report to this file instead of stdout")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: drtplint [-only name,...] [-module dir] [-timings] [-json [-o file]] [import paths]\n\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: drtplint [-module dir] [import paths]\n\nanalyzers:\n")
 		for _, a := range analyzers {
-			fmt.Fprintf(os.Stderr, "  %-15s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
 	}
 	flag.Parse()
-
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-15s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
-	active := analyzers
-	if *only != "" {
-		byName := make(map[string]*analysis.Analyzer)
-		for _, a := range analyzers {
-			byName[a.Name] = a
-		}
-		active = nil
-		for _, name := range strings.Split(*only, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "drtplint: unknown analyzer %q\n", name)
-				os.Exit(2)
-			}
-			active = append(active, a)
-		}
-	}
 
 	var loader *analysis.Loader
 	var err error
@@ -126,11 +65,6 @@ func main() {
 	}
 
 	exit := 0
-	rep := report{Module: loader.ModulePath, Packages: paths, Findings: []finding{}}
-	wall := make(map[string]*timing)
-	for _, a := range analyzers {
-		wall[a.Name] = &timing{Analyzer: a.Name}
-	}
 	for _, path := range paths {
 		pkg, err := loader.LoadPath(path)
 		if err != nil {
@@ -138,51 +72,17 @@ func main() {
 			exit = 1
 			continue
 		}
-		for _, a := range active {
-			start := time.Now()
-			diags, err := loader.Run(a, pkg)
-			t := wall[a.Name]
-			t.Millis += float64(time.Since(start).Microseconds()) / 1000
-			t.Packages++
+		for _, a := range analyzers {
+			diags, err := analysis.Run(a, pkg)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "drtplint: %s: %s: %v\n", path, a.Name, err)
 				exit = 1
 				continue
 			}
 			for _, d := range diags {
-				pos := pkg.Fset.Position(d.Pos)
-				fmt.Printf("%s: %s: %s\n", pos, a.Name, d.Message)
-				rep.Findings = append(rep.Findings, finding{
-					Position: pos.String(), Analyzer: a.Name, Message: d.Message,
-				})
+				fmt.Printf("%s: %s: %s\n", pkg.Fset.Position(d.Pos), a.Name, d.Message)
 				exit = 1
 			}
-		}
-	}
-
-	for _, a := range active {
-		rep.Timings = append(rep.Timings, *wall[a.Name])
-	}
-	if *timings {
-		fmt.Fprintf(os.Stderr, "drtplint: per-analyzer wall time over %d packages:\n", len(paths))
-		for _, t := range rep.Timings {
-			fmt.Fprintf(os.Stderr, "  %-15s %8.1f ms\n", t.Analyzer, t.Millis)
-		}
-	}
-	if *jsonOut {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "drtplint: encoding report: %v\n", err)
-			os.Exit(2)
-		}
-		data = append(data, '\n')
-		if *outFile != "" {
-			if err := os.WriteFile(*outFile, data, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "drtplint: %v\n", err)
-				os.Exit(2)
-			}
-		} else {
-			os.Stdout.Write(data)
 		}
 	}
 	os.Exit(exit)
