@@ -1,39 +1,56 @@
 package lsdb
 
-import "slices"
+import (
+	"fmt"
+	"slices"
 
-// This file holds the APLV counter storage. APLV_l is populated only at
-// indices of links whose primaries have backups through l, so a dense
-// []int32 per link is O(links²) memory that is overwhelmingly zero on a
-// large network. Each link therefore starts as a sorted pair list of its
-// nonzero entries, packed one uint64 per entry — the link ID j in the high
-// word, its counter in the low word, so ordering the words orders the IDs
-// and a row is one allocation and one run of cache lines — and is
-// up-converted, one way, to the dense array once the list passes
-// aplvDenseAt entries. The choice is made per link from what the code
-// observes; no caller selects it. The pair list follows the load both
-// ways: an entry whose counter returns to zero is removed, and a removal
-// that leaves the list at a quarter of its capacity halves the capacity,
-// down to the room one request needs (shrink, lsdb.go), so a row holds
-// what the link carries now, not its high-water mark.
+	"github.com/rtcl/drtp/internal/graph"
+)
+
+// This file holds the APLV counter storage and the two folds that keep it:
+// a registration adds its primary's LSET to the link's APLV, a release or
+// promotion subtracts it. APLV_l is populated only at indices of links
+// whose primaries have backups through l, so a dense []int32 per link is
+// O(links²) memory that is overwhelmingly zero on a large network. Each
+// link therefore starts as a sorted pair list of its nonzero entries,
+// packed one uint64 per entry — the link ID j in the high word, its
+// counter in the low word, so ordering the words orders the IDs and a row
+// is one allocation and one run of cache lines — and is up-converted, one
+// way, to the dense array once the list passes aplvDenseAt entries. The
+// choice is made per link from what the code observes; no caller selects
+// it.
 //
-// Both forms earn their place (bench/run.sh, 15 s, five alternating pairs
-// against a build that never up-converts):
+// A fold reads the LSET sorted (sortedLSETLocked, once per path when the
+// path's links share the stored LSET) and walks it beside the row in one
+// pass, a run of a repeated link as one step. A registration raises the
+// pairs the row holds in place and collects the ones it lacks; the row
+// grows once and takes them in one merge from the back. A release
+// subtracts in place and compacts the zeroed pairs out in one pass. The
+// pair list follows the load both ways: a zeroed entry is removed, and a
+// row left at a quarter of its capacity is halved until it is not, down to
+// the room one request needs (shrink, lsdb.go), so a row holds what the
+// link carries now, not its high-water mark. Dense rows fold entry by
+// entry.
 //
-//	workload     metric            pair lists only   with up-convert
-//	paper_sweep  establish_per_s   33.6-36.7 k       44.7-48.1 k
-//	paper_sweep  establish_p90_us  43-51             19-22
-//	scale_2k     establish_per_s   709 / 713         702 / 671
-//	scale_2k     live_heap_mb      7.3               7.3
+// BenchmarkBackupPath (register + release of a 9-hop backup with a 9-link
+// LSET at scale_2k's steady state; medians of five alternating runs on a
+// 2-core VM), against a binary-search insertion or deletion per LSET
+// entry:
 //
-// At paper scale (60 nodes) links carry hundreds of backups and the
-// binary-search insertions of a long pair list cost a quarter of the
-// establishment rate; at 2 000 nodes almost no link reaches the
-// threshold, so the dense form costs nothing there.
+//	links    per entry                      one-pass fold
+//	6000     20.6 µs, 196 B/backup-link     12.8 µs, 187 B/backup-link
+//	30000    25.2 µs, 199 B/backup-link     14.7 µs, 190 B/backup-link
+//
+// Both allocate once per register + release, the LSET clone.
+//
+// The dense form earns its place at paper scale (60 nodes), where links
+// carry hundreds of backups and a long pair list's merges would cost more
+// than indexing; at 2 000 nodes almost no link reaches the threshold
+// (EXPERIMENTS.md X9).
 
 // aplvDenseMaxEntries caps the up-convert threshold: past 4096 nonzero
-// entries the pair list's binary-search insertions stop beating the dense
-// array even on huge networks.
+// entries a pair list's merges stop beating the dense array even on huge
+// networks.
 const aplvDenseMaxEntries = 4096
 
 // aplvDenseThreshold returns the pair-list length past which a link's
@@ -64,43 +81,6 @@ func (c *aplvCounters) at(j int) int32 {
 	if k, ok := searchPairs(c.pairs, j); ok {
 		return int32(pairCount(c.pairs[k]))
 	}
-	return 0
-}
-
-// inc increments the counter for link j and returns the new value.
-// denseAt is the up-convert threshold (DB.aplvDenseAt); n is the network's
-// link count, needed for the dense allocation.
-func (c *aplvCounters) inc(j, denseAt, n int) int32 {
-	if c.dense != nil {
-		c.dense[j]++
-		return c.dense[j]
-	}
-	k, ok := searchPairs(c.pairs, j)
-	if ok {
-		c.pairs[k]++
-		return int32(pairCount(c.pairs[k]))
-	}
-	c.pairs = slices.Insert(c.pairs, k, uint64(j)<<32|1)
-	if denseAt >= 0 && len(c.pairs) > denseAt {
-		c.toDense(n)
-	}
-	return 1
-}
-
-// dec decrements the counter for link j (which must be positive) and
-// returns the new value. A sparse entry reaching zero is removed, so the
-// pair list is always exactly the nonzero set.
-func (c *aplvCounters) dec(j int) int32 {
-	if c.dense != nil {
-		c.dense[j]--
-		return c.dense[j]
-	}
-	k, _ := searchPairs(c.pairs, j)
-	c.pairs[k]--
-	if v := pairCount(c.pairs[k]); v != 0 {
-		return int32(v)
-	}
-	c.pairs = shrink(slices.Delete(c.pairs, k, k+1), keepRoute)
 	return 0
 }
 
@@ -137,4 +117,174 @@ func (c *aplvCounters) toDense(n int) {
 func searchPairs(a []uint64, j int) (int, bool) {
 	k, _ := slices.BinarySearch(a, uint64(j)<<32)
 	return k, k < len(a) && pairLink(a[k]) == j
+}
+
+// runAt returns the link at sorted[i] and the length of its run.
+func runAt(sorted []graph.LinkID, i int) (j, c int) {
+	c = 1
+	for i+c < len(sorted) && sorted[i+c] == sorted[i] {
+		c++
+	}
+	return int(sorted[i]), c
+}
+
+// sortedLSETLocked returns lset in ascending order, or an error naming its
+// first entry (in lset's order) outside the network: an LSET arrives off
+// the wire, so it is checked before anything is mutated. The result lives
+// in the database's scratch and holds until the next call. lset must be
+// one the database owns and never writes — a registration's clone, or an
+// LSET its registry stores — so the scratch remembers which slice it was
+// sorted from, and the links of a path that share one LSET check and sort
+// it once. The caller must hold db.mu.
+func (db *DB) sortedLSETLocked(lset []graph.LinkID) ([]graph.LinkID, error) {
+	if len(lset) == 0 {
+		return nil, nil
+	}
+	if len(db.sortedFrom) == len(lset) && &db.sortedFrom[0] == &lset[0] {
+		return db.sortedLSET, nil
+	}
+	for _, pl := range lset {
+		if pl < 0 || int(pl) >= db.n {
+			return nil, fmt.Errorf("lsdb: LSET entry %d out of range [0,%d)", pl, db.n)
+		}
+	}
+	db.sortedLSET = append(db.sortedLSET[:0], lset...)
+	slices.Sort(db.sortedLSET)
+	db.sortedFrom = lset
+	return db.sortedLSET, nil
+}
+
+// foldInLocked adds the sorted LSET to link l's APLV, ‖APLV‖₁ and maximum,
+// entering l in the posting list of every primary link whose counter
+// leaves zero. On a pair list one forward pass raises the pairs the row
+// holds and collects the ones it lacks; the row then grows once and takes
+// them in one merge from the back, or, past aplvDenseAt, is up-converted
+// with them. The caller must hold db.mu.
+func (db *DB) foldInLocked(l graph.LinkID, sorted []graph.LinkID) {
+	s := &db.links[l]
+	a := &s.aplv
+	s.norm += len(sorted)
+	if a.dense != nil {
+		for _, pl := range sorted {
+			a.dense[pl]++
+			v := int(a.dense[pl])
+			if v == 1 {
+				p := &db.links[pl]
+				p.post = appendPosting(p.post, int32(l))
+			}
+			s.maxElem = max(s.maxElem, v)
+		}
+		return
+	}
+	if cap(db.addedPairs) < len(sorted) {
+		db.addedPairs = make([]uint64, 0, len(sorted))
+	}
+	p, added := a.pairs, db.addedPairs[:0]
+	k := 0
+	for i := 0; i < len(sorted); {
+		j, c := runAt(sorted, i)
+		i += c
+		for k < len(p) && pairLink(p[k]) < j {
+			k++
+		}
+		if k < len(p) && pairLink(p[k]) == j {
+			p[k] += uint64(c)
+			s.maxElem = max(s.maxElem, pairCount(p[k]))
+			continue
+		}
+		added = append(added, uint64(j)<<32|uint64(c))
+		q := &db.links[j]
+		q.post = appendPosting(q.post, int32(l))
+		s.maxElem = max(s.maxElem, c)
+	}
+	db.addedPairs = added
+	switch {
+	case len(added) == 0:
+	case db.aplvDenseAt >= 0 && len(p)+len(added) > db.aplvDenseAt:
+		a.toDense(db.n)
+		for _, e := range added {
+			a.dense[pairLink(e)] = int32(pairCount(e))
+		}
+	default:
+		// Merge from the back: an added pair's link is in no old pair, so
+		// whole words order as their links do.
+		i := len(p) - 1
+		p = append(p, added...)
+		w := len(p) - 1
+		for r := len(added) - 1; r >= 0; r-- {
+			for ; i >= 0 && p[i] > added[r]; i-- {
+				p[w] = p[i]
+				w--
+			}
+			p[w] = added[r]
+			w--
+		}
+		a.pairs = p
+	}
+}
+
+// foldOutLocked subtracts the sorted LSET from link l's APLV, ‖APLV‖₁ and
+// maximum — recomputed only when a counter at the maximum decreased — and
+// removes l from the posting list of every primary link whose counter
+// returns to zero. A pair list drops its zeroed entries in one compaction
+// pass and gives idle capacity back. Every LSET entry must be counted in
+// the APLV. The caller must hold db.mu.
+func (db *DB) foldOutLocked(l graph.LinkID, sorted []graph.LinkID) {
+	s := &db.links[l]
+	a := &s.aplv
+	s.norm -= len(sorted)
+	recompute := false
+	if a.dense != nil {
+		for _, pl := range sorted {
+			a.dense[pl]--
+			v := int(a.dense[pl])
+			if v+1 == s.maxElem {
+				recompute = true
+			}
+			if v == 0 {
+				db.dropPostingLocked(pl, l)
+			}
+		}
+	} else {
+		p := a.pairs
+		zeroed := -1 // position of the first zeroed entry
+		k := 0
+		for i := 0; i < len(sorted); {
+			j, c := runAt(sorted, i)
+			i += c
+			for pairLink(p[k]) < j {
+				k++
+			}
+			if pairCount(p[k]) == s.maxElem {
+				recompute = true
+			}
+			p[k] -= uint64(c)
+			if pairCount(p[k]) == 0 {
+				db.dropPostingLocked(graph.LinkID(j), l)
+				if zeroed < 0 {
+					zeroed = k
+				}
+			}
+		}
+		if zeroed >= 0 {
+			w := zeroed
+			for _, e := range p[zeroed+1:] {
+				if pairCount(e) != 0 {
+					p[w] = e
+					w++
+				}
+			}
+			a.pairs = shrink(p[:w], keepRoute)
+		}
+	}
+	if recompute {
+		s.maxElem = a.maxVal()
+	}
+}
+
+// dropPostingLocked removes link l from primary link j's posting list.
+// The caller must hold db.mu.
+func (db *DB) dropPostingLocked(j, l graph.LinkID) {
+	p := &db.links[j]
+	p.post = shrink(swapRemove(p.post, slices.Index(p.post, int32(l))), keepRoute)
 }

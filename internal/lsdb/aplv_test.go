@@ -301,3 +301,187 @@ func TestPostingListRepeatedLSETEntry(t *testing.T) {
 		}
 	}
 }
+
+// FuzzBackupOps decodes bytes into a sequence of RegisterBackup,
+// RegisterBackupPath, ReleaseBackup, ReleaseBackupPath and
+// PromoteBackupPath calls on a 3x3 grid whose pair lists up-convert past 4
+// entries, and after every call holds the database to the map oracle and
+// to DB.Check. LSETs come out unsorted, with repeated links, with links
+// outside the network and empty. Capacity never refuses a registration,
+// so the model predicts every outcome: a registration fails on a duplicate
+// or an out-of-range LSET, a release on a missing registration, a
+// promotion on a missing registration or on a link with no spare (spare is
+// max_j APLV[j] here), and a path call stops at its first failing link,
+// rolling back the register and promote paths.
+func FuzzBackupOps(f *testing.F) {
+	f.Add([]byte{
+		0, 0, 3, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, // one registration crosses the threshold at its 5th link
+		2, 0, 3, // and its release leaves the dense row empty
+	})
+	f.Add([]byte{
+		0, 1, 3, 3, 7, 5, 7, // a repeated link, unsorted
+		0, 2, 3, 1, 7,
+		2, 1, 3, // empties one pair, keeps another
+		2, 2, 3, // empties the row
+	})
+	f.Add([]byte{
+		1, 0, 3, 1, 2, 3, 4, 9, 4, 4, 0, // a path registration
+		1, 1, 2, 3, 2, 2, 254, 4, // rejected: an LSET entry past the network
+		4, 0, 3, 1, 2, 3, // promoted
+		1, 2, 2, 5, 5, 1, 6, // a path naming one link twice rolls back
+		1, 3, 2, 7, 8, 0, // an empty LSET
+		4, 3, 2, 7, 8, // refused: no spare without an APLV entry
+		3, 3, 2, 7, 8,
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := topology.Grid(3, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const capacity, ids = 16, 8 // a link's primaries stay under capacity/2
+		db, err := New(g, capacity, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.aplvDenseAt = 4
+		n := db.NumLinks()
+		o := newAPLVOracle(n, db.aplvDenseAt)
+		primaries := make([]map[ConnID]bool, n)
+		for l := range primaries {
+			primaries[l] = map[ConnID]bool{}
+		}
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		links := func(k int) []graph.LinkID {
+			out := make([]graph.LinkID, k)
+			for i := range out {
+				out[i] = graph.LinkID(next() % n)
+			}
+			return out
+		}
+		registered := func(id ConnID, l graph.LinkID) bool {
+			_, ok := o.lsets[l][id]
+			return ok
+		}
+		maxElem := func(l graph.LinkID) int {
+			m := 0
+			for _, c := range o.counts[l] {
+				m = max(m, c)
+			}
+			return m
+		}
+		var counts []float64
+		for step := 0; len(data) > 0; step++ {
+			op, id := next()%5, ConnID(next()%ids+1)
+			var path []graph.LinkID
+			if op%2 == 0 && op != 4 {
+				path = links(1)
+			} else {
+				path = links(next() % 4)
+			}
+			var lset []graph.LinkID
+			inRange := true
+			if op <= 1 {
+				lset = make([]graph.LinkID, next()%10)
+				for i := range lset {
+					switch b := next(); b {
+					case 255:
+						lset[i] = -1
+					case 254:
+						lset[i] = graph.LinkID(n)
+					default:
+						lset[i] = graph.LinkID(b % n)
+					}
+					inRange = inRange && lset[i] >= 0 && int(lset[i]) < n
+				}
+			}
+			var err error
+			want := true
+			switch op {
+			case 0:
+				err = db.RegisterBackup(id, path[0], lset)
+				if want = inRange && !registered(id, path[0]); want {
+					o.register(id, path[0], lset)
+				}
+			case 1:
+				err = db.RegisterBackupPath(id, path, lset)
+				var done []graph.LinkID
+				for _, l := range path {
+					if want = inRange && !registered(id, l); !want {
+						break
+					}
+					o.register(id, l, lset)
+					done = append(done, l)
+				}
+				if !want {
+					for _, l := range done {
+						o.release(id, l)
+					}
+				}
+			case 2:
+				err = db.ReleaseBackup(id, path[0])
+				if want = registered(id, path[0]); want {
+					o.release(id, path[0])
+				}
+			case 3:
+				err = db.ReleaseBackupPath(id, path)
+				for _, l := range path {
+					if want = registered(id, l); !want {
+						break
+					}
+					o.release(id, l)
+				}
+			case 4:
+				err = db.PromoteBackupPath(id, path)
+				type undo struct {
+					l         graph.LinkID
+					lset      []graph.LinkID
+					converted bool
+				}
+				var done []undo
+				for _, l := range path {
+					shared := primaries[l][id]
+					if want = registered(id, l) && (shared || maxElem(l) > 0); !want {
+						break
+					}
+					primaries[l][id] = true
+					done = append(done, undo{l, o.lsets[l][id], !shared})
+					o.release(id, l)
+				}
+				if !want {
+					for _, u := range done {
+						if u.converted {
+							delete(primaries[u.l], id)
+						}
+						o.register(id, u.l, u.lset)
+					}
+				}
+			}
+			if (err == nil) != want {
+				t.Fatalf("step %d: op %d, connection %d, path %v, LSET %v: error %v, model expects success %v", step, op, id, path, lset, err, want)
+			}
+			for l := 0; l < n; l++ {
+				lid := graph.LinkID(l)
+				o.checkLink(t, db, lid, step)
+				prime := len(primaries[l])
+				if got := db.PrimeBW(lid); got != prime {
+					t.Fatalf("step %d: link %d has prime %d, model %d", step, l, got, prime)
+				}
+				if got, want := db.SpareBW(lid), min(maxElem(lid), capacity-prime); got != want {
+					t.Fatalf("step %d: link %d has spare %d, model %d", step, l, got, want)
+				}
+			}
+			if !inRange {
+				lset = nil
+			}
+			counts = o.checkAggregates(t, db, lset, counts, step)
+			checkDerivedState(t, db, fmt.Sprintf("step %d", step))
+		}
+	})
+}

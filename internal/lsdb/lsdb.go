@@ -33,7 +33,6 @@
 package lsdb
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -93,7 +92,7 @@ type linkState struct {
 	// backups is the backup registry: every backup channel registered on
 	// this link with the LSET of its primary (carried in backup-register
 	// packets), connection IDs ascending. IDs grow with time, so a
-	// registration mostly appends; lookups are a binary search.
+	// registration mostly appends (findBackup).
 	backups []backupReg
 	// primaries lists the DR-connections with a primary channel on this
 	// link, in no particular order. A link holds at most capacity/unitBW of
@@ -117,11 +116,24 @@ type backupReg struct {
 }
 
 // findBackup returns the position of id in the link's backup registry, or
-// the position it would be inserted at, and whether it is registered.
+// the position it would be inserted at, and whether it is registered. IDs
+// grow with time, so a new registration mostly lands past the last entry:
+// that is checked first, before the binary search.
 func (s *linkState) findBackup(id ConnID) (int, bool) {
-	return slices.BinarySearchFunc(s.backups, id, func(b backupReg, id ConnID) int {
-		return cmp.Compare(b.id, id)
-	})
+	b := s.backups
+	if len(b) == 0 || b[len(b)-1].id < id {
+		return len(b), false
+	}
+	lo, hi := 0, len(b)-1 // b[hi].id >= id
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if b[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, b[lo].id == id
 }
 
 // DB is the aggregate link-state database over all links of a network. In
@@ -144,6 +156,13 @@ type DB struct {
 	// package pin it before the first registration: 0 makes every link
 	// dense on first use, negative never up-converts.
 	aplvDenseAt int
+
+	// sortedLSET is the scratch the APLV folds read an LSET from, sorted,
+	// and sortedFrom the database-owned LSET it was sorted from
+	// (sortedLSETLocked); addedPairs is foldInLocked's scratch of the pairs
+	// a row lacks; guarded by mu.
+	sortedLSET, sortedFrom []graph.LinkID
+	addedPairs             []uint64
 
 	// backupOps counts per-link backup register/release/promote updates:
 	// each is driven by one backup-register/release/activate packet, the
@@ -320,6 +339,7 @@ func (db *DB) RegisterBackup(id ConnID, l graph.LinkID, primaryLSET []graph.Link
 // db.mu. lset is stored as given — the caller passes a copy the database
 // may keep (one per call, shared by all links of a path). An LSET arrives
 // off the wire, so its entries are checked before anything is mutated.
+// The registry slot is found once, by the duplicate check.
 func (db *DB) registerBackupLocked(id ConnID, l graph.LinkID, lset []graph.LinkID) error {
 	s := &db.links[l]
 	if avail := s.capacity - s.prime; avail < db.unitBW {
@@ -331,51 +351,43 @@ func (db *DB) registerBackupLocked(id ConnID, l graph.LinkID, lset []graph.LinkI
 			return &ErrInsufficientBandwidth{Link: l, Need: db.unitBW, Have: free}
 		}
 	}
-	if _, dup := s.findBackup(id); dup {
+	k, dup := s.findBackup(id)
+	if dup {
 		return fmt.Errorf("lsdb: connection %d already has a backup on link %d", id, l)
 	}
-	for _, pl := range lset {
-		if pl < 0 || int(pl) >= db.n {
-			return fmt.Errorf("lsdb: LSET entry %d out of range [0,%d)", pl, db.n)
-		}
+	if _, err := db.sortedLSETLocked(lset); err != nil {
+		return err
 	}
-	db.attachBackupLocked(id, l, lset)
+	db.attachBackupLocked(id, l, k, lset)
 	return nil
 }
 
-// attachBackupLocked stores a backup registration on link l, folds its
-// LSET into the APLV — entering l in the posting list of every primary
-// link whose counter leaves zero — and resizes spare; it counts one backup
-// op. The caller must hold db.mu.
-func (db *DB) attachBackupLocked(id ConnID, l graph.LinkID, lset []graph.LinkID) {
+// attachBackupLocked stores a backup registration at position k of link
+// l's registry — the insertion point findBackup returned — folds its LSET
+// into the APLV in one pass (foldInLocked: l enters the posting list of
+// every primary link whose counter leaves zero) and resizes spare; it
+// counts one backup op. lset is the registry's own copy, already checked:
+// the exported callers clone before the lock, rollback re-attaches what the
+// registry held. The caller must hold db.mu.
+func (db *DB) attachBackupLocked(id ConnID, l graph.LinkID, k int, lset []graph.LinkID) {
 	db.backupOps++
 	s := &db.links[l]
-	// lset is already the registry's own copy: the exported callers clone
-	// before the lock, rollback re-attaches what the registry held.
-	k, _ := s.findBackup(id)
 	s.backups = slices.Insert(s.backups, k, backupReg{id: id, lset: lset})
-	for _, pl := range lset {
-		v := int(s.aplv.inc(int(pl), db.aplvDenseAt, db.n))
-		if v == 1 {
-			p := &db.links[pl]
-			p.post = appendPosting(p.post, int32(l))
-		}
-		s.norm++
-		if v > s.maxElem {
-			s.maxElem = v
-		}
-	}
+	sorted, _ := db.sortedLSETLocked(lset) // checked by the caller
+	db.foldInLocked(l, sorted)
 	db.resizeSpareLocked(s)
 	db.touchLocked(l)
 }
 
 // appendPosting appends l to a posting list, growing a full list by a
-// quarter where append would double it: a 2 000-node network spreads some
-// 100 000 postings over 6 000 lists, and the slack doubling leaves in them
-// is 3 % of the simulator's live heap.
+// quarter, and by at least 4, where append would double it: a 2 000-node
+// network spreads some 100 000 postings over 6 000 lists, and the slack
+// doubling leaves in them is 3 % of the simulator's live heap, while a
+// list growing one entry at a time from empty would reallocate at every
+// one of its first entries.
 func appendPosting(post []int32, l int32) []int32 {
 	if len(post) == cap(post) {
-		grown := make([]int32, len(post), len(post)+len(post)/4+1)
+		grown := make([]int32, len(post), len(post)+max(len(post)/4, 4))
 		copy(grown, post)
 		post = grown
 	}
@@ -390,16 +402,22 @@ func swapRemove[T any](s []T, k int) []T {
 }
 
 // shrink hands back the capacity a removal left idle: a slice at a
-// quarter of its capacity or less moves to one of half that capacity.
-// Growth doubles (a quarter for postings) and shrinking halves, so a slice
-// just resized must gain or lose a quarter of its capacity before it is
-// copied again — amortised O(1) per entry. Capacity up to keep is never
-// handed back.
+// quarter of its capacity or less moves to one of half that capacity, or
+// of a half again while it would still be at a quarter — a compaction that
+// drops several entries at once ends where one removal at a time would
+// have, or lower. Growth doubles (a quarter for postings) and shrinking
+// halves, so a slice just resized must gain or lose a quarter of its
+// capacity before it is copied again — amortised O(1) per entry. Capacity
+// up to keep is never handed back.
 func shrink[T any](s []T, keep int) []T {
-	if c := cap(s); c <= keep || 4*len(s) > c {
+	c := cap(s)
+	for c > keep && 4*len(s) <= c {
+		c = max(c/2, keep)
+	}
+	if c == cap(s) {
 		return s
 	}
-	return append(make([]T, 0, max(cap(s)/2, keep)), s...)
+	return append(make([]T, 0, c), s...)
 }
 
 // keepOne and keepRoute are the capacities shrink leaves a row: the room
@@ -414,30 +432,18 @@ const (
 )
 
 // detachBackupLocked reverses attachBackupLocked for the registration at
-// position k of link l's registry — l leaves the posting list of every
-// primary link whose counter returns to zero — recomputing the APLV
-// maximum only when a counter at the maximum decreased; it counts one
-// backup op. The caller must hold db.mu.
+// position k of link l's registry: its LSET, sorted once for all links of
+// a path that share it, is folded out of the APLV in one pass
+// (foldOutLocked: l leaves the posting list of every primary link whose
+// counter returns to zero, zeroed pairs are compacted out, the maximum is
+// recomputed only when a counter at it decreased); it counts one backup
+// op. The caller must hold db.mu.
 func (db *DB) detachBackupLocked(l graph.LinkID, k int) {
 	db.backupOps++
 	s := &db.links[l]
-	lset := s.backups[k].lset
+	sorted, _ := db.sortedLSETLocked(s.backups[k].lset) // checked at registration
 	s.backups = shrink(slices.Delete(s.backups, k, k+1), keepOne)
-	recompute := false
-	for _, pl := range lset {
-		v := int(s.aplv.dec(int(pl)))
-		if v+1 == s.maxElem {
-			recompute = true
-		}
-		if v == 0 {
-			p := &db.links[pl]
-			p.post = shrink(swapRemove(p.post, slices.Index(p.post, int32(l))), keepRoute)
-		}
-		s.norm--
-	}
-	if recompute {
-		s.maxElem = s.aplv.maxVal()
-	}
+	db.foldOutLocked(l, sorted)
 	db.resizeSpareLocked(s)
 	db.touchLocked(l)
 }

@@ -238,7 +238,8 @@ func (db *DB) PromoteBackupPath(id ConnID, links []graph.LinkID) error {
 				if u.converted {
 					_ = db.releasePrimaryLocked(id, u.link) // converted above: cannot fail
 				}
-				db.attachBackupLocked(id, u.link, u.lset)
+				k, _ := db.links[u.link].findBackup(id)
+				db.attachBackupLocked(id, u.link, k, u.lset)
 			}
 			return err
 		}

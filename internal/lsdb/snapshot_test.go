@@ -418,6 +418,40 @@ func TestBackupPathAllocs(t *testing.T) {
 	checkDerivedState(t, db, "after the pairs")
 }
 
+// TestColdBackupPathAllocs is the allocation budget of a registration on
+// links that carry nothing yet: the first RegisterBackupPath of a 9-hop
+// backup carrying a 9-link LSET onto an empty database. Besides the LSET
+// clone, the fold's two scratch buffers and the change log, each backup
+// link's registry and APLV pair list grow once, and each LSET link's
+// posting list grows by at least 4 entries at a time.
+func TestColdBackupPathAllocs(t *testing.T) {
+	const budget = 52
+	g, err := topology.Waxman(topology.WaxmanConfig{Nodes: 300, AvgDegree: 3, MinDegree: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, more := steadyStateDB(t, g, 1)
+	c := more[0]
+	const runs = 10
+	dbs := make([]*DB, runs+1) // AllocsPerRun warms up on the first
+	for i := range dbs {
+		if dbs[i], err = New(g, 40, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	avg := testing.AllocsPerRun(runs, func() {
+		if err := dbs[next].RegisterBackupPath(1, c.backup, c.lset); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if avg > budget {
+		t.Errorf("a cold registration of a %d-hop backup with a %d-link LSET allocates %.1f objects, want at most %d", len(c.backup), len(c.lset), avg, budget)
+	}
+	checkDerivedState(t, dbs[0], "after the cold registration")
+}
+
 // BenchmarkBackupPath times the backup bookkeeping a request pays beside
 // its route search — RegisterBackupPath of a 9-hop backup carrying a
 // 9-link LSET, then ReleaseBackupPath — on a database loaded to scale_2k's

@@ -75,73 +75,14 @@ func diffState(a, b observableState) string {
 	return ""
 }
 
-// checkDerivedState recomputes what the database keeps up to date beside
-// the APLVs and fails on any drift: every link's backup registry must list
-// its connections in strictly increasing ID order, and the LSETs it stores
-// must be the ones the link's counters were folded from — APLV, ‖APLV‖₁
-// and max recomputed from them equal the counters; for every primary link
-// j the posting list post[j] must hold exactly the links l with
-// APLV_l[j] > 0, each once; every link's primaries list — what failure
-// evaluation reads in place of a scan over the connections — must hold
-// each ID once and account for the link's primary bandwidth; and the
-// running load totals must equal the per-link sums.
+// checkDerivedState fails on any drift DB.Check finds between what the
+// database keeps up to date beside the registries and what the registries
+// imply: registry order, APLV, ‖APLV‖₁ and max folded from the stored
+// LSETs, posting lists, primaries lists and the running totals.
 func checkDerivedState(t *testing.T, db *DB, when string) {
 	t.Helper()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	n := db.n
-	posted := make([]bool, n*n) // posted[j*n+l]: post[j] lists l
-	prime, spare := 0, 0
-	for j := range db.links {
-		s := &db.links[j]
-		prime += s.prime
-		spare += s.spare
-		for k := 1; k < len(s.backups); k++ {
-			if s.backups[k-1].id >= s.backups[k].id {
-				t.Fatalf("%s: link %d registry lists connection %d before %d", when, j, s.backups[k-1].id, s.backups[k].id)
-			}
-		}
-		for k, id := range s.primaries {
-			if slices.Contains(s.primaries[:k], id) {
-				t.Fatalf("%s: primaries[%d] = %v lists connection %d twice", when, j, s.primaries, id)
-			}
-		}
-		if want := len(s.primaries) * db.unitBW; s.prime != want {
-			t.Fatalf("%s: link %d has prime %d, its %d primaries account for %d", when, j, s.prime, len(s.primaries), want)
-		}
-		for _, l := range s.post {
-			if posted[j*n+int(l)] {
-				t.Fatalf("%s: post[%d] = %v lists link %d twice", when, j, s.post, l)
-			}
-			posted[j*n+int(l)] = true
-		}
-	}
-	folded := make([]int32, n)
-	for l := range db.links {
-		s := &db.links[l]
-		clear(folded)
-		norm := 0
-		for _, b := range s.backups {
-			for _, pl := range b.lset {
-				folded[pl]++
-				norm++
-			}
-		}
-		if maxElem := int(slices.Max(folded)); s.norm != norm || s.maxElem != maxElem {
-			t.Fatalf("%s: link %d has norm %d and max %d, its registry's LSETs give %d and %d", when, l, s.norm, s.maxElem, norm, maxElem)
-		}
-		for j := 0; j < n; j++ {
-			c := s.aplv.at(j)
-			if c != folded[j] {
-				t.Fatalf("%s: APLV_%d[%d] = %d, its registry's LSETs give %d", when, l, j, c, folded[j])
-			}
-			if posted[j*n+l] != (c > 0) {
-				t.Fatalf("%s: post[%d] lists link %d = %v, but APLV_%d[%d] = %d", when, j, l, posted[j*n+l], l, j, c)
-			}
-		}
-	}
-	if db.totalPrime != prime || db.totalSpare != spare {
-		t.Fatalf("%s: running totals prime=%d spare=%d, per-link sums %d and %d", when, db.totalPrime, db.totalSpare, prime, spare)
+	if err := db.Check(); err != nil {
+		t.Fatalf("%s: %v", when, err)
 	}
 }
 
@@ -591,5 +532,64 @@ func TestConcurrentStress(t *testing.T) {
 		if maxElem == 0 && spare != 0 {
 			t.Errorf("link %d: spare %d without any backup conflict", l, spare)
 		}
+	}
+}
+
+// TestCheckFindsDrift corrupts one piece of derived state at a time on a
+// loaded database — sparse and dense APLVs, posting lists, primaries,
+// registry order, running totals — and requires DB.Check to name it.
+func TestCheckFindsDrift(t *testing.T) {
+	load := func(t *testing.T, denseAt int) *DB {
+		db := newTestDB(t, 10)
+		db.aplvDenseAt = denseAt
+		for _, step := range []error{
+			db.ReservePrimaryPath(1, lset(2, 3)),
+			db.RegisterBackupPath(1, lset(5, 6), lset(2, 3)),
+			db.ReservePrimaryPath(2, lset(3, 4)),
+			db.RegisterBackupPath(2, lset(5, 7), lset(3, 4, 4)),
+		} {
+			if step != nil {
+				t.Fatal(step)
+			}
+		}
+		if err := db.Check(); err != nil {
+			t.Fatalf("before corruption: %v", err)
+		}
+		return db
+	}
+	b, j := paperLink(5), paperLink(3) // a backup link, and a primary link both backups' LSETs name
+	for _, c := range []struct {
+		name    string
+		denseAt int
+		corrupt func(db *DB)
+	}{
+		{"registry order", -1, func(db *DB) { s := &db.links[b]; s.backups[0], s.backups[1] = s.backups[1], s.backups[0] }},
+		{"pair count", -1, func(db *DB) { db.links[b].aplv.pairs[0]++ }},
+		{"pair order", -1, func(db *DB) { p := db.links[b].aplv.pairs; p[0], p[1] = p[1], p[0] }},
+		{"pair missing", -1, func(db *DB) { s := &db.links[b]; s.aplv.pairs = s.aplv.pairs[1:] }},
+		{"dense count", 0, func(db *DB) { db.links[b].aplv.dense[j]++ }},
+		{"norm", -1, func(db *DB) { db.links[b].norm++ }},
+		{"max", 0, func(db *DB) { db.links[b].maxElem-- }},
+		{"posting missing", -1, func(db *DB) { p := &db.links[j]; p.post = p.post[1:] }},
+		{"posting twice", -1, func(db *DB) { p := &db.links[j]; p.post = append(p.post, p.post[0]) }},
+		{"posting for a zero counter", 0, func(db *DB) { db.links[j].post[0] = int32(paperLink(9)) }},
+		{"primary twice", -1, func(db *DB) {
+			s := &db.links[j]
+			s.primaries = append(s.primaries, s.primaries[0])
+			s.prime += db.unitBW
+			db.totalPrime += db.unitBW
+		}},
+		{"prime", -1, func(db *DB) { db.links[j].prime += db.unitBW }},
+		{"spare total", -1, func(db *DB) { db.totalSpare++ }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := load(t, c.denseAt)
+			c.corrupt(db)
+			if err := db.Check(); err == nil {
+				t.Fatal("Check found nothing")
+			} else {
+				t.Log(err)
+			}
+		})
 	}
 }

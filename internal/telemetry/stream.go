@@ -157,7 +157,9 @@ func (s *StreamSink) Err() error {
 
 // Close stops accepting events, waits for the writer goroutine to drain
 // the queue, flushes the batch buffer and closes the underlying writer
-// when it is an io.Closer. Records racing with Close count as drops.
+// when it is an io.Closer. Producers must stop recording before Close is
+// called: a Record after Close panics (send on the closed queue), so a
+// tracer's sinks must outlive every emitter.
 func (s *StreamSink) Close() error {
 	s.closing.Do(func() {
 		// Producers must stop emitting before Close (Tracer.Close runs
