@@ -16,7 +16,8 @@ import (
 )
 
 // maxCmdResults is the capacity of the agent's command-dedup window (see
-// dedup.Window): constant memory, comfortably outlasting retransmissions.
+// dedup.Window): it holds exactly the last this many commands' results,
+// in constant memory, comfortably outlasting retransmissions.
 const maxCmdResults = 1024
 
 // SplitEndpoint divides one transport endpoint between a node's router
@@ -139,7 +140,7 @@ func NewAgent(cfg AgentConfig, r *router.Router, ep transport.Endpoint, in <-cha
 		ep:         ep,
 		in:         in,
 		log:        cfg.Logger.With("agent", int(cfg.Node)),
-		cmdResults: dedup.NewWindow[uint64, *proto.ConnCommandResult](maxCmdResults),
+		cmdResults: dedup.NewWindow[uint64, *proto.ConnCommandResult](maxCmdResults, dedup.Mix),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}

@@ -61,24 +61,21 @@ type Attacher interface {
 // refused; a closed endpoint or stop ends the call with ErrClosed.
 func call(ep transport.Endpoint, to graph.NodeID, msg, want proto.Message, attempts int, per time.Duration, stop <-chan struct{}) (proto.Message, error) {
 	key, _ := proto.ReplyKeyOf(want)
-	ch := make(chan proto.Envelope, 1)
-	switch err := ep.Await(key, ch); {
+	w, err := transport.Await(ep, key)
+	switch {
 	case errors.Is(err, transport.ErrAwaited):
 		return nil, fmt.Errorf("controlplane: request already in flight: %w", err)
 	case err != nil:
 		return nil, ErrClosed
 	}
-	defer ep.Cancel(key)
+	defer w.Done()
 	for attempt := 0; attempt < attempts; attempt++ {
 		_ = ep.Send(to, msg)
-		timer := time.NewTimer(per)
-		select {
-		case env := <-ch:
-			timer.Stop()
-			return env.Msg, nil
-		case <-timer.C:
-		case <-stop:
-			timer.Stop()
+		reply, err := w.Next(per, stop)
+		switch {
+		case err == nil:
+			return reply, nil
+		case errors.Is(err, transport.ErrClosed):
 			return nil, ErrClosed
 		}
 	}

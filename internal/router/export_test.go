@@ -15,3 +15,9 @@ func (r *Router) ViewCV(l graph.LinkID) []byte {
 	defer r.mu.Unlock()
 	return r.view.CV(l)
 }
+
+// Capacities of the signalling and tombstone dedup windows.
+const (
+	MaxSeenSig    = maxSeenSig
+	MaxTombstones = maxTombstones
+)

@@ -235,9 +235,11 @@ type sigID struct {
 	channel proto.ChannelKind
 }
 
-// Capacities of the dedup windows: each retains its most recent half to
-// all of these entries (see dedup.Window), which keeps memory constant on
-// long runs while comfortably outlasting any in-flight retransmission.
+// Capacities of the dedup windows: each retains exactly its last this
+// many distinct keys (see dedup.Window), which keeps memory constant on
+// long runs. Retention is counted in messages, not time: maxSeenSig hops
+// processed at this router, maxTombstones connections torn down through
+// it.
 const (
 	maxSeenSig    = 8192
 	maxTombstones = 4096
@@ -252,6 +254,15 @@ type dedupKey struct {
 	seq uint64
 	hop int
 }
+
+// hashDedupKey mixes a dedupKey's fields for the signalling window.
+func hashDedupKey(seed uint64, k dedupKey) uint64 {
+	h := dedup.Mix(seed, uint64(k.kind)|uint64(k.channel)<<8)
+	return dedup.Mix(dedup.Mix(dedup.Mix(h, uint64(k.conn)), k.seq), uint64(k.hop))
+}
+
+// hashConnID mixes a connection ID for the tombstone window.
+func hashConnID(seed uint64, id lsdb.ConnID) uint64 { return dedup.Mix(seed, uint64(id)) }
 
 // Router is one DRTP node.
 type Router struct {
@@ -290,12 +301,6 @@ type Router struct {
 	// transport delivers after the teardown cannot resurrect reservations;
 	// bounded; guarded by mu.
 	tombstones *dedup.Window[lsdb.ConnID, uint64]
-	// replyPool recycles the one-shot buffered reply channels of
-	// signalling round trips. Recycling is safe because the endpoint
-	// touches no channel after its wait is cancelled, and the round trip's
-	// owner cancels, then drains the channel, before pooling it; guarded
-	// by mu.
-	replyPool []chan proto.Envelope
 	// conns records connections originated here; a nil record is an ID
 	// claimed by an establishment still signalling; guarded by mu.
 	conns map[lsdb.ConnID]*conn
@@ -363,8 +368,8 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 		view:        NewLinkStateView(cfg.Graph, cfg.Capacity, cfg.UnitBW, cfg.Scheme),
 		seqSeen:     make(map[graph.NodeID]uint64),
 		holdDown:    time.NewTimer(time.Hour),
-		seenSig:     dedup.NewWindow[dedupKey, sigResult](maxSeenSig),
-		tombstones:  dedup.NewWindow[lsdb.ConnID, uint64](maxTombstones),
+		seenSig:     dedup.NewWindow[dedupKey, sigResult](maxSeenSig, hashDedupKey),
+		tombstones:  dedup.NewWindow[lsdb.ConnID, uint64](maxTombstones, hashConnID),
 		conns:       make(map[lsdb.ConnID]*conn),
 		transitPrim: make(map[graph.LinkID]map[lsdb.ConnID]graph.NodeID),
 		lastHello:   make(map[graph.NodeID]time.Time),

@@ -9,6 +9,7 @@ import (
 	"github.com/rtcl/drtp/internal/lifecycle"
 	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/proto"
+	"github.com/rtcl/drtp/internal/transport"
 )
 
 // Exported signalling errors.
@@ -291,32 +292,15 @@ var sigLabels = [...]struct{ dup, stale, staleResult string }{
 // stopped; rolling back what the walk left behind is the caller's job.
 func (r *Router) roundTrip(s signal) (sigResult, error) {
 	r.mu.Lock()
-	var ch chan proto.Envelope
-	if n := len(r.replyPool); n > 0 {
-		ch, r.replyPool = r.replyPool[n-1], r.replyPool[:n-1]
-	} else {
-		ch = make(chan proto.Envelope, 1)
-	}
 	s.seq = r.nextSeqLocked()
 	r.mu.Unlock()
 	// The sequence number is this round trip's alone, so only a closed
 	// endpoint refuses the wait.
-	key := s.replyKey()
-	if err := r.ep.Await(key, ch); err != nil {
+	w, err := transport.Await(r.ep, s.replyKey())
+	if err != nil {
 		return sigResult{}, ErrClosed
 	}
-	defer func() {
-		r.ep.Cancel(key)
-		// Drain a reply that landed after the last receive, then recycle:
-		// with the wait cancelled the endpoint cannot touch ch again.
-		select {
-		case <-ch:
-		default:
-		}
-		r.mu.Lock()
-		r.replyPool = append(r.replyPool, ch)
-		r.mu.Unlock()
-	}()
+	defer w.Done()
 
 	msg := s.packet()
 	attempts := max(r.cfg.RetryLimit, 1)
@@ -326,14 +310,11 @@ func (r *Router) roundTrip(s signal) (sigResult, error) {
 			r.tracer.Retry(r.schemeName, s.trace, int64(s.conn), sigLabels[s.kind].dup)
 		}
 		r.send(r.cfg.Node, msg)
-		timer := time.NewTimer(r.attemptTimeout(a, attempts, time.Until(deadline)))
-		select {
-		case env := <-ch:
-			timer.Stop()
-			return resultOf(env.Msg), nil
-		case <-timer.C:
-		case <-r.stop:
-			timer.Stop()
+		reply, err := w.Next(r.attemptTimeout(a, attempts, time.Until(deadline)), r.stop)
+		switch {
+		case err == nil:
+			return resultOf(reply), nil
+		case errors.Is(err, transport.ErrClosed):
 			return sigResult{}, ErrClosed
 		}
 	}
