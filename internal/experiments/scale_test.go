@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
 
+	"github.com/rtcl/drtp/internal/metrics"
 	"github.com/rtcl/drtp/internal/telemetry"
 )
 
@@ -36,25 +35,21 @@ func scaleWithWorkers(t *testing.T, sp ScaleParams, workers int) *Scale {
 	return s
 }
 
-// renderScale renders the deterministic table of a run.
-func renderScale(t *testing.T, s *Scale) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := s.Table().Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestScaleWorkersGolden pins the scale experiment's engine contract the
 // same way TestParallelSweepGolden pins the sweep's: the rendered table
-// must be byte-identical at workers=1 and workers=8, and match the golden
-// file. Refresh with go test ./internal/experiments -run ScaleWorkersGolden -update.
+// and the sha256 of the run's JSONL trace must be byte-identical at
+// workers=1 and workers=8, and match the golden file. Refresh with
+// go test ./internal/experiments -run ScaleWorkersGolden -update.
 func TestScaleWorkersGolden(t *testing.T) {
 	before := runtime.NumGoroutine()
-	sp := tinyScaleParams()
-	serial := renderScale(t, scaleWithWorkers(t, sp, 1))
-	parallel := renderScale(t, scaleWithWorkers(t, sp, 8))
+	run := func(workers int) []byte {
+		return traced(t, func(tr *telemetry.Tracer) (*metrics.Table, error) {
+			sp := tinyScaleParams()
+			sp.Params.Telemetry = tr
+			return scaleWithWorkers(t, sp, workers).Table(), nil
+		})
+	}
+	serial, parallel := run(1), run(8)
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("scale table differs between workers=1 and workers=8:\nserial:\n%s\nparallel:\n%s",
 			serial, parallel)
@@ -67,24 +62,7 @@ func TestScaleWorkersGolden(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-
-	golden := filepath.Join("testdata", "scale_small.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, serial, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if !bytes.Equal(serial, want) {
-		t.Errorf("scale table deviates from %s (rerun with -update if intended):\ngot:\n%s\nwant:\n%s",
-			golden, serial, want)
-	}
+	checkGolden(t, "scale_small.golden", serial)
 }
 
 // TestScaleStreamedTraceBytes mirrors TestParallelSweepStreamedTraceBytes
