@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	drtpsim -exp table1|fig4|fig5|overhead|ablation|multibackup|availability|qos|all [flags]
+//	drtpsim -exp table1|fig4|fig5|acceptance|overhead|ablation|multibackup|availability|qos|topologies|replay|chaos|scale|all [flags]
 //
 // Examples:
 //
@@ -20,13 +20,13 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 
-	drtpcore "github.com/rtcl/drtp/internal/drtp"
 	"github.com/rtcl/drtp/internal/experiments"
 	"github.com/rtcl/drtp/internal/faultinject"
 	"github.com/rtcl/drtp/internal/metrics"
 	"github.com/rtcl/drtp/internal/scenario"
-	"github.com/rtcl/drtp/internal/sim"
 	"github.com/rtcl/drtp/internal/telemetry"
 )
 
@@ -37,13 +37,173 @@ func main() {
 	}
 }
 
+// experiment is one -exp name and what it renders.
+type experiment struct {
+	name string
+	// lambda marks the experiments that run at the single -lambda point.
+	lambda bool
+	run    func(*session) error
+}
+
+// experimentTable lists every -exp name in the order -exp's help gives.
+var experimentTable = []experiment{
+	{name: "table1", run: func(s *session) error { return s.render(experiments.Table1(s.p), nil) }},
+	{name: "fig4", run: func(s *session) error {
+		return s.figure((*experiments.Sweep).Fig4Table, (*experiments.Sweep).Fig4Chart)
+	}},
+	{name: "fig5", run: func(s *session) error {
+		return s.figure((*experiments.Sweep).Fig5Table, (*experiments.Sweep).Fig5Chart)
+	}},
+	{name: "acceptance", run: func(s *session) error { return s.figure((*experiments.Sweep).AcceptanceTable, nil) }},
+	{name: "overhead", lambda: true, run: func(s *session) error {
+		return s.show(experiments.RunOverhead(s.p, scenario.UT, s.lambda))
+	}},
+	{name: "ablation", run: func(s *session) error { return s.show(experiments.RunAblation(s.p)) }},
+	{name: "multibackup", run: func(s *session) error { return s.show(experiments.RunMultiBackup(s.p)) }},
+	{name: "availability", lambda: true, run: func(s *session) error {
+		ap := experiments.DefaultAvailabilityParams(s.p.Degree)
+		ap.Params = s.p
+		ap.Lambda = s.lambda
+		return s.show(experiments.RunAvailability(ap))
+	}},
+	{name: "qos", lambda: true, run: func(s *session) error { return s.show(experiments.RunQoS(s.p, s.lambda)) }},
+	{name: "topologies", lambda: true, run: func(s *session) error {
+		return s.show(experiments.RunTopologySensitivity(s.p, s.lambda))
+	}},
+	{name: "replay", run: func(s *session) error {
+		if s.scenario == "" {
+			return fmt.Errorf("replay requires -scenario <file>")
+		}
+		return s.render(experiments.RunReplay(s.p, s.scenario))
+	}},
+	{name: "chaos", lambda: true, run: func(s *session) error {
+		cp := experiments.ChaosParams{Params: s.p, Lambda: s.lambda}
+		if cp.Chaos == nil {
+			cp.Chaos = experiments.DefaultChaosSchedule(s.p.Seed)
+		}
+		return s.show(experiments.RunChaos(cp))
+	}},
+	{name: "scale", lambda: true, run: func(s *session) error {
+		sc, err := experiments.RunScale(s.scale)
+		if err != nil {
+			return err
+		}
+		if err := s.render(sc.Table(), nil); err != nil {
+			return err
+		}
+		// Wall-clock metrics live outside the table: machine-readable,
+		// one line, parsed by scripts/scale_smoke.sh.
+		js, err := sc.SummaryJSON()
+		if err != nil {
+			return err
+		}
+		_, err = fmt.Fprintf(s.w, "SCALE_JSON %s\n", js)
+		return err
+	}},
+}
+
+// allExperiments is what -exp all runs, in order.
+var allExperiments = []string{"table1", "fig4", "fig5", "acceptance", "overhead", "ablation", "multibackup", "availability", "qos"}
+
+// experimentNames joins the table's names, optionally only those that
+// read -lambda.
+func experimentNames(sep string, lambdaOnly bool) string {
+	var names []string
+	for _, e := range experimentTable {
+		if e.lambda || !lambdaOnly {
+			names = append(names, e.name)
+		}
+	}
+	return strings.Join(names, sep)
+}
+
+// lookup resolves -exp to the experiments it runs.
+func lookup(name string) ([]experiment, error) {
+	names := []string{name}
+	if name == "all" {
+		names = allExperiments
+	}
+	var exps []experiment
+	for _, n := range names {
+		i := slices.IndexFunc(experimentTable, func(e experiment) bool { return e.name == n })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown experiment %q (want %s|all)", name, experimentNames("|", false))
+		}
+		exps = append(exps, experimentTable[i])
+	}
+	return exps, nil
+}
+
+// session is one invocation's settings, shared by the experiments it runs.
+type session struct {
+	p         experiments.Params
+	scale     experiments.ScaleParams
+	lambda    float64
+	scenario  string
+	csv, plot bool
+	w         io.Writer
+	// sweep is the one paper sweep fig4, fig5 and acceptance render from.
+	sweep *experiments.Sweep
+}
+
+// render writes one table, or passes err on.
+func (s *session) render(t *metrics.Table, err error) error {
+	if err != nil {
+		return err
+	}
+	if s.csv {
+		return t.RenderCSV(s.w)
+	}
+	if err := t.Render(s.w); err != nil {
+		return err
+	}
+	_, err = fmt.Fprintln(s.w)
+	return err
+}
+
+// show renders a runner's table, or passes its error on.
+func (s *session) show(r interface{ Table() *metrics.Table }, err error) error {
+	if err != nil {
+		return err
+	}
+	return s.render(r.Table(), nil)
+}
+
+// figure renders one view of the paper sweep, running the sweep on first
+// use, and with -plot its chart per traffic pattern.
+func (s *session) figure(table func(*experiments.Sweep) *metrics.Table,
+	chart func(*experiments.Sweep, scenario.Pattern) *metrics.Chart) error {
+	if s.sweep == nil {
+		sw, err := experiments.RunSweep(s.p, experiments.PaperSchemes())
+		if err != nil {
+			return err
+		}
+		s.sweep = sw
+	}
+	if err := s.render(table(s.sweep), nil); err != nil {
+		return err
+	}
+	if !s.plot || chart == nil {
+		return nil
+	}
+	for _, pattern := range s.p.Patterns {
+		if err := chart(s.sweep, pattern).Render(s.w, 60, 16); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintln(s.w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("drtpsim", flag.ContinueOnError)
 	var (
-		exp       = fs.String("exp", "all", "experiment: table1|fig4|fig5|acceptance|overhead|ablation|multibackup|availability|qos|topologies|replay|chaos|scale|all")
+		exp       = fs.String("exp", "all", "experiment: "+experimentNames("|", false)+"|all")
 		degree    = fs.Float64("degree", 3, "average node degree E (3 or 4)")
 		seed      = fs.Int64("seed", 1, "master seed for topology and scenarios")
-		lambda    = fs.Float64("lambda", 0.5, "arrival rate for single-point experiments (overhead)")
+		lambda    = fs.Float64("lambda", 0.5, "arrival rate for single-point experiments ("+experimentNames(", ", true)+")")
 		quick     = fs.Bool("quick", false, "scaled-down parameters for a fast run")
 		csvOut    = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		duration  = fs.Float64("duration", 0, "override run length in minutes")
@@ -62,6 +222,10 @@ func run(args []string, w io.Writer) error {
 		scaleFails = fs.Int("scale-failures", 0, "-exp scale: destructive edge failures per cell (default 32)")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	exps, err := lookup(*exp)
+	if err != nil {
 		return err
 	}
 
@@ -87,7 +251,6 @@ func run(args []string, w io.Writer) error {
 		}
 		p.Chaos = sched
 	}
-
 	var (
 		tracer *telemetry.Tracer
 		reg    *telemetry.Registry
@@ -120,195 +283,19 @@ func run(args []string, w io.Writer) error {
 		stopSampler = telemetry.StartRuntimeSampler(reg, 0)
 	}
 
-	render := func(t *metrics.Table) error {
-		if *csvOut {
-			return t.RenderCSV(w)
+	s := &session{p: p, lambda: *lambda, scenario: *scenFile, csv: *csvOut, plot: *plot, w: w,
+		scale: experiments.ScaleParams{Params: p, Connections: *scaleConns, Failures: *scaleFails}}
+	s.scale.Params.Nodes = *scaleNodes
+	s.scale.Params.Lambdas = []float64{*lambda}
+	if *quick {
+		if s.scale.Params.Nodes <= 0 {
+			s.scale.Params.Nodes = 300
 		}
-		if err := t.Render(w); err != nil {
-			return err
+		if s.scale.Connections <= 0 {
+			s.scale.Connections = 4000
 		}
-		_, err := fmt.Fprintln(w)
-		return err
-	}
-
-	runSweep := func() (*experiments.Sweep, error) {
-		return experiments.RunSweep(p, experiments.PaperSchemes())
-	}
-
-	dispatch := func() error {
-		switch *exp {
-		case "table1":
-			return render(experiments.Table1(p))
-		case "fig4":
-			s, err := runSweep()
-			if err != nil {
-				return err
-			}
-			if err := render(s.Fig4Table()); err != nil {
-				return err
-			}
-			if *plot {
-				return renderCharts(w, p, s, (*experiments.Sweep).Fig4Chart)
-			}
-			return nil
-		case "fig5":
-			s, err := runSweep()
-			if err != nil {
-				return err
-			}
-			if err := render(s.Fig5Table()); err != nil {
-				return err
-			}
-			if *plot {
-				return renderCharts(w, p, s, (*experiments.Sweep).Fig5Chart)
-			}
-			return nil
-		case "acceptance":
-			s, err := runSweep()
-			if err != nil {
-				return err
-			}
-			return render(s.AcceptanceTable())
-		case "overhead":
-			o, err := experiments.RunOverhead(p, scenario.UT, *lambda)
-			if err != nil {
-				return err
-			}
-			return render(o.Table())
-		case "ablation":
-			a, err := experiments.RunAblation(p)
-			if err != nil {
-				return err
-			}
-			return render(a.Table())
-		case "multibackup":
-			mb, err := experiments.RunMultiBackup(p)
-			if err != nil {
-				return err
-			}
-			return render(mb.Table())
-		case "topologies":
-			ts, err := experiments.RunTopologySensitivity(p, *lambda)
-			if err != nil {
-				return err
-			}
-			return render(ts.Table())
-		case "replay":
-			return replayScenario(p, *scenFile, *seed, w, *csvOut)
-		case "chaos":
-			cp := experiments.ChaosParams{Params: p, Lambda: *lambda, Schedule: p.Chaos}
-			if cp.Schedule == nil {
-				cp.Schedule = experiments.DefaultChaosSchedule(*seed)
-			}
-			c, err := experiments.RunChaos(cp)
-			if err != nil {
-				return err
-			}
-			return render(c.Table())
-		case "qos":
-			q, err := experiments.RunQoS(p, *lambda)
-			if err != nil {
-				return err
-			}
-			return render(q.Table())
-		case "scale":
-			sp := experiments.ScaleParams{
-				Params:      p,
-				Connections: *scaleConns,
-				Failures:    *scaleFails,
-			}
-			sp.Params.Nodes = *scaleNodes
-			sp.Params.Lambdas = []float64{*lambda}
-			if *quick {
-				if sp.Params.Nodes <= 0 {
-					sp.Params.Nodes = 300
-				}
-				if sp.Connections <= 0 {
-					sp.Connections = 4000
-				}
-				if sp.Failures <= 0 {
-					sp.Failures = 8
-				}
-			}
-			s, err := experiments.RunScale(sp)
-			if err != nil {
-				return err
-			}
-			if err := render(s.Table()); err != nil {
-				return err
-			}
-			// Wall-clock metrics live outside the table: machine-readable,
-			// one line, parsed by scripts/scale_smoke.sh.
-			js, err := s.SummaryJSON()
-			if err != nil {
-				return err
-			}
-			_, err = fmt.Fprintf(w, "SCALE_JSON %s\n", js)
-			return err
-		case "availability":
-			ap := experiments.DefaultAvailabilityParams(*degree)
-			ap.Params = p
-			ap.Lambda = *lambda
-			av, err := experiments.RunAvailability(ap)
-			if err != nil {
-				return err
-			}
-			return render(av.Table())
-		case "all":
-			if err := render(experiments.Table1(p)); err != nil {
-				return err
-			}
-			s, err := runSweep()
-			if err != nil {
-				return err
-			}
-			if err := render(s.Fig4Table()); err != nil {
-				return err
-			}
-			if err := render(s.Fig5Table()); err != nil {
-				return err
-			}
-			if err := render(s.AcceptanceTable()); err != nil {
-				return err
-			}
-			o, err := experiments.RunOverhead(p, scenario.UT, *lambda)
-			if err != nil {
-				return err
-			}
-			if err := render(o.Table()); err != nil {
-				return err
-			}
-			a, err := experiments.RunAblation(p)
-			if err != nil {
-				return err
-			}
-			if err := render(a.Table()); err != nil {
-				return err
-			}
-			mb, err := experiments.RunMultiBackup(p)
-			if err != nil {
-				return err
-			}
-			if err := render(mb.Table()); err != nil {
-				return err
-			}
-			ap := experiments.DefaultAvailabilityParams(*degree)
-			ap.Params = p
-			ap.Lambda = *lambda
-			av, err := experiments.RunAvailability(ap)
-			if err != nil {
-				return err
-			}
-			if err := render(av.Table()); err != nil {
-				return err
-			}
-			q, err := experiments.RunQoS(p, *lambda)
-			if err != nil {
-				return err
-			}
-			return render(q.Table())
-		default:
-			return fmt.Errorf("unknown experiment %q", *exp)
+		if s.scale.Failures <= 0 {
+			s.scale.Failures = 8
 		}
 	}
 
@@ -327,7 +314,11 @@ func run(args []string, w io.Writer) error {
 		}()
 	}
 
-	err := dispatch()
+	for _, e := range exps {
+		if err = e.run(s); err != nil {
+			break
+		}
+	}
 	if stopSampler != nil {
 		stopSampler() // final runtime scrape before the summary prints
 	}
@@ -342,67 +333,10 @@ func run(args []string, w io.Writer) error {
 	return err
 }
 
-// renderCharts draws one ASCII chart per traffic pattern.
-func renderCharts(w io.Writer, p experiments.Params, s *experiments.Sweep,
-	chart func(*experiments.Sweep, scenario.Pattern) *metrics.Chart) error {
-	for _, pattern := range p.Patterns {
-		if err := chart(s, pattern).Render(w, 60, 16); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // quickLambdas thins a sweep to its ends and midpoint.
 func quickLambdas(ls []float64) []float64 {
 	if len(ls) <= 3 {
 		return ls
 	}
 	return []float64{ls[0], ls[len(ls)/2], ls[len(ls)-1]}
-}
-
-// replayScenario replays one scenario file across the paper's schemes on
-// a fresh Waxman topology, the paper's exact comparison workflow.
-func replayScenario(p experiments.Params, path string, seed int64, w io.Writer, csvOut bool) error {
-	if path == "" {
-		return fmt.Errorf("replay requires -scenario <file>")
-	}
-	sc, err := scenario.Load(path)
-	if err != nil {
-		return err
-	}
-	p.Nodes = sc.Config.Nodes
-	g, err := p.Topology()
-	if err != nil {
-		return err
-	}
-	warmup := sc.Config.Duration * 0.4
-	t := metrics.NewTable(
-		fmt.Sprintf("Replay of %s (%d arrivals, %s)", path, sc.NumArrivals(), sc.Config.Pattern),
-		"scheme", "P_act-bk", "accepted", "requests", "avgLoad", "spareLoad")
-	for _, spec := range append(experiments.PaperSchemes(), experiments.NoBackupSpec()) {
-		net, err := drtpcore.NewNetworkWithMode(g, p.Capacity, p.UnitBW, p.Mode)
-		if err != nil {
-			return err
-		}
-		res, err := sim.Run(net, spec.New(seed), sc, sim.Config{
-			Warmup:       warmup,
-			EvalInterval: p.EvalInterval,
-			ManagerOpts:  spec.ManagerOpts,
-			Telemetry:    p.Telemetry,
-			Chaos:        p.Chaos,
-		})
-		if err != nil {
-			return err
-		}
-		t.AddRow(spec.Name, res.FaultTolerance, res.AcceptedInWindow, res.RequestsInWindow,
-			metrics.Percent(res.AvgLoad), metrics.Percent(res.AvgSpareLoad))
-	}
-	if csvOut {
-		return t.RenderCSV(w)
-	}
-	return t.Render(w)
 }

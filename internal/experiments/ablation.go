@@ -23,14 +23,7 @@ type AblationRow struct {
 
 // CapacityOverhead mirrors SweepRow.CapacityOverhead.
 func (r AblationRow) CapacityOverhead() float64 {
-	if r.BaselineAccepted == 0 {
-		return 0
-	}
-	oh := float64(r.BaselineAccepted-r.Result.AcceptedInWindow) / float64(r.BaselineAccepted)
-	if oh < 0 {
-		return 0
-	}
-	return oh
+	return capacityOverhead(r.BaselineAccepted, r.Result.AcceptedInWindow)
 }
 
 // Ablation compares the design choices the paper's conclusions single out:
@@ -57,104 +50,57 @@ func RunAblation(p Params) (*Ablation, error) {
 	if err != nil {
 		return nil, err
 	}
-	type variant struct {
-		name     string
-		mode     lsdb.Mode
-		scheme   func(seed int64) drtp.Scheme
-		reactive bool
-	}
-	variants := []variant{
-		{name: "D-LSR", mode: lsdb.Multiplexed, scheme: func(int64) drtp.Scheme { return routing.NewDLSR() }},
-		{name: "dedicated", mode: lsdb.Dedicated, scheme: func(int64) drtp.Scheme { return routing.NewDLSR() }},
-		{name: "conflict-blind", mode: lsdb.Multiplexed, scheme: func(int64) drtp.Scheme { return routing.NewMinHopDisjoint() }},
-		{name: "random", mode: lsdb.Multiplexed, scheme: func(seed int64) drtp.Scheme { return routing.NewRandom(seed) }},
+	dlsr := func(int64) drtp.Scheme { return routing.NewDLSR() }
+	reactive := NoBackupSpec()
+	reactive.Name = "reactive"
+	variants := []cell{
+		{spec: SchemeSpec{Name: "D-LSR", New: dlsr}},
+		{spec: SchemeSpec{Name: "dedicated", New: dlsr}, mode: lsdb.Dedicated},
+		{spec: SchemeSpec{Name: "conflict-blind", New: func(int64) drtp.Scheme { return routing.NewMinHopDisjoint() }}},
+		{spec: SchemeSpec{Name: "random", New: func(seed int64) drtp.Scheme { return routing.NewRandom(seed) }}},
 		// Joint disjoint-pair routing (Bhandari) instead of the paper's
 		// sequential primary-then-backup selection.
-		{name: "joint", mode: lsdb.Multiplexed, scheme: func(int64) drtp.Scheme { return routing.NewJoint() }},
+		{spec: SchemeSpec{Name: "joint", New: func(int64) drtp.Scheme { return routing.NewJoint() }}},
 		// The reactive alternative of §1: nothing reserved, re-route on
 		// failure from whatever capacity is left (evaluated optimistically
 		// — no signalling latency or retry storms).
-		{name: "reactive", mode: lsdb.Multiplexed, scheme: func(int64) drtp.Scheme { return routing.NewNoBackup() }, reactive: true},
+		{spec: reactive, cfg: sim.Config{Reactive: true}},
 	}
 
-	// One job per (lambda, baseline-or-variant) run, enumerated in the
-	// serial visiting order and sharded across the worker pool; rows are
-	// assembled in job order afterwards (see engine.go).
-	type abJob struct {
-		lambda  float64
-		variant *variant // nil for the no-backup baseline
-		base    int      // job index of the lambda's baseline run
-		scen    *scenario.Scenario
-	}
-	var jobs []abJob
+	// Per lambda: the no-backup baseline, then every variant on the
+	// identical scenario.
+	var cells []cell
 	for _, lambda := range p.Lambdas {
 		sc, err := p.generateScenario(scenario.UT, lambda)
 		if err != nil {
 			return nil, err
 		}
-		baseIdx := len(jobs)
-		jobs = append(jobs, abJob{lambda: lambda, base: -1, scen: sc})
-		for i := range variants {
-			jobs = append(jobs, abJob{lambda: lambda, variant: &variants[i], base: baseIdx, scen: sc})
+		cfg := sim.Config{Warmup: p.Warmup, EvalInterval: p.EvalInterval}
+		cells = append(cells, cell{graph: g, scen: sc, spec: NoBackupSpec(), cfg: cfg})
+		for _, v := range variants {
+			v.graph, v.scen = g, sc
+			v.seed = p.cellSeed(fmt.Sprintf("ablation/%s/%.3f", v.spec.Name, lambda))
+			v.cfg.Warmup, v.cfg.EvalInterval = cfg.Warmup, cfg.EvalInterval
+			cells = append(cells, v)
 		}
 	}
-
-	simCfg := sim.Config{Warmup: p.Warmup, EvalInterval: p.EvalInterval, Chaos: p.Chaos}
-	results := make([]*sim.Result, len(jobs))
-	stream := newTelemetryStream(p.Telemetry, len(jobs), p.workerCount())
-	err = runParallel(p.workerCount(), len(jobs), func(i int) error {
-		j := jobs[i]
-		tracer, done := stream.cell(i)
-		defer done()
-		simCfg := simCfg
-		simCfg.Telemetry = tracer
-		if j.variant == nil {
-			baseNet, err := drtp.NewNetworkWithMode(g, p.Capacity, p.UnitBW, lsdb.Multiplexed)
-			if err != nil {
-				return err
-			}
-			baseCfg := simCfg
-			baseCfg.ManagerOpts = []drtp.ManagerOption{drtp.WithOptionalBackup()}
-			res, err := sim.Run(baseNet, routing.NewNoBackup(), j.scen, baseCfg)
-			if err != nil {
-				return fmt.Errorf("experiments: ablation baseline: %w", err)
-			}
-			results[i] = res
-			return nil
-		}
-		v := j.variant
-		net, err := drtp.NewNetworkWithMode(g, p.Capacity, p.UnitBW, v.mode)
-		if err != nil {
-			return err
-		}
-		vCfg := simCfg
-		if v.reactive {
-			vCfg.Reactive = true
-			vCfg.ManagerOpts = []drtp.ManagerOption{drtp.WithOptionalBackup()}
-		}
-		seed := p.cellSeed(fmt.Sprintf("ablation/%s/%.3f", v.name, j.lambda))
-		res, err := sim.Run(net, v.scheme(seed), j.scen, vCfg)
-		if err != nil {
-			return fmt.Errorf("experiments: ablation %s: %w", v.name, err)
-		}
-		results[i] = res
-		return nil
-	})
+	runs, err := p.run(cells, nil)
 	if err != nil {
 		return nil, err
 	}
 
 	result := &Ablation{Params: p}
-	for i, j := range jobs {
-		if j.variant == nil {
-			continue
+	for _, lambda := range p.Lambdas {
+		base, group := runs[0].res, runs[1:1+len(variants)]
+		runs = runs[1+len(variants):]
+		for j, v := range variants {
+			result.Rows = append(result.Rows, AblationRow{
+				Variant:          v.spec.Name,
+				Lambda:           lambda,
+				Result:           group[j].res,
+				BaselineAccepted: base.AcceptedInWindow,
+			})
 		}
-		result.Rows = append(result.Rows, AblationRow{
-			Variant:          j.variant.name,
-			Lambda:           j.lambda,
-			Result:           results[i],
-			BaselineAccepted: results[j.base].AcceptedInWindow,
-		})
 	}
 	return result, nil
 }

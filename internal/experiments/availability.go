@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/rtcl/drtp/internal/drtp"
-	"github.com/rtcl/drtp/internal/flood"
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/metrics"
 	"github.com/rtcl/drtp/internal/rng"
@@ -74,53 +73,28 @@ func RunAvailability(p AvailabilityParams) (*Availability, error) {
 	}
 	schedule := failureSchedule(g, p, sc.EndTime())
 
-	specs := []struct {
-		name string
-		new  func() drtp.Scheme
-		opts []drtp.ManagerOption
-	}{
-		{name: "D-LSR k=1", new: func() drtp.Scheme { return routing.NewDLSR() }},
-		{name: "D-LSR k=2", new: func() drtp.Scheme { return routing.NewDLSR(routing.WithBackupCount(2)) }},
-		{name: "BF", new: func() drtp.Scheme { return flood.NewDefault() }},
-		{name: "Reactive", new: func() drtp.Scheme { return routing.NewNoBackup() },
-			opts: []drtp.ManagerOption{drtp.WithOptionalBackup(), drtp.WithReactiveRecovery()}},
-		{name: "NoRecovery", new: func() drtp.Scheme { return routing.NewNoBackup() },
-			opts: []drtp.ManagerOption{drtp.WithOptionalBackup()}},
+	nobackup := NoBackupSpec().New
+	specs := []SchemeSpec{
+		{Name: "D-LSR k=1", New: func(int64) drtp.Scheme { return routing.NewDLSR() }},
+		{Name: "D-LSR k=2", New: func(int64) drtp.Scheme { return routing.NewDLSR(routing.WithBackupCount(2)) }},
+		PaperSchemes()[2],
+		{Name: "Reactive", New: nobackup,
+			ManagerOpts: []drtp.ManagerOption{drtp.WithOptionalBackup(), drtp.WithReactiveRecovery()}},
+		{Name: "NoRecovery", New: nobackup, ManagerOpts: []drtp.ManagerOption{drtp.WithOptionalBackup()}},
 	}
-
-	// Scheme runs replay the identical scenario and failure schedule on
-	// separate networks, so they shard across the worker pool; telemetry
-	// from concurrent runs is buffered per run and streamed out in spec
-	// order as the completed prefix advances (see engine.go).
-	out := &Availability{Params: p, Failures: len(schedule)}
-	results := make([]*sim.Result, len(specs))
-	stream := newTelemetryStream(p.Telemetry, len(specs), p.workerCount())
-	err = runParallel(p.workerCount(), len(specs), func(i int) error {
-		spec := specs[i]
-		net, err := drtp.NewNetworkWithMode(g, p.Capacity, p.UnitBW, p.Mode)
-		if err != nil {
-			return err
-		}
-		tracer, done := stream.cell(i)
-		defer done()
-		res, err := sim.Run(net, spec.new(), sc, sim.Config{
-			Warmup:          p.Warmup,
-			FailureSchedule: schedule,
-			ManagerOpts:     spec.opts,
-			Telemetry:       tracer,
-			Chaos:           p.Chaos,
-		})
-		if err != nil {
-			return fmt.Errorf("experiments: availability %s: %w", spec.name, err)
-		}
-		results[i] = res
-		return nil
-	})
+	// Every scheme replays the identical scenario and failure schedule.
+	cells := make([]cell, len(specs))
+	for i, spec := range specs {
+		cells[i] = cell{graph: g, scen: sc, spec: spec,
+			cfg: sim.Config{Warmup: p.Warmup, FailureSchedule: schedule}}
+	}
+	runs, err := p.run(cells, nil)
 	if err != nil {
 		return nil, err
 	}
+	out := &Availability{Params: p, Failures: len(schedule)}
 	for i, spec := range specs {
-		out.Rows = append(out.Rows, AvailabilityRow{Scheme: spec.name, Result: results[i]})
+		out.Rows = append(out.Rows, AvailabilityRow{Scheme: spec.Name, Result: runs[i].res})
 	}
 	return out, nil
 }

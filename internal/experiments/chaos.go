@@ -3,22 +3,18 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/rtcl/drtp/internal/drtp"
 	"github.com/rtcl/drtp/internal/faultinject"
 	"github.com/rtcl/drtp/internal/metrics"
 	"github.com/rtcl/drtp/internal/scenario"
 	"github.com/rtcl/drtp/internal/sim"
 )
 
-// ChaosParams extends the evaluation parameters with a fault-injection
-// schedule for dependability runs.
+// ChaosParams sets up a dependability run: Params.Chaos is the
+// fault-injection schedule every scheme's run replays, and must be set.
 type ChaosParams struct {
 	Params
 	// Lambda is the per-node request arrival rate for the run.
 	Lambda float64
-	// Schedule is the chaos script applied to every scheme's run; nil
-	// falls back to Params.Chaos.
-	Schedule *faultinject.Schedule
 }
 
 // ChaosRow is one scheme's measurement under the chaos schedule.
@@ -55,14 +51,10 @@ func DefaultChaosSchedule(seed int64) *faultinject.Schedule {
 // for each.
 func RunChaos(p ChaosParams) (*Chaos, error) {
 	p.setDefaults()
-	sched := p.Schedule
-	if sched == nil {
-		sched = p.Chaos
-	}
-	if sched == nil {
+	if p.Chaos == nil {
 		return nil, fmt.Errorf("experiments: chaos run needs a schedule")
 	}
-	if err := sched.Validate(); err != nil {
+	if err := p.Chaos.Validate(); err != nil {
 		return nil, err
 	}
 	g, err := p.Topology()
@@ -75,34 +67,18 @@ func RunChaos(p ChaosParams) (*Chaos, error) {
 	}
 
 	specs := PaperSchemes()
-	out := &Chaos{Params: p}
-	results := make([]*sim.Result, len(specs))
-	stream := newTelemetryStream(p.Telemetry, len(specs), p.workerCount())
-	err = runParallel(p.workerCount(), len(specs), func(i int) error {
-		spec := specs[i]
-		net, err := drtp.NewNetworkWithMode(g, p.Capacity, p.UnitBW, p.Mode)
-		if err != nil {
-			return err
-		}
-		tracer, done := stream.cell(i)
-		defer done()
-		res, err := sim.Run(net, spec.New(p.cellSeed("scheme/"+spec.Name)), sc, sim.Config{
-			Warmup:      p.Warmup,
-			ManagerOpts: spec.ManagerOpts,
-			Telemetry:   tracer,
-			Chaos:       sched,
-		})
-		if err != nil {
-			return fmt.Errorf("experiments: chaos %s: %w", spec.Name, err)
-		}
-		results[i] = res
-		return nil
-	})
+	cells := make([]cell, len(specs))
+	for i, spec := range specs {
+		cells[i] = cell{graph: g, scen: sc, spec: spec, seed: p.cellSeed("scheme/" + spec.Name),
+			cfg: sim.Config{Warmup: p.Warmup}}
+	}
+	runs, err := p.run(cells, nil)
 	if err != nil {
 		return nil, err
 	}
+	out := &Chaos{Params: p}
 	for i, spec := range specs {
-		out.Rows = append(out.Rows, ChaosRow{Scheme: spec.Name, Result: results[i]})
+		out.Rows = append(out.Rows, ChaosRow{Scheme: spec.Name, Result: runs[i].res})
 	}
 	return out, nil
 }

@@ -1,19 +1,27 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
+	"time"
 
+	"github.com/rtcl/drtp/internal/drtp"
+	"github.com/rtcl/drtp/internal/graph"
+	"github.com/rtcl/drtp/internal/lsdb"
+	"github.com/rtcl/drtp/internal/scenario"
+	"github.com/rtcl/drtp/internal/sim"
 	"github.com/rtcl/drtp/internal/telemetry"
 )
 
-// This file implements the parallel experiment engine shared by every
-// runner in the package. The evaluation is a Monte-Carlo sweep over
-// independent (pattern, lambda, scheme, replication) cells, so the
-// engine's contract is simple but strict:
+// This file implements the cell engine every runner in the package goes
+// through. The evaluation is a grid of independent cells — a scheme on a
+// fresh network replaying one scenario — so each runner only enumerates
+// its cells, hands them to Params.run, and folds the results into rows.
+// The engine owns the rest, and its contract is simple but strict:
 //
-//   - Cells are enumerated up front in the exact order the serial loops
-//     would visit them. Job i writes only result slot i.
+//   - Cells are enumerated up front in the exact order a serial loop
+//     would visit them. Cell i writes only result slot i.
 //   - Every per-cell random stream is derived from a stable label via
 //     rng.Split (Params.cellSeed), never from a shared sequential
 //     generator, so the assignment of cells to workers cannot perturb
@@ -25,10 +33,77 @@ import (
 //     trace memory is independent of sweep size while the forwarded
 //     event order stays bit-identical at any worker count.
 //   - Aggregates (metrics.Sample) are merged in cell order during the
-//     single-threaded merge phase.
+//     single-threaded fold that follows the run.
 //
 // Together these make every runner bit-identical to its serial execution
 // at any worker count.
+
+// cell is one simulator run: spec's scheme, built with seed, on a fresh
+// network over graph replaying scen.
+type cell struct {
+	graph *graph.Graph
+	scen  *scenario.Scenario
+	spec  SchemeSpec
+	seed  int64
+	// mode sizes spare capacity; zero means multiplexed backups.
+	mode lsdb.Mode
+	// cfg holds the cell's own run settings (warm-up, sweeps, failures,
+	// QoS bound, ...); run fills in ManagerOpts from spec and Chaos and
+	// Telemetry from Params.
+	cfg sim.Config
+}
+
+// cellRun is what one cell leaves behind.
+type cellRun struct {
+	res *sim.Result
+	// elapsed is the wall time of the simulation alone.
+	elapsed time.Duration
+}
+
+// run executes cells on Params.Workers goroutines and returns their runs
+// in cell order. Params supplies the link dimensions, the chaos schedule
+// applied to every cell, and the tracer the cells' telemetry is forwarded
+// to in cell order. inspect, when non-nil, sees cell i's network and
+// scheme as soon as its run ends, on the goroutine that ran it, and may
+// write only what belongs to cell i; the network is dropped after that,
+// so a run holds at most one network per worker.
+func (p Params) run(cells []cell, inspect func(i int, net *drtp.Network, schm drtp.Scheme)) ([]cellRun, error) {
+	runs := make([]cellRun, len(cells))
+	workers := p.workerCount()
+	stream := newTelemetryStream(p.Telemetry, len(cells), workers)
+	err := runParallel(workers, len(cells), func(i int) error {
+		c := cells[i]
+		if c.mode == 0 {
+			c.mode = lsdb.Multiplexed
+		}
+		net, err := drtp.NewNetworkWithMode(c.graph, p.Capacity, p.UnitBW, c.mode)
+		if err != nil {
+			return err
+		}
+		schm := c.spec.New(c.seed)
+		c.cfg.ManagerOpts = c.spec.ManagerOpts
+		c.cfg.Chaos = p.Chaos
+		var done func()
+		c.cfg.Telemetry, done = stream.cell(i)
+		defer done()
+		//drtplint:ignore determinism a cell's wall time feeds only the scale runner's SCALE_JSON rate, never a table
+		start := time.Now()
+		res, err := sim.Run(net, schm, c.scen, c.cfg)
+		if err != nil {
+			return fmt.Errorf("experiments: %s: %w", c.spec.Name, err)
+		}
+		//drtplint:ignore determinism see start above
+		runs[i] = cellRun{res: res, elapsed: time.Since(start)}
+		if inspect != nil {
+			inspect(i, net, schm)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return runs, nil
+}
 
 // workerCount resolves Params.Workers: non-positive means one goroutine
 // per available CPU.

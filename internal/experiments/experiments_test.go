@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/scenario"
 )
 
@@ -163,7 +162,7 @@ func TestDefaultParamsLambdaRanges(t *testing.T) {
 	if p4.Lambdas[0] != 0.4 || p4.Lambdas[len(p4.Lambdas)-1] != 1.0 {
 		t.Fatalf("E=4 lambdas = %v", p4.Lambdas)
 	}
-	if p3.Nodes != 60 || p3.Mode != lsdb.Multiplexed {
+	if p3.Nodes != 60 {
 		t.Fatalf("params = %+v", p3)
 	}
 }

@@ -22,14 +22,7 @@ type MultiBackupRow struct {
 
 // CapacityOverhead mirrors SweepRow.CapacityOverhead.
 func (r MultiBackupRow) CapacityOverhead() float64 {
-	if r.BaselineAccepted == 0 {
-		return 0
-	}
-	oh := float64(r.BaselineAccepted-r.Result.AcceptedInWindow) / float64(r.BaselineAccepted)
-	if oh < 0 {
-		return 0
-	}
-	return oh
+	return capacityOverhead(r.BaselineAccepted, r.Result.AcceptedInWindow)
 }
 
 // AvgBackupsPerConn returns the mean number of backup channels each
@@ -58,79 +51,46 @@ func RunMultiBackup(p Params) (*MultiBackup, error) {
 	if err != nil {
 		return nil, err
 	}
-	simCfg := sim.Config{
-		Warmup:       p.Warmup,
-		EvalInterval: p.EvalInterval,
-		PairSamples:  200,
-		PairSeed:     p.Seed,
-		Chaos:        p.Chaos,
+	ks := []int{1, 2}
+	specs := []SchemeSpec{NoBackupSpec()}
+	for _, k := range ks {
+		specs = append(specs, SchemeSpec{Name: fmt.Sprintf("D-LSR k=%d", k),
+			New: func(int64) drtp.Scheme { return routing.NewDLSR(routing.WithBackupCount(k)) }})
 	}
-
-	// One job per (lambda, baseline-or-k) run, sharded across the worker
-	// pool and merged in job order (see engine.go).
-	type mbJob struct {
-		lambda float64
-		k      int // 0 for the no-backup baseline
-		base   int // job index of the lambda's baseline run
-		scen   *scenario.Scenario
-	}
-	var jobs []mbJob
+	// Per lambda: the no-backup baseline, then each k on the identical
+	// scenario.
+	var cells []cell
 	for _, lambda := range p.Lambdas {
 		sc, err := p.generateScenario(scenario.UT, lambda)
 		if err != nil {
 			return nil, err
 		}
-		baseIdx := len(jobs)
-		jobs = append(jobs, mbJob{lambda: lambda, base: -1, scen: sc})
-		for _, k := range []int{1, 2} {
-			jobs = append(jobs, mbJob{lambda: lambda, k: k, base: baseIdx, scen: sc})
+		for _, spec := range specs {
+			cells = append(cells, cell{graph: g, scen: sc, spec: spec, cfg: sim.Config{
+				Warmup:       p.Warmup,
+				EvalInterval: p.EvalInterval,
+				PairSamples:  200,
+				PairSeed:     p.Seed,
+			}})
 		}
 	}
-
-	results := make([]*sim.Result, len(jobs))
-	stream := newTelemetryStream(p.Telemetry, len(jobs), p.workerCount())
-	err = runParallel(p.workerCount(), len(jobs), func(i int) error {
-		j := jobs[i]
-		tracer, done := stream.cell(i)
-		defer done()
-		simCfg := simCfg
-		simCfg.Telemetry = tracer
-		net, err := drtp.NewNetwork(g, p.Capacity, p.UnitBW)
-		if err != nil {
-			return err
-		}
-		if j.k == 0 {
-			baseCfg := simCfg
-			baseCfg.ManagerOpts = []drtp.ManagerOption{drtp.WithOptionalBackup()}
-			res, err := sim.Run(net, routing.NewNoBackup(), j.scen, baseCfg)
-			if err != nil {
-				return fmt.Errorf("experiments: multibackup baseline: %w", err)
-			}
-			results[i] = res
-			return nil
-		}
-		res, err := sim.Run(net, routing.NewDLSR(routing.WithBackupCount(j.k)), j.scen, simCfg)
-		if err != nil {
-			return fmt.Errorf("experiments: multibackup k=%d: %w", j.k, err)
-		}
-		results[i] = res
-		return nil
-	})
+	runs, err := p.run(cells, nil)
 	if err != nil {
 		return nil, err
 	}
 
 	result := &MultiBackup{Params: p}
-	for i, j := range jobs {
-		if j.k == 0 {
-			continue
+	for _, lambda := range p.Lambdas {
+		base, group := runs[0].res, runs[1:len(specs)]
+		runs = runs[len(specs):]
+		for j, k := range ks {
+			result.Rows = append(result.Rows, MultiBackupRow{
+				Backups:          k,
+				Lambda:           lambda,
+				Result:           group[j].res,
+				BaselineAccepted: base.AcceptedInWindow,
+			})
 		}
-		result.Rows = append(result.Rows, MultiBackupRow{
-			Backups:          j.k,
-			Lambda:           j.lambda,
-			Result:           results[i],
-			BaselineAccepted: results[j.base].AcceptedInWindow,
-		})
 	}
 	return result, nil
 }

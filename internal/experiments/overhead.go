@@ -6,7 +6,6 @@ import (
 	"github.com/rtcl/drtp/internal/drtp"
 	"github.com/rtcl/drtp/internal/flood"
 	"github.com/rtcl/drtp/internal/metrics"
-	"github.com/rtcl/drtp/internal/routing"
 	"github.com/rtcl/drtp/internal/scenario"
 	"github.com/rtcl/drtp/internal/sim"
 )
@@ -57,47 +56,25 @@ func RunOverhead(p Params, pattern scenario.Pattern, lambda float64) (*OverheadR
 	if err != nil {
 		return nil, err
 	}
-	simCfg := sim.Config{Warmup: p.Warmup, EvalInterval: 0, Chaos: p.Chaos}
-
-	// The BF and D-LSR measurement runs replay the identical scenario on
-	// separate networks, so they shard across the worker pool like any
-	// other pair of cells.
-	bf := flood.NewDefault()
-	var dlsrNet *drtp.Network
-	runs := []func(sim.Config) error{
-		func(cfg sim.Config) error {
-			bfNet, err := drtp.NewNetworkWithMode(g, p.Capacity, p.UnitBW, p.Mode)
-			if err != nil {
-				return err
-			}
-			if _, err := sim.Run(bfNet, bf, sc, cfg); err != nil {
-				return fmt.Errorf("experiments: overhead BF run: %w", err)
-			}
-			return nil
-		},
-		func(cfg sim.Config) error {
-			net, err := drtp.NewNetworkWithMode(g, p.Capacity, p.UnitBW, p.Mode)
-			if err != nil {
-				return err
-			}
-			if _, err := sim.Run(net, routing.NewDLSR(), sc, cfg); err != nil {
-				return fmt.Errorf("experiments: overhead D-LSR run: %w", err)
-			}
-			dlsrNet = net
-			return nil
-		},
-	}
-	stream := newTelemetryStream(p.Telemetry, len(runs), p.workerCount())
-	if err := runParallel(p.workerCount(), len(runs), func(i int) error {
-		cfg := simCfg
-		var done func()
-		cfg.Telemetry, done = stream.cell(i)
-		defer done()
-		return runs[i](cfg)
-	}); err != nil {
+	// BF runs for the flooding counters, D-LSR for the register-packet
+	// volume, both on the identical scenario without failure sweeps.
+	ps := PaperSchemes()
+	cfg := sim.Config{Warmup: p.Warmup}
+	var bfStats flood.Stats
+	var registerOps int64
+	_, err = p.run([]cell{
+		{graph: g, scen: sc, spec: ps[2], cfg: cfg},
+		{graph: g, scen: sc, spec: ps[0], cfg: cfg},
+	}, func(i int, net *drtp.Network, schm drtp.Scheme) {
+		if i == 0 {
+			bfStats = schm.(*flood.Scheme).Stats()
+		} else {
+			registerOps = net.DB().BackupOps()
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
-	bfStats := bf.Stats()
 
 	res := &OverheadResult{
 		Params:              p,
@@ -106,7 +83,7 @@ func RunOverhead(p Params, pattern scenario.Pattern, lambda float64) (*OverheadR
 		PLSRBytesPerLink:    8,
 		DLSRBytesPerLink:    (g.NumLinks() + 7) / 8,
 		APLVBytesPerLink:    4 * g.NumLinks(),
-		RegisterLinkUpdates: dlsrNet.DB().BackupOps(),
+		RegisterLinkUpdates: registerOps,
 	}
 	if bfStats.Requests > 0 {
 		req := float64(bfStats.Requests)

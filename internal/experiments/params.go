@@ -13,11 +13,9 @@ import (
 	"github.com/rtcl/drtp/internal/faultinject"
 	"github.com/rtcl/drtp/internal/flood"
 	"github.com/rtcl/drtp/internal/graph"
-	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/rng"
 	"github.com/rtcl/drtp/internal/routing"
 	"github.com/rtcl/drtp/internal/scenario"
-	"github.com/rtcl/drtp/internal/sim"
 	"github.com/rtcl/drtp/internal/telemetry"
 	"github.com/rtcl/drtp/internal/topology"
 )
@@ -51,8 +49,6 @@ type Params struct {
 	// reports mean±sd (default 1: a single run, exactly the paper's
 	// methodology of one scenario file per point).
 	Replications int
-	// Mode selects backup multiplexing (default) or dedicated spares.
-	Mode lsdb.Mode
 	// Workers is the number of goroutines evaluating experiment cells
 	// concurrently. Non-positive means one per available CPU
 	// (runtime.GOMAXPROCS). Results are bit-identical at any worker
@@ -91,14 +87,10 @@ func DefaultParams(degree float64) Params {
 		Warmup:       160,
 		EvalInterval: 10,
 		Seed:         1,
-		Mode:         lsdb.Multiplexed,
 	}
 }
 
 func (p *Params) setDefaults() {
-	if p.Mode == 0 {
-		p.Mode = lsdb.Multiplexed
-	}
 	if len(p.Patterns) == 0 {
 		p.Patterns = []scenario.Pattern{scenario.UT}
 	}
@@ -155,28 +147,6 @@ func (p Params) cellSeed(label string) int64 {
 	return rng.New(p.Seed).Split(label).Int63()
 }
 
-// runCell executes one (scheme, scenario) cell on a fresh network. The
-// scheme is instantiated with a seed derived from the cell label so
-// randomized schemes are reproducible per cell.
-func runCell(p Params, g *graph.Graph, spec SchemeSpec, sc *scenario.Scenario) (*sim.Result, drtp.Scheme, error) {
-	net, err := drtp.NewNetworkWithMode(g, p.Capacity, p.UnitBW, p.Mode)
-	if err != nil {
-		return nil, nil, err
-	}
-	schm := spec.New(p.cellSeed("scheme/" + spec.Name))
-	res, err := sim.Run(net, schm, sc, sim.Config{
-		Warmup:       p.Warmup,
-		EvalInterval: p.EvalInterval,
-		ManagerOpts:  spec.ManagerOpts,
-		Telemetry:    p.Telemetry,
-		Chaos:        p.Chaos,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: %s: %w", spec.Name, err)
-	}
-	return res, schm, nil
-}
-
 // generateScenario builds the traffic trace for one (pattern, lambda)
 // cell, seeded from the cell's stable label.
 func (p Params) generateScenario(pattern scenario.Pattern, lambda float64) (*scenario.Scenario, error) {
@@ -187,4 +157,14 @@ func (p Params) generateScenario(pattern scenario.Pattern, lambda float64) (*sce
 		Pattern:  pattern,
 		Seed:     p.cellSeed(fmt.Sprintf("scenario/%s/%.3f", pattern, lambda)),
 	})
+}
+
+// capacityOverhead is the paper's capacity overhead of a run that accepted
+// accepted connections where the no-backup baseline accepted baseline:
+// the fractional decrease, floored at zero.
+func capacityOverhead(baseline, accepted int64) float64 {
+	if baseline == 0 || accepted >= baseline {
+		return 0
+	}
+	return float64(baseline-accepted) / float64(baseline)
 }

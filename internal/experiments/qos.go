@@ -3,10 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/rtcl/drtp/internal/drtp"
-	"github.com/rtcl/drtp/internal/flood"
 	"github.com/rtcl/drtp/internal/metrics"
-	"github.com/rtcl/drtp/internal/routing"
 	"github.com/rtcl/drtp/internal/scenario"
 	"github.com/rtcl/drtp/internal/sim"
 )
@@ -44,32 +41,27 @@ func RunQoS(p Params, lambda float64) (*QoS, error) {
 	if err != nil {
 		return nil, err
 	}
-	schemes := []struct {
-		name string
-		new  func() drtp.Scheme
-	}{
-		{name: "D-LSR", new: func() drtp.Scheme { return routing.NewDLSR() }},
-		{name: "BF", new: func() drtp.Scheme { return flood.NewDefault() }},
+	ps := PaperSchemes()
+	schemes := []SchemeSpec{ps[0], ps[2]}
+	slacks := []int{0, 1, 2, 3, -1}
+	var cells []cell
+	for _, slack := range slacks {
+		for _, spec := range schemes {
+			c := cell{graph: g, scen: sc, spec: spec, cfg: sim.Config{Warmup: p.Warmup, EvalInterval: p.EvalInterval}}
+			if slack >= 0 {
+				c.cfg.QoSBound = true
+				c.cfg.QoSSlack = slack
+			}
+			cells = append(cells, c)
+		}
+	}
+	runs, err := p.run(cells, nil)
+	if err != nil {
+		return nil, err
 	}
 	out := &QoS{Params: p, Lambda: lambda}
-	for _, slack := range []int{0, 1, 2, 3, -1} {
-		for _, spec := range schemes {
-			net, err := drtp.NewNetworkWithMode(g, p.Capacity, p.UnitBW, p.Mode)
-			if err != nil {
-				return nil, err
-			}
-			cfg := sim.Config{Warmup: p.Warmup, EvalInterval: p.EvalInterval,
-				Telemetry: p.Telemetry, Chaos: p.Chaos}
-			if slack >= 0 {
-				cfg.QoSBound = true
-				cfg.QoSSlack = slack
-			}
-			res, err := sim.Run(net, spec.new(), sc, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: qos %s slack %d: %w", spec.name, slack, err)
-			}
-			out.Rows = append(out.Rows, QoSRow{Scheme: spec.name, Slack: slack, Result: res})
-		}
+	for i, c := range cells {
+		out.Rows = append(out.Rows, QoSRow{Scheme: c.spec.Name, Slack: slacks[i/len(schemes)], Result: runs[i].res})
 	}
 	return out, nil
 }

@@ -36,7 +36,7 @@ import (
 // ScaleParams configures a web-scale run.
 type ScaleParams struct {
 	// Params supplies the topology (Nodes, Degree, Seed), link dimensions
-	// (Capacity, UnitBW, Mode), the lambda sweep and Workers.
+	// (Capacity, UnitBW), the lambda sweep and Workers.
 	Params Params
 	// Schemes lists the routing schemes to evaluate; the default is D-LSR
 	// and P-LSR. Bounded flooding is excluded by default: it consults the
@@ -124,14 +124,12 @@ func RunScale(p ScaleParams) (*Scale, error) {
 		return nil, err
 	}
 
-	type scaleCell struct {
-		spec            SchemeSpec
-		lambda          float64
-		scen            *scenario.Scenario
-		fails           []sim.FailureEvent
-		warmup, endTime float64
-	}
-	var cells []scaleCell
+	// Per lambda: every scheme replays one scenario and failure schedule.
+	// Non-destructive sweeps stay off (EvalInterval 0): they evaluate
+	// every link per epoch — O(links · connections) work the web-scale
+	// runs cannot afford. Recovery metrics come from the destructive
+	// schedule instead.
+	var cells []cell
 	for _, lambda := range p.Params.Lambdas {
 		duration := float64(p.Connections) / (float64(p.Params.Nodes) * lambda)
 		warmup := 0.2 * duration
@@ -147,61 +145,36 @@ func RunScale(p ScaleParams) (*Scale, error) {
 		}
 		fails := p.failureSchedule(g, lambda, warmup, duration)
 		for _, spec := range p.Schemes {
-			cells = append(cells, scaleCell{spec: spec, lambda: lambda, scen: sc,
-				fails: fails, warmup: warmup, endTime: duration})
+			cells = append(cells, cell{graph: g, scen: sc, spec: spec,
+				seed: p.Params.cellSeed("scale/scheme/" + spec.Name),
+				cfg: sim.Config{Warmup: warmup, EndTime: duration, FailureSchedule: fails,
+					CollectRecovery: true}})
 		}
 	}
-
-	rows := make([]*ScaleRow, len(cells))
-	stream := newTelemetryStream(p.Params.Telemetry, len(cells), p.Params.workerCount())
-	err = runParallel(p.Params.workerCount(), len(cells), func(i int) error {
-		c := cells[i]
-		pc := p.Params
-		tracer, done := stream.cell(i)
-		defer done()
-		pc.Telemetry = tracer
-		net, err := drtp.NewNetworkWithMode(g, pc.Capacity, pc.UnitBW, pc.Mode)
-		if err != nil {
-			return err
-		}
-		schm := c.spec.New(pc.cellSeed("scale/scheme/" + c.spec.Name))
-		//drtplint:ignore determinism per-cell wall time feeds the establishment rate in SCALE_JSON, not the deterministic table
-		cellStart := time.Now()
-		res, err := sim.Run(net, schm, c.scen, sim.Config{
-			Warmup: c.warmup,
-			// Non-destructive sweeps evaluate every link per epoch —
-			// O(links · connections) work the web-scale runs cannot
-			// afford. Recovery metrics come from the destructive
-			// schedule instead.
-			EvalInterval:    0,
-			EndTime:         c.endTime,
-			ManagerOpts:     c.spec.ManagerOpts,
-			Telemetry:       pc.Telemetry,
-			Chaos:           pc.Chaos,
-			FailureSchedule: c.fails,
-			CollectRecovery: true,
-		})
-		if err != nil {
-			return fmt.Errorf("experiments: scale %s: %w", c.spec.Name, err)
-		}
-		row := &ScaleRow{
-			Scheme:    c.spec.Name,
-			Lambda:    c.lambda,
-			Arrivals:  c.scen.NumArrivals(),
-			Result:    res,
-			APLVBytes: net.DB().APLVBytes(),
-			//drtplint:ignore determinism see cellStart above
-			Elapsed: time.Since(cellStart),
-		}
-		if res.Stats.Accepted > 0 {
-			row.BytesPerConn = float64(row.APLVBytes) / float64(res.Stats.Accepted)
-		}
-		row.fillPercentiles(res.Recovery)
-		rows[i] = row
-		return nil
+	aplvBytes := make([]int64, len(cells))
+	runs, err := p.Params.run(cells, func(i int, net *drtp.Network, _ drtp.Scheme) {
+		aplvBytes[i] = net.DB().APLVBytes()
 	})
 	if err != nil {
 		return nil, err
+	}
+
+	rows := make([]*ScaleRow, len(cells))
+	for i, c := range cells {
+		r := runs[i]
+		row := &ScaleRow{
+			Scheme:    c.spec.Name,
+			Lambda:    p.Params.Lambdas[i/len(p.Schemes)],
+			Arrivals:  c.scen.NumArrivals(),
+			Result:    r.res,
+			APLVBytes: aplvBytes[i],
+			Elapsed:   r.elapsed,
+		}
+		if r.res.Stats.Accepted > 0 {
+			row.BytesPerConn = float64(row.APLVBytes) / float64(r.res.Stats.Accepted)
+		}
+		row.fillPercentiles(r.res.Recovery)
+		rows[i] = row
 	}
 
 	s := &Scale{Params: p, Nodes: g.NumNodes(), Links: g.NumLinks(), Rows: rows}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/metrics"
 	"github.com/rtcl/drtp/internal/scenario"
 	"github.com/rtcl/drtp/internal/sim"
@@ -80,32 +79,6 @@ func (s *Sweep) row(pattern scenario.Pattern, lambda float64, scheme string) *Sw
 	return r
 }
 
-// sweepJob is one schedulable unit of a sweep: a single (replication,
-// pattern, lambda, scheme-or-baseline) simulation run.
-type sweepJob struct {
-	rep      int
-	pattern  scenario.Pattern
-	lambda   float64
-	spec     SchemeSpec
-	baseline bool
-	// base is the job index of this cell's NoBackup baseline run (the
-	// overhead denominator); -1 for baseline jobs themselves.
-	base int
-	// params carries the replication's seed; graph and scen are the
-	// shared read-only topology and traffic trace of the cell.
-	params Params
-	graph  *graph.Graph
-	scen   *scenario.Scenario
-}
-
-// sweepJobResult is what one job writes into its private slot.
-type sweepJobResult struct {
-	res *sim.Result
-	// ft is the job's single-observation fault-tolerance partial; the
-	// merge phase folds partials into each row's aggregate in cell order.
-	ft metrics.Sample
-}
-
 // RunSweep evaluates the given schemes over all (pattern, lambda) cells of
 // the parameters, replaying the identical scenario file for every scheme
 // of a cell (including the NoBackup baseline), exactly as the paper does.
@@ -116,14 +89,10 @@ type sweepJobResult struct {
 // bit-identical at any worker count (see engine.go for the contract).
 func RunSweep(p Params, schemes []SchemeSpec) (*Sweep, error) {
 	p.setDefaults()
-	sweep := &Sweep{Params: p, Baselines: make(map[string]*sim.Result)}
-	baseline := NoBackupSpec()
-
-	// Enumerate every run in the serial visiting order. Topologies and
-	// scenarios are generated up front (they are deterministic in the
-	// replication seed and cell label) and shared read-only by the jobs
-	// of a cell.
-	var jobs []sweepJob
+	// Per replication, pattern and lambda: the NoBackup baseline, then
+	// each scheme, all replaying one scenario on one topology.
+	specs := append([]SchemeSpec{NoBackupSpec()}, schemes...)
+	var cells []cell
 	for rep := 0; rep < p.Replications; rep++ {
 		pr := p
 		pr.Seed = p.Seed + int64(rep)
@@ -137,64 +106,40 @@ func RunSweep(p Params, schemes []SchemeSpec) (*Sweep, error) {
 				if err != nil {
 					return nil, err
 				}
-				baseIdx := len(jobs)
-				jobs = append(jobs, sweepJob{rep: rep, pattern: pattern, lambda: lambda,
-					spec: baseline, baseline: true, base: -1, params: pr, graph: g, scen: sc})
-				for _, spec := range schemes {
-					jobs = append(jobs, sweepJob{rep: rep, pattern: pattern, lambda: lambda,
-						spec: spec, base: baseIdx, params: pr, graph: g, scen: sc})
+				for _, spec := range specs {
+					cells = append(cells, cell{graph: g, scen: sc, spec: spec,
+						seed: pr.cellSeed("scheme/" + spec.Name),
+						cfg:  sim.Config{Warmup: p.Warmup, EvalInterval: p.EvalInterval}})
 				}
 			}
 		}
 	}
-
-	results := make([]sweepJobResult, len(jobs))
-	stream := newTelemetryStream(p.Telemetry, len(jobs), p.workerCount())
-	err := runParallel(p.workerCount(), len(jobs), func(i int) error {
-		j := jobs[i]
-		pc := j.params
-		tracer, done := stream.cell(i)
-		defer done()
-		pc.Telemetry = tracer
-		res, _, err := runCell(pc, j.graph, j.spec, j.scen)
-		if err != nil {
-			return err
-		}
-		r := sweepJobResult{res: res}
-		if !j.baseline {
-			r.ft.Add(res.FaultTolerance)
-		}
-		results[i] = r
-		return nil
-	})
+	runs, err := p.run(cells, nil)
 	if err != nil {
 		return nil, err
 	}
 
-	// Merge phase: single-threaded, in job (= serial visiting) order.
-	// Telemetry already streamed out in this order as cells completed.
-	for i, j := range jobs {
-		r := results[i]
-		if j.baseline {
-			if j.rep == 0 {
-				sweep.Baselines[baselineKey(j.pattern, j.lambda)] = r.res
+	// Fold in cell (= serial visiting) order, the same loop nest again.
+	sweep := &Sweep{Params: p, Baselines: make(map[string]*sim.Result)}
+	for rep := 0; rep < p.Replications; rep++ {
+		for _, pattern := range p.Patterns {
+			for _, lambda := range p.Lambdas {
+				base, group := runs[0].res, runs[1:len(specs)]
+				runs = runs[len(specs):]
+				if rep == 0 {
+					sweep.Baselines[baselineKey(pattern, lambda)] = base
+				}
+				for j, spec := range schemes {
+					res := group[j].res
+					row := sweep.row(pattern, lambda, spec.Name)
+					row.FTSample.Add(res.FaultTolerance)
+					row.OverheadSample.Add(capacityOverhead(base.AcceptedInWindow, res.AcceptedInWindow))
+					if rep == 0 {
+						row.Result = res
+						row.BaselineAccepted = base.AcceptedInWindow
+					}
+				}
 			}
-			continue
-		}
-		base := results[j.base].res
-		row := sweep.row(j.pattern, j.lambda, j.spec.Name)
-		row.FTSample.Merge(r.ft)
-		oh := 0.0
-		if base.AcceptedInWindow > 0 {
-			oh = float64(base.AcceptedInWindow-r.res.AcceptedInWindow) / float64(base.AcceptedInWindow)
-			if oh < 0 {
-				oh = 0
-			}
-		}
-		row.OverheadSample.Add(oh)
-		if j.rep == 0 {
-			row.Result = r.res
-			row.BaselineAccepted = base.AcceptedInWindow
 		}
 	}
 	return sweep, nil

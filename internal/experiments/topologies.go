@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/rtcl/drtp/internal/drtp"
-	"github.com/rtcl/drtp/internal/flood"
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/metrics"
 	"github.com/rtcl/drtp/internal/routing"
@@ -62,17 +61,14 @@ func RunTopologySensitivity(p Params, lambda float64) (*TopologySensitivity, err
 			return topology.Grid(side, side)
 		}},
 	}
-	schemes := []struct {
-		name string
-		new  func() drtp.Scheme
-	}{
-		{name: "D-LSR", new: func() drtp.Scheme { return routing.NewDLSR() }},
-		{name: "BF", new: func() drtp.Scheme { return flood.NewDefault() }},
-		{name: "MinHop", new: func() drtp.Scheme { return routing.NewMinHopDisjoint() }},
-	}
+	ps := PaperSchemes()
+	schemes := []SchemeSpec{ps[0], ps[2],
+		{Name: "MinHop", New: func(int64) drtp.Scheme { return routing.NewMinHopDisjoint() }}}
 
-	out := &TopologySensitivity{Params: p, Lambda: lambda}
-	for _, tp := range topos {
+	// Per topology: every scheme replays one scenario sized to it.
+	var cells []cell
+	meanHops := make([]float64, len(topos))
+	for i, tp := range topos {
 		g, err := tp.build()
 		if err != nil {
 			return nil, fmt.Errorf("experiments: topology %s: %w", tp.name, err)
@@ -87,29 +83,25 @@ func RunTopologySensitivity(p Params, lambda float64) (*TopologySensitivity, err
 		if err != nil {
 			return nil, err
 		}
-		dt := graph.NewDistanceTable(g)
+		meanHops[i] = graph.NewDistanceTable(g).MeanHops()
 		for _, spec := range schemes {
-			net, err := drtp.NewNetworkWithMode(g, p.Capacity, p.UnitBW, p.Mode)
-			if err != nil {
-				return nil, err
-			}
-			res, err := sim.Run(net, spec.new(), sc, sim.Config{
-				Warmup:       p.Warmup,
-				EvalInterval: p.EvalInterval,
-				Telemetry:    p.Telemetry,
-				Chaos:        p.Chaos,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: topology %s/%s: %w", tp.name, spec.name, err)
-			}
-			out.Rows = append(out.Rows, TopologyRow{
-				Topology:  tp.name,
-				Scheme:    spec.name,
-				AvgDegree: g.AvgDegree(),
-				MeanHops:  dt.MeanHops(),
-				Result:    res,
-			})
+			cells = append(cells, cell{graph: g, scen: sc, spec: spec,
+				cfg: sim.Config{Warmup: p.Warmup, EvalInterval: p.EvalInterval}})
 		}
+	}
+	runs, err := p.run(cells, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := &TopologySensitivity{Params: p, Lambda: lambda}
+	for i, c := range cells {
+		out.Rows = append(out.Rows, TopologyRow{
+			Topology:  topos[i/len(schemes)].name,
+			Scheme:    c.spec.Name,
+			AvgDegree: c.graph.AvgDegree(),
+			MeanHops:  meanHops[i/len(schemes)],
+			Result:    runs[i].res,
+		})
 	}
 	return out, nil
 }
