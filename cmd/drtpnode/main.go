@@ -154,7 +154,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	defer stopSignals()
 
 	mesh := transport.NewTCPMesh(addrs)
-	var attacher controlplane.Attacher = mesh
+	var attacher transport.Attacher = mesh
 	if *chaos != "" {
 		sched, err := faultinject.Load(*chaos)
 		if err != nil {
@@ -170,24 +170,27 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		fmt.Fprintf(out, "drtpnode: chaos schedule %s armed (seed %d)\n", *chaos, sched.Seed)
 	}
 
-	rt := roleRuntime{
-		graph:     g,
-		mesh:      mesh,
-		attacher:  attacher,
-		tracer:    tracer,
-		metrics:   reg,
-		node:      graph.NodeID(*node),
-		capacity:  *capacity,
-		unitBW:    *unitBW,
-		scheme:    backup,
-		retries:   *retries,
-		chaos:     *chaos != "",
-		tenant:    *tenant,
-		quotas:    tenantQuotas,
-		heartbeat: *heartbeat,
-		hasCtl:    len(svc) > 0,
+	cfg := controlplane.DeployConfig{
+		Graph:             g,
+		Capacity:          *capacity,
+		UnitBW:            *unitBW,
+		Scheme:            backup,
+		HeartbeatInterval: *heartbeat,
+		HeartbeatMiss:     defaultHeartbeatMiss,
+		RetryLimit:        *retries,
+		Quotas:            tenantQuotas,
+		Tenants:           map[graph.NodeID]string{graph.NodeID(*node): *tenant},
+		Router:            router.Config{RetryLimit: *retries, NbrRecovery: *chaos != ""},
+		Telemetry:         tracer,
+		Metrics:           reg,
 	}
-	env, err := rt.start(*role)
+	startRole := *role
+	if startRole == "all" && len(svc) > 0 {
+		// A bare "all" is the historical standalone router; with
+		// -services it joins the control plane as a node.
+		startRole = "node"
+	}
+	env, err := start(startRole, cfg, graph.NodeID(*node), mesh, attacher)
 	if err != nil {
 		return err
 	}
@@ -204,7 +207,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	fmt.Fprint(out, env.banner)
 
 	consoleDone := make(chan error, 1)
-	go func() { consoleDone <- consoleCtl(env, in, out) }()
+	go func() { consoleDone <- console(env, in, out) }()
 	select {
 	case err := <-consoleDone:
 		return err
@@ -240,12 +243,15 @@ func parsePeers(spec string, nodes int) (map[graph.NodeID]string, error) {
 			continue
 		}
 		id, addr, ok := strings.Cut(part, "=")
-		if !ok {
+		if !ok || addr == "" {
 			return nil, fmt.Errorf("bad peer entry %q (want node=host:port)", part)
 		}
 		n, err := strconv.Atoi(id)
 		if err != nil || n < 0 || n >= nodes {
 			return nil, fmt.Errorf("bad peer node %q", id)
+		}
+		if _, dup := addrs[graph.NodeID(n)]; dup {
+			return nil, fmt.Errorf("peer node %d listed twice", n)
 		}
 		addrs[graph.NodeID(n)] = addr
 	}
@@ -320,14 +326,8 @@ func parseQuotas(spec string) (map[string]controlplane.Quota, error) {
 	return quotas, nil
 }
 
-// console reads router commands until EOF or quit; kept for the legacy
-// router-only surface (role "all" without services).
-func console(r *router.Router, g *graph.Graph, in io.Reader, out io.Writer) error {
-	return consoleCtl(&consoleEnv{r: r, g: g}, in, out)
-}
-
-// consoleCtl reads commands for any role until EOF or quit.
-func consoleCtl(env *consoleEnv, in io.Reader, out io.Writer) error {
+// console reads commands for any role until EOF or quit.
+func console(env *consoleEnv, in io.Reader, out io.Writer) error {
 	scanner := bufio.NewScanner(in)
 	fmt.Fprint(out, "> ")
 	for scanner.Scan() {
@@ -336,22 +336,17 @@ func consoleCtl(env *consoleEnv, in io.Reader, out io.Writer) error {
 			return nil
 		}
 		if line != "" {
-			executeCtl(env, line, out)
+			execute(env, line, out)
 		}
 		fmt.Fprint(out, "> ")
 	}
 	return scanner.Err()
 }
 
-// execute runs one router console command; kept for the legacy surface.
-func execute(r *router.Router, g *graph.Graph, line string, out io.Writer) {
-	executeCtl(&consoleEnv{r: r, g: g}, line, out)
-}
-
-// executeCtl runs one console command against whatever the process
+// execute runs one console command against whatever the process
 // hosts: router commands need a router, coordinator-backed commands an
 // agent, and ready works everywhere.
-func executeCtl(env *consoleEnv, line string, out io.Writer) {
+func execute(env *consoleEnv, line string, out io.Writer) {
 	fields := strings.Fields(line)
 	cmd := fields[0]
 	switch cmd {

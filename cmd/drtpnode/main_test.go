@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/router"
 	"github.com/rtcl/drtp/internal/topology"
 	"github.com/rtcl/drtp/internal/transport"
@@ -37,6 +36,8 @@ func TestParsePeersErrors(t *testing.T) {
 		{"bad format", "0:a"},
 		{"bad node", "x=a:1,1=b:2,2=c:3"},
 		{"out of range", "0=a:1,1=b:2,9=c:3"},
+		{"empty address", "0=,1=b:2,2=c:3"},
+		{"repeated node", "0=a:1,0=b:2,1=c:3,2=d:4"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -47,9 +48,9 @@ func TestParsePeersErrors(t *testing.T) {
 	}
 }
 
-// testRouter builds a single-node cluster over the in-memory transport so
-// console commands can be exercised without sockets.
-func testCluster(t *testing.T) (*router.Cluster, *graph.Graph) {
+// testConsole builds a router cluster over the in-memory transport and
+// returns node 0's console, so commands can be exercised without sockets.
+func testConsole(t *testing.T) *consoleEnv {
 	t.Helper()
 	g, err := topology.FromEdgeList(4, [][2]int{{0, 1}, {1, 2}, {0, 3}, {3, 2}})
 	if err != nil {
@@ -70,43 +71,41 @@ func testCluster(t *testing.T) (*router.Cluster, *graph.Graph) {
 		c.Close()
 		_ = mem.Close()
 	})
-	return c, g
+	return &consoleEnv{r: c.Router(0), g: g}
 }
 
 func TestExecuteEstablishInfoRelease(t *testing.T) {
-	c, g := testCluster(t)
-	r := c.Router(0)
+	env := testConsole(t)
 	var buf bytes.Buffer
 
-	execute(r, g, "establish 7 2", &buf)
+	execute(env, "establish 7 2", &buf)
 	if !strings.Contains(buf.String(), "established 7") {
 		t.Fatalf("output: %s", buf.String())
 	}
 	buf.Reset()
-	execute(r, g, "info 7", &buf)
+	execute(env, "info 7", &buf)
 	if !strings.Contains(buf.String(), "conn 7: 0 -> 2") {
 		t.Fatalf("output: %s", buf.String())
 	}
 	buf.Reset()
-	execute(r, g, "links", &buf)
+	execute(env, "links", &buf)
 	if !strings.Contains(buf.String(), "prime=1") {
 		t.Fatalf("output: %s", buf.String())
 	}
 	buf.Reset()
-	execute(r, g, "release 7", &buf)
+	execute(env, "release 7", &buf)
 	if !strings.Contains(buf.String(), "released 7") {
 		t.Fatalf("output: %s", buf.String())
 	}
 	buf.Reset()
-	execute(r, g, "info 7", &buf)
+	execute(env, "info 7", &buf)
 	if !strings.Contains(buf.String(), "not found") {
 		t.Fatalf("output: %s", buf.String())
 	}
 }
 
 func TestExecuteErrors(t *testing.T) {
-	c, g := testCluster(t)
-	r := c.Router(0)
+	env := testConsole(t)
 	tests := []struct {
 		cmd  string
 		want string
@@ -123,7 +122,7 @@ func TestExecuteErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		var buf bytes.Buffer
-		execute(r, g, tt.cmd, &buf)
+		execute(env, tt.cmd, &buf)
 		if !strings.Contains(buf.String(), tt.want) {
 			t.Errorf("%q -> %q, want %q", tt.cmd, buf.String(), tt.want)
 		}
@@ -131,22 +130,21 @@ func TestExecuteErrors(t *testing.T) {
 }
 
 func TestExecuteFail(t *testing.T) {
-	c, g := testCluster(t)
-	r := c.Router(0)
+	env := testConsole(t)
 	var buf bytes.Buffer
-	execute(r, g, "establish 1 2", &buf)
+	execute(env, "establish 1 2", &buf)
 	buf.Reset()
-	execute(r, g, "fail 1", &buf)
+	execute(env, "fail 1", &buf)
 	if !strings.Contains(buf.String(), "declared link to 1 failed") {
 		t.Fatalf("output: %s", buf.String())
 	}
 }
 
 func TestConsoleQuit(t *testing.T) {
-	c, g := testCluster(t)
+	env := testConsole(t)
 	in := strings.NewReader("links\nquit\n")
 	var out bytes.Buffer
-	if err := console(c.Router(0), g, in, &out); err != nil {
+	if err := console(env, in, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "> ") {

@@ -2,41 +2,16 @@ package main
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/rtcl/drtp/internal/controlplane"
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/router"
-	"github.com/rtcl/drtp/internal/telemetry"
 	"github.com/rtcl/drtp/internal/transport"
 )
 
-// Control-plane timing defaults for live deployments. The RPC timeout
-// bounds one coordinator round trip; heartbeat-miss of 3 declares a
-// node dead after three silent intervals.
-const (
-	defaultRPCTimeout    = 2 * time.Second
-	defaultHeartbeatMiss = 3
-)
-
-// roleRuntime carries everything a role needs to start.
-type roleRuntime struct {
-	graph     *graph.Graph
-	mesh      *transport.TCPMesh
-	attacher  controlplane.Attacher
-	tracer    *telemetry.Tracer
-	metrics   *telemetry.Registry
-	node      graph.NodeID
-	capacity  int
-	unitBW    int
-	scheme    router.BackupScheme
-	retries   int
-	chaos     bool
-	tenant    string
-	quotas    map[string]controlplane.Quota
-	heartbeat time.Duration
-	hasCtl    bool
-}
+// defaultHeartbeatMiss is how many silent heartbeat intervals declare
+// a live deployment's node dead; DeployConfig's own default is 2.
+const defaultHeartbeatMiss = 3
 
 // consoleEnv is what a started role exposes to the console and the
 // observability endpoint. Router commands need r, coordinator-backed
@@ -57,55 +32,62 @@ func (e *consoleEnv) close() {
 	}
 }
 
-// start brings up the process's role and returns its console surface.
-func (rt *roleRuntime) start(role string) (*consoleEnv, error) {
+// start brings up the process's role over at and returns its console
+// surface; mesh holds the listening address the banner names. "all" is
+// the standalone router: run resolves it to "node" when -services
+// joins the process to the control plane.
+func start(role string, cfg controlplane.DeployConfig, node graph.NodeID, mesh *transport.TCPMesh, at transport.Attacher) (*consoleEnv, error) {
+	var (
+		env  *consoleEnv
+		err  error
+		id   = node
+		what = fmt.Sprintf("node %d", node)
+	)
 	switch role {
 	case "routefinder":
-		return rt.startRouteFinder()
+		id, what = controlplane.RouteFinderID(cfg.Graph), "route finder"
+		env, err = startRouteFinder(cfg, at)
 	case "setup":
-		return rt.startCoordinator()
+		id, what = controlplane.CoordinatorID(cfg.Graph), "setup coordinator"
+		env, err = startCoordinator(cfg, at)
 	case "node":
-		return rt.startNode(true)
+		env, err = startNode(cfg, node, at)
 	case "all":
-		// Back-compat: a bare "all" is the historical standalone router;
-		// with -services it additionally joins the control plane.
-		return rt.startNode(rt.hasCtl)
+		env, err = startRouter(cfg, node, at)
 	default:
 		return nil, fmt.Errorf("unknown role %q", role)
+	}
+	if err != nil {
+		return nil, err
+	}
+	addr, _ := mesh.Addr(id)
+	env.g = cfg.Graph
+	env.banner = fmt.Sprintf("drtpnode: %s listening on %s (%d nodes, %d links)\n",
+		what, addr, cfg.Graph.NumNodes(), cfg.Graph.NumLinks())
+	return env, nil
+}
+
+// syncedProbe is the readiness of a process that needs only a full
+// link-state view.
+func syncedProbe(synced func() bool) func() (bool, string) {
+	return func() (bool, string) {
+		if !synced() {
+			return false, "awaiting link-state sync"
+		}
+		return true, ""
 	}
 }
 
 // startRouteFinder runs the route-finder service: it mirrors the
 // network's link-state adverts and answers primary+backup route
 // queries. Ready once the first full LSDB sync lands.
-func (rt *roleRuntime) startRouteFinder() (*consoleEnv, error) {
-	id := controlplane.RouteFinderID(rt.graph)
-	ep, err := rt.attacher.Attach(id)
+func startRouteFinder(cfg controlplane.DeployConfig, at transport.Attacher) (*consoleEnv, error) {
+	rf, err := controlplane.NewRouteFinder(cfg, at)
 	if err != nil {
 		return nil, err
 	}
-	rf, err := controlplane.NewRouteFinder(controlplane.RouteFinderConfig{
-		Graph:     rt.graph,
-		Capacity:  rt.capacity,
-		UnitBW:    rt.unitBW,
-		Scheme:    rt.scheme,
-		Telemetry: rt.tracer,
-	}, ep)
-	if err != nil {
-		_ = ep.Close()
-		return nil, err
-	}
-	addr, _ := rt.mesh.Addr(id)
 	return &consoleEnv{
-		g: rt.graph,
-		ready: func() (bool, string) {
-			if !rf.Synced() {
-				return false, "awaiting link-state sync"
-			}
-			return true, ""
-		},
-		banner: fmt.Sprintf("drtpnode: route finder listening on %s (%d nodes, %d links)\n",
-			addr, rt.graph.NumNodes(), rt.graph.NumLinks()),
+		ready:   syncedProbe(rf.Synced),
 		closers: []func(){func() { _ = rf.Close() }},
 	}, nil
 }
@@ -113,101 +95,47 @@ func (rt *roleRuntime) startRouteFinder() (*consoleEnv, error) {
 // startCoordinator runs the setup coordinator: registry, heartbeat
 // liveness, admission quotas and hop-by-hop establishment. It is ready
 // as soon as it serves; clients gate on their own registration.
-func (rt *roleRuntime) startCoordinator() (*consoleEnv, error) {
-	id := controlplane.CoordinatorID(rt.graph)
-	ep, err := rt.attacher.Attach(id)
+func startCoordinator(cfg controlplane.DeployConfig, at transport.Attacher) (*consoleEnv, error) {
+	coord, err := controlplane.NewCoordinator(cfg, at)
 	if err != nil {
 		return nil, err
 	}
-	coord, err := controlplane.NewCoordinator(controlplane.CoordinatorConfig{
-		Graph:             rt.graph,
-		RouteFinder:       controlplane.RouteFinderID(rt.graph),
-		UnitBW:            rt.unitBW,
-		HeartbeatInterval: rt.heartbeat,
-		HeartbeatMiss:     defaultHeartbeatMiss,
-		RPCTimeout:        defaultRPCTimeout,
-		RetryLimit:        rt.retries,
-		Quotas:            rt.quotas,
-		Telemetry:         rt.tracer,
-		Metrics:           rt.metrics,
-	}, ep)
-	if err != nil {
-		_ = ep.Close()
-		return nil, err
-	}
-	addr, _ := rt.mesh.Addr(id)
 	return &consoleEnv{
-		g:     rt.graph,
-		ready: func() (bool, string) { return true, "" },
-		banner: fmt.Sprintf("drtpnode: setup coordinator listening on %s (%d nodes, %d links)\n",
-			addr, rt.graph.NumNodes(), rt.graph.NumLinks()),
+		ready:   func() (bool, string) { return true, "" },
 		closers: []func(){func() { _ = coord.Close() }},
 	}, nil
 }
 
-// startNode runs a router, and when withAgent is set also the node's
-// control-plane agent sharing the same endpoint. Ready follows the
-// agent (registered, synced, not draining) or, standalone, the
-// router's link-state sync.
-func (rt *roleRuntime) startNode(withAgent bool) (*consoleEnv, error) {
-	ep, err := rt.attacher.Attach(rt.node)
+// startNode runs a router and its control-plane agent on one endpoint.
+// Ready follows the agent: registered, synced, not draining.
+func startNode(cfg controlplane.DeployConfig, node graph.NodeID, at transport.Attacher) (*consoleEnv, error) {
+	n, err := controlplane.NewNodeRuntime(cfg, node, at)
 	if err != nil {
 		return nil, err
 	}
-	rcfg := router.Config{
-		Node:        rt.node,
-		Graph:       rt.graph,
-		Capacity:    rt.capacity,
-		UnitBW:      rt.unitBW,
-		Scheme:      rt.scheme,
-		RetryLimit:  rt.retries,
-		NbrRecovery: rt.chaos,
-		Telemetry:   rt.tracer,
-		Metrics:     rt.metrics,
+	return &consoleEnv{
+		r:       n.Router,
+		a:       n.Agent,
+		ready:   n.Ready,
+		closers: []func(){func() { _ = n.Router.Close() }, func() { _ = n.Agent.Close() }},
+	}, nil
+}
+
+// startRouter runs a standalone router, outside any control plane.
+// Ready once its link-state view is synced.
+func startRouter(cfg controlplane.DeployConfig, node graph.NodeID, at transport.Attacher) (*consoleEnv, error) {
+	ep, err := at.Attach(node)
+	if err != nil {
+		return nil, err
 	}
-	env := &consoleEnv{g: rt.graph}
-	if !withAgent {
-		r, err := router.New(rcfg, ep)
-		if err != nil {
-			_ = ep.Close()
-			return nil, err
-		}
-		env.r = r
-		env.ready = func() (bool, string) {
-			if !r.Synced() {
-				return false, "awaiting link-state sync"
-			}
-			return true, ""
-		}
-		env.closers = []func(){func() { _ = r.Close() }}
-	} else {
-		routerEP, agentCh := controlplane.SplitEndpoint(ep)
-		rcfg.Mirrors = []graph.NodeID{controlplane.RouteFinderID(rt.graph)}
-		r, err := router.New(rcfg, routerEP)
-		if err != nil {
-			_ = routerEP.Close()
-			return nil, err
-		}
-		a, err := controlplane.NewAgent(controlplane.AgentConfig{
-			Node:              rt.node,
-			Graph:             rt.graph,
-			Coordinator:       controlplane.CoordinatorID(rt.graph),
-			Tenant:            rt.tenant,
-			HeartbeatInterval: rt.heartbeat,
-			RequestTimeout:    defaultRPCTimeout * time.Duration(max(rt.retries, 1)+2),
-			RetryLimit:        rt.retries,
-		}, r, routerEP, agentCh)
-		if err != nil {
-			_ = r.Close()
-			return nil, err
-		}
-		env.r = r
-		env.a = a
-		env.ready = a.Ready
-		env.closers = []func(){func() { _ = r.Close() }, func() { _ = a.Close() }}
+	r, err := router.New(cfg.RouterConfig(node, false), ep)
+	if err != nil {
+		_ = ep.Close()
+		return nil, err
 	}
-	addr, _ := rt.mesh.Addr(rt.node)
-	env.banner = fmt.Sprintf("drtpnode: node %d listening on %s (%d nodes, %d links)\n",
-		rt.node, addr, rt.graph.NumNodes(), rt.graph.NumLinks())
-	return env, nil
+	return &consoleEnv{
+		r:       r,
+		ready:   syncedProbe(r.Synced),
+		closers: []func(){func() { _ = r.Close() }},
+	}, nil
 }

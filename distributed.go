@@ -41,7 +41,7 @@ func NewRouter(cfg RouterConfig, ep Endpoint) (*Router, error) {
 }
 
 // NewRouterCluster starts a router for every node of cfg.Graph.
-func NewRouterCluster(cfg RouterConfig, at router.Attacher) (*RouterCluster, error) {
+func NewRouterCluster(cfg RouterConfig, at transport.Attacher) (*RouterCluster, error) {
 	return router.NewCluster(cfg, at)
 }
 

@@ -11,7 +11,6 @@ import (
 	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/proto"
 	"github.com/rtcl/drtp/internal/router"
-	"github.com/rtcl/drtp/internal/telemetry"
 	"github.com/rtcl/drtp/internal/transport"
 )
 
@@ -20,21 +19,9 @@ import (
 // in constant memory, comfortably outlasting retransmissions.
 const maxCmdResults = 1024
 
-// SplitEndpoint divides one transport endpoint between a node's router
-// and its control-plane agent: control messages (registration acks,
-// node deaths, drain notices, connection commands, request replies) go
-// to the agent channel, everything else stays on the endpoint's Recv.
-// The endpoint applies the split where it delivers each message
-// (transport.Endpoint.Split), so nothing relays between it and either
-// reader. The returned endpoint, inner itself, is what the router
-// attaches to; closing it closes both channels. Call it before anything
-// reads from inner.
-func SplitEndpoint(inner transport.Endpoint) (transport.Endpoint, <-chan proto.Envelope) {
-	return inner, inner.Split(agentBound)
-}
-
 // agentBound reports whether a message belongs to the node agent
-// rather than the router.
+// rather than the router: registration acks, node deaths, drain
+// notices, connection commands and the replies to client requests.
 func agentBound(m proto.Message) bool {
 	switch m.(type) {
 	case proto.RegisterAck, proto.NodeDown, proto.Unschedulable,
@@ -46,52 +33,6 @@ func agentBound(m proto.Message) bool {
 	}
 }
 
-// AgentConfig parameterizes an Agent.
-type AgentConfig struct {
-	// Node is the agent's node ID (the router's node).
-	Node graph.NodeID
-	// Graph is the static topology shared with the routers.
-	Graph *graph.Graph
-	// Coordinator is the setup coordinator's transport address; zero
-	// selects CoordinatorID(Graph).
-	Coordinator graph.NodeID
-	// Tenant names the tenant for requests issued through this agent's
-	// client API (default "default").
-	Tenant string
-	// HeartbeatInterval is the liveness beacon period (default 25ms);
-	// deploy it matching the coordinator's.
-	HeartbeatInterval time.Duration
-	// RequestTimeout bounds a client-API request round trip, retries
-	// included (default 10s).
-	RequestTimeout time.Duration
-	// RetryLimit is the attempt budget per client-API request (default
-	// 3); the coordinator dedups, so retries are idempotent.
-	RetryLimit int
-	// Logger receives agent events; nil discards them.
-	Logger *slog.Logger
-}
-
-func (c *AgentConfig) setDefaults(g *graph.Graph) {
-	if c.Coordinator == 0 {
-		c.Coordinator = CoordinatorID(g)
-	}
-	if c.Tenant == "" {
-		c.Tenant = "default"
-	}
-	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = 25 * time.Millisecond
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 10 * time.Second
-	}
-	if c.RetryLimit == 0 {
-		c.RetryLimit = 3
-	}
-	if c.Logger == nil {
-		c.Logger = telemetry.DiscardLogger()
-	}
-}
-
 // Agent is the control-plane side of a node runtime: it registers the
 // node with the coordinator, heartbeats, executes connection commands
 // through the co-located router (with sequence-number dedup, so the
@@ -99,11 +40,14 @@ func (c *AgentConfig) setDefaults(g *graph.Graph) {
 // links when a neighbor is declared dead, and offers a client API for
 // issuing tenant requests to the coordinator.
 type Agent struct {
-	cfg AgentConfig
-	r   *router.Router
-	ep  transport.Endpoint
-	in  <-chan proto.Envelope
-	log *slog.Logger
+	cfg    DeployConfig
+	node   graph.NodeID
+	coord  graph.NodeID
+	tenant string
+	r      *router.Router
+	ep     transport.Endpoint
+	in     <-chan proto.Envelope
+	log    *slog.Logger
 
 	mu sync.Mutex
 	// registered is set once the coordinator acks; guarded by mu.
@@ -126,27 +70,30 @@ type Agent struct {
 	work *workers
 }
 
-// NewAgent creates and starts an agent for the router. ep is the shared
-// underlying endpoint (used to send), in the agent-bound channel from
-// SplitEndpoint.
-func NewAgent(cfg AgentConfig, r *router.Router, ep transport.Endpoint, in <-chan proto.Envelope) (*Agent, error) {
-	if cfg.Graph == nil {
-		return nil, fmt.Errorf("controlplane: nil graph")
+// newAgent starts node's agent beside its router r: ep is the endpoint
+// they share (the agent only sends on it), in the agent's share of it.
+// cfg has its defaults applied.
+func newAgent(cfg DeployConfig, node graph.NodeID, r *router.Router, ep transport.Endpoint, in <-chan proto.Envelope) *Agent {
+	tenant := cfg.Tenants[node]
+	if tenant == "" {
+		tenant = "default"
 	}
-	cfg.setDefaults(cfg.Graph)
 	a := &Agent{
 		cfg:        cfg,
+		node:       node,
+		coord:      CoordinatorID(cfg.Graph),
+		tenant:     tenant,
 		r:          r,
 		ep:         ep,
 		in:         in,
-		log:        cfg.Logger.With("agent", int(cfg.Node)),
+		log:        cfg.Logger.With("agent", int(node)),
 		cmdResults: dedup.NewWindow[uint64, *proto.ConnCommandResult](maxCmdResults, dedup.Mix),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
 	a.work = newWorkers(&a.wg, a.stop)
 	go a.loop()
-	return a, nil
+	return a
 }
 
 // Close stops the agent, announcing a graceful leave to the
@@ -160,7 +107,7 @@ func (a *Agent) Close() error {
 	}
 	a.closed = true
 	a.mu.Unlock()
-	_ = a.ep.Send(a.cfg.Coordinator, proto.NodeDown{Node: a.cfg.Node, Reason: "leave"})
+	_ = a.ep.Send(a.coord, proto.NodeDown{Node: a.node, Reason: "leave"})
 	close(a.stop)
 	<-a.done
 	a.wg.Wait()
@@ -211,7 +158,7 @@ func (a *Agent) loop() {
 	regSeq := uint64(time.Now().UnixNano())
 	tick := time.NewTicker(a.cfg.HeartbeatInterval)
 	defer tick.Stop()
-	_ = a.ep.Send(a.cfg.Coordinator, proto.Register{Node: a.cfg.Node, Seq: regSeq})
+	_ = a.ep.Send(a.coord, proto.Register{Node: a.node, Seq: regSeq})
 	for {
 		select {
 		case env, ok := <-a.in:
@@ -222,13 +169,13 @@ func (a *Agent) loop() {
 		case <-tick.C:
 			a.mu.Lock()
 			a.hbSeq++
-			hb := proto.Heartbeat{Node: a.cfg.Node, Seq: a.hbSeq, Draining: a.draining}
+			hb := proto.Heartbeat{Node: a.node, Seq: a.hbSeq, Draining: a.draining}
 			registered := a.registered
 			a.mu.Unlock()
 			if !registered {
-				_ = a.ep.Send(a.cfg.Coordinator, proto.Register{Node: a.cfg.Node, Seq: regSeq})
+				_ = a.ep.Send(a.coord, proto.Register{Node: a.node, Seq: regSeq})
 			}
-			_ = a.ep.Send(a.cfg.Coordinator, hb)
+			_ = a.ep.Send(a.coord, hb)
 		case <-a.stop:
 			return
 		}
@@ -252,7 +199,7 @@ func (a *Agent) dispatch(env proto.Envelope) {
 	case proto.NodeDown:
 		a.handleNodeDown(m)
 	case proto.Unschedulable:
-		if m.Node != a.cfg.Node {
+		if m.Node != a.node {
 			return
 		}
 		a.mu.Lock()
@@ -269,10 +216,10 @@ func (a *Agent) dispatch(env proto.Envelope) {
 // a link-state death and triggering backup activation for connections
 // crossing it — heartbeat-miss thereby propagates into the data plane.
 func (a *Agent) handleNodeDown(m proto.NodeDown) {
-	if m.Node == a.cfg.Node {
+	if m.Node == a.node {
 		return
 	}
-	for _, nbr := range a.cfg.Graph.Neighbors(a.cfg.Node) {
+	for _, nbr := range a.cfg.Graph.Neighbors(a.node) {
 		if nbr == m.Node {
 			a.log.Info("failing link to dead neighbor", "neighbor", int(m.Node), "reason", m.Reason)
 			a.r.FailLink(m.Node)
@@ -338,7 +285,7 @@ func (a *Agent) execute(m proto.ConnCommand) proto.ConnCommandResult {
 // Request asks the coordinator to establish a DR-connection from this
 // node under the agent's tenant.
 func (a *Agent) Request(id lsdb.ConnID, dst graph.NodeID) (proto.EstablishReply, error) {
-	msg := proto.EstablishRequest{Conn: id, Tenant: a.cfg.Tenant, Src: a.cfg.Node, Dst: dst}
+	msg := proto.EstablishRequest{Conn: id, Tenant: a.tenant, Src: a.node, Dst: dst}
 	out, err := a.rpc(msg, proto.EstablishReply{Conn: id})
 	if err != nil {
 		return proto.EstablishReply{}, err
@@ -349,7 +296,7 @@ func (a *Agent) Request(id lsdb.ConnID, dst graph.NodeID) (proto.EstablishReply,
 // ReleaseConn asks the coordinator to release a connection previously
 // established under the agent's tenant.
 func (a *Agent) ReleaseConn(id lsdb.ConnID) (proto.ReleaseReply, error) {
-	msg := proto.ReleaseRequest{Conn: id, Tenant: a.cfg.Tenant}
+	msg := proto.ReleaseRequest{Conn: id, Tenant: a.tenant}
 	out, err := a.rpc(msg, proto.ReleaseReply{Conn: id})
 	if err != nil {
 		return proto.ReleaseReply{}, err
@@ -379,10 +326,9 @@ func (a *Agent) rpc(msg, want proto.Message) (proto.Message, error) {
 	if closed {
 		return nil, ErrClosed
 	}
+	// The attempts share a budget of RetryLimit+2 RPC timeouts, so a
+	// request outlasts a coordinator round trip that needs every retry.
 	attempts := max(a.cfg.RetryLimit, 1)
-	per := a.cfg.RequestTimeout / time.Duration(attempts)
-	if per <= 0 {
-		per = time.Millisecond
-	}
-	return call(a.ep, a.cfg.Coordinator, msg, want, attempts, per, a.stop)
+	per := a.cfg.RPCTimeout * time.Duration(attempts+2) / time.Duration(attempts)
+	return call(a.ep, a.coord, msg, want, attempts, per, a.stop)
 }

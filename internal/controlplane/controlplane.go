@@ -46,12 +46,9 @@ func CoordinatorID(g *graph.Graph) graph.NodeID {
 	return graph.NodeID(g.NumNodes() + 1)
 }
 
-// Attacher abstracts the transport constructor shared by the in-memory
-// switchboard, the TCP mesh and the fault injector, so deployments and
-// chaos tests wire the control plane over any of them.
-type Attacher interface {
-	Attach(node graph.NodeID) (transport.Endpoint, error)
-}
+// Attacher is transport.Attacher, under the name the control plane's
+// callers know it by.
+type Attacher = transport.Attacher
 
 // call runs one request/reply exchange over ep: it awaits the reply keyed
 // like want, a reply holding only its correlation field, then sends msg to

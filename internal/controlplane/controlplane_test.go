@@ -93,6 +93,45 @@ func contains(nodes []graph.NodeID, n graph.NodeID) bool {
 	return false
 }
 
+// TestDeploymentServicesShareConfig deploys with a non-default backup
+// count or scheme: the route finder routes as many backups as the
+// routers keep, and the source router holds exactly the routes the
+// coordinator replied with.
+func TestDeploymentServicesShareConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		backups     int
+		scheme      router.BackupScheme
+		wantBackups int
+	}{
+		{name: "two backups", backups: 2, wantBackups: 2},
+		{name: "P-LSR", scheme: router.PLSR, wantBackups: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := trident(t)
+			cfg := deployConfig(g, telemetry.NewRing(1<<12))
+			cfg.Backups, cfg.Scheme = tc.backups, tc.scheme
+			d := deploy(t, cfg, transport.NewMem())
+
+			reply, err := d.Node(0).Agent.Request(1, 1)
+			if err != nil || !reply.OK {
+				t.Fatalf("request: err=%v reason=%q", err, reply.Reason)
+			}
+			if len(reply.Backups) != tc.wantBackups {
+				t.Fatalf("reply carries %d backups %v, want %d", len(reply.Backups), reply.Backups, tc.wantBackups)
+			}
+			info, ok := d.Node(0).Router.Conn(1)
+			if !ok {
+				t.Fatal("router has no connection record")
+			}
+			if !reflect.DeepEqual(info.Primary, reply.Primary) || !reflect.DeepEqual(info.Backups, reply.Backups) {
+				t.Fatalf("router holds primary %v backups %v, reply said %v %v",
+					info.Primary, info.Backups, reply.Primary, reply.Backups)
+			}
+		})
+	}
+}
+
 func TestEstablishAndReleaseViaCoordinator(t *testing.T) {
 	ring := telemetry.NewRing(1 << 12)
 	g := trident(t)
@@ -445,14 +484,10 @@ func TestRouteFinderDropsHostileLinkAdvert(t *testing.T) {
 	g := trident(t)
 	mem := transport.NewMem()
 	t.Cleanup(func() { _ = mem.Close() })
-	rfEP, err := mem.Attach(controlplane.RouteFinderID(g))
-	if err != nil {
-		t.Fatal(err)
-	}
 	events := telemetry.NewBuffer()
-	rf, err := controlplane.NewRouteFinder(controlplane.RouteFinderConfig{
+	rf, err := controlplane.NewRouteFinder(controlplane.DeployConfig{
 		Graph: g, Capacity: 10, UnitBW: 1, Telemetry: telemetry.NewTracer(events),
-	}, rfEP)
+	}, mem)
 	if err != nil {
 		t.Fatal(err)
 	}

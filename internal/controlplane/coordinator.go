@@ -28,72 +28,8 @@ type Quota struct {
 	// MaxConns caps the tenant's concurrent connections.
 	MaxConns int
 	// MaxBandwidth caps the tenant's total reserved primary bandwidth;
-	// every connection consumes the coordinator's UnitBW against it.
+	// every connection consumes the deployment's UnitBW against it.
 	MaxBandwidth int
-}
-
-// CoordinatorConfig parameterizes a Coordinator.
-type CoordinatorConfig struct {
-	// Graph is the static topology shared with the routers.
-	Graph *graph.Graph
-	// RouteFinder is the route-finder service's transport address;
-	// zero selects RouteFinderID(Graph).
-	RouteFinder graph.NodeID
-	// UnitBW is the per-connection bandwidth charged against tenant
-	// quotas (default 1), matching the routers' unit.
-	UnitBW int
-	// HeartbeatInterval is the expected node heartbeat period and the
-	// coordinator's liveness check tick (default 25ms).
-	HeartbeatInterval time.Duration
-	// HeartbeatMiss is how many silent intervals declare a node dead
-	// (default 2, the dependability bound in EXPERIMENTS.md X8).
-	HeartbeatMiss int
-	// RPCTimeout bounds one attempt of an internal round trip (route
-	// query, node command); default 2s.
-	RPCTimeout time.Duration
-	// RetryLimit is the attempt budget per internal round trip (default
-	// 3). Command retransmissions reuse their sequence number, so node
-	// agents dedup and replay results instead of re-executing.
-	RetryLimit int
-	// Quotas maps tenant names to their admission quotas; tenants not
-	// listed fall back to DefaultQuota.
-	Quotas map[string]Quota
-	// DefaultQuota applies to tenants absent from Quotas; the zero value
-	// admits without limits.
-	DefaultQuota Quota
-	// Logger receives service events; nil discards them.
-	Logger *slog.Logger
-	// Telemetry receives typed events (node-join, node-leave,
-	// heartbeat-miss, admission-reject, drain-start, drain-done); nil
-	// disables emission.
-	Telemetry *telemetry.Tracer
-	// Metrics, when non-nil, receives the setup pipeline's per-stage
-	// latency histograms (drtp_cp_stage_seconds{stage}): admission is
-	// the synchronous quota/liveness check, route_query the route-finder
-	// round trip, establish the node command driving reserve/activate
-	// signalling, and total the whole request-to-reply span.
-	Metrics *telemetry.Registry
-}
-
-func (c *CoordinatorConfig) setDefaults() {
-	if c.UnitBW == 0 {
-		c.UnitBW = 1
-	}
-	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = 25 * time.Millisecond
-	}
-	if c.HeartbeatMiss == 0 {
-		c.HeartbeatMiss = 2
-	}
-	if c.RPCTimeout == 0 {
-		c.RPCTimeout = 2 * time.Second
-	}
-	if c.RetryLimit == 0 {
-		c.RetryLimit = 3
-	}
-	if c.Logger == nil {
-		c.Logger = telemetry.DiscardLogger()
-	}
 }
 
 // nodeRec is the registry's record of one node runtime.
@@ -143,7 +79,7 @@ type NodeState struct {
 // by heartbeat, and drains nodes by migrating their connections onto
 // routes that avoid them.
 type Coordinator struct {
-	cfg    CoordinatorConfig
+	cfg    DeployConfig
 	ep     transport.Endpoint
 	log    *slog.Logger
 	tracer *telemetry.Tracer
@@ -182,23 +118,23 @@ type Coordinator struct {
 	work *workers
 }
 
-// NewCoordinator creates and starts a coordinator on the endpoint
-// (conventionally attached at CoordinatorID(cfg.Graph)).
-func NewCoordinator(cfg CoordinatorConfig, ep transport.Endpoint) (*Coordinator, error) {
-	cfg.setDefaults()
-	if cfg.Graph == nil {
-		return nil, fmt.Errorf("controlplane: nil graph")
+// NewCoordinator attaches at CoordinatorID(cfg.Graph) and starts a
+// coordinator there, asking the route finder at RouteFinderID(cfg.Graph)
+// for routes.
+func NewCoordinator(cfg DeployConfig, at Attacher) (*Coordinator, error) {
+	if err := cfg.setDefaults(); err != nil {
+		return nil, err
 	}
-	rf := cfg.RouteFinder
-	if rf == 0 {
-		rf = RouteFinderID(cfg.Graph)
+	ep, err := at.Attach(CoordinatorID(cfg.Graph))
+	if err != nil {
+		return nil, fmt.Errorf("controlplane: attach coordinator: %w", err)
 	}
 	c := &Coordinator{
 		cfg:          cfg,
 		ep:           ep,
 		log:          cfg.Logger.With("service", "coordinator"),
 		tracer:       cfg.Telemetry,
-		rf:           rf,
+		rf:           RouteFinderID(cfg.Graph),
 		nodes:        make(map[graph.NodeID]*nodeRec),
 		conns:        make(map[lsdb.ConnID]*connRec),
 		pendingConns: make(map[lsdb.ConnID]*pendingConn),
@@ -433,14 +369,6 @@ func (c *Coordinator) broadcastDown(node graph.NodeID, reason string) {
 	}
 }
 
-// quotaFor resolves a tenant's quota.
-func (c *Coordinator) quotaFor(tenant string) Quota {
-	if q, ok := c.cfg.Quotas[tenant]; ok {
-		return q
-	}
-	return c.cfg.DefaultQuota
-}
-
 // excludedNodesLocked lists nodes new routes must avoid (draining or
 // dead). Callers must hold c.mu.
 func (c *Coordinator) excludedNodesLocked() []graph.NodeID {
@@ -503,7 +431,7 @@ func (c *Coordinator) handleEstablish(from graph.NodeID, m proto.EstablishReques
 		reject("src-draining")
 		return
 	}
-	q := c.quotaFor(m.Tenant)
+	q := c.cfg.Quotas[m.Tenant] // a tenant not listed is unlimited
 	used := c.usage[m.Tenant]
 	switch {
 	case q.MaxConns > 0 && used+1 > q.MaxConns:

@@ -14,20 +14,20 @@ import (
 
 // relayFrames mark, in a goroutine dump, goroutines that only move
 // messages from one channel to another: the in-memory transport's
-// per-endpoint pump, a goroutine splitting router from agent traffic,
-// and the transport's backlog drainer (named by the function that
-// starts every one of them).
+// per-endpoint pump, a goroutine started where a node runtime splits
+// router from agent traffic, and the transport's backlog drainer (named
+// by the function that starts every one of them).
 var relayFrames = []string{
 	"transport.(*memEndpoint).pump(",
-	"controlplane.SplitEndpoint.func",
+	"controlplane.NewNodeRuntime.func",
 	"transport.(*memEndpoint).startDrainLocked",
 }
 
-// TestSplitEndpointLeavesNoRelayGoroutines: on a quiet in-memory
+// TestNodeSplitLeavesNoRelayGoroutines: on a quiet in-memory
 // deployment, a message reaches the router or agent that handles it with
 // no goroutine between them — the transport delivers into their inboxes
 // and splits the two where it delivers.
-func TestSplitEndpointLeavesNoRelayGoroutines(t *testing.T) {
+func TestNodeSplitLeavesNoRelayGoroutines(t *testing.T) {
 	g, err := topology.Waxman(topology.WaxmanConfig{Nodes: 12, AvgDegree: 3, MinDegree: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

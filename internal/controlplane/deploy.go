@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"time"
@@ -10,51 +11,143 @@ import (
 	"github.com/rtcl/drtp/internal/telemetry"
 )
 
-// DeployConfig parameterizes an in-process control-plane deployment:
-// one route finder, one coordinator, and a router+agent runtime per
-// topology node, all over one transport. Tests, benchmarks and the
-// chaos conformance suite use it; cmd/drtpnode wires the same pieces
-// per process for real multi-process deployments.
+// DeployConfig is the one configuration of a control plane: one route
+// finder, one coordinator, and a router+agent runtime per topology node.
+// Every service is built from it (NewRouteFinder, NewCoordinator,
+// NewNodeRuntime), whether Deploy starts them all in one process or
+// cmd/drtpnode starts one per process, so the services always agree on
+// the bandwidth model, the scheme and the timers. The service addresses
+// are RouteFinderID(Graph) and CoordinatorID(Graph).
 type DeployConfig struct {
 	// Graph is the static topology.
 	Graph *graph.Graph
-	// Capacity and UnitBW set the bandwidth model (router defaults).
+	// Capacity and UnitBW set the bandwidth model of the routers and of
+	// the route finder's view; UnitBW (default 1) is also what every
+	// connection charges against its tenant's MaxBandwidth.
 	Capacity int
 	UnitBW   int
-	// Scheme selects D-LSR (default) or P-LSR.
+	// Scheme selects D-LSR (default) or P-LSR, for the routers and the
+	// route finder alike.
 	Scheme router.BackupScheme
-	// Backups is the number of backup channels per connection.
+	// Backups is the number of backup channels per connection (default
+	// 1): the routes a query computes and the channels a router keeps.
 	Backups int
-	// HeartbeatInterval and HeartbeatMiss set the liveness detector.
+	// HeartbeatInterval is the agents' beacon period and the
+	// coordinator's liveness tick (default 25ms); HeartbeatMiss is how
+	// many silent intervals declare a node dead (default 2, the
+	// dependability bound in EXPERIMENTS.md X8).
 	HeartbeatInterval time.Duration
 	HeartbeatMiss     int
-	// RPCTimeout and RetryLimit set the coordinator's internal RPC
-	// budget and the agents' client-API budget.
+	// RPCTimeout bounds one attempt of a coordinator round trip (route
+	// query, node command; default 2s), and RetryLimit is the attempts
+	// per round trip (default 3). Command retransmissions reuse their
+	// sequence number, so agents replay results instead of re-executing.
+	// An agent's client request gets RetryLimit attempts too, within a
+	// budget that outlasts the coordinator's own round trips.
 	RPCTimeout time.Duration
 	RetryLimit int
-	// Quotas and DefaultQuota set tenant admission control.
-	Quotas       map[string]Quota
-	DefaultQuota Quota
+	// Quotas maps tenant names to their admission quotas; a tenant not
+	// listed is unlimited.
+	Quotas map[string]Quota
 	// Tenants names each node agent's client-API tenant (default
-	// "default" everywhere).
+	// "default").
 	Tenants map[graph.NodeID]string
-	// Router carries per-router overrides (HelloInterval, HelloMiss,
-	// LSInterval, SetupTimeout, RetryLimit, RetrySeed, NbrRecovery);
-	// Node, Graph, Mirrors and the bandwidth model are filled in per
-	// node by Deploy.
+	// Router carries the routers' own settings: HelloInterval,
+	// HelloMiss, LSInterval, SetupTimeout, RetryLimit, RetrySeed and
+	// NbrRecovery. Its other fields are ignored; RouterConfig fills
+	// them from this config.
 	Router router.Config
-	// Logger and Telemetry are shared by every component; Metrics is
+	// Logger and Telemetry are shared by every service; Metrics is
 	// passed to the routers and the coordinator (its per-stage setup
-	// latency, drtp_cp_stage_seconds), as cmd/drtpnode wires them.
+	// latency, drtp_cp_stage_seconds{stage}: admission, route_query,
+	// establish and total).
 	Logger    *slog.Logger
 	Telemetry *telemetry.Tracer
 	Metrics   *telemetry.Registry
+}
+
+// setDefaults fills the zero fields with their defaults and rejects a
+// config without a graph.
+func (c *DeployConfig) setDefaults() error {
+	if c.Graph == nil {
+		return errors.New("controlplane: nil graph")
+	}
+	if c.UnitBW == 0 {
+		c.UnitBW = 1
+	}
+	if c.Scheme == 0 {
+		c.Scheme = router.DLSR
+	}
+	if c.Backups <= 0 {
+		c.Backups = 1
+	}
+	if c.HeartbeatInterval == 0 {
+		c.HeartbeatInterval = 25 * time.Millisecond
+	}
+	if c.HeartbeatMiss == 0 {
+		c.HeartbeatMiss = 2
+	}
+	if c.RPCTimeout == 0 {
+		c.RPCTimeout = 2 * time.Second
+	}
+	if c.RetryLimit == 0 {
+		c.RetryLimit = 3
+	}
+	if c.Logger == nil {
+		c.Logger = telemetry.DiscardLogger()
+	}
+	return nil
+}
+
+// RouterConfig is node's router.Config: Router's own settings, with the
+// node, the topology, the bandwidth model, the scheme, the backups and
+// the sinks taken from c. With services set the router mirrors its
+// adverts to the route finder, as a node runtime's does; without, it is
+// a standalone router.
+func (c DeployConfig) RouterConfig(node graph.NodeID, services bool) router.Config {
+	_ = c.setDefaults() // a nil graph is router.New's to report
+	rc := c.Router
+	rc.Node = node
+	rc.Graph = c.Graph
+	rc.Capacity = c.Capacity
+	rc.UnitBW = c.UnitBW
+	rc.Scheme = c.Scheme
+	rc.Backups = c.Backups
+	rc.Mirrors = nil
+	if services {
+		rc.Mirrors = []graph.NodeID{RouteFinderID(c.Graph)}
+	}
+	rc.Logger = c.Logger
+	rc.Telemetry = c.Telemetry
+	rc.Metrics = c.Metrics
+	return rc
 }
 
 // NodeRuntime is one deployed node: its router and its agent.
 type NodeRuntime struct {
 	Router *router.Router
 	Agent  *Agent
+}
+
+// NewNodeRuntime attaches node's endpoint, divides it between a router
+// and its agent, and starts both. The split (agentBound) happens where
+// the endpoint delivers each message, before anything reads it, so no
+// goroutine relays between the transport and either reader.
+func NewNodeRuntime(cfg DeployConfig, node graph.NodeID, at Attacher) (*NodeRuntime, error) {
+	if err := cfg.setDefaults(); err != nil {
+		return nil, err
+	}
+	ep, err := at.Attach(node)
+	if err != nil {
+		return nil, fmt.Errorf("controlplane: attach node %d: %w", node, err)
+	}
+	in := ep.Split(agentBound)
+	r, err := router.New(cfg.RouterConfig(node, true), ep)
+	if err != nil {
+		_ = ep.Close()
+		return nil, err
+	}
+	return &NodeRuntime{Router: r, Agent: newAgent(cfg, node, r, ep, in)}, nil
 }
 
 // Ready is the runtime's readiness condition (see Agent.Ready).
@@ -65,87 +158,32 @@ type Deployment struct {
 	RF    *RouteFinder
 	Coord *Coordinator
 	nodes map[graph.NodeID]*NodeRuntime
-	g     *graph.Graph
 }
 
-// Deploy starts the full control plane over the attacher. On error,
+// Deploy starts the full control plane over the attacher: the route
+// finder, the coordinator, then every node's runtime. On error,
 // everything already started is torn down.
 func Deploy(cfg DeployConfig, at Attacher) (*Deployment, error) {
-	if cfg.Graph == nil {
-		return nil, fmt.Errorf("controlplane: nil graph")
-	}
-	d := &Deployment{nodes: make(map[graph.NodeID]*NodeRuntime), g: cfg.Graph}
+	d := &Deployment{nodes: make(map[graph.NodeID]*NodeRuntime)}
 	ok := false
 	defer func() {
 		if !ok {
 			d.Close()
 		}
 	}()
-
-	rfEP, err := at.Attach(RouteFinderID(cfg.Graph))
-	if err != nil {
-		return nil, fmt.Errorf("controlplane: attach route finder: %w", err)
-	}
-	d.RF, err = NewRouteFinder(RouteFinderConfig{
-		Graph: cfg.Graph, Capacity: cfg.Capacity, UnitBW: cfg.UnitBW,
-		Scheme: cfg.Scheme, Backups: cfg.Backups,
-		Logger: cfg.Logger, Telemetry: cfg.Telemetry,
-	}, rfEP)
-	if err != nil {
-		_ = rfEP.Close()
+	var err error
+	if d.RF, err = NewRouteFinder(cfg, at); err != nil {
 		return nil, err
 	}
-
-	coordEP, err := at.Attach(CoordinatorID(cfg.Graph))
-	if err != nil {
-		return nil, fmt.Errorf("controlplane: attach coordinator: %w", err)
-	}
-	d.Coord, err = NewCoordinator(CoordinatorConfig{
-		Graph: cfg.Graph, RouteFinder: RouteFinderID(cfg.Graph), UnitBW: cfg.UnitBW,
-		HeartbeatInterval: cfg.HeartbeatInterval, HeartbeatMiss: cfg.HeartbeatMiss,
-		RPCTimeout: cfg.RPCTimeout, RetryLimit: cfg.RetryLimit,
-		Quotas: cfg.Quotas, DefaultQuota: cfg.DefaultQuota,
-		Logger: cfg.Logger, Telemetry: cfg.Telemetry, Metrics: cfg.Metrics,
-	}, coordEP)
-	if err != nil {
-		_ = coordEP.Close()
+	if d.Coord, err = NewCoordinator(cfg, at); err != nil {
 		return nil, err
 	}
-
 	for n := 0; n < cfg.Graph.NumNodes(); n++ {
-		node := graph.NodeID(n)
-		ep, err := at.Attach(node)
+		node, err := NewNodeRuntime(cfg, graph.NodeID(n), at)
 		if err != nil {
-			return nil, fmt.Errorf("controlplane: attach node %d: %w", n, err)
-		}
-		routerEP, agentCh := SplitEndpoint(ep)
-		rcfg := cfg.Router
-		rcfg.Node = node
-		rcfg.Graph = cfg.Graph
-		rcfg.Capacity = cfg.Capacity
-		rcfg.UnitBW = cfg.UnitBW
-		rcfg.Scheme = cfg.Scheme
-		rcfg.Backups = cfg.Backups
-		rcfg.Mirrors = []graph.NodeID{RouteFinderID(cfg.Graph)}
-		rcfg.Logger = cfg.Logger
-		rcfg.Telemetry = cfg.Telemetry
-		rcfg.Metrics = cfg.Metrics
-		r, err := router.New(rcfg, routerEP)
-		if err != nil {
-			_ = routerEP.Close()
 			return nil, err
 		}
-		a, err := NewAgent(AgentConfig{
-			Node: node, Graph: cfg.Graph, Coordinator: CoordinatorID(cfg.Graph),
-			Tenant: cfg.Tenants[node], HeartbeatInterval: cfg.HeartbeatInterval,
-			RequestTimeout: cfg.RPCTimeout * time.Duration(max(cfg.RetryLimit, 1)+2),
-			RetryLimit:     cfg.RetryLimit, Logger: cfg.Logger,
-		}, r, routerEP, agentCh)
-		if err != nil {
-			_ = r.Close()
-			return nil, err
-		}
-		d.nodes[node] = &NodeRuntime{Router: r, Agent: a}
+		d.nodes[graph.NodeID(n)] = node
 	}
 	ok = true
 	return d, nil
@@ -180,14 +218,10 @@ func (d *Deployment) WaitSynced(timeout time.Duration) error {
 // then the services.
 func (d *Deployment) Close() {
 	for _, n := range d.nodes {
-		if n.Agent != nil {
-			_ = n.Agent.Close()
-		}
+		_ = n.Agent.Close()
 	}
 	for _, n := range d.nodes {
-		if n.Router != nil {
-			_ = n.Router.Close()
-		}
+		_ = n.Router.Close()
 	}
 	if d.Coord != nil {
 		_ = d.Coord.Close()

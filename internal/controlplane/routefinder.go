@@ -7,44 +7,8 @@ import (
 
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/proto"
-	"github.com/rtcl/drtp/internal/router"
-	"github.com/rtcl/drtp/internal/telemetry"
 	"github.com/rtcl/drtp/internal/transport"
 )
-
-// RouteFinderConfig parameterizes a RouteFinder.
-type RouteFinderConfig struct {
-	// Graph is the static topology shared with the routers.
-	Graph *graph.Graph
-	// Capacity and UnitBW mirror the routers' bandwidth model; the view
-	// starts optimistic (every link empty) until adverts arrive, exactly
-	// like a freshly started router.
-	Capacity int
-	UnitBW   int
-	// Scheme selects D-LSR (default) or P-LSR backup route selection.
-	Scheme router.BackupScheme
-	// Backups is how many backup routes a query computes (default 1).
-	Backups int
-	// Logger receives service events; nil discards them.
-	Logger *slog.Logger
-	// Telemetry receives typed events; nil disables emission.
-	Telemetry *telemetry.Tracer
-}
-
-func (c *RouteFinderConfig) setDefaults() {
-	if c.Scheme == 0 {
-		c.Scheme = router.DLSR
-	}
-	if c.UnitBW == 0 {
-		c.UnitBW = 1
-	}
-	if c.Backups <= 0 {
-		c.Backups = 1
-	}
-	if c.Logger == nil {
-		c.Logger = telemetry.DiscardLogger()
-	}
-}
 
 // RouteFinder is the control plane's route computation service. It owns
 // a network-wide link-state snapshot assembled from the adverts every
@@ -52,7 +16,7 @@ func (c *RouteFinderConfig) setDefaults() {
 // route plus backup routes under the configured scheme, excluding
 // drained (unschedulable) and dead nodes.
 type RouteFinder struct {
-	cfg RouteFinderConfig
+	cfg DeployConfig
 	ep  transport.Endpoint
 	log *slog.Logger
 
@@ -71,12 +35,16 @@ type RouteFinder struct {
 	done chan struct{}
 }
 
-// NewRouteFinder creates and starts a route finder on the endpoint
-// (conventionally attached at RouteFinderID(cfg.Graph)).
-func NewRouteFinder(cfg RouteFinderConfig, ep transport.Endpoint) (*RouteFinder, error) {
-	cfg.setDefaults()
-	if cfg.Graph == nil {
-		return nil, fmt.Errorf("controlplane: nil graph")
+// NewRouteFinder attaches at RouteFinderID(cfg.Graph) and starts a
+// route finder there. Its view starts optimistic (every link empty)
+// until adverts arrive, exactly like a freshly started router.
+func NewRouteFinder(cfg DeployConfig, at Attacher) (*RouteFinder, error) {
+	if err := cfg.setDefaults(); err != nil {
+		return nil, err
+	}
+	ep, err := at.Attach(RouteFinderID(cfg.Graph))
+	if err != nil {
+		return nil, fmt.Errorf("controlplane: attach route finder: %w", err)
 	}
 	rf := &RouteFinder{
 		cfg:     cfg,

@@ -183,7 +183,7 @@ func lossySchedule(seed int64) *faultinject.Schedule {
 // chaosCluster starts a router cluster for g behind a chaos injector on
 // the given inner transport.
 func chaosCluster(t *testing.T, g *graph.Graph, scheme router.BackupScheme,
-	sched *faultinject.Schedule, inner faultinject.Attacher, closeInner func(),
+	sched *faultinject.Schedule, inner transport.Attacher, closeInner func(),
 	opts ...faultinject.Option) (*router.Cluster, *telemetry.Ring) {
 	t.Helper()
 	inj := faultinject.New(sched, inner, opts...)
@@ -273,14 +273,14 @@ func switchUnderChaos(t *testing.T, c *router.Cluster, base lsdb.ConnID, dst gra
 	return router.ConnInfo{}
 }
 
-func distributedTransports(t *testing.T, g *graph.Graph) map[string]func() (faultinject.Attacher, func()) {
+func distributedTransports(t *testing.T, g *graph.Graph) map[string]func() (transport.Attacher, func()) {
 	t.Helper()
-	return map[string]func() (faultinject.Attacher, func()){
-		"Mem": func() (faultinject.Attacher, func()) {
+	return map[string]func() (transport.Attacher, func()){
+		"Mem": func() (transport.Attacher, func()) {
 			mem := transport.NewMem()
 			return mem, func() { _ = mem.Close() }
 		},
-		"TCP": func() (faultinject.Attacher, func()) {
+		"TCP": func() (transport.Attacher, func()) {
 			addrs := make(map[graph.NodeID]string, g.NumNodes())
 			for n := 0; n < g.NumNodes(); n++ {
 				addrs[graph.NodeID(n)] = "127.0.0.1:0"

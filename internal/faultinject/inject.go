@@ -13,13 +13,6 @@ import (
 	"github.com/rtcl/drtp/internal/transport"
 )
 
-// Attacher creates transport endpoints per node; transport.Mem,
-// transport.TCPMesh and the Injector itself all satisfy it (the same
-// shape router.Cluster consumes, declared here to avoid the import).
-type Attacher interface {
-	Attach(node graph.NodeID) (transport.Endpoint, error)
-}
-
 // Stats counts the faults an Injector has applied.
 type Stats struct {
 	Drops          int64
@@ -57,14 +50,14 @@ func WithDelayUnit(d time.Duration) Option {
 	return func(in *Injector) { in.delayUnit = d }
 }
 
-// Injector wraps an Attacher and applies a Schedule to every message
+// Injector wraps a transport.Attacher and applies a Schedule to every message
 // sent through its endpoints. Each ordered node pair draws decisions
 // from its own rng.Split-derived stream consumed in that pair's send
 // order, so the fault sequence a sender experiences is independent of
 // how other senders' goroutines interleave.
 type Injector struct {
 	sched     *Schedule
-	inner     Attacher
+	inner     transport.Attacher
 	clock     func() float64
 	delayUnit time.Duration
 	tracer    *telemetry.Tracer
@@ -90,7 +83,7 @@ type pairState struct {
 
 // New wraps inner with the schedule. A nil or empty schedule yields a
 // transparent pass-through.
-func New(sched *Schedule, inner Attacher, opts ...Option) *Injector {
+func New(sched *Schedule, inner transport.Attacher, opts ...Option) *Injector {
 	in := &Injector{
 		sched:     sched,
 		inner:     inner,

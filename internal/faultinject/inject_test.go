@@ -261,10 +261,10 @@ func TestInjectorDelay(t *testing.T) {
 	}
 }
 
-var _ Attacher = (*transport.Mem)(nil)
+var _ transport.Attacher = (*transport.Mem)(nil)
 
 func TestInjectorSatisfiesAttacher(t *testing.T) {
-	var _ Attacher = New(&Schedule{}, transport.NewMem())
+	var _ transport.Attacher = New(&Schedule{}, transport.NewMem())
 }
 
 func TestInjectorNodeIdentity(t *testing.T) {

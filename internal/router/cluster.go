@@ -7,12 +7,6 @@ import (
 	"github.com/rtcl/drtp/internal/transport"
 )
 
-// Attacher creates transport endpoints per node; both transport.Mem and
-// transport.TCPMesh satisfy it.
-type Attacher interface {
-	Attach(node graph.NodeID) (transport.Endpoint, error)
-}
-
 // Cluster runs one router per node of a topology over a shared transport.
 type Cluster struct {
 	routers []*Router
@@ -20,7 +14,7 @@ type Cluster struct {
 
 // NewCluster starts a router for every node in cfg.Graph. The Node field
 // of cfg is ignored. On error, already-started routers are closed.
-func NewCluster(cfg Config, at Attacher) (*Cluster, error) {
+func NewCluster(cfg Config, at transport.Attacher) (*Cluster, error) {
 	cfg.setDefaults()
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("router: nil graph")

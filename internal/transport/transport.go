@@ -77,6 +77,13 @@ type Endpoint interface {
 	Close() error
 }
 
+// Attacher opens a node's endpoint on a transport. Mem, TCPMesh and the
+// fault injector wrapping either satisfy it, so a router cluster, a
+// control-plane deployment or a chaos test runs over any of them.
+type Attacher interface {
+	Attach(node graph.NodeID) (Endpoint, error)
+}
+
 // inboxDepth is the capacity of each inbound channel. A message rarely
 // finds another one waiting, and every endpoint holds one or two of
 // these: 16 was measured on the ledger's cp_mem workload, where a depth
