@@ -176,7 +176,7 @@ type (
 	TraceEvent = telemetry.Event
 	// TraceEventKind enumerates the typed protocol events.
 	TraceEventKind = telemetry.EventKind
-	// TraceSink consumes emitted events (Ring, JSONL, MetricsSink, Null).
+	// TraceSink consumes emitted events (Ring, JSONL, MetricsSink).
 	TraceSink = telemetry.Sink
 	// RingSink keeps the last n events in memory.
 	RingSink = telemetry.Ring
@@ -234,7 +234,7 @@ func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
 
 // MetricsHandler serves reg as Prometheus text on /metrics plus a
 // /healthz liveness probe.
-func MetricsHandler(reg *MetricsRegistry) http.Handler { return telemetry.Handler(reg) }
+func MetricsHandler(reg *MetricsRegistry) http.Handler { return telemetry.Handler(reg, nil) }
 
 // ReadTraceJSONL parses an event stream written by a JSONL sink.
 func ReadTraceJSONL(r io.Reader) ([]TraceEvent, error) { return telemetry.ReadJSONL(r) }

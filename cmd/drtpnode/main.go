@@ -137,7 +137,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		}
 		// Stream events through a bounded queue so a slow disk never
 		// stalls signalling; overflow is counted in the registry.
-		sinks = append(sinks, telemetry.NewStreamSink(f, 0, reg))
+		sinks = append(sinks, telemetry.NewStreamSink(f, reg))
 	}
 	tracer := telemetry.NewTracer(sinks...)
 	tracer.SetNode(*node)
@@ -224,7 +224,7 @@ func serveMetrics(addr string, reg *telemetry.Registry, ready func() (bool, stri
 	if err != nil {
 		return nil, "", fmt.Errorf("metrics listener: %w", err)
 	}
-	srv := &http.Server{Handler: telemetry.HandlerWithReady(reg, ready)}
+	srv := &http.Server{Handler: telemetry.Handler(reg, ready)}
 	go func() { _ = srv.Serve(ln) }()
 	shutdown := func() {
 		sctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)

@@ -268,12 +268,11 @@ func run(args []string, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			// Stream through a bounded queue so trace memory no longer
-			// grows with run length. Lossless mode: the trace must
-			// reconcile event-for-event with the result tables, so a
-			// full queue backpressures the cell-forwarding loop rather
-			// than dropping.
-			sinks = append(sinks, telemetry.NewLosslessStreamSink(f, 0, reg))
+			// The cell engine forwards each finished cell's events in one
+			// batch, off the workers' critical path, so a plain buffered
+			// writer keeps every event — the trace must reconcile
+			// event-for-event with the result tables.
+			sinks = append(sinks, telemetry.NewJSONL(f))
 		}
 		tracer = telemetry.NewTracer(sinks...)
 		p.Telemetry = tracer

@@ -58,21 +58,10 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("no trace files given (usage: drtptrace [flags] trace.jsonl...)")
 	}
 
-	var events []telemetry.Event
-	for _, path := range fs.Args() {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		evs, err := telemetry.ReadJSONL(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		events = append(events, evs...)
+	tr, err := readTrace(fs.Args())
+	if err != nil {
+		return err
 	}
-
-	tr := telemetry.BuildTrace(events)
 	if *connID >= 0 {
 		return writeTimeline(w, tr, *connID)
 	}
@@ -85,6 +74,32 @@ func run(args []string, w io.Writer) error {
 		return writeText(w, tr, rep, *top)
 	default:
 		return fmt.Errorf("unknown format %q (want text or json)", *format)
+	}
+}
+
+// readTrace reads and joins the JSONL trace files.
+func readTrace(paths []string) (*telemetry.Trace, error) {
+	var events []telemetry.Event
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		evs, err := telemetry.ReadJSONL(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		events = append(events, evs...)
+	}
+	return telemetry.BuildTrace(events), nil
+}
+
+// warnDropped prints one warning line when the trace writer dropped
+// events, so a partial trace is never read as complete.
+func warnDropped(w io.Writer, dropped int64) {
+	if dropped > 0 {
+		fmt.Fprintf(w, "warning: the trace writer dropped %d events; this trace is incomplete\n", dropped)
 	}
 }
 
@@ -102,8 +117,10 @@ func writeJSON(w io.Writer, tr *telemetry.Trace, rep *telemetry.Report) error {
 }
 
 func writeText(w io.Writer, tr *telemetry.Trace, rep *telemetry.Report, top int) error {
-	fmt.Fprintf(w, "trace: %d events, %d connections, %d link failures\n\n",
+	fmt.Fprintf(w, "trace: %d events, %d connections, %d link failures\n",
 		rep.Events, rep.Conns, rep.Failures)
+	warnDropped(w, rep.Dropped)
+	fmt.Fprintln(w)
 
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "scheme\trequests\testab\treject\tbackups\taffected\trecovered\tP_act-bk\tswitched\tdropped")

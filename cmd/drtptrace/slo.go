@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -14,28 +13,20 @@ import (
 	"github.com/rtcl/drtp/internal/telemetry"
 )
 
-// latencySummary is the percentile digest of one latency population, in
-// seconds.
-type latencySummary struct {
-	Samples int     `json:"samples"`
-	Mean    float64 `json:"mean"`
-	P50     float64 `json:"p50"`
-	P95     float64 `json:"p95"`
-	P99     float64 `json:"p99"`
-	Max     float64 `json:"max"`
-}
-
 // sloOutput is the machine-readable verdict document.
 type sloOutput struct {
 	Unit string `json:"unit"`
 	// Establishment is request->active latency from reconstructed
 	// connection spans; Disruption is link-fail->backup-activate.
-	Establishment          latencySummary            `json:"establishment"`
-	EstablishmentPerScheme map[string]latencySummary `json:"establishment_per_scheme,omitempty"`
-	Disruption             latencySummary            `json:"disruption"`
-	DisruptionPerScheme    map[string]latencySummary `json:"disruption_per_scheme,omitempty"`
-	Objectives             []telemetry.SLOResult     `json:"objectives"`
-	Pass                   bool                      `json:"pass"`
+	Establishment          telemetry.Summary            `json:"establishment"`
+	EstablishmentPerScheme map[string]telemetry.Summary `json:"establishment_per_scheme,omitempty"`
+	Disruption             telemetry.Summary            `json:"disruption"`
+	DisruptionPerScheme    map[string]telemetry.Summary `json:"disruption_per_scheme,omitempty"`
+	Objectives             []telemetry.SLOResult        `json:"objectives"`
+	Pass                   bool                         `json:"pass"`
+	// DroppedEvents counts events the trace writer dropped; the
+	// percentiles above are from an incomplete trace when it is nonzero.
+	DroppedEvents int64 `json:"dropped_events,omitempty"`
 }
 
 // sloSpec is one parsed -slo flag: which population, which quantile,
@@ -111,20 +102,10 @@ func runSLO(args []string, w io.Writer) error {
 		}
 	}
 
-	var events []telemetry.Event
-	for _, path := range fs.Args() {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		evs, err := telemetry.ReadJSONL(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		events = append(events, evs...)
+	tr, err := readTrace(fs.Args())
+	if err != nil {
+		return err
 	}
-	tr := telemetry.BuildTrace(events)
 
 	// Establishment latency: request -> active, per reconstructed span.
 	var establish []float64
@@ -154,11 +135,12 @@ func runSLO(args []string, w io.Writer) error {
 
 	out := sloOutput{
 		Unit:                   *unit,
-		Establishment:          summarizeLatency(establish),
+		Establishment:          telemetry.Summarize(establish),
 		EstablishmentPerScheme: summarizePerScheme(establishByScheme),
-		Disruption:             summarizeLatency(disrupt),
+		Disruption:             telemetry.Summarize(disrupt),
 		DisruptionPerScheme:    summarizePerScheme(disruptByScheme),
 		Pass:                   true,
+		DroppedEvents:          tr.Dropped,
 	}
 	for _, spec := range specs {
 		samples := establish
@@ -184,43 +166,24 @@ func runSLO(args []string, w io.Writer) error {
 	}
 }
 
-func summarizeLatency(samples []float64) latencySummary {
-	s := latencySummary{Samples: len(samples)}
-	if len(samples) == 0 {
-		return s
-	}
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	sort.Float64s(sorted)
-	var sum float64
-	for _, v := range sorted {
-		sum += v
-	}
-	s.Mean = sum / float64(len(sorted))
-	s.P50 = telemetry.QuantileSeconds(sorted, 0.50)
-	s.P95 = telemetry.QuantileSeconds(sorted, 0.95)
-	s.P99 = telemetry.QuantileSeconds(sorted, 0.99)
-	s.Max = sorted[len(sorted)-1]
-	return s
-}
-
-func summarizePerScheme(byScheme map[string][]float64) map[string]latencySummary {
+func summarizePerScheme(byScheme map[string][]float64) map[string]telemetry.Summary {
 	if len(byScheme) == 0 {
 		return nil
 	}
-	out := make(map[string]latencySummary, len(byScheme))
+	out := make(map[string]telemetry.Summary, len(byScheme))
 	for scheme, samples := range byScheme {
-		out[scheme] = summarizeLatency(samples)
+		out[scheme] = telemetry.Summarize(samples)
 	}
 	return out
 }
 
 func writeSLOText(w io.Writer, out sloOutput) error {
-	writeTable := func(title string, overall latencySummary, perScheme map[string]latencySummary) error {
+	warnDropped(w, out.DroppedEvents)
+	writeTable := func(title string, overall telemetry.Summary, perScheme map[string]telemetry.Summary) error {
 		fmt.Fprintf(w, "%s (%s -> seconds): %d samples\n", title, out.Unit, overall.Samples)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "scheme\tsamples\tmean\tp50\tp95\tp99\tmax")
-		row := func(name string, s latencySummary) {
+		row := func(name string, s telemetry.Summary) {
 			fmt.Fprintf(tw, "%s\t%d\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\n",
 				name, s.Samples, s.Mean, s.P50, s.P95, s.P99, s.Max)
 		}

@@ -385,7 +385,7 @@ func TestDrainMigratesConnections(t *testing.T) {
 
 	// The readiness probe surfaces the drain over HTTP.
 	reg := telemetry.NewRegistry()
-	srv := httptest.NewServer(telemetry.HandlerWithReady(reg, d.Node(mid).Ready))
+	srv := httptest.NewServer(telemetry.Handler(reg, d.Node(mid).Ready))
 	defer srv.Close()
 	if code, body := httpGet(t, srv.URL+"/readyz"); code != 503 || !strings.Contains(body, "draining") {
 		t.Fatalf("/readyz = %d %q, want 503 draining", code, body)
@@ -393,7 +393,7 @@ func TestDrainMigratesConnections(t *testing.T) {
 	if code, _ := httpGet(t, srv.URL+"/healthz"); code != 200 {
 		t.Fatalf("/healthz = %d, want 200", code)
 	}
-	srvUp := httptest.NewServer(telemetry.HandlerWithReady(reg, d.Node(0).Ready))
+	srvUp := httptest.NewServer(telemetry.Handler(reg, d.Node(0).Ready))
 	defer srvUp.Close()
 	if code, _ := httpGet(t, srvUp.URL+"/readyz"); code != 200 {
 		t.Fatalf("healthy node /readyz = %d, want 200", code)

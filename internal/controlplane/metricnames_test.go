@@ -20,7 +20,7 @@ import (
 // latency histograms ending in _seconds.
 func TestMetricFamilyNames(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	stream := telemetry.NewStreamSink(io.Discard, 64, reg)
+	stream := telemetry.NewStreamSink(io.Discard, reg)
 	// Cleanups run last-registered first: the deployment stops emitting
 	// before the stream closes.
 	t.Cleanup(func() { _ = stream.Close() })

@@ -57,13 +57,13 @@ var runnerCases = []runnerCase{
 	{"replay", func(p Params, _ float64) (*metrics.Table, error) { return RunReplay(p, "testdata/replay.jsonl") }},
 }
 
-// traced runs one experiment with a lossless JSONL trace streamed into a
-// sha256 hash. It returns the rendered table followed by the digest line
+// traced runs one experiment with a JSONL trace written into a sha256
+// hash. It returns the rendered table followed by the digest line
 // every golden file ends with.
 func traced(t *testing.T, run func(*telemetry.Tracer) (*metrics.Table, error)) []byte {
 	t.Helper()
 	h := sha256.New()
-	tracer := telemetry.NewTracer(telemetry.NewLosslessStreamSink(h, 0, nil))
+	tracer := telemetry.NewTracer(telemetry.NewJSONL(h))
 	tbl, err := run(tracer)
 	if err != nil {
 		t.Fatal(err)
@@ -116,27 +116,22 @@ func TestRunnersGolden(t *testing.T) {
 }
 
 // TestParallelRunners is the engine's determinism contract for every
-// runner: at workers=1 and workers=8 the table and the JSONL trace
-// streamed through a bounded StreamSink are byte-identical, and the sink
-// drops nothing.
+// runner: at workers=1 and workers=8 the table and the JSONL trace are
+// byte-identical.
 func TestParallelRunners(t *testing.T) {
 	for _, rc := range runnerCases {
 		t.Run(rc.name, func(t *testing.T) {
 			run := func(workers int) (table string, trace []byte) {
 				var out bytes.Buffer
-				sink := telemetry.NewStreamSink(&out, 1<<18, nil)
 				p := tinyParams()
 				p.Workers = workers
-				p.Telemetry = telemetry.NewTracer(sink)
+				p.Telemetry = telemetry.NewTracer(telemetry.NewJSONL(&out))
 				tbl, err := rc.run(p, 0.3)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if err := p.Telemetry.Close(); err != nil {
 					t.Fatal(err)
-				}
-				if sink.Dropped() != 0 {
-					t.Fatalf("workers=%d: dropped %d trace events", workers, sink.Dropped())
 				}
 				return tbl.String(), out.Bytes()
 			}

@@ -97,26 +97,20 @@ func TestParallelSweepTelemetryDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelSweepStreamedTraceBytes asserts the full streaming path:
-// a sweep traced through a bounded StreamSink must write byte-identical
-// JSONL at workers=1 and workers=8, with zero drops, while never holding
-// more than the forwarder window of cell buffers in memory.
+// TestParallelSweepStreamedTraceBytes asserts the full tracing path: a
+// sweep traced through a JSONL sink must write byte-identical JSONL at
+// workers=1 and workers=8.
 func TestParallelSweepStreamedTraceBytes(t *testing.T) {
 	traceBytes := func(workers int) []byte {
 		var out bytes.Buffer
-		// Queue sized generously: the point here is ordering, not drops.
-		sink := telemetry.NewStreamSink(&out, 1<<18, nil)
 		p := tinyParams()
-		p.Telemetry = telemetry.NewTracer(sink)
+		p.Telemetry = telemetry.NewTracer(telemetry.NewJSONL(&out))
 		p.Workers = workers
 		if _, err := RunSweep(p, PaperSchemes()); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.Telemetry.Close(); err != nil {
 			t.Fatal(err)
-		}
-		if sink.Dropped() != 0 {
-			t.Fatalf("workers=%d: dropped %d trace events", workers, sink.Dropped())
 		}
 		return out.Bytes()
 	}
@@ -132,25 +126,21 @@ func TestParallelSweepStreamedTraceBytes(t *testing.T) {
 }
 
 // TestParallelChaosStreamedTraceBytes pins the batched forwarding path
-// under fault injection: a chaos run traced through a streaming sink must
+// under fault injection: a chaos run traced through a JSONL sink must
 // write byte-identical JSONL at workers=1 and workers=4. Chaos runs emit
 // the densest event mix (retries, dedup hits, fault injections), so this
 // is the strongest byte-level probe of the per-worker batch forwarding.
 func TestParallelChaosStreamedTraceBytes(t *testing.T) {
 	traceBytes := func(workers int) []byte {
 		var out bytes.Buffer
-		sink := telemetry.NewStreamSink(&out, 1<<18, nil)
 		p := tinyChaosParams()
-		p.Telemetry = telemetry.NewTracer(sink)
+		p.Telemetry = telemetry.NewTracer(telemetry.NewJSONL(&out))
 		p.Workers = workers
 		if _, err := RunChaos(p); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.Telemetry.Close(); err != nil {
 			t.Fatal(err)
-		}
-		if sink.Dropped() != 0 {
-			t.Fatalf("workers=%d: dropped %d trace events", workers, sink.Dropped())
 		}
 		return out.Bytes()
 	}

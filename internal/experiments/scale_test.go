@@ -66,23 +66,19 @@ func TestScaleWorkersGolden(t *testing.T) {
 }
 
 // TestScaleStreamedTraceBytes mirrors TestParallelSweepStreamedTraceBytes
-// for the scale runner: telemetry streamed through a bounded sink must be
-// byte-identical at workers=1 and workers=8, with zero drops.
+// for the scale runner: telemetry written through a JSONL sink must be
+// byte-identical at workers=1 and workers=8.
 func TestScaleStreamedTraceBytes(t *testing.T) {
 	traceBytes := func(workers int) []byte {
 		var out bytes.Buffer
-		sink := telemetry.NewStreamSink(&out, 1<<18, nil)
 		sp := tinyScaleParams()
-		sp.Params.Telemetry = telemetry.NewTracer(sink)
+		sp.Params.Telemetry = telemetry.NewTracer(telemetry.NewJSONL(&out))
 		sp.Params.Workers = workers
 		if _, err := RunScale(sp); err != nil {
 			t.Fatal(err)
 		}
 		if err := sp.Params.Telemetry.Close(); err != nil {
 			t.Fatal(err)
-		}
-		if sink.Dropped() != 0 {
-			t.Fatalf("workers=%d: dropped %d trace events", workers, sink.Dropped())
 		}
 		return out.Bytes()
 	}

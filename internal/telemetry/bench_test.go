@@ -106,7 +106,7 @@ func BenchmarkCounterVecWith(b *testing.B) {
 // BenchmarkStreamRecord measures the bounded-queue trace sink's producer
 // side with a draining writer: one non-blocking channel send per event.
 func BenchmarkStreamRecord(b *testing.B) {
-	sink := telemetry.NewStreamSink(discardWriter{}, 1<<16, nil)
+	sink := telemetry.NewStreamSink(discardWriter{}, nil)
 	defer sink.Close()
 	e := telemetry.Event{Kind: telemetry.EvConnEstablish, Scheme: "D-LSR", Hops: 4}
 	b.ReportAllocs()

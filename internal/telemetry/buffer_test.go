@@ -51,10 +51,10 @@ func TestBufferConcurrentRecord(t *testing.T) {
 	}
 }
 
-// TestForwardPreservesEvents asserts Forward replays buffered events into
-// a tracer's sinks verbatim — same timestamps, same order — which is what
-// makes trace output identical at any experiment worker count. Emit, by
-// contrast, re-stamps the clock.
+// TestForwardPreservesEvents asserts ForwardBatch replays buffered
+// events into a tracer's sinks verbatim — same timestamps, same order —
+// which is what makes trace output identical at any experiment worker
+// count. Emit, by contrast, re-stamps the clock.
 func TestForwardPreservesEvents(t *testing.T) {
 	cell := telemetry.NewBuffer()
 	cellTracer := telemetry.NewTracer(cell)
@@ -67,9 +67,7 @@ func TestForwardPreservesEvents(t *testing.T) {
 	shared := telemetry.NewBuffer()
 	sharedTracer := telemetry.NewTracer(shared)
 	sharedTracer.SetClock(func() float64 { return 999 }) // must NOT restamp
-	for _, e := range cell.Events() {
-		sharedTracer.Forward(e)
-	}
+	sharedTracer.ForwardBatch(cell.Events())
 	if !reflect.DeepEqual(shared.Events(), cell.Events()) {
 		t.Fatalf("forwarded events differ:\ngot  %+v\nwant %+v", shared.Events(), cell.Events())
 	}
@@ -78,21 +76,32 @@ func TestForwardPreservesEvents(t *testing.T) {
 	}
 }
 
+// TestForwardBatchPerEventSink asserts a sink without RecordBatch (a
+// Ring) receives the batch as per-event Records, in order.
+func TestForwardBatchPerEventSink(t *testing.T) {
+	ring := telemetry.NewRing(8)
+	events := []telemetry.Event{{T: 1, Conn: 1, N: 1}, {T: 2, Conn: 2, N: 1}, {T: 3, Conn: 3, N: 1}}
+	telemetry.NewTracer(ring).ForwardBatch(append([]telemetry.Event(nil), events...))
+	if !reflect.DeepEqual(ring.Events(), events) {
+		t.Fatalf("ring holds %+v, want %+v", ring.Events(), events)
+	}
+}
+
 // TestForwardNormalizesMultiplicity mirrors Emit's N floor.
 func TestForwardNormalizesMultiplicity(t *testing.T) {
 	buf := telemetry.NewBuffer()
 	tr := telemetry.NewTracer(buf)
-	tr.Forward(telemetry.Event{Kind: telemetry.EvLSUpdate})
+	tr.ForwardBatch([]telemetry.Event{{Kind: telemetry.EvLSUpdate}})
 	if got := buf.Events()[0].N; got != 1 {
 		t.Fatalf("N = %d, want 1", got)
 	}
 }
 
-// TestForwardDisabledTracer asserts Forward is a no-op on nil and
-// sink-less tracers, like every other tracer method.
+// TestForwardDisabledTracer asserts ForwardBatch is a no-op on nil
+// and sink-less tracers, like every other tracer method.
 func TestForwardDisabledTracer(t *testing.T) {
 	var nilTracer *telemetry.Tracer
-	nilTracer.Forward(telemetry.Event{N: 1}) // must not panic
+	nilTracer.ForwardBatch([]telemetry.Event{{N: 1}}) // must not panic
 	empty := telemetry.NewTracer()
-	empty.Forward(telemetry.Event{N: 1})
+	empty.ForwardBatch([]telemetry.Event{{N: 1}})
 }

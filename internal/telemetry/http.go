@@ -10,25 +10,17 @@ import (
 //
 //	GET /metrics       — Prometheus text exposition format
 //	GET /healthz       — 200 "ok" liveness probe
-//	GET /readyz        — readiness probe (see HandlerWithReady)
+//	GET /readyz        — readiness probe: 200 "ok" when ready() says so,
+//	                     503 with its reason when not
 //	GET /debug/pprof/  — stdlib profiling endpoints (CPU, heap, goroutine,
 //	                     block, mutex, execution trace)
 //
 // Mount it on a plain http.Server; cmd/drtpnode does so behind its
-// -metrics flag. Handler's /readyz always reports ready; processes with a
-// real readiness condition use HandlerWithReady.
-func Handler(reg *Registry) http.Handler {
-	return HandlerWithReady(reg, nil)
-}
-
-// HandlerWithReady is Handler with a readiness probe. /healthz stays a pure
-// liveness check (200 while the process serves HTTP at all); /readyz asks
-// ready() and answers 200 "ok" when ready or 503 with the reason when not.
-// The node runtime reports unready before its first link-state sync and
-// again while draining, so load balancers stop steering setup requests at
-// a node that cannot (or should no longer) take them. A nil ready means
-// always ready.
-func HandlerWithReady(reg *Registry, ready func() (ok bool, reason string)) http.Handler {
+// -metrics flag. The node runtime reports unready before its first
+// link-state sync and again while draining, so load balancers stop
+// steering setup requests at a node that cannot (or should no longer)
+// take them. A nil ready means always ready.
+func Handler(reg *Registry, ready func() (ok bool, reason string)) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -23,10 +23,10 @@ const latencyBuckets = 64
 // value is ready to use and a nil *LatencyHist is a no-op, matching the
 // package's other instruments.
 //
-// The price of the fixed log2 layout is resolution: quantiles are
-// estimated from bucket midpoints, so they carry up to ~33% relative
-// error. That is ample for SLO verdicts over order-of-magnitude
-// thresholds, which is what the type exists for.
+// The price of the fixed log2 layout is resolution: a quantile read from
+// the exposed buckets is known only to within a factor of two. That is
+// ample for order-of-magnitude latency questions, which is what the type
+// exists for.
 type LatencyHist struct {
 	buckets [latencyBuckets]atomic.Int64
 	count   atomic.Int64
@@ -45,15 +45,6 @@ func latencyBucket(d time.Duration) int {
 // 2^b nanoseconds.
 func latencyBound(b int) float64 {
 	return math.Ldexp(1e-9, b)
-}
-
-// latencyMid returns a representative duration for bucket b: the
-// midpoint 1.5 * 2^(b-1) ns of its [2^(b-1), 2^b) range.
-func latencyMid(b int) time.Duration {
-	if b <= 0 {
-		return 0
-	}
-	return time.Duration(3 << (b - 1) >> 1)
 }
 
 // Observe records one duration (non-positive durations land in bucket 0).
@@ -100,44 +91,6 @@ func (h *LatencyHist) Sum() time.Duration {
 		return 0
 	}
 	return time.Duration(h.sum.Load())
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) by nearest rank over
-// the bucket midpoints. It returns 0 when the histogram is empty.
-func (h *LatencyHist) Quantile(q float64) time.Duration {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	cum := int64(0)
-	for b := 0; b < latencyBuckets; b++ {
-		cum += h.buckets[b].Load()
-		if cum >= rank {
-			return latencyMid(b)
-		}
-	}
-	return latencyMid(latencyBuckets - 1)
-}
-
-// CountOver returns how many observations fell in buckets strictly above
-// the one containing d — a conservative (under-counting by at most one
-// bucket) tally of observations exceeding d, used for error-budget burn.
-func (h *LatencyHist) CountOver(d time.Duration) int64 {
-	if h == nil {
-		return 0
-	}
-	over := int64(0)
-	for b := latencyBucket(d) + 1; b < latencyBuckets; b++ {
-		over += h.buckets[b].Load()
-	}
-	return over
 }
 
 // write renders the histogram in Prometheus text format. Cumulative

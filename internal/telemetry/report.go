@@ -78,14 +78,7 @@ func (b *DisruptionBucket) UnmarshalJSON(data []byte) error {
 // from a link-failure event to each affected connection's backup
 // activation — across all recovery spans.
 type DisruptionStats struct {
-	Samples int                `json:"samples"`
-	Min     float64            `json:"min"`
-	P50     float64            `json:"p50"`
-	P90     float64            `json:"p90"`
-	P95     float64            `json:"p95"`
-	P99     float64            `json:"p99"`
-	Max     float64            `json:"max"`
-	Mean    float64            `json:"mean"`
+	Summary
 	Buckets []DisruptionBucket `json:"buckets,omitempty"`
 }
 
@@ -130,18 +123,21 @@ type Report struct {
 	// dup, reorder, delay, crash, partition, edge-fail, edge-repair);
 	// empty for fault-free traces.
 	FaultsInjected map[string]int64 `json:"faults_injected,omitempty"`
+	// Dropped counts events the trace writer dropped (Trace.Dropped);
+	// when nonzero every figure above is from an incomplete trace.
+	Dropped int64 `json:"dropped_events,omitempty"`
 }
 
-// DefaultDisruptionBounds are the histogram bucket upper bounds used by
+// disruptionBounds are the histogram bucket upper bounds used by
 // BuildReport, in the trace's time unit (simulated minutes for drtpsim
 // traces, seconds for drtpnode traces).
-var DefaultDisruptionBounds = []float64{0.001, 0.01, 0.05, 0.1, 0.5, 1, 5}
+var disruptionBounds = []float64{0.001, 0.01, 0.05, 0.1, 0.5, 1, 5}
 
 // BuildReport derives the paper-aligned report from a reconstructed
 // trace: per-scheme fault tolerance, the service-disruption histogram,
 // link criticality ranking, and spare-occupancy aggregates.
 func BuildReport(tr *Trace) *Report {
-	rep := &Report{Events: tr.Total, Conns: len(tr.Spans), Failures: len(tr.Recoveries)}
+	rep := &Report{Events: tr.Total, Conns: len(tr.Spans), Failures: len(tr.Recoveries), Dropped: tr.Dropped}
 
 	schemes := map[string]*SchemeStats{}
 	links := map[int]*LinkStat{}
@@ -249,7 +245,18 @@ func BuildReport(tr *Trace) *Report {
 		return rep.Schemes[i].Scheme < rep.Schemes[j].Scheme
 	})
 
-	rep.Disruption = summarizeDisruptions(disruptions)
+	rep.Disruption.Summary = Summarize(disruptions)
+	if len(disruptions) > 0 {
+		rep.Disruption.Buckets = make([]DisruptionBucket, len(disruptionBounds)+1)
+		for i, b := range disruptionBounds {
+			rep.Disruption.Buckets[i].Le = b
+		}
+		rep.Disruption.Buckets[len(disruptionBounds)].Le = math.Inf(1)
+		for _, v := range disruptions {
+			i := sort.SearchFloat64s(disruptionBounds, v) // bucket with Le >= v (inclusive)
+			rep.Disruption.Buckets[i].Count++
+		}
+	}
 
 	for _, l := range links {
 		rep.Links = append(rep.Links, l)
@@ -267,44 +274,6 @@ func BuildReport(tr *Trace) *Report {
 
 	rep.Occupancy = summarizeOccupancy(tr.LinkStates)
 	return rep
-}
-
-func summarizeDisruptions(samples []float64) DisruptionStats {
-	d := DisruptionStats{Samples: len(samples)}
-	if len(samples) == 0 {
-		return d
-	}
-	sort.Float64s(samples)
-	d.Min = samples[0]
-	d.Max = samples[len(samples)-1]
-	d.P50 = quantile(samples, 0.50)
-	d.P90 = quantile(samples, 0.90)
-	d.P95 = quantile(samples, 0.95)
-	d.P99 = quantile(samples, 0.99)
-	var sum float64
-	for _, v := range samples {
-		sum += v
-	}
-	d.Mean = sum / float64(len(samples))
-
-	bounds := DefaultDisruptionBounds
-	d.Buckets = make([]DisruptionBucket, len(bounds)+1)
-	for i, b := range bounds {
-		d.Buckets[i].Le = b
-	}
-	d.Buckets[len(bounds)].Le = math.Inf(1)
-	for _, v := range samples {
-		i := sort.SearchFloat64s(bounds, v) // bucket with Le >= v (inclusive)
-		d.Buckets[i].Count++
-	}
-	return d
-}
-
-// quantile returns the nearest-rank q-quantile of sorted samples; it
-// delegates to the shared estimator so report tables and SLO verdicts
-// cannot disagree on method.
-func quantile(sorted []float64, q float64) float64 {
-	return QuantileSeconds(sorted, q)
 }
 
 func summarizeOccupancy(states []Event) []*OccupancyStat {

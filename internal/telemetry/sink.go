@@ -76,7 +76,7 @@ func (r *Ring) Count(kind EventKind) int64 {
 // order. The parallel experiment engine gives each concurrently-running
 // cell its own Buffer-backed tracer and forwards the captured events to
 // the shared sinks in deterministic cell order once the cell completes
-// (Tracer.Forward), so trace output is identical at any worker count.
+// (Tracer.ForwardBatch), so trace output is identical at any worker count.
 type Buffer struct {
 	mu     sync.Mutex
 	events []Event
@@ -181,14 +181,21 @@ func (j *JSONL) Err() error {
 	return j.err
 }
 
-// Close flushes buffered lines and closes the underlying writer when it
-// is an io.Closer.
-func (j *JSONL) Close() error {
+// flush writes the buffered lines through to the underlying writer.
+func (j *JSONL) flush() {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if err := j.bw.Flush(); err != nil && j.err == nil {
 		j.err = err
 	}
+	j.mu.Unlock()
+}
+
+// Close flushes buffered lines and closes the underlying writer when it
+// is an io.Closer.
+func (j *JSONL) Close() error {
+	j.flush()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	if c, ok := j.w.(io.Closer); ok {
 		if err := c.Close(); err != nil && j.err == nil {
 			j.err = err
@@ -215,17 +222,16 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 
 // MetricsSink aggregates events into a Registry: one
 // drtp_events_total{kind,scheme} counter family (incremented by each
-// event's multiplicity N) plus drtp_link_failures_total and
+// event's multiplicity N) plus the families that carry a label it lacks:
 // drtp_cdp_drops_total{reason} (hop-limit vs detour, so BF's flooding
-// overhead is attributable). It is how live processes turn the event
-// stream into /metrics families.
+// overhead is attributable), drtp_signal_retries_total{op} and
+// drtp_faults_injected_total{action}. It is how live processes turn the
+// event stream into /metrics families.
 type MetricsSink struct {
-	events    *CounterVec
-	linkFails *Counter
-	cdpDrops  *CounterVec
-	retries   *CounterVec
-	dedupHits *Counter
-	faults    *CounterVec
+	events   *CounterVec
+	cdpDrops *CounterVec
+	retries  *CounterVec
+	faults   *CounterVec
 }
 
 // NewMetricsSink creates a sink aggregating into reg.
@@ -233,14 +239,10 @@ func NewMetricsSink(reg *Registry) *MetricsSink {
 	return &MetricsSink{
 		events: reg.CounterVec("drtp_events_total",
 			"Protocol events by kind and routing scheme.", "kind", "scheme"),
-		linkFails: reg.Counter("drtp_link_failures_total",
-			"Links declared failed."),
 		cdpDrops: reg.CounterVec("drtp_cdp_drops_total",
 			"Channel-discovery packets dropped, by discarding test.", "reason"),
 		retries: reg.CounterVec("drtp_signal_retries_total",
 			"Signalling round trips retransmitted, by operation.", "op"),
-		dedupHits: reg.Counter("drtp_signal_dedup_hits_total",
-			"Duplicate signalling packets absorbed by the dedup layer."),
 		faults: reg.CounterVec("drtp_faults_injected_total",
 			"Faults applied by the chaos layer, by action.", "action"),
 	}
@@ -254,8 +256,6 @@ func (m *MetricsSink) Record(e Event) {
 	}
 	m.events.With(e.Kind.String(), scheme).Add(int64(e.N))
 	switch e.Kind {
-	case EvLinkFail:
-		m.linkFails.Add(int64(e.N))
 	case EvCDPDrop:
 		reason := e.Reason
 		if reason == "" {
@@ -268,8 +268,6 @@ func (m *MetricsSink) Record(e Event) {
 			op = "-"
 		}
 		m.retries.With(op).Add(int64(e.N))
-	case EvDedupHit:
-		m.dedupHits.Add(int64(e.N))
 	case EvFaultInjected:
 		action := e.Reason
 		if action == "" {

@@ -8,9 +8,8 @@ import (
 )
 
 // SLO is a latency objective: "the Percentile-quantile of <metric> stays
-// at or below Threshold". Objectives evaluate against either a live
-// LatencyHist or a slice of reconstructed samples (drtptrace's path), so
-// the same verdict logic serves /metrics consumers and BENCH snapshots.
+// at or below Threshold", evaluated against latency samples
+// reconstructed from a trace (drtptrace slo).
 type SLO struct {
 	// Name identifies the objective in reports, e.g. "establish-p95".
 	Name string `json:"name"`
@@ -49,59 +48,70 @@ func (r SLOResult) String() string {
 		r.Samples, r.BudgetBurn, verdict)
 }
 
-// verdict fills the derived fields from the measured quantile and the
-// count of observations over threshold.
-func (s SLO) verdict(samples, over int64, observed time.Duration) SLOResult {
-	res := SLOResult{SLO: s, Samples: samples, Observed: observed.Seconds()}
-	if samples == 0 {
-		res.Pass = true
-		return res
-	}
-	res.Pass = observed <= s.Threshold
-	allowed := (1 - s.Percentile) * float64(samples)
-	if allowed <= 0 {
-		// A p100 objective has no budget: any excess observation burns
-		// infinitely. Report the over-count itself instead.
-		if over > 0 {
-			res.BudgetBurn = math.Inf(1)
-		}
-		return res
-	}
-	res.BudgetBurn = float64(over) / allowed
-	return res
-}
-
-// EvaluateHist evaluates the objective against a live latency histogram.
-func (s SLO) EvaluateHist(h *LatencyHist) SLOResult {
-	return s.verdict(h.Count(), h.CountOver(s.Threshold), h.Quantile(s.Percentile))
-}
-
 // EvaluateSamples evaluates the objective against raw latency samples in
 // seconds (e.g. reconstructed from a trace). The slice is not modified.
 func (s SLO) EvaluateSamples(samples []float64) SLOResult {
 	sorted := make([]float64, len(samples))
 	copy(sorted, samples)
 	sort.Float64s(sorted)
-	n := int64(len(sorted))
-	if n == 0 {
-		return s.verdict(0, 0, 0)
+	observed := time.Duration(quantileSeconds(sorted, s.Percentile) * float64(time.Second))
+	res := SLOResult{SLO: s, Samples: int64(len(sorted)), Observed: observed.Seconds(), Pass: true}
+	if len(sorted) == 0 {
+		return res
 	}
-	observed := QuantileSeconds(sorted, s.Percentile)
-	over := int64(0)
-	limit := s.Threshold.Seconds()
-	for _, v := range sorted {
-		if v > limit {
-			over++
-		}
+	res.Pass = observed <= s.Threshold
+	over := len(sorted) - sort.Search(len(sorted), func(i int) bool { return sorted[i] > s.Threshold.Seconds() })
+	allowed := (1 - s.Percentile) * float64(len(sorted))
+	switch {
+	case allowed > 0:
+		res.BudgetBurn = float64(over) / allowed
+	case over > 0:
+		// A p100 objective has no budget: any excess observation burns
+		// infinitely.
+		res.BudgetBurn = math.Inf(1)
 	}
-	return s.verdict(n, over, time.Duration(observed*float64(time.Second)))
+	return res
 }
 
-// QuantileSeconds returns the nearest-rank q-quantile of an ascending
-// sorted slice (0 for an empty one) — the same estimator the disruption
-// report uses, shared here so BENCH latency columns and report tables
-// can never disagree on method.
-func QuantileSeconds(sorted []float64, q float64) float64 {
+// Summary is the percentile digest of one latency population.
+type Summary struct {
+	Samples int     `json:"samples"`
+	Min     float64 `json:"min"`
+	P50     float64 `json:"p50"`
+	P90     float64 `json:"p90"`
+	P95     float64 `json:"p95"`
+	P99     float64 `json:"p99"`
+	Max     float64 `json:"max"`
+	Mean    float64 `json:"mean"`
+}
+
+// Summarize digests samples with the nearest-rank estimator the SLO
+// verdicts use, so report tables and verdicts cannot disagree on method.
+// The slice is not modified.
+func Summarize(samples []float64) Summary {
+	s := Summary{Samples: len(samples)}
+	if len(samples) == 0 {
+		return s
+	}
+	sorted := make([]float64, len(samples))
+	copy(sorted, samples)
+	sort.Float64s(sorted)
+	var sum float64
+	for _, v := range sorted {
+		sum += v
+	}
+	s.Min, s.Max = sorted[0], sorted[len(sorted)-1]
+	s.P50 = quantileSeconds(sorted, 0.50)
+	s.P90 = quantileSeconds(sorted, 0.90)
+	s.P95 = quantileSeconds(sorted, 0.95)
+	s.P99 = quantileSeconds(sorted, 0.99)
+	s.Mean = sum / float64(len(sorted))
+	return s
+}
+
+// quantileSeconds returns the nearest-rank q-quantile of an ascending
+// sorted slice (0 for an empty one).
+func quantileSeconds(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}

@@ -75,6 +75,9 @@ type Trace struct {
 	Faults []Event `json:"-"`
 	// Total is the number of events consumed.
 	Total int `json:"total_events"`
+	// Dropped sums the trace-dropped trailers of every input: events the
+	// writer lost, so the trace is incomplete when it is nonzero.
+	Dropped int64 `json:"dropped_events,omitempty"`
 }
 
 // spanKey identifies a lifecycle span: the propagated trace ID when the
@@ -146,6 +149,9 @@ func BuildTrace(events []Event) *Trace {
 			continue
 		case EvFaultInjected:
 			tr.Faults = append(tr.Faults, e)
+			continue
+		case EvTraceDropped:
+			tr.Dropped += int64(e.N)
 			continue
 		case EvRetry, EvDedupHit:
 			// Join an already-open span only: a duplicate absorbed after

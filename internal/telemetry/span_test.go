@@ -307,7 +307,7 @@ func TestBuildReport(t *testing.T) {
 	if d.Samples != 2 || math.Abs(d.Min-0.004) > 1e-9 || d.Max != 10 {
 		t.Fatalf("disruption: %+v", d)
 	}
-	if n := len(d.Buckets); n != len(telemetry.DefaultDisruptionBounds)+1 {
+	if n := len(d.Buckets); n != 8 { // seven bounds plus +Inf
 		t.Fatalf("buckets = %d", n)
 	}
 	if d.Buckets[1].Le != 0.01 || d.Buckets[1].Count != 1 {
@@ -435,5 +435,20 @@ func TestConcurrentSpanEmitJSONLRoundTrip(t *testing.T) {
 		if sp.Trace != int64(telemetry.ConnTrace(sp.Scheme, sp.Conn)) {
 			t.Fatalf("span trace mismatch: %+v", sp)
 		}
+	}
+}
+
+// TestBuildTraceSumsDropTrailers asserts trace-dropped trailers from
+// several files add up in Trace.Dropped and the report, and open no span.
+func TestBuildTraceSumsDropTrailers(t *testing.T) {
+	trailer := func(n int) telemetry.Event {
+		return ev(5, telemetry.EvTraceDropped, func(e *telemetry.Event) { e.N = n })
+	}
+	tr := telemetry.BuildTrace([]telemetry.Event{trailer(3), trailer(4)})
+	if tr.Dropped != 7 || len(tr.Spans) != 0 || len(tr.Recoveries) != 0 {
+		t.Fatalf("trace: dropped=%d spans=%d recoveries=%d", tr.Dropped, len(tr.Spans), len(tr.Recoveries))
+	}
+	if got := telemetry.BuildReport(tr).Dropped; got != 7 {
+		t.Fatalf("report dropped = %d, want 7", got)
 	}
 }

@@ -38,12 +38,13 @@ func streamEvent(i int) Event {
 // TestStreamSinkNeverBlocks stalls the writer goroutine behind a gated
 // Write and floods the queue: every Record must return promptly, the
 // overflow must be counted exactly, and nothing may be lost silently —
-// written + dropped == recorded once the gate opens and the sink closes.
+// written + dropped == recorded once the gate opens and the sink closes,
+// and the file ends in one trace-dropped trailer carrying the count.
 func TestStreamSinkNeverBlocks(t *testing.T) {
-	const queue = 64
+	const queue = streamQueue
 	gw := newGatedWriter()
 	reg := NewRegistry()
-	sink := NewStreamSink(gw, queue, reg)
+	sink := NewStreamSink(gw, reg)
 
 	// One event, then idle: the writer goroutine flushes and blocks in
 	// the gated Write with the queue empty.
@@ -77,6 +78,21 @@ func TestStreamSinkNeverBlocks(t *testing.T) {
 			sink.Written(), sink.Dropped(), got, want)
 	}
 
+	// The loss is visible in the file: the last line is the trailer, and
+	// it is not counted as written.
+	gw.mu.Lock()
+	events, err := ReadJSONL(&gw.buf)
+	gw.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(events), 1+queue+1; got != want {
+		t.Fatalf("file holds %d events, want %d written + 1 trailer", got, want)
+	}
+	if last := events[len(events)-1]; last.Kind != EvTraceDropped || last.N != 100 {
+		t.Errorf("last event = %+v, want a trace-dropped trailer with N=100", last)
+	}
+
 	// The loss is visible on the registry, not just the sink handle.
 	var expo strings.Builder
 	if err := reg.WritePrometheus(&expo); err != nil {
@@ -89,70 +105,6 @@ func TestStreamSinkNeverBlocks(t *testing.T) {
 		if !strings.Contains(expo.String(), want) {
 			t.Errorf("exposition missing %q:\n%s", want, expo.String())
 		}
-	}
-}
-
-// TestStreamSinkLosslessBackpressure stalls the writer behind the gate
-// and floods a lossless sink with far more events than its queue holds
-// from a separate goroutine: Record must block (backpressure) instead
-// of dropping, and once the gate opens every single event must come out
-// byte-identical to the plain JSONL sink — the contract drtpsim's
-// trace-reconciliation and golden tests depend on.
-func TestStreamSinkLosslessBackpressure(t *testing.T) {
-	const queue, flood = 8, 5000
-	gw := newGatedWriter()
-	sink := NewLosslessStreamSink(gw, queue, nil)
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < flood; i++ {
-			sink.Record(streamEvent(i))
-		}
-	}()
-
-	// The producer must stall on the full queue while the writer is
-	// gated, not finish by discarding.
-	select {
-	case <-gw.entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("writer goroutine never reached the underlying writer")
-	}
-	select {
-	case <-done:
-		t.Fatalf("producer finished against a gated writer with a %d-slot queue (events discarded?)", queue)
-	case <-time.After(50 * time.Millisecond):
-	}
-
-	close(gw.gate)
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("producer never unblocked after the gate opened")
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := sink.Dropped(); got != 0 {
-		t.Errorf("Dropped() = %d, want 0 from a lossless sink", got)
-	}
-	if got := sink.Written(); got != flood {
-		t.Errorf("Written() = %d, want %d", got, flood)
-	}
-
-	var want bytes.Buffer
-	ref := NewJSONL(&want)
-	for i := 0; i < flood; i++ {
-		ref.Record(streamEvent(i))
-	}
-	if err := ref.Close(); err != nil {
-		t.Fatal(err)
-	}
-	gw.mu.Lock()
-	got := gw.buf.Bytes()
-	gw.mu.Unlock()
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Errorf("lossless stream bytes differ from plain JSONL (%d vs %d bytes)", len(got), len(want.Bytes()))
 	}
 }
 
@@ -171,7 +123,7 @@ func TestStreamSinkMatchesJSONL(t *testing.T) {
 	}
 
 	var streamed bytes.Buffer
-	sink := NewStreamSink(&streamed, n, nil)
+	sink := NewStreamSink(&streamed, nil)
 	for i := 0; i < n; i++ {
 		sink.Record(streamEvent(i))
 	}
@@ -194,10 +146,10 @@ func TestStreamSinkMatchesJSONL(t *testing.T) {
 func TestStreamSinkConcurrentProducers(t *testing.T) {
 	const (
 		producers = 8
-		perProd   = 2000
+		perProd   = streamQueue / producers
 	)
 	var out bytes.Buffer
-	sink := NewStreamSink(&out, producers*perProd, nil)
+	sink := NewStreamSink(&out, nil)
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -243,7 +195,7 @@ func TestStreamSinkConcurrentProducers(t *testing.T) {
 // only torn down once.
 func TestStreamSinkCloseIdempotent(t *testing.T) {
 	var out bytes.Buffer
-	sink := NewStreamSink(&out, 8, nil)
+	sink := NewStreamSink(&out, nil)
 	sink.Record(streamEvent(1))
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)

@@ -263,12 +263,12 @@ func TestHistogramBucketBoundary(t *testing.T) {
 func TestHandler(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("up_total", "").Inc()
-	srv := httptest.NewServer(telemetry.Handler(reg))
+	srv := httptest.NewServer(telemetry.Handler(reg, nil))
 	defer srv.Close()
 
 	res := httptest.NewRecorder()
 	req := httptest.NewRequest("GET", "/metrics", nil)
-	telemetry.Handler(reg).ServeHTTP(res, req)
+	telemetry.Handler(reg, nil).ServeHTTP(res, req)
 	if res.Code != 200 || !strings.Contains(res.Body.String(), "up_total 1") {
 		t.Errorf("/metrics: code %d body %q", res.Code, res.Body.String())
 	}
@@ -277,7 +277,7 @@ func TestHandler(t *testing.T) {
 	}
 
 	res = httptest.NewRecorder()
-	telemetry.Handler(reg).ServeHTTP(res, httptest.NewRequest("GET", "/healthz", nil))
+	telemetry.Handler(reg, nil).ServeHTTP(res, httptest.NewRequest("GET", "/healthz", nil))
 	if res.Code != 200 || strings.TrimSpace(res.Body.String()) != "ok" {
 		t.Errorf("/healthz: code %d body %q", res.Code, res.Body.String())
 	}

@@ -88,6 +88,9 @@ const (
 	// EvDrainDone records drain completion (N = migrated connections;
 	// Hops reused as the dropped count, -1 never).
 	EvDrainDone
+	// EvTraceDropped is the trailer a StreamSink writes on Close when its
+	// queue overflowed: N events are missing from the trace.
+	EvTraceDropped
 )
 
 var kindNames = map[EventKind]string{
@@ -115,6 +118,7 @@ var kindNames = map[EventKind]string{
 	EvAdmissionReject:  "admission-reject",
 	EvDrainStart:       "drain-start",
 	EvDrainDone:        "drain-done",
+	EvTraceDropped:     "trace-dropped",
 }
 
 // String returns the kind's stable wire name.
@@ -228,13 +232,6 @@ type Sink interface {
 	Record(Event)
 }
 
-// Null is a Sink that discards everything (useful to keep a tracer
-// enabled-shaped in tests without retaining events).
-type Null struct{}
-
-// Record implements Sink.
-func (Null) Record(Event) {}
-
 // Tracer is the event bus: it stamps events and fans them out to its
 // sinks. A nil *Tracer, and a Tracer with no sinks, are no-ops — hot
 // paths call the typed emit helpers unconditionally.
@@ -304,22 +301,6 @@ func (t *Tracer) Emit(e Event) {
 	}
 }
 
-// Forward records an already-stamped event in every sink without
-// touching its timestamp or default node: the replay path for event
-// streams captured in a Buffer during a concurrent experiment cell and
-// merged into the shared sinks in deterministic cell order.
-func (t *Tracer) Forward(e Event) {
-	if !t.Enabled() {
-		return
-	}
-	if e.N < 1 {
-		e.N = 1
-	}
-	for _, s := range t.sinks {
-		s.Record(e)
-	}
-}
-
 // BatchSink is an optional Sink extension: RecordBatch records a slice of
 // already-stamped events, preserving order, under one lock acquisition.
 // ForwardBatch uses it when a sink provides it.
@@ -330,9 +311,12 @@ type BatchSink interface {
 	RecordBatch([]Event)
 }
 
-// ForwardBatch is Forward for a whole cell's event stream: it records the
-// already-stamped events in every sink, in order, normalizing
-// multiplicities in place (so the caller must own the slice). Sinks
+// ForwardBatch records already-stamped events in every sink, in order,
+// without touching their timestamps or default node: the replay path for
+// a cell's event stream captured in a Buffer during a concurrent
+// experiment and merged into the shared sinks in deterministic cell
+// order. It normalizes multiplicities in place (so the caller must own
+// the slice), as Emit does. Sinks
 // implementing BatchSink take the slice in one call — one lock
 // acquisition per cell instead of one per event — and the rest receive
 // per-event Record calls, with byte-identical results either way.
