@@ -3,6 +3,7 @@ package faultinject_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/rtcl/drtp/internal/drtp"
@@ -137,6 +138,75 @@ func TestRouteSelectionCrossSource(t *testing.T) {
 			})
 		}
 	}
+	// The same agreement at the size of the scale experiment, where the
+	// view's Conflict Vector rows are sparse: a 2 000-node network loaded
+	// through the Manager, asked over a fixed sample of pairs.
+	for _, sc := range schemes {
+		t.Run(sc.name+"/nodes=2000", func(t *testing.T) {
+			crossSourceSample(t, sc.sim(), sc.view)
+		})
+	}
+}
+
+// crossSourceSample loads a 2 000-node Waxman network with 6 000
+// connection requests and checks a fixed sample of 300 (src, dst) pairs:
+// the view must pick the simulator's primary and backup for each.
+func crossSourceSample(t *testing.T, scheme *routing.LinkState, viewScheme router.BackupScheme) {
+	const capacity = 40
+	g, err := topology.Waxman(topology.WaxmanConfig{Nodes: 2000, AvgDegree: 3, MinDegree: 2, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := drtp.NewNetwork(g, capacity, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := drtp.NewManager(net, scheme)
+	r := rng.New(3)
+	pair := func() (graph.NodeID, graph.NodeID) {
+		src := graph.NodeID(r.Intn(g.NumNodes()))
+		dst := graph.NodeID(r.Intn(g.NumNodes() - 1))
+		if dst >= src {
+			dst++
+		}
+		return src, dst
+	}
+	for id := lsdb.ConnID(1); id <= 6000; id++ {
+		src, dst := pair()
+		_, _ = mgr.Establish(drtp.Request{ID: id, Src: src, Dst: dst}) // rejections are part of the load
+	}
+	db := net.DB()
+	view := router.NewLinkStateView(g, capacity, 1, viewScheme)
+	mirrorInto(db, view)
+
+	var counts []float64
+	deep, compared := 0, 0
+	for i := 0; i < 300; i++ {
+		src, dst := pair()
+		want, err := scheme.Route(net, drtp.Request{Src: src, Dst: dst})
+		primary := view.RoutePrimary(src, dst, nil)
+		if (err != nil) != primary.Empty() {
+			t.Fatalf("%d->%d: simulator says %v, view primary %v", src, dst, err, primary.Nodes(g))
+		}
+		if err != nil {
+			continue
+		}
+		if !reflect.DeepEqual(primary.Links(), want.Primary.Links()) {
+			t.Fatalf("%d->%d: view primary %v, simulator %v", src, dst, primary.Nodes(g), want.Primary.Nodes(g))
+		}
+		if got := viewBackups(view, primary, 1); !reflect.DeepEqual(nodesOf(g, got), nodesOf(g, want.Backups)) {
+			t.Fatalf("%d->%d: view backups %v, simulator %v", src, dst, nodesOf(g, got), nodesOf(g, want.Backups))
+		}
+		compared++
+		counts = db.ConflictCountsInto(primary.Links(), counts)
+		if slices.Max(counts) >= 4 {
+			deep++
+		}
+	}
+	if compared < 200 || deep < 20 {
+		t.Fatalf("fixture too tame: %d pairs routed, %d see a conflict count >= 4", compared, deep)
+	}
+	t.Logf("%d pairs routed, %d with conflict counts >= 4", compared, deep)
 }
 
 // TestBackupCostTieCrossSource is the direct case: the backup of a

@@ -37,7 +37,6 @@ import (
 	"slices"
 	"sync"
 
-	"github.com/rtcl/drtp/internal/bitvec"
 	"github.com/rtcl/drtp/internal/graph"
 )
 
@@ -586,14 +585,6 @@ func (db *DB) CVBit(l, j graph.LinkID) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.links[l].aplv.at(int(j)) > 0
-}
-
-// CV materializes link l's Conflict Vector, the bit-vector D-LSR
-// advertises in place of the full APLV, from its wire form (AppendCV).
-// The routing hot path reads conflicts through ConflictCountsInto and
-// adverts are built by AppendCV, neither of which materializes one.
-func (db *DB) CV(l graph.LinkID) *bitvec.Vector {
-	return bitvec.FromBytes(db.n, db.AppendCV(l, nil))
 }
 
 // SC returns the number of backups on link l that can be activated

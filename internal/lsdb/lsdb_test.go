@@ -3,6 +3,7 @@ package lsdb
 import (
 	"bytes"
 	"errors"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -419,9 +420,12 @@ func TestFigure2CV(t *testing.T) {
 			t.Errorf("CV6[L%d] = %v, want %v", i+1, got, want == 1)
 		}
 	}
-	cv := db.CV(l6)
-	if cv.Count() != 5 {
-		t.Errorf("CV6 popcount = %d, want 5", cv.Count())
+	popcount := 0
+	for _, b := range db.AppendCV(l6, nil) {
+		popcount += bits.OnesCount8(b)
+	}
+	if popcount != 5 {
+		t.Errorf("CV6 popcount = %d, want 5", popcount)
 	}
 	// Disjoint primaries: one spare unit suffices (the paper's point
 	// about L6 in Figure 2's discussion).

@@ -122,9 +122,10 @@ func (db *DB) SCInto(dst []int) []int {
 	return dst
 }
 
-// AppendCV appends link l's Conflict Vector in its wire form (the bytes
-// of DB.CV(l).Bytes()) to dst and returns the extended slice, without
-// materializing the intermediate vector.
+// AppendCV appends link l's Conflict Vector, the bit-vector D-LSR
+// advertises in place of the full APLV, to dst in its wire form and
+// returns the extended slice: (links+7)/8 bytes, bit j%8 of byte j/8 set
+// iff APLV_l[j] > 0.
 func (db *DB) AppendCV(l graph.LinkID, dst []byte) []byte {
 	db.mu.Lock()
 	defer db.mu.Unlock()

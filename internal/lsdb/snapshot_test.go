@@ -1,7 +1,6 @@
 package lsdb
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -57,8 +56,8 @@ func TestSnapshotIntoMatchesAccessors(t *testing.T) {
 }
 
 // TestBatchReadsMatchAccessors covers the remaining batch read forms:
-// SCInto against DB.SC, ConflictCountsInto against per-bit CVBit sums,
-// and AppendCV against the CV(l).Bytes() wire form it shortcuts.
+// SCInto against DB.SC and ConflictCountsInto against per-bit CVBit sums.
+// (AppendCV is held to a map oracle by aplvOracle.checkLink.)
 func TestBatchReadsMatchAccessors(t *testing.T) {
 	db := loadedTestDB(t, 10, 23)
 	sc := db.SCInto(nil)
@@ -79,14 +78,6 @@ func TestBatchReadsMatchAccessors(t *testing.T) {
 		}
 		if counts[l] != float64(want) {
 			t.Errorf("link %d: ConflictCountsInto = %v, CVBit sum = %d", l, counts[l], want)
-		}
-	}
-
-	for l := 0; l < db.NumLinks(); l++ {
-		want := db.CV(graph.LinkID(l)).Bytes()
-		got := db.AppendCV(graph.LinkID(l), nil)
-		if !bytes.Equal(got, want) {
-			t.Errorf("link %d: AppendCV = %x, CV().Bytes() = %x", l, got, want)
 		}
 	}
 }

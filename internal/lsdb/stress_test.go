@@ -44,7 +44,7 @@ func captureLink(db *DB, l graph.LinkID) observableState {
 		numPrimaries: db.PrimariesOn(l),
 		deficit:      db.HasDeficit(l),
 		aplv:         db.APLV(l),
-		cv:           db.CV(l).Bytes(),
+		cv:           db.AppendCV(l, nil),
 	}
 }
 

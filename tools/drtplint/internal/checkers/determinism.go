@@ -29,7 +29,6 @@ var determinismDomain = map[string]bool{
 	"rng":         true,
 	"graph":       true,
 	"metrics":     true,
-	"bitvec":      true,
 	"faultinject": true,
 }
 
