@@ -154,12 +154,14 @@ func BenchmarkEstablishThroughput(b *testing.B) {
 			}
 			b.ReportMetric(float64(total)/elapsed.Seconds(), "conns/s")
 			// The flood behind the signalling: link-state adverts the five
-			// routers originated per cycle, and changes the hold-down
-			// folded into an advert already pending.
+			// routers originated per cycle, changes the hold-down folded
+			// into an advert already pending, and the copies each advert
+			// cost on the adjacencies.
 			adverts := cfg.Metrics.CounterVec("drtp_router_ls_adverts_total", "", "event")
 			originated := float64(adverts.With("originated").Value())
 			b.ReportMetric(originated/float64(total), "adverts/conn")
 			b.ReportMetric(float64(adverts.With("coalesced").Value())/originated, "coalesced/advert")
+			b.ReportMetric(float64(adverts.With("sent").Value())/originated, "sends/advert")
 		})
 	}
 }

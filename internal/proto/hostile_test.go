@@ -149,7 +149,7 @@ func TestNestedAdvertLength(t *testing.T) {
 		}}
 		first := wire(2, 1<<20, 7, 3, uint64(cvLen), cv)
 		second := wire(11, 0, 0, -1, uint64(0))
-		want := envelope(tagLSUpdate, 3, uint64(42), uint64(2), uint64(len(first)), first, uint64(len(second)), second)
+		want := envelope(tagLSUpdate, 3, uint64(42), uint64(2), uint64(len(first)), first, uint64(len(second)), second, byte(0))
 
 		env := proto.Envelope{From: 1, To: 2, Msg: msg}
 		got, err := env.MarshalBinary()

@@ -128,12 +128,15 @@ func linkAdvert(c *codec, what string, la *LinkAdvert) {
 }
 
 // LSUpdate floods the advertising router's local link summaries. Updates
-// carry an origin sequence number; stale updates are dropped, fresh ones
-// are re-flooded to all neighbors but the sender.
+// carry an origin sequence number; stale updates are dropped. A fresh
+// triggered update is forwarded down the origin's shortest-path tree; a
+// fresh Refresh, the periodic advert, is re-flooded to all neighbors but
+// the sender.
 type LSUpdate struct {
-	Origin graph.NodeID
-	Seq    uint64
-	Links  []LinkAdvert
+	Origin  graph.NodeID
+	Seq     uint64
+	Links   []LinkAdvert
+	Refresh bool
 }
 
 // Kind implements Message.
@@ -144,6 +147,7 @@ func (m LSUpdate) fields(c *codec) Message {
 	vint(c, "LSUpdate.Origin", &m.Origin)
 	c.uvarint("LSUpdate.Seq", &m.Seq)
 	slice(c, "LSUpdate.Links", &m.Links, linkAdvert)
+	c.bool("LSUpdate.Refresh", &m.Refresh)
 	return decoded(c, &m)
 }
 

@@ -24,6 +24,21 @@ func (r *Router) ViewCV(l graph.LinkID) []byte {
 	return r.view.CV(l)
 }
 
+// FloodChildren lists, per origin, the neighbours self forwards that
+// origin's triggered adverts to on g.
+func FloodChildren(g *graph.Graph, self graph.NodeID) [][]graph.NodeID {
+	t := newFloodTree(g, self, g.Neighbors(self))
+	out := make([][]graph.NodeID, g.NumNodes())
+	for o := range out {
+		out[o] = t.children(graph.NodeID(o))
+	}
+	return out
+}
+
+// Refresh sends this router's periodic advert now, as the LSInterval tick
+// does.
+func (r *Router) Refresh() { r.advertise(true) }
+
 // Capacities of the signalling and tombstone dedup windows.
 const (
 	MaxSeenSig    = maxSeenSig

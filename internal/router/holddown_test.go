@@ -11,6 +11,7 @@ import (
 	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/proto"
 	"github.com/rtcl/drtp/internal/router"
+	"github.com/rtcl/drtp/internal/telemetry"
 	"github.com/rtcl/drtp/internal/transport"
 )
 
@@ -25,11 +26,13 @@ const (
 )
 
 // advertMirror is a Config.Mirrors destination: it receives every advert
-// a router originates (never a re-flood), counts them per origin and
-// assembles a LinkStateView from them as the route finder does.
+// a router originates (never a forwarded copy), counts them per origin,
+// refreshes apart, and assembles a LinkStateView from them as the route
+// finder does.
 type advertMirror struct {
 	mu         sync.Mutex
 	originated map[graph.NodeID]int
+	refreshes  map[graph.NodeID]int
 	view       *router.LinkStateView
 }
 
@@ -39,11 +42,23 @@ func (m *advertMirror) count(n graph.NodeID) int {
 	return m.originated[n]
 }
 
-// newHoldDownCluster starts the theta cluster with the stretched timers
-// and a mirror attached past the topology's node IDs.
-func newHoldDownCluster(t *testing.T) (*graph.Graph, *router.Cluster, *advertMirror) {
+// totals sums the adverts seen from every origin: triggered and refresh.
+func (m *advertMirror) totals() (triggered, refresh int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for n, k := range m.originated {
+		triggered += k - m.refreshes[n]
+		refresh += m.refreshes[n]
+	}
+	return triggered, refresh
+}
+
+// newHoldDownCluster starts a cluster on g with the stretched timers, one
+// metrics registry and a mirror attached past the topology's node IDs.
+// The routers attach through inject's wrapper around the switchboard
+// (nil: directly); the mirror listens on the switchboard itself.
+func newHoldDownCluster(t *testing.T, g *graph.Graph, inject func(*transport.Mem) transport.Attacher) (*router.Cluster, *advertMirror, *telemetry.Registry) {
 	t.Helper()
-	g := theta(t)
 	const capacity, mirrorID = 100, graph.NodeID(50)
 	mem := transport.NewMem()
 	ep, err := mem.Attach(mirrorID)
@@ -52,6 +67,7 @@ func newHoldDownCluster(t *testing.T) (*graph.Graph, *router.Cluster, *advertMir
 	}
 	m := &advertMirror{
 		originated: make(map[graph.NodeID]int),
+		refreshes:  make(map[graph.NodeID]int),
 		view:       router.NewLinkStateView(g, capacity, 1, router.DLSR),
 	}
 	go func() {
@@ -59,6 +75,9 @@ func newHoldDownCluster(t *testing.T) (*graph.Graph, *router.Cluster, *advertMir
 			if u, ok := env.Msg.(proto.LSUpdate); ok {
 				m.mu.Lock()
 				m.originated[u.Origin]++
+				if u.Refresh {
+					m.refreshes[u.Origin]++
+				}
 				for _, a := range u.Links {
 					m.view.Apply(a)
 				}
@@ -66,6 +85,11 @@ func newHoldDownCluster(t *testing.T) (*graph.Graph, *router.Cluster, *advertMir
 			}
 		}
 	}()
+	var at transport.Attacher = mem
+	if inject != nil {
+		at = inject(mem)
+	}
+	reg := telemetry.NewRegistry()
 	c, err := router.NewCluster(router.Config{
 		Graph:    g,
 		Capacity: capacity,
@@ -75,7 +99,8 @@ func newHoldDownCluster(t *testing.T) (*graph.Graph, *router.Cluster, *advertMir
 		LSInterval:    holdLSInterval,
 		SetupTimeout:  3 * time.Second,
 		Mirrors:       []graph.NodeID{mirrorID},
-	}, mem)
+		Metrics:       reg,
+	}, at)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +108,7 @@ func newHoldDownCluster(t *testing.T) (*graph.Graph, *router.Cluster, *advertMir
 		c.Close()
 		_ = mem.Close()
 	})
-	return g, c, m
+	return c, m, reg
 }
 
 // until polls cond until it holds or the deadline passes.
@@ -135,7 +160,8 @@ func viewLag(g *graph.Graph, c *router.Cluster, m *advertMirror) string {
 // time, not by the number of requests, and the window's closing advert
 // carries the final state everywhere.
 func TestHoldDownBoundsAdvertsAndConverges(t *testing.T) {
-	g, c, m := newHoldDownCluster(t)
+	g := theta(t)
+	c, m, _ := newHoldDownCluster(t, g, nil)
 	src := c.Router(0)
 	quiet()
 	before := make([]int, c.Size())
@@ -177,7 +203,8 @@ func TestHoldDownBoundsAdvertsAndConverges(t *testing.T) {
 // TestHoldDownLeadingEdgeIsImmediate: after a quiet period one reservation
 // reaches a neighbour's view without waiting out a hold-down.
 func TestHoldDownLeadingEdgeIsImmediate(t *testing.T) {
-	g, c, _ := newHoldDownCluster(t)
+	g := theta(t)
+	c, _, _ := newHoldDownCluster(t, g, nil)
 	quiet()
 	l01, _ := g.LinkBetween(0, 1)
 	start := time.Now()
@@ -200,7 +227,8 @@ func TestHoldDownLeadingEdgeIsImmediate(t *testing.T) {
 // reaches router 1's view only if that in-place hop armed the
 // trailing-edge advert.
 func TestHoldDownTrailingEdgeFromInPlaceHop(t *testing.T) {
-	g, c, _ := newHoldDownCluster(t)
+	g := theta(t)
+	c, _, _ := newHoldDownCluster(t, g, nil)
 	l01, _ := g.LinkBetween(0, 1)
 	quiet()
 	start := time.Now()
@@ -225,7 +253,8 @@ func TestHoldDownTrailingEdgeFromInPlaceHop(t *testing.T) {
 // view of its own out-links follows every establishment at once, and a link
 // failure is flooded by the window's closing advert.
 func TestHoldDownDefersFloodNotLocalTruth(t *testing.T) {
-	g, c, _ := newHoldDownCluster(t)
+	g := theta(t)
+	c, _, _ := newHoldDownCluster(t, g, nil)
 	src := c.Router(0)
 	l03, _ := g.LinkBetween(0, 3)
 	quiet()

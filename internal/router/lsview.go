@@ -1,6 +1,7 @@
 package router
 
 import (
+	"math"
 	"math/bits"
 	"time"
 
@@ -220,27 +221,28 @@ func (r *Router) flushAdverts() {
 		return
 	}
 	r.mu.Unlock()
-	r.advertise()
+	r.advertise(false)
 }
 
-// advertise floods this node's local link summaries, triggered or
-// periodic; either way it settles dirty and restarts the hold-down.
-func (r *Router) advertise() {
+// advertise sends this node's local link summaries: a triggered advert
+// down this node's shortest-path tree, a refresh over every adjacency.
+// Either way it settles dirty and restarts the hold-down.
+func (r *Router) advertise(refresh bool) {
 	r.mu.Lock()
 	r.mySeq++
 	r.dirty, r.lastAdvert = false, time.Now()
-	update := proto.LSUpdate{Origin: r.cfg.Node, Seq: r.mySeq}
+	update := proto.LSUpdate{Origin: r.cfg.Node, Seq: r.mySeq, Refresh: refresh}
 	for _, l := range r.g.Out(r.cfg.Node) {
 		update.Links = append(update.Links, r.advertForLocked(l))
 		// Local view mirrors local truth immediately.
 		r.view.Apply(update.Links[len(update.Links)-1])
 	}
+	var buf [8]graph.NodeID
+	to := r.floodTargetsLocked(buf[:0], update, r.cfg.Node)
 	r.mu.Unlock()
 	r.mAdvertsOriginated.Inc()
 	r.tracer.LSUpdate(int(r.cfg.Node), len(update.Links))
-	for _, n := range r.nbrs {
-		r.send(n, update)
-	}
+	r.flood(to, update)
 	for _, m := range r.cfg.Mirrors {
 		r.send(m, update)
 	}
@@ -265,8 +267,15 @@ func (r *Router) advertForLocked(l graph.LinkID) proto.LinkAdvert {
 	}
 }
 
-// handleLSUpdate installs fresh updates and re-floods them.
+// handleLSUpdate installs fresh updates and passes them on
+// (floodTargetsLocked). An update from an origin outside the topology is
+// dropped whole before anything records it, so it neither marks the view
+// synced nor travels further.
 func (r *Router) handleLSUpdate(from graph.NodeID, m proto.LSUpdate) {
+	if m.Origin < 0 || int(m.Origin) >= r.g.NumNodes() {
+		r.tracer.LSUpdateDropped(int(r.cfg.Node), len(m.Links))
+		return
+	}
 	if m.Origin == r.cfg.Node {
 		return
 	}
@@ -288,11 +297,119 @@ func (r *Router) handleLSUpdate(from graph.NodeID, m proto.LSUpdate) {
 		}
 		r.view.Apply(a)
 	}
+	var buf [8]graph.NodeID
+	to := r.floodTargetsLocked(buf[:0], m, from)
 	r.mu.Unlock()
 	r.tracer.LSUpdateDropped(int(r.cfg.Node), dropped)
-	for _, n := range r.nbrs {
-		if n != from {
-			r.send(n, m)
+	r.flood(to, m)
+}
+
+// floodTargetsLocked appends to dst the neighbours an update received
+// from `from` (this router, when it originates the update) goes on to. A
+// refresh goes to every neighbour but from. A triggered update goes only
+// to the live neighbours whose parent in the origin's shortest-path tree
+// this router is, so each router receives it once, along a shortest path:
+// nodes − 1 sends per advert against Σdeg − (nodes − 1) for a refresh. A
+// router below a failed tree edge or a lost copy trails until the origin's
+// next advert, a refresh at the latest. Callers must hold r.mu.
+func (r *Router) floodTargetsLocked(dst []graph.NodeID, m proto.LSUpdate, from graph.NodeID) []graph.NodeID {
+	if m.Refresh {
+		for _, n := range r.nbrs {
+			if n != from {
+				dst = append(dst, n)
+			}
+		}
+		return dst
+	}
+	for _, n := range r.tree.children(m.Origin) {
+		if n != from && !r.downNbr[n] {
+			dst = append(dst, n)
 		}
 	}
+	return dst
+}
+
+// flood sends one update to each of the given neighbours and counts the
+// copies.
+func (r *Router) flood(to []graph.NodeID, m proto.LSUpdate) {
+	for _, n := range to {
+		r.send(n, m)
+	}
+	r.mAdvertsSent.Add(int64(len(to)))
+}
+
+// floodTree is this router's share of every origin's shortest-path tree
+// on the static topology: for each origin, the neighbours whose parent
+// this router is. A node's parent in origin o's tree is its neighbour
+// with the fewest hops to o, the lowest node ID on ties, so every router
+// derives the same tree, and the origin is the parent of each of its
+// neighbours. One list of children per origin, packed in one slice: O(nodes)
+// in all at bounded degree.
+type floodTree struct {
+	// start[o]:start[o+1] indexes origin o's children in kids.
+	start []int32
+	kids  []graph.NodeID
+}
+
+// newFloodTree finds self's children in every origin's tree from one
+// breadth-first search per node within two hops of self: hops(p, o) for
+// self and for every other neighbour p of each neighbour of self.
+func newFloodTree(g *graph.Graph, self graph.NodeID, nbrs []graph.NodeID) floodTree {
+	n := g.NumNodes()
+	hops := func(p graph.NodeID) []int {
+		d := graph.HopDistances(g, p)
+		for o, h := range d {
+			if h < 0 {
+				d[o] = math.MaxInt
+			}
+		}
+		return d
+	}
+	mine := hops(self)
+	// parent[i][o]: self is nbrs[i]'s parent in o's tree.
+	parent := make([][]bool, len(nbrs))
+	t := floodTree{start: make([]int32, n+1)}
+	for i, c := range nbrs {
+		is := make([]bool, n)
+		for o := range is {
+			is[o] = graph.NodeID(o) != c && mine[o] != math.MaxInt
+		}
+		for _, p := range g.Neighbors(c) {
+			if p == self {
+				continue
+			}
+			theirs := hops(p)
+			for o := range is {
+				if theirs[o] < mine[o] || theirs[o] == mine[o] && p < self {
+					is[o] = false
+				}
+			}
+		}
+		for o, ok := range is {
+			if ok {
+				t.start[o+1]++
+			}
+		}
+		parent[i] = is
+	}
+	for o := 0; o < n; o++ {
+		t.start[o+1] += t.start[o]
+	}
+	t.kids = make([]graph.NodeID, t.start[n])
+	next := append([]int32(nil), t.start[:n]...)
+	for i, c := range nbrs {
+		for o, ok := range parent[i] {
+			if ok {
+				t.kids[next[o]] = c
+				next[o]++
+			}
+		}
+	}
+	return t
+}
+
+// children lists the neighbours whose parent in origin's tree this router
+// is, ascending.
+func (t floodTree) children(origin graph.NodeID) []graph.NodeID {
+	return t.kids[t.start[origin]:t.start[origin+1]]
 }

@@ -798,8 +798,10 @@ func TestEstablishSurvivesModerateLoss(t *testing.T) {
 
 // TestHostileLinkAdvertIsDropped feeds a router link summaries whose
 // link IDs lie outside the topology on both sides (LinkAdvert.Link is a
-// signed varint on the wire). The router must drop and count them, keep
-// its view, and keep serving.
+// signed varint on the wire), from an origin outside it too. The router
+// must drop and count them, keep its view, pass nothing on to its
+// neighbours, and keep serving; a router that has heard only such
+// adverts is not synced.
 func TestHostileLinkAdvertIsDropped(t *testing.T) {
 	g := theta(t)
 	mem := transport.NewMem()
@@ -859,8 +861,55 @@ func TestHostileLinkAdvertIsDropped(t *testing.T) {
 	if after := view(); !reflect.DeepEqual(before, after) {
 		t.Fatalf("view changed:\nbefore %v\nafter  %v", before, after)
 	}
+	// The establishment's signalling reaches both of the target's
+	// neighbours behind anything the target sent them before it.
 	if _, err := c.Router(target).Establish(1, 1); err != nil {
 		t.Fatalf("router stopped serving after the hostile advert: %v", err)
+	}
+	for _, e := range events.Events() {
+		if e.Kind == telemetry.EvLSUpdate && e.Reason == "out-of-range" && e.Node != target {
+			t.Fatalf("router %d received the hostile advert from the target", e.Node)
+		}
+	}
+
+	// A lone router hearing only adverts from origins outside the
+	// topology, on both sides, stays un-synced.
+	loneMem := transport.NewMem()
+	t.Cleanup(func() { _ = loneMem.Close() })
+	loneEvents := telemetry.NewBuffer()
+	ep, err := loneMem.Attach(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lone, err := router.New(router.Config{
+		Node: 0, Graph: g, Capacity: 10, UnitBW: 1,
+		HelloMiss: noDetector, Telemetry: telemetry.NewTracer(loneEvents),
+	}, ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = lone.Close() })
+	loneAttacker, err := loneMem.Attach(graph.NodeID(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, origin := range []graph.NodeID{-1, graph.NodeID(g.NumNodes())} {
+		hostile.Origin = origin
+		if err := loneAttacker.Send(0, hostile); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "both hostile origins dropped at the lone router", func() bool {
+		n := 0
+		for _, e := range loneEvents.Events() {
+			if e.Kind == telemetry.EvLSUpdate && e.Reason == "out-of-range" {
+				n++
+			}
+		}
+		return n == 2
+	})
+	if lone.Synced() {
+		t.Fatal("a router that heard only hostile adverts reports synced")
 	}
 }
 
