@@ -477,14 +477,15 @@ func httpGet(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// TestRouteFinderDropsHostileLinkAdvert feeds the route finder link
-// summaries whose link IDs lie outside the topology on both sides. It
-// must drop and count them, keep its view, and keep answering queries.
-func TestRouteFinderDropsHostileLinkAdvert(t *testing.T) {
-	g := trident(t)
+// routeFinderClient starts a route finder on g over an in-memory
+// transport, tracing into events, and returns it with a client's send and
+// a query that doubles as a barrier: the finder handles one sender's
+// messages in order, so a reply means everything sent before it was
+// handled.
+func routeFinderClient(t *testing.T, g *graph.Graph, events *telemetry.Buffer) (*controlplane.RouteFinder, func(proto.Message), func() proto.RouteReply) {
+	t.Helper()
 	mem := transport.NewMem()
 	t.Cleanup(func() { _ = mem.Close() })
-	events := telemetry.NewBuffer()
 	rf, err := controlplane.NewRouteFinder(controlplane.DeployConfig{
 		Graph: g, Capacity: 10, UnitBW: 1, Telemetry: telemetry.NewTracer(events),
 	}, mem)
@@ -502,8 +503,6 @@ func TestRouteFinderDropsHostileLinkAdvert(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// query is also the barrier: the finder handles one sender's messages
-	// in order, so a reply means everything sent before it was handled.
 	var queryID uint64
 	query := func() proto.RouteReply {
 		t.Helper()
@@ -521,6 +520,28 @@ func TestRouteFinderDropsHostileLinkAdvert(t *testing.T) {
 			return proto.RouteReply{}
 		}
 	}
+	return rf, send, query
+}
+
+// droppedAdverts sums the link summaries events counts as dropped out of
+// range.
+func droppedAdverts(events *telemetry.Buffer) int {
+	dropped := 0
+	for _, e := range events.Events() {
+		if e.Kind == telemetry.EvLSUpdate && e.Reason == "out-of-range" {
+			dropped += e.N
+		}
+	}
+	return dropped
+}
+
+// TestRouteFinderDropsHostileLinkAdvert feeds the route finder link
+// summaries whose link IDs lie outside the topology on both sides. It
+// must drop and count them, keep its view, and keep answering queries.
+func TestRouteFinderDropsHostileLinkAdvert(t *testing.T) {
+	g := trident(t)
+	events := telemetry.NewBuffer()
+	_, send, query := routeFinderClient(t, g, events)
 
 	// A genuine advert first, so the view has something to lose: with no
 	// primary bandwidth on 0->2 the primary must leave through 3.
@@ -540,13 +561,40 @@ func TestRouteFinderDropsHostileLinkAdvert(t *testing.T) {
 	if !reflect.DeepEqual(before.Primary, after.Primary) || !reflect.DeepEqual(before.Backups, after.Backups) {
 		t.Fatalf("routes changed: before %+v, after %+v", before, after)
 	}
-	dropped := 0
-	for _, e := range events.Events() {
-		if e.Kind == telemetry.EvLSUpdate && e.Reason == "out-of-range" {
-			dropped += e.N
-		}
-	}
-	if dropped != 2 {
+	if dropped := droppedAdverts(events); dropped != 2 {
 		t.Fatalf("counted %d dropped adverts, want 2", dropped)
+	}
+}
+
+// TestRouteFinderIgnoresHostileOrigins feeds the route finder adverts from
+// every topology node but one, plus adverts from two origins outside the
+// topology, one on each side. The hostile adverts must be dropped whole
+// and counted, one per link summary, and must not make the finder read as
+// synced; the last real origin's advert does.
+func TestRouteFinderIgnoresHostileOrigins(t *testing.T) {
+	g, err := topology.Ring(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := telemetry.NewBuffer()
+	rf, send, query := routeFinderClient(t, g, events)
+	n := graph.NodeID(g.NumNodes())
+	for o := graph.NodeID(0); o < n-1; o++ {
+		send(proto.LSUpdate{Origin: o, Seq: 1})
+	}
+	for _, o := range []graph.NodeID{-1, n + 5} {
+		send(proto.LSUpdate{Origin: o, Seq: 1, Links: []proto.LinkAdvert{{Link: 0}, {Link: 1}}})
+	}
+	query()
+	if rf.Synced() {
+		t.Fatalf("synced with adverts from %d of %d nodes and two hostile origins", n-1, n)
+	}
+	if dropped := droppedAdverts(events); dropped != 4 {
+		t.Fatalf("counted %d dropped adverts, want 4 (two per hostile origin)", dropped)
+	}
+	send(proto.LSUpdate{Origin: n - 1, Seq: 1})
+	query()
+	if !rf.Synced() {
+		t.Fatalf("not synced with adverts from all %d nodes", n)
 	}
 }

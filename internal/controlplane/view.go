@@ -30,8 +30,13 @@ func newNetView(g *graph.Graph, capacity, unitBW int, scheme router.BackupScheme
 
 // apply installs a mirrored advert and returns how many of its link
 // summaries were dropped as out of range; stale sequences are not fresh
-// and install nothing.
+// and install nothing. An advert from an origin outside the topology is
+// dropped whole before its sequence is recorded, so it never counts
+// toward synced.
 func (v *netView) apply(m proto.LSUpdate) (fresh bool, dropped int) {
+	if m.Origin < 0 || int(m.Origin) >= v.g.NumNodes() {
+		return false, len(m.Links)
+	}
 	if m.Seq <= v.seqSeen[m.Origin] {
 		return false, 0
 	}

@@ -11,19 +11,16 @@ import (
 	"github.com/rtcl/drtp/internal/topology"
 )
 
-// aplvOracle is the map model the property test holds the database to:
-// per-link counters, the registry that produced them, and which links
-// have ever held more than the up-convert threshold of nonzero entries
-// (the conversion is one-way, so that history decides the storage form).
+// aplvOracle is the map model the property tests hold the database to:
+// per-link counters and the registry that produced them.
 type aplvOracle struct {
-	n, denseAt int
-	counts     []map[graph.LinkID]int
-	lsets      []map[ConnID][]graph.LinkID
-	dense      []bool
+	n      int
+	counts []map[graph.LinkID]int
+	lsets  []map[ConnID][]graph.LinkID
 }
 
-func newAPLVOracle(n, denseAt int) *aplvOracle {
-	o := &aplvOracle{n: n, denseAt: denseAt, dense: make([]bool, n)}
+func newAPLVOracle(n int) *aplvOracle {
+	o := &aplvOracle{n: n}
 	for l := 0; l < n; l++ {
 		o.counts = append(o.counts, map[graph.LinkID]int{})
 		o.lsets = append(o.lsets, map[ConnID][]graph.LinkID{})
@@ -35,11 +32,6 @@ func (o *aplvOracle) register(id ConnID, l graph.LinkID, lset []graph.LinkID) {
 	o.lsets[l][id] = slices.Clone(lset)
 	for _, j := range lset {
 		o.counts[l][j]++
-	}
-	// Entries only accumulate during a register, so the list is longest
-	// at its end.
-	if len(o.counts[l]) > o.denseAt {
-		o.dense[l] = true
 	}
 }
 
@@ -63,11 +55,7 @@ func (o *aplvOracle) cvBytes(l graph.LinkID) []byte {
 func (o *aplvOracle) aplvBytes() int64 {
 	var total int64
 	for l := range o.counts {
-		if o.dense[l] {
-			total += 4 * int64(o.n)
-		} else {
-			total += 8 * int64(len(o.counts[l]))
-		}
+		total += 8 * int64(len(o.counts[l]))
 	}
 	return total
 }
@@ -98,10 +86,6 @@ func (o *aplvOracle) checkLink(t *testing.T, db *DB, l graph.LinkID, step int) {
 	}
 	if got := db.AppendCV(l, []byte{0xee}); got[0] != 0xee || !bytes.Equal(got[1:], wire) {
 		t.Fatalf("step %d: AppendCV(%d) = %x, oracle ee%x", step, l, got, wire)
-	}
-	if got := db.links[l].aplv.dense != nil; got != o.dense[l] {
-		t.Fatalf("step %d: link %d dense = %v, oracle %v (%d entries, threshold %d)",
-			step, l, got, o.dense[l], len(o.counts[l]), o.denseAt)
 	}
 	ids := db.BackupsOn(l)
 	if len(ids) != len(o.lsets[l]) {
@@ -135,36 +119,34 @@ func (o *aplvOracle) checkAggregates(t *testing.T, db *DB, lset []graph.LinkID, 
 	return counts
 }
 
-// TestAPLVCrossesDenseThreshold drives links through the one
-// representation switch the database has: random backups are registered
-// until pair lists pass aplvDenseAt and are up-converted mid-stream, then
-// released until every counter is back at zero, with every APLV read
-// checked against a map oracle after each operation. Cold links never
-// reach the threshold, so both forms and the transition between them are
-// live in the same database throughout.
-func TestAPLVCrossesDenseThreshold(t *testing.T) {
-	g, err := topology.Grid(5, 5)
+// TestAPLVLongRows drives the rows of a few hot links on the paper's
+// 60-node topology (180 links) past a quarter of the links — 45 entries,
+// where a dense up-convert once took rows over — and back to empty:
+// random backups are registered until every hot row is that long, then
+// released until nothing is left, with every APLV read checked against a
+// map oracle after each operation. Cold links stay short throughout, so
+// short and long rows are live in the same database.
+func TestAPLVLongRows(t *testing.T) {
+	g, err := topology.Waxman(topology.WaxmanConfig{Nodes: 60, AvgDegree: 3, MinDegree: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seed := int64(1); seed <= 8; seed++ {
-		crossDenseThreshold(t, g, seed)
+	for seed := int64(1); seed <= 4; seed++ {
+		longRows(t, g, seed)
 	}
 }
 
-func crossDenseThreshold(t *testing.T, g *graph.Graph, seed int64) {
+func longRows(t *testing.T, g *graph.Graph, seed int64) {
 	t.Helper()
 	n := g.NumLinks()
+	long := n / 4
 	// Capacity is never the constraint: no primaries are reserved, and a
 	// backup registers whenever capacity - prime >= unit.
 	db, err := New(g, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.aplvDenseAt != aplvDenseThreshold(n) || db.aplvDenseAt < 8 {
-		t.Fatalf("aplvDenseAt = %d on %d links; the test needs the production threshold and room below it", db.aplvDenseAt, n)
-	}
-	o := newAPLVOracle(n, db.aplvDenseAt)
+	o := newAPLVOracle(n)
 	r := rand.New(rand.NewSource(seed))
 	hot := []graph.LinkID{3, graph.LinkID(n / 2), graph.LinkID(n - 1)}
 
@@ -213,20 +195,20 @@ func crossDenseThreshold(t *testing.T, g *graph.Graph, seed int64) {
 		o.checkLink(t, db, x.l, step)
 		checkDerivedState(t, db, fmt.Sprintf("step %d", step))
 	}
-	allHotDense := func() bool {
+	allHotLong := func() bool {
 		for _, l := range hot {
-			if !o.dense[l] {
+			if len(o.counts[l]) <= long {
 				return false
 			}
 		}
 		return true
 	}
 
-	// Up: registrations outnumber releases until every hot link has
-	// crossed the threshold.
-	for ; !allHotDense(); step++ {
+	// Up: registrations outnumber releases until every hot row holds more
+	// than a quarter of the links.
+	for ; !allHotLong(); step++ {
 		if step > 5000 {
-			t.Fatal("hot links never crossed the threshold")
+			t.Fatalf("hot rows never passed %d entries", long)
 		}
 		if len(live) > 0 && r.Intn(4) == 0 {
 			release()
@@ -235,17 +217,18 @@ func crossDenseThreshold(t *testing.T, g *graph.Graph, seed int64) {
 		}
 		counts = o.checkAggregates(t, db, randomLSET(), counts, step)
 	}
-	sawPairList := false
+	sawShortRow := false
 	for l := 0; l < n; l++ {
-		if !o.dense[l] && len(o.counts[l]) > 0 {
-			sawPairList = true
+		if k := len(o.counts[l]); k > 0 && k <= long {
+			sawShortRow = true
 		}
 		o.checkLink(t, db, graph.LinkID(l), step)
 	}
-	if !sawPairList {
-		t.Fatal("no loaded link stayed in the pair-list form; the test no longer covers both")
+	if !sawShortRow {
+		t.Fatal("no loaded link kept a short row; the test no longer covers both")
 	}
-	t.Logf("seed %d: %d links, threshold %d: hot links dense after %d ops with %d backups live", seed, n, db.aplvDenseAt, step, len(live))
+	peak := db.APLVBytes()
+	t.Logf("seed %d: %d links: hot rows past %d entries after %d ops with %d backups live, %d B of APLV", seed, n, long, step, len(live), peak)
 
 	// Down: releases outnumber registrations until nothing is left.
 	for ; len(live) > 0; step++ {
@@ -261,11 +244,13 @@ func crossDenseThreshold(t *testing.T, g *graph.Graph, seed int64) {
 		if db.SpareBW(graph.LinkID(l)) != 0 {
 			t.Fatalf("link %d keeps %d spare with no backups", l, db.SpareBW(graph.LinkID(l)))
 		}
+		if c := cap(db.links[l].aplv); c > keepRoute {
+			t.Fatalf("link %d keeps an empty row of capacity %d, want at most %d", l, c, keepRoute)
+		}
 	}
-	// The conversion is one-way: the emptied hot links keep the dense
-	// array, and the accounting says so.
-	if want := 4 * int64(n) * int64(len(hot)); db.APLVBytes() < want {
-		t.Fatalf("APLVBytes = %d after draining, want at least %d for the %d dense links", db.APLVBytes(), want, len(hot))
+	// The drained rows hold nothing, and the accounting says so.
+	if got := db.APLVBytes(); got != 0 {
+		t.Fatalf("APLVBytes = %d after draining from %d, want 0", got, peak)
 	}
 }
 
@@ -304,8 +289,7 @@ func TestPostingListRepeatedLSETEntry(t *testing.T) {
 
 // FuzzBackupOps decodes bytes into a sequence of RegisterBackup,
 // RegisterBackupPath, ReleaseBackup, ReleaseBackupPath and
-// PromoteBackupPath calls on a 3x3 grid whose pair lists up-convert past 4
-// entries, and after every call holds the database to the map oracle and
+// PromoteBackupPath calls on a 3x3 grid, and after every call holds the database to the map oracle and
 // to DB.Check. LSETs come out unsorted, with repeated links, with links
 // outside the network and empty. Capacity never refuses a registration,
 // so the model predicts every outcome: a registration fails on a duplicate
@@ -315,8 +299,8 @@ func TestPostingListRepeatedLSETEntry(t *testing.T) {
 // rolling back the register and promote paths.
 func FuzzBackupOps(f *testing.F) {
 	f.Add([]byte{
-		0, 0, 3, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, // one registration crosses the threshold at its 5th link
-		2, 0, 3, // and its release leaves the dense row empty
+		0, 0, 3, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, // one registration fills a row of 9
+		2, 0, 3, // and its release leaves it empty
 	})
 	f.Add([]byte{
 		0, 1, 3, 3, 7, 5, 7, // a repeated link, unsorted
@@ -343,9 +327,8 @@ func FuzzBackupOps(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.aplvDenseAt = 4
 		n := db.NumLinks()
-		o := newAPLVOracle(n, db.aplvDenseAt)
+		o := newAPLVOracle(n)
 		primaries := make([]map[ConnID]bool, n)
 		for l := range primaries {
 			primaries[l] = map[ConnID]bool{}

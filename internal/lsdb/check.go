@@ -65,34 +65,21 @@ func (db *DB) Check() error {
 			norm += len(b.lset)
 		}
 		maxElem := 0
-		if a := &s.aplv; a.dense != nil {
-			for j, c := range a.dense {
-				if c != folded[j] {
-					return fmt.Errorf("lsdb: APLV_%d[%d] = %d, its registry's LSETs give %d", l, j, c, folded[j])
-				}
-				if c > 0 {
-					column[j]++
-				}
-				folded[j] = 0
-				maxElem = max(maxElem, int(c))
+		for k, e := range s.aplv {
+			j, c := pairLink(e), pairCount(e)
+			if k > 0 && pairLink(s.aplv[k-1]) >= j {
+				return fmt.Errorf("lsdb: link %d pair list holds link %d after link %d", l, j, pairLink(s.aplv[k-1]))
 			}
-		} else {
-			for k, e := range a.pairs {
-				j, c := pairLink(e), pairCount(e)
-				if k > 0 && pairLink(a.pairs[k-1]) >= j {
-					return fmt.Errorf("lsdb: link %d pair list holds link %d after link %d", l, j, pairLink(a.pairs[k-1]))
+			if j >= n || c == 0 || int32(c) != folded[j] {
+				want := int32(0)
+				if j < n {
+					want = folded[j]
 				}
-				if j >= n || c == 0 || int32(c) != folded[j] {
-					want := int32(0)
-					if j < n {
-						want = folded[j]
-					}
-					return fmt.Errorf("lsdb: link %d pair list holds APLV[%d] = %d, its registry's LSETs give %d", l, j, c, want)
-				}
-				column[j]++
-				folded[j] = 0
-				maxElem = max(maxElem, c)
+				return fmt.Errorf("lsdb: link %d pair list holds APLV[%d] = %d, its registry's LSETs give %d", l, j, c, want)
 			}
+			column[j]++
+			folded[j] = 0
+			maxElem = max(maxElem, c)
 		}
 		// Whatever the APLV did not match is still in folded.
 		for _, b := range s.backups {
@@ -116,19 +103,10 @@ func (db *DB) Check() error {
 	copy(column, start)
 	byCol := make([]int32, start[n])
 	for l := range db.links {
-		if a := &db.links[l].aplv; a.dense != nil {
-			for j, c := range a.dense {
-				if c > 0 {
-					byCol[column[j]] = int32(l)
-					column[j]++
-				}
-			}
-		} else {
-			for _, e := range a.pairs {
-				j := pairLink(e)
-				byCol[column[j]] = int32(l)
-				column[j]++
-			}
+		for _, e := range db.links[l].aplv {
+			j := pairLink(e)
+			byCol[column[j]] = int32(l)
+			column[j]++
 		}
 	}
 	// seen[l] == j+1 once post[j] has listed l.

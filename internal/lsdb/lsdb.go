@@ -150,12 +150,6 @@ type DB struct {
 	// guarded by mu.
 	links []linkState
 
-	// aplvDenseAt is the pair-list length past which a link's APLV is
-	// up-converted to the dense array (aplvDenseThreshold). Tests in this
-	// package pin it before the first registration: 0 makes every link
-	// dense on first use, negative never up-converts.
-	aplvDenseAt int
-
 	// sortedLSET is the scratch the APLV folds read an LSET from, sorted,
 	// and sortedFrom the database-owned LSET it was sorted from
 	// (sortedLSETLocked); addedPairs is foldInLocked's scratch of the pairs
@@ -200,7 +194,7 @@ func NewWithMode(g *graph.Graph, capacity, unitBW int, mode Mode) (*DB, error) {
 		return nil, fmt.Errorf("lsdb: invalid mode %d", int(mode))
 	}
 	n := g.NumLinks()
-	db := &DB{g: g, unitBW: unitBW, mode: mode, n: n, aplvDenseAt: aplvDenseThreshold(n)}
+	db := &DB{g: g, unitBW: unitBW, mode: mode, n: n}
 	db.links = make([]linkState, n)
 	for i := range db.links {
 		db.links[i].capacity = capacity
@@ -552,14 +546,7 @@ func (db *DB) APLV(l graph.LinkID) []int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	out := make([]int, db.n)
-	a := &db.links[l].aplv
-	if a.dense != nil {
-		for i, v := range a.dense {
-			out[i] = int(v)
-		}
-		return out
-	}
-	for _, e := range a.pairs {
+	for _, e := range db.links[l].aplv {
 		out[pairLink(e)] = pairCount(e)
 	}
 	return out
@@ -691,16 +678,11 @@ func (db *DB) TotalCapacity() int {
 }
 
 // APLVBytes returns the bytes of APLV counter storage currently held
-// across all links: 4 bytes per dense slot, 8 per pair-list entry. This
-// is the quantity the pair lists exist to shrink — dense arrays on every
-// link would pin it at links² × 4 bytes regardless of load, while pair
-// lists grow with the conflicts that actually exist — and the scale
-// experiment reports it per accepted connection.
+// across all links: 8 per pair-list entry. This is the quantity the pair
+// lists exist to shrink — a dense array on every link would pin it at
+// links² × 4 bytes regardless of load, while pair lists grow with the
+// conflicts that actually exist — and the scale experiment reports it per
+// accepted connection.
 func (db *DB) APLVBytes() int64 {
-	return int64(db.sumLinks(func(s *linkState) int {
-		if s.aplv.dense != nil {
-			return 4 * len(s.aplv.dense)
-		}
-		return 8 * len(s.aplv.pairs)
-	}))
+	return int64(db.sumLinks(func(s *linkState) int { return 8 * len(s.aplv) }))
 }

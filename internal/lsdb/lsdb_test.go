@@ -274,13 +274,13 @@ func TestCapacityFollowsLoad(t *testing.T) {
 	}
 	caps := func() [3]int {
 		s := &db.links[b]
-		return [3]int{cap(s.backups), cap(s.aplv.pairs), cap(s.post)}
+		return [3]int{cap(s.backups), cap(s.aplv), cap(s.post)}
 	}
 	load(false)
 	loaded := caps()
-	if s := &db.links[b]; len(s.backups) != k || len(s.aplv.pairs) != k+7 || len(s.post) != k {
+	if s := &db.links[b]; len(s.backups) != k || len(s.aplv) != k+7 || len(s.post) != k {
 		t.Fatalf("loaded link holds %d backups, %d APLV entries, %d postings; want %d, %d, %d",
-			len(s.backups), len(s.aplv.pairs), len(s.post), k, k+7, k)
+			len(s.backups), len(s.aplv), len(s.post), k, k+7, k)
 	}
 	load(true)
 	if released := caps(); slices.Max(released[:]) > keepRoute {

@@ -135,16 +135,7 @@ func (db *DB) AppendCV(l graph.LinkID, dst []byte) []byte {
 		dst = append(dst, 0)
 	}
 	out := dst[start:]
-	a := &db.links[l].aplv
-	if a.dense != nil {
-		for j, c := range a.dense {
-			if c > 0 {
-				out[j/8] |= 1 << uint(j%8)
-			}
-		}
-		return dst
-	}
-	for _, e := range a.pairs {
+	for _, e := range db.links[l].aplv {
 		j := pairLink(e)
 		out[j/8] |= 1 << uint(j%8)
 	}

@@ -327,6 +327,10 @@ func benchSnapshotInto(b *testing.B, g *graph.Graph, full bool) {
 // backupRoute is one connection's backup path and the LSET it carries.
 type backupRoute struct{ backup, lset []graph.LinkID }
 
+// loader builds a loaded database on g (steadyStateDB, paperDB): the
+// routes it registered as connections 1..len(load), and extra more.
+type loader func(tb testing.TB, g *graph.Graph, extra int) (db *DB, load, more []backupRoute)
+
 // steadyStateDB returns a database on g loaded the way scale_2k's D-LSR
 // cell stands at steady state — about 1.8 backups and 15 APLV entries per
 // link — with connections 1..len(load) registered: each a 9-hop backup,
@@ -362,6 +366,55 @@ func steadyStateDB(tb testing.TB, g *graph.Graph, extra int) (db *DB, load, more
 	return db, load, more
 }
 
+// paperDB returns a database on g loaded with random backups, each the
+// shortest route avoiding a minimum-hop primary between random end points
+// and carrying that whole primary as its LSET, until eight APLV rows hold
+// more than a quarter of the links — on the paper's 60-node topology, the
+// rows a dense up-convert once took over. more holds extra routes drawn
+// the same way.
+func paperDB(tb testing.TB, g *graph.Graph, extra int) (db *DB, load, more []backupRoute) {
+	tb.Helper()
+	db, err := New(g, 40, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(5))
+	var scratch graph.Scratch
+	next := func() backupRoute {
+		for {
+			src, dst := graph.NodeID(r.Intn(g.NumNodes())), graph.NodeID(r.Intn(g.NumNodes()))
+			primary, ok := scratch.MinHopPath(g, src, dst, func(graph.LinkID) bool { return true })
+			if !ok || primary.Hops() == 0 {
+				continue
+			}
+			backup, ok := scratch.MinHopPath(g, src, dst, func(l graph.LinkID) bool { return !primary.Contains(l) })
+			if ok {
+				return backupRoute{backup: backup.Links(), lset: primary.Links()}
+			}
+		}
+	}
+	long := func() int {
+		k := 0
+		for l := range db.links {
+			if len(db.links[l].aplv) > db.n/4 {
+				k++
+			}
+		}
+		return k
+	}
+	for long() < 8 {
+		c := next()
+		load = append(load, c)
+		if err := db.RegisterBackupPath(ConnID(len(load)), c.backup, c.lset); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for range extra {
+		more = append(more, next())
+	}
+	return db, load, more
+}
+
 // loadBackups registers (or, with unload, releases) route i of load as
 // connection i+1.
 func loadBackups(db *DB, load []backupRoute, unload bool) error {
@@ -380,33 +433,58 @@ func loadBackups(db *DB, load []backupRoute, unload bool) error {
 }
 
 // TestBackupPathAllocs is the allocation budget of the per-request backup
-// bookkeeping: on a database at steady state, a warmed RegisterBackupPath
-// + ReleaseBackupPath pair allocates at most one object, the LSET clone
-// the registration keeps — the registries, pair lists and posting lists
-// it touches grow and give capacity back without allocating once they
-// have carried the request.
+// bookkeeping: on a loaded database, a warmed RegisterBackupPath +
+// ReleaseBackupPath pair allocates at most one object, the LSET clone the
+// registration keeps — the registries, pair lists and posting lists it
+// touches grow and give capacity back without allocating once they have
+// carried the request. It runs at 300 nodes at scale_2k's steady state
+// and on the paper's 60-node topology with rows past a quarter of the
+// links.
 func TestBackupPathAllocs(t *testing.T) {
-	g, err := topology.Waxman(topology.WaxmanConfig{Nodes: 300, AvgDegree: 3, MinDegree: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, load, more := steadyStateDB(t, g, 16)
-	for i, c := range more {
-		id := ConnID(len(load) + 1 + i)
-		pair := func() {
-			if err := db.RegisterBackupPath(id, c.backup, c.lset); err != nil {
+	for _, c := range []struct {
+		name  string
+		nodes int
+		load  loader
+	}{
+		{"steady", 300, steadyStateDB},
+		{"paper", 60, paperDB},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g, err := topology.Waxman(topology.WaxmanConfig{Nodes: c.nodes, AvgDegree: 3, MinDegree: 2, Seed: 1})
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := db.ReleaseBackupPath(id, c.backup); err != nil {
-				t.Fatal(err)
+			db, load, more := c.load(t, g, 16)
+			long := 0 // backup links of more whose row holds over a quarter of the links
+			for _, r := range more {
+				for _, l := range r.backup {
+					if len(db.links[l].aplv) > db.n/4 {
+						long++
+					}
+				}
 			}
-		}
-		pair() // warm
-		if avg := testing.AllocsPerRun(50, pair); avg > 1 {
-			t.Errorf("route %d: a register + release pair allocates %.1f objects, want at most 1 (the LSET clone)", i, avg)
-		}
+			t.Logf("%d links, %d backups loaded, %d of the pairs' backup links on rows past %d entries", db.n, len(load), long, db.n/4)
+			if c.nodes == 60 && long == 0 {
+				t.Fatal("no pair crosses a long row; the budget no longer covers them")
+			}
+			for i, r := range more {
+				id := ConnID(len(load) + 1 + i)
+				pair := func() {
+					if err := db.RegisterBackupPath(id, r.backup, r.lset); err != nil {
+						t.Fatal(err)
+					}
+					if err := db.ReleaseBackupPath(id, r.backup); err != nil {
+						t.Fatal(err)
+					}
+				}
+				pair() // warm
+				if avg := testing.AllocsPerRun(50, pair); avg > 1 {
+					t.Errorf("route %d: a register + release pair allocates %.1f objects, want at most 1 (the LSET clone)", i, avg)
+				}
+			}
+			checkDerivedState(t, db, "after the pairs")
+		})
 	}
-	checkDerivedState(t, db, "after the pairs")
 }
 
 // TestColdBackupPathAllocs is the allocation budget of a registration on
@@ -444,33 +522,39 @@ func TestColdBackupPathAllocs(t *testing.T) {
 }
 
 // BenchmarkBackupPath times the backup bookkeeping a request pays beside
-// its route search — RegisterBackupPath of a 9-hop backup carrying a
-// 9-link LSET, then ReleaseBackupPath — on a database loaded to scale_2k's
-// steady state (6000 links) and to the same load per link at the 10k-node
-// experiment's size (30000 links). Beside BenchmarkSnapshotInto it is the
+// its route search — RegisterBackupPath, then ReleaseBackupPath — on the
+// paper's 60-node topology (180 links) loaded until eight rows hold more
+// than a quarter of the links (paperDB), and with a 9-hop backup
+// carrying a 9-link LSET on a database loaded to scale_2k's steady state
+// (6000 links) and to the same load per link at the 10k-node experiment's
+// size (30000 links). Beside BenchmarkSnapshotInto it is the
 // lsdb layer's home. Besides ns/op and allocs/op it reports the load
 // (backups/link, and entries/link of the APLV pair lists) and the heap a
 // second database holds per registered backup-link after it is loaded,
 // unloaded and loaded again (B/backup-link, LSET clones included): what
 // the bookkeeping costs in memory once the load has moved.
 func BenchmarkBackupPath(b *testing.B) {
-	for _, nodes := range []int{2000, 10000} {
+	for _, nodes := range []int{60, 2000, 10000} {
 		g, err := topology.Waxman(topology.WaxmanConfig{Nodes: nodes, AvgDegree: 3, MinDegree: 2, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(strconv.Itoa(g.NumLinks()), func(b *testing.B) { benchBackupPath(b, g) })
+		load := loader(steadyStateDB)
+		if nodes == 60 {
+			load = paperDB
+		}
+		b.Run(strconv.Itoa(g.NumLinks()), func(b *testing.B) { benchBackupPath(b, g, load) })
 	}
 }
 
-func benchBackupPath(b *testing.B, g *graph.Graph) {
-	db, load, more := steadyStateDB(b, g, 64)
+func benchBackupPath(b *testing.B, g *graph.Graph, loadDB loader) {
+	db, load, more := loadDB(b, g, 64)
 	backupLinks, entries := 0, 0
 	for _, c := range load {
 		backupLinks += len(c.backup)
 	}
 	for l := range db.links {
-		entries += len(db.links[l].aplv.pairs)
+		entries += len(db.links[l].aplv)
 	}
 
 	other, err := New(g, 40, 1)

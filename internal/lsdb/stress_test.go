@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the LSDB verification tier: a differential test holding a
-// pair-list database to a dense one op for op (errors included), a
+// database to a map model op for op (errors included), a
 // deterministic first-failure rollback check, PromoteBackupPath against
 // the per-link loop it replaced, and a randomized concurrent stress test
 // whose final state is validated against per-link invariants recomputed
@@ -134,36 +134,222 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// TestAPLVFormsDifferential drives the same randomized op sequence —
-// including operations destined to fail and roll back — through a database
-// whose APLVs never leave the pair-list form and one whose APLVs are dense
-// from the first entry (the up-convert threshold pinned at -1 and 0),
-// asserting identical errors and identical observable state throughout.
-// Any divergence between the two APLV forms — in bookkeeping, rollback,
-// spare sizing or CV derivation — fails here before it can skew a
-// simulation.
+// lsdbModel extends the APLV oracle with the bandwidth accounting, so it
+// predicts every operation's outcome, error text included: the primaries
+// on each link, and each link's spare, which follows the database's rule —
+// resized to min(max_j APLV[j], capacity − prime) units by the link's
+// backup operations only.
+type lsdbModel struct {
+	*aplvOracle
+	capacity  int
+	primaries []map[ConnID]bool
+	spare     []int
+	backupOps int64
+}
+
+func newLSDBModel(n, capacity int) *lsdbModel {
+	m := &lsdbModel{aplvOracle: newAPLVOracle(n), capacity: capacity, spare: make([]int, n)}
+	for l := 0; l < n; l++ {
+		m.primaries = append(m.primaries, map[ConnID]bool{})
+	}
+	return m
+}
+
+func (m *lsdbModel) prime(l graph.LinkID) int { return len(m.primaries[l]) }
+
+func (m *lsdbModel) resize(l graph.LinkID) {
+	maxElem := 0
+	for _, c := range m.counts[l] {
+		maxElem = max(maxElem, c)
+	}
+	m.spare[l] = min(maxElem, m.capacity-m.prime(l))
+}
+
+func insufficient(l graph.LinkID, have int) error {
+	return fmt.Errorf("lsdb: link %d has %d bandwidth, need 1", l, have)
+}
+
+func (m *lsdbModel) reserve(id ConnID, l graph.LinkID) error {
+	if free := m.capacity - m.prime(l) - m.spare[l]; free < 1 {
+		return insufficient(l, free)
+	}
+	if m.primaries[l][id] {
+		return fmt.Errorf("lsdb: connection %d already has a primary on link %d", id, l)
+	}
+	m.primaries[l][id] = true
+	return nil
+}
+
+func (m *lsdbModel) releasePrimary(id ConnID, l graph.LinkID) error {
+	if !m.primaries[l][id] {
+		return fmt.Errorf("lsdb: connection %d has no primary on link %d", id, l)
+	}
+	delete(m.primaries[l], id)
+	return nil
+}
+
+func (m *lsdbModel) attach(id ConnID, l graph.LinkID, lset []graph.LinkID) {
+	m.backupOps++
+	m.register(id, l, lset)
+	m.resize(l)
+}
+
+func (m *lsdbModel) detach(id ConnID, l graph.LinkID) {
+	m.backupOps++
+	m.release(id, l)
+	m.resize(l)
+}
+
+func (m *lsdbModel) registerBackup(id ConnID, l graph.LinkID, lset []graph.LinkID) error {
+	if avail := m.capacity - m.prime(l); avail < 1 {
+		return insufficient(l, avail)
+	}
+	if _, dup := m.lsets[l][id]; dup {
+		return fmt.Errorf("lsdb: connection %d already has a backup on link %d", id, l)
+	}
+	m.attach(id, l, lset)
+	return nil
+}
+
+func (m *lsdbModel) releaseBackup(id ConnID, l graph.LinkID) error {
+	if _, ok := m.lsets[l][id]; !ok {
+		return fmt.Errorf("lsdb: connection %d has no backup on link %d", id, l)
+	}
+	m.detach(id, l)
+	return nil
+}
+
+// promote returns the stored LSET and whether a spare slot was converted,
+// enough for promotePath to undo it.
+func (m *lsdbModel) promote(id ConnID, l graph.LinkID) ([]graph.LinkID, bool, error) {
+	lset, ok := m.lsets[l][id]
+	if !ok {
+		return nil, false, fmt.Errorf("lsdb: connection %d has no backup on link %d", id, l)
+	}
+	shared := m.primaries[l][id]
+	if !shared {
+		if m.spare[l] < 1 {
+			return nil, false, insufficient(l, m.spare[l])
+		}
+		m.primaries[l][id] = true
+	}
+	m.detach(id, l)
+	return lset, !shared, nil
+}
+
+func (m *lsdbModel) reservePath(id ConnID, path []graph.LinkID) error {
+	for i, l := range path {
+		if err := m.reserve(id, l); err != nil {
+			for _, done := range path[:i] {
+				_ = m.releasePrimary(id, done)
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+func (m *lsdbModel) releasePrimaryPath(id ConnID, path []graph.LinkID) error {
+	for _, l := range path {
+		if err := m.releasePrimary(id, l); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (m *lsdbModel) registerPath(id ConnID, path, lset []graph.LinkID) error {
+	for i, l := range path {
+		if err := m.registerBackup(id, l, lset); err != nil {
+			for _, done := range path[:i] {
+				_ = m.releaseBackup(id, done)
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+func (m *lsdbModel) releaseBackupPath(id ConnID, path []graph.LinkID) error {
+	for _, l := range path {
+		if err := m.releaseBackup(id, l); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (m *lsdbModel) promotePath(id ConnID, path []graph.LinkID) error {
+	type undo struct {
+		l         graph.LinkID
+		lset      []graph.LinkID
+		converted bool
+	}
+	var done []undo
+	for _, l := range path {
+		lset, converted, err := m.promote(id, l)
+		if err != nil {
+			for _, u := range done {
+				if u.converted {
+					delete(m.primaries[u.l], id)
+				}
+				m.attach(id, u.l, u.lset)
+			}
+			return err
+		}
+		done = append(done, undo{l, lset, converted})
+	}
+	return nil
+}
+
+// check holds every per-link read of db and its backup-op count to the
+// model.
+func (m *lsdbModel) check(t *testing.T, db *DB, step int) {
+	t.Helper()
+	for l := 0; l < m.n; l++ {
+		lid := graph.LinkID(l)
+		m.checkLink(t, db, lid, step)
+		if got, want := db.PrimariesOn(lid), m.prime(lid); got != want || db.PrimeBW(lid) != want {
+			t.Fatalf("step %d: link %d holds %d primaries and prime %d, model %d", step, l, got, db.PrimeBW(lid), want)
+		}
+		for id := range m.primaries[l] {
+			if !db.HasPrimary(id, lid) {
+				t.Fatalf("step %d: link %d lacks connection %d's primary", step, l, id)
+			}
+		}
+		if got, want := db.SpareBW(lid), m.spare[l]; got != want {
+			t.Fatalf("step %d: link %d has spare %d, model %d", step, l, got, want)
+		}
+	}
+	if got := db.BackupOps(); got != m.backupOps {
+		t.Fatalf("step %d: %d backup ops, model %d", step, got, m.backupOps)
+	}
+}
+
+// TestAPLVOracleDifferential drives a randomized op sequence — including
+// operations destined to fail and roll back — through one database and
+// the map model, asserting after every op the error the model predicts,
+// every per-link read against the model, and DB.Check. Any drift in
+// bookkeeping, rollback, spare sizing or CV derivation fails here before
+// it can skew a simulation.
 //
-// Three long-lived Snapshots follow the pair-list database through the same
+// Three long-lived Snapshots follow the database through the same
 // sequence, failed and rolled-back operations included: one refreshed after
 // every op, which the log always reaches back to; one every seventh; one so
 // rarely that the log is cut in between. Now and then the first is moved to
 // a database in another state and to one of another size, and back.
-func TestAPLVFormsDifferential(t *testing.T) {
+func TestAPLVOracleDifferential(t *testing.T) {
 	g, err := topology.Grid(3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := New(g, 3, 1)
+	const capacity = 3
+	db, err := New(g, capacity, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs.aplvDenseAt = -1
-	dense, err := New(g, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense.aplvDenseAt = 0
-	other, err := New(g, 5, 1) // same links, no entry in common with pairs
+	model := newLSDBModel(db.NumLinks(), capacity)
+	other, err := New(g, 5, 1) // same links, no entry in common with db
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,6 +369,8 @@ func TestAPLVFormsDifferential(t *testing.T) {
 		followers [3]Snapshot
 		patched   [3]int // refreshes the log still reached back to
 		overrun   [3]int // refreshes more than NumLinks transitions late
+		counts    []float64
+		failed    int
 	)
 	r := rand.New(rand.NewSource(42))
 	conns := []ConnID{1, 2, 3, 4, 5}
@@ -195,67 +383,63 @@ func TestAPLVFormsDifferential(t *testing.T) {
 		if step%101 == 0 {
 			checkSnapshot(t, other, &followers[0], fmt.Sprintf("step %d, moved to a second database", step))
 			checkSnapshot(t, small, &followers[0], fmt.Sprintf("step %d, moved to a database of another size", step))
-			checkSnapshot(t, pairs, &followers[0], fmt.Sprintf("step %d, moved back", step))
+			checkSnapshot(t, db, &followers[0], fmt.Sprintf("step %d, moved back", step))
 		}
-		var errP, errD error
+		var err, want error
+		var lset []graph.LinkID
 		switch r.Intn(7) {
 		case 0:
-			errP = pairs.ReservePrimaryPath(id, path)
-			errD = dense.ReservePrimaryPath(id, path)
+			err = db.ReservePrimaryPath(id, path)
+			want = model.reservePath(id, path)
 		case 1:
-			errP = pairs.ReleasePrimaryPath(id, path)
-			errD = dense.ReleasePrimaryPath(id, path)
+			err = db.ReleasePrimaryPath(id, path)
+			want = model.releasePrimaryPath(id, path)
 		case 2:
-			lset := randomWalk(r, g, 4)
-			errP = pairs.RegisterBackupPath(id, path, lset)
-			errD = dense.RegisterBackupPath(id, path, lset)
+			lset = randomWalk(r, g, 4)
+			err = db.RegisterBackupPath(id, path, lset)
+			want = model.registerPath(id, path, lset)
 		case 3:
-			errP = pairs.ReleaseBackupPath(id, path)
-			errD = dense.ReleaseBackupPath(id, path)
+			err = db.ReleaseBackupPath(id, path)
+			want = model.releaseBackupPath(id, path)
 		case 4:
-			errP = pairs.PromoteBackup(id, path[0])
-			errD = dense.PromoteBackup(id, path[0])
+			err = db.PromoteBackup(id, path[0])
+			_, _, want = model.promote(id, path[0])
 		case 5:
-			errP = pairs.PromoteBackupPath(id, path)
-			errD = dense.PromoteBackupPath(id, path)
+			err = db.PromoteBackupPath(id, path)
+			want = model.promotePath(id, path)
 		default:
-			lset := randomWalk(r, g, 3)
-			errP = pairs.RegisterBackup(id, path[0], lset)
-			errD = dense.RegisterBackup(id, path[0], lset)
+			lset = randomWalk(r, g, 3)
+			err = db.RegisterBackup(id, path[0], lset)
+			want = model.registerBackup(id, path[0], lset)
 		}
-		if errString(errP) != errString(errD) {
-			t.Fatalf("step %d: errors diverge: pair-list %q, dense %q", step, errString(errP), errString(errD))
+		if errString(err) != errString(want) {
+			t.Fatalf("step %d: error %q, model %q", step, errString(err), errString(want))
 		}
-		checkDerivedState(t, pairs, fmt.Sprintf("step %d, pair-list", step))
-		checkDerivedState(t, dense, fmt.Sprintf("step %d, dense", step))
+		if err != nil {
+			failed++
+		}
+		model.check(t, db, step)
+		counts = model.checkAggregates(t, db, lset, counts, step)
+		checkDerivedState(t, db, fmt.Sprintf("step %d", step))
 		for k, stride := range strides {
 			if step%stride != 0 {
 				continue
 			}
-			if f := &followers[k]; f.from == pairs {
-				if f.seq >= pairs.changedBase {
+			if f := &followers[k]; f.from == db {
+				if f.seq >= db.changedBase {
 					patched[k]++
 				}
-				if pairs.changedBase+uint64(len(pairs.changed))-f.seq > uint64(pairs.n) {
+				if db.changedBase+uint64(len(db.changed))-f.seq > uint64(db.n) {
 					overrun[k]++
 				}
 			}
-			checkSnapshot(t, pairs, &followers[k], fmt.Sprintf("step %d (error %q), follower of stride %d", step, errString(errP), stride))
-		}
-		// Full-state comparison every few steps keeps runtime small while
-		// still localizing a divergence near the op that caused it.
-		if step%25 != 0 {
-			continue
-		}
-		for l := 0; l < g.NumLinks(); l++ {
-			if d := diffState(captureLink(pairs, graph.LinkID(l)), captureLink(dense, graph.LinkID(l))); d != "" {
-				t.Fatalf("step %d link %d: %s", step, l, d)
-			}
+			checkSnapshot(t, db, &followers[k], fmt.Sprintf("step %d (error %q), follower of stride %d", step, errString(err), stride))
 		}
 	}
-	if pairs.BackupOps() != dense.BackupOps() {
-		t.Fatalf("backup op counts diverge: %d vs %d", pairs.BackupOps(), dense.BackupOps())
+	if failed == 0 {
+		t.Fatal("no operation failed; the test no longer covers failures and rollbacks")
 	}
+	t.Logf("%d operations failed, each with the model's error", failed)
 	if patched[0] == 0 || patched[1] == 0 || overrun[0] != 0 || overrun[2] == 0 {
 		t.Fatalf("followers of strides %v: patched %v times, overrun by the log %v times; want the first two patched, the first never overrun, the last overrun",
 			strides, patched, overrun)
@@ -536,12 +720,11 @@ func TestConcurrentStress(t *testing.T) {
 }
 
 // TestCheckFindsDrift corrupts one piece of derived state at a time on a
-// loaded database — sparse and dense APLVs, posting lists, primaries,
-// registry order, running totals — and requires DB.Check to name it.
+// loaded database — APLV pair lists, posting lists, primaries, registry
+// order, running totals — and requires DB.Check to name it.
 func TestCheckFindsDrift(t *testing.T) {
-	load := func(t *testing.T, denseAt int) *DB {
+	load := func(t *testing.T) *DB {
 		db := newTestDB(t, 10)
-		db.aplvDenseAt = denseAt
 		for _, step := range []error{
 			db.ReservePrimaryPath(1, lset(2, 3)),
 			db.RegisterBackupPath(1, lset(5, 6), lset(2, 3)),
@@ -560,30 +743,29 @@ func TestCheckFindsDrift(t *testing.T) {
 	b, j := paperLink(5), paperLink(3) // a backup link, and a primary link both backups' LSETs name
 	for _, c := range []struct {
 		name    string
-		denseAt int
 		corrupt func(db *DB)
 	}{
-		{"registry order", -1, func(db *DB) { s := &db.links[b]; s.backups[0], s.backups[1] = s.backups[1], s.backups[0] }},
-		{"pair count", -1, func(db *DB) { db.links[b].aplv.pairs[0]++ }},
-		{"pair order", -1, func(db *DB) { p := db.links[b].aplv.pairs; p[0], p[1] = p[1], p[0] }},
-		{"pair missing", -1, func(db *DB) { s := &db.links[b]; s.aplv.pairs = s.aplv.pairs[1:] }},
-		{"dense count", 0, func(db *DB) { db.links[b].aplv.dense[j]++ }},
-		{"norm", -1, func(db *DB) { db.links[b].norm++ }},
-		{"max", 0, func(db *DB) { db.links[b].maxElem-- }},
-		{"posting missing", -1, func(db *DB) { p := &db.links[j]; p.post = p.post[1:] }},
-		{"posting twice", -1, func(db *DB) { p := &db.links[j]; p.post = append(p.post, p.post[0]) }},
-		{"posting for a zero counter", 0, func(db *DB) { db.links[j].post[0] = int32(paperLink(9)) }},
-		{"primary twice", -1, func(db *DB) {
+		{"registry order", func(db *DB) { s := &db.links[b]; s.backups[0], s.backups[1] = s.backups[1], s.backups[0] }},
+		{"pair count", func(db *DB) { db.links[b].aplv[0]++ }},
+		{"pair order", func(db *DB) { p := db.links[b].aplv; p[0], p[1] = p[1], p[0] }},
+		{"pair missing", func(db *DB) { s := &db.links[b]; s.aplv = s.aplv[1:] }},
+		{"pair past the network", func(db *DB) { s := &db.links[b]; s.aplv = append(s.aplv, uint64(db.n)<<32|1) }},
+		{"norm", func(db *DB) { db.links[b].norm++ }},
+		{"max", func(db *DB) { db.links[b].maxElem-- }},
+		{"posting missing", func(db *DB) { p := &db.links[j]; p.post = p.post[1:] }},
+		{"posting twice", func(db *DB) { p := &db.links[j]; p.post = append(p.post, p.post[0]) }},
+		{"posting for a zero counter", func(db *DB) { db.links[j].post[0] = int32(paperLink(9)) }},
+		{"primary twice", func(db *DB) {
 			s := &db.links[j]
 			s.primaries = append(s.primaries, s.primaries[0])
 			s.prime += db.unitBW
 			db.totalPrime += db.unitBW
 		}},
-		{"prime", -1, func(db *DB) { db.links[j].prime += db.unitBW }},
-		{"spare total", -1, func(db *DB) { db.totalSpare++ }},
+		{"prime", func(db *DB) { db.links[j].prime += db.unitBW }},
+		{"spare total", func(db *DB) { db.totalSpare++ }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			db := load(t, c.denseAt)
+			db := load(t)
 			c.corrupt(db)
 			if err := db.Check(); err == nil {
 				t.Fatal("Check found nothing")
