@@ -58,3 +58,60 @@ func TestEstablishAllocs(t *testing.T) {
 		t.Fatalf("Establish+Release allocates %v per request, want %d", avg, establishAllocs)
 	}
 }
+
+// paperLoad is a D-LSR manager on a 60-node Waxman network of degree 3
+// at Table 1's capacity of 40 units per link, loaded as the paper's
+// λ = 0.5 steady state is: 60·λ arrivals a minute with a mean lifetime of
+// 40 minutes keep about 1 200 requests alive, so 1 200 are offered
+// (refusals included).
+func paperLoad(tb testing.TB) *drtp.Manager {
+	tb.Helper()
+	g, err := topology.Waxman(topology.WaxmanConfig{Nodes: 60, AvgDegree: 3, MinDegree: 2, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	net, err := drtp.NewNetwork(g, 40, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mgr := drtp.NewManager(net, routing.NewDLSR())
+	src := rng.New(1)
+	for id := drtp.ConnID(1); id <= 1200; id++ {
+		a, b := distinctNodes(src, g.NumNodes())
+		_, _ = mgr.Establish(drtp.Request{ID: id, Src: a, Dst: b})
+	}
+	return mgr
+}
+
+// TestSweepFailuresAllocs pins a whole sweep's allocations: with the
+// evaluation scratch warm, SweepFailures allocates only the outcomes it
+// returns, under either failure model.
+func TestSweepFailuresAllocs(t *testing.T) {
+	mgr := paperLoad(t)
+	for _, model := range []drtp.FailureModel{drtp.LinkFailures, drtp.EdgeFailures} {
+		ft, ok := drtp.FaultTolerance(mgr.SweepFailures(model)) // warms the scratch
+		if !ok || ft == 1 {
+			t.Fatalf("%v sweep: P_act-bk %v (defined %v), want some affected connection left unrecovered", model, ft, ok)
+		}
+		if n := testing.AllocsPerRun(20, func() { mgr.SweepFailures(model) }); n != 1 {
+			t.Errorf("%v sweep: %v allocs, want 1 (the outcomes)", model, n)
+		}
+	}
+}
+
+// BenchmarkSweepFailures is the failure-evaluation layer's home: one
+// single-link sweep over the paper's 60-node network at its λ = 0.5
+// steady-state load, as every sampled epoch of Figures 4 and 5 runs it.
+func BenchmarkSweepFailures(b *testing.B) {
+	mgr := paperLoad(b)
+	affected := 0
+	for _, o := range mgr.SweepFailures(drtp.LinkFailures) {
+		affected += o.Affected
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		mgr.SweepFailures(drtp.LinkFailures)
+	}
+	b.ReportMetric(float64(affected), "affected/op")
+}

@@ -23,3 +23,49 @@ func (m *Manager) ScanAffected(hits func(graph.Path) bool) []*Connection {
 	slices.SortFunc(affected, bySeq)
 	return affected
 }
+
+// EvaluateUnplanned is the failure evaluation the sweep plan replaced:
+// affectedBy's connections, each backup read from the connection and
+// tested against the failed links with Path.Contains, and the activation
+// slots read from the database per failure. It fills out for the failure
+// of every link in failed and traces as the planned evaluation does; it
+// is kept as the oracle the plan is checked against.
+func (m *Manager) EvaluateUnplanned(out FailureOutcome, failed []graph.LinkID) FailureOutcome {
+	affected := m.affectedBy(failed)
+	out.Affected = len(affected)
+	var slots []int
+	link := int(out.Link)
+	for _, c := range affected {
+		if !c.HasBackup() {
+			out.NoBackup++
+			m.tracer.ActivationDenied(m.schemeName, c.Trace, int64(c.ID), link, "no-backup")
+			continue
+		}
+		recovered, allHit := false, true
+		for _, backup := range c.Backups {
+			if slices.ContainsFunc(failed, backup.Contains) {
+				continue
+			}
+			allHit = false
+			if slots == nil {
+				slots = m.net.DB().SCInto(nil)
+			}
+			if activate(slots, backup.Links()) {
+				recovered = true
+				break
+			}
+		}
+		switch {
+		case recovered:
+			out.Recovered++
+			m.tracer.BackupActivate(m.schemeName, c.Trace, int64(c.ID), link, "")
+		case allHit:
+			out.BackupHit++
+			m.tracer.ActivationDenied(m.schemeName, c.Trace, int64(c.ID), link, "backup-hit")
+		default:
+			out.Contention++
+			m.tracer.ActivationDenied(m.schemeName, c.Trace, int64(c.ID), link, "contention")
+		}
+	}
+	return out
+}

@@ -7,16 +7,40 @@ import (
 	"github.com/rtcl/drtp/internal/rng"
 )
 
-// evalScratch holds the buffers the failure sweeps reuse across
-// evaluations: the IDs lsdb lists on the failed links, the
-// affected-connection list and the dense per-link activation-slot vector.
-// Sweeps evaluate |E| failures back to back, so per-evaluation maps and
-// slices used to dominate the allocation profile.
+// evalScratch holds the buffers failure evaluation reuses across calls:
+// the IDs lsdb lists on the failed links, the affected-connection list,
+// the plan every evaluation reads, the merged rank list of a two-link
+// failure and the per-link activation slots. Sweeps evaluate |E| failures
+// back to back, so per-evaluation maps and slices used to dominate the
+// allocation profile.
 type evalScratch struct {
 	ids      []ConnID
 	affected []*Connection
+	plan     sweepPlan
+	identity []int32 // identity[r] = r: the ranks of a plan of affected connections
+	merged   []int32
 	slots    []int
 	avail    []int // the reactive evaluation's free bandwidth per link
+}
+
+// sweepPlan is what the failures of one sweep read and none of them
+// changes. The planned connections are in establishment order, and a
+// connection's rank is its index there. For every link it lists the ranks
+// whose primary crosses the link, ascending, in CSR form: link l's are
+// ranks[linkStart[l]:linkStart[l+1]]. Every connection's backups are
+// flattened in preference order: rank r's are backups backupStart[r] up to
+// backupStart[r+1], and backup b's links are links[pathStart[b]:pathStart[b+1]].
+// base is the activation-slot vector (DB.SCInto), read once per plan on
+// the first activation attempt.
+type sweepPlan struct {
+	conns       []*Connection
+	linkStart   []int32
+	ranks       []int32
+	backupStart []int32
+	pathStart   []int32
+	links       []graph.LinkID
+	base        []int
+	baseFilled  bool
 }
 
 // bySeq orders connections by establishment sequence, the deterministic
@@ -55,6 +79,105 @@ func (m *Manager) affectedBy(failed []graph.LinkID) []*Connection {
 	affected = slices.Compact(affected)
 	m.eval.affected = affected
 	return affected
+}
+
+// planSweep plans every live connection in one pass over the
+// establishment order: O(connections × hops), after which a failure costs
+// only what it touches. The plan is the evaluation scratch: valid until
+// the next plan or Check.
+func (m *Manager) planSweep() *sweepPlan {
+	p := &m.eval.plan
+	p.conns = p.conns[:0]
+	for _, c := range m.order {
+		if c != nil {
+			p.conns = append(p.conns, c)
+		}
+	}
+	p.flatten()
+	// linkStart[l+1] counts the primaries on l, then the prefix sums make
+	// linkStart[l] where l's ranks begin; filling advances each
+	// linkStart[l] to where l's ranks end, and a shift puts it back.
+	n := m.net.Graph().NumLinks()
+	p.linkStart = resize(p.linkStart, n+1)
+	clear(p.linkStart)
+	for _, c := range p.conns {
+		for _, l := range c.Primary.Links() {
+			p.linkStart[l+1]++
+		}
+	}
+	for l := 0; l < n; l++ {
+		p.linkStart[l+1] += p.linkStart[l]
+	}
+	p.ranks = resize(p.ranks, int(p.linkStart[n]))
+	for r, c := range p.conns {
+		for _, l := range c.Primary.Links() {
+			p.ranks[p.linkStart[l]] = int32(r)
+			p.linkStart[l]++
+		}
+	}
+	copy(p.linkStart[1:], p.linkStart[:n])
+	p.linkStart[0] = 0
+	return p
+}
+
+// planAffected plans only the connections a failure of the given links
+// affects (affectedBy) and returns their ranks, 0 up to their number.
+func (m *Manager) planAffected(failed []graph.LinkID) []int32 {
+	p := &m.eval.plan
+	p.conns = append(p.conns[:0], m.affectedBy(failed)...)
+	p.flatten()
+	for len(m.eval.identity) < len(p.conns) {
+		m.eval.identity = append(m.eval.identity, int32(len(m.eval.identity)))
+	}
+	return m.eval.identity[:len(p.conns)]
+}
+
+// flatten lays the planned connections' backups out in preference order
+// and marks the slot baseline stale.
+func (p *sweepPlan) flatten() {
+	p.backupStart = append(p.backupStart[:0], 0)
+	p.pathStart = append(p.pathStart[:0], 0)
+	p.links = p.links[:0]
+	for _, c := range p.conns {
+		for _, b := range c.Backups {
+			p.links = append(p.links, b.Links()...)
+			p.pathStart = append(p.pathStart, int32(len(p.links)))
+		}
+		p.backupStart = append(p.backupStart, int32(len(p.pathStart)-1))
+	}
+	p.baseFilled = false
+}
+
+// on returns the ranks whose primary crosses link l, ascending.
+func (p *sweepPlan) on(l graph.LinkID) []int32 {
+	return p.ranks[p.linkStart[l]:p.linkStart[l+1]]
+}
+
+// resize returns s with length n, reallocated only when it is too short.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+// mergeRanks merges two ascending rank lists into the scratch, each rank
+// once: the connections a failure of both links affects.
+func (m *Manager) mergeRanks(a, b []int32) []int32 {
+	out := m.eval.merged[:0]
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case b[0] < a[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	out = append(append(out, a...), b...)
+	m.eval.merged = out
+	return out
 }
 
 // FailureModel selects the granularity of simulated failures.
@@ -112,7 +235,8 @@ type FailureOutcome struct {
 // order. The evaluation is non-destructive.
 func (m *Manager) EvaluateLinkFailure(l graph.LinkID) FailureOutcome {
 	out := FailureOutcome{Link: l, Edge: graph.InvalidEdge}
-	m.evaluateFailure(&out, []graph.LinkID{l})
+	failed := []graph.LinkID{l}
+	m.evaluate(&out, failed, m.planAffected(failed))
 	return out
 }
 
@@ -121,42 +245,44 @@ func (m *Manager) EvaluateLinkFailure(l graph.LinkID) FailureOutcome {
 func (m *Manager) EvaluateEdgeFailure(e graph.EdgeID) FailureOutcome {
 	out := FailureOutcome{Link: graph.InvalidLink, Edge: e}
 	fwd, bwd := m.net.Graph().EdgeLinks(e)
-	m.evaluateFailure(&out, []graph.LinkID{fwd, bwd})
+	failed := []graph.LinkID{fwd, bwd}
+	m.evaluate(&out, failed, m.planAffected(failed))
 	return out
 }
 
-// evaluateFailure fills out for the failure of every link in failed. It
-// costs Σ over the failed links of the primaries on it × the hops of their
-// backups, plus one SCInto when any activation is attempted.
-func (m *Manager) evaluateFailure(out *FailureOutcome, failed []graph.LinkID) {
-	db := m.net.DB()
+// evaluate fills out for the failure of every link in failed, over the
+// planned connections of the given ranks, which must ascend. It is the
+// one evaluation body of the single-failure calls and the sweeps, and
+// costs Σ over the ranks of the hops of their backups, plus one copy of
+// the plan's slot baseline when any activation is attempted.
+func (m *Manager) evaluate(out *FailureOutcome, failed []graph.LinkID, ranks []int32) {
+	p := &m.eval.plan
+	out.Affected = len(ranks)
 
-	affected := m.affectedBy(failed)
-	out.Affected = len(affected)
-
-	// slots[l] is the remaining activation capacity of link l, filled from
-	// the spare resources when the first activation is attempted. The
-	// evaluation never mutates the database, so one snapshot serves the
-	// whole failure.
+	// slots[l] is the remaining activation capacity of link l, copied
+	// from the baseline when the first activation is attempted. The
+	// evaluation never mutates the database, so one baseline serves every
+	// failure of the plan.
 	slotsFilled := false
-	link := int(out.Link)
-	for _, c := range affected {
-		if !c.HasBackup() {
+	traced := m.tracer.Enabled()
+	for _, r := range ranks {
+		first, last := p.backupStart[r], p.backupStart[r+1]
+		if first == last {
 			out.NoBackup++
-			m.tracer.ActivationDenied(m.schemeName, c.Trace, int64(c.ID), link, "no-backup")
+			if traced {
+				m.traceOutcome(out, p.conns[r], "no-backup")
+			}
 			continue
 		}
-		// Try the connection's backups in preference order; a backup
-		// crossing the failed component cannot be activated, and one
-		// without spare slots on every link loses to contention.
 		recovered, allHit := false, true
-		for _, backup := range c.Backups {
-			if slices.ContainsFunc(failed, backup.Contains) {
+		for b := first; b < last; b++ {
+			backup := p.links[p.pathStart[b]:p.pathStart[b+1]]
+			if crosses(backup, failed) {
 				continue
 			}
 			allHit = false
 			if !slotsFilled {
-				m.eval.slots = db.SCInto(m.eval.slots)
+				m.eval.slots = append(m.eval.slots[:0], p.baseline(m.net)...)
 				slotsFilled = true
 			}
 			if activate(m.eval.slots, backup) {
@@ -164,30 +290,62 @@ func (m *Manager) evaluateFailure(out *FailureOutcome, failed []graph.LinkID) {
 				break
 			}
 		}
+		reason := "contention"
 		switch {
 		case recovered:
 			out.Recovered++
-			m.tracer.BackupActivate(m.schemeName, c.Trace, int64(c.ID), link, "")
+			reason = ""
 		case allHit:
 			out.BackupHit++
-			m.tracer.ActivationDenied(m.schemeName, c.Trace, int64(c.ID), link, "backup-hit")
+			reason = "backup-hit"
 		default:
 			out.Contention++
-			m.tracer.ActivationDenied(m.schemeName, c.Trace, int64(c.ID), link, "contention")
+		}
+		if traced {
+			m.traceOutcome(out, p.conns[r], reason)
 		}
 	}
 }
 
+// traceOutcome emits connection c's outcome in the failure out
+// describes: an activation when reason is empty, a denial otherwise.
+func (m *Manager) traceOutcome(out *FailureOutcome, c *Connection, reason string) {
+	if reason == "" {
+		m.tracer.BackupActivate(m.schemeName, c.Trace, int64(c.ID), int(out.Link), "")
+	} else {
+		m.tracer.ActivationDenied(m.schemeName, c.Trace, int64(c.ID), int(out.Link), reason)
+	}
+}
+
+// baseline returns every link's activation slots, SC = spare/unitBW,
+// read from the database on the plan's first call.
+func (p *sweepPlan) baseline(net *Network) []int {
+	if !p.baseFilled {
+		p.base = net.DB().SCInto(p.base)
+		p.baseFilled = true
+	}
+	return p.base
+}
+
+// crosses reports whether any of the links is one of the failed ones.
+func crosses(links, failed []graph.LinkID) bool {
+	for _, l := range links {
+		if slices.Contains(failed, l) {
+			return true
+		}
+	}
+	return false
+}
+
 // activate checks that every link of the backup still has an activation
 // slot and, if so, consumes one slot per link.
-func activate(slots []int, backup graph.Path) bool {
-	links := backup.Links()
-	for _, l := range links {
+func activate(slots []int, backup []graph.LinkID) bool {
+	for _, l := range backup {
 		if slots[l] <= 0 {
 			return false
 		}
 	}
-	for _, l := range links {
+	for _, l := range backup {
 		slots[l]--
 	}
 	return true
@@ -201,7 +359,7 @@ func (m *Manager) EvaluateMultiLinkFailure(links []graph.LinkID) FailureOutcome 
 	if len(links) == 1 {
 		out.Link = links[0]
 	}
-	m.evaluateFailure(&out, links)
+	m.evaluate(&out, links, m.planAffected(links))
 	return out
 }
 
@@ -265,43 +423,50 @@ func (m *Manager) SweepFailuresReactive() []FailureOutcome {
 // SweepFailures evaluates every possible single failure under the given
 // model and returns the per-failure outcomes. Summing outcomes weighted
 // by Affected yields the paper's P_act-bk, the probability of activating
-// a backup when the primary is disabled by a single link failure.
+// a backup when the primary is disabled by a single link failure. One plan
+// serves the whole sweep, so each failure costs only the connections it
+// affects; an edge's two directions merge their rank lists.
 func (m *Manager) SweepFailures(model FailureModel) []FailureOutcome {
 	g := m.net.Graph()
-	switch model {
-	case EdgeFailures:
-		out := make([]FailureOutcome, 0, g.NumEdges())
-		for e := 0; e < g.NumEdges(); e++ {
-			out = append(out, m.EvaluateEdgeFailure(graph.EdgeID(e)))
-		}
-		return out
-	default:
-		out := make([]FailureOutcome, 0, g.NumLinks())
-		for l := 0; l < g.NumLinks(); l++ {
-			out = append(out, m.EvaluateLinkFailure(graph.LinkID(l)))
+	p := m.planSweep()
+	if model == EdgeFailures {
+		out := make([]FailureOutcome, g.NumEdges())
+		for e := range out {
+			fwd, bwd := g.EdgeLinks(graph.EdgeID(e))
+			out[e] = FailureOutcome{Link: graph.InvalidLink, Edge: graph.EdgeID(e)}
+			m.evaluate(&out[e], []graph.LinkID{fwd, bwd}, m.mergeRanks(p.on(fwd), p.on(bwd)))
 		}
 		return out
 	}
+	out := make([]FailureOutcome, g.NumLinks())
+	for l := range out {
+		out[l] = FailureOutcome{Link: graph.LinkID(l), Edge: graph.InvalidEdge}
+		m.evaluate(&out[l], []graph.LinkID{graph.LinkID(l)}, p.on(graph.LinkID(l)))
+	}
+	return out
 }
 
 // SweepLinkPairFailures evaluates `samples` random simultaneous two-link
 // failures drawn deterministically from seed (distinct links, uniform).
 // It extends the paper's single-failure model to probe the value of
-// multiple backup channels.
+// multiple backup channels. Like SweepFailures it evaluates every pair
+// from one plan.
 func (m *Manager) SweepLinkPairFailures(samples int, seed int64) []FailureOutcome {
 	n := m.net.Graph().NumLinks()
 	if n < 2 || samples <= 0 {
 		return nil
 	}
+	p := m.planSweep()
 	src := rng.New(seed)
-	out := make([]FailureOutcome, 0, samples)
-	for i := 0; i < samples; i++ {
+	out := make([]FailureOutcome, samples)
+	for i := range out {
 		a := graph.LinkID(src.Intn(n))
 		b := graph.LinkID(src.Intn(n - 1))
 		if b >= a {
 			b++
 		}
-		out = append(out, m.EvaluateMultiLinkFailure([]graph.LinkID{a, b}))
+		out[i] = FailureOutcome{Link: graph.InvalidLink, Edge: graph.InvalidEdge}
+		m.evaluate(&out[i], []graph.LinkID{a, b}, m.mergeRanks(p.on(a), p.on(b)))
 	}
 	return out
 }

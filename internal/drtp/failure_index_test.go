@@ -10,18 +10,21 @@ import (
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/rng"
 	"github.com/rtcl/drtp/internal/routing"
+	"github.com/rtcl/drtp/internal/telemetry"
 	"github.com/rtcl/drtp/internal/topology"
 )
 
-// TestAffectedByMatchesScan checks the invariant failure evaluation rests
-// on — the IDs lsdb lists as primaries on a link are exactly the
-// connections whose Primary contains it, each once — after every step of a
-// seeded random sequence of establishments (some rolled back for lack of a
-// backup), releases, destructive link and edge failures (switches,
-// re-protection, reactive re-routes, drops) and repairs; and that
-// affectedBy returns what the scan over every connection it replaced
-// returned, in the same order, for every link, every edge and 50 random
-// link pairs.
+// TestAffectedByMatchesScan checks the invariants failure evaluation rests
+// on (Manager.Check: the IDs lsdb lists as primaries on a link are exactly
+// the connections whose Primary contains it, the establishment order, the
+// sweep plan) after every step of a seeded random sequence of
+// establishments (some rolled back for lack of a backup), releases,
+// destructive link and edge failures (switches, re-protection, reactive
+// re-routes, drops) and repairs. At every step affectedBy must return what
+// the scan over every connection it replaced returned, in the same order,
+// for every link, every edge and 50 random link pairs; and every sweep must
+// give, outcome for outcome and event for event, what per-failure
+// evaluation on the code path before the sweep plan gives.
 func TestAffectedByMatchesScan(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -31,7 +34,7 @@ func TestAffectedByMatchesScan(t *testing.T) {
 		opts     []drtp.ManagerOption
 		// Coverage the case exists for: the run fails when it never
 		// happened.
-		wantRollback, wantSwitch bool
+		wantRollback, wantSwitch, wantContention bool
 	}{
 		{name: "dlsr-k1-lossy-setup", nodes: 30, capacity: 6,
 			scheme: func() drtp.Scheme { return routing.NewDLSR() },
@@ -51,6 +54,14 @@ func TestAffectedByMatchesScan(t *testing.T) {
 			// No backups at all: every recovery is a reactive re-route.
 			opts:       []drtp.ManagerOption{drtp.WithOptionalBackup(), drtp.WithReactiveRecovery()},
 			wantSwitch: true},
+		{name: "dlsr-k2-low-capacity", nodes: 30, capacity: 3,
+			scheme: func() drtp.Scheme { return routing.NewDLSR(routing.WithBackupCount(2)) },
+			// Spare capped by primaries: activations contend for slots,
+			// so a sweep's outcomes depend on the evaluation order and on
+			// each failure starting from the untouched slot baseline.
+			opts:           []drtp.ManagerOption{drtp.WithOptionalBackup()},
+			wantSwitch:     true,
+			wantContention: true},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -63,12 +74,15 @@ func TestAffectedByMatchesScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mgr := drtp.NewManager(net, tc.scheme(), tc.opts...)
+			buf := telemetry.NewBuffer()
+			tr := telemetry.NewTracer(buf)
+			tr.SetClock(func() float64 { return 0 })
+			mgr := drtp.NewManager(net, tc.scheme(), append(tc.opts, drtp.WithTelemetry(tr))...)
 			src := rng.New(seed).Split("affected")
 
 			var downEdges []graph.EdgeID
 			nextID := drtp.ConnID(1)
-			switched := 0
+			switched, contention := 0, 0
 			for step := 0; step < 250; step++ {
 				switch p := src.Float64(); {
 				case p < 0.60:
@@ -101,33 +115,36 @@ func TestAffectedByMatchesScan(t *testing.T) {
 						downEdges = slices.Delete(downEdges, k, k+1)
 					}
 				}
+				if err := mgr.Check(); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
 				checkAffectedIndex(t, mgr, src, step)
+				contention += checkSweeps(t, mgr, buf, int64(step))
 				if t.Failed() {
 					return
 				}
 			}
 			st := mgr.Stats()
-			t.Logf("%d requests, %d accepted, %d register failures, %d rejected without backup, %d switched, %d active at the end",
-				st.Requests, st.Accepted, st.BackupRegisterFailures, st.RejectedNoBackup, switched, mgr.NumActive())
+			t.Logf("%d requests, %d accepted, %d register failures, %d rejected without backup, %d switched, %d evaluated activations lost to contention, %d active at the end",
+				st.Requests, st.Accepted, st.BackupRegisterFailures, st.RejectedNoBackup, switched, contention, mgr.NumActive())
 			if tc.wantRollback && (st.BackupRegisterFailures == 0 || st.RejectedNoBackup == 0) {
 				t.Error("no establishment was rolled back for lack of a backup")
 			}
 			if tc.wantSwitch && switched == 0 {
 				t.Error("no connection switched or re-routed")
 			}
+			if tc.wantContention && contention == 0 {
+				t.Error("no evaluated activation lost to contention")
+			}
 		})
 	}
 }
 
-// checkAffectedIndex asserts the per-link primaries invariant and the
-// agreement of affectedBy with the scan oracle on the manager's current
-// state.
+// checkAffectedIndex asserts the agreement of affectedBy with the scan
+// oracle on the manager's current state.
 func checkAffectedIndex(t *testing.T, mgr *drtp.Manager, src *rng.Source, step int) {
 	t.Helper()
-	net := mgr.Network()
-	g, db := net.Graph(), net.DB()
-	conns := mgr.Connections()
-
+	g := mgr.Network().Graph()
 	agree := func(what string, failed []graph.LinkID, hits func(graph.Path) bool) {
 		t.Helper()
 		got, want := mgr.AffectedBy(failed), mgr.ScanAffected(hits)
@@ -136,21 +153,6 @@ func checkAffectedIndex(t *testing.T, mgr *drtp.Manager, src *rng.Source, step i
 		}
 	}
 	for l := graph.LinkID(0); int(l) < g.NumLinks(); l++ {
-		listed := db.AppendPrimariesOn(nil, l)
-		slices.Sort(listed)
-		if len(slices.Compact(slices.Clone(listed))) != len(listed) {
-			t.Errorf("step %d: lsdb lists a primary twice on link %d: %v", step, l, listed)
-		}
-		var crossing []drtp.ConnID
-		for _, c := range conns {
-			if c.Primary.Contains(l) {
-				crossing = append(crossing, c.ID)
-			}
-		}
-		slices.Sort(crossing)
-		if !slices.Equal(listed, crossing) {
-			t.Errorf("step %d: lsdb lists %v on link %d, the connections crossing it are %v", step, listed, l, crossing)
-		}
 		agree(fmt.Sprintf("link %d", l), []graph.LinkID{l}, func(p graph.Path) bool { return p.Contains(l) })
 	}
 	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
@@ -162,6 +164,85 @@ func checkAffectedIndex(t *testing.T, mgr *drtp.Manager, src *rng.Source, step i
 		agree(fmt.Sprintf("links %d+%d", a, b), []graph.LinkID{a, b},
 			func(p graph.Path) bool { return p.Contains(a) || p.Contains(b) })
 	}
+}
+
+// checkSweeps compares the sweeps and the single-failure evaluations with
+// per-failure evaluation on the code path before the sweep plan
+// (EvaluateUnplanned): every link, every edge, and 50 link pairs drawn as
+// SweepLinkPairFailures draws them from seed. Outcomes must be equal one
+// for one, and the traced streams event for event. It returns the sweeps'
+// contention count.
+func checkSweeps(t *testing.T, mgr *drtp.Manager, buf *telemetry.Buffer, seed int64) int {
+	t.Helper()
+	g := mgr.Network().Graph()
+	traced := func(run func() []drtp.FailureOutcome) ([]drtp.FailureOutcome, []telemetry.Event) {
+		buf.Reset()
+		outs := run()
+		return outs, buf.Events()
+	}
+	each := func(n int, eval func(int) drtp.FailureOutcome) func() []drtp.FailureOutcome {
+		return func() []drtp.FailureOutcome {
+			outs := make([]drtp.FailureOutcome, n)
+			for i := range outs {
+				outs[i] = eval(i)
+			}
+			return outs
+		}
+	}
+	contention := 0
+	compare := func(what string, oracle func() []drtp.FailureOutcome, runs map[string]func() []drtp.FailureOutcome) {
+		t.Helper()
+		want, wantEvents := traced(oracle)
+		for name, run := range runs {
+			got, events := traced(run)
+			if !slices.Equal(got, want) {
+				for i := range min(len(got), len(want)) {
+					if got[i] != want[i] {
+						t.Errorf("seed %d, %s %s: failure %d gives %+v, the unplanned evaluation %+v", seed, what, name, i, got[i], want[i])
+						break
+					}
+				}
+				if len(got) != len(want) {
+					t.Errorf("seed %d, %s %s: %d outcomes, the unplanned evaluation %d", seed, what, name, len(got), len(want))
+				}
+			}
+			if !slices.Equal(events, wantEvents) {
+				t.Errorf("seed %d, %s %s: the traced events (%d) differ from the unplanned evaluation's (%d)", seed, what, name, len(events), len(wantEvents))
+			}
+		}
+		for _, o := range want {
+			contention += o.Contention
+		}
+	}
+
+	compare("link", each(g.NumLinks(), func(l int) drtp.FailureOutcome {
+		return mgr.EvaluateUnplanned(drtp.FailureOutcome{Link: graph.LinkID(l), Edge: graph.InvalidEdge}, []graph.LinkID{graph.LinkID(l)})
+	}), map[string]func() []drtp.FailureOutcome{
+		"SweepFailures":       func() []drtp.FailureOutcome { return mgr.SweepFailures(drtp.LinkFailures) },
+		"EvaluateLinkFailure": each(g.NumLinks(), func(l int) drtp.FailureOutcome { return mgr.EvaluateLinkFailure(graph.LinkID(l)) }),
+	})
+	compare("edge", each(g.NumEdges(), func(e int) drtp.FailureOutcome {
+		fwd, bwd := g.EdgeLinks(graph.EdgeID(e))
+		return mgr.EvaluateUnplanned(drtp.FailureOutcome{Link: graph.InvalidLink, Edge: graph.EdgeID(e)}, []graph.LinkID{fwd, bwd})
+	}), map[string]func() []drtp.FailureOutcome{
+		"SweepFailures":       func() []drtp.FailureOutcome { return mgr.SweepFailures(drtp.EdgeFailures) },
+		"EvaluateEdgeFailure": each(g.NumEdges(), func(e int) drtp.FailureOutcome { return mgr.EvaluateEdgeFailure(graph.EdgeID(e)) }),
+	})
+
+	const samples = 50
+	pairs := make([][]graph.LinkID, samples)
+	draw := rng.New(seed)
+	for i := range pairs {
+		a, b := distinctNodes(draw, g.NumLinks())
+		pairs[i] = []graph.LinkID{graph.LinkID(a), graph.LinkID(b)}
+	}
+	compare("link pair", each(samples, func(i int) drtp.FailureOutcome {
+		return mgr.EvaluateUnplanned(drtp.FailureOutcome{Link: graph.InvalidLink, Edge: graph.InvalidEdge}, pairs[i])
+	}), map[string]func() []drtp.FailureOutcome{
+		"SweepLinkPairFailures":    func() []drtp.FailureOutcome { return mgr.SweepLinkPairFailures(samples, seed) },
+		"EvaluateMultiLinkFailure": each(samples, func(i int) drtp.FailureOutcome { return mgr.EvaluateMultiLinkFailure(pairs[i]) }),
+	})
+	return contention
 }
 
 // distinctNodes draws a uniform ordered pair of different nodes.

@@ -3,7 +3,6 @@ package drtp
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/lifecycle"
@@ -21,6 +20,9 @@ type Connection struct {
 	// seq orders connections by establishment for deterministic
 	// activation priority under contention.
 	seq int64
+	// slot is the connection's index in its manager's establishment
+	// order.
+	slot int
 }
 
 // HasBackup reports whether the connection has at least one backup.
@@ -84,6 +86,11 @@ type Manager struct {
 	// accumulates the samples until TakeRecoveryLatencies.
 	collectRecovery bool
 	recovery        []RecoveryLatency
+	// order holds the live connections in establishment order, a
+	// released one leaving a nil slot (dead counts them) until the slice
+	// is compacted.
+	order []*Connection
+	dead  int
 	// eval holds the failure-evaluation scratch buffers reused across
 	// Evaluate*Failure calls (see failure.go).
 	eval evalScratch
@@ -180,10 +187,11 @@ func (m *Manager) Get(id ConnID) (*Connection, bool) {
 // Connections returns the active connections ordered by establishment.
 func (m *Manager) Connections() []*Connection {
 	out := make([]*Connection, 0, len(m.conns))
-	for _, c := range m.conns {
-		out = append(out, c)
+	for _, c := range m.order {
+		if c != nil {
+			out = append(out, c)
+		}
 	}
-	slices.SortFunc(out, bySeq)
 	return out
 }
 
@@ -222,9 +230,10 @@ func (m *Manager) Establish(req Request) (*Connection, error) {
 		}
 		return nil, out.Err
 	}
-	conn := &Connection{Conn: rec, seq: m.nexSeq}
+	conn := &Connection{Conn: rec, seq: m.nexSeq, slot: len(m.order)}
 	m.nexSeq++
 	m.conns[req.ID] = conn
+	m.order = append(m.order, conn)
 	m.stats.Accepted++
 	m.stats.BackupsEstablished += int64(len(conn.Backups))
 	if !conn.HasBackup() {
@@ -243,7 +252,26 @@ func (m *Manager) Release(id ConnID) error {
 	}
 	m.life.Release(&conn.Conn, false)
 	delete(m.conns, id)
+	m.order[conn.slot] = nil
+	if m.dead++; 2*m.dead > len(m.order) {
+		m.compactOrder()
+	}
 	return nil
+}
+
+// compactOrder drops the released connections' slots from the
+// establishment order. It runs once half of the slots are dead, so its
+// cost is amortised O(1) per release.
+func (m *Manager) compactOrder() {
+	live := m.order[:0]
+	for _, c := range m.order {
+		if c != nil {
+			c.slot = len(live)
+			live = append(live, c)
+		}
+	}
+	clear(m.order[len(live):])
+	m.order, m.dead = live, 0
 }
 
 // channels are the Manager's channel operations: each one database

@@ -109,9 +109,9 @@ func (db *DB) ConflictCountsInto(lset []graph.LinkID, dst []float64) []float64 {
 }
 
 // SCInto writes SC_l (spare/unitBW activation slots, DB.SC) for every
-// link into dst and returns it (resized as needed). The failure sweeps
-// refresh this once per evaluated failure instead of locking per backup
-// link touched.
+// link into dst and returns it (resized as needed). A failure sweep reads
+// it once, as the baseline each evaluated failure copies, instead of
+// locking per backup link touched.
 func (db *DB) SCInto(dst []int) []int {
 	dst = grow(dst, db.n)
 	db.mu.Lock()
