@@ -570,7 +570,8 @@ func TestRouteFinderDropsHostileLinkAdvert(t *testing.T) {
 // every topology node but one, plus adverts from two origins outside the
 // topology, one on each side. The hostile adverts must be dropped whole
 // and counted, one per link summary, and must not make the finder read as
-// synced; the last real origin's advert does.
+// synced; the last real origin's advert does. It pins the mirroring rule
+// (DESIGN.md, link-state adverts).
 func TestRouteFinderIgnoresHostileOrigins(t *testing.T) {
 	g, err := topology.Ring(4)
 	if err != nil {

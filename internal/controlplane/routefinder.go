@@ -7,14 +7,16 @@ import (
 
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/proto"
+	"github.com/rtcl/drtp/internal/router"
 	"github.com/rtcl/drtp/internal/transport"
 )
 
 // RouteFinder is the control plane's route computation service. It owns
-// a network-wide link-state snapshot assembled from the adverts every
-// router mirrors to it, and answers proto.RouteQuery with a primary
-// route plus backup routes under the configured scheme, excluding
-// drained (unschedulable) and dead nodes.
+// a network-wide link-state snapshot, the routers' own view type fed by
+// the adverts every router mirrors to it (router.Config.Mirrors), and
+// answers proto.RouteQuery with a primary route plus backup routes
+// selected as the routers select their own, excluding drained
+// (unschedulable) and dead nodes.
 type RouteFinder struct {
 	cfg DeployConfig
 	ep  transport.Endpoint
@@ -22,7 +24,7 @@ type RouteFinder struct {
 
 	mu sync.Mutex
 	// view is the link-state snapshot; guarded by mu.
-	view *netView
+	view *router.LinkStateView
 	// unsched marks draining nodes excluded from new routes; guarded by mu.
 	unsched map[graph.NodeID]bool
 	// down marks dead nodes; cleared when a node's own advert arrives
@@ -50,7 +52,7 @@ func NewRouteFinder(cfg DeployConfig, at Attacher) (*RouteFinder, error) {
 		cfg:     cfg,
 		ep:      ep,
 		log:     cfg.Logger.With("service", "routefinder"),
-		view:    newNetView(cfg.Graph, cfg.Capacity, cfg.UnitBW, cfg.Scheme),
+		view:    router.NewLinkStateView(cfg.Graph, cfg.Capacity, cfg.UnitBW, cfg.Scheme),
 		unsched: make(map[graph.NodeID]bool),
 		down:    make(map[graph.NodeID]bool),
 		stop:    make(chan struct{}),
@@ -80,7 +82,7 @@ func (rf *RouteFinder) Close() error {
 func (rf *RouteFinder) Synced() bool {
 	rf.mu.Lock()
 	defer rf.mu.Unlock()
-	return rf.view.synced()
+	return rf.view.Heard() >= rf.cfg.Graph.NumNodes()
 }
 
 // Excluded reports whether a node is currently excluded from new routes
@@ -130,12 +132,14 @@ func (rf *RouteFinder) dispatch(env proto.Envelope) {
 	}
 }
 
-// handleLSUpdate installs a mirrored advert. Mirrors receive only
-// self-originated adverts (never re-floods), so a fresh advert is
-// direct evidence the origin is alive again after a declared death.
+// handleLSUpdate installs a mirrored advert under the routers' intake
+// rule, as seen from the finder's own address, which lies outside the
+// topology and so owns no link. Mirrors receive only self-originated
+// adverts (never re-floods), so a fresh advert is direct evidence the
+// origin is alive again after a declared death.
 func (rf *RouteFinder) handleLSUpdate(m proto.LSUpdate) {
 	rf.mu.Lock()
-	fresh, dropped := rf.view.apply(m)
+	fresh, dropped := rf.view.Install(m, rf.ep.Node())
 	revived := fresh && rf.down[m.Origin]
 	if revived {
 		delete(rf.down, m.Origin)
@@ -170,7 +174,7 @@ func (rf *RouteFinder) handleRouteQuery(from graph.NodeID, m proto.RouteQuery) {
 	case excluded[m.Src] || excluded[m.Dst]:
 		reply.Reason = "endpoint-excluded"
 	default:
-		primary, backups, reason := rf.view.routes(m.Src, m.Dst, rf.cfg.Backups, excluded)
+		primary, backups, reason := rf.routesLocked(m.Src, m.Dst, excluded)
 		if reason != "" {
 			reply.Reason = reason
 		} else {
@@ -181,4 +185,27 @@ func (rf *RouteFinder) handleRouteQuery(from graph.NodeID, m proto.RouteQuery) {
 	}
 	rf.mu.Unlock()
 	_ = rf.ep.Send(from, reply)
+}
+
+// routesLocked answers one route query: a primary plus up to
+// cfg.Backups backup routes, never crossing an excluded node. Callers
+// must hold rf.mu.
+func (rf *RouteFinder) routesLocked(src, dst graph.NodeID, excluded map[graph.NodeID]bool) (primary []graph.NodeID, backupRoutes [][]graph.NodeID, reason string) {
+	g := rf.cfg.Graph
+	blocked := func(l graph.LinkID) bool {
+		lk := g.Link(l)
+		return excluded[lk.From] || excluded[lk.To]
+	}
+	p := rf.view.RoutePrimary(src, dst, blocked)
+	if p.Empty() {
+		return nil, nil, "no-route"
+	}
+	chosen := rf.view.Backups(p, nil, rf.cfg.Backups, blocked)
+	if len(chosen) == 0 {
+		return nil, nil, "no-backup"
+	}
+	for _, b := range chosen {
+		backupRoutes = append(backupRoutes, b.Nodes(g))
+	}
+	return p.Nodes(g), backupRoutes, ""
 }

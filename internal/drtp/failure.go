@@ -387,15 +387,10 @@ func (m *Manager) EvaluateLinkFailureReactive(l graph.LinkID) FailureOutcome {
 	// copy: a Snapshot is read-only to its holders.
 	avail := append(m.eval.avail[:0], snap.Free...)
 	m.eval.avail = avail
+	open := func(x graph.LinkID) bool { return x != l && avail[x] >= unit }
 	for _, c := range affected {
-		cost := func(x graph.LinkID) float64 {
-			if x == l || avail[x] < unit {
-				return graph.Unreachable
-			}
-			return 1
-		}
-		path, total := sel.Scratch.ShortestPath(g, c.Src, c.Dst, cost)
-		if total == graph.Unreachable {
+		path, ok := sel.Scratch.MinHopPath(g, c.Src, c.Dst, open)
+		if !ok {
 			out.Contention++
 			m.tracer.ActivationDenied(m.schemeName, c.Trace, int64(c.ID), int(l), "no-route")
 			continue

@@ -30,7 +30,7 @@ func mirrorInto(db *lsdb.DB, v *router.LinkStateView) {
 		l := graph.LinkID(i)
 		v.Apply(proto.LinkAdvert{
 			Link:        l,
-			AvailPrim:   db.AvailableForPrimary(l),
+			AvailPrim:   db.FreeBW(l),
 			AvailBackup: db.AvailableForBackup(l),
 			Norm:        db.APLVNorm(l),
 			CV:          db.AppendCV(l, nil),

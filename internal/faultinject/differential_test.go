@@ -84,9 +84,9 @@ func (p *diffPair) settle(t *testing.T, what string) {
 				return false
 			}
 			prim, backup, norm := owner.View(l)
-			if !p.down[l] && (prim != own.AvailableForPrimary(l) || backup != own.AvailableForBackup(l) || norm != own.APLVNorm(l)) {
+			if !p.down[l] && (prim != own.FreeBW(l) || backup != own.AvailableForBackup(l) || norm != own.APLVNorm(l)) {
 				diff = fmt.Sprintf("link %d: owner views %d/%d/%d, holds %d/%d/%d", l, prim, backup, norm,
-					own.AvailableForPrimary(l), own.AvailableForBackup(l), own.APLVNorm(l))
+					own.FreeBW(l), own.AvailableForBackup(l), own.APLVNorm(l))
 				return false
 			}
 			for n := 0; n < p.c.Size(); n++ {

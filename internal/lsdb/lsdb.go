@@ -233,17 +233,14 @@ func (db *DB) SpareBW(l graph.LinkID) int {
 }
 
 // FreeBW returns the unallocated bandwidth on link l
-// (capacity - prime - spare).
+// (capacity - prime - spare): what a new primary channel could reserve
+// there, since primaries may not displace spare resources.
 func (db *DB) FreeBW(l graph.LinkID) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	s := &db.links[l]
 	return s.capacity - s.prime - s.spare
 }
-
-// AvailableForPrimary returns the bandwidth a new primary channel could
-// reserve on link l. Primaries may not displace spare resources.
-func (db *DB) AvailableForPrimary(l graph.LinkID) int { return db.FreeBW(l) }
 
 // AvailableForBackup returns the paper's "available bandwidth" for backup
 // routing: unallocated bandwidth plus the spare bandwidth already shared by

@@ -32,8 +32,7 @@ import (
 type Snapshot struct {
 	// AvailBackup[l] is capacity - prime (DB.AvailableForBackup).
 	AvailBackup []int
-	// Free[l] is capacity - prime - spare (DB.FreeBW /
-	// DB.AvailableForPrimary).
+	// Free[l] is capacity - prime - spare (DB.FreeBW).
 	Free []int
 	// Norm[l] is ‖APLV_l‖₁ (DB.APLVNorm), as the float64 the route
 	// selector's metric vector holds, so P-LSR reads it in place.

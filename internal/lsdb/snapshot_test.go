@@ -46,8 +46,8 @@ func TestSnapshotIntoMatchesAccessors(t *testing.T) {
 		if s.AvailBackup[l] != db.AvailableForBackup(id) {
 			t.Errorf("link %d: AvailBackup = %d, accessor %d", l, s.AvailBackup[l], db.AvailableForBackup(id))
 		}
-		if s.Free[l] != db.AvailableForPrimary(id) {
-			t.Errorf("link %d: Free = %d, accessor %d", l, s.Free[l], db.AvailableForPrimary(id))
+		if s.Free[l] != db.FreeBW(id) {
+			t.Errorf("link %d: Free = %d, accessor %d", l, s.Free[l], db.FreeBW(id))
 		}
 		if s.Norm[l] != float64(db.APLVNorm(id)) {
 			t.Errorf("link %d: Norm = %v, accessor %d", l, s.Norm[l], db.APLVNorm(id))

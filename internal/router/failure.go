@@ -1,6 +1,8 @@
 package router
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"github.com/rtcl/drtp/internal/graph"
@@ -82,15 +84,25 @@ func (r *Router) declareDownLocked(nbr graph.NodeID) []failureReport {
 	}
 	r.markDirtyLocked(l)
 	r.tracer.LinkFail(int(r.cfg.Node), int(l))
-	// Group the affected primaries by source and notify each. The source
-	// labels the switch with its own record's span context.
-	bySrc := make(map[graph.NodeID][]lsdb.ConnID)
-	for id, src := range r.transitPrim[l] {
-		bySrc[src] = append(bySrc[src], id)
+	// Group the affected primaries by source and notify each, sources
+	// and each report's connections ascending, so a failure sends the
+	// same reports in the same order on every run. The source labels the
+	// switch with its own record's span context.
+	prim := r.transitPrim[l]
+	ids := make([]lsdb.ConnID, 0, len(prim))
+	for id := range prim {
+		ids = append(ids, id)
 	}
-	reports := make([]failureReport, 0, len(bySrc))
-	for src, ids := range bySrc {
-		reports = append(reports, failureReport{src: src, msg: proto.FailureReport{Link: l, Conns: ids}})
+	slices.SortFunc(ids, func(a, b lsdb.ConnID) int {
+		return cmp.Or(cmp.Compare(prim[a], prim[b]), cmp.Compare(a, b))
+	})
+	var reports []failureReport
+	for i, id := range ids {
+		if i == 0 || prim[id] != prim[ids[i-1]] {
+			reports = append(reports, failureReport{src: prim[id], msg: proto.FailureReport{Link: l}})
+		}
+		rep := &reports[len(reports)-1]
+		rep.msg.Conns = append(rep.msg.Conns, id)
 	}
 	return reports
 }

@@ -42,7 +42,8 @@ func awaitSends(reg *telemetry.Registry, base, want int) int {
 // router reached, and a refresh floods every adjacency, one send per
 // adjacency but the one each router first heard it on. On the 12-node
 // topology of the ledger's control-plane workloads that is 11 sends
-// against 25.
+// against 25. It pins the forwarding rule (DESIGN.md, link-state
+// adverts).
 func TestFloodTriggeredAdvertCostsNodesMinusOne(t *testing.T) {
 	ledger, err := topology.Waxman(topology.WaxmanConfig{Nodes: 12, AvgDegree: 3, MinDegree: 2, Seed: 5})
 	if err != nil {
@@ -166,7 +167,7 @@ func ring6(t *testing.T) *graph.Graph {
 // owner's database.
 func staleViews(g *graph.Graph, c *router.Cluster, l graph.LinkID) []graph.NodeID {
 	db := c.Router(g.Link(l).From).DB()
-	prim, backup, norm, cv := db.AvailableForPrimary(l), db.AvailableForBackup(l), db.APLVNorm(l), db.AppendCV(l, nil)
+	prim, backup, norm, cv := db.FreeBW(l), db.AvailableForBackup(l), db.APLVNorm(l), db.AppendCV(l, nil)
 	var out []graph.NodeID
 	for n := 0; n < c.Size(); n++ {
 		r := c.Router(graph.NodeID(n))

@@ -133,7 +133,7 @@ func viewLag(g *graph.Graph, c *router.Cluster, m *advertMirror) string {
 	for i := 0; i < g.NumLinks(); i++ {
 		l := graph.LinkID(i)
 		db := c.Router(g.Link(l).From).DB()
-		prim, backup, norm, cv := db.AvailableForPrimary(l), db.AvailableForBackup(l), db.APLVNorm(l), db.AppendCV(l, nil)
+		prim, backup, norm, cv := db.FreeBW(l), db.AvailableForBackup(l), db.APLVNorm(l), db.AppendCV(l, nil)
 		for n := 0; n <= c.Size(); n++ {
 			who := fmt.Sprintf("router %d", n)
 			var p, b, nm int
@@ -158,7 +158,8 @@ func viewLag(g *graph.Graph, c *router.Cluster, m *advertMirror) string {
 // TestHoldDownBoundsAdvertsAndConverges: a burst of establishments and
 // releases costs each router a number of adverts bounded by the elapsed
 // time, not by the number of requests, and the window's closing advert
-// carries the final state everywhere.
+// carries the final state everywhere. With the other TestHoldDown tests
+// it pins the origination rule (DESIGN.md, link-state adverts).
 func TestHoldDownBoundsAdvertsAndConverges(t *testing.T) {
 	g := theta(t)
 	c, m, _ := newHoldDownCluster(t, g, nil)
@@ -266,7 +267,7 @@ func TestHoldDownDefersFloodNotLocalTruth(t *testing.T) {
 		}
 		for _, l := range g.Out(0) {
 			db := src.DB()
-			wantPrim, wantBackup, wantNorm, wantCV := db.AvailableForPrimary(l), db.AvailableForBackup(l), db.APLVNorm(l), db.AppendCV(l, nil)
+			wantPrim, wantBackup, wantNorm, wantCV := db.FreeBW(l), db.AvailableForBackup(l), db.APLVNorm(l), db.AppendCV(l, nil)
 			if l == l03 && !failedAt.IsZero() {
 				// A dead link is advertised, and seen, as empty.
 				wantPrim, wantBackup, wantNorm, wantCV = 0, 0, 0, make([]byte, len(wantCV))

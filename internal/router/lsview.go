@@ -36,6 +36,10 @@ type LinkStateView struct {
 	// inLSET marks the request's primary links while fillMetric counts;
 	// all false between calls.
 	inLSET []bool
+	// seq[o] is the sequence of the last update installed from origin o,
+	// zero if none has been; heard counts the origins with one.
+	seq   []uint64
+	heard int
 }
 
 // NewLinkStateView starts from the optimistic initial view: every link
@@ -52,6 +56,7 @@ func NewLinkStateView(g *graph.Graph, capacity, unitBW int, scheme BackupScheme)
 		norm:      make([]int, n),
 		conflicts: make([][]int32, n),
 		inLSET:    make([]bool, n),
+		seq:       make([]uint64, g.NumNodes()),
 	}
 	for l := range v.conflicts {
 		v.sel.Free[l] = capacity
@@ -59,6 +64,42 @@ func NewLinkStateView(g *graph.Graph, capacity, unitBW int, scheme BackupScheme)
 	}
 	return v
 }
+
+// Install is the intake rule for a link-state update, the one every view
+// fed from the network runs: a router's for the updates flooded to it,
+// the route finder's for the ones mirrored to it. In order:
+//   - an update from an origin outside the topology (Origin arrives as a
+//     signed varint off the wire) is dropped whole, every summary counted,
+//     before any sequence is recorded, so it never counts toward Heard;
+//   - an update from self, or one whose sequence is not newer than the
+//     origin's last, installs nothing;
+//   - of a fresh update, summaries of self's own links are skipped, so
+//     remote adverts never overwrite local truth, and the rest go through
+//     Apply, which drops and counts those naming a link outside the
+//     topology.
+//
+// fresh reports whether the update was installed and so travels on.
+func (v *LinkStateView) Install(m proto.LSUpdate, self graph.NodeID) (fresh bool, dropped int) {
+	if m.Origin < 0 || int(m.Origin) >= len(v.seq) {
+		return false, len(m.Links)
+	}
+	if m.Origin == self || m.Seq <= v.seq[m.Origin] {
+		return false, 0
+	}
+	if v.seq[m.Origin] == 0 {
+		v.heard++
+	}
+	v.seq[m.Origin] = m.Seq
+	for _, a := range m.Links {
+		if !v.apply(a, self) {
+			dropped++
+		}
+	}
+	return true, dropped
+}
+
+// Heard is the number of origins the view has installed an update from.
+func (v *LinkStateView) Heard() int { return v.heard }
 
 // Apply installs a link summary, decoding the advert's Conflict Vector
 // into the link's row in place, so steady-state adverts cost zero
@@ -68,9 +109,18 @@ func NewLinkStateView(g *graph.Graph, capacity, unitBW int, scheme BackupScheme)
 // varint off the wire — is dropped: Apply reports false and the view is
 // unchanged.
 func (v *LinkStateView) Apply(a proto.LinkAdvert) bool {
+	return v.apply(a, graph.InvalidNode)
+}
+
+// apply is Apply, except that a summary of a link leaving self is
+// skipped: reported true, the view unchanged.
+func (v *LinkStateView) apply(a proto.LinkAdvert, self graph.NodeID) bool {
 	n := len(v.conflicts)
 	if a.Link < 0 || int(a.Link) >= n {
 		return false
+	}
+	if v.sel.G.Link(a.Link).From == self {
+		return true
 	}
 	v.sel.Free[a.Link] = a.AvailPrim
 	v.sel.AvailBackup[a.Link] = a.AvailBackup
@@ -260,45 +310,23 @@ func (r *Router) advertForLocked(l graph.LinkID) proto.LinkAdvert {
 	}
 	return proto.LinkAdvert{
 		Link:        l,
-		AvailPrim:   r.db.AvailableForPrimary(l),
+		AvailPrim:   r.db.FreeBW(l),
 		AvailBackup: r.db.AvailableForBackup(l),
 		Norm:        r.db.APLVNorm(l),
 		CV:          r.db.AppendCV(l, nil),
 	}
 }
 
-// handleLSUpdate installs fresh updates and passes them on
-// (floodTargetsLocked). An update from an origin outside the topology is
-// dropped whole before anything records it, so it neither marks the view
-// synced nor travels further.
+// handleLSUpdate installs an update (LinkStateView.Install) and passes a
+// fresh one on (floodTargetsLocked).
 func (r *Router) handleLSUpdate(from graph.NodeID, m proto.LSUpdate) {
-	if m.Origin < 0 || int(m.Origin) >= r.g.NumNodes() {
-		r.tracer.LSUpdateDropped(int(r.cfg.Node), len(m.Links))
-		return
-	}
-	if m.Origin == r.cfg.Node {
-		return
-	}
-	r.mu.Lock()
-	if m.Seq <= r.seqSeen[m.Origin] {
-		r.mu.Unlock()
-		return
-	}
-	r.seqSeen[m.Origin] = m.Seq
-	dropped := 0
-	for _, a := range m.Links {
-		if a.Link < 0 || int(a.Link) >= r.g.NumLinks() {
-			dropped++
-			continue
-		}
-		// Never let remote adverts overwrite local truth.
-		if r.g.Link(a.Link).From == r.cfg.Node {
-			continue
-		}
-		r.view.Apply(a)
-	}
 	var buf [8]graph.NodeID
-	to := r.floodTargetsLocked(buf[:0], m, from)
+	r.mu.Lock()
+	fresh, dropped := r.view.Install(m, r.cfg.Node)
+	to := buf[:0]
+	if fresh {
+		to = r.floodTargetsLocked(to, m, from)
+	}
 	r.mu.Unlock()
 	r.tracer.LSUpdateDropped(int(r.cfg.Node), dropped)
 	r.flood(to, m)

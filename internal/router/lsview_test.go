@@ -19,7 +19,7 @@ func adverts(db *lsdb.DB) []proto.LinkAdvert {
 		l := graph.LinkID(i)
 		out[i] = proto.LinkAdvert{
 			Link:        l,
-			AvailPrim:   db.AvailableForPrimary(l),
+			AvailPrim:   db.FreeBW(l),
 			AvailBackup: db.AvailableForBackup(l),
 			Norm:        db.APLVNorm(l),
 			CV:          db.AppendCV(l, nil),
@@ -105,6 +105,71 @@ func FuzzLinkStateViewApply(f *testing.F) {
 		// Costing reads every row: it must stay in bounds.
 		p := v.RoutePrimary(0, 3, nil)
 		v.NextBackup(p, nil, nil)
+	})
+}
+
+// FuzzLinkStateViewInstall pins the intake rule (DESIGN.md, link-state
+// adverts; LinkStateView.Install) against a map model. Each 5-byte step of the script is one update:
+// an origin (in or outside the topology on either side), a sequence, two
+// link summaries (in or out of range) and the installing view's self (a
+// router, or an address outside the topology as the route finder's is).
+// After every step the view, Heard, fresh and dropped must match the
+// model: updates from hostile origins, from self or with a stale
+// sequence leave the view and Heard unchanged, dropped counts the
+// summaries naming links outside the topology (all of them for a hostile
+// origin), and self's own links never move.
+func FuzzLinkStateViewInstall(f *testing.F) {
+	g, err := topology.FromEdgeList(6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {0, 3}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	nodes, links := g.NumNodes(), g.NumLinks()
+	f.Add([]byte{2, 1, 3, 4, 0, 2, 1, 3, 4, 0, 2, 2, 3, 4, 3})
+	f.Add([]byte{0, 5, 1, 2, 1, 9, 5, 0, 19, 1, 2, 0, 5, 6, 8, 2, 3, 5, 5, 2})
+	f.Add([]byte{1, 1, 19, 0, 0, 8, 1, 3, 4, 7, 7, 2, 2, 2, 8})
+	f.Add([]byte{3, 1, 5, 6, 2})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		v := router.NewLinkStateView(g, 10, 1, router.DLSR)
+		want := snapshotView(v, links)
+		seen := make(map[graph.NodeID]uint64)
+		for i := 0; i+5 <= min(len(script), 5*64); i += 5 {
+			b := script[i : i+5]
+			m := proto.LSUpdate{Origin: graph.NodeID(int(b[0])%(nodes+4) - 2), Seq: uint64(b[1] % 8)}
+			for k, lb := range b[2:4] {
+				m.Links = append(m.Links, proto.LinkAdvert{
+					Link: graph.LinkID(int(lb)%(links+6) - 3), AvailPrim: i + k + 1,
+					AvailBackup: i + k + 2, Norm: i + k + 3, CV: []byte{byte(i + k), 0},
+				})
+			}
+			self := graph.NodeID(int(b[4])%(nodes+3) - 1)
+
+			var wantFresh bool
+			var wantDropped int
+			switch {
+			case m.Origin < 0 || int(m.Origin) >= nodes:
+				wantDropped = len(m.Links)
+			case m.Origin == self || m.Seq <= seen[m.Origin]:
+			default:
+				wantFresh = true
+				seen[m.Origin] = m.Seq
+				for _, a := range m.Links {
+					switch {
+					case a.Link < 0 || int(a.Link) >= links:
+						wantDropped++
+					case g.Link(a.Link).From != self:
+						want[a.Link] = viewState{prim: a.AvailPrim, backup: a.AvailBackup, norm: a.Norm, cv: a.CV}
+					}
+				}
+			}
+			fresh, dropped := v.Install(m, self)
+			if fresh != wantFresh || dropped != wantDropped {
+				t.Fatalf("step %d: Install(%+v, self %d) = (%v, %d), want (%v, %d)", i/5, m, self, fresh, dropped, wantFresh, wantDropped)
+			}
+			if v.Heard() != len(seen) {
+				t.Fatalf("step %d: Heard() = %d, want %d", i/5, v.Heard(), len(seen))
+			}
+			diffViews(t, snapshotView(v, links), want)
+		}
 	})
 }
 

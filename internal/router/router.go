@@ -288,8 +288,6 @@ type Router struct {
 	db *lsdb.DB // reservations for this node's outgoing links; has its own lock
 	// view is the advertised state of every link; guarded by mu.
 	view *LinkStateView
-	// seqSeen records the highest LS sequence per origin; guarded by mu.
-	seqSeen map[graph.NodeID]uint64
 	// mySeq numbers this router's own adverts; guarded by mu.
 	mySeq uint64
 	// dirty marks local link state changed since the last advert; guarded by mu.
@@ -380,7 +378,6 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 		tree:        newFloodTree(cfg.Graph, cfg.Node, nbrs),
 		db:          db,
 		view:        NewLinkStateView(cfg.Graph, cfg.Capacity, cfg.UnitBW, cfg.Scheme),
-		seqSeen:     make(map[graph.NodeID]uint64),
 		holdDown:    time.NewTimer(time.Hour),
 		seenSig:     dedup.NewWindow[dedupKey, sigResult](maxSeenSig, hashDedupKey),
 		tombstones:  dedup.NewWindow[lsdb.ConnID, uint64](maxTombstones, hashConnID),
@@ -472,7 +469,7 @@ func (r *Router) Synced() bool {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.seqSeen) > 0
+	return r.view.Heard() > 0
 }
 
 // View reports this router's link-state view of one link: the bandwidth

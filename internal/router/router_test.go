@@ -356,6 +356,83 @@ func TestLinkStateDissemination(t *testing.T) {
 	})
 }
 
+// reportLog is a router endpoint that records, in order, every failure
+// report the router sends.
+type reportLog struct {
+	transport.Endpoint
+	mu   sync.Mutex
+	sent []proto.Envelope
+}
+
+func (e *reportLog) Send(to graph.NodeID, m proto.Message) error {
+	if _, ok := m.(proto.FailureReport); ok {
+		e.mu.Lock()
+		e.sent = append(e.sent, proto.Envelope{To: to, Msg: m})
+		e.mu.Unlock()
+	}
+	return e.Endpoint.Send(to, m)
+}
+
+// TestFailureReportsInFixedOrder fails a link carrying primaries from
+// three sources, 20 times over on fresh routers. Every run must send the
+// same reports in the same order, sources ascending and each report's
+// connections ascending, whatever order the primaries arrived in.
+func TestFailureReportsInFixedOrder(t *testing.T) {
+	g := theta(t)
+	const self, next = graph.NodeID(0), graph.NodeID(1)
+	l, _ := g.LinkBetween(self, next)
+	// Source s sets up connections 10s+1 … 10s+4, interleaved across the
+	// sources and in neither order.
+	srcs := []graph.NodeID{52, 50, 51}
+	var want []proto.Envelope
+	for _, s := range []graph.NodeID{50, 51, 52} {
+		base := lsdb.ConnID(s) * 10
+		want = append(want, proto.Envelope{To: s, Msg: proto.FailureReport{
+			Link: l, Conns: []lsdb.ConnID{base + 1, base + 2, base + 3, base + 4},
+		}})
+	}
+	for run := 0; run < 20; run++ {
+		mem := transport.NewMem()
+		ep, err := mem.Attach(self)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &reportLog{Endpoint: ep}
+		r, err := router.New(router.Config{Node: self, Graph: g, Capacity: 20, UnitBW: 1, HelloMiss: noDetector}, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eps []transport.Endpoint
+		for _, s := range srcs {
+			src, err := mem.Attach(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eps = append(eps, src)
+		}
+		for _, k := range []lsdb.ConnID{3, 1, 4, 2} {
+			for i, s := range srcs {
+				if err := eps[i].Send(self, proto.Setup{
+					Conn: lsdb.ConnID(s)*10 + k, Channel: proto.Primary, Seq: 1,
+					Route: []graph.NodeID{s, self, next}, Hop: 1,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		waitFor(t, "12 primaries reserved", func() bool { return r.DB().TotalPrimeBW() == 12 })
+		r.FailLink(next)
+		rec.mu.Lock()
+		got := append([]proto.Envelope(nil), rec.sent[:min(len(rec.sent), len(want))]...)
+		rec.mu.Unlock()
+		_ = r.Close()
+		_ = mem.Close()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d sent reports\n%v\nwant\n%v", run, got, want)
+		}
+	}
+}
+
 func TestFailedLinkAdvertisedUnavailable(t *testing.T) {
 	g := theta(t)
 	c := newCluster(t, g, 10)
@@ -801,7 +878,8 @@ func TestEstablishSurvivesModerateLoss(t *testing.T) {
 // signed varint on the wire), from an origin outside it too. The router
 // must drop and count them, keep its view, pass nothing on to its
 // neighbours, and keep serving; a router that has heard only such
-// adverts is not synced.
+// adverts is not synced. It pins the intake rule (DESIGN.md, link-state
+// adverts) on a live router.
 func TestHostileLinkAdvertIsDropped(t *testing.T) {
 	g := theta(t)
 	mem := transport.NewMem()

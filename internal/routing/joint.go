@@ -35,7 +35,7 @@ func (s *Joint) Route(net *drtp.Network, req drtp.Request) (drtp.Route, error) {
 	db := net.DB()
 	unit := net.UnitBW()
 	cost := func(l graph.LinkID) float64 {
-		if net.LinkFailed(l) || db.AvailableForPrimary(l) < unit {
+		if net.LinkFailed(l) || db.FreeBW(l) < unit {
 			return graph.Unreachable
 		}
 		return 1
