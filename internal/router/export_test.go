@@ -1,6 +1,10 @@
 package router
 
-import "github.com/rtcl/drtp/internal/graph"
+import (
+	"time"
+
+	"github.com/rtcl/drtp/internal/graph"
+)
 
 // HoldDownsPerLSInterval exposes the hold-down's fraction of LSInterval.
 const HoldDownsPerLSInterval = holdDownsPerLSInterval
@@ -44,3 +48,9 @@ const (
 	MaxSeenSig    = maxSeenSig
 	MaxTombstones = maxTombstones
 )
+
+// MissHellos runs the hello check as if no neighbour had been heard from
+// for one hello interval past the deadline.
+func (r *Router) MissHellos() {
+	r.checkNeighbors(time.Now().Add(time.Duration(r.cfg.HelloMiss+1) * r.cfg.HelloInterval))
+}

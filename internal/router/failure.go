@@ -107,15 +107,16 @@ func (r *Router) declareDownLocked(nbr graph.NodeID) []failureReport {
 	return reports
 }
 
-// checkNeighbors declares links failed after HelloMiss missed hellos.
-func (r *Router) checkNeighbors() {
+// checkNeighbors declares links failed after HelloMiss missed hellos as
+// of now. Adjacencies that go stale together are declared down, and their
+// reports queued, in ascending neighbour order.
+func (r *Router) checkNeighbors(now time.Time) {
 	deadline := time.Duration(r.cfg.HelloMiss) * r.cfg.HelloInterval
-	now := time.Now()
 
 	r.mu.Lock()
 	var reports []failureReport
-	for nbr, last := range r.lastHello {
-		if r.downNbr[nbr] || now.Sub(last) <= deadline {
+	for _, nbr := range r.nbrs {
+		if r.downNbr[nbr] || now.Sub(r.lastHello[nbr]) <= deadline {
 			continue
 		}
 		reports = append(reports, r.declareDownLocked(nbr)...)

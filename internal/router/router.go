@@ -502,7 +502,7 @@ func (r *Router) loop() {
 			r.dispatch(env)
 		case <-hello.C:
 			r.sendHellos()
-			r.checkNeighbors()
+			r.checkNeighbors(time.Now())
 		case <-r.holdDown.C:
 			r.flushAdverts()
 		case <-ls.C:

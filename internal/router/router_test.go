@@ -433,6 +433,51 @@ func TestFailureReportsInFixedOrder(t *testing.T) {
 	}
 }
 
+// TestHelloMissesInNeighbourOrder lets every adjacency of a five-leaf
+// hub go stale at once, 20 times over on fresh routers. Each run must
+// declare the links down in ascending neighbour order.
+func TestHelloMissesInNeighbourOrder(t *testing.T) {
+	const hub, leaves = graph.NodeID(0), 5
+	var edges [][2]int
+	for v := 1; v <= leaves; v++ {
+		edges = append(edges, [2]int{0, v})
+	}
+	g, err := topology.FromEdgeList(leaves+1, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int
+	for v := 1; v <= leaves; v++ {
+		l, _ := g.LinkBetween(hub, graph.NodeID(v))
+		want = append(want, int(l))
+	}
+	for run := 0; run < 20; run++ {
+		mem := transport.NewMem()
+		ep, err := mem.Attach(hub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring := telemetry.NewRing(64)
+		r, err := router.New(router.Config{Node: hub, Graph: g, Capacity: 20, UnitBW: 1,
+			HelloMiss: noDetector, Telemetry: telemetry.NewTracer(ring)}, ep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.MissHellos()
+		var got []int
+		for _, e := range ring.Events() {
+			if e.Kind == telemetry.EvLinkFail {
+				got = append(got, e.Link)
+			}
+		}
+		_ = r.Close()
+		_ = mem.Close()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d declared links %v down, want %v", run, got, want)
+		}
+	}
+}
+
 func TestFailedLinkAdvertisedUnavailable(t *testing.T) {
 	g := theta(t)
 	c := newCluster(t, g, 10)

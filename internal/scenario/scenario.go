@@ -12,8 +12,10 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"github.com/rtcl/drtp/internal/faultinject"
 	"github.com/rtcl/drtp/internal/graph"
@@ -110,6 +112,12 @@ func (c *Config) validate() error {
 	if c.Nodes < 2 {
 		return fmt.Errorf("scenario: need at least 2 nodes, got %d", c.Nodes)
 	}
+	for _, x := range []float64{float64(c.Nodes) * c.Lambda, c.Duration, c.LifetimeMin, c.LifetimeMax} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("scenario: arrival rate %d×%g, duration %g and lifetimes [%g,%g] must be finite",
+				c.Nodes, c.Lambda, c.Duration, c.LifetimeMin, c.LifetimeMax)
+		}
+	}
 	if c.Lambda <= 0 {
 		return fmt.Errorf("scenario: lambda must be positive, got %g", c.Lambda)
 	}
@@ -119,8 +127,8 @@ func (c *Config) validate() error {
 	if c.LifetimeMin <= 0 || c.LifetimeMax < c.LifetimeMin {
 		return fmt.Errorf("scenario: invalid lifetime range [%g,%g]", c.LifetimeMin, c.LifetimeMax)
 	}
-	if c.Pattern == NT && c.HotDests > c.Nodes {
-		return fmt.Errorf("scenario: %d hot destinations exceed %d nodes", c.HotDests, c.Nodes)
+	if c.Pattern == NT && (c.HotDests < 0 || c.HotDests > c.Nodes) {
+		return fmt.Errorf("scenario: %d hot destinations out of [1,%d]", c.HotDests, c.Nodes)
 	}
 	if c.HotFraction < 0 || c.HotFraction > 1 {
 		return fmt.Errorf("scenario: hot fraction %g out of [0,1]", c.HotFraction)
@@ -180,22 +188,42 @@ func Generate(cfg Config) (*Scenario, error) {
 		for i := range hot {
 			hot[i] = graph.NodeID(perm[i])
 		}
-		sort.Slice(hot, func(i, j int) bool { return hot[i] < hot[j] })
+		slices.Sort(hot)
 	}
 
+	// Arrivals are drawn in time order; departures, which carry only a
+	// time and a conn, are sorted apart and merged in. At equal times an
+	// arrival goes first when its conn is not larger than the
+	// departure's: the order a stable time sort of the stream arrival 0,
+	// departure 0, arrival 1, … gives. Each arrival precedes its own
+	// departure, so none is left after the last.
+	type departure struct {
+		time float64
+		conn lsdb.ConnID
+	}
 	rate := float64(cfg.Nodes) * cfg.Lambda
-	var events []Event
+	var arrivals []Event
+	var departures []departure
 	var id lsdb.ConnID
 	for t := arrivalRNG.Exp(rate); t < cfg.Duration; t += arrivalRNG.Exp(rate) {
 		src, dst := drawPair(pairRNG, cfg, hot)
 		life := lifeRNG.Uniform(cfg.LifetimeMin, cfg.LifetimeMax)
-		events = append(events,
-			Event{Time: t, Kind: Arrival, Conn: id, Src: src, Dst: dst},
-			Event{Time: t + life, Kind: Departure, Conn: id},
-		)
+		arrivals = append(arrivals, Event{Time: t, Kind: Arrival, Conn: id, Src: src, Dst: dst})
+		departures = append(departures, departure{t + life, id})
 		id++
 	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Time < events[j].Time })
+	slices.SortFunc(departures, func(a, b departure) int {
+		return cmp.Or(cmp.Compare(a.time, b.time), cmp.Compare(a.conn, b.conn))
+	})
+	// Exactly sized, and nil when no request arrives.
+	events := slices.Grow([]Event(nil), 2*len(arrivals))
+	for _, d := range departures {
+		for len(arrivals) > 0 && (arrivals[0].Time < d.time || arrivals[0].Time == d.time && arrivals[0].Conn <= d.conn) {
+			events = append(events, arrivals[0])
+			arrivals = arrivals[1:]
+		}
+		events = append(events, Event{Time: d.time, Kind: Departure, Conn: d.conn})
+	}
 	return &Scenario{Config: cfg, HotDestinations: hot, Events: events}, nil
 }
 

@@ -158,6 +158,16 @@ func TestValidation(t *testing.T) {
 		{"lifetime", func(c *Config) { c.LifetimeMin = 10; c.LifetimeMax = 5 }},
 		{"hotdests", func(c *Config) { c.Pattern = NT; c.HotDests = 99 }},
 		{"hotfraction", func(c *Config) { c.HotFraction = 1.5 }},
+		{"negative hotdests", func(c *Config) { c.Pattern = NT; c.HotDests = -3 }},
+		{"NaN lambda", func(c *Config) { c.Lambda = math.NaN() }},
+		{"infinite lambda", func(c *Config) { c.Lambda = math.Inf(1) }},
+		{"overflowing rate", func(c *Config) { c.Lambda = math.MaxFloat64 }},
+		{"NaN duration", func(c *Config) { c.Duration = math.NaN() }},
+		{"infinite duration", func(c *Config) { c.Duration = math.Inf(1) }},
+		{"NaN lifetime min", func(c *Config) { c.LifetimeMin = math.NaN() }},
+		{"infinite lifetime min", func(c *Config) { c.LifetimeMin = math.Inf(1) }},
+		{"NaN lifetime max", func(c *Config) { c.LifetimeMax = math.NaN() }},
+		{"infinite lifetime max", func(c *Config) { c.LifetimeMax = math.Inf(1) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -6,6 +6,7 @@ package topology
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/rng"
@@ -79,22 +80,14 @@ func Waxman(cfg WaxmanConfig) (*graph.Graph, error) {
 		ys[i] = posRNG.Float64()
 	}
 
-	maxDist := 0.0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if d := dist(xs, ys, i, j); d > maxDist {
-				maxDist = d
-			}
-		}
-	}
+	maxDist := maxDistance(xs, ys)
 	if maxDist == 0 {
 		maxDist = 1
 	}
-
+	scale := cfg.Beta * maxDist
 	weight := func(i, j int) float64 {
-		return cfg.Alpha * math.Exp(-dist(xs, ys, i, j)/(cfg.Beta*maxDist))
+		return cfg.Alpha * math.Exp(-dist(xs, ys, i, j)/scale)
 	}
-
 	g := graph.New(n)
 	added := make(map[[2]int]bool, targetEdges)
 	addEdge := func(i, j int) error {
@@ -111,20 +104,11 @@ func Waxman(cfg WaxmanConfig) (*graph.Graph, error) {
 	// Phase 1: preference-weighted spanning tree over a random node order.
 	order := edgeRNG.Perm(n)
 	inTree := []int{order[0]}
+	row := make([]float64, 0, n)
 	for _, next := range order[1:] {
-		total := 0.0
-		for _, t := range inTree {
-			total += weight(next, t)
-		}
-		pick := edgeRNG.Float64() * total
-		chosen := inTree[len(inTree)-1]
-		for _, t := range inTree {
-			pick -= weight(next, t)
-			if pick <= 0 {
-				chosen = t
-				break
-			}
-		}
+		var total float64
+		row, total = weigh(row, next, inTree, weight)
+		chosen := inTree[drawWeighted(edgeRNG, row, total)]
 		if err := addEdge(next, chosen); err != nil {
 			return nil, err
 		}
@@ -266,20 +250,11 @@ func weightedPath(edgeRNG *rng.Source, n int, weight func(i, j int) float64, add
 	rest := edgeRNG.Perm(n)
 	cur := rest[0]
 	rest = rest[1:]
+	row := make([]float64, 0, n)
 	for len(rest) > 0 {
-		total := 0.0
-		for _, v := range rest {
-			total += weight(cur, v)
-		}
-		pick := edgeRNG.Float64() * total
-		k := len(rest) - 1
-		for i, v := range rest {
-			pick -= weight(cur, v)
-			if pick <= 0 {
-				k = i
-				break
-			}
-		}
+		var total float64
+		row, total = weigh(row, cur, rest, weight)
+		k := drawWeighted(edgeRNG, row, total)
 		next := rest[k]
 		if err := addEdge(cur, next); err != nil {
 			return err
@@ -289,6 +264,63 @@ func weightedPath(edgeRNG *rng.Source, n int, weight func(i, j int) float64, add
 		cur = next
 	}
 	return nil
+}
+
+// weigh refills row with weight(u, v) for each v in pool and returns it
+// with the weights' sum, added in pool order. A caller that keeps row
+// across draws computes each weight once per draw.
+func weigh(row []float64, u int, pool []int, weight func(i, j int) float64) ([]float64, float64) {
+	row = row[:0]
+	total := 0.0
+	for _, v := range pool {
+		w := weight(u, v)
+		row = append(row, w)
+		total += w
+	}
+	return row, total
+}
+
+// drawWeighted draws an index into row with probability proportional to
+// its weight, total being their sum; the last index when rounding leaves
+// the draw unspent.
+func drawWeighted(r *rng.Source, row []float64, total float64) int {
+	pick := r.Float64() * total
+	for k, w := range row {
+		pick -= w
+		if pick <= 0 {
+			return k
+		}
+	}
+	return len(row) - 1
+}
+
+// maxDistance returns the largest distance between two of the points.
+// Hypot is exact to a few ulps, so only pairs whose squared distance is
+// within a relative 1e-9 of the largest can hold it. One pass finds each
+// row's largest square; Hypot runs only on the rows that reach the cut.
+func maxDistance(xs, ys []float64) float64 {
+	rowMax := make([]float64, len(xs))
+	maxSq := 0.0
+	for i := range xs {
+		m := 0.0
+		for j := i + 1; j < len(xs); j++ {
+			dx, dy := xs[i]-xs[j], ys[i]-ys[j]
+			m = max(m, dx*dx+dy*dy)
+		}
+		rowMax[i], maxSq = m, max(maxSq, m)
+	}
+	maxDist, cut := 0.0, maxSq*(1-1e-9)
+	for i := range xs {
+		if rowMax[i] < cut {
+			continue
+		}
+		for j := i + 1; j < len(xs); j++ {
+			if dx, dy := xs[i]-xs[j], ys[i]-ys[j]; dx*dx+dy*dy >= cut {
+				maxDist = max(maxDist, math.Hypot(dx, dy))
+			}
+		}
+	}
+	return maxDist
 }
 
 func dist(xs, ys []float64, i, j int) float64 {
@@ -304,71 +336,54 @@ func raiseMinDegree(g *graph.Graph, cfg WaxmanConfig, edgeRNG *rng.Source,
 	if cfg.MinDegree >= n {
 		return fmt.Errorf("topology: min degree %d impossible with %d nodes", cfg.MinDegree, n)
 	}
-	deficient := func() []int {
-		var out []int
-		for i := 0; i < n; i++ {
-			if g.Degree(graph.NodeID(i)) < cfg.MinDegree {
-				out = append(out, i)
-			}
-		}
-		return out
+	short := func(v int) bool { return g.Degree(graph.NodeID(v)) < cfg.MinDegree }
+	linked := func(u, v int) bool {
+		_, ok := g.LinkBetween(graph.NodeID(u), graph.NodeID(v))
+		return ok
 	}
-	for {
-		def := deficient()
-		if len(def) == 0 {
-			return nil
+	// def lists the deficient nodes ascending; an edge can only take its
+	// own two ends off it.
+	var def, pool []int
+	var row []float64
+	for v := 0; v < n; v++ {
+		if short(v) {
+			def = append(def, v)
 		}
+	}
+	for len(def) > 0 {
 		if g.NumEdges() >= targetEdges {
 			return fmt.Errorf("topology: cannot reach min degree %d within %d edges", cfg.MinDegree, targetEdges)
 		}
 		u := def[edgeRNG.Intn(len(def))]
 		// Prefer partners that are themselves deficient.
-		pick := func(pool []int) (int, bool) {
-			total := 0.0
-			for _, v := range pool {
-				total += weight(u, v)
-			}
-			if total == 0 {
-				return 0, false
-			}
-			r := edgeRNG.Float64() * total
-			for _, v := range pool {
-				r -= weight(u, v)
-				if r <= 0 {
-					return v, true
-				}
-			}
-			return pool[len(pool)-1], true
-		}
-		eligible := func(onlyDeficient bool) []int {
-			var pool []int
-			for v := 0; v < n; v++ {
-				if v == u {
-					continue
-				}
-				if onlyDeficient && g.Degree(graph.NodeID(v)) >= cfg.MinDegree {
-					continue
-				}
-				if _, dup := g.LinkBetween(graph.NodeID(u), graph.NodeID(v)); dup {
-					continue
-				}
+		pool = pool[:0]
+		for _, v := range def {
+			if v != u && !linked(u, v) {
 				pool = append(pool, v)
 			}
-			return pool
 		}
-		pool := eligible(true)
 		if len(pool) == 0 {
-			pool = eligible(false)
+			for v := 0; v < n; v++ {
+				if v != u && !linked(u, v) {
+					pool = append(pool, v)
+				}
+			}
 		}
 		if len(pool) == 0 {
 			return fmt.Errorf("topology: node %d cannot reach min degree %d", u, cfg.MinDegree)
 		}
-		v, ok := pick(pool)
-		if !ok {
+		var total float64
+		row, total = weigh(row, u, pool, weight)
+		var v int
+		if total == 0 {
 			v = pool[edgeRNG.Intn(len(pool))]
+		} else {
+			v = pool[drawWeighted(edgeRNG, row, total)]
 		}
 		if err := addEdge(u, v); err != nil {
 			return err
 		}
+		def = slices.DeleteFunc(def, func(x int) bool { return (x == u || x == v) && !short(x) })
 	}
+	return nil
 }
