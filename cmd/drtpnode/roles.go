@@ -44,9 +44,6 @@ func start(role string, cfg controlplane.DeployConfig, node graph.NodeID, mesh *
 		what = fmt.Sprintf("node %d", node)
 	)
 	switch role {
-	case "routefinder":
-		id, what = controlplane.RouteFinderID(cfg.Graph), "route finder"
-		env, err = startRouteFinder(cfg, at)
 	case "setup":
 		id, what = controlplane.CoordinatorID(cfg.Graph), "setup coordinator"
 		env, err = startCoordinator(cfg, at)
@@ -67,7 +64,7 @@ func start(role string, cfg controlplane.DeployConfig, node graph.NodeID, mesh *
 	return env, nil
 }
 
-// syncedProbe is the readiness of a process that needs only a full
+// syncedProbe is the readiness of a process that needs only a synced
 // link-state view.
 func syncedProbe(synced func() bool) func() (bool, string) {
 	return func() (bool, string) {
@@ -76,20 +73,6 @@ func syncedProbe(synced func() bool) func() (bool, string) {
 		}
 		return true, ""
 	}
-}
-
-// startRouteFinder runs the route-finder service: it mirrors the
-// network's link-state adverts and answers primary+backup route
-// queries. Ready once the first full LSDB sync lands.
-func startRouteFinder(cfg controlplane.DeployConfig, at transport.Attacher) (*consoleEnv, error) {
-	rf, err := controlplane.NewRouteFinder(cfg, at)
-	if err != nil {
-		return nil, err
-	}
-	return &consoleEnv{
-		ready:   syncedProbe(rf.Synced),
-		closers: []func(){func() { _ = rf.Close() }},
-	}, nil
 }
 
 // startCoordinator runs the setup coordinator: registry, heartbeat
@@ -128,7 +111,7 @@ func startRouter(cfg controlplane.DeployConfig, node graph.NodeID, at transport.
 	if err != nil {
 		return nil, err
 	}
-	r, err := router.New(cfg.RouterConfig(node, false), ep)
+	r, err := router.New(cfg.RouterConfig(node), ep)
 	if err != nil {
 		_ = ep.Close()
 		return nil, err

@@ -15,14 +15,13 @@ import (
 )
 
 // tcpAttacher builds a loopback TCP mesh covering every topology node
-// plus the two service IDs, so the whole control plane runs over real
+// plus the coordinator's ID, so the whole control plane runs over real
 // sockets.
 func tcpAttacher(g *graph.Graph) *transport.TCPMesh {
-	addrs := make(map[graph.NodeID]string, g.NumNodes()+2)
+	addrs := make(map[graph.NodeID]string, g.NumNodes()+1)
 	for n := 0; n < g.NumNodes(); n++ {
 		addrs[graph.NodeID(n)] = "127.0.0.1:0"
 	}
-	addrs[controlplane.RouteFinderID(g)] = "127.0.0.1:0"
 	addrs[controlplane.CoordinatorID(g)] = "127.0.0.1:0"
 	return transport.NewTCPMesh(addrs)
 }
@@ -58,12 +57,10 @@ func TestControlPlaneOverTCP(t *testing.T) {
 		return ok && info.Switched && !info.Dead
 	})
 
-	// The rest of the deployment keeps admitting — once the route finder
-	// has heard of the death: the coordinator announces it to the route
-	// finder and to the agents over separate connections, so the source
-	// can have switched first, and a request in that window is routed
-	// over the dead node.
-	waitFor(t, "route finder excludes dead node", func() bool { return d.RF.Excluded(mid) })
+	// The rest of the deployment keeps admitting, around the dead node:
+	// the coordinator marks it down before it announces the death, so a
+	// request made after the switch excludes it.
+	waitFor(t, "coordinator excludes dead node", func() bool { return excluded(d, mid) })
 	fresh, err := d.Node(0).Agent.Request(2, 1)
 	if err != nil || !fresh.OK {
 		t.Fatalf("post-failure establish over TCP: err=%v reason=%s", err, fresh.Reason)

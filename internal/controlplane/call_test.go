@@ -35,9 +35,9 @@ func TestCallWaitReusesCleanly(t *testing.T) {
 	var delay atomic.Int64
 	go func() {
 		for env := range server.Recv() {
-			q, ok := env.Msg.(proto.RouteQuery)
+			q, ok := env.Msg.(proto.ConnCommand)
 			if d := time.Duration(delay.Load()); ok && d >= 0 {
-				res := proto.RouteReply{ID: q.ID, Reason: strconv.FormatUint(q.ID, 10)}
+				res := proto.ConnCommandResult{Seq: q.Seq, Reason: strconv.FormatUint(q.Seq, 10)}
 				time.AfterFunc(d, func() { _ = server.Send(0, res) })
 			}
 		}
@@ -48,9 +48,9 @@ func TestCallWaitReusesCleanly(t *testing.T) {
 	for i := uint64(0); i < 100; i++ {
 		delay.Store(int64(per/2 + time.Duration(i%20)*per/20))
 		id := 2 * i
-		out, err := controlplane.Call(ep, 1, proto.RouteQuery{ID: id}, proto.RouteReply{ID: id}, 1, per, stop)
+		out, err := controlplane.Call(ep, 1, proto.ConnCommand{Seq: id}, proto.ConnCommandResult{Seq: id}, 1, per, stop)
 		switch {
-		case err == nil && out.(proto.RouteReply).Reason != strconv.FormatUint(id, 10):
+		case err == nil && out.(proto.ConnCommandResult).Reason != strconv.FormatUint(id, 10):
 			t.Fatalf("call %d took the reply %+v", id, out)
 		case err != nil && !errors.Is(err, controlplane.ErrTimeout):
 			t.Fatalf("call %d: %v", id, err)
@@ -58,7 +58,7 @@ func TestCallWaitReusesCleanly(t *testing.T) {
 
 		delay.Store(-1)
 		start := time.Now()
-		out, err = controlplane.Call(ep, 1, proto.RouteQuery{ID: id + 1}, proto.RouteReply{ID: id + 1}, 1, per, stop)
+		out, err = controlplane.Call(ep, 1, proto.ConnCommand{Seq: id + 1}, proto.ConnCommandResult{Seq: id + 1}, 1, per, stop)
 		if took := time.Since(start); !errors.Is(err, controlplane.ErrTimeout) || took < per {
 			t.Fatalf("unanswered call after %d: %v, %v after %v; want a timeout after %v", id, out, err, took, per)
 		}

@@ -11,7 +11,7 @@ import (
 	"github.com/rtcl/drtp/internal/transport"
 )
 
-// TestChaosConformance runs the three-role control plane under the
+// TestChaosConformance runs the two-role control plane under the
 // deterministic fault-injection layer: every signalling message is
 // dropped with 10% probability throughout, and at logical time 2 the
 // primary's transit node is partitioned away from the rest of the
@@ -92,8 +92,8 @@ func TestChaosConformance(t *testing.T) {
 	if contains(info.Primary, graph.NodeID(2)) {
 		t.Fatalf("active route %v still transits partitioned node 2", info.Primary)
 	}
-	waitFor(t, "route finder excludes partitioned node", func() bool {
-		return d.RF.Excluded(2)
+	waitFor(t, "coordinator excludes partitioned node", func() bool {
+		return excluded(d, 2)
 	})
 
 	// New admissions keep working during the partition and route around

@@ -1,17 +1,18 @@
 // Package controlplane promotes DRTP connection management into a
-// deployable service tier above the per-node routers: a route-finder
-// service that owns a mirrored link-state snapshot and answers
-// primary+backup route queries, a setup coordinator that drives
-// hop-by-hop establishment and teardown through the routers'
-// retry/backoff signalling while enforcing per-tenant admission quotas,
-// and a node registry with heartbeat liveness, graceful drain and
-// connection migration.
+// deployable service tier above the per-node routers: a setup
+// coordinator that enforces per-tenant admission quotas and commands
+// each connection's source to establish or release it, and a node
+// registry with heartbeat liveness, graceful drain and connection
+// migration. As in the paper's link-state schemes, the source chooses
+// the routes: the source router selects them on its own link-state view,
+// around the nodes the coordinator names as draining or dead, and
+// signals them hop by hop with its retry/backoff discipline.
 //
-// Services speak the internal/proto control messages over the same
-// transport (in-memory switchboard or TCP mesh) as the data-plane
-// signalling, and are addressed with node IDs just past the topology:
-// RouteFinderID(g) and CoordinatorID(g). Control messages never index
-// the graph with these IDs, so topologies stay untouched.
+// The coordinator and the node agents speak the internal/proto control
+// messages over the same transport (in-memory switchboard or TCP mesh)
+// as the data-plane signalling. The coordinator is addressed with a node
+// ID past the topology, CoordinatorID(g); control messages never index
+// the graph with it, so topologies stay untouched.
 //
 // Liveness is layered: the coordinator detects a dead node runtime by
 // missed heartbeats and broadcasts proto.NodeDown; agents adjacent to
@@ -34,14 +35,9 @@ import (
 	"github.com/rtcl/drtp/internal/transport"
 )
 
-// RouteFinderID is the transport address of the route-finder service
-// for a topology: the first node ID past the graph.
-func RouteFinderID(g *graph.Graph) graph.NodeID {
-	return graph.NodeID(g.NumNodes())
-}
-
 // CoordinatorID is the transport address of the setup coordinator for a
-// topology: the second node ID past the graph.
+// topology: the second node ID past the graph. The first is unused; it
+// stays free so existing address plans keep their meaning.
 func CoordinatorID(g *graph.Graph) graph.NodeID {
 	return graph.NodeID(g.NumNodes() + 1)
 }

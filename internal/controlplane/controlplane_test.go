@@ -84,6 +84,17 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timeout waiting for %s", what)
 }
 
+// excluded reports whether the coordinator has node n down or draining,
+// so that new routes avoid it.
+func excluded(d *controlplane.Deployment, n graph.NodeID) bool {
+	for _, s := range d.Coord.Nodes() {
+		if s.Node == n {
+			return s.Down || s.Draining
+		}
+	}
+	return false
+}
+
 func contains(nodes []graph.NodeID, n graph.NodeID) bool {
 	for _, x := range nodes {
 		if x == n {
@@ -94,9 +105,9 @@ func contains(nodes []graph.NodeID, n graph.NodeID) bool {
 }
 
 // TestDeploymentServicesShareConfig deploys with a non-default backup
-// count or scheme: the route finder routes as many backups as the
-// routers keep, and the source router holds exactly the routes the
-// coordinator replied with.
+// count or scheme: the source router routes as many backups as the
+// deployment asks for, and holds exactly the routes the coordinator
+// replied with.
 func TestDeploymentServicesShareConfig(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -153,7 +164,7 @@ func TestEstablishAndReleaseViaCoordinator(t *testing.T) {
 		t.Fatal("no backups in reply")
 	}
 	// The source router holds the connection, established along the
-	// commanded routes.
+	// routes the reply names.
 	info, ok := d.Node(0).Router.Conn(1)
 	if !ok {
 		t.Fatal("router has no connection record")
@@ -199,7 +210,7 @@ func TestEstablishAndReleaseViaCoordinator(t *testing.T) {
 	// the recorded routes without entering the pipeline). total is
 	// observed after the reply is sent.
 	stages := cfg.Metrics.LatencyVec("drtp_cp_stage_seconds", "", "stage")
-	for _, stage := range []string{"admission", "route_query", "establish", "total"} {
+	for _, stage := range []string{"admission", "establish", "total"} {
 		h := stages.With(stage)
 		waitFor(t, "stage "+stage+" observed", func() bool { return h.Count() >= 1 })
 		if n := h.Count(); n != 1 {
@@ -302,6 +313,110 @@ func TestQuotaRejection(t *testing.T) {
 	}
 }
 
+// TestAdmissionRefusesBadEndpoints: a destination outside the topology,
+// on either side, or equal to the source is refused at admission as
+// bad-endpoints, and one the coordinator excludes as endpoint-excluded;
+// none of them holds quota.
+func TestAdmissionRefusesBadEndpoints(t *testing.T) {
+	ring := telemetry.NewRing(1 << 12)
+	g := trident(t)
+	d := deploy(t, deployConfig(g, ring), transport.NewMem())
+	agent := d.Node(0).Agent
+	for i, dst := range []graph.NodeID{-1, graph.NodeID(g.NumNodes()), 0} {
+		reply, err := agent.Request(lsdb.ConnID(i+1), dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.OK || reply.Reason != "bad-endpoints" {
+			t.Fatalf("request to %d: ok=%v reason=%q, want bad-endpoints", dst, reply.OK, reply.Reason)
+		}
+	}
+	if dr, err := agent.DrainNode(3); err != nil || !dr.OK {
+		t.Fatalf("drain: err=%v reply=%+v", err, dr)
+	}
+	reply, err := agent.Request(9, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.OK || reply.Reason != "endpoint-excluded" {
+		t.Fatalf("request to a drained node: ok=%v reason=%q, want endpoint-excluded", reply.OK, reply.Reason)
+	}
+	if n := ring.Count(telemetry.EvAdmissionReject); n != 4 {
+		t.Fatalf("admission-reject events = %d, want 4", n)
+	}
+	if got := d.Coord.TenantConns("default"); got != 0 {
+		t.Fatalf("tenant usage = %d after refusals, want 0", got)
+	}
+}
+
+// TestEstablishCommandIgnoresOutsideExcludes: an establish command whose
+// Exclude names IDs outside the topology, on both sides, establishes as
+// if it named none.
+func TestEstablishCommandIgnoresOutsideExcludes(t *testing.T) {
+	g := trident(t)
+	mem := transport.NewMem()
+	d := deploy(t, deployConfig(g, telemetry.NewRing(1<<12)), mem)
+	ep, err := mem.Attach(50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	ep.Recv() // start delivery
+	cmd := proto.ConnCommand{Op: proto.OpEstablish, Conn: 1, Dst: 1, Exclude: []graph.NodeID{-1, 99}, Seq: 1}
+	out, err := controlplane.Call(ep, 0, cmd, proto.ConnCommandResult{Seq: 1}, 1, 5*time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := out.(proto.ConnCommandResult)
+	if !res.OK || len(res.Primary) != 3 || len(res.Backups) == 0 {
+		t.Fatalf("command result %+v, want an established connection", res)
+	}
+	info, ok := d.Node(0).Router.Conn(1)
+	if !ok || !reflect.DeepEqual(info.Primary, res.Primary) || !reflect.DeepEqual(info.Backups, res.Backups) {
+		t.Fatalf("router holds %+v (ok=%v), result said %v %v", info, ok, res.Primary, res.Backups)
+	}
+}
+
+// TestSilentNodesDieInNodeOrder registers two nodes with a fresh
+// coordinator, 20 times over, and lets both fall silent together. Each
+// run must declare them dead in ascending node order.
+func TestSilentNodesDieInNodeOrder(t *testing.T) {
+	g := trident(t)
+	for run := 0; run < 20; run++ {
+		mem := transport.NewMem()
+		ring := telemetry.NewRing(64)
+		cfg := deployConfig(g, ring)
+		cfg.HeartbeatInterval, cfg.HeartbeatMiss = 5*time.Millisecond, 2
+		c, err := controlplane.NewCoordinator(cfg, mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The lower ID registers first, so a tick falling between the two
+		// registrations also declares it dead first.
+		for _, n := range []graph.NodeID{1, 3} {
+			ep, err := mem.Attach(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ep.Send(controlplane.CoordinatorID(g), proto.Register{Node: n, Seq: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, "both nodes declared dead", func() bool { return ring.Count(telemetry.EvNodeLeave) >= 2 })
+		var got []int
+		for _, e := range ring.Events() {
+			if e.Kind == telemetry.EvNodeLeave {
+				got = append(got, e.Node)
+			}
+		}
+		_ = c.Close()
+		_ = mem.Close()
+		if !reflect.DeepEqual(got, []int{1, 3}) {
+			t.Fatalf("run %d declared nodes %v dead, want [1 3]", run, got)
+		}
+	}
+}
+
 func TestDrainMigratesConnections(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ring := telemetry.NewRing(1 << 12)
@@ -353,14 +468,14 @@ func TestDrainMigratesConnections(t *testing.T) {
 		t.Fatal("terminal connection still on drained node's router")
 	}
 
-	// Drain state: agent unready, route finder excludes the node, new
-	// requests from it are rejected at admission.
+	// Drain state: agent unready, the coordinator excludes the node from
+	// new routes, new requests from it are rejected at admission.
 	waitFor(t, "drained node unready", func() bool {
 		ok, reason := d.Node(mid).Ready()
 		return !ok && reason == "draining"
 	})
-	if !d.RF.Excluded(mid) {
-		t.Fatal("route finder does not exclude drained node")
+	if !excluded(d, mid) {
+		t.Fatal("coordinator does not exclude drained node")
 	}
 	rej, err := d.Node(mid).Agent.Request(3, 0)
 	if err != nil {
@@ -399,9 +514,8 @@ func TestDrainMigratesConnections(t *testing.T) {
 		t.Fatalf("healthy node /readyz = %d, want 200", code)
 	}
 
-	// Close ends every goroutine the deployment started: the route
-	// finder, coordinator and agent loops, the drain worker, and the
-	// parked request workers.
+	// Close ends every goroutine the deployment started: the coordinator
+	// and agent loops, the drain worker, and the parked request workers.
 	srv.Close()
 	srvUp.Close()
 	d.Close()
@@ -452,8 +566,8 @@ func TestHeartbeatMissPropagatesAsLinkDeath(t *testing.T) {
 	if contains(info.Primary, mid) {
 		t.Fatalf("recovered primary %v still uses dead node %d", info.Primary, mid)
 	}
-	// The route finder excludes the dead node from new routes.
-	waitFor(t, "route finder excludes dead node", func() bool { return d.RF.Excluded(mid) })
+	// The coordinator excludes the dead node from new routes.
+	waitFor(t, "coordinator excludes dead node", func() bool { return excluded(d, mid) })
 	fresh, err := d.Node(0).Agent.Request(5, 1)
 	if err != nil || !fresh.OK {
 		t.Fatalf("post-failure establish: err=%v reason=%s", err, fresh.Reason)
@@ -475,127 +589,4 @@ func httpGet(t *testing.T, url string) (int, string) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, string(body)
-}
-
-// routeFinderClient starts a route finder on g over an in-memory
-// transport, tracing into events, and returns it with a client's send and
-// a query that doubles as a barrier: the finder handles one sender's
-// messages in order, so a reply means everything sent before it was
-// handled.
-func routeFinderClient(t *testing.T, g *graph.Graph, events *telemetry.Buffer) (*controlplane.RouteFinder, func(proto.Message), func() proto.RouteReply) {
-	t.Helper()
-	mem := transport.NewMem()
-	t.Cleanup(func() { _ = mem.Close() })
-	rf, err := controlplane.NewRouteFinder(controlplane.DeployConfig{
-		Graph: g, Capacity: 10, UnitBW: 1, Telemetry: telemetry.NewTracer(events),
-	}, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = rf.Close() })
-	client, err := mem.Attach(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	send := func(m proto.Message) {
-		t.Helper()
-		if err := client.Send(controlplane.RouteFinderID(g), m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var queryID uint64
-	query := func() proto.RouteReply {
-		t.Helper()
-		queryID++
-		send(proto.RouteQuery{ID: queryID, Src: 0, Dst: 1})
-		select {
-		case env := <-client.Recv():
-			reply, ok := env.Msg.(proto.RouteReply)
-			if !ok || reply.ID != queryID || !reply.OK {
-				t.Fatalf("query %d: got %#v", queryID, env.Msg)
-			}
-			return reply
-		case <-time.After(5 * time.Second):
-			t.Fatalf("query %d: no reply; the route finder is gone", queryID)
-			return proto.RouteReply{}
-		}
-	}
-	return rf, send, query
-}
-
-// droppedAdverts sums the link summaries events counts as dropped out of
-// range.
-func droppedAdverts(events *telemetry.Buffer) int {
-	dropped := 0
-	for _, e := range events.Events() {
-		if e.Kind == telemetry.EvLSUpdate && e.Reason == "out-of-range" {
-			dropped += e.N
-		}
-	}
-	return dropped
-}
-
-// TestRouteFinderDropsHostileLinkAdvert feeds the route finder link
-// summaries whose link IDs lie outside the topology on both sides. It
-// must drop and count them, keep its view, and keep answering queries.
-func TestRouteFinderDropsHostileLinkAdvert(t *testing.T) {
-	g := trident(t)
-	events := telemetry.NewBuffer()
-	_, send, query := routeFinderClient(t, g, events)
-
-	// A genuine advert first, so the view has something to lose: with no
-	// primary bandwidth on 0->2 the primary must leave through 3.
-	l02, _ := g.LinkBetween(0, 2)
-	send(proto.LSUpdate{Origin: 0, Seq: 1, Links: []proto.LinkAdvert{{Link: l02, AvailBackup: 10}}})
-	before := query()
-	if before.Primary[1] != 3 {
-		t.Fatalf("primary %v ignores the advert for link %d", before.Primary, l02)
-	}
-
-	n := graph.LinkID(g.NumLinks())
-	send(proto.LSUpdate{Origin: 2, Seq: 1, Links: []proto.LinkAdvert{
-		{Link: -1, AvailPrim: 10, AvailBackup: 10, CV: []byte{0xff}},
-		{Link: n, AvailPrim: 10, AvailBackup: 10, CV: []byte{0xff}},
-	}})
-	after := query()
-	if !reflect.DeepEqual(before.Primary, after.Primary) || !reflect.DeepEqual(before.Backups, after.Backups) {
-		t.Fatalf("routes changed: before %+v, after %+v", before, after)
-	}
-	if dropped := droppedAdverts(events); dropped != 2 {
-		t.Fatalf("counted %d dropped adverts, want 2", dropped)
-	}
-}
-
-// TestRouteFinderIgnoresHostileOrigins feeds the route finder adverts from
-// every topology node but one, plus adverts from two origins outside the
-// topology, one on each side. The hostile adverts must be dropped whole
-// and counted, one per link summary, and must not make the finder read as
-// synced; the last real origin's advert does. It pins the mirroring rule
-// (DESIGN.md, link-state adverts).
-func TestRouteFinderIgnoresHostileOrigins(t *testing.T) {
-	g, err := topology.Ring(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := telemetry.NewBuffer()
-	rf, send, query := routeFinderClient(t, g, events)
-	n := graph.NodeID(g.NumNodes())
-	for o := graph.NodeID(0); o < n-1; o++ {
-		send(proto.LSUpdate{Origin: o, Seq: 1})
-	}
-	for _, o := range []graph.NodeID{-1, n + 5} {
-		send(proto.LSUpdate{Origin: o, Seq: 1, Links: []proto.LinkAdvert{{Link: 0}, {Link: 1}}})
-	}
-	query()
-	if rf.Synced() {
-		t.Fatalf("synced with adverts from %d of %d nodes and two hostile origins", n-1, n)
-	}
-	if dropped := droppedAdverts(events); dropped != 4 {
-		t.Fatalf("counted %d dropped adverts, want 4 (two per hostile origin)", dropped)
-	}
-	send(proto.LSUpdate{Origin: n - 1, Seq: 1})
-	query()
-	if !rf.Synced() {
-		t.Fatalf("not synced with adverts from all %d nodes", n)
-	}
 }

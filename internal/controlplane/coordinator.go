@@ -73,29 +73,28 @@ type NodeState struct {
 }
 
 // Coordinator is the control plane's setup service: it admits tenant
-// connection requests against per-tenant quotas, asks the route finder
-// for routes, commands source-node agents to establish or release them
-// through the routers' retry/backoff signalling, tracks node liveness
-// by heartbeat, and drains nodes by migrating their connections onto
-// routes that avoid them.
+// connection requests against per-tenant quotas, commands source-node
+// agents to establish them, on routes their routers select around the
+// draining and dead nodes, or to release them, tracks node liveness by
+// heartbeat, and drains nodes by migrating their connections onto routes
+// that avoid them.
 type Coordinator struct {
 	cfg    DeployConfig
 	ep     transport.Endpoint
 	log    *slog.Logger
 	tracer *telemetry.Tracer
-	rf     graph.NodeID
 
 	// Per-stage setup latency; children resolved once at construction so
 	// the observe path stays allocation-free. All are nil-safe no-ops
 	// when cfg.Metrics is nil.
-	latAdmission  *telemetry.LatencyHist
-	latRouteQuery *telemetry.LatencyHist
-	latEstablish  *telemetry.LatencyHist
-	latTotal      *telemetry.LatencyHist
+	latAdmission *telemetry.LatencyHist
+	latEstablish *telemetry.LatencyHist
+	latTotal     *telemetry.LatencyHist
 
 	mu sync.Mutex
-	// nodes is the registry; guarded by mu.
-	nodes map[graph.NodeID]*nodeRec
+	// nodes is the registry, indexed by node ID: one record per topology
+	// node, the zero record until the node registers; guarded by mu.
+	nodes []nodeRec
 	// conns records admitted, established connections; guarded by mu.
 	conns map[lsdb.ConnID]*connRec
 	// pendingConns records establishments in flight, so duplicates from
@@ -106,7 +105,7 @@ type Coordinator struct {
 	usage map[string]int
 	// drains marks nodes with a drain worker running; guarded by mu.
 	drains map[graph.NodeID]bool
-	// rpcID numbers route queries and node commands; guarded by mu.
+	// rpcID numbers node commands; guarded by mu.
 	rpcID uint64
 	// closed is set once Close begins; guarded by mu.
 	closed bool
@@ -119,8 +118,7 @@ type Coordinator struct {
 }
 
 // NewCoordinator attaches at CoordinatorID(cfg.Graph) and starts a
-// coordinator there, asking the route finder at RouteFinderID(cfg.Graph)
-// for routes.
+// coordinator there.
 func NewCoordinator(cfg DeployConfig, at Attacher) (*Coordinator, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
@@ -134,8 +132,7 @@ func NewCoordinator(cfg DeployConfig, at Attacher) (*Coordinator, error) {
 		ep:           ep,
 		log:          cfg.Logger.With("service", "coordinator"),
 		tracer:       cfg.Telemetry,
-		rf:           RouteFinderID(cfg.Graph),
-		nodes:        make(map[graph.NodeID]*nodeRec),
+		nodes:        make([]nodeRec, cfg.Graph.NumNodes()),
 		conns:        make(map[lsdb.ConnID]*connRec),
 		pendingConns: make(map[lsdb.ConnID]*pendingConn),
 		usage:        make(map[string]int),
@@ -145,9 +142,8 @@ func NewCoordinator(cfg DeployConfig, at Attacher) (*Coordinator, error) {
 	}
 	c.work = newWorkers(&c.wg, c.stop)
 	stages := cfg.Metrics.LatencyVec("drtp_cp_stage_seconds",
-		"Setup-pipeline stage latency: admission, route_query, establish, total.", "stage")
+		"Setup-pipeline stage latency: admission, establish, total.", "stage")
 	c.latAdmission = stages.With("admission")
-	c.latRouteQuery = stages.With("route_query")
 	c.latEstablish = stages.With("establish")
 	c.latTotal = stages.With("total")
 	go c.loop()
@@ -175,9 +171,8 @@ func (c *Coordinator) Nodes() []NodeState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]NodeState, 0, len(c.nodes))
-	for n := 0; n < c.cfg.Graph.NumNodes(); n++ {
-		rec, ok := c.nodes[graph.NodeID(n)]
-		if !ok || !rec.registered {
+	for n, rec := range c.nodes {
+		if !rec.registered {
 			continue
 		}
 		out = append(out, NodeState{
@@ -208,9 +203,9 @@ func (c *Coordinator) Conn(id lsdb.ConnID) (primary []graph.NodeID, backups [][]
 }
 
 // loop is the coordinator's single dispatch goroutine: inbound control
-// messages plus the heartbeat liveness tick. Replies to its route queries
-// and node commands go to the waiting worker where the endpoint delivers
-// them; a reply reaching the loop was awaited by nobody and is dropped.
+// messages plus the heartbeat liveness tick. Replies to its node commands
+// go to the waiting worker where the endpoint delivers them; a reply
+// reaching the loop was awaited by nobody and is dropped.
 func (c *Coordinator) loop() {
 	defer close(c.done)
 	tick := time.NewTicker(c.cfg.HeartbeatInterval)
@@ -251,16 +246,12 @@ func (c *Coordinator) dispatch(env proto.Envelope) {
 // is idempotent (lost acks are covered by the agent re-sending) and
 // revives a node previously declared dead.
 func (c *Coordinator) handleRegister(from graph.NodeID, m proto.Register) {
-	if int(m.Node) < 0 || int(m.Node) >= c.cfg.Graph.NumNodes() {
+	if !c.inTopology(m.Node) {
 		_ = c.ep.Send(from, proto.RegisterAck{Node: m.Node, Reason: "unknown-node"})
 		return
 	}
 	c.mu.Lock()
-	rec := c.nodes[m.Node]
-	if rec == nil {
-		rec = &nodeRec{}
-		c.nodes[m.Node] = rec
-	}
+	rec := &c.nodes[m.Node]
 	joined := !rec.registered || rec.down
 	rec.registered = true
 	rec.down = false
@@ -277,9 +268,12 @@ func (c *Coordinator) handleRegister(from graph.NodeID, m proto.Register) {
 // handleHeartbeat refreshes a node's liveness; a beat from a node
 // declared dead revives it (partition healed, process back).
 func (c *Coordinator) handleHeartbeat(m proto.Heartbeat) {
+	if !c.inTopology(m.Node) {
+		return
+	}
 	c.mu.Lock()
-	rec := c.nodes[m.Node]
-	if rec == nil || !rec.registered {
+	rec := &c.nodes[m.Node]
+	if !rec.registered {
 		c.mu.Unlock()
 		return
 	}
@@ -300,9 +294,12 @@ func (c *Coordinator) handleHeartbeat(m proto.Heartbeat) {
 
 // handleLeave processes a graceful departure announced by the agent.
 func (c *Coordinator) handleLeave(m proto.NodeDown) {
+	if !c.inTopology(m.Node) {
+		return
+	}
 	c.mu.Lock()
-	rec := c.nodes[m.Node]
-	if rec == nil || !rec.registered || rec.down {
+	rec := &c.nodes[m.Node]
+	if !rec.registered || rec.down {
 		c.mu.Unlock()
 		return
 	}
@@ -316,7 +313,8 @@ func (c *Coordinator) handleLeave(m proto.NodeDown) {
 }
 
 // checkHeartbeats declares nodes silent for HeartbeatMiss intervals
-// dead and broadcasts their death so backups activate.
+// dead and broadcasts their death so backups activate. Nodes that go
+// silent together are declared, and announced, in ascending order.
 func (c *Coordinator) checkHeartbeats() {
 	deadline := time.Duration(c.cfg.HeartbeatMiss) * c.cfg.HeartbeatInterval
 	now := time.Now()
@@ -327,7 +325,8 @@ func (c *Coordinator) checkHeartbeats() {
 	var dead []graph.NodeID
 	var rebroadcast []cast
 	c.mu.Lock()
-	for n, rec := range c.nodes {
+	for i := range c.nodes {
+		n, rec := graph.NodeID(i), &c.nodes[i]
 		if rec.registered && !rec.down && now.Sub(rec.lastBeat) > deadline {
 			rec.down = true
 			rec.downReason = "heartbeat-miss"
@@ -350,17 +349,16 @@ func (c *Coordinator) checkHeartbeats() {
 	}
 }
 
-// broadcastDown announces a death to the route finder and every live
-// node agent; agents adjacent to the dead node fail their shared links,
-// which floods link-state deaths and activates affected backups.
+// broadcastDown announces a death to every live node agent, in node
+// order; agents adjacent to the dead node fail their shared links, which
+// floods link-state deaths and activates affected backups.
 func (c *Coordinator) broadcastDown(node graph.NodeID, reason string) {
 	msg := proto.NodeDown{Node: node, Reason: reason}
-	_ = c.ep.Send(c.rf, msg)
 	c.mu.Lock()
 	var live []graph.NodeID
 	for n, rec := range c.nodes {
-		if n != node && rec.registered && !rec.down {
-			live = append(live, n)
+		if graph.NodeID(n) != node && rec.registered && !rec.down {
+			live = append(live, graph.NodeID(n))
 		}
 	}
 	c.mu.Unlock()
@@ -369,20 +367,29 @@ func (c *Coordinator) broadcastDown(node graph.NodeID, reason string) {
 	}
 }
 
-// excludedNodesLocked lists nodes new routes must avoid (draining or
-// dead). Callers must hold c.mu.
+// excludedNodesLocked lists, ascending, the nodes new routes must avoid:
+// draining or dead. Callers must hold c.mu.
 func (c *Coordinator) excludedNodesLocked() []graph.NodeID {
 	var out []graph.NodeID
 	for n, rec := range c.nodes {
-		if rec.draining || rec.down {
-			out = append(out, n)
+		if rec.excluded() {
+			out = append(out, graph.NodeID(n))
 		}
 	}
 	return out
 }
 
-// handleEstablish admits a tenant request and, when admitted, runs the
-// route-query/establish-command pipeline on a worker.
+// excluded reports whether new routes must avoid the node.
+func (rec nodeRec) excluded() bool { return rec.draining || rec.down }
+
+// inTopology reports whether a node ID off the wire names a topology
+// node, and so may index the registry.
+func (c *Coordinator) inTopology(n graph.NodeID) bool {
+	return n >= 0 && int(n) < c.cfg.Graph.NumNodes()
+}
+
+// handleEstablish admits a tenant request and, when admitted, commands
+// the establishment on a worker.
 // Duplicate requests replay the recorded outcome (established) or
 // attach to the in-flight attempt (pending), so client retries are
 // idempotent.
@@ -412,13 +419,13 @@ func (c *Coordinator) handleEstablish(from graph.NodeID, m proto.EstablishReques
 		c.mu.Unlock()
 		return
 	}
-	srcRec := c.nodes[m.Src]
-	switch {
-	case int(m.Src) < 0 || int(m.Src) >= c.cfg.Graph.NumNodes():
+	if !c.inTopology(m.Src) {
 		c.mu.Unlock()
 		reject("unknown-src")
 		return
-	case srcRec == nil || !srcRec.registered:
+	}
+	switch srcRec := c.nodes[m.Src]; {
+	case !srcRec.registered:
 		c.mu.Unlock()
 		reject("src-unregistered")
 		return
@@ -429,6 +436,14 @@ func (c *Coordinator) handleEstablish(from graph.NodeID, m proto.EstablishReques
 	case srcRec.draining:
 		c.mu.Unlock()
 		reject("src-draining")
+		return
+	case !c.inTopology(m.Dst) || m.Dst == m.Src:
+		c.mu.Unlock()
+		reject("bad-endpoints")
+		return
+	case c.nodes[m.Dst].excluded():
+		c.mu.Unlock()
+		reject("endpoint-excluded")
 		return
 	}
 	q := c.cfg.Quotas[m.Tenant] // a tenant not listed is unlimited
@@ -469,21 +484,9 @@ func (c *Coordinator) establishWorker(from graph.NodeID, m proto.EstablishReques
 			_ = c.ep.Send(to, proto.ReleaseReply{Conn: m.Conn, OK: true, Reason: "not-found"})
 		}
 	}
-	routeStart := time.Now()
-	rr, err := c.queryRoute(m.Src, m.Dst, exclude)
-	c.latRouteQuery.ObserveSince(routeStart)
-	if err != nil {
-		fail("route-query: " + err.Error())
-		return
-	}
-	if !rr.OK {
-		fail(rr.Reason)
-		return
-	}
 	cmdStart := time.Now()
 	res, err := c.command(m.Src, proto.ConnCommand{
-		Op: proto.OpEstablish, Conn: m.Conn, Dst: m.Dst,
-		Primary: rr.Primary, Backups: rr.Backups,
+		Op: proto.OpEstablish, Conn: m.Conn, Dst: m.Dst, Exclude: exclude,
 	})
 	c.latEstablish.ObserveSince(cmdStart)
 	if err != nil {
@@ -576,14 +579,14 @@ func (c *Coordinator) release(src graph.NodeID, id lsdb.ConnID, tenant string, r
 // connections originated or terminated there are released. The reply
 // reports migrated and dropped counts.
 func (c *Coordinator) handleDrain(from graph.NodeID, m proto.DrainRequest) {
-	c.mu.Lock()
-	rec := c.nodes[m.Node]
-	switch {
-	case int(m.Node) < 0 || int(m.Node) >= c.cfg.Graph.NumNodes():
-		c.mu.Unlock()
+	if !c.inTopology(m.Node) {
 		_ = c.ep.Send(from, proto.DrainReply{Node: m.Node, Reason: "unknown-node"})
 		return
-	case rec == nil || !rec.registered:
+	}
+	c.mu.Lock()
+	rec := &c.nodes[m.Node]
+	switch {
+	case !rec.registered:
 		c.mu.Unlock()
 		_ = c.ep.Send(from, proto.DrainReply{Node: m.Node, Reason: "unregistered"})
 		return
@@ -608,9 +611,8 @@ func (c *Coordinator) handleDrain(from graph.NodeID, m proto.DrainRequest) {
 
 	c.tracer.DrainStart(int(m.Node))
 	c.log.Info("drain started", "node", int(m.Node))
-	// Best-effort notifications: the route finder stops routing through
-	// the node, the node's own readiness probe flips unready.
-	_ = c.ep.Send(c.rf, proto.Unschedulable{Node: m.Node, On: true})
+	// Best-effort notification: the node's own readiness probe flips
+	// unready.
 	_ = c.ep.Send(m.Node, proto.Unschedulable{Node: m.Node, On: true})
 
 	c.wg.Add(1)
@@ -637,7 +639,6 @@ func (c *Coordinator) drainWorker(from graph.NodeID, node graph.NodeID) {
 			transiting = append(transiting, job{id, *rec})
 		}
 	}
-	exclude := c.excludedNodesLocked()
 	c.mu.Unlock()
 
 	migrated, dropped := 0, 0
@@ -662,30 +663,19 @@ func (c *Coordinator) drainWorker(from graph.NodeID, node graph.NodeID) {
 		}
 		drop(j, reason)
 	}
-	// Transiting connections migrate: route around the node, release the
-	// old channels, establish the new ones under the same connection ID.
+	// Transiting connections migrate: release the old channels, then
+	// establish again under the same connection ID around every node
+	// excluded by then, one that died mid-drain included.
 	for _, j := range transiting {
-		rr, err := c.queryRoute(j.rec.src, j.rec.dst, exclude)
-		if err != nil || !rr.OK {
-			reason := "no-alternate-route"
-			if err != nil {
-				reason = "route-query: " + err.Error()
-			} else if rr.Reason != "" {
-				reason = rr.Reason
-			}
-			if _, rerr := c.command(j.rec.src, proto.ConnCommand{Op: proto.OpRelease, Conn: j.id}); rerr != nil {
-				reason += " (release: " + rerr.Error() + ")"
-			}
-			drop(j, reason)
-			continue
-		}
 		if _, err := c.command(j.rec.src, proto.ConnCommand{Op: proto.OpRelease, Conn: j.id}); err != nil {
 			drop(j, "release-command: "+err.Error())
 			continue
 		}
+		c.mu.Lock()
+		exclude := c.excludedNodesLocked()
+		c.mu.Unlock()
 		res, err := c.command(j.rec.src, proto.ConnCommand{
-			Op: proto.OpEstablish, Conn: j.id, Dst: j.rec.dst,
-			Primary: rr.Primary, Backups: rr.Backups,
+			Op: proto.OpEstablish, Conn: j.id, Dst: j.rec.dst, Exclude: exclude,
 		})
 		if err != nil || !res.OK {
 			reason := "re-establish failed"
@@ -742,21 +732,6 @@ func (c *Coordinator) nextID() (uint64, error) {
 	}
 	c.rpcID++
 	return c.rpcID, nil
-}
-
-// queryRoute runs one route-finder round trip with retries. Queries are
-// pure reads, so the route finder answers every retransmission.
-func (c *Coordinator) queryRoute(src, dst graph.NodeID, exclude []graph.NodeID) (proto.RouteReply, error) {
-	id, err := c.nextID()
-	if err != nil {
-		return proto.RouteReply{}, err
-	}
-	out, err := call(c.ep, c.rf, proto.RouteQuery{ID: id, Src: src, Dst: dst, Exclude: exclude},
-		proto.RouteReply{ID: id}, c.cfg.RetryLimit, c.cfg.RPCTimeout, c.stop)
-	if err != nil {
-		return proto.RouteReply{}, err
-	}
-	return out.(proto.RouteReply), nil
 }
 
 // command runs one node-command round trip. Retransmissions reuse the

@@ -11,26 +11,25 @@ import (
 	"github.com/rtcl/drtp/internal/telemetry"
 )
 
-// DeployConfig is the one configuration of a control plane: one route
-// finder, one coordinator, and a router+agent runtime per topology node.
-// Every service is built from it (NewRouteFinder, NewCoordinator,
-// NewNodeRuntime), whether Deploy starts them all in one process or
-// cmd/drtpnode starts one per process, so the services always agree on
-// the bandwidth model, the scheme and the timers. The service addresses
-// are RouteFinderID(Graph) and CoordinatorID(Graph).
+// DeployConfig is the one configuration of a control plane: one
+// coordinator and a router+agent runtime per topology node. Every service
+// is built from it (NewCoordinator, NewNodeRuntime), whether Deploy
+// starts them all in one process or cmd/drtpnode starts one per process,
+// so the services always agree on the bandwidth model, the scheme and
+// the timers. The coordinator's address is CoordinatorID(Graph).
 type DeployConfig struct {
 	// Graph is the static topology.
 	Graph *graph.Graph
-	// Capacity and UnitBW set the bandwidth model of the routers and of
-	// the route finder's view; UnitBW (default 1) is also what every
-	// connection charges against its tenant's MaxBandwidth.
+	// Capacity and UnitBW set the routers' bandwidth model; UnitBW
+	// (default 1) is also what every connection charges against its
+	// tenant's MaxBandwidth.
 	Capacity int
 	UnitBW   int
-	// Scheme selects D-LSR (default) or P-LSR, for the routers and the
-	// route finder alike.
+	// Scheme selects the routers' backup routing: D-LSR (default) or
+	// P-LSR.
 	Scheme router.BackupScheme
 	// Backups is the number of backup channels per connection (default
-	// 1): the routes a query computes and the channels a router keeps.
+	// 1).
 	Backups int
 	// HeartbeatInterval is the agents' beacon period and the
 	// coordinator's liveness tick (default 25ms); HeartbeatMiss is how
@@ -38,9 +37,9 @@ type DeployConfig struct {
 	// dependability bound in EXPERIMENTS.md X8).
 	HeartbeatInterval time.Duration
 	HeartbeatMiss     int
-	// RPCTimeout bounds one attempt of a coordinator round trip (route
-	// query, node command; default 2s), and RetryLimit is the attempts
-	// per round trip (default 3). Command retransmissions reuse their
+	// RPCTimeout bounds one attempt of a coordinator round trip, a node
+	// command (default 2s), and RetryLimit is the attempts per round
+	// trip (default 3). Command retransmissions reuse their
 	// sequence number, so agents replay results instead of re-executing.
 	// An agent's client request gets RetryLimit attempts too, within a
 	// budget that outlasts the coordinator's own round trips.
@@ -59,8 +58,8 @@ type DeployConfig struct {
 	Router router.Config
 	// Logger and Telemetry are shared by every service; Metrics is
 	// passed to the routers and the coordinator (its per-stage setup
-	// latency, drtp_cp_stage_seconds{stage}: admission, route_query,
-	// establish and total).
+	// latency, drtp_cp_stage_seconds{stage}: admission, establish and
+	// total).
 	Logger    *slog.Logger
 	Telemetry *telemetry.Tracer
 	Metrics   *telemetry.Registry
@@ -101,10 +100,8 @@ func (c *DeployConfig) setDefaults() error {
 
 // RouterConfig is node's router.Config: Router's own settings, with the
 // node, the topology, the bandwidth model, the scheme, the backups and
-// the sinks taken from c. With services set the router mirrors its
-// adverts to the route finder, as a node runtime's does; without, it is
-// a standalone router.
-func (c DeployConfig) RouterConfig(node graph.NodeID, services bool) router.Config {
+// the sinks taken from c.
+func (c DeployConfig) RouterConfig(node graph.NodeID) router.Config {
 	_ = c.setDefaults() // a nil graph is router.New's to report
 	rc := c.Router
 	rc.Node = node
@@ -113,10 +110,6 @@ func (c DeployConfig) RouterConfig(node graph.NodeID, services bool) router.Conf
 	rc.UnitBW = c.UnitBW
 	rc.Scheme = c.Scheme
 	rc.Backups = c.Backups
-	rc.Mirrors = nil
-	if services {
-		rc.Mirrors = []graph.NodeID{RouteFinderID(c.Graph)}
-	}
 	rc.Logger = c.Logger
 	rc.Telemetry = c.Telemetry
 	rc.Metrics = c.Metrics
@@ -142,7 +135,7 @@ func NewNodeRuntime(cfg DeployConfig, node graph.NodeID, at Attacher) (*NodeRunt
 		return nil, fmt.Errorf("controlplane: attach node %d: %w", node, err)
 	}
 	in := ep.Split(agentBound)
-	r, err := router.New(cfg.RouterConfig(node, true), ep)
+	r, err := router.New(cfg.RouterConfig(node), ep)
 	if err != nil {
 		_ = ep.Close()
 		return nil, err
@@ -155,14 +148,13 @@ func (n *NodeRuntime) Ready() (bool, string) { return n.Agent.Ready() }
 
 // Deployment is a running in-process control plane.
 type Deployment struct {
-	RF    *RouteFinder
 	Coord *Coordinator
 	nodes map[graph.NodeID]*NodeRuntime
 }
 
-// Deploy starts the full control plane over the attacher: the route
-// finder, the coordinator, then every node's runtime. On error,
-// everything already started is torn down.
+// Deploy starts the full control plane over the attacher: the
+// coordinator, then every node's runtime. On error, everything already
+// started is torn down.
 func Deploy(cfg DeployConfig, at Attacher) (*Deployment, error) {
 	d := &Deployment{nodes: make(map[graph.NodeID]*NodeRuntime)}
 	ok := false
@@ -172,9 +164,6 @@ func Deploy(cfg DeployConfig, at Attacher) (*Deployment, error) {
 		}
 	}()
 	var err error
-	if d.RF, err = NewRouteFinder(cfg, at); err != nil {
-		return nil, err
-	}
 	if d.Coord, err = NewCoordinator(cfg, at); err != nil {
 		return nil, err
 	}
@@ -195,12 +184,12 @@ func (d *Deployment) Node(n graph.NodeID) *NodeRuntime { return d.nodes[n] }
 // Size reports the number of node runtimes.
 func (d *Deployment) Size() int { return len(d.nodes) }
 
-// WaitSynced blocks until the route finder has a full network view and
-// every agent is registered, or the deadline passes.
+// WaitSynced blocks until every agent is registered and every router
+// has installed a link-state advert, or the deadline passes.
 func (d *Deployment) WaitSynced(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		ready := d.RF.Synced()
+		ready := true
 		for _, n := range d.nodes {
 			ready = ready && n.Agent.Registered() && n.Router.Synced()
 		}
@@ -215,7 +204,7 @@ func (d *Deployment) WaitSynced(timeout time.Duration) error {
 }
 
 // Close tears the deployment down: agents (announcing leaves), routers,
-// then the services.
+// then the coordinator.
 func (d *Deployment) Close() {
 	for _, n := range d.nodes {
 		_ = n.Agent.Close()
@@ -225,8 +214,5 @@ func (d *Deployment) Close() {
 	}
 	if d.Coord != nil {
 		_ = d.Coord.Close()
-	}
-	if d.RF != nil {
-		_ = d.RF.Close()
 	}
 }

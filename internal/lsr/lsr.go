@@ -9,10 +9,10 @@
 // ε < 1 breaks ties toward shorter backups. P-LSR, D-LSR and the
 // conflict-blind baseline differ only in the conflict metric they feed it.
 //
-// The simulator (drtp.Network + internal/routing), the routers and the
-// control plane's route finder (router.LinkStateView) are state sources:
-// each points a Selector at its dense per-link state, fills the request's
-// metric vector, and takes its routes from here.
+// The simulator (drtp.Network + internal/routing) and the routers
+// (router.LinkStateView) are state sources: each points a Selector at its
+// dense per-link state, fills the request's metric vector, and takes its
+// routes from here.
 package lsr
 
 import (

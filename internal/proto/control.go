@@ -1,9 +1,9 @@
-// Control-plane messages: the route-finder service, setup coordinator and
-// node agents (internal/controlplane) speak these over the same transport
-// and wire codec as the data-plane signalling. Control-plane services are
-// addressed with node IDs past the topology (see controlplane.RouteFinderID
-// and controlplane.CoordinatorID); the messages below never index the
-// graph, so the transport carries them untouched.
+// Control-plane messages: the setup coordinator and the node agents
+// (internal/controlplane) speak these over the same transport and wire
+// codec as the data-plane signalling. The coordinator is addressed with a
+// node ID past the topology (see controlplane.CoordinatorID); the
+// messages below never index the graph, so the transport carries them
+// untouched.
 //
 // Every message follows the wire.go discipline: one field list beside
 // the struct, run by the codec in both directions, and one registry row.
@@ -20,8 +20,8 @@ import (
 type ConnOp int
 
 const (
-	// OpEstablish commands establishment along the routes carried in the
-	// command.
+	// OpEstablish commands establishment from the node to the command's
+	// Dst, on routes the node's router selects.
 	OpEstablish ConnOp = iota + 1
 	// OpRelease commands release of an originated connection.
 	OpRelease
@@ -95,7 +95,7 @@ func (m Heartbeat) fields(c *codec) Message {
 }
 
 // NodeDown announces a node's death (missed heartbeats or explicit leave)
-// to the route finder and every live node agent. Agents adjacent to the
+// to every live node agent. Agents adjacent to the
 // dead node declare the shared links failed, which floods link-state
 // deaths and triggers backup activation for affected connections.
 type NodeDown struct {
@@ -114,10 +114,10 @@ func (m NodeDown) fields(c *codec) Message {
 	return decoded(c, &m)
 }
 
-// Unschedulable toggles a node's scheduling eligibility at the route
-// finder (and notifies the node itself so its readiness probe flips):
-// an unschedulable node carries existing connections but is excluded
-// from new routes. Sent at drain start (On) and abort (Off).
+// Unschedulable tells a node its scheduling eligibility changed, so its
+// readiness probe flips: an unschedulable node carries existing
+// connections but is excluded from new routes. Sent at drain start (On)
+// and abort (Off).
 type Unschedulable struct {
 	Node graph.NodeID
 	On   bool
@@ -130,51 +130,6 @@ func (m Unschedulable) fields(c *codec) Message {
 	c.tag(tagUnschedulable)
 	vint(c, "Unschedulable.Node", &m.Node)
 	c.bool("Unschedulable.On", &m.On)
-	return decoded(c, &m)
-}
-
-// RouteQuery asks the route finder for a primary route and backup routes
-// from Src to Dst. Exclude lists nodes whose links must not be used
-// (draining or administratively excluded nodes).
-type RouteQuery struct {
-	ID      uint64
-	Src     graph.NodeID
-	Dst     graph.NodeID
-	Exclude []graph.NodeID
-}
-
-// Kind implements Message.
-func (RouteQuery) Kind() string { return "route-query" }
-
-func (m RouteQuery) fields(c *codec) Message {
-	c.tag(tagRouteQuery)
-	c.uvarint("RouteQuery.ID", &m.ID)
-	vint(c, "RouteQuery.Src", &m.Src)
-	vint(c, "RouteQuery.Dst", &m.Dst)
-	ints(c, "RouteQuery.Exclude", &m.Exclude)
-	return decoded(c, &m)
-}
-
-// RouteReply answers a RouteQuery. Primary and Backups are node
-// sequences (source first); Backups is ordered by activation preference.
-type RouteReply struct {
-	ID      uint64
-	OK      bool
-	Reason  string
-	Primary []graph.NodeID
-	Backups [][]graph.NodeID
-}
-
-// Kind implements Message.
-func (RouteReply) Kind() string { return "route-reply" }
-
-func (m RouteReply) fields(c *codec) Message {
-	c.tag(tagRouteReply)
-	c.uvarint("RouteReply.ID", &m.ID)
-	c.bool("RouteReply.OK", &m.OK)
-	c.string("RouteReply.Reason", &m.Reason)
-	ints(c, "RouteReply.Primary", &m.Primary)
-	slice(c, "RouteReply.Backups", &m.Backups, ints)
 	return decoded(c, &m)
 }
 
@@ -297,10 +252,15 @@ func (m DrainReply) fields(c *codec) Message {
 }
 
 // ConnCommand carries one coordinator-driven operation to the source
-// node's agent. For OpEstablish, Primary and Backups are the routes the
-// route finder computed; the node's router signals them hop-by-hop with
-// its usual retry/backoff discipline. Retransmissions reuse Seq so the
-// agent's dedup replays the recorded result instead of re-executing.
+// node's agent. For OpEstablish the node's router selects the routes on
+// its own link-state view, as the paper's source does, never using a link
+// to or from a node in Exclude (the coordinator's draining and dead
+// nodes), and signals them hop-by-hop with its usual retry/backoff
+// discipline. Primary and Backups are unread and the coordinator sends
+// them empty; they keep their place in the layout because the wire-codec
+// probe of the benchmark (bench/cpload.go) still fills them.
+// Retransmissions reuse Seq so the agent's dedup replays the recorded
+// result instead of re-executing.
 type ConnCommand struct {
 	Op      ConnOp
 	Conn    lsdb.ConnID
@@ -308,6 +268,7 @@ type ConnCommand struct {
 	Primary []graph.NodeID
 	Backups [][]graph.NodeID
 	Seq     uint64
+	Exclude []graph.NodeID
 }
 
 // Kind implements Message.
@@ -321,13 +282,14 @@ func (m ConnCommand) fields(c *codec) Message {
 	ints(c, "ConnCommand.Primary", &m.Primary)
 	slice(c, "ConnCommand.Backups", &m.Backups, ints)
 	c.uvarint("ConnCommand.Seq", &m.Seq)
+	ints(c, "ConnCommand.Exclude", &m.Exclude)
 	return decoded(c, &m)
 }
 
 // ConnCommandResult reports a ConnCommand's outcome back to the
 // coordinator, echoing Seq. On successful establishment Primary and
-// Backups reflect the channels actually reserved (a subset of the
-// commanded backups may have been rejected mid-path).
+// Backups are the channels the router reserved (a backup rejected
+// mid-path is not among them).
 type ConnCommandResult struct {
 	Conn    lsdb.ConnID
 	Seq     uint64

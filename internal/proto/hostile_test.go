@@ -21,7 +21,9 @@ const (
 	tagHeartbeat     = 11
 	tagNodeDown      = 12
 	tagUnschedulable = 13
-	tagRouteReply    = 15
+	// Tags 14 and 15 are reserved: they named the retired route query and
+	// reply.
+	tagConnCommandResult = 23
 )
 
 // wire builds a payload from parts: ints are zigzag varints, uint64s
@@ -67,14 +69,14 @@ func TestHostileInputs(t *testing.T) {
 		// Slice counts above maxWireSlice, with enough bytes behind them.
 		{"ints count over cap", envelope(tagSetup, 7, 2, huge, zeros, 0, uint64(0), uint64(0), uint64(0)), true, "Setup.Route"},
 		{"uvarints count over cap", envelope(tagFailureReport, 9, uint64(0), huge, zeros), true, "FailureReport.Traces"},
-		{"route lists count over cap", envelope(tagRouteReply, uint64(1), byte(1), uint64(0), uint64(0), huge, zeros), true, "RouteReply.Backups"},
+		{"route lists count over cap", envelope(tagConnCommandResult, 1, uint64(1), byte(1), uint64(0), uint64(0), huge, zeros), true, "ConnCommandResult.Backups"},
 		{"adverts count over cap", envelope(tagLSUpdate, 2, uint64(9), huge, zeros), true, "LSUpdate.Links"},
 
 		// Slice counts above the bytes that remain.
 		{"ints count over payload", envelope(tagSetup, 7, 2, uint64(5), 1, 2), true, "Setup.Route"},
 		{"uvarints count over payload", envelope(tagFailureReport, 9, uint64(0), uint64(3), uint64(1)), true, "FailureReport.Traces"},
-		{"route lists count over payload", envelope(tagRouteReply, uint64(1), byte(1), uint64(0), uint64(0), uint64(4), uint64(0)), true, "RouteReply.Backups"},
-		{"inner route count over payload", envelope(tagRouteReply, uint64(1), byte(1), uint64(0), uint64(0), uint64(1), uint64(9), 1), true, "RouteReply.Backups"},
+		{"route lists count over payload", envelope(tagConnCommandResult, 1, uint64(1), byte(1), uint64(0), uint64(0), uint64(4), uint64(0)), true, "ConnCommandResult.Backups"},
+		{"inner route count over payload", envelope(tagConnCommandResult, 1, uint64(1), byte(1), uint64(0), uint64(0), uint64(1), uint64(9), 1), true, "ConnCommandResult.Backups"},
 		{"adverts count over payload", envelope(tagLSUpdate, 2, uint64(9), uint64(3), uint64(0)), true, "LSUpdate.Links"},
 
 		// Byte lengths above the bytes that remain.
@@ -99,6 +101,8 @@ func TestHostileInputs(t *testing.T) {
 		// Tags and trailers.
 		{"no tag", wire(1, 2), true, "Envelope.Msg"},
 		{"tag 0", envelope(0), false, "unknown message tag 0"},
+		{"reserved tag 14", envelope(14), false, "unknown message tag 14"},
+		{"reserved tag 15", envelope(15), false, "unknown message tag 15"},
 		{"tag past the registry", envelope(24), false, "unknown message tag 24"},
 		{"one trailing byte", envelope(tagUnschedulable, 2, byte(1), byte(0)), false, "1 trailing bytes"},
 	}

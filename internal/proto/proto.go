@@ -62,18 +62,16 @@ type ReplyKey struct {
 }
 
 // ReplyKeyOf returns the key of the request m answers, and false when m
-// answers none. Setup and activate results correlate by Seq, route
-// replies by ID, command results by Seq, establish and release replies
-// by Conn, drain replies by Node. A caller builds the key it awaits
-// from a reply holding only that field, e.g. ReplyKeyOf(RouteReply{ID: id}).
+// answers none. Setup and activate results correlate by Seq, command
+// results by Seq, establish and release replies by Conn, drain replies
+// by Node. A caller builds the key it awaits from a reply holding only
+// that field, e.g. ReplyKeyOf(ConnCommandResult{Seq: seq}).
 func ReplyKeyOf(m Message) (ReplyKey, bool) {
 	switch m := m.(type) {
 	case SetupResult:
 		return ReplyKey{tagSetupResult, m.Seq}, true
 	case ActivateResult:
 		return ReplyKey{tagActivateResult, m.Seq}, true
-	case RouteReply:
-		return ReplyKey{tagRouteReply, m.ID}, true
 	case ConnCommandResult:
 		return ReplyKey{tagConnCommandResult, m.Seq}, true
 	case EstablishReply:

@@ -3,7 +3,6 @@ package proto_test
 import (
 	"testing"
 
-	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/proto"
 )
 
@@ -35,7 +34,6 @@ func TestReplyKeyOf(t *testing.T) {
 	replies := []struct{ full, template proto.Message }{
 		{proto.SetupResult{Conn: 4, Channel: proto.Backup, OK: true, Seq: 7}, proto.SetupResult{Seq: 7}},
 		{proto.ActivateResult{Conn: 4, Reason: "x", Seq: 7}, proto.ActivateResult{Seq: 7}},
-		{proto.RouteReply{ID: 7, OK: true, Primary: []graph.NodeID{0, 1}}, proto.RouteReply{ID: 7}},
 		{proto.ConnCommandResult{Conn: 4, Seq: 7, OK: true}, proto.ConnCommandResult{Seq: 7}},
 		{proto.EstablishReply{Conn: 7, OK: true}, proto.EstablishReply{Conn: 7}},
 		{proto.ReleaseReply{Conn: 7, Reason: "x"}, proto.ReleaseReply{Conn: 7}},
@@ -56,7 +54,7 @@ func TestReplyKeyOf(t *testing.T) {
 		seen[k] = r.full.Kind()
 	}
 	for _, m := range []proto.Message{proto.Hello{Seq: 7}, proto.Setup{Seq: 7}, proto.ConnCommand{Seq: 7},
-		proto.RouteQuery{ID: 7}, proto.RegisterAck{Node: 7}, proto.EstablishRequest{Conn: 7}} {
+		proto.RegisterAck{Node: 7}, proto.EstablishRequest{Conn: 7}} {
 		if _, ok := proto.ReplyKeyOf(m); ok {
 			t.Errorf("%s answers no request, yet has a reply key", m.Kind())
 		}

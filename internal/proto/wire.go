@@ -41,8 +41,8 @@ const (
 	tagHeartbeat
 	tagNodeDown
 	tagUnschedulable
-	tagRouteQuery
-	tagRouteReply
+	_ // 14, reserved: the retired route query
+	_ // 15, reserved: the retired route reply
 	tagEstablishRequest
 	tagEstablishReply
 	tagReleaseRequest
@@ -70,7 +70,6 @@ var registry = []wireMessage{
 	Hello{}, LSUpdate{}, Setup{}, SetupResult{}, Teardown{},
 	FailureReport{}, Activate{}, ActivateResult{},
 	Register{}, RegisterAck{}, Heartbeat{}, NodeDown{}, Unschedulable{},
-	RouteQuery{}, RouteReply{},
 	EstablishRequest{}, EstablishReply{}, ReleaseRequest{}, ReleaseReply{},
 	DrainRequest{}, DrainReply{},
 	ConnCommand{}, ConnCommandResult{},

@@ -98,6 +98,9 @@ func FuzzPacketRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0xff})
+	// The reserved tags, whose messages are retired.
+	f.Add(envelope(14))
+	f.Add(envelope(15))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var env proto.Envelope
 		if err := env.UnmarshalBinary(data); err != nil {

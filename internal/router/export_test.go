@@ -1,6 +1,7 @@
 package router
 
 import (
+	"maps"
 	"time"
 
 	"github.com/rtcl/drtp/internal/graph"
@@ -53,4 +54,11 @@ const (
 // for one hello interval past the deadline.
 func (r *Router) MissHellos() {
 	r.checkNeighbors(time.Now().Add(time.Duration(r.cfg.HelloMiss+1) * r.cfg.HelloInterval))
+}
+
+// HelloState copies the router's hello stamps and down marks.
+func (r *Router) HelloState() (stamps map[graph.NodeID]time.Time, down map[graph.NodeID]bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return maps.Clone(r.lastHello), maps.Clone(r.downNbr)
 }

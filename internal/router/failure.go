@@ -33,7 +33,12 @@ func (r *Router) sendHellos() {
 // handleHello refreshes the neighbor liveness timestamp. A hello from a
 // neighbor declared down is ignored by default (the paper's model: a
 // failed link stays failed); with NbrRecovery it revives the adjacency.
+// A hello from any other node changes nothing.
 func (r *Router) handleHello(from graph.NodeID) {
+	l, ok := r.g.LinkBetween(r.cfg.Node, from)
+	if !ok {
+		return
+	}
 	r.mu.Lock()
 	recovered := false
 	if r.downNbr[from] {
@@ -42,9 +47,7 @@ func (r *Router) handleHello(from graph.NodeID) {
 			return
 		}
 		delete(r.downNbr, from)
-		if l, ok := r.g.LinkBetween(r.cfg.Node, from); ok {
-			r.markDirtyLocked(l)
-		}
+		r.markDirtyLocked(l)
 		recovered = true
 	}
 	r.lastHello[from] = time.Now()
@@ -71,17 +74,15 @@ func (r *Router) sendFailureReports(reports []failureReport) {
 }
 
 // declareDownLocked marks the adjacency to nbr failed and collects the
-// failure reports to send (DRTP steps 2 and 3). Callers must hold r.mu.
+// failure reports to send (DRTP steps 2 and 3); a node that is no
+// neighbour changes nothing. Callers must hold r.mu.
 func (r *Router) declareDownLocked(nbr graph.NodeID) []failureReport {
-	if r.downNbr[nbr] {
+	l, ok := r.g.LinkBetween(r.cfg.Node, nbr)
+	if !ok || r.downNbr[nbr] {
 		return nil
 	}
 	r.downNbr[nbr] = true
 	r.log.Warn("link failure detected", "neighbor", int(nbr))
-	l, ok := r.g.LinkBetween(r.cfg.Node, nbr)
-	if !ok {
-		return nil
-	}
 	r.markDirtyLocked(l)
 	r.tracer.LinkFail(int(r.cfg.Node), int(l))
 	// Group the affected primaries by source and notify each, sources
@@ -128,8 +129,9 @@ func (r *Router) checkNeighbors(now time.Time) {
 
 // FailLink simulates an administrative link failure towards a neighbor.
 // The adjacency is declared down immediately and affected sources are
-// notified, exactly as hello-based detection would do. Intended for tests
-// and demos.
+// notified, exactly as hello-based detection would do; a node that is no
+// neighbour changes nothing. Intended for tests, demos and the control
+// plane's node deaths.
 func (r *Router) FailLink(nbr graph.NodeID) {
 	r.mu.Lock()
 	reports := r.declareDownLocked(nbr)

@@ -25,25 +25,73 @@ const (
 	floodSlack = 500 * time.Millisecond
 )
 
-// advertMirror is a Config.Mirrors destination: it receives every advert
-// a router originates (never a forwarded copy), counts them per origin,
-// refreshes apart, and assembles a LinkStateView from them as the route
-// finder does.
-type advertMirror struct {
+// advertTap watches every link-state advert a router originates as the
+// router sends it, through the attacher the cluster runs on: it counts
+// each (origin, seq) once per origin, refreshes apart, and assembles a
+// LinkStateView from them, a view of the whole network that no flood
+// loss can make trail.
+type advertTap struct {
+	transport.Attacher
 	mu         sync.Mutex
+	seen       map[originSeq]bool
 	originated map[graph.NodeID]int
 	refreshes  map[graph.NodeID]int
 	view       *router.LinkStateView
 }
 
-func (m *advertMirror) count(n graph.NodeID) int {
+// originSeq names one advert.
+type originSeq struct {
+	origin graph.NodeID
+	seq    uint64
+}
+
+// Attach implements transport.Attacher.
+func (m *advertTap) Attach(n graph.NodeID) (transport.Endpoint, error) {
+	ep, err := m.Attacher.Attach(n)
+	if err != nil {
+		return nil, err
+	}
+	return tapEndpoint{ep, m}, nil
+}
+
+// tapEndpoint reports the adverts its router originates to the tap.
+type tapEndpoint struct {
+	transport.Endpoint
+	tap *advertTap
+}
+
+// Send implements transport.Endpoint.
+func (e tapEndpoint) Send(to graph.NodeID, msg proto.Message) error {
+	if u, ok := msg.(proto.LSUpdate); ok && u.Origin == e.Node() {
+		e.tap.record(u)
+	}
+	return e.Endpoint.Send(to, msg)
+}
+
+// record takes in one sent copy of an originated advert.
+func (m *advertTap) record(u proto.LSUpdate) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	k := originSeq{u.Origin, u.Seq}
+	if m.seen[k] {
+		return
+	}
+	m.seen[k] = true
+	m.originated[u.Origin]++
+	if u.Refresh {
+		m.refreshes[u.Origin]++
+	}
+	m.view.Install(u, graph.InvalidNode)
+}
+
+func (m *advertTap) count(n graph.NodeID) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.originated[n]
 }
 
 // totals sums the adverts seen from every origin: triggered and refresh.
-func (m *advertMirror) totals() (triggered, refresh int) {
+func (m *advertTap) totals() (triggered, refresh int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for n, k := range m.originated {
@@ -54,40 +102,23 @@ func (m *advertMirror) totals() (triggered, refresh int) {
 }
 
 // newHoldDownCluster starts a cluster on g with the stretched timers, one
-// metrics registry and a mirror attached past the topology's node IDs.
-// The routers attach through inject's wrapper around the switchboard
-// (nil: directly); the mirror listens on the switchboard itself.
-func newHoldDownCluster(t *testing.T, g *graph.Graph, inject func(*transport.Mem) transport.Attacher) (*router.Cluster, *advertMirror, *telemetry.Registry) {
+// metrics registry and a tap on every router's adverts. The routers
+// attach through the tap, wrapped around inject's wrapper around the
+// switchboard (nil: the switchboard itself).
+func newHoldDownCluster(t *testing.T, g *graph.Graph, inject func(*transport.Mem) transport.Attacher) (*router.Cluster, *advertTap, *telemetry.Registry) {
 	t.Helper()
-	const capacity, mirrorID = 100, graph.NodeID(50)
+	const capacity = 100
 	mem := transport.NewMem()
-	ep, err := mem.Attach(mirrorID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := &advertMirror{
-		originated: make(map[graph.NodeID]int),
-		refreshes:  make(map[graph.NodeID]int),
-		view:       router.NewLinkStateView(g, capacity, 1, router.DLSR),
-	}
-	go func() {
-		for env := range ep.Recv() {
-			if u, ok := env.Msg.(proto.LSUpdate); ok {
-				m.mu.Lock()
-				m.originated[u.Origin]++
-				if u.Refresh {
-					m.refreshes[u.Origin]++
-				}
-				for _, a := range u.Links {
-					m.view.Apply(a)
-				}
-				m.mu.Unlock()
-			}
-		}
-	}()
 	var at transport.Attacher = mem
 	if inject != nil {
 		at = inject(mem)
+	}
+	m := &advertTap{
+		Attacher:   at,
+		seen:       make(map[originSeq]bool),
+		originated: make(map[graph.NodeID]int),
+		refreshes:  make(map[graph.NodeID]int),
+		view:       router.NewLinkStateView(g, capacity, 1, router.DLSR),
 	}
 	reg := telemetry.NewRegistry()
 	c, err := router.NewCluster(router.Config{
@@ -98,9 +129,8 @@ func newHoldDownCluster(t *testing.T, g *graph.Graph, inject func(*transport.Mem
 		HelloInterval: time.Minute,
 		LSInterval:    holdLSInterval,
 		SetupTimeout:  3 * time.Second,
-		Mirrors:       []graph.NodeID{mirrorID},
 		Metrics:       reg,
-	}, at)
+	}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +156,8 @@ func until(deadline time.Time, cond func() bool) bool {
 func quiet() { time.Sleep(holdDown + holdDown/5) }
 
 // viewLag names the first link on which some router's view, or the
-// mirror's, differs from the owner's database; empty when all agree.
-func viewLag(g *graph.Graph, c *router.Cluster, m *advertMirror) string {
+// tap's, differs from the owner's database; empty when all agree.
+func viewLag(g *graph.Graph, c *router.Cluster, m *advertTap) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i := 0; i < g.NumLinks(); i++ {
@@ -139,7 +169,7 @@ func viewLag(g *graph.Graph, c *router.Cluster, m *advertMirror) string {
 			var p, b, nm int
 			var v []byte
 			if n == c.Size() {
-				who = "mirror"
+				who = "tap"
 				p, b, nm = m.view.Link(l)
 				v = m.view.CV(l)
 			} else {

@@ -11,17 +11,16 @@ import (
 )
 
 // LinkStateView is one node's picture of every link in the network,
-// assembled from link-state adverts, and the state source both tiers
-// select routes from: a router keeps one for the routes it originates,
-// the control plane's route finder keeps one fed by mirrored adverts.
+// assembled from link-state adverts, and the state source a router
+// selects the routes it originates from, the control plane's included.
 // Selection itself is internal/lsr's — the same primary rule, backup cost
 // and k-backup rule the simulator runs — reading the advertised
 // bandwidths directly and, as the conflict metric, the advertised ‖APLV‖₁
 // (P-LSR) or the primary's links set in each Conflict Vector (D-LSR).
 // The view keeps each link's Conflict Vector as its set bits, one
 // ascending row of link IDs per link, so it grows with the conflicts
-// advertised rather than with links²: 0.75 MB in all for a view mirrored
-// from a 2 000-node (6 000-link) simulation at steady state, against
+// advertised rather than with links²: 0.75 MB in all for a view of a
+// 2 000-node (6 000-link) simulation at steady state, against
 // 4.5 MB for links² bits. Not goroutine-safe; the owner serializes
 // access.
 type LinkStateView struct {
@@ -65,9 +64,8 @@ func NewLinkStateView(g *graph.Graph, capacity, unitBW int, scheme BackupScheme)
 	return v
 }
 
-// Install is the intake rule for a link-state update, the one every view
-// fed from the network runs: a router's for the updates flooded to it,
-// the route finder's for the ones mirrored to it. In order:
+// Install is the intake rule for a link-state update flooded to a
+// router. In order:
 //   - an update from an origin outside the topology (Origin arrives as a
 //     signed varint off the wire) is dropped whole, every summary counted,
 //     before any sequence is recorded, so it never counts toward Heard;
@@ -222,8 +220,7 @@ func (v *LinkStateView) fillMetric(lset []graph.LinkID) {
 // from one router as a fraction of Config.LSInterval: 10 ms at the default
 // interval. It bounds a router's flood load by a constant instead of by
 // the request rate (every hop of every walk touches a link), at the price
-// of remote views and mirrors trailing the owner by at most hold-down +
-// flood time.
+// of remote views trailing the owner by at most hold-down + flood time.
 const holdDownsPerLSInterval = 10
 
 // markDirtyLocked records a change to local link l: the local view, which
@@ -293,9 +290,6 @@ func (r *Router) advertise(refresh bool) {
 	r.mAdvertsOriginated.Inc()
 	r.tracer.LSUpdate(int(r.cfg.Node), len(update.Links))
 	r.flood(to, update)
-	for _, m := range r.cfg.Mirrors {
-		r.send(m, update)
-	}
 }
 
 // advertForLocked summarizes one local link. Links to failed neighbors

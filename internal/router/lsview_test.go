@@ -112,7 +112,7 @@ func FuzzLinkStateViewApply(f *testing.F) {
 // adverts; LinkStateView.Install) against a map model. Each 5-byte step of the script is one update:
 // an origin (in or outside the topology on either side), a sequence, two
 // link summaries (in or out of range) and the installing view's self (a
-// router, or an address outside the topology as the route finder's is).
+// router, or an address outside the topology).
 // After every step the view, Heard, fresh and dropped must match the
 // model: updates from hostile origins, from self or with a stale
 // sequence leave the view and Heard unchanged, dropped counts the
@@ -207,10 +207,10 @@ func TestLinkStateViewApplyDoesNotAlias(t *testing.T) {
 }
 
 // TestViewSelectionAllocs is the allocation budget of route selection on
-// a link-state view, which routers and the route finder run under their
-// mutex: on a loaded 60-node network a primary plus a backup allocate the
-// two returned paths and nothing else, and re-applying the adverts the
-// view was mirrored from allocates nothing.
+// a link-state view, which routers run under their mutex: on a loaded
+// 60-node network a primary plus a backup allocate the two returned paths
+// and nothing else, and re-applying the adverts the view was built from
+// allocates nothing.
 func TestViewSelectionAllocs(t *testing.T) {
 	g, err := topology.Waxman(topology.WaxmanConfig{Nodes: 60, AvgDegree: 3, MinDegree: 2, Seed: 5})
 	if err != nil {

@@ -45,8 +45,8 @@
 // 11 on the 12-node ledger topology, against 25 when every advert was
 // re-flooded over every adjacency. The periodic advert every LSInterval,
 // and the first one, is a refresh (LSUpdate.Refresh) and still floods
-// every adjacency. Remote views and mirrors therefore trail an owner by at
-// most hold-down + flood time, and a router below a failed tree edge or a
+// every adjacency. Remote views therefore trail an owner by at most
+// hold-down + flood time, and a router below a failed tree edge or a
 // lost copy by at most one LSInterval; a router's view of its own links
 // never trails. Nothing on the recovery path reads a view before the
 // switch: backups are pre-registered and failure reports go straight to
@@ -132,13 +132,6 @@ type Config struct {
 	// RetrySeed seeds the per-router backoff-jitter stream; the node ID
 	// is mixed in so routers sharing a seed still jitter independently.
 	RetrySeed int64
-	// Mirrors lists extra transport destinations (typically the
-	// control plane's route-finder service, addressed past the topology's
-	// node IDs) that receive a copy of every link-state advertisement this
-	// router originates. Mirrors see local adverts only, not re-floods, so
-	// a full network view assembles from every node mirroring its own
-	// links exactly once.
-	Mirrors []graph.NodeID
 	// NbrRecovery, when true, lets hellos from a neighbor previously
 	// declared failed revive the adjacency (crash-restart and
 	// partition-heal support). Off by default: a failed link then stays

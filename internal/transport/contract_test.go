@@ -313,7 +313,7 @@ func testDrainerExits(t *testing.T, tr contractTransport) {
 // replyKey is the key the contract's reply rows await: that of a route
 // reply with the given ID.
 func replyKey(id uint64) proto.ReplyKey {
-	k, _ := proto.ReplyKeyOf(proto.RouteReply{ID: id})
+	k, _ := proto.ReplyKeyOf(proto.ConnCommandResult{Seq: id})
 	return k
 }
 
@@ -341,10 +341,10 @@ func testReplyPassesBacklog(t *testing.T, tr contractTransport) {
 	if err := rx.Await(replyKey(7), waiter); err != nil {
 		t.Fatal(err)
 	}
-	if err := replier.Send(contractSenders, proto.RouteReply{ID: 7, OK: true}); err != nil {
+	if err := replier.Send(contractSenders, proto.ConnCommandResult{Seq: 7, OK: true}); err != nil {
 		t.Fatal(err)
 	}
-	if env := recvFrom(t, waiter); env.Msg.(proto.RouteReply).ID != 7 || env.From != contractSenders+1 {
+	if env := recvFrom(t, waiter); env.Msg.(proto.ConnCommandResult).Seq != 7 || env.From != contractSenders+1 {
 		t.Fatalf("waiter got %+v", env)
 	}
 	rx.Cancel(replyKey(7))
@@ -376,7 +376,7 @@ func testUnawaitedReplyInOrder(t *testing.T, tr contractTransport) {
 	}
 	rx.Cancel(replyKey(2))
 	sent := []proto.Message{
-		proto.Hello{Seq: 0}, proto.RouteReply{ID: 1}, proto.Hello{Seq: 1}, proto.RouteReply{ID: 2}, proto.Hello{Seq: 2},
+		proto.Hello{Seq: 0}, proto.ConnCommandResult{Seq: 1}, proto.Hello{Seq: 1}, proto.ConnCommandResult{Seq: 2}, proto.Hello{Seq: 2},
 	}
 	for _, m := range sent {
 		if err := tx.Send(1, m); err != nil {
@@ -403,7 +403,7 @@ func testFullWaiterDrops(t *testing.T, tr contractTransport) {
 	}
 	sent := make(chan error, 1)
 	go func() {
-		for _, m := range []proto.Message{proto.RouteReply{ID: 3, Reason: "first"}, proto.RouteReply{ID: 3, Reason: "second"}, proto.Hello{Seq: 9}} {
+		for _, m := range []proto.Message{proto.ConnCommandResult{Seq: 3, Reason: "first"}, proto.ConnCommandResult{Seq: 3, Reason: "second"}, proto.Hello{Seq: 9}} {
 			if err := tx.Send(1, m); err != nil {
 				sent <- err
 				return
@@ -424,7 +424,7 @@ func testFullWaiterDrops(t *testing.T, tr contractTransport) {
 	if env := recvFrom(t, in); env.Msg != (proto.Hello{Seq: 9}) {
 		t.Fatalf("Recv yielded %+v, want the closing Hello", env.Msg)
 	}
-	if env := recvFrom(t, waiter); env.Msg.(proto.RouteReply).Reason != "first" {
+	if env := recvFrom(t, waiter); env.Msg.(proto.ConnCommandResult).Reason != "first" {
 		t.Fatalf("waiter got %+v, want the first reply", env.Msg)
 	}
 	expectNone(t, waiter, "waiter after the first reply")
@@ -468,7 +468,7 @@ func testCloseWithWaiter(t *testing.T, tr contractTransport) {
 	}
 	recvFrom(t, in)
 	_ = rx.Close()
-	_ = tx.Send(1, proto.RouteReply{ID: 6})
+	_ = tx.Send(1, proto.ConnCommandResult{Seq: 6})
 	_ = tx.Close()
 	expectNone(t, waiter, "waiter of a closed endpoint")
 	if err := rx.Await(replyKey(7), waiter); !errors.Is(err, transport.ErrClosed) {

@@ -28,21 +28,21 @@ func TestWaitReusesCleanly(t *testing.T) {
 	a.Recv() // start delivery
 	const deadline = 10 * time.Millisecond
 	for i := uint64(0); i < 50; i++ {
-		k, _ := proto.ReplyKeyOf(proto.RouteReply{ID: i})
+		k, _ := proto.ReplyKeyOf(proto.ConnCommandResult{Seq: i})
 		w, err := transport.Await(a, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = b.Send(0, proto.RouteReply{ID: i})
+		_ = b.Send(0, proto.ConnCommandResult{Seq: i})
 		// Reply and tick race; whichever Next takes, the other is left.
 		if _, err := w.Next(0, nil); err != nil && !errors.Is(err, transport.ErrTimeout) {
 			t.Fatal(err)
 		}
 		time.Sleep(time.Millisecond)
-		_ = b.Send(0, proto.RouteReply{ID: i})
+		_ = b.Send(0, proto.ConnCommandResult{Seq: i})
 		w.Done()
 
-		k, _ = proto.ReplyKeyOf(proto.RouteReply{ID: 1000 + i})
+		k, _ = proto.ReplyKeyOf(proto.ConnCommandResult{Seq: 1000 + i})
 		w, err = transport.Await(a, k)
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,7 @@
 #!/bin/sh
-# controlplane_smoke.sh — end-to-end smoke test of the three-role
-# control plane: boots a route finder, a setup coordinator and four
-# node runtimes as separate drtpnode processes over loopback TCP,
+# controlplane_smoke.sh — end-to-end smoke test of the two-role control
+# plane: boots a setup coordinator and four node runtimes as separate
+# drtpnode processes over loopback TCP,
 # establishes a DR-connection through the coordinator, crashes the
 # primary-route node, waits for backup activation, and asserts the
 # recovery from the joined drtptrace report.
@@ -56,22 +56,17 @@ echo "==> building"
 "$GO" run ./cmd/topogen -kind ring -nodes 4 -json >"$DIR/topo.json"
 
 PEERS="0=127.0.0.1:$BASE,1=127.0.0.1:$((BASE + 1)),2=127.0.0.1:$((BASE + 2)),3=127.0.0.1:$((BASE + 3))"
-SERVICES="rf=127.0.0.1:$((BASE + 4)),coord=127.0.0.1:$((BASE + 5))"
+SERVICES="coord=127.0.0.1:$((BASE + 4))"
 COMMON="-topology $DIR/topo.json -peers $PEERS -services $SERVICES -heartbeat 100ms"
 
 # Each process keeps its console open on a FIFO so it serves until we
-# say quit; fds 3-8 hold the write ends.
-for name in rf coord node0 node1 node2 node3; do
+# say quit; fds 4-8 hold the write ends.
+for name in coord node0 node1 node2 node3; do
 	mkfifo "$DIR/in-$name"
 done
 
-echo "==> starting route finder, coordinator, 4 nodes"
+echo "==> starting coordinator, 4 nodes"
 # shellcheck disable=SC2086  # COMMON is a word list by construction
-"$DIR/drtpnode" -role routefinder $COMMON -trace "$DIR/rf.jsonl" \
-	<"$DIR/in-rf" >"$DIR/rf.log" 2>&1 &
-PIDS="$PIDS $!"
-exec 3>"$DIR/in-rf"
-# shellcheck disable=SC2086
 "$DIR/drtpnode" -role setup -quotas "default=100:1000" $COMMON -trace "$DIR/coord.jsonl" \
 	<"$DIR/in-coord" >"$DIR/coord.log" 2>&1 &
 PIDS="$PIDS $!"
@@ -115,7 +110,7 @@ await "$DIR/node0.log" 'requested 2: primary'
 echo "==> shutting down"
 # The crashed node's FIFO has no reader, so write each quit from a
 # subshell: a SIGPIPE there cannot take the script down.
-for fd in 3 4 5 6 7 8; do
+for fd in 4 5 6 7 8; do
 	eval "(echo quit >&$fd) 2>/dev/null || true"
 done
 sleep 1
@@ -124,7 +119,7 @@ echo "==> asserting recovery via drtptrace"
 # Join the surviving processes' traces (the crashed node's file may be
 # mid-write) and require the connection timeline to show a backup
 # activation after the failure.
-TRACES="$DIR/rf.jsonl $DIR/coord.jsonl"
+TRACES="$DIR/coord.jsonl"
 for t in "$DIR"/node*.jsonl; do
 	[ "$t" = "$DIR/node$PRIMARY_MID.jsonl" ] && continue
 	TRACES="$TRACES $t"

@@ -1,6 +1,6 @@
 #!/bin/sh
 # metrics_smoke.sh — end-to-end smoke test of the observability surface:
-# boots a route finder, a setup coordinator and three node runtimes over
+# boots a setup coordinator and three node runtimes over
 # loopback TCP with -metrics and -runtime-metrics on, establishes
 # DR-connections through the coordinator, scrapes /metrics from the
 # source node and the coordinator, validates the Prometheus text format
@@ -55,20 +55,15 @@ echo "==> building"
 "$GO" run ./cmd/topogen -kind ring -nodes 3 -json >"$DIR/topo.json"
 
 PEERS="0=127.0.0.1:$BASE,1=127.0.0.1:$((BASE + 1)),2=127.0.0.1:$((BASE + 2))"
-SERVICES="rf=127.0.0.1:$((BASE + 3)),coord=127.0.0.1:$((BASE + 4))"
+SERVICES="coord=127.0.0.1:$((BASE + 3))"
 COMMON="-topology $DIR/topo.json -peers $PEERS -services $SERVICES -heartbeat 100ms"
 
-for name in rf coord node0 node1 node2; do
+for name in coord node0 node1 node2; do
 	mkfifo "$DIR/in-$name"
 done
 
-echo "==> starting route finder, coordinator, 3 nodes (metrics on)"
+echo "==> starting coordinator, 3 nodes (metrics on)"
 # shellcheck disable=SC2086  # COMMON is a word list by construction
-"$DIR/drtpnode" -role routefinder $COMMON -trace "$DIR/rf.jsonl" \
-	<"$DIR/in-rf" >"$DIR/rf.log" 2>&1 &
-PIDS="$PIDS $!"
-exec 3>"$DIR/in-rf"
-# shellcheck disable=SC2086
 "$DIR/drtpnode" -role setup $COMMON -trace "$DIR/coord.jsonl" \
 	-metrics 127.0.0.1:0 -runtime-metrics \
 	<"$DIR/in-coord" >"$DIR/coord.log" 2>&1 &
@@ -133,7 +128,6 @@ for series in \
 done
 for series in \
 	'drtp_cp_stage_seconds_count{stage="admission"}' \
-	'drtp_cp_stage_seconds_count{stage="route_query"}' \
 	'drtp_cp_stage_seconds_count{stage="establish"}' \
 	'drtp_cp_stage_seconds_count{stage="total"}'; do
 	grep -qF "$series" "$DIR/coord-metrics.txt" || fail "coordinator exposition missing $series"
@@ -144,15 +138,15 @@ total=$(sed -n 's/drtp_cp_stage_seconds_count{stage="total"} //p' "$DIR/coord-me
 [ "${total:-0}" -ge 2 ] || fail "coordinator observed $total total-stage samples, want >= 2"
 
 echo "==> shutting down"
-for fd in 3 4 5 6 7; do
+for fd in 4 5 6 7; do
 	eval "(echo quit >&$fd) 2>/dev/null || true"
 done
 sleep 1
 
 echo "==> rendering the SLO report from the joined traces"
-"$DIR/drtptrace" slo "$DIR"/rf.jsonl "$DIR"/coord.jsonl "$DIR"/node*.jsonl |
+"$DIR/drtptrace" slo "$DIR"/coord.jsonl "$DIR"/node*.jsonl |
 	tee "$DIR/slo-report.txt"
-"$DIR/drtptrace" slo -format json "$DIR"/rf.jsonl "$DIR"/coord.jsonl "$DIR"/node*.jsonl \
+"$DIR/drtptrace" slo -format json "$DIR"/coord.jsonl "$DIR"/node*.jsonl \
 	>"$DIR/slo-report.json"
 grep -q 'establishment latency' "$DIR/slo-report.txt" || fail "slo report missing establishment section"
 grep -q '"objectives"' "$DIR/slo-report.json" || fail "slo json missing objectives"
