@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench vet fmt lint lint-test lint-self experiments quick clean
+.PHONY: all build test race bench vet fmt lint lint-test experiments quick clean
 
 all: build test
 
@@ -36,11 +36,6 @@ $(DRTPLINT): $(DRTPLINT_SRC) tools/drtplint/go.mod
 
 lint: $(DRTPLINT)
 	./$(DRTPLINT)
-
-# The suite applied to its own source: the tool must hold itself to the
-# concurrency and suppression contracts it enforces.
-lint-self: $(DRTPLINT)
-	./$(DRTPLINT) -module tools/drtplint
 
 # The analyzers' own fixture tests.
 lint-test:

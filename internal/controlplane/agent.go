@@ -3,6 +3,7 @@ package controlplane
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -258,10 +259,21 @@ func (a *Agent) execute(m proto.ConnCommand) proto.ConnCommandResult {
 	res := proto.ConnCommandResult{Conn: m.Conn, Seq: m.Seq}
 	switch m.Op {
 	case proto.OpEstablish:
-		info, err := a.r.Establish(m.Conn, m.Dst, m.Exclude...)
-		if err != nil {
-			res.Reason = err.Error()
-			return res
+		// Idempotent: a connection the router holds already is answered
+		// with the routes it holds now, or, when one of them visits an
+		// excluded node, released and established again around them.
+		info, held := a.r.Conn(m.Conn)
+		if held && visitsAny(info, m.Exclude) {
+			_ = a.r.Release(m.Conn)
+			held = false
+			res.Reason = "migrated"
+		}
+		if !held {
+			var err error
+			if info, err = a.r.Establish(m.Conn, m.Dst, m.Exclude...); err != nil {
+				res.Reason = err.Error()
+				return res
+			}
 		}
 		res.OK = true
 		res.Primary = info.Primary
@@ -281,6 +293,15 @@ func (a *Agent) execute(m proto.ConnCommand) proto.ConnCommandResult {
 		res.Reason = fmt.Sprintf("unknown op %d", int(m.Op))
 	}
 	return res
+}
+
+// visitsAny reports whether the connection's primary or any of its
+// backups visits one of the nodes.
+func visitsAny(info router.ConnInfo, nodes []graph.NodeID) bool {
+	visits := func(route []graph.NodeID) bool {
+		return slices.ContainsFunc(route, func(n graph.NodeID) bool { return slices.Contains(nodes, n) })
+	}
+	return visits(info.Primary) || slices.ContainsFunc(info.Backups, visits)
 }
 
 // Request asks the coordinator to establish a DR-connection from this

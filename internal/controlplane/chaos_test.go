@@ -126,8 +126,9 @@ func TestChaosConformance(t *testing.T) {
 		t.Fatalf("injector applied no faults: %+v", stats)
 	}
 
-	// The control plane itself must not have dropped the connection.
-	if _, _, ok := d.Coord.Conn(1); !ok {
-		t.Fatal("coordinator lost the surviving connection's record")
+	// The control plane itself must not have dropped the connection: the
+	// tenant holds both admissions.
+	if got := d.Coord.TenantConns("default"); got != 2 {
+		t.Fatalf("tenant usage = %d, want 2: the coordinator lost the surviving connection's record", got)
 	}
 }

@@ -52,9 +52,9 @@ type DeployConfig struct {
 	// "default").
 	Tenants map[graph.NodeID]string
 	// Router carries the routers' own settings: HelloInterval,
-	// HelloMiss, LSInterval, SetupTimeout, RetryLimit, RetrySeed and
-	// NbrRecovery. Its other fields are ignored; RouterConfig fills
-	// them from this config.
+	// HelloMiss, LSInterval, SetupTimeout, RetryLimit and NbrRecovery.
+	// Its other fields are ignored; RouterConfig fills them from this
+	// config.
 	Router router.Config
 	// Logger and Telemetry are shared by every service; Metrics is
 	// passed to the routers and the coordinator (its per-stage setup

@@ -228,8 +228,8 @@ func (m DrainRequest) fields(c *codec) Message {
 
 // DrainReply reports drain completion: Migrated connections were moved
 // onto routes avoiding the node, Dropped could not be (connections
-// originated or terminated at the drained node, or with no alternate
-// route).
+// originated or terminated at the drained node, at a source held down, or
+// with no alternate route).
 type DrainReply struct {
 	Node     graph.NodeID
 	OK       bool
@@ -256,7 +256,10 @@ func (m DrainReply) fields(c *codec) Message {
 // its own link-state view, as the paper's source does, never using a link
 // to or from a node in Exclude (the coordinator's draining and dead
 // nodes), and signals them hop-by-hop with its usual retry/backoff
-// discipline. Primary and Backups are unread and the coordinator sends
+// discipline. OpEstablish is idempotent: a connection the router holds
+// already keeps its routes, unless one of them visits a node in Exclude;
+// then it is released and established again around them. Primary and
+// Backups are unread and the coordinator sends
 // them empty; they keep their place in the layout because the wire-codec
 // probe of the benchmark (bench/cpload.go) still fills them.
 // Retransmissions reuse Seq so the agent's dedup replays the recorded
@@ -288,8 +291,9 @@ func (m ConnCommand) fields(c *codec) Message {
 
 // ConnCommandResult reports a ConnCommand's outcome back to the
 // coordinator, echoing Seq. On successful establishment Primary and
-// Backups are the channels the router reserved (a backup rejected
-// mid-path is not among them).
+// Backups are the channels the router holds (a backup rejected mid-path
+// is not among them), and Reason is "migrated" when the command moved a
+// connection the router held off a node in Exclude.
 type ConnCommandResult struct {
 	Conn    lsdb.ConnID
 	Seq     uint64

@@ -129,9 +129,6 @@ type Config struct {
 	// number and are absorbed by per-hop dedup, giving at-least-once
 	// delivery with idempotent processing.
 	RetryLimit int
-	// RetrySeed seeds the per-router backoff-jitter stream; the node ID
-	// is mixed in so routers sharing a seed still jitter independently.
-	RetrySeed int64
 	// NbrRecovery, when true, lets hellos from a neighbor previously
 	// declared failed revive the adjacency (crash-restart and
 	// partition-heal support). Off by default: a failed link then stays
@@ -386,9 +383,9 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 	}
 	// The hold-down timer starts stopped; markDirtyLocked arms it.
 	r.holdDown.Stop()
-	// New(seed).Split(label) is a pure function of (seed, label), so
-	// routers sharing RetrySeed still draw independent jitter streams.
-	r.retryRNG = rng.New(cfg.RetrySeed).Split(fmt.Sprintf("retry/%d", int(cfg.Node)))
+	// Split(label) is a pure function of the label, so each router draws
+	// its own jitter stream.
+	r.retryRNG = rng.New(0).Split(fmt.Sprintf("retry/%d", int(cfg.Node)))
 	r.life = lifecycle.Lifecycle{Channels: channels{r}, Tracer: r.tracer, Scheme: r.schemeName}
 	if cfg.Metrics != nil {
 		r.mEstablishSeconds = cfg.Metrics.Latency("drtp_router_establish_seconds",

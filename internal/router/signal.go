@@ -35,6 +35,10 @@ var (
 // The routes, the primary and every backup, use no link to or from a node
 // in avoid; IDs outside the topology avoid nothing. The control plane
 // passes its draining and dead nodes.
+//
+// The ID is claimed by a nil record in conns, made under the lock that
+// checked for duplicates, so a concurrent request for the same ID fails
+// at once instead of sharing this one's round trips.
 func (r *Router) Establish(id lsdb.ConnID, dst graph.NodeID, avoid ...graph.NodeID) (ConnInfo, error) {
 	if dst < 0 || int(dst) >= r.g.NumNodes() {
 		return ConnInfo{}, fmt.Errorf("%w: destination %d outside the topology", ErrNoRoute, dst)
@@ -46,39 +50,6 @@ func (r *Router) Establish(id lsdb.ConnID, dst graph.NodeID, avoid ...graph.Node
 			return slices.Contains(avoid, lk.From) || slices.Contains(avoid, lk.To)
 		}
 	}
-	return r.establish(id, dst, func() (graph.Path, []graph.Path, error) {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		// Minimum-hop and feasible on the view, never leaving through a
-		// link to a neighbour declared down; the backups need no such
-		// block, as such links advertise zero bandwidth.
-		p := r.view.RoutePrimary(r.cfg.Node, dst, func(l graph.LinkID) bool {
-			lk := r.g.Link(l)
-			return lk.From == r.cfg.Node && r.downNbr[lk.To] || avoided != nil && avoided(l)
-		})
-		if p.Empty() {
-			return p, nil, ErrNoRoute
-		}
-		return p, r.view.Backups(p, nil, r.cfg.Backups, avoided), nil
-	})
-}
-
-// topUp routes fresh backups for a connection switched off the failed
-// link, whose edge is blocked: the view may not carry the news yet.
-func (r *Router) topUp(c *lifecycle.Conn, failed graph.LinkID) []graph.Path {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.view.Backups(c.Primary, c.Backups, r.cfg.Backups, func(l graph.LinkID) bool {
-		return r.g.Link(l).Edge == r.g.Link(failed).Edge
-	})
-}
-
-// establish claims the ID, runs the lifecycle's establishment on the
-// routes route yields and commits the record. The claim is a nil record in
-// conns, made under the lock that checked for duplicates, so a concurrent
-// request for the same ID fails at once instead of sharing this one's
-// round trips.
-func (r *Router) establish(id lsdb.ConnID, dst graph.NodeID, route func() (graph.Path, []graph.Path, error)) (ConnInfo, error) {
 	start := time.Now()
 	r.mu.Lock()
 	if r.closed {
@@ -93,7 +64,21 @@ func (r *Router) establish(id lsdb.ConnID, dst graph.NodeID, route func() (graph
 	r.mu.Unlock()
 
 	c := &conn{Conn: lifecycle.Conn{ID: id, Src: r.cfg.Node, Dst: dst}}
-	out := r.life.Establish(&c.Conn, route)
+	out := r.life.Establish(&c.Conn, func() (graph.Path, []graph.Path, error) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		// Minimum-hop and feasible on the view, never leaving through a
+		// link to a neighbour declared down; the backups need no such
+		// block, as such links advertise zero bandwidth.
+		p := r.view.RoutePrimary(r.cfg.Node, dst, func(l graph.LinkID) bool {
+			lk := r.g.Link(l)
+			return lk.From == r.cfg.Node && r.downNbr[lk.To] || avoided != nil && avoided(l)
+		})
+		if p.Empty() {
+			return p, nil, ErrNoRoute
+		}
+		return p, r.view.Backups(p, nil, r.cfg.Backups, avoided), nil
+	})
 	if out.Reason != "" {
 		r.mu.Lock()
 		delete(r.conns, id)
@@ -118,6 +103,16 @@ func (r *Router) establish(id lsdb.ConnID, dst graph.NodeID, route func() (graph
 	r.mEstablishSeconds.ObserveSince(start)
 	r.mActiveConns.Add(1)
 	return info, nil
+}
+
+// topUp routes fresh backups for a connection switched off the failed
+// link, whose edge is blocked: the view may not carry the news yet.
+func (r *Router) topUp(c *lifecycle.Conn, failed graph.LinkID) []graph.Path {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.view.Backups(c.Primary, c.Backups, r.cfg.Backups, func(l graph.LinkID) bool {
+		return r.g.Link(l).Edge == r.g.Link(failed).Edge
+	})
 }
 
 // Release terminates a connection originated at this router. A switch in

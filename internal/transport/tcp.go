@@ -12,7 +12,7 @@ import (
 	"github.com/rtcl/drtp/internal/proto"
 )
 
-// Reconnect defaults: a Send whose established connection breaks
+// The reconnect budget: a Send whose established connection breaks
 // mid-stream (peer crashed or restarting) redials up to defaultRedials
 // more times with doubling backoff before reporting the error. The
 // budget is kept small because Send runs on the router's processing
@@ -26,13 +26,11 @@ const (
 // address; outbound connections are dialed lazily and cached. Messages
 // are length-prefixed Envelopes in the proto wire format. A broken
 // outbound connection (peer restart) is dropped and redialed inside the
-// failing Send, bounded by the reconnect budget (see SetReconnect).
+// failing Send, bounded by the reconnect budget (see defaultRedials).
 type TCPMesh struct {
-	mu      sync.Mutex
-	addrs   map[graph.NodeID]string
-	closed  bool
-	redials int
-	backoff time.Duration
+	mu     sync.Mutex
+	addrs  map[graph.NodeID]string
+	closed bool
 }
 
 // NewTCPMesh creates a mesh with a static node-to-address directory.
@@ -41,29 +39,7 @@ func NewTCPMesh(addrs map[graph.NodeID]string) *TCPMesh {
 	for n, a := range addrs {
 		copied[n] = a
 	}
-	return &TCPMesh{addrs: copied, redials: defaultRedials, backoff: defaultRedialsBackoff}
-}
-
-// SetReconnect bounds the in-Send reconnect path: after an established
-// connection breaks mid-write, Send retries up to redials more times,
-// sleeping backoff, 2*backoff, ... between attempts. redials of 0
-// disables reconnection (one attempt per Send, the pre-reconnect
-// behavior).
-func (m *TCPMesh) SetReconnect(redials int, backoff time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if redials < 0 {
-		redials = 0
-	}
-	m.redials = redials
-	m.backoff = backoff
-}
-
-// reconnectParams snapshots the reconnect budget.
-func (m *TCPMesh) reconnectParams() (int, time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.redials, m.backoff
+	return &TCPMesh{addrs: copied}
 }
 
 // Attach starts listening on the node's directory address and returns its
@@ -159,10 +135,9 @@ func (e *tcpEndpoint) Send(to graph.NodeID, msg proto.Message) error {
 	if err == nil || !broke || errors.Is(err, ErrClosed) || errors.Is(err, ErrUnknownPeer) {
 		return err
 	}
-	redials, backoff := e.mesh.reconnectParams()
 	lastErr := err
-	for attempt := 1; attempt <= redials; attempt++ {
-		time.Sleep(backoff << (attempt - 1))
+	for attempt := 1; attempt <= defaultRedials; attempt++ {
+		time.Sleep(defaultRedialsBackoff << (attempt - 1))
 		err, _ := e.sendOnce(to, msg)
 		if err == nil {
 			return nil

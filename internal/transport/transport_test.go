@@ -337,8 +337,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 }
 
 func TestTCPReconnectBoundedAgainstDeadPeer(t *testing.T) {
-	mesh, a, b := tcpMeshPair(t)
-	mesh.SetReconnect(2, time.Millisecond)
+	_, a, b := tcpMeshPair(t)
 	if err := a.Send(1, proto.Hello{From: 0, Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -359,43 +358,6 @@ func TestTCPReconnectBoundedAgainstDeadPeer(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("bounded reconnect took %v", elapsed)
-	}
-}
-
-func TestTCPReconnectDisabled(t *testing.T) {
-	mesh, a, b := tcpMeshPair(t)
-	mesh.SetReconnect(0, 0) // pre-reconnect behavior: one attempt per Send
-	if err := a.Send(1, proto.Hello{From: 0, Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	recvOne(t, b)
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	b2, err := mesh.Attach(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = b2.Close() })
-
-	// Drive the broken cached connection until the write error surfaces;
-	// with the redial budget disabled it escapes Send instead of being
-	// retried in place.
-	var sawErr bool
-	for i := 0; i < 200 && !sawErr; i++ {
-		sawErr = a.Send(1, proto.Hello{From: 0, Seq: uint64(i)}) != nil
-		time.Sleep(time.Millisecond)
-	}
-	if !sawErr {
-		t.Fatal("broken connection never surfaced with reconnection disabled")
-	}
-	// The connection was dropped on error, so the next Send dials fresh.
-	if err := a.Send(1, proto.Hello{From: 0, Seq: 999}); err != nil {
-		t.Fatalf("send after error did not redial: %v", err)
-	}
-	env := recvOne(t, b2)
-	if env.Msg.(proto.Hello).Seq != 999 {
-		t.Fatalf("unexpected message: %+v", env.Msg)
 	}
 }
 

@@ -70,8 +70,8 @@ func NewLoader(dir string) (*Loader, error) {
 
 // NewLoaderFromCwd walks upward from the working directory to the nearest
 // go.mod and roots a loader there. When run from tools/drtplint itself the
-// walk continues past it to the outer module (drtplint lints the main
-// module, not itself).
+// walk continues past it to the outer module: drtplint lints the main
+// module, never its own source.
 func NewLoaderFromCwd() (*Loader, error) {
 	dir, err := os.Getwd()
 	if err != nil {

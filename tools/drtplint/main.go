@@ -8,14 +8,12 @@
 //
 // Usage:
 //
-//	drtplint [-module dir] [packages...]
+//	drtplint [packages...]
 //
-// Packages are import paths inside the analyzed module. With no arguments
-// it lints every package under the module root. -module roots the loader
-// at an explicit module directory (the self-lint target points it at
-// tools/drtplint); by default the outermost go.mod above the working
-// directory wins. Findings print one per line; the exit status is 1 when
-// there is any.
+// Packages are import paths inside the analyzed module, the outermost
+// go.mod above the working directory. With no arguments it lints every
+// package under the module root. Findings print one per line; the exit
+// status is 1 when there is any.
 package main
 
 import (
@@ -33,22 +31,15 @@ import (
 var analyzers = []*analysis.Analyzer{checkers.Determinism, checkers.LockOrder}
 
 func main() {
-	module := flag.String("module", "", "module directory to lint (default: outermost go.mod above cwd)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: drtplint [-module dir] [import paths]\n\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: drtplint [import paths]\n\nanalyzers:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
 	}
 	flag.Parse()
 
-	var loader *analysis.Loader
-	var err error
-	if *module != "" {
-		loader, err = analysis.NewLoader(*module)
-	} else {
-		loader, err = analysis.NewLoaderFromCwd()
-	}
+	loader, err := analysis.NewLoaderFromCwd()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "drtplint: %v\n", err)
 		os.Exit(2)
@@ -89,9 +80,8 @@ func main() {
 }
 
 // modulePackages walks the module root and returns every import path that
-// contains Go files, skipping vendor-ish and tool directories. The tools
-// subtree is skipped only when it is a nested module (self-lint roots the
-// loader at tools/drtplint, where the walk must descend normally).
+// contains Go files, skipping vendor-ish directories and nested modules
+// (tools/drtplint is one).
 func modulePackages(l *analysis.Loader) ([]string, error) {
 	var out []string
 	err := filepath.WalkDir(l.ModuleDir, func(path string, d os.DirEntry, err error) error {
