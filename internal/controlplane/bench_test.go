@@ -11,6 +11,7 @@ import (
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/telemetry"
+	"github.com/rtcl/drtp/internal/topology"
 	"github.com/rtcl/drtp/internal/transport"
 )
 
@@ -159,6 +160,57 @@ func BenchmarkEstablishThroughput(b *testing.B) {
 			b.ReportMetric(originated/float64(total), "adverts/conn")
 			b.ReportMetric(float64(adverts.With("coalesced").Value())/originated, "coalesced/advert")
 			b.ReportMetric(float64(adverts.With("sent").Value())/originated, "sends/advert")
+		})
+	}
+}
+
+// BenchmarkDrain times one drain over loopback TCP on the ledger's
+// control-plane topology (12-node Waxman, seed 5) holding conns admitted
+// connections spread over every source and destination pair. The drain
+// releases the connections that end at the drained node and sends one
+// establish command to the source of every other, in turn; a migrated
+// connection costs a release and a new setup besides. Each iteration
+// deploys and loads afresh outside the timer, so run it with
+// -benchtime 1x.
+func BenchmarkDrain(b *testing.B) {
+	for _, conns := range []int{10, 100, 1000} {
+		b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) {
+			g, err := topology.Waxman(topology.WaxmanConfig{Nodes: 12, AvgDegree: 3, MinDegree: 2, Seed: 5})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			var migrated, dropped int
+			for i := 0; i < b.N; i++ {
+				mesh := tcpAttacher(g)
+				d, err := controlplane.Deploy(throughputConfig(g), mesh)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := d.WaitSynced(10 * time.Second); err != nil {
+					b.Fatal(err)
+				}
+				for id := 0; id < conns; id++ {
+					src := id % 12
+					dst := (src + 1 + id/12%11) % 12
+					reply, err := d.Node(graph.NodeID(src)).Agent.Request(lsdb.ConnID(id+1), graph.NodeID(dst))
+					if err != nil || !reply.OK {
+						b.Fatalf("establish %d: err=%v reason=%s", id+1, err, reply.Reason)
+					}
+				}
+				b.StartTimer()
+				dr, err := d.Node(1).Agent.DrainNode(0)
+				b.StopTimer()
+				if err != nil || !dr.OK {
+					b.Fatalf("drain: err=%v reply=%+v", err, dr)
+				}
+				migrated += dr.Migrated
+				dropped += dr.Dropped
+				d.Close()
+				mesh.Close()
+			}
+			b.ReportMetric(float64(migrated)/float64(b.N), "migrated/drain")
+			b.ReportMetric(float64(dropped)/float64(b.N), "dropped/drain")
 		})
 	}
 }
