@@ -453,7 +453,7 @@ func execute(env *consoleEnv, line string, out io.Writer) {
 			fmt.Fprintf(out, "drain rejected: %s\n", reply.Reason)
 			return
 		}
-		fmt.Fprintf(out, "drained node %d: migrated %d dropped %d\n", n, reply.Migrated, reply.Dropped)
+		fmt.Fprintf(out, "drained node %d: dropped %d\n", n, reply.Dropped)
 	case "ready":
 		ok, reason := true, ""
 		if env.ready != nil {

@@ -39,8 +39,8 @@ func agentBound(m proto.Message) bool {
 // through the co-located router, which routes each establishment itself
 // (commands are deduplicated by sequence number, so the coordinator's
 // retransmissions never double-execute), fails adjacent links when a
-// neighbor is declared dead, and offers a client API for issuing tenant
-// requests to the coordinator.
+// neighbor is declared dead and holds them down when one drains, and
+// offers a client API for issuing tenant requests to the coordinator.
 type Agent struct {
 	cfg    DeployConfig
 	node   graph.NodeID
@@ -213,20 +213,21 @@ func (a *Agent) dispatch(env proto.Envelope) {
 	}
 }
 
-// handleNodeDown reacts to a death announced by the coordinator: if the
-// dead node is a neighbor, the shared link is declared failed, flooding
-// a link-state death and triggering backup activation for connections
-// crossing it — heartbeat-miss thereby propagates into the data plane.
+// handleNodeDown reacts to a death or a drain announced by the
+// coordinator: if the node is a neighbor, the shared link is declared
+// failed, or for a drain held down (Router.HoldLink), flooding a
+// link-state death and sending failure reports to the sources of the
+// connections crossing it, which switch or move their backups —
+// heartbeat-miss and drains thereby propagate into the data plane.
 func (a *Agent) handleNodeDown(m proto.NodeDown) {
-	if m.Node == a.node {
+	if m.Node == a.node || !slices.Contains(a.cfg.Graph.Neighbors(a.node), m.Node) {
 		return
 	}
-	for _, nbr := range a.cfg.Graph.Neighbors(a.node) {
-		if nbr == m.Node {
-			a.log.Info("failing link to dead neighbor", "neighbor", int(m.Node), "reason", m.Reason)
-			a.r.FailLink(m.Node)
-			return
-		}
+	a.log.Info("failing link to neighbor", "neighbor", int(m.Node), "reason", m.Reason)
+	if m.Reason == "drain" {
+		a.r.HoldLink(m.Node)
+	} else {
+		a.r.FailLink(m.Node)
 	}
 }
 
@@ -260,17 +261,11 @@ func (a *Agent) execute(m proto.ConnCommand) proto.ConnCommandResult {
 	switch m.Op {
 	case proto.OpEstablish:
 		// Idempotent: a connection the router holds already is answered
-		// with the routes it holds now, or, when one of them visits an
-		// excluded node, released and established again around them.
+		// with the routes it holds now.
 		info, held := a.r.Conn(m.Conn)
-		if held && visitsAny(info, m.Exclude) {
-			_ = a.r.Release(m.Conn)
-			held = false
-			res.Reason = "migrated"
-		}
 		if !held {
 			var err error
-			if info, err = a.r.Establish(m.Conn, m.Dst, m.Exclude...); err != nil {
+			if info, err = a.r.Establish(m.Conn, m.Dst); err != nil {
 				res.Reason = err.Error()
 				return res
 			}
@@ -293,15 +288,6 @@ func (a *Agent) execute(m proto.ConnCommand) proto.ConnCommandResult {
 		res.Reason = fmt.Sprintf("unknown op %d", int(m.Op))
 	}
 	return res
-}
-
-// visitsAny reports whether the connection's primary or any of its
-// backups visits one of the nodes.
-func visitsAny(info router.ConnInfo, nodes []graph.NodeID) bool {
-	visits := func(route []graph.NodeID) bool {
-		return slices.ContainsFunc(route, func(n graph.NodeID) bool { return slices.Contains(nodes, n) })
-	}
-	return visits(info.Primary) || slices.ContainsFunc(info.Backups, visits)
 }
 
 // Request asks the coordinator to establish a DR-connection from this

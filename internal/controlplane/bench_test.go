@@ -94,8 +94,9 @@ func throughputConfig(g *graph.Graph) controlplane.DeployConfig {
 }
 
 // BenchmarkEstablishThroughput measures end-to-end connection setup
-// throughput (request -> route query -> hop-by-hop establishment ->
-// reply, then release) with N concurrent clients over loopback TCP.
+// throughput (request -> establish command -> hop-by-hop establishment at
+// the source -> reply, then release) with N concurrent clients over
+// loopback TCP.
 func BenchmarkEstablishThroughput(b *testing.B) {
 	for _, clients := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
@@ -167,11 +168,17 @@ func BenchmarkEstablishThroughput(b *testing.B) {
 // BenchmarkDrain times one drain over loopback TCP on the ledger's
 // control-plane topology (12-node Waxman, seed 5) holding conns admitted
 // connections spread over every source and destination pair. The drain
-// releases the connections that end at the drained node and sends one
-// establish command to the source of every other, in turn; a migrated
-// connection costs a release and a new setup besides. Each iteration
-// deploys and loads afresh outside the timer, so run it with
-// -benchtime 1x.
+// releases the connections that end at the drained node and announces
+// it; its neighbours hold their links to it down, and the source of every
+// other connection crossing them moves it off: a primary switches and is
+// re-protected, a backup is replaced. Time runs from the request until no
+// router holds a primary reservation or a backup registration on a link
+// to or from the node for a connection not ending there (clearOf).
+// lost/drain counts those connections that their source no longer holds
+// or reports dead, unprotected/drain the live ones left with no backup
+// once re-protection settles.
+// Each iteration deploys and loads afresh outside the timer, so run it
+// with -benchtime 1x.
 func BenchmarkDrain(b *testing.B) {
 	for _, conns := range []int{10, 100, 1000} {
 		b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) {
@@ -180,7 +187,7 @@ func BenchmarkDrain(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StopTimer()
-			var migrated, dropped int
+			var dropped, lost, unprotected int
 			for i := 0; i < b.N; i++ {
 				mesh := tcpAttacher(g)
 				d, err := controlplane.Deploy(throughputConfig(g), mesh)
@@ -190,27 +197,61 @@ func BenchmarkDrain(b *testing.B) {
 				if err := d.WaitSynced(10 * time.Second); err != nil {
 					b.Fatal(err)
 				}
+				src := make(map[lsdb.ConnID]graph.NodeID)
+				var crossing []lsdb.ConnID
 				for id := 0; id < conns; id++ {
-					src := id % 12
-					dst := (src + 1 + id/12%11) % 12
-					reply, err := d.Node(graph.NodeID(src)).Agent.Request(lsdb.ConnID(id+1), graph.NodeID(dst))
+					s := id % 12
+					dst := (s + 1 + id/12%11) % 12
+					reply, err := d.Node(graph.NodeID(s)).Agent.Request(lsdb.ConnID(id+1), graph.NodeID(dst))
 					if err != nil || !reply.OK {
 						b.Fatalf("establish %d: err=%v reason=%s", id+1, err, reply.Reason)
+					}
+					if s != 0 && dst != 0 {
+						src[lsdb.ConnID(id+1)] = graph.NodeID(s)
+						crossing = append(crossing, lsdb.ConnID(id+1))
 					}
 				}
 				b.StartTimer()
 				dr, err := d.Node(1).Agent.DrainNode(0)
-				b.StopTimer()
 				if err != nil || !dr.OK {
 					b.Fatalf("drain: err=%v reply=%+v", err, dr)
 				}
-				migrated += dr.Migrated
+				for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+					err := clearOf(d, 0, crossing...)
+					if err == nil {
+						break
+					}
+					if time.Now().After(deadline) {
+						b.Fatalf("not clear of node 0 after 30 s: %v", err)
+					}
+				}
+				b.StopTimer()
 				dropped += dr.Dropped
+				// A switched connection may still be signalling its fresh
+				// backup: count once re-protection settles, within a second.
+				outcome := func() (lost, unprotected int) {
+					for _, id := range crossing {
+						switch info, ok := d.Node(src[id]).Router.Conn(id); {
+						case !ok || info.Dead:
+							lost++
+						case len(info.Backups) == 0:
+							unprotected++
+						}
+					}
+					return lost, unprotected
+				}
+				l, u := outcome()
+				for deadline := time.Now().Add(time.Second); u > 0 && time.Now().Before(deadline); l, u = outcome() {
+					time.Sleep(5 * time.Millisecond)
+				}
+				lost += l
+				unprotected += u
 				d.Close()
 				mesh.Close()
 			}
-			b.ReportMetric(float64(migrated)/float64(b.N), "migrated/drain")
 			b.ReportMetric(float64(dropped)/float64(b.N), "dropped/drain")
+			b.ReportMetric(float64(lost)/float64(b.N), "lost/drain")
+			b.ReportMetric(float64(unprotected)/float64(b.N), "unprotected/drain")
 		})
 	}
 }

@@ -2,11 +2,11 @@
 // deployable service tier above the per-node routers: a setup
 // coordinator that enforces per-tenant admission quotas and commands
 // each connection's source to establish or release it, and a node
-// registry with heartbeat liveness, graceful drain and connection
-// migration. As in the paper's link-state schemes, the source chooses
-// the routes: the source router selects them on its own link-state view,
-// around the nodes the coordinator names as draining or dead, and
-// signals them hop by hop with its retry/backoff discipline.
+// registry with heartbeat liveness and graceful drain. As in the paper's
+// link-state schemes, the source chooses the routes: the source router
+// selects them on its own link-state view, where draining and dead nodes
+// show as links advertised empty, and signals them hop by hop with its
+// retry/backoff discipline.
 //
 // The coordinator and the node agents speak the internal/proto control
 // messages over the same transport (in-memory switchboard or TCP mesh)
@@ -19,7 +19,9 @@
 // the dead node declare their shared links failed, which floods
 // link-state deaths through the routers and activates backup channels
 // for affected connections — the paper's failure recovery, triggered
-// from the control plane. All messaging is at-least-once with
+// from the control plane. A drain is announced the same way, and the
+// neighbours hold their links to the drained node down, so the sources
+// move their connections off it. All messaging is at-least-once with
 // idempotent processing (sequence-numbered commands, replayed replies),
 // so the tier tolerates the same lossy, partitioned transports the
 // routers do.

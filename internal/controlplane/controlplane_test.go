@@ -1,6 +1,7 @@
 package controlplane_test
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -94,6 +95,27 @@ func excluded(d *controlplane.Deployment, n graph.NodeID) bool {
 		}
 	}
 	return false
+}
+
+// clearOf returns nil when no router holds a primary reservation or a
+// backup registration for any of the connections on a link to or from
+// node x, and otherwise an error naming the first link that does.
+func clearOf(d *controlplane.Deployment, x graph.NodeID, conns ...lsdb.ConnID) error {
+	g := d.Node(x).Router.DB().Graph()
+	for l := graph.LinkID(0); int(l) < g.NumLinks(); l++ {
+		lk := g.Link(l)
+		if lk.From != x && lk.To != x {
+			continue
+		}
+		db := d.Node(lk.From).Router.DB()
+		for _, id := range conns {
+			if prim, backup := db.HasPrimary(id, l), db.HasBackup(id, l); prim || backup {
+				return fmt.Errorf("link %d->%d still holds connection %d: primary=%v backup=%v",
+					lk.From, lk.To, id, prim, backup)
+			}
+		}
+	}
+	return nil
 }
 
 func contains(nodes []graph.NodeID, n graph.NodeID) bool {
@@ -348,34 +370,6 @@ func TestAdmissionRefusesBadEndpoints(t *testing.T) {
 	}
 }
 
-// TestEstablishCommandIgnoresOutsideExcludes: an establish command whose
-// Exclude names IDs outside the topology, on both sides, establishes as
-// if it named none.
-func TestEstablishCommandIgnoresOutsideExcludes(t *testing.T) {
-	g := trident(t)
-	mem := transport.NewMem()
-	d := deploy(t, deployConfig(g, telemetry.NewRing(1<<12)), mem)
-	ep, err := mem.Attach(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep.Close()
-	ep.Recv() // start delivery
-	cmd := proto.ConnCommand{Op: proto.OpEstablish, Conn: 1, Dst: 1, Exclude: []graph.NodeID{-1, 99}, Seq: 1}
-	out, err := controlplane.Call(ep, 0, cmd, proto.ConnCommandResult{Seq: 1}, 1, 5*time.Second, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := out.(proto.ConnCommandResult)
-	if !res.OK || len(res.Primary) != 3 || len(res.Backups) == 0 {
-		t.Fatalf("command result %+v, want an established connection", res)
-	}
-	info, ok := d.Node(0).Router.Conn(1)
-	if !ok || !reflect.DeepEqual(info.Primary, res.Primary) || !reflect.DeepEqual(info.Backups, res.Backups) {
-		t.Fatalf("router holds %+v (ok=%v), result said %v %v", info, ok, res.Primary, res.Backups)
-	}
-}
-
 // TestSilentNodesDieInNodeOrder registers two nodes with a fresh
 // coordinator, 20 times over, and lets both fall silent together. Each
 // run must declare them dead in ascending node order.
@@ -440,12 +434,17 @@ func TestDrainMigratesConnections(t *testing.T) {
 	if !dr.OK {
 		t.Fatalf("drain failed: %s", dr.Reason)
 	}
-	if dr.Migrated != 1 || dr.Dropped != 1 {
-		t.Fatalf("drain migrated=%d dropped=%d, want 1/1", dr.Migrated, dr.Dropped)
+	if dr.Dropped != 1 {
+		t.Fatalf("drain dropped=%d, want 1", dr.Dropped)
 	}
 
-	// The migrated connection survived under the same ID on routes that
-	// avoid the drained node.
+	// The crossing connection survived under the same ID on routes that
+	// avoid the drained node: its source switched it off the held link
+	// and re-protected it, and no router holds it on a link of the node.
+	waitFor(t, "the connection moved off the drained node", func() bool {
+		info, ok := d.Node(0).Router.Conn(1)
+		return ok && len(info.Backups) > 0 && !visits(info.Primary, info.Backups, mid) && clearOf(d, mid, 1) == nil
+	})
 	info, ok := d.Node(0).Router.Conn(1)
 	if !ok {
 		t.Fatal("migrated connection gone from source router")
@@ -510,7 +509,7 @@ func TestDrainMigratesConnections(t *testing.T) {
 	}
 
 	// Close ends every goroutine the deployment started: the coordinator
-	// and agent loops, the drain worker, and the parked request workers.
+	// and agent loops, the drain's, and the parked request workers.
 	srv.Close()
 	srvUp.Close()
 	d.Close()
@@ -550,8 +549,9 @@ func switchAndReprotect(t *testing.T, d *controlplane.Deployment, id lsdb.ConnID
 
 // TestDrainAfterReprotection: a connection switched off a failed link and
 // re-protected onto a fresh backup through node x, on neither of the
-// routes it was admitted on, is migrated off x when x drains. The drain
-// asks the source, which holds the routes as they are now.
+// routes it was admitted on, is moved off x when x drains. The held link
+// reports the backup to the source, which holds the routes as they are
+// now and replaces it.
 func TestDrainAfterReprotection(t *testing.T) {
 	g := fan(t)
 	d := deploy(t, deployConfig(g, telemetry.NewRing(1<<12)), transport.NewMem())
@@ -569,29 +569,23 @@ func TestDrainAfterReprotection(t *testing.T) {
 	if err != nil || !dr.OK {
 		t.Fatalf("drain: err=%v reply=%+v", err, dr)
 	}
-	if dr.Migrated != 1 || dr.Dropped != 0 {
-		t.Fatalf("drain migrated=%d dropped=%d, want 1/0", dr.Migrated, dr.Dropped)
+	if dr.Dropped != 0 {
+		t.Fatalf("drain dropped=%d, want 0", dr.Dropped)
 	}
+	waitFor(t, "the backup moved off the drained node", func() bool {
+		info, ok := d.Node(0).Router.Conn(1)
+		return ok && len(info.Backups) > 0 && !visits(info.Primary, info.Backups, x)
+	})
 	info, ok := d.Node(0).Router.Conn(1)
 	if !ok {
-		t.Fatal("migrated connection gone from source router")
+		t.Fatal("moved connection gone from source router")
 	}
 	if contains(info.Primary, x) || len(info.Backups) == 0 || contains(info.Backups[0], x) {
-		t.Fatalf("migrated routes %v %v, want a protected connection clear of node %d", info.Primary, info.Backups, x)
+		t.Fatalf("moved routes %v %v, want a protected connection clear of node %d", info.Primary, info.Backups, x)
 	}
 	// No router holds a reservation or a backup registration for the
 	// connection on a link to or from x.
-	for l := graph.LinkID(0); int(l) < g.NumLinks(); l++ {
-		lk := g.Link(l)
-		if lk.From != x && lk.To != x {
-			continue
-		}
-		db := d.Node(lk.From).Router.DB()
-		if db.HasPrimary(1, l) || db.HasBackup(1, l) {
-			t.Fatalf("link %d->%d still holds the connection: primary=%v backup=%v",
-				lk.From, lk.To, db.HasPrimary(1, l), db.HasBackup(1, l))
-		}
-	}
+	waitFor(t, "the old backup released", func() bool { return clearOf(d, x, 1) == nil })
 }
 
 // TestRetryAfterSwitch: a duplicate request for a connection that has
@@ -697,7 +691,7 @@ func TestLostCommandKeepsConnection(t *testing.T) {
 		t.Fatalf("tenant usage = %d after the unanswered retry, want 1", got)
 	}
 	dr, err := d.Node(1).Agent.DrainNode(offRoutes(t, reply))
-	if err != nil || !dr.OK || dr.Migrated != 0 || dr.Dropped != 0 {
+	if err != nil || !dr.OK || dr.Dropped != 0 {
 		t.Fatalf("drain: err=%v reply=%+v, want nothing migrated or dropped", err, dr)
 	}
 	if got := d.Coord.TenantConns("default"); got != 1 {
@@ -734,10 +728,10 @@ func TestLostCommandKeepsConnection(t *testing.T) {
 	}
 }
 
-// TestDuplicateJoinsDrainCommand: a duplicate request that arrives while
-// a drain's command for the connection is in flight is answered with that
-// command's result.
-func TestDuplicateJoinsDrainCommand(t *testing.T) {
+// TestDuplicateJoinsCommandInFlight: a duplicate request that arrives
+// while an earlier duplicate's command for the connection is in flight is
+// answered with that command's result.
+func TestDuplicateJoinsCommandInFlight(t *testing.T) {
 	coord := int(controlplane.CoordinatorID(fan(t)))
 	// From t=1 on, the coordinator's messages to node 0 take 400 ms.
 	d, inj, clock, request := lossyFan(t, 2*time.Second,
@@ -748,12 +742,12 @@ func TestDuplicateJoinsDrainCommand(t *testing.T) {
 	}
 
 	clock.Set(1)
-	drained := make(chan proto.DrainReply, 1)
+	first := make(chan error, 1)
 	go func() {
-		dr, _ := d.Node(1).Agent.DrainNode(offRoutes(t, reply))
-		drained <- dr
+		_, err := d.Node(0).Agent.Request(1, 1)
+		first <- err
 	}()
-	waitFor(t, "the drain's command in flight", func() bool { return inj.Stats().Delays > 0 })
+	waitFor(t, "the first duplicate's command in flight", func() bool { return inj.Stats().Delays > 0 })
 	// One attempt, no retransmission: only the command in flight can
 	// answer it in time.
 	again, err := request(time.Second)
@@ -764,16 +758,19 @@ func TestDuplicateJoinsDrainCommand(t *testing.T) {
 	if !reflect.DeepEqual(again.Primary, info.Primary) {
 		t.Fatalf("duplicate answered %v, source holds %v", again.Primary, info.Primary)
 	}
-	if dr := <-drained; !dr.OK || dr.Migrated != 0 || dr.Dropped != 0 {
-		t.Fatalf("drain: %+v, want nothing migrated or dropped", dr)
+	if err := <-first; err != nil {
+		t.Fatalf("first duplicate: %v", err)
 	}
 }
 
-// TestDrainWaitsForRetryInFlight: a drain that finds a retried request's
-// command in flight, sent with exclusions read before the drain began,
-// waits for it and then moves the connection off the drained node.
-func TestDrainWaitsForRetryInFlight(t *testing.T) {
+// TestDrainDuringRetryLeavesConnectionClear: a node on a connection's
+// backup drains while a retried request's command for the connection is
+// in flight. The drain sends that connection no command: the retry is
+// answered, and the source still moves the connection clear of the node
+// once the announcement reaches it.
+func TestDrainDuringRetryLeavesConnectionClear(t *testing.T) {
 	coord := int(controlplane.CoordinatorID(fan(t)))
+	// From t=1 on, the coordinator's messages to node 0 take 400 ms.
 	d, inj, clock, request := lossyFan(t, 2*time.Second,
 		faultinject.LinkRule{From: coord, To: 0, Delay: 400, Start: 1})
 	reply, err := d.Node(0).Agent.Request(1, 1)
@@ -790,16 +787,16 @@ func TestDrainWaitsForRetryInFlight(t *testing.T) {
 	}()
 	waitFor(t, "the retry's command in flight", func() bool { return inj.Stats().Delays > 0 })
 	dr, err := d.Node(1).Agent.DrainNode(x)
-	if err != nil || !dr.OK || dr.Migrated != 1 || dr.Dropped != 0 {
-		t.Fatalf("drain: err=%v reply=%+v, want one migrated", err, dr)
+	if err != nil || !dr.OK || dr.Dropped != 0 {
+		t.Fatalf("drain: err=%v reply=%+v, want nothing dropped", err, dr)
 	}
 	if err := <-retried; err != nil {
 		t.Fatalf("duplicate request: %v", err)
 	}
-	info, ok := d.Node(0).Router.Conn(1)
-	if !ok || visits(info.Primary, info.Backups, x) {
-		t.Fatalf("connection held=%v on %v %v, want it clear of node %d", ok, info.Primary, info.Backups, x)
-	}
+	waitFor(t, "the connection clear of the drained node", func() bool {
+		info, ok := d.Node(0).Router.Conn(1)
+		return ok && len(info.Backups) > 0 && !visits(info.Primary, info.Backups, x) && clearOf(d, x, 1) == nil
+	})
 }
 
 func TestHeartbeatMissPropagatesAsLinkDeath(t *testing.T) {

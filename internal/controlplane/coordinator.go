@@ -39,12 +39,13 @@ type nodeRec struct {
 	draining   bool
 	down       bool
 	downReason string
-	// downcasts counts NodeDown broadcasts still owed for this death:
-	// the announcement is the recovery trigger, so over a lossy
+	// downcasts counts NodeDown broadcasts still owed for this death or
+	// drain: the announcement is the recovery trigger, so over a lossy
 	// transport it is re-broadcast on later ticks until the budget is
 	// spent (agents dedup via their routers' down-neighbor state).
 	downcasts int
-	// drainRunning marks a drain worker running for the node.
+	// drainRunning marks a drain whose releases are not all answered yet;
+	// it answers its requester itself.
 	drainRunning bool
 }
 
@@ -56,8 +57,7 @@ type connRec struct {
 	src    graph.NodeID
 	dst    graph.NodeID
 	// pending is set while an establish command for the connection runs
-	// at its source: the admitted establishment, a retried request's or a
-	// drain's.
+	// at its source: the admitted establishment's or a retried request's.
 	pending bool
 	// waiters lists the requesters to answer with the pending command's
 	// result; a duplicate request joins them.
@@ -78,10 +78,10 @@ type NodeState struct {
 
 // Coordinator is the control plane's setup service: it admits tenant
 // connection requests against per-tenant quotas, commands source-node
-// agents to establish them, on routes their routers select around the
-// draining and dead nodes, or to release them, tracks node liveness by
-// heartbeat, and drains nodes by having each source move its connections
-// onto routes that avoid them.
+// agents to establish them, on routes their routers select, or to release
+// them, tracks node liveness by heartbeat, and drains nodes by announcing
+// them as it announces a death, so that each source moves its own
+// connections off them.
 type Coordinator struct {
 	cfg    DeployConfig
 	ep     transport.Endpoint
@@ -104,8 +104,6 @@ type Coordinator struct {
 	conns map[lsdb.ConnID]*connRec
 	// usage counts connections per tenant, pending included; guarded by mu.
 	usage map[string]int
-	// settled is signalled, on mu, whenever a record stops pending.
-	settled *sync.Cond
 	// rpcID numbers node commands; guarded by mu.
 	rpcID uint64
 	// closed is set once Close begins; guarded by mu.
@@ -139,7 +137,6 @@ func NewCoordinator(cfg DeployConfig, at Attacher) (*Coordinator, error) {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	c.settled = sync.NewCond(&c.mu)
 	c.work = newWorkers(&c.wg, c.stop)
 	stages := cfg.Metrics.LatencyVec("drtp_cp_stage_seconds",
 		"Setup-pipeline stage latency: admission, establish, total.", "stage")
@@ -321,9 +318,13 @@ func (c *Coordinator) checkHeartbeats() {
 			rec.downReason = "heartbeat-miss"
 			rec.downcasts = c.cfg.RetryLimit - 1
 			dead = append(dead, n)
-		} else if rec.down && rec.downcasts > 0 {
+		} else if rec.excluded() && rec.downcasts > 0 {
 			rec.downcasts--
-			rebroadcast = append(rebroadcast, cast{n, rec.downReason})
+			reason := rec.downReason
+			if !rec.down {
+				reason = "drain"
+			}
+			rebroadcast = append(rebroadcast, cast{n, reason})
 		}
 	}
 	c.mu.Unlock()
@@ -338,9 +339,10 @@ func (c *Coordinator) checkHeartbeats() {
 	}
 }
 
-// broadcastDown announces a death to every live node agent, in node
-// order; agents adjacent to the dead node fail their shared links, which
-// floods link-state deaths and activates affected backups.
+// broadcastDown announces a death or a drain to every live node agent, in
+// node order; agents adjacent to the node fail their shared links, or
+// hold them down for a drain, which floods link-state deaths and reports
+// the connections crossing them to their sources.
 func (c *Coordinator) broadcastDown(node graph.NodeID, reason string) {
 	msg := proto.NodeDown{Node: node, Reason: reason}
 	c.mu.Lock()
@@ -356,27 +358,7 @@ func (c *Coordinator) broadcastDown(node graph.NodeID, reason string) {
 	}
 }
 
-// excludedNodesLocked lists, ascending, the nodes new routes must avoid:
-// draining or dead. Callers must hold c.mu.
-func (c *Coordinator) excludedNodesLocked() []graph.NodeID {
-	var out []graph.NodeID
-	for n, rec := range c.nodes {
-		if rec.excluded() {
-			out = append(out, graph.NodeID(n))
-		}
-	}
-	return out
-}
-
-// excludeLocked lists the excluded nodes a connection's routes must
-// avoid: all but its own endpoints. Callers must hold c.mu.
-func (c *Coordinator) excludeLocked(rec *connRec) []graph.NodeID {
-	return slices.DeleteFunc(c.excludedNodesLocked(), func(n graph.NodeID) bool {
-		return n == rec.src || n == rec.dst
-	})
-}
-
-// excluded reports whether new routes must avoid the node.
+// excluded reports whether admission refuses the node as an endpoint.
 func (rec nodeRec) excluded() bool { return rec.draining || rec.down }
 
 // inTopology reports whether a node ID off the wire names a topology
@@ -389,8 +371,8 @@ func (c *Coordinator) inTopology(n graph.NodeID) bool {
 // the establishment on a worker.
 // A duplicate request for a pending connection is answered by the
 // command in flight; one for an established connection asks its source
-// again, around the excluded nodes, and is answered with the routes the
-// connection holds then. Client retries are thereby idempotent.
+// again and is answered with the routes the connection holds then.
+// Client retries are thereby idempotent.
 func (c *Coordinator) handleEstablish(from graph.NodeID, m proto.EstablishRequest) {
 	start := time.Now()
 	c.mu.Lock()
@@ -413,9 +395,8 @@ func (c *Coordinator) handleEstablish(from graph.NodeID, m proto.EstablishReques
 	case dup:
 		rec.pending = true
 		rec.waiters = []graph.NodeID{from}
-		exclude := c.excludeLocked(rec)
 		c.mu.Unlock()
-		c.work.run(func() { c.ensure(m.Conn, rec, exclude, false) })
+		c.work.run(func() { c.ensure(m.Conn, rec, false) })
 		return
 	case !c.inTopology(m.Src):
 		reason = "unknown-src"
@@ -446,14 +427,13 @@ func (c *Coordinator) handleEstablish(from graph.NodeID, m proto.EstablishReques
 	c.usage[m.Tenant]++
 	rec = &connRec{tenant: m.Tenant, src: m.Src, dst: m.Dst, pending: true, waiters: []graph.NodeID{from}}
 	c.conns[m.Conn] = rec
-	exclude := c.excludeLocked(rec)
 	c.mu.Unlock()
 	c.latAdmission.ObserveSince(start)
 
 	c.work.run(func() {
 		defer c.latTotal.ObserveSince(start)
 		cmdStart := time.Now()
-		res, _ := c.ensure(m.Conn, rec, exclude, true)
+		res, _ := c.ensure(m.Conn, rec, true)
 		c.latEstablish.ObserveSince(cmdStart)
 		if res.OK {
 			c.log.Info("connection admitted", "conn", int64(m.Conn), "tenant", m.Tenant,
@@ -469,18 +449,17 @@ func establishReply(id lsdb.ConnID, res proto.ConnCommandResult) proto.Establish
 	return proto.EstablishReply{Conn: id, OK: res.OK, Reason: res.Reason, Primary: res.Primary, Backups: res.Backups}
 }
 
-// ensure commands the source of a pending record to hold the connection
-// on routes around exclude, then settles the record and answers its
-// waiters. The connection is gone, and its record dropped, when the
-// source answers no or the admitting command gets no answer; a command
-// for an admitted connection that gets none keeps the record, as the
-// source may hold the connection still. Releases that arrived meanwhile
-// are carried out and answered. A command that cannot complete reports
-// its error as the result's Reason.
-func (c *Coordinator) ensure(id lsdb.ConnID, rec *connRec, exclude []graph.NodeID, admitting bool) (res proto.ConnCommandResult, gone bool) {
-	res, err := c.command(rec.src, proto.ConnCommand{
-		Op: proto.OpEstablish, Conn: id, Dst: rec.dst, Exclude: exclude,
-	})
+// ensure commands the source of a pending record to hold the connection,
+// then settles the record and answers its waiters. The connection is
+// gone, and its record dropped, when the source answers no or the
+// admitting command gets no answer; a command for an admitted connection
+// that gets none keeps the record, as the source may hold the connection
+// still. Releases that arrived meanwhile are carried out and answered, and
+// so is the release of a connection one of whose endpoints began to drain
+// meanwhile, whose waiters are refused "endpoint-excluded". A command that
+// cannot complete reports its error as the result's Reason.
+func (c *Coordinator) ensure(id lsdb.ConnID, rec *connRec, admitting bool) (res proto.ConnCommandResult, gone bool) {
+	res, err := c.command(rec.src, proto.ConnCommand{Op: proto.OpEstablish, Conn: id, Dst: rec.dst})
 	if err != nil {
 		res.Reason = "establish-command: " + err.Error()
 	}
@@ -489,11 +468,14 @@ func (c *Coordinator) ensure(id lsdb.ConnID, rec *connRec, exclude []graph.NodeI
 	rec.pending = false
 	waiters, releases := rec.waiters, rec.releases
 	rec.waiters, rec.releases = nil, nil
-	if gone || len(releases) > 0 {
+	drained := !gone && (c.nodes[rec.src].draining || c.nodes[rec.dst].draining)
+	if drained {
+		res = proto.ConnCommandResult{Reason: "endpoint-excluded"}
+	}
+	if gone || drained || len(releases) > 0 {
 		delete(c.conns, id)
 		c.usage[rec.tenant]--
 	}
-	c.settled.Broadcast()
 	c.mu.Unlock()
 	for _, to := range waiters {
 		_ = c.ep.Send(to, establishReply(id, res))
@@ -503,7 +485,7 @@ func (c *Coordinator) ensure(id lsdb.ConnID, rec *connRec, exclude []graph.NodeI
 		for _, to := range releases {
 			_ = c.ep.Send(to, proto.ReleaseReply{Conn: id, OK: true, Reason: "not-found"})
 		}
-	case len(releases) > 0:
+	case drained || len(releases) > 0:
 		c.release(rec.src, id, rec.tenant, releases...)
 	}
 	return res, gone
@@ -556,16 +538,24 @@ func (c *Coordinator) release(src graph.NodeID, id lsdb.ConnID, tenant string, r
 	}
 }
 
-// handleDrain starts a graceful drain: the node is marked
-// unschedulable (new routes avoid it, its readiness probe flips), the
-// connections whose routes cross it now are migrated onto routes that
-// avoid it, and connections originated or terminated there are
-// released. The reply reports migrated and dropped counts.
+// handleDrain starts a graceful drain. The node is marked unschedulable:
+// admission refuses it as an endpoint, and its readiness probe flips. The
+// connections originated or terminated there are released, in parallel,
+// except one whose command is in flight, released when that settles
+// (ensure), and one whose source is held down, left as it is since its
+// source cannot answer. Once the releases are answered the node is
+// announced as a death is (broadcastDown), and re-announced on later ticks
+// from the same budget. Its neighbours hold their links to it down, and
+// the source of every connection crossing those links moves it off on
+// its own: a primary switches to its backup and is re-protected, a backup
+// is replaced. The reply follows the announcement and counts the
+// connections released.
 func (c *Coordinator) handleDrain(from graph.NodeID, m proto.DrainRequest) {
 	if !c.inTopology(m.Node) {
 		_ = c.ep.Send(from, proto.DrainReply{Node: m.Node, Reason: "unknown-node"})
 		return
 	}
+	releases := make(map[lsdb.ConnID]*connRec)
 	c.mu.Lock()
 	rec := &c.nodes[m.Node]
 	reply := proto.DrainReply{Node: m.Node}
@@ -576,12 +566,19 @@ func (c *Coordinator) handleDrain(from graph.NodeID, m proto.DrainRequest) {
 	case rec.down:
 		reply.Reason = "node-down"
 	case rec.drainRunning:
-		// The running drain's worker replies to its requester; a retry
-		// that raced it is answered "already-drained" on its next attempt.
+		// The running drain replies to its requester; a retry that raced
+		// it is answered "already-drained" on its next attempt.
 	case rec.draining:
 		reply.OK, reply.Reason = true, "already-drained"
 	default:
 		rec.draining, rec.drainRunning, started = true, true, true
+		for id, cr := range c.conns {
+			if (cr.src == m.Node || cr.dst == m.Node) && !cr.pending && !c.nodes[cr.src].down {
+				delete(c.conns, id)
+				c.usage[cr.tenant]--
+				releases[id] = cr
+			}
+		}
 	}
 	c.mu.Unlock()
 	if reply.Reason != "" {
@@ -596,89 +593,27 @@ func (c *Coordinator) handleDrain(from graph.NodeID, m proto.DrainRequest) {
 	// Best-effort notification: the node's own readiness probe flips
 	// unready.
 	_ = c.ep.Send(m.Node, proto.Unschedulable{Node: m.Node, On: true})
-
+	var released sync.WaitGroup
+	released.Add(len(releases))
+	for id, cr := range releases {
+		c.work.run(func() {
+			defer released.Done()
+			c.release(cr.src, id, cr.tenant)
+		})
+	}
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		c.drainWorker(from, m.Node)
-	}()
-}
-
-// drainWorker releases the connections originated or terminated at the
-// draining node, asks the source of every other admitted connection to
-// move it off the nodes excluded by then (one that died mid-drain
-// included), then reports completion. Only the source knows a
-// connection's routes, which it switches and re-protects on its own, so
-// each is asked; one whose routes avoid those nodes stays as it is. A
-// connection with a command in flight, whose exclusions may predate the
-// drain, is asked once that settles. No command goes to a source held
-// down: it cannot answer, and may hold its connections still, so they
-// are left as they are.
-func (c *Coordinator) drainWorker(from graph.NodeID, node graph.NodeID) {
-	c.mu.Lock()
-	var terminal, others []lsdb.ConnID
-	for id, rec := range c.conns {
-		if rec.src == node || rec.dst == node {
-			terminal = append(terminal, id)
-		} else {
-			others = append(others, id)
-		}
-	}
-	c.mu.Unlock()
-	slices.Sort(terminal)
-	slices.Sort(others)
-
-	// Terminal connections go first, so their bandwidth is free for the
-	// others' new routes.
-	migrated, dropped := 0, 0
-	for _, id := range append(terminal, others...) {
+		released.Wait()
+		c.broadcastDown(m.Node, "drain")
+		c.tracer.DrainDone(int(m.Node), len(releases))
+		c.log.Info("drain announced", "node", int(m.Node), "dropped", len(releases))
+		_ = c.ep.Send(from, proto.DrainReply{Node: m.Node, OK: true, Dropped: len(releases)})
 		c.mu.Lock()
-		rec := c.conns[id]
-		for rec != nil && rec.pending {
-			c.settled.Wait()
-			rec = c.conns[id]
-		}
-		switch {
-		case rec == nil: // released meanwhile
-			c.mu.Unlock()
-			continue
-		case c.nodes[rec.src].down:
-			c.mu.Unlock()
-			c.log.Info("drain left connection", "node", int(node), "conn", int64(id), "reason", "src-down")
-			continue
-		case rec.src == node || rec.dst == node:
-			delete(c.conns, id)
-			c.usage[rec.tenant]--
-			c.mu.Unlock()
-			reason := "terminal"
-			if _, err := c.command(rec.src, proto.ConnCommand{Op: proto.OpRelease, Conn: id}); err != nil {
-				reason = "terminal (release: " + err.Error() + ")"
-			}
-			dropped++
-			c.log.Info("drain dropped connection", "node", int(node), "conn", int64(id), "reason", reason)
-			continue
-		}
-		rec.pending = true
-		exclude := c.excludeLocked(rec)
+		c.nodes[m.Node].downcasts = c.cfg.RetryLimit - 1
+		c.nodes[m.Node].drainRunning = false
 		c.mu.Unlock()
-		switch res, gone := c.ensure(id, rec, exclude, false); {
-		case gone:
-			dropped++
-			c.log.Info("drain dropped connection", "node", int(node), "conn", int64(id), "reason", res.Reason)
-		case !res.OK:
-			c.log.Info("drain left connection", "node", int(node), "conn", int64(id), "reason", res.Reason)
-		case res.Reason == "migrated":
-			migrated++
-			c.log.Info("drain migrated connection", "node", int(node), "conn", int64(id))
-		}
-	}
-
-	c.mu.Lock()
-	c.nodes[node].drainRunning = false
-	c.mu.Unlock()
-	c.tracer.DrainDone(int(node), migrated, dropped)
-	c.log.Info("drain done", "node", int(node), "migrated", migrated, "dropped", dropped)
-	_ = c.ep.Send(from, proto.DrainReply{Node: node, OK: true, Migrated: migrated, Dropped: dropped})
+	}()
 }
 
 // nextID issues the next RPC identifier, or ErrClosed once Close began.

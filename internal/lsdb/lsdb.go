@@ -642,6 +642,15 @@ func (db *DB) HasBackup(id ConnID, l graph.LinkID) bool {
 	return ok
 }
 
+// HasBackupUnder reports whether connection id's backup traverses link l
+// registered with exactly the given primary LSET.
+func (db *DB) HasBackupUnder(id ConnID, l graph.LinkID, primaryLSET []graph.LinkID) bool {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	k, ok := db.links[l].findBackup(id)
+	return ok && slices.Equal(db.links[l].backups[k].lset, primaryLSET)
+}
+
 // sumLinks adds up one scalar of every link record under the lock.
 func (db *DB) sumLinks(field func(*linkState) int) int {
 	db.mu.Lock()

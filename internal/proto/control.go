@@ -95,12 +95,13 @@ func (m Heartbeat) fields(c *codec) Message {
 }
 
 // NodeDown announces a node's death (missed heartbeats or explicit leave)
-// to every live node agent. Agents adjacent to the
-// dead node declare the shared links failed, which floods link-state
-// deaths and triggers backup activation for affected connections.
+// or drain to every live node agent. Agents adjacent to the node declare
+// the shared links failed, or for a drain hold them down, which floods
+// link-state deaths and sends failure reports to the sources of the
+// connections crossing them.
 type NodeDown struct {
 	Node graph.NodeID
-	// Reason is "heartbeat-miss" or "leave".
+	// Reason is "heartbeat-miss", "leave" or "drain".
 	Reason string
 }
 
@@ -212,7 +213,8 @@ func (m ReleaseReply) fields(c *codec) Message {
 }
 
 // DrainRequest asks the coordinator to drain a node: mark it
-// unschedulable and migrate its re-routable connections off it.
+// unschedulable, release the connections that end at it and announce it
+// to its neighbours, so the sources of all others move them off it.
 type DrainRequest struct {
 	Node graph.NodeID
 }
@@ -226,16 +228,15 @@ func (m DrainRequest) fields(c *codec) Message {
 	return decoded(c, &m)
 }
 
-// DrainReply reports drain completion: Migrated connections were moved
-// onto routes avoiding the node, Dropped could not be (connections
-// originated or terminated at the drained node, at a source held down, or
-// with no alternate route).
+// DrainReply reports that a drain has started: the connections
+// originated or terminated at the node were released (Dropped counts
+// them), and the node was announced to its neighbours, whose held links
+// make every other connection's source move it off the node.
 type DrainReply struct {
-	Node     graph.NodeID
-	OK       bool
-	Reason   string
-	Migrated int
-	Dropped  int
+	Node    graph.NodeID
+	OK      bool
+	Reason  string
+	Dropped int
 }
 
 // Kind implements Message.
@@ -246,24 +247,21 @@ func (m DrainReply) fields(c *codec) Message {
 	vint(c, "DrainReply.Node", &m.Node)
 	c.bool("DrainReply.OK", &m.OK)
 	c.string("DrainReply.Reason", &m.Reason)
-	vint(c, "DrainReply.Migrated", &m.Migrated)
 	vint(c, "DrainReply.Dropped", &m.Dropped)
 	return decoded(c, &m)
 }
 
 // ConnCommand carries one coordinator-driven operation to the source
 // node's agent. For OpEstablish the node's router selects the routes on
-// its own link-state view, as the paper's source does, never using a link
-// to or from a node in Exclude (the coordinator's draining and dead
-// nodes), and signals them hop-by-hop with its usual retry/backoff
+// its own link-state view, as the paper's source does (draining and dead
+// nodes are avoided by link state: their neighbours advertise the links
+// to them empty), and signals them hop-by-hop with its usual retry/backoff
 // discipline. OpEstablish is idempotent: a connection the router holds
-// already keeps its routes, unless one of them visits a node in Exclude;
-// then it is released and established again around them. Primary and
-// Backups are unread and the coordinator sends
-// them empty; they keep their place in the layout because the wire-codec
-// probe of the benchmark (bench/cpload.go) still fills them.
-// Retransmissions reuse Seq so the agent's dedup replays the recorded
-// result instead of re-executing.
+// already is answered with the routes it holds now. Primary and Backups
+// are unread and the coordinator sends them empty; they keep their place
+// in the layout because the wire-codec probe of the benchmark
+// (bench/cpload.go) still fills them. Retransmissions reuse Seq so the
+// agent's dedup replays the recorded result instead of re-executing.
 type ConnCommand struct {
 	Op      ConnOp
 	Conn    lsdb.ConnID
@@ -271,7 +269,6 @@ type ConnCommand struct {
 	Primary []graph.NodeID
 	Backups [][]graph.NodeID
 	Seq     uint64
-	Exclude []graph.NodeID
 }
 
 // Kind implements Message.
@@ -285,15 +282,13 @@ func (m ConnCommand) fields(c *codec) Message {
 	ints(c, "ConnCommand.Primary", &m.Primary)
 	slice(c, "ConnCommand.Backups", &m.Backups, ints)
 	c.uvarint("ConnCommand.Seq", &m.Seq)
-	ints(c, "ConnCommand.Exclude", &m.Exclude)
 	return decoded(c, &m)
 }
 
 // ConnCommandResult reports a ConnCommand's outcome back to the
 // coordinator, echoing Seq. On successful establishment Primary and
 // Backups are the channels the router holds (a backup rejected mid-path
-// is not among them), and Reason is "migrated" when the command moved a
-// connection the router held off a node in Exclude.
+// is not among them).
 type ConnCommandResult struct {
 	Conn    lsdb.ConnID
 	Seq     uint64

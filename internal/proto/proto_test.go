@@ -37,7 +37,7 @@ func TestReplyKeyOf(t *testing.T) {
 		{proto.ConnCommandResult{Conn: 4, Seq: 7, OK: true}, proto.ConnCommandResult{Seq: 7}},
 		{proto.EstablishReply{Conn: 7, OK: true}, proto.EstablishReply{Conn: 7}},
 		{proto.ReleaseReply{Conn: 7, Reason: "x"}, proto.ReleaseReply{Conn: 7}},
-		{proto.DrainReply{Node: 7, Migrated: 2}, proto.DrainReply{Node: 7}},
+		{proto.DrainReply{Node: 7, Dropped: 2}, proto.DrainReply{Node: 7}},
 	}
 	seen := make(map[proto.ReplyKey]string)
 	for _, r := range replies {

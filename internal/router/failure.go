@@ -20,7 +20,7 @@ func (r *Router) sendHellos() {
 	seq := r.helloSeq
 	var nbrs []graph.NodeID
 	for _, n := range r.nbrs {
-		if r.cfg.NbrRecovery || !r.downNbr[n] {
+		if r.cfg.NbrRecovery || !r.isDownLocked(n) {
 			nbrs = append(nbrs, n)
 		}
 	}
@@ -32,8 +32,10 @@ func (r *Router) sendHellos() {
 
 // handleHello refreshes the neighbor liveness timestamp. A hello from a
 // neighbor declared down is ignored by default (the paper's model: a
-// failed link stays failed); with NbrRecovery it revives the adjacency.
-// A hello from any other node changes nothing.
+// failed link stays failed); with NbrRecovery it revives the adjacency,
+// unless the link is held down for the neighbor's drain: a drained
+// neighbor is alive and keeps sending hellos. A hello from any other node
+// changes nothing.
 func (r *Router) handleHello(from graph.NodeID) {
 	l, ok := r.g.LinkBetween(r.cfg.Node, from)
 	if !ok {
@@ -41,8 +43,8 @@ func (r *Router) handleHello(from graph.NodeID) {
 	}
 	r.mu.Lock()
 	recovered := false
-	if r.downNbr[from] {
-		if !r.cfg.NbrRecovery {
+	if held, down := r.downNbr[from]; down {
+		if held || !r.cfg.NbrRecovery {
 			r.mu.Unlock()
 			return
 		}
@@ -55,6 +57,13 @@ func (r *Router) handleHello(from graph.NodeID) {
 	if recovered {
 		r.log.Info("neighbor recovered", "neighbor", int(from))
 	}
+}
+
+// isDownLocked reports whether the link to neighbor n is down, failed or
+// held. Callers must hold r.mu.
+func (r *Router) isDownLocked(n graph.NodeID) bool {
+	_, down := r.downNbr[n]
+	return down
 }
 
 // failureReport pairs a report with its destination.
@@ -73,34 +82,40 @@ func (r *Router) sendFailureReports(reports []failureReport) {
 	}
 }
 
-// declareDownLocked marks the adjacency to nbr failed and collects the
-// failure reports to send (DRTP steps 2 and 3); a node that is no
-// neighbour changes nothing. Callers must hold r.mu.
-func (r *Router) declareDownLocked(nbr graph.NodeID) []failureReport {
+// declareDownLocked marks the adjacency to nbr down, failed or held for a
+// drain, and collects the failure reports to send (DRTP steps 2 and 3). A
+// failed link reports the primaries crossing it, as the paper's failure
+// model has it; a held link reports the backups registered on it too, so
+// their sources move them off a node that is leaving. A link already down,
+// or to a node that is no neighbour, changes nothing. Callers must hold
+// r.mu.
+func (r *Router) declareDownLocked(nbr graph.NodeID, held bool) []failureReport {
 	l, ok := r.g.LinkBetween(r.cfg.Node, nbr)
-	if !ok || r.downNbr[nbr] {
+	if !ok || r.isDownLocked(nbr) {
 		return nil
 	}
-	r.downNbr[nbr] = true
-	r.log.Warn("link failure detected", "neighbor", int(nbr))
+	r.downNbr[nbr] = held
+	r.log.Warn("link failure detected", "neighbor", int(nbr), "held", held)
 	r.markDirtyLocked(l)
 	r.tracer.LinkFail(int(r.cfg.Node), int(l))
-	// Group the affected primaries by source and notify each, sources
+	// Group the affected connections by source and notify each, sources
 	// and each report's connections ascending, so a failure sends the
 	// same reports in the same order on every run. The source labels the
 	// switch with its own record's span context.
-	prim := r.transitPrim[l]
-	ids := make([]lsdb.ConnID, 0, len(prim))
-	for id := range prim {
-		ids = append(ids, id)
+	on := r.transit[l]
+	ids := make([]lsdb.ConnID, 0, len(on))
+	for id := range on {
+		if held || r.db.HasPrimary(id, l) {
+			ids = append(ids, id)
+		}
 	}
 	slices.SortFunc(ids, func(a, b lsdb.ConnID) int {
-		return cmp.Or(cmp.Compare(prim[a], prim[b]), cmp.Compare(a, b))
+		return cmp.Or(cmp.Compare(on[a], on[b]), cmp.Compare(a, b))
 	})
 	var reports []failureReport
 	for i, id := range ids {
-		if i == 0 || prim[id] != prim[ids[i-1]] {
-			reports = append(reports, failureReport{src: prim[id], msg: proto.FailureReport{Link: l}})
+		if i == 0 || on[id] != on[ids[i-1]] {
+			reports = append(reports, failureReport{src: on[id], msg: proto.FailureReport{Link: l}})
 		}
 		rep := &reports[len(reports)-1]
 		rep.msg.Conns = append(rep.msg.Conns, id)
@@ -117,10 +132,10 @@ func (r *Router) checkNeighbors(now time.Time) {
 	r.mu.Lock()
 	var reports []failureReport
 	for _, nbr := range r.nbrs {
-		if r.downNbr[nbr] || now.Sub(r.lastHello[nbr]) <= deadline {
+		if r.isDownLocked(nbr) || now.Sub(r.lastHello[nbr]) <= deadline {
 			continue
 		}
-		reports = append(reports, r.declareDownLocked(nbr)...)
+		reports = append(reports, r.declareDownLocked(nbr, false)...)
 	}
 	r.mu.Unlock()
 
@@ -132,75 +147,125 @@ func (r *Router) checkNeighbors(now time.Time) {
 // notified, exactly as hello-based detection would do; a node that is no
 // neighbour changes nothing. Intended for tests, demos and the control
 // plane's node deaths.
-func (r *Router) FailLink(nbr graph.NodeID) {
+func (r *Router) FailLink(nbr graph.NodeID) { r.declareDown(nbr, false) }
+
+// HoldLink declares the link to a draining neighbor down as FailLink
+// does, but held: hellos never revive it, as the neighbor is alive, and
+// its reports name the backups registered on it too. The control plane's
+// drains call it.
+func (r *Router) HoldLink(nbr graph.NodeID) { r.declareDown(nbr, true) }
+
+func (r *Router) declareDown(nbr graph.NodeID, held bool) {
 	r.mu.Lock()
-	reports := r.declareDownLocked(nbr)
+	reports := r.declareDownLocked(nbr, held)
 	r.mu.Unlock()
 	r.sendFailureReports(reports)
 }
 
-// handleFailureReport starts channel switching for each reported
-// connection whose primary crosses the failed link. A report naming a link
-// the primary no longer crosses — a duplicate, or one outrun by an earlier
-// switch — is absorbed, so a connection switches again when its new
-// primary fails.
+// report is a reported link as a source queues it, with when the report
+// arrived: the disruption clock starts there, the point the paper
+// measures service disruption from.
+type report struct {
+	link graph.LinkID
+	at   time.Time
+}
+
+// handleFailureReport queues the report for each connection it names, for
+// the goroutine moving that connection (moveOff), started if none runs.
 func (r *Router) handleFailureReport(m proto.FailureReport) {
-	// The disruption clock starts when the failure report reaches the
-	// source — the point the paper measures service disruption from.
-	start := time.Now()
+	rep := report{link: m.Link, at: time.Now()}
 	for _, id := range m.Conns {
 		r.mu.Lock()
-		c := r.conns[id]
-		switch {
-		case c == nil || r.closed:
+		if c := r.conns[id]; c != nil && !r.closed {
+			c.reported = append(c.reported, rep)
+			if !c.switching {
+				// The moves' round trips block, so a helper goroutine runs
+				// them. It is counted under mu, before Close can mark the
+				// router closed and wait: a report handled in place on
+				// another goroutine starts no move that Close misses.
+				c.switching = true
+				r.wg.Add(1)
+				go r.moveOff(c)
+			}
+		}
+		r.mu.Unlock()
+	}
+}
+
+// moveOff takes c's queued reports in turn: a primary crossing the
+// reported link switches (runSwitch), a backup crossing it is replaced
+// (replaceBackup). A report naming a link c no longer crosses — a
+// duplicate, or one outrun by an earlier move — is absorbed, so c moves
+// again when its new routes fail; so is any report for a dropped c. While
+// c.switching is set this goroutine owns c's lifecycle record; everyone
+// else reads c.info.
+func (r *Router) moveOff(c *conn) {
+	defer r.wg.Done()
+	for {
+		r.mu.Lock()
+		c.publish(r.g)
+		dead, released := c.info.Dead, r.conns[c.ID] != c
+		if dead || released || len(c.reported) == 0 {
+			c.switching, c.reported = false, nil
 			r.mu.Unlock()
-		case c.switching || c.info.Dead || !c.Primary.Contains(m.Link):
-			r.mu.Unlock()
-			r.tracer.DedupHit(c.Trace, int64(id), int(r.cfg.Node), "failure-report")
+			if released && !dead {
+				r.life.Release(&c.Conn, false)
+			}
+			return
+		}
+		rep := c.reported[0]
+		c.reported = c.reported[1:]
+		r.mu.Unlock()
+		switch i := slices.IndexFunc(c.Backups, func(b graph.Path) bool { return b.Contains(rep.link) }); {
+		case c.Primary.Contains(rep.link):
+			r.runSwitch(c, rep)
+		case i >= 0:
+			r.replaceBackup(c, i, rep.link)
 		default:
-			// The switch's round trips block, so a helper goroutine runs
-			// it. It is counted under mu, before Close can mark the router
-			// closed and wait: a report handled in place on another
-			// goroutine starts no switch that Close misses.
-			c.switching = true
-			r.wg.Add(1)
-			r.mu.Unlock()
-			go r.runSwitch(c, int(m.Link), start)
+			r.tracer.DedupHit(c.Trace, int64(c.ID), int(r.cfg.Node), "failure-report")
 		}
 	}
 }
 
 // runSwitch moves c onto its first backup that activates and re-protects
-// it, or drops it when none does. While c.switching is set this goroutine
-// owns c's lifecycle record; everyone else reads c.info. start is when the
-// failure report arrived, closing the disruption-time span.
-func (r *Router) runSwitch(c *conn, failedLink int, start time.Time) {
-	defer r.wg.Done()
-	if !r.life.Switch(&c.Conn, failedLink) {
+// it, or drops it when none does.
+func (r *Router) runSwitch(c *conn, rep report) {
+	if !r.life.Switch(&c.Conn, int(rep.link)) {
 		r.log.Error("connection lost", "conn", int64(c.ID), "backupsTried", len(c.Backups))
 		r.life.Release(&c.Conn, true)
-		r.tracer.ActivationDenied(r.schemeName, c.Trace, int64(c.ID), failedLink, "dropped")
+		r.tracer.ActivationDenied(r.schemeName, c.Trace, int64(c.ID), int(rep.link), "dropped")
 		c.Backups = nil
 		r.mu.Lock()
-		c.switching, c.info.Dead = false, true
-		c.publish(r.g)
+		c.info.Dead = true
 		r.mu.Unlock()
 		return
 	}
 	r.log.Warn("channel switched to backup", "conn", int64(c.ID))
-	r.mDisruptionSeconds.ObserveSince(start)
+	r.mDisruptionSeconds.ObserveSince(rep.at)
 	r.mu.Lock()
 	c.info.Switched = true
 	c.publish(r.g)
 	r.mu.Unlock()
+	r.life.Reprotect(&c.Conn, func(c *lifecycle.Conn) []graph.Path { return r.backupsAround(c, rep.link, r.cfg.Backups) })
+}
 
-	r.life.Reprotect(&c.Conn, func(c *lifecycle.Conn) []graph.Path { return r.topUp(c, graph.LinkID(failedLink)) })
-	r.mu.Lock()
-	c.switching = false
-	c.publish(r.g)
-	released := r.conns[c.ID] != c
-	r.mu.Unlock()
-	if released {
-		r.life.Release(&c.Conn, false)
+// replaceBackup moves c's backup i off the held link l, make before
+// break: a fresh one, routed around l's edge, is registered first, and the
+// old one released after on the links the fresh one does not reuse. A
+// link they share keeps the registration it holds, the same primary's, so
+// no link sees the new registration race the old one's teardown. Without
+// a fresh backup the old one is released whole.
+func (r *Router) replaceBackup(c *conn, i int, l graph.LinkID) {
+	old := c.Backups[i]
+	c.Backups = slices.Delete(c.Backups, i, i+1)
+	if fresh := r.backupsAround(&c.Conn, l, len(c.Backups)+1); len(fresh) > 0 {
+		err := r.life.Channels.Register(c.ID, c.Trace, fresh[0], c.Primary)
+		if err == nil {
+			c.Backups = slices.Insert(c.Backups, i, fresh[0])
+			r.releaseOutside(c.ID, c.Trace, proto.Backup, old, fresh[0])
+			return
+		}
+		r.log.Warn("backup replacement refused", "conn", int64(c.ID), "err", err)
 	}
+	r.life.Channels.Release(c.ID, c.Trace, proto.Backup, old, false)
 }

@@ -292,11 +292,12 @@ func (r *Router) advertise(refresh bool) {
 	r.flood(to, update)
 }
 
-// advertForLocked summarizes one local link. Links to failed neighbors
-// advertise zero bandwidth so remote routing excludes them.
+// advertForLocked summarizes one local link. Links to neighbors declared
+// down, failed or held for a drain, advertise zero bandwidth so remote
+// routing excludes them.
 // Callers must hold r.mu.
 func (r *Router) advertForLocked(l graph.LinkID) proto.LinkAdvert {
-	if r.downNbr[r.g.Link(l).To] {
+	if r.isDownLocked(r.g.Link(l).To) {
 		return proto.LinkAdvert{
 			Link: l,
 			CV:   make([]byte, (r.g.NumLinks()+7)/8),
@@ -344,7 +345,7 @@ func (r *Router) floodTargetsLocked(dst []graph.NodeID, m proto.LSUpdate, from g
 		return dst
 	}
 	for _, n := range r.tree.children(m.Origin) {
-		if n != from && !r.downNbr[n] {
+		if n != from && !r.isDownLocked(n) {
 			dst = append(dst, n)
 		}
 	}

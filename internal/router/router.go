@@ -197,10 +197,13 @@ type ConnInfo struct {
 type conn struct {
 	lifecycle.Conn
 	info ConnInfo
-	// switching guards against duplicate switch attempts from repeated
-	// failure reports. While it is set the switch goroutine owns the
-	// lifecycle record; everyone else reads info.
+	// switching is set while a goroutine moves the connection off reported
+	// links (moveOff). It owns the lifecycle record meanwhile; everyone
+	// else reads info.
 	switching bool
+	// reported queues the reports that arrive while switching is set, for
+	// that goroutine to take in turn.
+	reported []report
 }
 
 // publish refreshes the info snapshot from the lifecycle record. Callers
@@ -303,15 +306,17 @@ type Router struct {
 	// conns records connections originated here; a nil record is an ID
 	// claimed by an establishment still signalling; guarded by mu.
 	conns map[lsdb.ConnID]*conn
-	// transitPrim maps each outgoing link to the primaries reserved on it
-	// and their source routers, the ones to notify on failure; guarded by
-	// mu.
-	transitPrim map[graph.LinkID]map[lsdb.ConnID]graph.NodeID
+	// transit maps each outgoing link to the connections holding a primary
+	// reservation or a backup registration on it and their source routers,
+	// the ones to notify when it goes down; guarded by mu.
+	transit map[graph.LinkID]map[lsdb.ConnID]graph.NodeID
 	// lastHello stamps the latest keep-alive per neighbor; guarded by mu.
 	lastHello map[graph.NodeID]time.Time
 	// helloSeq numbers outgoing hellos; guarded by mu.
 	helloSeq uint64
-	// downNbr marks neighbors declared failed; guarded by mu.
+	// downNbr marks the neighbors whose link is down: false for a failed
+	// link, true for one held down for the neighbor's drain, which hellos
+	// never revive; guarded by mu.
 	downNbr map[graph.NodeID]bool
 	// closed is set once Close begins; guarded by mu.
 	closed bool
@@ -361,25 +366,25 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 	}
 	nbrs := cfg.Graph.Neighbors(cfg.Node)
 	r := &Router{
-		cfg:         cfg,
-		ep:          ep,
-		g:           cfg.Graph,
-		nbrs:        nbrs,
-		tree:        newFloodTree(cfg.Graph, cfg.Node, nbrs),
-		db:          db,
-		view:        NewLinkStateView(cfg.Graph, cfg.Capacity, cfg.UnitBW, cfg.Scheme),
-		holdDown:    time.NewTimer(time.Hour),
-		seenSig:     dedup.NewWindow[dedupKey, sigResult](maxSeenSig, hashDedupKey),
-		tombstones:  dedup.NewWindow[lsdb.ConnID, uint64](maxTombstones, hashConnID),
-		conns:       make(map[lsdb.ConnID]*conn),
-		transitPrim: make(map[graph.LinkID]map[lsdb.ConnID]graph.NodeID),
-		lastHello:   make(map[graph.NodeID]time.Time),
-		downNbr:     make(map[graph.NodeID]bool),
-		log:         cfg.Logger.With("node", int(cfg.Node)),
-		tracer:      cfg.Telemetry,
-		schemeName:  cfg.Scheme.String(),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
+		cfg:        cfg,
+		ep:         ep,
+		g:          cfg.Graph,
+		nbrs:       nbrs,
+		tree:       newFloodTree(cfg.Graph, cfg.Node, nbrs),
+		db:         db,
+		view:       NewLinkStateView(cfg.Graph, cfg.Capacity, cfg.UnitBW, cfg.Scheme),
+		holdDown:   time.NewTimer(time.Hour),
+		seenSig:    dedup.NewWindow[dedupKey, sigResult](maxSeenSig, hashDedupKey),
+		tombstones: dedup.NewWindow[lsdb.ConnID, uint64](maxTombstones, hashConnID),
+		conns:      make(map[lsdb.ConnID]*conn),
+		transit:    make(map[graph.LinkID]map[lsdb.ConnID]graph.NodeID),
+		lastHello:  make(map[graph.NodeID]time.Time),
+		downNbr:    make(map[graph.NodeID]bool),
+		log:        cfg.Logger.With("node", int(cfg.Node)),
+		tracer:     cfg.Telemetry,
+		schemeName: cfg.Scheme.String(),
+		stop:       make(chan struct{}),
+		done:       make(chan struct{}),
 	}
 	// The hold-down timer starts stopped; markDirtyLocked arms it.
 	r.holdDown.Stop()

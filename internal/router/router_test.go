@@ -557,20 +557,123 @@ func TestEstablishOutsideTopologyIsAnError(t *testing.T) {
 	}
 }
 
-// TestEstablishAvoiding: routes established around a node use no link of
-// it, the backup included, and IDs outside the topology avoid nothing.
-func TestEstablishAvoiding(t *testing.T) {
-	c := newCluster(t, theta(t), 10)
-	info, err := c.Router(0).Establish(1, 1, -1, 2, 99)
+// TestDrainHeldLinkStaysDownUnderHellos: with NbrRecovery on, a hello
+// revives a link declared failed but not one held down for the
+// neighbour's drain, which stays advertised empty.
+func TestDrainHeldLinkStaysDownUnderHellos(t *testing.T) {
+	g, err := topology.Ring(12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !nodesEqual(info.Primary, 0, 1) || !nodesEqual(info.Backup, 0, 3, 4, 1) {
-		t.Fatalf("primary %v backup %v, want 0-1 and 0-3-4-1", info.Primary, info.Backup)
+	mem := transport.NewMem()
+	defer mem.Close()
+	ep, err := mem.Attach(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := c.Router(0).Establish(2, 4, 3, 1); !errors.Is(err, router.ErrNoRoute) {
-		t.Fatalf("establish with every route to 4 avoided: err = %v, want ErrNoRoute", err)
+	// No hello tick inside the test: only the hellos sent below arrive.
+	r, err := router.New(router.Config{Node: 0, Graph: g, Capacity: 10, UnitBW: 1,
+		HelloInterval: time.Hour, NbrRecovery: true}, ep)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer r.Close()
+	r.HoldLink(1)
+	r.FailLink(11)
+	// The switchboard delivers in arrival order, so once neighbour 11's
+	// link is revived the drained neighbour 1's hello has been handled.
+	for _, n := range []graph.NodeID{1, 11} {
+		nbr, err := mem.Attach(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := nbr.Send(0, proto.Hello{From: n, Seq: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A down mark is true for a held link, false for a failed one.
+	waitFor(t, "the failed link revived", func() bool {
+		_, down := r.HelloState()
+		_, failed := down[11]
+		return !failed
+	})
+	if _, down := r.HelloState(); !down[1] {
+		t.Fatalf("down marks %v: the held link to 1 was revived", down)
+	}
+	l01, _ := g.LinkBetween(0, 1)
+	if prim, backup, _ := r.View(l01); prim != 0 || backup != 0 {
+		t.Fatalf("held link advertised with %d/%d free, want 0/0", prim, backup)
+	}
+}
+
+// TestDrainReplacesBackupMakeBeforeBreak: a held link reports a
+// connection with only a backup on it, and the source replaces that
+// backup by one around the drained node, registered before the old one
+// is released. The only replacement shares its last link with the old
+// backup: that hop keeps the registration it holds instead of refusing a
+// second backup of the connection, and the release spares it. The primary
+// stays as it is.
+func TestDrainReplacesBackupMakeBeforeBreak(t *testing.T) {
+	// 0-1 is the primary; the backups 0-2-3-1 and 0-4-3-1 share 3-1.
+	g, err := topology.FromEdgeList(5, [][2]int{{0, 1}, {0, 2}, {2, 3}, {3, 1}, {0, 4}, {4, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf safeBuffer
+	mem := transport.NewMem()
+	c, err := router.NewCluster(router.Config{
+		Graph:         g,
+		Capacity:      10,
+		UnitBW:        1,
+		HelloInterval: 10 * time.Millisecond,
+		HelloMiss:     noDetector,
+		LSInterval:    20 * time.Millisecond,
+		Logger:        slog.New(slog.NewTextHandler(&buf, nil)),
+	}, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		c.Close()
+		_ = mem.Close()
+	}()
+	src := c.Router(0)
+	info, err := src.Establish(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !nodesEqual(info.Primary, 0, 1) || len(info.Backup) != 4 {
+		t.Fatalf("primary %v backup %v, want 0-1 and a 3-hop backup", info.Primary, info.Backup)
+	}
+	// The node on the backup drains: both its neighbours hold their links
+	// to it.
+	x := info.Backup[1]
+	y := 6 - x // the other of 2 and 4
+	c.Router(0).HoldLink(x)
+	c.Router(3).HoldLink(x)
+	waitFor(t, "the backup replaced", func() bool {
+		got, ok := src.Conn(1)
+		return ok && len(got.Backups) == 1 && nodesEqual(got.Backups[0], 0, y, 3, 1)
+	})
+	got, _ := src.Conn(1)
+	if got.Switched || !nodesEqual(got.Primary, 0, 1) {
+		t.Fatalf("primary %v switched=%v, want 0-1 untouched", got.Primary, got.Switched)
+	}
+	for _, hop := range [][2]graph.NodeID{{0, x}, {x, 3}, {0, y}, {y, 3}, {3, 1}} {
+		l, _ := g.LinkBetween(hop[0], hop[1])
+		db := c.Router(hop[0]).DB()
+		want := hop[0] != x && hop[1] != x
+		waitFor(t, fmt.Sprintf("backup registration on %d->%d = %v", hop[0], hop[1], want), func() bool {
+			return db.HasBackup(1, l) == want
+		})
+	}
+	if out := buf.String(); strings.Contains(out, "already has a backup") || strings.Contains(out, "replacement refused") {
+		t.Fatalf("a hop refused the fresh backup:\n%s", out)
+	}
+	if err := src.Release(1); err != nil {
+		t.Fatal(err)
+	}
+	waitDrained(t, c)
 }
 
 func TestFailedLinkAdvertisedUnavailable(t *testing.T) {

@@ -3,7 +3,6 @@ package router
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"github.com/rtcl/drtp/internal/graph"
@@ -32,23 +31,15 @@ var (
 // admission policy). All routes come from the local link-state view before
 // anything is reserved, as the simulator's schemes take them from one
 // snapshot. A dst outside the topology is an error wrapping ErrNoRoute.
-// The routes, the primary and every backup, use no link to or from a node
-// in avoid; IDs outside the topology avoid nothing. The control plane
-// passes its draining and dead nodes.
+// Dead and draining nodes are avoided by link state alone: their
+// neighbours advertise the links to them empty.
 //
 // The ID is claimed by a nil record in conns, made under the lock that
 // checked for duplicates, so a concurrent request for the same ID fails
 // at once instead of sharing this one's round trips.
-func (r *Router) Establish(id lsdb.ConnID, dst graph.NodeID, avoid ...graph.NodeID) (ConnInfo, error) {
+func (r *Router) Establish(id lsdb.ConnID, dst graph.NodeID) (ConnInfo, error) {
 	if dst < 0 || int(dst) >= r.g.NumNodes() {
 		return ConnInfo{}, fmt.Errorf("%w: destination %d outside the topology", ErrNoRoute, dst)
-	}
-	var avoided func(graph.LinkID) bool
-	if len(avoid) > 0 {
-		avoided = func(l graph.LinkID) bool {
-			lk := r.g.Link(l)
-			return slices.Contains(avoid, lk.From) || slices.Contains(avoid, lk.To)
-		}
 	}
 	start := time.Now()
 	r.mu.Lock()
@@ -67,17 +58,18 @@ func (r *Router) Establish(id lsdb.ConnID, dst graph.NodeID, avoid ...graph.Node
 	out := r.life.Establish(&c.Conn, func() (graph.Path, []graph.Path, error) {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		// Minimum-hop and feasible on the view, never leaving through a
-		// link to a neighbour declared down; the backups need no such
-		// block, as such links advertise zero bandwidth.
-		p := r.view.RoutePrimary(r.cfg.Node, dst, func(l graph.LinkID) bool {
+		// Minimum-hop and feasible on the view. Neither the primary nor a
+		// backup leaves through a link to a neighbour declared down, which
+		// the view shows empty: a backup might take it as a last resort.
+		down := func(l graph.LinkID) bool {
 			lk := r.g.Link(l)
-			return lk.From == r.cfg.Node && r.downNbr[lk.To] || avoided != nil && avoided(l)
-		})
+			return lk.From == r.cfg.Node && r.isDownLocked(lk.To)
+		}
+		p := r.view.RoutePrimary(r.cfg.Node, dst, down)
 		if p.Empty() {
 			return p, nil, ErrNoRoute
 		}
-		return p, r.view.Backups(p, nil, r.cfg.Backups, avoided), nil
+		return p, r.view.Backups(p, nil, r.cfg.Backups, down), nil
 	})
 	if out.Reason != "" {
 		r.mu.Lock()
@@ -105,13 +97,14 @@ func (r *Router) Establish(id lsdb.ConnID, dst graph.NodeID, avoid ...graph.Node
 	return info, nil
 }
 
-// topUp routes fresh backups for a connection switched off the failed
-// link, whose edge is blocked: the view may not carry the news yet.
-func (r *Router) topUp(c *lifecycle.Conn, failed graph.LinkID) []graph.Path {
+// backupsAround routes backups for c until it holds k, never over the
+// edge of link down, which failed or is held down: the view may not carry
+// the news yet.
+func (r *Router) backupsAround(c *lifecycle.Conn, down graph.LinkID, k int) []graph.Path {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.view.Backups(c.Primary, c.Backups, r.cfg.Backups, func(l graph.LinkID) bool {
-		return r.g.Link(l).Edge == r.g.Link(failed).Edge
+	return r.view.Backups(c.Primary, c.Backups, k, func(l graph.LinkID) bool {
+		return r.g.Link(l).Edge == r.g.Link(down).Edge
 	})
 }
 
@@ -164,10 +157,15 @@ func (r channels) Release(id lsdb.ConnID, trace uint64, k proto.ChannelKind, p g
 }
 
 // ReleaseOutside implements lifecycle.Channels: links the new primary
-// reuses keep their reservation (the activation left it in place), so the
-// sweep is sent once per maximal run of old links outside keep, each
-// starting at the run's first router, and retransmitted.
+// reuses keep their reservation (the activation left it in place).
 func (r channels) ReleaseOutside(id lsdb.ConnID, trace uint64, old, keep graph.Path) {
+	r.releaseOutside(id, trace, proto.Primary, old, keep)
+}
+
+// releaseOutside releases old's channel of kind k on the links keep does
+// not traverse: the sweep is sent once per maximal run of them, each
+// starting at the run's first router, and retransmitted.
+func (r *Router) releaseOutside(id lsdb.ConnID, trace uint64, k proto.ChannelKind, old, keep graph.Path) {
 	links := old.Links()
 	for from := 0; from < len(links); from++ {
 		if keep.Contains(links[from]) {
@@ -177,7 +175,7 @@ func (r channels) ReleaseOutside(id lsdb.ConnID, trace uint64, old, keep graph.P
 		for upTo < len(links) && !keep.Contains(links[upTo]) {
 			upTo++
 		}
-		r.teardownChannel(id, proto.Primary, old, from, upTo, trace, true)
+		r.teardownChannel(id, k, old, from, upTo, trace, true)
 		from = upTo
 	}
 }
@@ -438,13 +436,18 @@ func (r *Router) applyLinkLocked(s *signal, next graph.NodeID) (graph.LinkID, er
 	switch {
 	case !ok:
 		return -1, fmt.Errorf("no link %d->%d", r.cfg.Node, next)
-	case r.downNbr[next]:
+	case r.isDownLocked(next):
 		return -1, fmt.Errorf("link %d->%d is down", r.cfg.Node, next)
 	}
 	var err error
 	switch {
 	case s.kind == sigSetup && s.channel != proto.Primary:
-		return l, r.db.RegisterBackup(s.conn, l, s.lset)
+		// A registration the connection holds here already under the same
+		// primary is the one asked for: a backup replacing another keeps
+		// the links they share (replaceBackup).
+		if err = r.db.RegisterBackup(s.conn, l, s.lset); err != nil && r.db.HasBackupUnder(s.conn, l, s.lset) {
+			err = nil
+		}
 	case s.kind == sigSetup:
 		err = r.db.ReservePrimary(s.conn, l)
 	default:
@@ -455,10 +458,10 @@ func (r *Router) applyLinkLocked(s *signal, next graph.NodeID) (graph.LinkID, er
 		err = r.db.PromoteBackup(s.conn, l)
 	}
 	if err == nil {
-		if r.transitPrim[l] == nil {
-			r.transitPrim[l] = make(map[lsdb.ConnID]graph.NodeID)
+		if r.transit[l] == nil {
+			r.transit[l] = make(map[lsdb.ConnID]graph.NodeID)
 		}
-		r.transitPrim[l][s.conn] = s.route[0]
+		r.transit[l][s.conn] = s.route[0]
 	}
 	return l, err
 }
@@ -502,14 +505,17 @@ func (r *Router) handleTeardown(m proto.Teardown) {
 // releaseLocalLocked releases whatever the connection holds on link l for the
 // given channel kind; releases are idempotent (teardown sweeps may cross
 // rollbacks): the database refuses, without side effects, to release what
-// is not there. Callers must hold r.mu.
+// is not there. The transit entry goes once the connection holds neither
+// kind on l. Callers must hold r.mu.
 func (r *Router) releaseLocalLocked(id lsdb.ConnID, kind proto.ChannelKind, l graph.LinkID) {
+	holdsOther := r.db.HasBackup
 	if kind != proto.Primary {
 		_ = r.db.ReleaseBackup(id, l)
-		return
+		holdsOther = r.db.HasPrimary
+	} else {
+		_ = r.db.ReleasePrimary(id, l)
 	}
-	_ = r.db.ReleasePrimary(id, l)
-	if m := r.transitPrim[l]; m != nil {
-		delete(m, id)
+	if !holdsOther(id, l) {
+		delete(r.transit[l], id)
 	}
 }

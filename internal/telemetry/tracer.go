@@ -83,10 +83,11 @@ const (
 	// "unknown-node", "draining", "node-down" or "duplicate").
 	EvAdmissionReject
 	// EvDrainStart records the beginning of a node drain: the node is
-	// unschedulable and its connections are being migrated.
+	// unschedulable and the connections ending at it are being released.
 	EvDrainStart
-	// EvDrainDone records drain completion (N = migrated connections;
-	// Hops reused as the dropped count, -1 never).
+	// EvDrainDone records that a drain has released the connections
+	// ending at the node and announced it to its neighbours (Hops reused
+	// as the dropped count, -1 never).
 	EvDrainDone
 	// EvTraceDropped is the trailer a StreamSink writes on Close when its
 	// queue overflowed: N events are missing from the trace.
@@ -582,14 +583,13 @@ func (t *Tracer) DrainStart(node int) {
 	t.Emit(Event{Kind: EvDrainStart, Conn: -1, Node: node, Link: -1, Hops: -1})
 }
 
-// DrainDone records drain completion with the number of migrated and
-// dropped connections.
-func (t *Tracer) DrainDone(node, migrated, dropped int) {
+// DrainDone records that a drain has released the dropped connections
+// ending at the node and announced it.
+func (t *Tracer) DrainDone(node, dropped int) {
 	if !t.Enabled() {
 		return
 	}
-	t.Emit(Event{Kind: EvDrainDone, Conn: -1, Node: node, Link: -1, Hops: dropped,
-		N: migrated})
+	t.Emit(Event{Kind: EvDrainDone, Conn: -1, Node: node, Link: -1, Hops: dropped})
 }
 
 // FaultInjected records one fault applied by the chaos layer: action
