@@ -96,6 +96,9 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if *node < 0 || *node >= g.NumNodes() {
+		return fmt.Errorf("-node %d outside the topology's %d nodes", *node, g.NumNodes())
+	}
 	addrs, err := parsePeers(*peers, g.NumNodes())
 	if err != nil {
 		return err

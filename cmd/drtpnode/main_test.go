@@ -192,6 +192,11 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-topology", topoPath, "-peers", "0=:1"}, strings.NewReader(""), &out); err == nil {
 		t.Fatal("incomplete peers accepted")
 	}
+	for _, node := range []string{"3", "-1", "4294967297"} { // the last is node 1 cut to 32 bits
+		if err := run([]string{"-topology", topoPath, "-node", node, "-peers", "0=127.0.0.1:0,1=127.0.0.1:0,2=127.0.0.1:0"}, strings.NewReader(""), &out); err == nil || !strings.Contains(err.Error(), "outside the topology") {
+			t.Fatalf("-node %s: got %v, want an outside-the-topology error", node, err)
+		}
+	}
 	if err := run([]string{"-topology", topoPath, "-peers", "0=127.0.0.1:0,1=127.0.0.1:0,2=127.0.0.1:0", "-scheme", "zz"}, strings.NewReader(""), &out); err == nil {
 		t.Fatal("bad scheme accepted")
 	}

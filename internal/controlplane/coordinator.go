@@ -108,6 +108,9 @@ type Coordinator struct {
 	rpcID uint64
 	// closed is set once Close begins; guarded by mu.
 	closed bool
+	// lastCheck is when the heartbeat check last ran, or when the
+	// coordinator started; guarded by mu.
+	lastCheck time.Time
 
 	stop chan struct{}
 	done chan struct{}
@@ -136,6 +139,8 @@ func NewCoordinator(cfg DeployConfig, at Attacher) (*Coordinator, error) {
 		usage:  make(map[string]int),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
+
+		lastCheck: time.Now(),
 	}
 	c.work = newWorkers(&c.wg, c.stop)
 	stages := cfg.Metrics.LatencyVec("drtp_cp_stage_seconds",
@@ -204,7 +209,7 @@ func (c *Coordinator) loop() {
 			}
 			c.dispatch(env)
 		case <-tick.C:
-			c.checkHeartbeats()
+			c.checkHeartbeats(time.Now())
 		case <-c.stop:
 			return
 		}
@@ -298,12 +303,16 @@ func (c *Coordinator) handleLeave(m proto.NodeDown) {
 	c.broadcastDown(m.Node, "leave")
 }
 
-// checkHeartbeats declares nodes silent for HeartbeatMiss intervals
-// dead and broadcasts their death so backups activate. Nodes that go
-// silent together are declared, and announced, in ascending order.
-func (c *Coordinator) checkHeartbeats() {
+// checkHeartbeats, run at now, declares nodes silent for HeartbeatMiss
+// intervals dead and broadcasts their death so backups activate. Nodes
+// that go silent together are declared, and announced, in ascending order.
+//
+// A check that runs later than half the deadline past its tick reads the
+// coordinator's own stall, not the nodes' silence: the heartbeats that
+// arrived meanwhile may still wait behind it in the inbox. It moves every
+// live node's last heartbeat forward by its lateness and declares nobody.
+func (c *Coordinator) checkHeartbeats(now time.Time) {
 	deadline := time.Duration(c.cfg.HeartbeatMiss) * c.cfg.HeartbeatInterval
-	now := time.Now()
 	type cast struct {
 		node   graph.NodeID
 		reason string
@@ -311,9 +320,15 @@ func (c *Coordinator) checkHeartbeats() {
 	var dead []graph.NodeID
 	var rebroadcast []cast
 	c.mu.Lock()
+	late := now.Sub(c.lastCheck) - c.cfg.HeartbeatInterval
+	stalled := late > deadline/2
+	c.lastCheck = now
 	for i := range c.nodes {
 		n, rec := graph.NodeID(i), &c.nodes[i]
-		if rec.registered && !rec.down && now.Sub(rec.lastBeat) > deadline {
+		if stalled && rec.registered && !rec.down {
+			rec.lastBeat = rec.lastBeat.Add(late)
+		}
+		if !stalled && rec.registered && !rec.down && now.Sub(rec.lastBeat) > deadline {
 			rec.down = true
 			rec.downReason = "heartbeat-miss"
 			rec.downcasts = c.cfg.RetryLimit - 1
@@ -328,6 +343,9 @@ func (c *Coordinator) checkHeartbeats() {
 		}
 	}
 	c.mu.Unlock()
+	if stalled {
+		c.log.Warn("heartbeat check ran late; no node declared dead", "late", late)
+	}
 	for _, n := range dead {
 		c.log.Warn("node declared dead", "node", int(n), "reason", "heartbeat-miss")
 		c.tracer.HeartbeatMiss(int(n))

@@ -13,17 +13,20 @@ import (
 	"sort"
 )
 
+// The identifiers are 32-bit: a Link is 16 bytes, and every adjacency
+// list, path and LSET holds 4 bytes per ID.
+
 // NodeID identifies a node (router/switch). Node IDs are dense, starting
 // at 0, so they can index slices.
-type NodeID int
+type NodeID int32
 
 // LinkID identifies a unidirectional link. Link IDs are dense, starting at
 // 0, so per-link vectors (APLV, Conflict Vector) can be plain slices.
-type LinkID int
+type LinkID int32
 
 // EdgeID identifies an undirected edge (a physical connection). Each edge
 // owns exactly two links, one per direction. Edge IDs are dense.
-type EdgeID int
+type EdgeID int32
 
 // Invalid sentinel identifiers. Valid IDs are always >= 0.
 const (

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"testing"
 )
 
@@ -109,7 +110,7 @@ func TestLinkBetween(t *testing.T) {
 		t.Fatal("LinkBetween(0,3) should not exist")
 	}
 	// Commanded routes hand it node IDs straight off the wire.
-	for _, p := range [][2]NodeID{{-1, 0}, {4, 0}, {1 << 40, 1}, {0, -1}, {0, 4}, {InvalidNode, InvalidNode}} {
+	for _, p := range [][2]NodeID{{-1, 0}, {4, 0}, {math.MaxInt32, 1}, {0, -1}, {0, 4}, {InvalidNode, InvalidNode}} {
 		if l, ok := g.LinkBetween(p[0], p[1]); ok || l != InvalidLink {
 			t.Fatalf("LinkBetween(%d,%d) = %d, %v for a node outside the graph", p[0], p[1], l, ok)
 		}

@@ -89,21 +89,19 @@ func runAt(sorted []graph.LinkID, i int) (j, c int) {
 	return int(sorted[i]), c
 }
 
-// sortedLSETLocked returns lset in ascending order, or an error naming its
-// first entry (in lset's order) outside the network: an LSET arrives off
-// the wire, so it is checked before anything is mutated. The result lives
-// in the database's scratch and holds until the next call. lset must be
-// one the database owns and never writes — a registration's clone, or an
-// LSET its registry stores — so the scratch remembers which slice it was
-// sorted from, and the links of a path that share one LSET check and sort
-// it once. The caller must hold db.mu.
-func (db *DB) sortedLSETLocked(lset []graph.LinkID) ([]graph.LinkID, error) {
-	if len(lset) == 0 {
-		return nil, nil
-	}
-	if len(db.sortedFrom) == len(lset) && &db.sortedFrom[0] == &lset[0] {
+// sortedLSETLocked returns the LSET in table slot h in ascending order, or
+// an error naming its first entry (in the LSET's order) outside the
+// network: an LSET arrives off the wire, so it is checked before anything
+// is mutated. The result lives in the database's scratch and holds until
+// the next call. A slot's LSET never changes while the slot is live, so
+// the scratch remembers which slot it was sorted from (a freed slot is
+// forgotten, unrefLSETLocked), and the links of a path that share one
+// LSET check and sort it once. The caller must hold db.mu.
+func (db *DB) sortedLSETLocked(h uint32) ([]graph.LinkID, error) {
+	if h == db.sortedFrom {
 		return db.sortedLSET, nil
 	}
+	lset := db.lsets[h].links
 	for _, pl := range lset {
 		if pl < 0 || int(pl) >= db.n {
 			return nil, fmt.Errorf("lsdb: LSET entry %d out of range [0,%d)", pl, db.n)
@@ -111,7 +109,7 @@ func (db *DB) sortedLSETLocked(lset []graph.LinkID) ([]graph.LinkID, error) {
 	}
 	db.sortedLSET = append(db.sortedLSET[:0], lset...)
 	slices.Sort(db.sortedLSET)
-	db.sortedFrom = lset
+	db.sortedFrom = h
 	return db.sortedLSET, nil
 }
 

@@ -11,6 +11,9 @@ import (
 //
 //   - every link's backup registry lists its connections in strictly
 //     increasing ID order;
+//   - every LSET table slot's reference count equals the registrations
+//     naming it, a slot no registration names is on the free list, once,
+//     and a free slot holds no LSET;
 //   - the LSETs a link's registry stores fold to its APLV, ‖APLV‖₁ and
 //     max_j APLV[j], and a pair list holds exactly the nonzero counters,
 //     ascending;
@@ -33,6 +36,7 @@ func (db *DB) Check() error {
 	folded := make([]int32, n) // one link's APLV, folded from its registry; zeroed as it is matched
 	column := make([]int, n)   // column[j]: links whose APLV counts link j
 	var ids []ConnID
+	named := make([]int32, len(db.lsets)) // named[h]: registrations naming LSET table slot h
 	prime, spare := 0, 0
 	for l := range db.links {
 		s := &db.links[l]
@@ -42,6 +46,12 @@ func (db *DB) Check() error {
 			if s.backups[k-1].id >= s.backups[k].id {
 				return fmt.Errorf("lsdb: link %d registry lists connection %d before %d", l, s.backups[k-1].id, s.backups[k].id)
 			}
+		}
+		for _, b := range s.backups {
+			if int(b.lset) >= len(db.lsets) {
+				return fmt.Errorf("lsdb: link %d registers connection %d under LSET slot %d, past the table's %d", l, b.id, b.lset, len(db.lsets))
+			}
+			named[b.lset]++
 		}
 		if want := len(s.primaries) * db.unitBW; s.prime != want {
 			return fmt.Errorf("lsdb: link %d has prime %d, its %d primaries account for %d", l, s.prime, len(s.primaries), want)
@@ -56,13 +66,14 @@ func (db *DB) Check() error {
 
 		norm := 0
 		for _, b := range s.backups {
-			for _, pl := range b.lset {
+			lset := db.lsets[b.lset].links
+			for _, pl := range lset {
 				if pl < 0 || int(pl) >= n {
 					return fmt.Errorf("lsdb: link %d stores LSET entry %d for connection %d, out of range [0,%d)", l, pl, b.id, n)
 				}
 				folded[pl]++
 			}
-			norm += len(b.lset)
+			norm += len(lset)
 		}
 		maxElem := 0
 		for k, e := range s.aplv {
@@ -83,7 +94,7 @@ func (db *DB) Check() error {
 		}
 		// Whatever the APLV did not match is still in folded.
 		for _, b := range s.backups {
-			for _, pl := range b.lset {
+			for _, pl := range db.lsets[b.lset].links {
 				if folded[pl] != 0 {
 					return fmt.Errorf("lsdb: APLV_%d[%d] = 0, its registry's LSETs give %d", l, pl, folded[pl])
 				}
@@ -131,8 +142,36 @@ func (db *DB) Check() error {
 			}
 		}
 	}
+	if err := db.checkLSETsLocked(named); err != nil {
+		return err
+	}
 	if db.totalPrime != prime || db.totalSpare != spare {
 		return fmt.Errorf("lsdb: running totals prime=%d spare=%d, per-link sums %d and %d", db.totalPrime, db.totalSpare, prime, spare)
+	}
+	return nil
+}
+
+// checkLSETsLocked holds the LSET table to named, the registrations naming
+// each slot: a slot's refs equal its count, a slot with none is free —
+// on the free list, once, with no LSET — and a free slot has none. The
+// caller must hold db.mu.
+func (db *DB) checkLSETsLocked(named []int32) error {
+	free := make([]bool, len(db.lsets))
+	for _, h := range db.freeLSETs {
+		if int(h) >= len(db.lsets) || free[h] {
+			return fmt.Errorf("lsdb: LSET free list %v lists slot %d twice or past the table's %d", db.freeLSETs, h, len(db.lsets))
+		}
+		free[h] = true
+	}
+	for h, slot := range db.lsets {
+		switch {
+		case slot.refs != named[h]:
+			return fmt.Errorf("lsdb: LSET slot %d has %d references, %d registrations name it", h, slot.refs, named[h])
+		case free[h] != (named[h] == 0):
+			return fmt.Errorf("lsdb: LSET slot %d is named by %d registrations, on the free list: %v", h, named[h], free[h])
+		case free[h] && slot.links != nil:
+			return fmt.Errorf("lsdb: free LSET slot %d holds LSET %v", h, slot.links)
+		}
 	}
 	return nil
 }

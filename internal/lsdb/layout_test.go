@@ -1,0 +1,27 @@
+package lsdb
+
+import (
+	"testing"
+	"unsafe"
+
+	"github.com/rtcl/drtp/internal/graph"
+)
+
+// TestLayout pins the sizes of the records the simulator holds one of per
+// link and per backup-link: 32-bit graph IDs make a Link 16 bytes, and a
+// registry entry holding an LSET table handle in place of a slice header
+// is 16 bytes. A field that widens either shows here before it shows in
+// the live heap.
+func TestLayout(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"graph.Link", unsafe.Sizeof(graph.Link{}), 16},
+		{"lsdb.backupReg", unsafe.Sizeof(backupReg{}), 16},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
+		}
+	}
+}

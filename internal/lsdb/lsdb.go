@@ -81,13 +81,13 @@ func (e *ErrInsufficientBandwidth) Error() string {
 }
 
 // linkState is the per-link record a DRTP connection manager maintains.
+// Every link has the database's capacity (DB.capacity).
 type linkState struct {
-	capacity int
-	prime    int // bandwidth reserved by primary channels
-	spare    int // bandwidth reserved for (multiplexed) backups
-	aplv     aplvCounters
-	norm     int // ‖APLV‖₁, maintained incrementally
-	maxElem  int // max_j APLV[j], maintained incrementally
+	prime   int // bandwidth reserved by primary channels
+	spare   int // bandwidth reserved for (multiplexed) backups
+	aplv    aplvCounters
+	norm    int // ‖APLV‖₁, maintained incrementally
+	maxElem int // max_j APLV[j], maintained incrementally
 	// backups is the backup registry: every backup channel registered on
 	// this link with the LSET of its primary (carried in backup-register
 	// packets), connection IDs ascending. IDs grow with time, so a
@@ -108,10 +108,12 @@ type linkState struct {
 	post []int32
 }
 
-// backupReg is one entry of a link's backup registry.
+// backupReg is one entry of a link's backup registry: 16 bytes, the
+// connection and a handle into the database's LSET table (lset.go), whose
+// slot every link of the backup's path shares.
 type backupReg struct {
 	id   ConnID
-	lset []graph.LinkID // shared by every link of the backup's path
+	lset uint32
 }
 
 // findBackup returns the position of id in the link's backup registry, or
@@ -140,22 +142,29 @@ func (s *linkState) findBackup(id ConnID) (int, bool) {
 // advertises summaries; the simulator keeps them in one place, mirroring
 // the paper's assumption that link-state information is disseminated.
 type DB struct {
-	g      *graph.Graph
-	unitBW int
-	mode   Mode
-	n      int // total links; immutable after construction
+	g        *graph.Graph
+	capacity int // every link's bandwidth; immutable after construction
+	unitBW   int
+	mode     Mode
+	n        int // total links; immutable after construction
 
 	mu sync.Mutex
 	// links holds the per-link records, indexed by graph.LinkID;
 	// guarded by mu.
 	links []linkState
 
+	// lsets is the LSET table the registries' handles index, and
+	// freeLSETs its free slots (lset.go); guarded by mu.
+	lsets     []lsetSlot
+	freeLSETs []uint32
+
 	// sortedLSET is the scratch the APLV folds read an LSET from, sorted,
-	// and sortedFrom the database-owned LSET it was sorted from
+	// and sortedFrom the handle of the LSET it was sorted from, or noLSET
 	// (sortedLSETLocked); addedPairs is foldInLocked's scratch of the pairs
 	// a row lacks; guarded by mu.
-	sortedLSET, sortedFrom []graph.LinkID
-	addedPairs             []uint64
+	sortedLSET []graph.LinkID
+	sortedFrom uint32
+	addedPairs []uint64
 
 	// backupOps counts per-link backup register/release/promote updates:
 	// each is driven by one backup-register/release/activate packet, the
@@ -170,7 +179,8 @@ type DB struct {
 	// changed is the change log SnapshotInto patches from: the link of
 	// every transition that moved a snapshot scalar, oldest first, entry k
 	// being change number changedBase+k. It is cut once it holds n entries
-	// (a reader that far behind refills in full as cheaply); guarded by mu.
+	// (a reader that far behind refills in full as cheaply), so it is
+	// allocated at that size once; guarded by mu.
 	changed     []int32
 	changedBase uint64
 }
@@ -194,12 +204,8 @@ func NewWithMode(g *graph.Graph, capacity, unitBW int, mode Mode) (*DB, error) {
 		return nil, fmt.Errorf("lsdb: invalid mode %d", int(mode))
 	}
 	n := g.NumLinks()
-	db := &DB{g: g, unitBW: unitBW, mode: mode, n: n}
-	db.links = make([]linkState, n)
-	for i := range db.links {
-		db.links[i].capacity = capacity
-	}
-	return db, nil
+	return &DB{g: g, capacity: capacity, unitBW: unitBW, mode: mode, n: n,
+		links: make([]linkState, n), changed: make([]int32, 0, n), sortedFrom: noLSET}, nil
 }
 
 // Graph returns the underlying topology.
@@ -211,12 +217,9 @@ func (db *DB) UnitBW() int { return db.unitBW }
 // NumLinks returns the number of unidirectional links tracked.
 func (db *DB) NumLinks() int { return db.n }
 
-// Capacity returns the total bandwidth of link l.
-func (db *DB) Capacity(l graph.LinkID) int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.links[l].capacity
-}
+// Capacity returns the total bandwidth of link l: every link has the
+// capacity the database was built with.
+func (db *DB) Capacity(l graph.LinkID) int { return db.capacity }
 
 // PrimeBW returns the bandwidth reserved by primary channels on link l.
 func (db *DB) PrimeBW(l graph.LinkID) int {
@@ -239,7 +242,7 @@ func (db *DB) FreeBW(l graph.LinkID) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	s := &db.links[l]
-	return s.capacity - s.prime - s.spare
+	return db.capacity - s.prime - s.spare
 }
 
 // AvailableForBackup returns the paper's "available bandwidth" for backup
@@ -248,8 +251,7 @@ func (db *DB) FreeBW(l graph.LinkID) int {
 func (db *DB) AvailableForBackup(l graph.LinkID) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s := &db.links[l]
-	return s.capacity - s.prime
+	return db.capacity - db.links[l].prime
 }
 
 // ReservePrimary reserves unit bandwidth for connection id's primary
@@ -264,7 +266,7 @@ func (db *DB) ReservePrimary(id ConnID, l graph.LinkID) error {
 // db.mu.
 func (db *DB) reservePrimaryLocked(id ConnID, l graph.LinkID) error {
 	s := &db.links[l]
-	if free := s.capacity - s.prime - s.spare; free < db.unitBW {
+	if free := db.capacity - s.prime - s.spare; free < db.unitBW {
 		return &ErrInsufficientBandwidth{Link: l, Need: db.unitBW, Have: free}
 	}
 	if slices.Contains(s.primaries, id) {
@@ -322,22 +324,25 @@ func (db *DB) releasePrimaryLocked(id ConnID, l graph.LinkID) error {
 func (db *DB) RegisterBackup(id ConnID, l graph.LinkID, primaryLSET []graph.LinkID) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.registerBackupLocked(id, l, slices.Clone(primaryLSET))
+	h := db.newLSETLocked(slices.Clone(primaryLSET))
+	err := db.registerBackupLocked(id, l, h)
+	db.unrefLSETLocked(h)
+	return err
 }
 
 // registerBackupLocked is the register transition; the caller must hold
-// db.mu. lset is stored as given — the caller passes a copy the database
-// may keep (one per call, shared by all links of a path). An LSET arrives
-// off the wire, so its entries are checked before anything is mutated.
-// The registry slot is found once, by the duplicate check.
-func (db *DB) registerBackupLocked(id ConnID, l graph.LinkID, lset []graph.LinkID) error {
+// db.mu and a reference to the LSET table slot h (newLSETLocked: one per
+// call, shared by all links of a path). An LSET arrives off the wire, so
+// its entries are checked before anything is mutated. The registry slot is
+// found once, by the duplicate check.
+func (db *DB) registerBackupLocked(id ConnID, l graph.LinkID, h uint32) error {
 	s := &db.links[l]
-	if avail := s.capacity - s.prime; avail < db.unitBW {
+	if avail := db.capacity - s.prime; avail < db.unitBW {
 		return &ErrInsufficientBandwidth{Link: l, Need: db.unitBW, Have: avail}
 	}
 	if db.mode == Dedicated {
 		// No overbooking: the spare pool must grow by a full unit.
-		if free := s.capacity - s.prime - s.spare; free < db.unitBW {
+		if free := db.capacity - s.prime - s.spare; free < db.unitBW {
 			return &ErrInsufficientBandwidth{Link: l, Need: db.unitBW, Have: free}
 		}
 	}
@@ -345,25 +350,27 @@ func (db *DB) registerBackupLocked(id ConnID, l graph.LinkID, lset []graph.LinkI
 	if dup {
 		return fmt.Errorf("lsdb: connection %d already has a backup on link %d", id, l)
 	}
-	if _, err := db.sortedLSETLocked(lset); err != nil {
+	if _, err := db.sortedLSETLocked(h); err != nil {
 		return err
 	}
-	db.attachBackupLocked(id, l, k, lset)
+	db.attachBackupLocked(id, l, k, h)
 	return nil
 }
 
 // attachBackupLocked stores a backup registration at position k of link
-// l's registry — the insertion point findBackup returned — folds its LSET
-// into the APLV in one pass (foldInLocked: l enters the posting list of
-// every primary link whose counter leaves zero) and resizes spare; it
-// counts one backup op. lset is the registry's own copy, already checked:
-// the exported callers clone before the lock, rollback re-attaches what the
-// registry held. The caller must hold db.mu.
-func (db *DB) attachBackupLocked(id ConnID, l graph.LinkID, k int, lset []graph.LinkID) {
+// l's registry — the insertion point findBackup returned — taking a
+// reference to LSET table slot h, folds its LSET into the APLV in one pass
+// (foldInLocked: l enters the posting list of every primary link whose
+// counter leaves zero) and resizes spare; it counts one backup op. h holds
+// the registry's own copy, already checked: the exported callers clone it
+// into a new slot, rollback re-attaches the slot a promotion held. The
+// caller must hold db.mu.
+func (db *DB) attachBackupLocked(id ConnID, l graph.LinkID, k int, h uint32) {
 	db.backupOps++
 	s := &db.links[l]
-	s.backups = slices.Insert(s.backups, k, backupReg{id: id, lset: lset})
-	sorted, _ := db.sortedLSETLocked(lset) // checked by the caller
+	s.backups = slices.Insert(s.backups, k, backupReg{id: id, lset: h})
+	db.lsets[h].refs++
+	sorted, _ := db.sortedLSETLocked(h) // checked by the caller
 	db.foldInLocked(l, sorted)
 	db.resizeSpareLocked(s)
 	db.touchLocked(l)
@@ -426,14 +433,17 @@ const (
 // a path that share it, is folded out of the APLV in one pass
 // (foldOutLocked: l leaves the posting list of every primary link whose
 // counter returns to zero, zeroed pairs are compacted out, the maximum is
-// recomputed only when a counter at it decreased); it counts one backup
-// op. The caller must hold db.mu.
+// recomputed only when a counter at it decreased), and the registration's
+// reference to its LSET table slot is dropped; it counts one backup op.
+// The caller must hold db.mu.
 func (db *DB) detachBackupLocked(l graph.LinkID, k int) {
 	db.backupOps++
 	s := &db.links[l]
-	sorted, _ := db.sortedLSETLocked(s.backups[k].lset) // checked at registration
+	h := s.backups[k].lset
+	sorted, _ := db.sortedLSETLocked(h) // checked at registration
 	s.backups = shrink(slices.Delete(s.backups, k, k+1), keepOne)
 	db.foldOutLocked(l, sorted)
+	db.unrefLSETLocked(h)
 	db.resizeSpareLocked(s)
 	db.touchLocked(l)
 }
@@ -469,19 +479,24 @@ func (db *DB) releaseBackupLocked(id ConnID, l graph.LinkID) error {
 func (db *DB) PromoteBackup(id ConnID, l graph.LinkID) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	_, err := db.promoteBackupLocked(id, l)
+	p, err := db.promoteBackupLocked(id, l)
+	if err == nil {
+		db.unrefLSETLocked(p.lset)
+	}
 	return err
 }
 
 // promotion is what promoteBackupLocked did to one link, enough to undo it.
 type promotion struct {
 	link      graph.LinkID
-	lset      []graph.LinkID // the registration's stored LSET
-	converted bool           // false: the link already held id's primary
+	lset      uint32 // the registration's LSET table slot, still referenced
+	converted bool   // false: the link already held id's primary
 }
 
 // promoteBackupLocked is the promote transition; the caller must hold
-// db.mu.
+// db.mu. The promotion keeps a reference to the registration's LSET table
+// slot, so a rollback can re-attach it; the caller drops it
+// (unrefLSETLocked) once the promotion can no longer be undone.
 func (db *DB) promoteBackupLocked(id ConnID, l graph.LinkID) (promotion, error) {
 	s := &db.links[l]
 	k, ok := s.findBackup(id)
@@ -499,9 +514,10 @@ func (db *DB) promoteBackupLocked(id ConnID, l graph.LinkID) (promotion, error) 
 		db.totalPrime += db.unitBW
 		s.primaries = append(s.primaries, id)
 	}
-	lset := s.backups[k].lset
+	h := s.backups[k].lset
+	db.lsets[h].refs++
 	db.detachBackupLocked(l, k)
-	return promotion{link: l, lset: lset, converted: !shared}, nil
+	return promotion{link: l, lset: h, converted: !shared}, nil
 }
 
 // resizeSpareLocked sets a link's spare bandwidth to the mode's requirement:
@@ -513,7 +529,7 @@ func (db *DB) resizeSpareLocked(s *linkState) {
 	if db.mode == Dedicated {
 		required = len(s.backups) * db.unitBW
 	}
-	if room := s.capacity - s.prime; required > room {
+	if room := db.capacity - s.prime; required > room {
 		required = room
 	}
 	db.totalSpare += required - s.spare
@@ -648,18 +664,7 @@ func (db *DB) HasBackupUnder(id ConnID, l graph.LinkID, primaryLSET []graph.Link
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	k, ok := db.links[l].findBackup(id)
-	return ok && slices.Equal(db.links[l].backups[k].lset, primaryLSET)
-}
-
-// sumLinks adds up one scalar of every link record under the lock.
-func (db *DB) sumLinks(field func(*linkState) int) int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	total := 0
-	for i := range db.links {
-		total += field(&db.links[i])
-	}
-	return total
+	return ok && slices.Equal(db.lsets[db.links[l].backups[k].lset].links, primaryLSET)
 }
 
 // TotalPrimeBW returns the sum of primary bandwidth over all links, a
@@ -679,9 +684,7 @@ func (db *DB) TotalSpareBW() int {
 }
 
 // TotalCapacity returns the sum of capacity over all links.
-func (db *DB) TotalCapacity() int {
-	return db.sumLinks(func(s *linkState) int { return s.capacity })
-}
+func (db *DB) TotalCapacity() int { return db.capacity * db.n }
 
 // APLVBytes returns the bytes of APLV counter storage currently held
 // across all links: 8 per pair-list entry. This is the quantity the pair
@@ -690,5 +693,11 @@ func (db *DB) TotalCapacity() int {
 // conflicts that actually exist — and the scale experiment reports it per
 // accepted connection.
 func (db *DB) APLVBytes() int64 {
-	return int64(db.sumLinks(func(s *linkState) int { return 8 * len(s.aplv) }))
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	var total int64
+	for i := range db.links {
+		total += 8 * int64(len(db.links[i].aplv))
+	}
+	return total
 }

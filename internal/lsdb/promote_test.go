@@ -169,7 +169,7 @@ func storedLSETs(db *DB, id ConnID) [][]graph.LinkID {
 	for l := range db.links {
 		s := &db.links[l]
 		if k, ok := s.findBackup(id); ok {
-			out[l] = append([]graph.LinkID{}, s.backups[k].lset...)
+			out[l] = append([]graph.LinkID{}, db.lsets[s.backups[k].lset].links...)
 		}
 	}
 	return out

@@ -60,14 +60,14 @@ func (db *DB) SnapshotInto(s *Snapshot) *Snapshot {
 	defer db.mu.Unlock()
 	if s.from == db && s.seq >= db.changedBase && len(s.AvailBackup) == n && len(s.Free) == n && len(s.Norm) == n {
 		for _, l := range db.changed[s.seq-db.changedBase:] {
-			db.links[l].copyInto(s, int(l))
+			db.links[l].copyInto(s, int(l), db.capacity)
 		}
 	} else {
 		s.AvailBackup = grow(s.AvailBackup, n)
 		s.Free = grow(s.Free, n)
 		s.Norm = grow(s.Norm, n)
 		for i := range db.links {
-			db.links[i].copyInto(s, i)
+			db.links[i].copyInto(s, i, db.capacity)
 		}
 		s.from = db
 	}
@@ -75,9 +75,10 @@ func (db *DB) SnapshotInto(s *Snapshot) *Snapshot {
 	return s
 }
 
-// copyInto writes the link's snapshot scalars to entry i of s.
-func (ls *linkState) copyInto(s *Snapshot, i int) {
-	avail := ls.capacity - ls.prime
+// copyInto writes the link's snapshot scalars to entry i of s; capacity is
+// the database's.
+func (ls *linkState) copyInto(s *Snapshot, i, capacity int) {
+	avail := capacity - ls.prime
 	s.AvailBackup[i] = avail
 	s.Free[i] = avail - ls.spare
 	s.Norm[i] = float64(ls.norm)
@@ -176,17 +177,18 @@ func (db *DB) ReleasePrimaryPath(id ConnID, links []graph.LinkID) error {
 
 // RegisterBackupPath registers connection id's backup channel on every
 // link of the path, carrying primaryLSET exactly as per-link
-// RegisterBackup packets would (the LSET is copied once and shared by
-// the links' registries). On the first rejected link the earlier
-// registrations are released and that link's error is returned. Each
-// per-link register — and each rollback release — counts one backup op,
-// matching the signalling volume of the per-link loop.
+// RegisterBackup packets would (the LSET is copied once, into one LSET
+// table slot the links' registries share). On the first rejected link the
+// earlier registrations are released and that link's error is returned.
+// Each per-link register — and each rollback release — counts one backup
+// op, matching the signalling volume of the per-link loop.
 func (db *DB) RegisterBackupPath(id ConnID, links, primaryLSET []graph.LinkID) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	lset := slices.Clone(primaryLSET)
+	h := db.newLSETLocked(slices.Clone(primaryLSET))
+	defer db.unrefLSETLocked(h)
 	for i, l := range links {
-		if err := db.registerBackupLocked(id, l, lset); err != nil {
+		if err := db.registerBackupLocked(id, l, h); err != nil {
 			for _, done := range links[:i] {
 				_ = db.releaseBackupLocked(id, done) // registered above: cannot fail
 			}
@@ -217,26 +219,31 @@ func (db *DB) ReleaseBackupPath(id ConnID, links []graph.LinkID) error {
 // restored — a converted slot goes back to the spare pool and the
 // registration is re-attached with the LSET it held — and that link's
 // error is returned. Every promoted link and every restored registration
-// counts one backup op.
+// counts one backup op. Each promotion holds its LSET table slot until
+// here, where nothing can be rolled back any more.
 func (db *DB) PromoteBackupPath(id ConnID, links []graph.LinkID) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	done := make([]promotion, 0, len(links))
+	var err error
 	for _, l := range links {
-		p, err := db.promoteBackupLocked(id, l)
-		if err != nil {
-			for _, u := range done {
-				if u.converted {
-					_ = db.releasePrimaryLocked(id, u.link) // converted above: cannot fail
-				}
-				k, _ := db.links[u.link].findBackup(id)
-				db.attachBackupLocked(id, u.link, k, u.lset)
-			}
-			return err
+		var p promotion
+		if p, err = db.promoteBackupLocked(id, l); err != nil {
+			break
 		}
 		done = append(done, p)
 	}
-	return nil
+	for _, u := range done {
+		if err != nil {
+			if u.converted {
+				_ = db.releasePrimaryLocked(id, u.link) // converted above: cannot fail
+			}
+			k, _ := db.links[u.link].findBackup(id)
+			db.attachBackupLocked(id, u.link, k, u.lset)
+		}
+		db.unrefLSETLocked(u.lset)
+	}
+	return err
 }
 
 // grow returns s resized to n entries, reallocating only when the

@@ -721,7 +721,8 @@ func TestConcurrentStress(t *testing.T) {
 
 // TestCheckFindsDrift corrupts one piece of derived state at a time on a
 // loaded database — APLV pair lists, posting lists, primaries, registry
-// order, running totals — and requires DB.Check to name it.
+// order, running totals, the LSET table — and requires DB.Check to name
+// it.
 func TestCheckFindsDrift(t *testing.T) {
 	load := func(t *testing.T) *DB {
 		db := newTestDB(t, 10)
@@ -763,6 +764,14 @@ func TestCheckFindsDrift(t *testing.T) {
 		}},
 		{"prime", func(db *DB) { db.links[j].prime += db.unitBW }},
 		{"spare total", func(db *DB) { db.totalSpare++ }},
+		{"LSET references", func(db *DB) { db.lsets[db.links[b].backups[0].lset].refs++ }},
+		{"LSET slot freed while named", func(db *DB) { db.freeLSETs = append(db.freeLSETs, db.links[b].backups[0].lset) }},
+		{"LSET slot live without a registration", func(db *DB) { db.lsets = append(db.lsets, lsetSlot{links: lset(2)}) }},
+		{"free LSET slot holds an LSET", func(db *DB) {
+			db.lsets = append(db.lsets, lsetSlot{links: lset(2)})
+			db.freeLSETs = append(db.freeLSETs, uint32(len(db.lsets)-1))
+		}},
+		{"LSET handle past the table", func(db *DB) { db.links[b].backups[0].lset = uint32(len(db.lsets)) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			db := load(t)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -98,6 +99,14 @@ func TestHostileInputs(t *testing.T) {
 		{"overlong varint", envelope(tagNodeDown, overlong), true, "NodeDown.Node"},
 		{"overlong envelope header", overlong, true, "Envelope.From"},
 
+		// Varints past their field type: node and link IDs are 32-bit, so
+		// 2³²+3 must not decode as ID 3.
+		{"node ID 2^32+3", envelope(tagNodeDown, 1<<32+3, uint64(0)), false, "NodeDown.Node = 4294967299 out of range"},
+		{"node ID past MaxInt32", envelope(tagNodeDown, math.MaxInt32+1, uint64(0)), false, "NodeDown.Node = 2147483648 out of range"},
+		{"node ID below MinInt32", envelope(tagNodeDown, math.MinInt32-1, uint64(0)), false, "NodeDown.Node = -2147483649 out of range"},
+		{"route node 2^32+3", envelope(tagSetup, 7, 2, uint64(2), 1, 1<<32+3, 0, uint64(0), uint64(0), uint64(0)), false, "Setup.Route = 4294967299 out of range"},
+		{"LSET link 2^32+3", envelope(tagSetup, 7, 2, uint64(2), 1, 2, 0, uint64(1), 1<<32+3, uint64(0), uint64(0)), false, "Setup.PrimaryLSET = 4294967299 out of range"},
+
 		// Tags and trailers.
 		{"no tag", wire(1, 2), true, "Envelope.Msg"},
 		{"tag 0", envelope(0), false, "unknown message tag 0"},
@@ -120,6 +129,17 @@ func TestHostileInputs(t *testing.T) {
 				t.Errorf("failed decode left a message behind: %#v", env.Msg)
 			}
 		})
+	}
+}
+
+// TestIDFieldBounds decodes the extreme IDs a 32-bit field holds.
+func TestIDFieldBounds(t *testing.T) {
+	for _, id := range []graph.NodeID{math.MinInt32, math.MaxInt32} {
+		want := proto.Envelope{From: 1, To: 2, Msg: proto.NodeDown{Node: id}}
+		var got proto.Envelope
+		if err := got.UnmarshalBinary(envelope(tagNodeDown, int(id), uint64(0))); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("node %d: decoded %#v, %v", id, got, err)
+		}
 	}
 }
 

@@ -39,7 +39,7 @@ func fill(tb testing.TB, v reflect.Value, n *int) {
 	switch v.Kind() {
 	case reflect.Bool:
 		v.SetBool(true)
-	case reflect.Int, reflect.Int64:
+	case reflect.Int, reflect.Int32, reflect.Int64:
 		x := int64(*n)
 		if x%3 == 0 {
 			x = -x

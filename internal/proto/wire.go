@@ -20,10 +20,10 @@ import (
 // leave a struct field out of its list, and TestFieldListsComplete fails
 // on that.
 //
-// Decoding is strict: a short payload, a bool byte above 1, a count past
-// maxWireSlice or past the bytes that remain, and trailing bytes are all
-// errors, so a round trip through the codec is exactly identity on the
-// wire form.
+// Decoding is strict: a short payload, a bool byte above 1, a varint
+// outside its field's type, a count past maxWireSlice or past the bytes
+// that remain, and trailing bytes are all errors, so a round trip through
+// the codec is exactly identity on the wire form.
 
 // Frame tags. The values are the wire format: append, never renumber.
 const (
@@ -111,6 +111,14 @@ func (c *codec) fail(what string) {
 	}
 }
 
+// outOfRange latches a decode error for a varint its field type cannot
+// hold.
+func (c *codec) outOfRange(what string, x int64) {
+	if c.err == nil {
+		c.err = fmt.Errorf("proto: %s = %d out of range", what, x)
+	}
+}
+
 // finish enforces full consumption of the payload (or of a sub-message).
 func (c *codec) finish() error {
 	if c.err == nil && len(c.buf) != 0 {
@@ -155,11 +163,18 @@ func (c *codec) uvarint(what string, v *uint64) {
 // vint is a zigzag varint field of any of the protocol's integer types
 // (node, link and connection IDs, enums, plain ints): encoding/binary's
 // Varint, which is zigzag over Uvarint, kept generic in the field type.
-func vint[T ~int | ~int64](c *codec, what string, v *T) {
+// A decoded value the field type cannot hold is an error, not the value
+// truncated: a node ID of 2³²+3 is not node 3.
+func vint[T ~int | ~int32 | ~int64](c *codec, what string, v *T) {
 	x := int64(*v)
 	u := uint64(x<<1) ^ uint64(x>>63)
 	c.uvarint(what, &u)
-	*v = T(int64(u>>1) ^ -int64(u&1))
+	x = int64(u>>1) ^ -int64(u&1)
+	if int64(T(x)) != x {
+		c.outOfRange(what, x)
+		return
+	}
+	*v = T(x)
 }
 
 func (c *codec) bool(what string, v *bool) {
@@ -236,7 +251,7 @@ func slice[T any](c *codec, what string, v *[]T, elem func(*codec, string, *T)) 
 }
 
 // ints is a slice of vint elements: routes, LSETs, connection lists.
-func ints[T ~int | ~int64](c *codec, what string, v *[]T) { slice(c, what, v, vint[T]) }
+func ints[T ~int | ~int32 | ~int64](c *codec, what string, v *[]T) { slice(c, what, v, vint[T]) }
 
 // sub runs fields as a length-prefixed sub-message, in place: the encoder
 // slides what fields appended up to make room for its length, the decoder

@@ -2,6 +2,7 @@ package proto_test
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -101,6 +102,9 @@ func FuzzPacketRoundTrip(f *testing.F) {
 	// The reserved tags, whose messages are retired.
 	f.Add(envelope(14))
 	f.Add(envelope(15))
+	// A node ID a 32-bit field cannot hold, and the largest one it can.
+	f.Add(envelope(tagNodeDown, 1<<32+3, uint64(0)))
+	f.Add(envelope(tagNodeDown, math.MaxInt32, uint64(0)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var env proto.Envelope
 		if err := env.UnmarshalBinary(data); err != nil {

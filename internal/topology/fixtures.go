@@ -63,7 +63,11 @@ func Line(n int) (*graph.Graph, error) {
 func FromEdgeList(n int, edges [][2]int) (*graph.Graph, error) {
 	g := graph.New(n)
 	for _, e := range edges {
-		if _, err := g.AddEdge(graph.NodeID(e[0]), graph.NodeID(e[1])); err != nil {
+		u, v := graph.NodeID(e[0]), graph.NodeID(e[1])
+		if int(u) != e[0] || int(v) != e[1] {
+			return nil, fmt.Errorf("topology: edge %d-%d names a node ID past 32 bits", e[0], e[1])
+		}
+		if _, err := g.AddEdge(u, v); err != nil {
 			return nil, err
 		}
 	}

@@ -80,6 +80,10 @@ func TestFromEdgeList(t *testing.T) {
 	if _, err := FromEdgeList(2, [][2]int{{0, 5}}); err == nil {
 		t.Fatal("bad edge list accepted")
 	}
+	// Node IDs are 32-bit: 2³²+1 is not node 1.
+	if _, err := FromEdgeList(2, [][2]int{{0, 1<<32 + 1}}); err == nil {
+		t.Fatal("edge to node 2^32+1 accepted")
+	}
 }
 
 func TestWaxmanPaperConfigs(t *testing.T) {
