@@ -11,6 +11,7 @@ import (
 
 	"github.com/rtcl/drtp/internal/drtp"
 	"github.com/rtcl/drtp/internal/graph"
+	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/metrics"
 	"github.com/rtcl/drtp/internal/rng"
 	"github.com/rtcl/drtp/internal/scenario"
@@ -21,11 +22,12 @@ import (
 // one large topology, sustained Poisson arrivals per (scheme, lambda)
 // cell, and a schedule of destructive edge failures whose per-connection
 // recovery latencies are sampled. It exists to exercise — and measure —
-// the pair-list APLV storage and the link-state database on
-// networks two orders of magnitude beyond the paper's 60 nodes, where a
-// dense O(links²) layout does not fit. No Conflict Vector is materialized
-// on this path: D-LSR reads its conflict counts off the posting lists the
-// database keeps beside the pair lists (lsdb.ConflictCountsInto).
+// the column-stored APLVs and the link-state database on networks two
+// orders of magnitude beyond the paper's 60 nodes, where a dense
+// O(links²) layout does not fit. No Conflict Vector is materialized on
+// this path: D-LSR reads its conflict counts off the APLV columns of its
+// primary's links, the one copy of the matrix the database keeps
+// (lsdb.ConflictCountsInto).
 //
 // Everything rendered by Table is deterministic at any worker count (the
 // engine.go contract: stable per-cell seeds, ordered merge, ordered
@@ -92,6 +94,10 @@ type ScaleRow struct {
 	// end of the run; BytesPerConn divides it by accepted connections.
 	APLVBytes    int64
 	BytesPerConn float64
+	// Footprint is the database's memory by structure at the end of the
+	// run. Excluded from Table: the table's APLV bytes count entries, this
+	// counts capacity.
+	Footprint lsdb.Footprint
 	// Elapsed is the cell's wall-clock simulation time. Excluded from
 	// Table: it depends on the machine and the worker count.
 	Elapsed time.Duration
@@ -152,8 +158,10 @@ func RunScale(p ScaleParams) (*Scale, error) {
 		}
 	}
 	aplvBytes := make([]int64, len(cells))
+	footprints := make([]lsdb.Footprint, len(cells))
 	runs, err := p.Params.run(cells, func(i int, net *drtp.Network, _ drtp.Scheme) {
 		aplvBytes[i] = net.DB().APLVBytes()
+		footprints[i] = net.DB().Footprint()
 	})
 	if err != nil {
 		return nil, err
@@ -168,6 +176,7 @@ func RunScale(p ScaleParams) (*Scale, error) {
 			Arrivals:  c.scen.NumArrivals(),
 			Result:    r.res,
 			APLVBytes: aplvBytes[i],
+			Footprint: footprints[i],
 			Elapsed:   r.elapsed,
 		}
 		if r.res.Stats.Accepted > 0 {
@@ -277,6 +286,15 @@ type ScaleSummary struct {
 	RecoveryTotalP50 int     `json:"recovery_total_p50_hops"`
 	RecoveryTotalP99 int     `json:"recovery_total_p99_hops"`
 	ElapsedSec       float64 `json:"elapsed_sec"`
+	// LSDBBytes is each cell's link-state database by structure.
+	LSDBBytes []ScaleCellBytes `json:"lsdb_bytes"`
+}
+
+// ScaleCellBytes is one cell's lsdb.Footprint at the end of its run.
+type ScaleCellBytes struct {
+	Scheme string  `json:"scheme"`
+	Lambda float64 `json:"lambda"`
+	lsdb.Footprint
 }
 
 // Summary aggregates the run across cells. Establishment throughput is
@@ -298,6 +316,7 @@ func (s *Scale) Summary() ScaleSummary {
 		sum.Accepted += r.Result.Stats.Accepted
 		aplvBytes += r.APLVBytes
 		cellSeconds += r.Elapsed.Seconds()
+		sum.LSDBBytes = append(sum.LSDBBytes, ScaleCellBytes{Scheme: r.Scheme, Lambda: r.Lambda, Footprint: r.Footprint})
 		for _, l := range r.Result.Recovery {
 			if l.Switched {
 				total = append(total, l.Total())

@@ -124,7 +124,8 @@ func TestScaleRecoverySamples(t *testing.T) {
 }
 
 // TestScaleSummaryJSON sanity-checks the machine-readable roll-up the
-// smoke scripts parse.
+// smoke scripts parse, the link-state database's bytes by structure
+// included.
 func TestScaleSummaryJSON(t *testing.T) {
 	s := scaleWithWorkers(t, tinyScaleParams(), 4)
 	sum := s.Summary()
@@ -138,7 +139,16 @@ func TestScaleSummaryJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"establishments_per_sec"`, `"bytes_per_conn"`, `"peak_heap_bytes"`} {
+	if len(sum.LSDBBytes) != len(s.Rows) {
+		t.Fatalf("%d cells' bytes by structure for %d cells", len(sum.LSDBBytes), len(s.Rows))
+	}
+	for _, c := range sum.LSDBBytes {
+		if c.Columns <= 0 || c.Registries <= 0 || c.LinkRecords <= 0 || c.ChangeLog <= 0 {
+			t.Fatalf("%s λ=%v: implausible bytes by structure: %+v", c.Scheme, c.Lambda, c.Footprint)
+		}
+	}
+	for _, want := range []string{`"establishments_per_sec"`, `"bytes_per_conn"`, `"peak_heap_bytes"`,
+		`"lsdb_bytes"`, `"scheme"`, `"columns"`, `"registries"`, `"primaries"`, `"lset_table"`, `"link_records"`, `"change_log"`, `"scratch"`} {
 		if !bytes.Contains([]byte(js), []byte(want)) {
 			t.Fatalf("SCALE_JSON missing %s:\n%s", want, js)
 		}

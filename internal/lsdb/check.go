@@ -14,27 +14,29 @@ import (
 //   - every LSET table slot's reference count equals the registrations
 //     naming it, a slot no registration names is on the free list, once,
 //     and a free slot holds no LSET;
-//   - the LSETs a link's registry stores fold to its APLV, ‖APLV‖₁ and
-//     max_j APLV[j], and a pair list holds exactly the nonzero counters,
-//     ascending;
-//   - for every primary link j the posting list post[j] holds exactly the
-//     links l with APLV_l[j] > 0, each once;
+//   - every APLV column lists its links ascending, each with a nonzero
+//     count and inside the network, and holds exactly the counters the
+//     LSETs the registries store fold to: APLV_l[j] is the number of l's
+//     registrations whose LSET holds j, with multiplicity;
+//   - every link's ‖APLV‖₁, max_j APLV[j] and number of counters at the
+//     maximum, unless it is marked not known, equal that fold's;
 //   - every link's primaries list — what failure evaluation reads in place
 //     of a scan over the connections — holds each ID once and accounts for
 //     the link's primary bandwidth;
 //   - the running prime and spare totals equal the per-link sums.
 //
-// It costs O(links + stored entries) — registry LSET entries, APLV slots,
-// postings, primaries — in time and scratch, so it can run after every
-// event. Spare is not held to max_j APLV[j]·unit: it is resized by backup
-// operations only, so a primary release can leave it below that until the
-// link's next backup operation.
+// It is one pass over the links, each link's row folded from its registry
+// and matched against the columns it names at a per-column cursor, so it
+// costs O(links + stored entries) in time and scratch and can run after
+// every event. Spare is not held to max_j APLV[j]·unit: it is resized by
+// backup operations only, so a primary release can leave it below that
+// until the link's next backup operation.
 func (db *DB) Check() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	n := db.n
-	folded := make([]int32, n) // one link's APLV, folded from its registry; zeroed as it is matched
-	column := make([]int, n)   // column[j]: links whose APLV counts link j
+	folded := make([]int32, n) // one link's APLV row, folded from its registry; zeroed as it is matched
+	cursor := make([]int, n)   // cursor[j]: entries of column j matched so far
 	var ids []ConnID
 	named := make([]int32, len(db.lsets)) // named[h]: registrations naming LSET table slot h
 	prime, spare := 0, 0
@@ -42,6 +44,16 @@ func (db *DB) Check() error {
 		s := &db.links[l]
 		prime += s.prime
 		spare += s.spare
+		for k, e := range s.col {
+			switch pl, c := entryLink(e), entryCount(e); {
+			case k > 0 && entryLink(s.col[k-1]) >= pl:
+				return fmt.Errorf("lsdb: column %d holds link %d after link %d", l, pl, entryLink(s.col[k-1]))
+			case pl >= n:
+				return fmt.Errorf("lsdb: column %d holds link %d, out of range [0,%d)", l, pl, n)
+			case c == 0:
+				return fmt.Errorf("lsdb: column %d holds a zero counter for link %d", l, pl)
+			}
+		}
 		for k := 1; k < len(s.backups); k++ {
 			if s.backups[k-1].id >= s.backups[k].id {
 				return fmt.Errorf("lsdb: link %d registry lists connection %d before %d", l, s.backups[k-1].id, s.backups[k].id)
@@ -75,71 +87,47 @@ func (db *DB) Check() error {
 			}
 			norm += len(lset)
 		}
-		maxElem := 0
-		for k, e := range s.aplv {
-			j, c := pairLink(e), pairCount(e)
-			if k > 0 && pairLink(s.aplv[k-1]) >= j {
-				return fmt.Errorf("lsdb: link %d pair list holds link %d after link %d", l, j, pairLink(s.aplv[k-1]))
-			}
-			if j >= n || c == 0 || int32(c) != folded[j] {
-				want := int32(0)
-				if j < n {
-					want = folded[j]
-				}
-				return fmt.Errorf("lsdb: link %d pair list holds APLV[%d] = %d, its registry's LSETs give %d", l, j, c, want)
-			}
-			column[j]++
-			folded[j] = 0
-			maxElem = max(maxElem, c)
-		}
-		// Whatever the APLV did not match is still in folded.
+		var maxElem, atMax int32
 		for _, b := range s.backups {
-			for _, pl := range db.lsets[b.lset].links {
-				if folded[pl] != 0 {
-					return fmt.Errorf("lsdb: APLV_%d[%d] = 0, its registry's LSETs give %d", l, pl, folded[pl])
+			for _, j := range db.lsets[b.lset].links {
+				v := folded[j]
+				if v == 0 { // matched at an earlier entry
+					continue
+				}
+				folded[j] = 0
+				switch {
+				case v > maxElem:
+					maxElem, atMax = v, 1
+				case v == maxElem:
+					atMax++
+				}
+				col, k := db.links[j].col, cursor[j]
+				switch {
+				case k < len(col) && entryLink(col[k]) == l:
+					if c := entryCount(col[k]); c != int(v) {
+						return fmt.Errorf("lsdb: column %d holds APLV_%d[%d] = %d, its registry's LSETs give %d", j, l, j, c, v)
+					}
+					cursor[j]++
+				case k < len(col) && entryLink(col[k]) < l:
+					return fmt.Errorf("lsdb: column %d holds link %d, whose registry's LSETs give APLV_%d[%d] = 0", j, entryLink(col[k]), entryLink(col[k]), j)
+				default:
+					return fmt.Errorf("lsdb: column %d lacks link %d, whose registry's LSETs give APLV_%d[%d] = %d", j, l, l, j, v)
 				}
 			}
 		}
-		if s.norm != norm || s.maxElem != maxElem {
-			return fmt.Errorf("lsdb: link %d has norm %d and max %d, its registry's LSETs give %d and %d", l, s.norm, s.maxElem, norm, maxElem)
+		if s.atMax == -1 && maxElem > 0 {
+			atMax = -1 // not known, and not kept
+		}
+		if s.norm != norm || s.maxElem != maxElem || s.atMax != atMax {
+			return fmt.Errorf("lsdb: link %d has norm %d and max %d (%d counters at it), its registry's LSETs give %d and %d (%d)",
+				l, s.norm, s.maxElem, s.atMax, norm, maxElem, atMax)
 		}
 	}
-
-	// Transpose the APLVs: byCol[start[j]:start[j+1]] lists the links
-	// whose APLV counts link j. column becomes each list's fill cursor.
-	start := make([]int, n+1)
-	for j, c := range column {
-		start[j+1] = start[j] + c
-	}
-	copy(column, start)
-	byCol := make([]int32, start[n])
-	for l := range db.links {
-		for _, e := range db.links[l].aplv {
-			j := pairLink(e)
-			byCol[column[j]] = int32(l)
-			column[j]++
-		}
-	}
-	// seen[l] == j+1 once post[j] has listed l.
-	seen := make([]int, n)
+	// Whatever a column holds past its cursor no registry counts.
 	for j := range db.links {
-		post, want := db.links[j].post, byCol[start[j]:start[j+1]]
-		if len(post) != len(want) {
-			return fmt.Errorf("lsdb: post[%d] = %v, the APLVs counting link %d are those of links %v", j, post, j, want)
-		}
-		for _, l := range post {
-			if l < 0 || int(l) >= n {
-				return fmt.Errorf("lsdb: post[%d] = %v lists link %d, out of range [0,%d)", j, post, l, n)
-			}
-			if seen[l] == j+1 {
-				return fmt.Errorf("lsdb: post[%d] = %v lists link %d twice", j, post, l)
-			}
-			seen[l] = j + 1
-		}
-		for _, l := range want {
-			if seen[l] != j+1 {
-				return fmt.Errorf("lsdb: post[%d] = %v lacks link %d, whose APLV counts link %d", j, post, l, j)
-			}
+		if col := db.links[j].col; cursor[j] < len(col) {
+			l := entryLink(col[cursor[j]])
+			return fmt.Errorf("lsdb: column %d holds link %d, whose registry's LSETs give APLV_%d[%d] = 0", j, l, l, j)
 		}
 	}
 	if err := db.checkLSETsLocked(named); err != nil {

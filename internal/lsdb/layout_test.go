@@ -8,10 +8,11 @@ import (
 )
 
 // TestLayout pins the sizes of the records the simulator holds one of per
-// link and per backup-link: 32-bit graph IDs make a Link 16 bytes, and a
+// link and per backup-link: 32-bit graph IDs make a Link 16 bytes, a
 // registry entry holding an LSET table handle in place of a slice header
-// is 16 bytes. A field that widens either shows here before it shows in
-// the live heap.
+// is 16 bytes, and a link record holding one APLV column, neither a row
+// nor a posting list, is 104 bytes. A field that widens any of them shows
+// here before it shows in the live heap.
 func TestLayout(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -19,6 +20,7 @@ func TestLayout(t *testing.T) {
 	}{
 		{"graph.Link", unsafe.Sizeof(graph.Link{}), 16},
 		{"lsdb.backupReg", unsafe.Sizeof(backupReg{}), 16},
+		{"lsdb.linkState", unsafe.Sizeof(linkState{}), 104},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)

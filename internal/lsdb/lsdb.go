@@ -24,18 +24,22 @@
 // Each of the paper's per-link transitions — reserve a primary, release
 // it, register a backup, release it, promote it on activation — has
 // exactly one body, a ...Locked method below. The per-link methods are
-// lock + body; the whole-path methods (snapshot.go) are lock + a loop
-// over the same body + first-failure rollback. The shared-link activation
-// rule (a link that already carries the connection's primary keeps that
-// reservation and only drops the backup registration) lives in the
-// promote body, so the simulator's Manager and the router's hop handler
-// both get it by calling PromoteBackupPath / PromoteBackup.
+// lock + body; the whole-path methods (snapshot.go) are lock + the same
+// bodies over the path, with the outcome of a per-link loop that stops
+// (and for reserve, register and promote rolls back) at its first failure.
+// The backup bodies take a path's links at once, so a registration or
+// release visits each APLV column once (aplv.go). The shared-link
+// activation rule (a link that already carries the connection's primary
+// keeps that reservation and only drops the backup registration) lives in
+// the promote body, so the simulator's Manager and the router's hop
+// handler both get it by calling PromoteBackupPath / PromoteBackup.
 package lsdb
 
 import (
 	"fmt"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"github.com/rtcl/drtp/internal/graph"
 )
@@ -83,29 +87,29 @@ func (e *ErrInsufficientBandwidth) Error() string {
 // linkState is the per-link record a DRTP connection manager maintains.
 // Every link has the database's capacity (DB.capacity).
 type linkState struct {
-	prime   int // bandwidth reserved by primary channels
-	spare   int // bandwidth reserved for (multiplexed) backups
-	aplv    aplvCounters
-	norm    int // ‖APLV‖₁, maintained incrementally
-	maxElem int // max_j APLV[j], maintained incrementally
+	prime int // bandwidth reserved by primary channels
+	spare int // bandwidth reserved for (multiplexed) backups
+	norm  int // ‖APLV‖₁, maintained incrementally
+	// maxElem is max_j APLV[j] and atMax the number of counters at it (0
+	// while maxElem is, -1 while it is not known), maintained
+	// incrementally (aplv.go).
+	maxElem, atMax int32
 	// backups is the backup registry: every backup channel registered on
 	// this link with the LSET of its primary (carried in backup-register
 	// packets), connection IDs ascending. IDs grow with time, so a
-	// registration mostly appends (findBackup).
+	// registration mostly appends (findBackup). The link's APLV row is
+	// folded from it where a whole row is read.
 	backups []backupReg
 	// primaries lists the DR-connections with a primary channel on this
 	// link, in no particular order. A link holds at most capacity/unitBW of
 	// them, so membership is a short scan.
 	primaries []ConnID
-	// post is this link's column of the Conflict Vectors as a posting
-	// list: the links l with APLV_l[this link] > 0, each once, in no
-	// particular order (only counts are read from it). It is maintained
-	// where a counter crosses zero — attachBackupLocked and
-	// detachBackupLocked — so every transition keeps it.
+	// col is this link's APLV column: the links l with APLV_l[this link]
+	// > 0, ascending, each packed l<<32 | count (aplv.go).
 	//
-	// backups, the APLV pair list, primaries and post all give capacity
-	// back as they empty (shrink): a link holds what it carries now.
-	post []int32
+	// backups, primaries and col all give capacity back as they empty
+	// (shrink): a link holds what it carries now.
+	col []uint64
 }
 
 // backupReg is one entry of a link's backup registry: 16 bytes, the
@@ -160,11 +164,14 @@ type DB struct {
 
 	// sortedLSET is the scratch the APLV folds read an LSET from, sorted,
 	// and sortedFrom the handle of the LSET it was sorted from, or noLSET
-	// (sortedLSETLocked); addedPairs is foldInLocked's scratch of the pairs
-	// a row lacks; guarded by mu.
+	// (sortedLSETLocked); sortedPath holds a path's links sorted for the
+	// folds (sortedPathLocked); recount is the dense per-link scratch a
+	// maximum is recounted in, all zero between uses (recountMaxLocked);
+	// guarded by mu.
 	sortedLSET []graph.LinkID
 	sortedFrom uint32
-	addedPairs []uint64
+	sortedPath []graph.LinkID
+	recount    []int32
 
 	// backupOps counts per-link backup register/release/promote updates:
 	// each is driven by one backup-register/release/activate packet, the
@@ -325,17 +332,38 @@ func (db *DB) RegisterBackup(id ConnID, l graph.LinkID, primaryLSET []graph.Link
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	h := db.newLSETLocked(slices.Clone(primaryLSET))
-	err := db.registerBackupLocked(id, l, h)
+	err := db.registerBackupsLocked(id, []graph.LinkID{l}, h)
 	db.unrefLSETLocked(h)
 	return err
 }
 
-// registerBackupLocked is the register transition; the caller must hold
-// db.mu and a reference to the LSET table slot h (newLSETLocked: one per
-// call, shared by all links of a path). An LSET arrives off the wire, so
-// its entries are checked before anything is mutated. The registry slot is
-// found once, by the duplicate check.
-func (db *DB) registerBackupLocked(id ConnID, l graph.LinkID, h uint32) error {
+// registerBackupsLocked is the register transition over the links of a
+// path, with the outcome of a per-link loop that rolls back at its first
+// failure: if every link admits the registration, all are attached at
+// once; else the links before the first that refuses are attached, that
+// link refuses on the state they leave (a link named twice, too) and they
+// are detached again. The caller must hold db.mu and a reference to the
+// LSET table slot h (newLSETLocked: one per call, shared by a path).
+func (db *DB) registerBackupsLocked(id ConnID, links []graph.LinkID, h uint32) error {
+	path, twice := db.sortedPathLocked(links)
+	for i, l := range links {
+		if err := db.checkRegisterLocked(id, l, h); err != nil || twice && slices.Contains(links[:i], l) {
+			path, _ = db.sortedPathLocked(links[:i])
+			db.attachBackupLocked(id, path, h)
+			err = db.checkRegisterLocked(id, l, h)
+			db.detachBackupLocked(id, path, h)
+			return err
+		}
+	}
+	db.attachBackupLocked(id, path, h)
+	return nil
+}
+
+// checkRegisterLocked returns the error registering connection id's backup
+// on link l under LSET table slot h gives, or nil. An LSET arrives off the
+// wire, so its entries are checked before anything is mutated. The caller
+// must hold db.mu.
+func (db *DB) checkRegisterLocked(id ConnID, l graph.LinkID, h uint32) error {
 	s := &db.links[l]
 	if avail := db.capacity - s.prime; avail < db.unitBW {
 		return &ErrInsufficientBandwidth{Link: l, Need: db.unitBW, Have: avail}
@@ -346,49 +374,35 @@ func (db *DB) registerBackupLocked(id ConnID, l graph.LinkID, h uint32) error {
 			return &ErrInsufficientBandwidth{Link: l, Need: db.unitBW, Have: free}
 		}
 	}
-	k, dup := s.findBackup(id)
-	if dup {
+	if _, dup := s.findBackup(id); dup {
 		return fmt.Errorf("lsdb: connection %d already has a backup on link %d", id, l)
 	}
-	if _, err := db.sortedLSETLocked(h); err != nil {
-		return err
-	}
-	db.attachBackupLocked(id, l, k, h)
-	return nil
+	_, err := db.sortedLSETLocked(h)
+	return err
 }
 
-// attachBackupLocked stores a backup registration at position k of link
-// l's registry — the insertion point findBackup returned — taking a
-// reference to LSET table slot h, folds its LSET into the APLV in one pass
-// (foldInLocked: l enters the posting list of every primary link whose
-// counter leaves zero) and resizes spare; it counts one backup op. h holds
-// the registry's own copy, already checked: the exported callers clone it
-// into a new slot, rollback re-attaches the slot a promotion held. The
-// caller must hold db.mu.
-func (db *DB) attachBackupLocked(id ConnID, l graph.LinkID, k int, h uint32) {
-	db.backupOps++
-	s := &db.links[l]
-	s.backups = slices.Insert(s.backups, k, backupReg{id: id, lset: h})
-	db.lsets[h].refs++
+// attachBackupLocked registers connection id's backup on every link of
+// path — ascending, each once, each checked, none naming id yet — taking
+// one reference per link to LSET table slot h, folds its LSET into their
+// APLVs in one merge per column (foldInLocked) and resizes their spare; it
+// counts one backup op per link. h holds the registry's own copy, already
+// checked: the exported callers clone it into a new slot, rollback
+// re-attaches the slot a promotion held. The caller must hold db.mu.
+func (db *DB) attachBackupLocked(id ConnID, path []graph.LinkID, h uint32) {
 	sorted, _ := db.sortedLSETLocked(h) // checked by the caller
-	db.foldInLocked(l, sorted)
-	db.resizeSpareLocked(s)
-	db.touchLocked(l)
-}
-
-// appendPosting appends l to a posting list, growing a full list by a
-// quarter, and by at least 4, where append would double it: a 2 000-node
-// network spreads some 100 000 postings over 6 000 lists, and the slack
-// doubling leaves in them is 3 % of the simulator's live heap, while a
-// list growing one entry at a time from empty would reallocate at every
-// one of its first entries.
-func appendPosting(post []int32, l int32) []int32 {
-	if len(post) == cap(post) {
-		grown := make([]int32, len(post), len(post)+max(len(post)/4, 4))
-		copy(grown, post)
-		post = grown
+	for _, l := range path {
+		db.backupOps++
+		s := &db.links[l]
+		k, _ := s.findBackup(id)
+		s.backups = slices.Insert(s.backups, k, backupReg{id: id, lset: h})
+		s.norm += len(sorted)
 	}
-	return append(post, l)
+	db.lsets[h].refs += int32(len(path))
+	db.foldInLocked(path, sorted)
+	for _, l := range path {
+		db.resizeSpareLocked(&db.links[l])
+		db.touchLocked(l)
+	}
 }
 
 // swapRemove removes s[k] from a slice whose order carries no meaning.
@@ -402,7 +416,7 @@ func swapRemove[T any](s []T, k int) []T {
 // quarter of its capacity or less moves to one of half that capacity, or
 // of a half again while it would still be at a quarter — a compaction that
 // drops several entries at once ends where one removal at a time would
-// have, or lower. Growth doubles (a quarter for postings) and shrinking
+// have, or lower. Growth doubles (a quarter for columns) and shrinking
 // halves, so a slice just resized must gain or lose a quarter of its
 // capacity before it is copied again — amortised O(1) per entry. Capacity
 // up to keep is never handed back.
@@ -417,35 +431,39 @@ func shrink[T any](s []T, keep int) []T {
 	return append(make([]T, 0, c), s...)
 }
 
-// keepOne and keepRoute are the capacities shrink leaves a row: the room
-// one request needs on it, so a register/release pair on a lightly loaded
+// keepOne and keepRoute are the capacities shrink leaves a slice: the room
+// one request needs in it, so a register/release pair on a lightly loaded
 // link allocates nothing. A request adds one entry to a link's registry
-// or primaries, but up to a route's links to a pair list (its LSET) or a
-// posting list (its backup path) — and the quarter rule leaves a row of L
-// entries only 2L of room.
+// or primaries, but up to a backup path's links to a column — and the
+// quarter rule leaves a slice of L entries only 2L of room.
 const (
 	keepOne   = 3
 	keepRoute = 16
 )
 
-// detachBackupLocked reverses attachBackupLocked for the registration at
-// position k of link l's registry: its LSET, sorted once for all links of
-// a path that share it, is folded out of the APLV in one pass
-// (foldOutLocked: l leaves the posting list of every primary link whose
-// counter returns to zero, zeroed pairs are compacted out, the maximum is
-// recomputed only when a counter at it decreased), and the registration's
-// reference to its LSET table slot is dropped; it counts one backup op.
-// The caller must hold db.mu.
-func (db *DB) detachBackupLocked(l graph.LinkID, k int) {
-	db.backupOps++
-	s := &db.links[l]
-	h := s.backups[k].lset
+// detachBackupLocked reverses attachBackupLocked for connection id's
+// registrations under LSET table slot h on every link of path, ascending
+// and each once: the registrations leave the registries, the LSET, sorted
+// once for all of them, is folded out of their APLVs in one pass per
+// column (foldOutLocked: zeroed entries are compacted out, a maximum is
+// recounted only when it cannot be told otherwise), and each
+// registration's reference to h is dropped; it counts one backup op per
+// link. The caller must hold db.mu.
+func (db *DB) detachBackupLocked(id ConnID, path []graph.LinkID, h uint32) {
 	sorted, _ := db.sortedLSETLocked(h) // checked at registration
-	s.backups = shrink(slices.Delete(s.backups, k, k+1), keepOne)
-	db.foldOutLocked(l, sorted)
-	db.unrefLSETLocked(h)
-	db.resizeSpareLocked(s)
-	db.touchLocked(l)
+	for _, l := range path {
+		db.backupOps++
+		s := &db.links[l]
+		k, _ := s.findBackup(id)
+		s.backups = shrink(slices.Delete(s.backups, k, k+1), keepOne)
+		s.norm -= len(sorted)
+	}
+	db.foldOutLocked(path, sorted)
+	for _, l := range path {
+		db.unrefLSETLocked(h)
+		db.resizeSpareLocked(&db.links[l])
+		db.touchLocked(l)
+	}
 }
 
 // ReleaseBackup removes connection id's backup channel from link l,
@@ -454,17 +472,40 @@ func (db *DB) detachBackupLocked(l graph.LinkID, k int) {
 func (db *DB) ReleaseBackup(id ConnID, l graph.LinkID) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.releaseBackupLocked(id, l)
+	return db.releaseBackupsLocked(id, []graph.LinkID{l})
 }
 
-// releaseBackupLocked is the release-backup transition; the caller must
+// releaseBackupsLocked is the release-backup transition over the links of
+// a path: when every link holds a registration of id under one LSET table
+// slot and none is named twice, all are detached at once; else the links
+// are released one by one up to the first without a registration, whose
+// error is returned (a link named again has none left). The caller must
 // hold db.mu.
-func (db *DB) releaseBackupLocked(id ConnID, l graph.LinkID) error {
-	k, ok := db.links[l].findBackup(id)
-	if !ok {
-		return fmt.Errorf("lsdb: connection %d has no backup on link %d", id, l)
+func (db *DB) releaseBackupsLocked(id ConnID, links []graph.LinkID) error {
+	path, twice := db.sortedPathLocked(links)
+	h, batch := uint32(noLSET), !twice
+	for _, l := range path {
+		s := &db.links[l]
+		k, ok := s.findBackup(id)
+		if batch = batch && ok && (h == noLSET || s.backups[k].lset == h); !batch {
+			break
+		}
+		h = s.backups[k].lset
 	}
-	db.detachBackupLocked(l, k)
+	if batch {
+		if len(path) > 0 {
+			db.detachBackupLocked(id, path, h)
+		}
+		return nil
+	}
+	for i, l := range links {
+		s := &db.links[l]
+		k, ok := s.findBackup(id)
+		if !ok {
+			return fmt.Errorf("lsdb: connection %d has no backup on link %d", id, l)
+		}
+		db.detachBackupLocked(id, links[i:i+1], s.backups[k].lset)
+	}
 	return nil
 }
 
@@ -516,7 +557,7 @@ func (db *DB) promoteBackupLocked(id ConnID, l graph.LinkID) (promotion, error) 
 	}
 	h := s.backups[k].lset
 	db.lsets[h].refs++
-	db.detachBackupLocked(l, k)
+	db.detachBackupLocked(id, []graph.LinkID{l}, h)
 	return promotion{link: l, lset: h, converted: !shared}, nil
 }
 
@@ -525,7 +566,7 @@ func (db *DB) promoteBackupLocked(id ConnID, l graph.LinkID) (promotion, error) 
 // under dedicated reservation; capped at what fits beside the primaries.
 // The caller must hold db.mu.
 func (db *DB) resizeSpareLocked(s *linkState) {
-	required := s.maxElem * db.unitBW
+	required := int(s.maxElem) * db.unitBW
 	if db.mode == Dedicated {
 		required = len(s.backups) * db.unitBW
 	}
@@ -551,7 +592,7 @@ func (db *DB) BackupOps() int64 {
 func (db *DB) APLVAt(l, j graph.LinkID) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return int(db.links[l].aplv.at(int(j)))
+	return db.aplvAtLocked(l, j)
 }
 
 // APLV returns a copy of link l's APLV.
@@ -559,8 +600,10 @@ func (db *DB) APLV(l graph.LinkID) []int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	out := make([]int, db.n)
-	for _, e := range db.links[l].aplv {
-		out[pairLink(e)] = pairCount(e)
+	for _, b := range db.links[l].backups {
+		for _, j := range db.lsets[b.lset].links {
+			out[j]++
+		}
 	}
 	return out
 }
@@ -576,7 +619,7 @@ func (db *DB) APLVNorm(l graph.LinkID) int {
 func (db *DB) APLVMax(l graph.LinkID) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.links[l].maxElem
+	return int(db.links[l].maxElem)
 }
 
 // CVBit returns the Conflict Vector bit c_{l,j}: true iff at least one
@@ -584,7 +627,7 @@ func (db *DB) APLVMax(l graph.LinkID) int {
 func (db *DB) CVBit(l, j graph.LinkID) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.links[l].aplv.at(int(j)) > 0
+	return db.aplvAtLocked(l, j) > 0
 }
 
 // SC returns the number of backups on link l that can be activated
@@ -604,7 +647,7 @@ func (db *DB) scLocked(l graph.LinkID) int { return db.links[l].spare / db.unitB
 func (db *DB) HasDeficit(l graph.LinkID) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.links[l].maxElem > db.scLocked(l)
+	return int(db.links[l].maxElem) > db.scLocked(l)
 }
 
 // BackupsOn returns the connection IDs with backups registered on link
@@ -687,17 +730,51 @@ func (db *DB) TotalSpareBW() int {
 func (db *DB) TotalCapacity() int { return db.capacity * db.n }
 
 // APLVBytes returns the bytes of APLV counter storage currently held
-// across all links: 8 per pair-list entry. This is the quantity the pair
-// lists exist to shrink — a dense array on every link would pin it at
-// links² × 4 bytes regardless of load, while pair lists grow with the
-// conflicts that actually exist — and the scale experiment reports it per
-// accepted connection.
+// across all links: 8 per column entry, one per nonzero counter. This is
+// the quantity the columns exist to shrink — a dense array on every link
+// would pin it at links² × 4 bytes regardless of load, while columns grow
+// with the conflicts that actually exist — and the scale experiment
+// reports it per accepted connection.
 func (db *DB) APLVBytes() int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var total int64
 	for i := range db.links {
-		total += 8 * int64(len(db.links[i].aplv))
+		total += 8 * int64(len(db.links[i].col))
 	}
 	return total
+}
+
+// Footprint is the memory a database holds by structure, in bytes: each
+// slice's capacity times its element size.
+type Footprint struct {
+	Columns     int64 `json:"columns"`
+	Registries  int64 `json:"registries"`
+	Primaries   int64 `json:"primaries"`
+	LSETTable   int64 `json:"lset_table"` // slots, clones and free list
+	LinkRecords int64 `json:"link_records"`
+	ChangeLog   int64 `json:"change_log"`
+	Scratch     int64 `json:"scratch"` // the folds' sorted LSET and path, the recount
+}
+
+// Footprint returns the bytes the database holds, by structure.
+func (db *DB) Footprint() Footprint {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	f := Footprint{
+		LinkRecords: int64(cap(db.links)) * int64(unsafe.Sizeof(linkState{})),
+		ChangeLog:   4 * int64(cap(db.changed)),
+		LSETTable:   int64(cap(db.lsets))*int64(unsafe.Sizeof(lsetSlot{})) + 4*int64(cap(db.freeLSETs)),
+		Scratch:     4 * int64(cap(db.sortedLSET)+cap(db.sortedPath)+cap(db.recount)),
+	}
+	for i := range db.links {
+		s := &db.links[i]
+		f.Columns += 8 * int64(cap(s.col))
+		f.Registries += int64(cap(s.backups)) * int64(unsafe.Sizeof(backupReg{}))
+		f.Primaries += 8 * int64(cap(s.primaries))
+	}
+	for _, slot := range db.lsets {
+		f.LSETTable += 4 * int64(cap(slot.links))
+	}
+	return f
 }

@@ -14,11 +14,12 @@ import (
 // retains across calls; the per-call accessors stay for the cold paths.
 //
 // The whole-path operations add no transition logic of their own: each
-// takes the lock once, runs the per-link ...Locked body of lsdb.go over
-// the path in order, and on the first link that refuses undoes the links
-// before it with the inverse body — so a path call returns exactly the
-// error, leaves exactly the state and counts exactly the backup ops of
-// the per-link loop it replaces.
+// takes the lock once and runs the ...Locked bodies of lsdb.go over the
+// path — the primary bodies link by link, undoing the links before the
+// first that refuses with the inverse body, the backup bodies on the
+// path's links at once — so a path call returns exactly the error, leaves
+// exactly the state and counts exactly the backup ops of the per-link
+// loop it replaces.
 
 // Snapshot is a point-in-time copy of the per-link scalars the routing
 // hot paths read: the backup-availability and free-bandwidth tests and
@@ -88,9 +89,9 @@ func (ls *linkState) copyInto(s *Snapshot, i, capacity int) {
 // lset whose existing backups traverse l — Σ_{L_j ∈ LSET} c_{l,j}, the
 // per-request conflict metric D-LSR derives from the Conflict Vectors —
 // into dst and returns it (resized as needed). The Conflict Vectors are
-// read by column: each LSET entry's posting list names exactly the links
+// read by column: each LSET entry's APLV column names exactly the links
 // whose count it raises, so a request costs O(links) to clear dst plus
-// the postings of its own primary, under one lock acquisition.
+// the columns of its own primary, under one lock acquisition.
 func (db *DB) ConflictCountsInto(lset []graph.LinkID, dst []float64) []float64 {
 	n := db.n
 	if cap(dst) < n {
@@ -101,8 +102,8 @@ func (db *DB) ConflictCountsInto(lset []graph.LinkID, dst []float64) []float64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for _, j := range lset {
-		for _, l := range db.links[j].post {
-			dst[l]++
+		for _, e := range db.links[j].col {
+			dst[entryLink(e)]++
 		}
 	}
 	return dst
@@ -125,7 +126,8 @@ func (db *DB) SCInto(dst []int) []int {
 // AppendCV appends link l's Conflict Vector, the bit-vector D-LSR
 // advertises in place of the full APLV, to dst in its wire form and
 // returns the extended slice: (links+7)/8 bytes, bit j%8 of byte j/8 set
-// iff APLV_l[j] > 0.
+// iff APLV_l[j] > 0: the links the LSETs of l's registrations name, read
+// from its registry in O(‖APLV_l‖₁).
 func (db *DB) AppendCV(l graph.LinkID, dst []byte) []byte {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -135,9 +137,10 @@ func (db *DB) AppendCV(l graph.LinkID, dst []byte) []byte {
 		dst = append(dst, 0)
 	}
 	out := dst[start:]
-	for _, e := range db.links[l].aplv {
-		j := pairLink(e)
-		out[j/8] |= 1 << uint(j%8)
+	for _, b := range db.links[l].backups {
+		for _, j := range db.lsets[b.lset].links {
+			out[j/8] |= 1 << uint(j%8)
+		}
 	}
 	return dst
 }
@@ -178,24 +181,17 @@ func (db *DB) ReleasePrimaryPath(id ConnID, links []graph.LinkID) error {
 // RegisterBackupPath registers connection id's backup channel on every
 // link of the path, carrying primaryLSET exactly as per-link
 // RegisterBackup packets would (the LSET is copied once, into one LSET
-// table slot the links' registries share). On the first rejected link the
-// earlier registrations are released and that link's error is returned.
-// Each per-link register — and each rollback release — counts one backup
-// op, matching the signalling volume of the per-link loop.
+// table slot the links' registries share). On the first rejected link
+// nothing stays registered and that link's error is returned. Each
+// per-link register — and each release a per-link loop would roll back
+// with — counts one backup op, matching the signalling volume of that
+// loop.
 func (db *DB) RegisterBackupPath(id ConnID, links, primaryLSET []graph.LinkID) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	h := db.newLSETLocked(slices.Clone(primaryLSET))
 	defer db.unrefLSETLocked(h)
-	for i, l := range links {
-		if err := db.registerBackupLocked(id, l, h); err != nil {
-			for _, done := range links[:i] {
-				_ = db.releaseBackupLocked(id, done) // registered above: cannot fail
-			}
-			return err
-		}
-	}
-	return nil
+	return db.registerBackupsLocked(id, links, h)
 }
 
 // ReleaseBackupPath releases connection id's backup registration on
@@ -205,12 +201,7 @@ func (db *DB) RegisterBackupPath(id ConnID, links, primaryLSET []graph.LinkID) e
 func (db *DB) ReleaseBackupPath(id ConnID, links []graph.LinkID) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for _, l := range links {
-		if err := db.releaseBackupLocked(id, l); err != nil {
-			return err
-		}
-	}
-	return nil
+	return db.releaseBackupsLocked(id, links)
 }
 
 // PromoteBackupPath activates connection id's backup on every link of
@@ -238,8 +229,7 @@ func (db *DB) PromoteBackupPath(id ConnID, links []graph.LinkID) error {
 			if u.converted {
 				_ = db.releasePrimaryLocked(id, u.link) // converted above: cannot fail
 			}
-			k, _ := db.links[u.link].findBackup(id)
-			db.attachBackupLocked(id, u.link, k, u.lset)
+			db.attachBackupLocked(id, []graph.LinkID{u.link}, u.lset)
 		}
 		db.unrefLSETLocked(u.lset)
 	}

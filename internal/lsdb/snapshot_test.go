@@ -2,8 +2,10 @@ package lsdb
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -183,6 +185,88 @@ func TestRegisterBackupPathMatchesLoop(t *testing.T) {
 		}
 	}
 	checkDerivedState(t, batch, "after the register rollback")
+}
+
+// TestOddPathsMatchLoop holds the whole-path backup calls to the per-link
+// loops they replace on the paths they do not fold at once — an empty
+// path, a link named twice, links registered under different LSETs, a link
+// without a registration mid-path — in both spare modes: the same error,
+// backup-op count and per-link state, and a database Check accepts. With
+// dedicated spare at capacity 1 a link named twice refuses for bandwidth,
+// on the spare its first registration took, before the duplicate check.
+func TestOddPathsMatchLoop(t *testing.T) {
+	steps := []struct {
+		release    bool
+		id         ConnID
+		path, lset []graph.LinkID
+	}{
+		{false, 1, nil, lset(1)},
+		{false, 1, lset(2, 5, 2), lset(1, 3)}, // a link named twice
+		{false, 2, lset(2, 5), lset(1, 3)},
+		{false, 3, lset(6), lset(4)},
+		{false, 3, lset(7), lset(1, 4, 4)}, // another LSET
+		{true, 3, lset(6, 7), nil},         // two LSETs
+		{true, 2, lset(2, 6, 5), nil},      // no registration on 6: 2 released, 5 kept
+		{true, 2, lset(5, 5), nil},         // a link named twice
+		{true, 1, nil, nil},
+	}
+	loopRegister := func(db *DB, id ConnID, path, lset []graph.LinkID) error {
+		for i, l := range path {
+			if err := db.RegisterBackup(id, l, lset); err != nil {
+				for _, done := range path[:i] {
+					_ = db.ReleaseBackup(id, done)
+				}
+				return err
+			}
+		}
+		return nil
+	}
+	loopRelease := func(db *DB, id ConnID, path []graph.LinkID) error {
+		for _, l := range path {
+			if err := db.ReleaseBackup(id, l); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	g, err := topology.Grid(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		mode     Mode
+		capacity int
+	}{{Multiplexed, 3}, {Dedicated, 1}} {
+		batch, err1 := NewWithMode(g, c.capacity, 1, c.mode)
+		loop, err2 := NewWithMode(g, c.capacity, 1, c.mode)
+		if err := errors.Join(err1, err2); err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range steps {
+			var got, want error
+			if s.release {
+				got, want = batch.ReleaseBackupPath(s.id, s.path), loopRelease(loop, s.id, s.path)
+			} else {
+				got, want = batch.RegisterBackupPath(s.id, s.path, s.lset), loopRegister(loop, s.id, s.path, s.lset)
+			}
+			if errString(got) != errString(want) {
+				t.Fatalf("%v step %d: error %q, loop %q", c.mode, i, errString(got), errString(want))
+			}
+			if b, l := batch.BackupOps(), loop.BackupOps(); b != l {
+				t.Fatalf("%v step %d: %d backup ops, loop %d", c.mode, i, b, l)
+			}
+			for l := range batch.NumLinks() {
+				id := graph.LinkID(l)
+				if !slices.Equal(batch.APLV(id), loop.APLV(id)) || !slices.Equal(batch.BackupsOn(id), loop.BackupsOn(id)) ||
+					batch.APLVMax(id) != loop.APLVMax(id) || batch.SpareBW(id) != loop.SpareBW(id) {
+					t.Fatalf("%v step %d: link %d: APLV %v, backups %v, max %d, spare %d; loop %v, %v, %d, %d", c.mode, i, l,
+						batch.APLV(id), batch.BackupsOn(id), batch.APLVMax(id), batch.SpareBW(id),
+						loop.APLV(id), loop.BackupsOn(id), loop.APLVMax(id), loop.SpareBW(id))
+				}
+			}
+			checkDerivedState(t, batch, fmt.Sprintf("%v step %d", c.mode, i))
+		}
+	}
 }
 
 // TestSnapshotIntoAllocs is the allocation budget for the per-route
@@ -396,7 +480,7 @@ func paperDB(tb testing.TB, g *graph.Graph, extra int) (db *DB, load, more []bac
 	long := func() int {
 		k := 0
 		for l := range db.links {
-			if len(db.links[l].aplv) > db.n/4 {
+			if rowLen(db, graph.LinkID(l)) > db.n/4 {
 				k++
 			}
 		}
@@ -435,9 +519,9 @@ func loadBackups(db *DB, load []backupRoute, unload bool) error {
 // TestBackupPathAllocs is the allocation budget of the per-request backup
 // bookkeeping: on a loaded database, a warmed RegisterBackupPath +
 // ReleaseBackupPath pair allocates at most one object, the LSET clone the
-// registration keeps — the registries, pair lists and posting lists it
-// touches grow and give capacity back without allocating once they have
-// carried the request. It runs at 300 nodes at scale_2k's steady state
+// registration keeps — the registries and APLV columns it touches grow and
+// give capacity back without allocating once they have carried the
+// request. It runs at 300 nodes at scale_2k's steady state
 // and on the paper's 60-node topology with rows past a quarter of the
 // links.
 func TestBackupPathAllocs(t *testing.T) {
@@ -458,7 +542,7 @@ func TestBackupPathAllocs(t *testing.T) {
 			long := 0 // backup links of more whose row holds over a quarter of the links
 			for _, r := range more {
 				for _, l := range r.backup {
-					if len(db.links[l].aplv) > db.n/4 {
+					if rowLen(db, l) > db.n/4 {
 						long++
 					}
 				}
@@ -490,9 +574,9 @@ func TestBackupPathAllocs(t *testing.T) {
 // TestColdBackupPathAllocs is the allocation budget of a registration on
 // links that carry nothing yet: the first RegisterBackupPath of a 9-hop
 // backup carrying a 9-link LSET onto an empty database. Besides the LSET
-// clone, the fold's two scratch buffers and the change log, each backup
-// link's registry and APLV pair list grow once, and each LSET link's
-// posting list grows by at least 4 entries at a time.
+// clone, the folds' two scratch buffers (the sorted LSET and path) and
+// the LSET table, each backup link's registry grows once, and each LSET
+// link's APLV column grows by at least 4 entries at a time.
 func TestColdBackupPathAllocs(t *testing.T) {
 	const budget = 52
 	g, err := topology.Waxman(topology.WaxmanConfig{Nodes: 300, AvgDegree: 3, MinDegree: 2, Seed: 1})
@@ -529,7 +613,7 @@ func TestColdBackupPathAllocs(t *testing.T) {
 // (6000 links) and to the same load per link at the 10k-node experiment's
 // size (30000 links). Beside BenchmarkSnapshotInto it is the
 // lsdb layer's home. Besides ns/op and allocs/op it reports the load
-// (backups/link, and entries/link of the APLV pair lists) and the heap a
+// (backups/link, and entries/link of the APLV columns) and the heap a
 // second database holds per registered backup-link after it is loaded,
 // unloaded and loaded again (B/backup-link, LSET clones included): what
 // the bookkeeping costs in memory once the load has moved.
@@ -554,7 +638,7 @@ func benchBackupPath(b *testing.B, g *graph.Graph, loadDB loader) {
 		backupLinks += len(c.backup)
 	}
 	for l := range db.links {
-		entries += len(db.links[l].aplv)
+		entries += len(db.links[l].col)
 	}
 
 	other, err := New(g, 40, 1)

@@ -720,9 +720,9 @@ func TestConcurrentStress(t *testing.T) {
 }
 
 // TestCheckFindsDrift corrupts one piece of derived state at a time on a
-// loaded database — APLV pair lists, posting lists, primaries, registry
-// order, running totals, the LSET table — and requires DB.Check to name
-// it.
+// loaded database — the (link, count) pairs of an APLV column, a link's
+// norm and maximum, primaries, registry order, running totals, the LSET
+// table — and requires DB.Check to name it.
 func TestCheckFindsDrift(t *testing.T) {
 	load := func(t *testing.T) *DB {
 		db := newTestDB(t, 10)
@@ -741,21 +741,26 @@ func TestCheckFindsDrift(t *testing.T) {
 		}
 		return db
 	}
-	b, j := paperLink(5), paperLink(3) // a backup link, and a primary link both backups' LSETs name
+	// A backup link, and a primary link both backups' LSETs name: column j
+	// holds links 5, 6 and 7.
+	b, j := paperLink(5), paperLink(3)
+	stray := uint64(paperLink(9))<<32 | 1 // an entry for a link whose APLV does not count j
 	for _, c := range []struct {
 		name    string
 		corrupt func(db *DB)
 	}{
 		{"registry order", func(db *DB) { s := &db.links[b]; s.backups[0], s.backups[1] = s.backups[1], s.backups[0] }},
-		{"pair count", func(db *DB) { db.links[b].aplv[0]++ }},
-		{"pair order", func(db *DB) { p := db.links[b].aplv; p[0], p[1] = p[1], p[0] }},
-		{"pair missing", func(db *DB) { s := &db.links[b]; s.aplv = s.aplv[1:] }},
-		{"pair past the network", func(db *DB) { s := &db.links[b]; s.aplv = append(s.aplv, uint64(db.n)<<32|1) }},
+		{"pair count", func(db *DB) { db.links[j].col[0]++ }},
+		{"pair order", func(db *DB) { p := db.links[j].col; p[0], p[1] = p[1], p[0] }},
+		{"pair missing", func(db *DB) { s := &db.links[j]; s.col = s.col[1:] }},
+		{"pair past the network", func(db *DB) { s := &db.links[j]; s.col = append(s.col, uint64(db.n)<<32|1) }},
+		{"pair twice", func(db *DB) { s := &db.links[j]; s.col = append(s.col, s.col[len(s.col)-1]) }},
+		{"pair for a zero counter", func(db *DB) { s := &db.links[j]; s.col = append(s.col, stray) }},
+		{"zeroed pair", func(db *DB) { s := &db.links[j]; s.col = append(s.col, stray-1) }},
+		{"column emptied", func(db *DB) { db.links[j].col = nil }},
 		{"norm", func(db *DB) { db.links[b].norm++ }},
 		{"max", func(db *DB) { db.links[b].maxElem-- }},
-		{"posting missing", func(db *DB) { p := &db.links[j]; p.post = p.post[1:] }},
-		{"posting twice", func(db *DB) { p := &db.links[j]; p.post = append(p.post, p.post[0]) }},
-		{"posting for a zero counter", func(db *DB) { db.links[j].post[0] = int32(paperLink(9)) }},
+		{"counters at the max", func(db *DB) { db.links[b].atMax++ }},
 		{"primary twice", func(db *DB) {
 			s := &db.links[j]
 			s.primaries = append(s.primaries, s.primaries[0])
