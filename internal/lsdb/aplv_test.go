@@ -44,6 +44,14 @@ func (o *aplvOracle) release(id ConnID, l graph.LinkID) {
 	delete(o.lsets[l], id)
 }
 
+func (o *aplvOracle) maxElem(l graph.LinkID) int {
+	m := 0
+	for _, c := range o.counts[l] {
+		m = max(m, c)
+	}
+	return m
+}
+
 func (o *aplvOracle) cvBytes(l graph.LinkID) []byte {
 	out := make([]byte, (o.n+7)/8)
 	for j := range o.counts[l] {
@@ -55,7 +63,7 @@ func (o *aplvOracle) cvBytes(l graph.LinkID) []byte {
 func (o *aplvOracle) aplvBytes() int64 {
 	var total int64
 	for l := range o.counts {
-		total += 8 * int64(len(o.counts[l]))
+		total += 4 * int64(len(o.counts[l]))
 	}
 	return total
 }
@@ -304,10 +312,13 @@ func TestPostingListRepeatedLSETEntry(t *testing.T) {
 // to DB.Check. LSETs come out unsorted, with repeated links, with links
 // outside the network and empty. Capacity never refuses a registration,
 // so the model predicts every outcome: a registration fails on a duplicate
-// or an out-of-range LSET, a release on a missing registration, a
-// promotion on a missing registration or on a link with no spare (spare is
-// max_j APLV[j] here), and a path call stops at its first failing link,
-// rolling back the register and promote paths.
+// or an out-of-range LSET, or when the LSET's length could lift the link's
+// APLV maximum past what a counter holds, a release on a missing
+// registration, a promotion on a missing registration or on a link with no
+// spare (spare is max_j APLV[j] here), and a path call stops at its first
+// failing link, rolling back the register and promote paths. Each input
+// runs on the database as built and again on ones whose column entries are
+// narrowed to 2, 3 and 4 count bits, where that width is soon reached.
 func FuzzBackupOps(f *testing.F) {
 	f.Add([]byte{
 		0, 0, 3, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, // one registration fills a row of 9
@@ -328,154 +339,168 @@ func FuzzBackupOps(f *testing.F) {
 		4, 3, 2, 7, 8, // refused: no spare without an APLV entry
 		3, 3, 2, 7, 8,
 	})
+	f.Add([]byte{
+		0, 0, 3, 3, 1, 1, 2, // raises a counter of link 3 to 2
+		1, 1, 2, 4, 3, 2, 1, 5, // at 2 count bits link 4 takes the LSET, link 3 refuses it: rolled back
+		0, 2, 3, 2, 9, 10, // refused at 2 count bits
+		2, 0, 3, // released: link 3's counters fall to 0
+		0, 2, 3, 2, 9, 10, // admitted at every width
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := topology.Grid(3, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const capacity, ids = 16, 8 // a link's primaries stay under capacity/2
-		db, err := New(g, capacity, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := db.NumLinks()
-		o := newAPLVOracle(n)
-		primaries := make([]map[ConnID]bool, n)
-		for l := range primaries {
-			primaries[l] = map[ConnID]bool{}
-		}
-		next := func() int {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return int(b)
-		}
-		links := func(k int) []graph.LinkID {
-			out := make([]graph.LinkID, k)
-			for i := range out {
-				out[i] = graph.LinkID(next() % n)
-			}
-			return out
-		}
-		registered := func(id ConnID, l graph.LinkID) bool {
-			_, ok := o.lsets[l][id]
-			return ok
-		}
-		maxElem := func(l graph.LinkID) int {
-			m := 0
-			for _, c := range o.counts[l] {
-				m = max(m, c)
-			}
-			return m
-		}
-		var counts []float64
-		for step := 0; len(data) > 0; step++ {
-			op, id := next()%5, ConnID(next()%ids+1)
-			var path []graph.LinkID
-			if op%2 == 0 && op != 4 {
-				path = links(1)
-			} else {
-				path = links(next() % 4)
-			}
-			var lset []graph.LinkID
-			inRange := true
-			if op <= 1 {
-				lset = make([]graph.LinkID, next()%10)
-				for i := range lset {
-					switch b := next(); b {
-					case 255:
-						lset[i] = -1
-					case 254:
-						lset[i] = graph.LinkID(n)
-					default:
-						lset[i] = graph.LinkID(b % n)
-					}
-					inRange = inRange && lset[i] >= 0 && int(lset[i]) < n
-				}
-			}
-			var err error
-			want := true
-			switch op {
-			case 0:
-				err = db.RegisterBackup(id, path[0], lset)
-				if want = inRange && !registered(id, path[0]); want {
-					o.register(id, path[0], lset)
-				}
-			case 1:
-				err = db.RegisterBackupPath(id, path, lset)
-				var done []graph.LinkID
-				for _, l := range path {
-					if want = inRange && !registered(id, l); !want {
-						break
-					}
-					o.register(id, l, lset)
-					done = append(done, l)
-				}
-				if !want {
-					for _, l := range done {
-						o.release(id, l)
-					}
-				}
-			case 2:
-				err = db.ReleaseBackup(id, path[0])
-				if want = registered(id, path[0]); want {
-					o.release(id, path[0])
-				}
-			case 3:
-				err = db.ReleaseBackupPath(id, path)
-				for _, l := range path {
-					if want = registered(id, l); !want {
-						break
-					}
-					o.release(id, l)
-				}
-			case 4:
-				err = db.PromoteBackupPath(id, path)
-				type undo struct {
-					l         graph.LinkID
-					lset      []graph.LinkID
-					converted bool
-				}
-				var done []undo
-				for _, l := range path {
-					shared := primaries[l][id]
-					if want = registered(id, l) && (shared || maxElem(l) > 0); !want {
-						break
-					}
-					primaries[l][id] = true
-					done = append(done, undo{l, o.lsets[l][id], !shared})
-					o.release(id, l)
-				}
-				if !want {
-					for _, u := range done {
-						if u.converted {
-							delete(primaries[u.l], id)
-						}
-						o.register(id, u.l, u.lset)
-					}
-				}
-			}
-			if (err == nil) != want {
-				t.Fatalf("step %d: op %d, connection %d, path %v, LSET %v: error %v, model expects success %v", step, op, id, path, lset, err, want)
-			}
-			for l := 0; l < n; l++ {
-				lid := graph.LinkID(l)
-				o.checkLink(t, db, lid, step)
-				prime := len(primaries[l])
-				if got := db.PrimeBW(lid); got != prime {
-					t.Fatalf("step %d: link %d has prime %d, model %d", step, l, got, prime)
-				}
-				if got, want := db.SpareBW(lid), min(maxElem(lid), capacity-prime); got != want {
-					t.Fatalf("step %d: link %d has spare %d, model %d", step, l, got, want)
-				}
-			}
-			if !inRange {
-				lset = nil
-			}
-			counts = o.checkAggregates(t, db, lset, counts, step)
-			checkDerivedState(t, db, fmt.Sprintf("step %d", step))
+		for _, k := range []uint{0, 2, 3, 4} {
+			backupOps(t, data, k)
 		}
 	})
+}
+
+// backupOps is one run of FuzzBackupOps on a database whose counters are
+// narrowed to countBits, or as built at 0.
+func backupOps(t *testing.T, data []byte, countBits uint) {
+	g, err := topology.Grid(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const capacity, ids = 16, 8 // a link's primaries stay under capacity/2
+	db, err := New(g, capacity, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if countBits > 0 {
+		narrowCounts(db, countBits)
+	}
+	n := db.NumLinks()
+	o := newAPLVOracle(n)
+	primaries := make([]map[ConnID]bool, n)
+	for l := range primaries {
+		primaries[l] = map[ConnID]bool{}
+	}
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	links := func(k int) []graph.LinkID {
+		out := make([]graph.LinkID, k)
+		for i := range out {
+			out[i] = graph.LinkID(next() % n)
+		}
+		return out
+	}
+	registered := func(id ConnID, l graph.LinkID) bool {
+		_, ok := o.lsets[l][id]
+		return ok
+	}
+	fits := func(l graph.LinkID, lset []graph.LinkID) bool {
+		return o.maxElem(l)+len(lset) <= int(db.maxCount)
+	}
+	var counts []float64
+	for step := 0; len(data) > 0; step++ {
+		op, id := next()%5, ConnID(next()%ids+1)
+		var path []graph.LinkID
+		if op%2 == 0 && op != 4 {
+			path = links(1)
+		} else {
+			path = links(next() % 4)
+		}
+		var lset []graph.LinkID
+		inRange := true
+		if op <= 1 {
+			lset = make([]graph.LinkID, next()%10)
+			for i := range lset {
+				switch b := next(); b {
+				case 255:
+					lset[i] = -1
+				case 254:
+					lset[i] = graph.LinkID(n)
+				default:
+					lset[i] = graph.LinkID(b % n)
+				}
+				inRange = inRange && lset[i] >= 0 && int(lset[i]) < n
+			}
+		}
+		var err error
+		want := true
+		switch op {
+		case 0:
+			err = db.RegisterBackup(id, path[0], lset)
+			if want = inRange && !registered(id, path[0]) && fits(path[0], lset); want {
+				o.register(id, path[0], lset)
+			}
+		case 1:
+			err = db.RegisterBackupPath(id, path, lset)
+			var done []graph.LinkID
+			for _, l := range path {
+				if want = inRange && !registered(id, l) && fits(l, lset); !want {
+					break
+				}
+				o.register(id, l, lset)
+				done = append(done, l)
+			}
+			if !want {
+				for _, l := range done {
+					o.release(id, l)
+				}
+			}
+		case 2:
+			err = db.ReleaseBackup(id, path[0])
+			if want = registered(id, path[0]); want {
+				o.release(id, path[0])
+			}
+		case 3:
+			err = db.ReleaseBackupPath(id, path)
+			for _, l := range path {
+				if want = registered(id, l); !want {
+					break
+				}
+				o.release(id, l)
+			}
+		case 4:
+			err = db.PromoteBackupPath(id, path)
+			type undo struct {
+				l         graph.LinkID
+				lset      []graph.LinkID
+				converted bool
+			}
+			var done []undo
+			for _, l := range path {
+				shared := primaries[l][id]
+				if want = registered(id, l) && (shared || o.maxElem(l) > 0); !want {
+					break
+				}
+				primaries[l][id] = true
+				done = append(done, undo{l, o.lsets[l][id], !shared})
+				o.release(id, l)
+			}
+			if !want {
+				for _, u := range done {
+					if u.converted {
+						delete(primaries[u.l], id)
+					}
+					o.register(id, u.l, u.lset)
+				}
+			}
+		}
+		if (err == nil) != want {
+			t.Fatalf("step %d: op %d, connection %d, path %v, LSET %v: error %v, model expects success %v", step, op, id, path, lset, err, want)
+		}
+		for l := 0; l < n; l++ {
+			lid := graph.LinkID(l)
+			o.checkLink(t, db, lid, step)
+			prime := len(primaries[l])
+			if got := db.PrimeBW(lid); got != prime {
+				t.Fatalf("step %d: link %d has prime %d, model %d", step, l, got, prime)
+			}
+			if got, want := db.SpareBW(lid), min(o.maxElem(lid), capacity-prime); got != want {
+				t.Fatalf("step %d: link %d has spare %d, model %d", step, l, got, want)
+			}
+		}
+		if !inRange {
+			lset = nil
+		}
+		counts = o.checkAggregates(t, db, lset, counts, step)
+		checkDerivedState(t, db, fmt.Sprintf("count bits %d, step %d", countBits, step))
+	}
 }

@@ -35,6 +35,7 @@ func (db *DB) Check() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	n := db.n
+	cbits, maxCount := db.cbits, db.maxCount
 	folded := make([]int32, n) // one link's APLV row, folded from its registry; zeroed as it is matched
 	cursor := make([]int, n)   // cursor[j]: entries of column j matched so far
 	var ids []ConnID
@@ -45,9 +46,9 @@ func (db *DB) Check() error {
 		prime += s.prime
 		spare += s.spare
 		for k, e := range s.col {
-			switch pl, c := entryLink(e), entryCount(e); {
-			case k > 0 && entryLink(s.col[k-1]) >= pl:
-				return fmt.Errorf("lsdb: column %d holds link %d after link %d", l, pl, entryLink(s.col[k-1]))
+			switch pl, c := int(e>>cbits), e&maxCount; {
+			case k > 0 && int(s.col[k-1]>>cbits) >= pl:
+				return fmt.Errorf("lsdb: column %d holds link %d after link %d", l, pl, s.col[k-1]>>cbits)
 			case pl >= n:
 				return fmt.Errorf("lsdb: column %d holds link %d, out of range [0,%d)", l, pl, n)
 			case c == 0:
@@ -103,13 +104,13 @@ func (db *DB) Check() error {
 				}
 				col, k := db.links[j].col, cursor[j]
 				switch {
-				case k < len(col) && entryLink(col[k]) == l:
-					if c := entryCount(col[k]); c != int(v) {
+				case k < len(col) && int(col[k]>>cbits) == l:
+					if c := col[k] & maxCount; c != uint32(v) {
 						return fmt.Errorf("lsdb: column %d holds APLV_%d[%d] = %d, its registry's LSETs give %d", j, l, j, c, v)
 					}
 					cursor[j]++
-				case k < len(col) && entryLink(col[k]) < l:
-					return fmt.Errorf("lsdb: column %d holds link %d, whose registry's LSETs give APLV_%d[%d] = 0", j, entryLink(col[k]), entryLink(col[k]), j)
+				case k < len(col) && int(col[k]>>cbits) < l:
+					return fmt.Errorf("lsdb: column %d holds link %d, whose registry's LSETs give APLV_%d[%d] = 0", j, col[k]>>cbits, col[k]>>cbits, j)
 				default:
 					return fmt.Errorf("lsdb: column %d lacks link %d, whose registry's LSETs give APLV_%d[%d] = %d", j, l, l, j, v)
 				}
@@ -126,7 +127,7 @@ func (db *DB) Check() error {
 	// Whatever a column holds past its cursor no registry counts.
 	for j := range db.links {
 		if col := db.links[j].col; cursor[j] < len(col) {
-			l := entryLink(col[cursor[j]])
+			l := col[cursor[j]] >> cbits
 			return fmt.Errorf("lsdb: column %d holds link %d, whose registry's LSETs give APLV_%d[%d] = 0", j, l, l, j)
 		}
 	}

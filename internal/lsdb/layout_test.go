@@ -10,9 +10,11 @@ import (
 // TestLayout pins the sizes of the records the simulator holds one of per
 // link and per backup-link: 32-bit graph IDs make a Link 16 bytes, a
 // registry entry holding an LSET table handle in place of a slice header
-// is 16 bytes, and a link record holding one APLV column, neither a row
-// nor a posting list, is 104 bytes. A field that widens any of them shows
-// here before it shows in the live heap.
+// is 16 bytes, a link record holding one APLV column, neither a row nor a
+// posting list, is 104 bytes, and a column entry — link and count sharing
+// one word — is 4 bytes, the size APLVBytes and Footprint count it at. A
+// field that widens any of them shows here before it shows in the live
+// heap.
 func TestLayout(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -21,6 +23,7 @@ func TestLayout(t *testing.T) {
 		{"graph.Link", unsafe.Sizeof(graph.Link{}), 16},
 		{"lsdb.backupReg", unsafe.Sizeof(backupReg{}), 16},
 		{"lsdb.linkState", unsafe.Sizeof(linkState{}), 104},
+		{"lsdb column entry", unsafe.Sizeof(linkState{}.col[0]), 4},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
