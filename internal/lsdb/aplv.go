@@ -253,8 +253,8 @@ func (db *DB) recountMaxLocked(s *linkState) {
 		db.recount = make([]int32, db.n)
 	}
 	var m, at int32
-	for _, b := range s.backups {
-		for _, j := range db.lsets[b.lset].links {
+	for _, h := range s.backups {
+		for _, j := range db.lsets[h].links {
 			db.recount[j]++
 			switch v := db.recount[j]; {
 			case v > m:
@@ -267,8 +267,8 @@ func (db *DB) recountMaxLocked(s *linkState) {
 	if 16*s.norm >= db.n {
 		clear(db.recount)
 	} else {
-		for _, b := range s.backups {
-			for _, j := range db.lsets[b.lset].links {
+		for _, h := range s.backups {
+			for _, j := range db.lsets[h].links {
 				db.recount[j] = 0
 			}
 		}

@@ -9,8 +9,8 @@ import (
 // to date beside its registries, and returns an error naming the first
 // drift it finds, or nil:
 //
-//   - every link's backup registry lists its connections in strictly
-//     increasing ID order;
+//   - every link's backup registry names LSET table slots inside the
+//     table, and lists their connections in strictly increasing ID order;
 //   - every LSET table slot's reference count equals the registrations
 //     naming it, a slot no registration names is on the free list, once,
 //     and a free slot holds no LSET;
@@ -55,16 +55,16 @@ func (db *DB) Check() error {
 				return fmt.Errorf("lsdb: column %d holds a zero counter for link %d", l, pl)
 			}
 		}
-		for k := 1; k < len(s.backups); k++ {
-			if s.backups[k-1].id >= s.backups[k].id {
-				return fmt.Errorf("lsdb: link %d registry lists connection %d before %d", l, s.backups[k-1].id, s.backups[k].id)
+		for _, h := range s.backups {
+			if int(h) >= len(db.lsets) {
+				return fmt.Errorf("lsdb: link %d registers a backup under LSET slot %d, past the table's %d", l, h, len(db.lsets))
 			}
+			named[h]++
 		}
-		for _, b := range s.backups {
-			if int(b.lset) >= len(db.lsets) {
-				return fmt.Errorf("lsdb: link %d registers connection %d under LSET slot %d, past the table's %d", l, b.id, b.lset, len(db.lsets))
+		for k := 1; k < len(s.backups); k++ {
+			if prev, id := db.lsets[s.backups[k-1]].id, db.lsets[s.backups[k]].id; prev >= id {
+				return fmt.Errorf("lsdb: link %d registry lists connection %d before %d", l, prev, id)
 			}
-			named[b.lset]++
 		}
 		if want := len(s.primaries) * db.unitBW; s.prime != want {
 			return fmt.Errorf("lsdb: link %d has prime %d, its %d primaries account for %d", l, s.prime, len(s.primaries), want)
@@ -78,19 +78,19 @@ func (db *DB) Check() error {
 		}
 
 		norm := 0
-		for _, b := range s.backups {
-			lset := db.lsets[b.lset].links
+		for _, h := range s.backups {
+			lset := db.lsets[h].links
 			for _, pl := range lset {
 				if pl < 0 || int(pl) >= n {
-					return fmt.Errorf("lsdb: link %d stores LSET entry %d for connection %d, out of range [0,%d)", l, pl, b.id, n)
+					return fmt.Errorf("lsdb: link %d stores LSET entry %d for connection %d, out of range [0,%d)", l, pl, db.lsets[h].id, n)
 				}
 				folded[pl]++
 			}
 			norm += len(lset)
 		}
 		var maxElem, atMax int32
-		for _, b := range s.backups {
-			for _, j := range db.lsets[b.lset].links {
+		for _, h := range s.backups {
+			for _, j := range db.lsets[h].links {
 				v := folded[j]
 				if v == 0 { // matched at an earlier entry
 					continue

@@ -96,11 +96,12 @@ type linkState struct {
 	// incrementally (aplv.go).
 	maxElem, atMax int32
 	// backups is the backup registry: every backup channel registered on
-	// this link with the LSET of its primary (carried in backup-register
+	// this link, as the handle of the LSET table slot (lset.go) holding its
+	// connection and the LSET of its primary (carried in backup-register
 	// packets), connection IDs ascending. IDs grow with time, so a
-	// registration mostly appends (findBackup). The link's APLV row is
+	// registration mostly appends (DB.findBackupLocked). The link's APLV row is
 	// folded from it where a whole row is read.
-	backups []backupReg
+	backups []uint32
 	// primaries lists the DR-connections with a primary channel on this
 	// link, in no particular order. A link holds at most capacity/unitBW of
 	// them, so membership is a short scan.
@@ -116,33 +117,26 @@ type linkState struct {
 // entryBytes is the size of one APLV column entry.
 const entryBytes = int64(unsafe.Sizeof(linkState{}.col[0]))
 
-// backupReg is one entry of a link's backup registry: 16 bytes, the
-// connection and a handle into the database's LSET table (lset.go), whose
-// slot every link of the backup's path shares.
-type backupReg struct {
-	id   ConnID
-	lset uint32
-}
-
-// findBackup returns the position of id in the link's backup registry, or
-// the position it would be inserted at, and whether it is registered. IDs
-// grow with time, so a new registration mostly lands past the last entry:
-// that is checked first, before the binary search.
-func (s *linkState) findBackup(id ConnID) (int, bool) {
-	b := s.backups
-	if len(b) == 0 || b[len(b)-1].id < id {
+// findBackupLocked returns the position of id in link state s's backup registry,
+// or the position it would be inserted at, and whether it is registered;
+// each probe reads an entry's ID from its LSET table slot. IDs grow with
+// time, so a new registration mostly lands past the last entry: that is
+// checked first, before the binary search. The caller must hold db.mu.
+func (db *DB) findBackupLocked(s *linkState, id ConnID) (int, bool) {
+	b, lsets := s.backups, db.lsets
+	if len(b) == 0 || lsets[b[len(b)-1]].id < id {
 		return len(b), false
 	}
-	lo, hi := 0, len(b)-1 // b[hi].id >= id
+	lo, hi := 0, len(b)-1 // lsets[b[hi]].id >= id
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if b[m].id < id {
+		if lsets[b[m]].id < id {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	return lo, b[lo].id == id
+	return lo, lsets[b[lo]].id == id
 }
 
 // DB is the aggregate link-state database over all links of a network. In
@@ -344,43 +338,44 @@ func (db *DB) releasePrimaryLocked(id ConnID, l graph.LinkID) error {
 func (db *DB) RegisterBackup(id ConnID, l graph.LinkID, primaryLSET []graph.LinkID) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	h := db.newLSETLocked(slices.Clone(primaryLSET))
-	err := db.registerBackupsLocked(id, []graph.LinkID{l}, h)
+	h := db.newLSETLocked(id, slices.Clone(primaryLSET))
+	err := db.registerBackupsLocked([]graph.LinkID{l}, h)
 	db.unrefLSETLocked(h)
 	return err
 }
 
 // registerBackupsLocked is the register transition over the links of a
-// path, with the outcome of a per-link loop that rolls back at its first
-// failure: if every link admits the registration, all are attached at
-// once; else the links before the first that refuses are attached, that
-// link refuses on the state they leave (a link named twice, too) and they
-// are detached again. The caller must hold db.mu and a reference to the
-// LSET table slot h (newLSETLocked: one per call, shared by a path).
-func (db *DB) registerBackupsLocked(id ConnID, links []graph.LinkID, h uint32) error {
+// path, for the connection and LSET in LSET table slot h, with the outcome
+// of a per-link loop that rolls back at its first failure: if every link
+// admits the registration, all are attached at once; else the links before
+// the first that refuses are attached, that link refuses on the state they
+// leave (a link named twice, too) and they are detached again. The caller
+// must hold db.mu and a reference to h (newLSETLocked: one per call,
+// shared by a path).
+func (db *DB) registerBackupsLocked(links []graph.LinkID, h uint32) error {
 	path, twice := db.sortedPathLocked(links)
 	for i, l := range links {
-		if err := db.checkRegisterLocked(id, l, h); err != nil || twice && slices.Contains(links[:i], l) {
+		if err := db.checkRegisterLocked(l, h); err != nil || twice && slices.Contains(links[:i], l) {
 			path, _ = db.sortedPathLocked(links[:i])
-			db.attachBackupLocked(id, path, h)
-			err = db.checkRegisterLocked(id, l, h)
-			db.detachBackupLocked(id, path, h)
+			db.attachBackupLocked(path, h)
+			err = db.checkRegisterLocked(l, h)
+			db.detachBackupLocked(path, h)
 			return err
 		}
 	}
-	db.attachBackupLocked(id, path, h)
+	db.attachBackupLocked(path, h)
 	return nil
 }
 
-// checkRegisterLocked returns the error registering connection id's backup
-// on link l under LSET table slot h gives, or nil. An LSET arrives off the
+// checkRegisterLocked returns the error registering the backup of LSET
+// table slot h's connection on link l gives, or nil. An LSET arrives off the
 // wire, so its entries are checked before anything is mutated, and so is
 // its length: it raises no counter of l's APLV by more than that, so an
 // LSET that could lift l's maximum past maxCount is refused before any
 // counter could overflow into its column entry's link. The caller must
 // hold db.mu.
-func (db *DB) checkRegisterLocked(id ConnID, l graph.LinkID, h uint32) error {
-	s := &db.links[l]
+func (db *DB) checkRegisterLocked(l graph.LinkID, h uint32) error {
+	s, id := &db.links[l], db.lsets[h].id
 	if avail := db.capacity - s.prime; avail < db.unitBW {
 		return &ErrInsufficientBandwidth{Link: l, Need: db.unitBW, Have: avail}
 	}
@@ -390,7 +385,7 @@ func (db *DB) checkRegisterLocked(id ConnID, l graph.LinkID, h uint32) error {
 			return &ErrInsufficientBandwidth{Link: l, Need: db.unitBW, Have: free}
 		}
 	}
-	if _, dup := s.findBackup(id); dup {
+	if _, dup := db.findBackupLocked(s, id); dup {
 		return fmt.Errorf("lsdb: connection %d already has a backup on link %d", id, l)
 	}
 	if _, err := db.sortedLSETLocked(h); err != nil {
@@ -402,20 +397,22 @@ func (db *DB) checkRegisterLocked(id ConnID, l graph.LinkID, h uint32) error {
 	return nil
 }
 
-// attachBackupLocked registers connection id's backup on every link of
-// path — ascending, each once, each checked, none naming id yet — taking
-// one reference per link to LSET table slot h, folds its LSET into their
-// APLVs in one merge per column (foldInLocked) and resizes their spare; it
-// counts one backup op per link. h holds the registry's own copy, already
-// checked: the exported callers clone it into a new slot, rollback
-// re-attaches the slot a promotion held. The caller must hold db.mu.
-func (db *DB) attachBackupLocked(id ConnID, path []graph.LinkID, h uint32) {
+// attachBackupLocked registers the backup of LSET table slot h's
+// connection on every link of path — ascending, each once, each checked,
+// none naming the connection yet — taking one reference per link to h,
+// folds its LSET into their APLVs in one merge per column (foldInLocked)
+// and resizes their spare; it counts one backup op per link. h holds the
+// registry's own copy, already checked: the exported callers clone it into
+// a new slot, rollback re-attaches the slot a promotion held. The caller
+// must hold db.mu.
+func (db *DB) attachBackupLocked(path []graph.LinkID, h uint32) {
 	sorted, _ := db.sortedLSETLocked(h) // checked by the caller
+	id := db.lsets[h].id
 	for _, l := range path {
 		db.backupOps++
 		s := &db.links[l]
-		k, _ := s.findBackup(id)
-		s.backups = slices.Insert(s.backups, k, backupReg{id: id, lset: h})
+		k, _ := db.findBackupLocked(s, id)
+		s.backups = slices.Insert(s.backups, k, h)
 		s.norm += len(sorted)
 	}
 	db.lsets[h].refs += int32(len(path))
@@ -462,20 +459,20 @@ const (
 	keepRoute = 16
 )
 
-// detachBackupLocked reverses attachBackupLocked for connection id's
-// registrations under LSET table slot h on every link of path, ascending
-// and each once: the registrations leave the registries, the LSET, sorted
-// once for all of them, is folded out of their APLVs in one pass per
-// column (foldOutLocked: zeroed entries are compacted out, a maximum is
+// detachBackupLocked reverses attachBackupLocked for the registrations
+// under LSET table slot h on every link of path, ascending and each once:
+// the registrations leave the registries, the LSET, sorted once for all of
+// them, is folded out of their APLVs in one pass per column (foldOutLocked: zeroed entries are compacted out, a maximum is
 // recounted only when it cannot be told otherwise), and each
 // registration's reference to h is dropped; it counts one backup op per
 // link. The caller must hold db.mu.
-func (db *DB) detachBackupLocked(id ConnID, path []graph.LinkID, h uint32) {
+func (db *DB) detachBackupLocked(path []graph.LinkID, h uint32) {
 	sorted, _ := db.sortedLSETLocked(h) // checked at registration
+	id := db.lsets[h].id
 	for _, l := range path {
 		db.backupOps++
 		s := &db.links[l]
-		k, _ := s.findBackup(id)
+		k, _ := db.findBackupLocked(s, id)
 		s.backups = shrink(slices.Delete(s.backups, k, k+1), keepOne)
 		s.norm -= len(sorted)
 	}
@@ -507,25 +504,25 @@ func (db *DB) releaseBackupsLocked(id ConnID, links []graph.LinkID) error {
 	h, batch := uint32(noLSET), !twice
 	for _, l := range path {
 		s := &db.links[l]
-		k, ok := s.findBackup(id)
-		if batch = batch && ok && (h == noLSET || s.backups[k].lset == h); !batch {
+		k, ok := db.findBackupLocked(s, id)
+		if batch = batch && ok && (h == noLSET || s.backups[k] == h); !batch {
 			break
 		}
-		h = s.backups[k].lset
+		h = s.backups[k]
 	}
 	if batch {
 		if len(path) > 0 {
-			db.detachBackupLocked(id, path, h)
+			db.detachBackupLocked(path, h)
 		}
 		return nil
 	}
 	for i, l := range links {
 		s := &db.links[l]
-		k, ok := s.findBackup(id)
+		k, ok := db.findBackupLocked(s, id)
 		if !ok {
 			return fmt.Errorf("lsdb: connection %d has no backup on link %d", id, l)
 		}
-		db.detachBackupLocked(id, links[i:i+1], s.backups[k].lset)
+		db.detachBackupLocked(links[i:i+1], s.backups[k])
 	}
 	return nil
 }
@@ -561,7 +558,7 @@ type promotion struct {
 // (unrefLSETLocked) once the promotion can no longer be undone.
 func (db *DB) promoteBackupLocked(id ConnID, l graph.LinkID) (promotion, error) {
 	s := &db.links[l]
-	k, ok := s.findBackup(id)
+	k, ok := db.findBackupLocked(s, id)
 	if !ok {
 		return promotion{}, fmt.Errorf("lsdb: connection %d has no backup on link %d", id, l)
 	}
@@ -576,9 +573,9 @@ func (db *DB) promoteBackupLocked(id ConnID, l graph.LinkID) (promotion, error) 
 		db.totalPrime += db.unitBW
 		s.primaries = append(s.primaries, id)
 	}
-	h := s.backups[k].lset
+	h := s.backups[k]
 	db.lsets[h].refs++
-	db.detachBackupLocked(id, []graph.LinkID{l}, h)
+	db.detachBackupLocked([]graph.LinkID{l}, h)
 	return promotion{link: l, lset: h, converted: !shared}, nil
 }
 
@@ -621,8 +618,8 @@ func (db *DB) APLV(l graph.LinkID) []int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	out := make([]int, db.n)
-	for _, b := range db.links[l].backups {
-		for _, j := range db.lsets[b.lset].links {
+	for _, h := range db.links[l].backups {
+		for _, j := range db.lsets[h].links {
 			out[j]++
 		}
 	}
@@ -678,8 +675,8 @@ func (db *DB) BackupsOn(l graph.LinkID) []ConnID {
 	defer db.mu.Unlock()
 	s := &db.links[l]
 	out := make([]ConnID, len(s.backups))
-	for k, b := range s.backups {
-		out[k] = b.id
+	for k, h := range s.backups {
+		out[k] = db.lsets[h].id
 	}
 	return out
 }
@@ -718,7 +715,7 @@ func (db *DB) HasPrimary(id ConnID, l graph.LinkID) bool {
 func (db *DB) HasBackup(id ConnID, l graph.LinkID) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	_, ok := db.links[l].findBackup(id)
+	_, ok := db.findBackupLocked(&db.links[l], id)
 	return ok
 }
 
@@ -727,8 +724,9 @@ func (db *DB) HasBackup(id ConnID, l graph.LinkID) bool {
 func (db *DB) HasBackupUnder(id ConnID, l graph.LinkID, primaryLSET []graph.LinkID) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	k, ok := db.links[l].findBackup(id)
-	return ok && slices.Equal(db.lsets[db.links[l].backups[k].lset].links, primaryLSET)
+	s := &db.links[l]
+	k, ok := db.findBackupLocked(s, id)
+	return ok && slices.Equal(db.lsets[s.backups[k]].links, primaryLSET)
 }
 
 // TotalPrimeBW returns the sum of primary bandwidth over all links, a
@@ -791,7 +789,7 @@ func (db *DB) Footprint() Footprint {
 	for i := range db.links {
 		s := &db.links[i]
 		f.Columns += entryBytes * int64(cap(s.col))
-		f.Registries += int64(cap(s.backups)) * int64(unsafe.Sizeof(backupReg{}))
+		f.Registries += int64(cap(s.backups)) * int64(unsafe.Sizeof(s.backups[0]))
 		f.Primaries += 8 * int64(cap(s.primaries))
 	}
 	for _, slot := range db.lsets {

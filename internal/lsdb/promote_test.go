@@ -168,8 +168,8 @@ func storedLSETs(db *DB, id ConnID) [][]graph.LinkID {
 	out := make([][]graph.LinkID, len(db.links))
 	for l := range db.links {
 		s := &db.links[l]
-		if k, ok := s.findBackup(id); ok {
-			out[l] = append([]graph.LinkID{}, db.lsets[s.backups[k].lset].links...)
+		if k, ok := db.findBackupLocked(s, id); ok {
+			out[l] = append([]graph.LinkID{}, db.lsets[s.backups[k]].links...)
 		}
 	}
 	return out

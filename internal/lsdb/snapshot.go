@@ -138,8 +138,8 @@ func (db *DB) AppendCV(l graph.LinkID, dst []byte) []byte {
 		dst = append(dst, 0)
 	}
 	out := dst[start:]
-	for _, b := range db.links[l].backups {
-		for _, j := range db.lsets[b.lset].links {
+	for _, h := range db.links[l].backups {
+		for _, j := range db.lsets[h].links {
 			out[j/8] |= 1 << uint(j%8)
 		}
 	}
@@ -190,9 +190,9 @@ func (db *DB) ReleasePrimaryPath(id ConnID, links []graph.LinkID) error {
 func (db *DB) RegisterBackupPath(id ConnID, links, primaryLSET []graph.LinkID) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	h := db.newLSETLocked(slices.Clone(primaryLSET))
+	h := db.newLSETLocked(id, slices.Clone(primaryLSET))
 	defer db.unrefLSETLocked(h)
-	return db.registerBackupsLocked(id, links, h)
+	return db.registerBackupsLocked(links, h)
 }
 
 // ReleaseBackupPath releases connection id's backup registration on
@@ -230,7 +230,7 @@ func (db *DB) PromoteBackupPath(id ConnID, links []graph.LinkID) error {
 			if u.converted {
 				_ = db.releasePrimaryLocked(id, u.link) // converted above: cannot fail
 			}
-			db.attachBackupLocked(id, []graph.LinkID{u.link}, u.lset)
+			db.attachBackupLocked([]graph.LinkID{u.link}, u.lset)
 		}
 		db.unrefLSETLocked(u.lset)
 	}

@@ -755,8 +755,9 @@ func TestConcurrentStress(t *testing.T) {
 
 // TestCheckFindsDrift corrupts one piece of derived state at a time on a
 // loaded database — the (link, count) pairs of an APLV column, a link's
-// norm and maximum, primaries, registry order, running totals, the LSET
-// table — and requires DB.Check to name it.
+// norm and maximum, primaries, registry order (entries swapped, an entry
+// naming another slot, a slot's connection rewritten), running totals, the
+// LSET table — and requires DB.Check to name it.
 func TestCheckFindsDrift(t *testing.T) {
 	load := func(t *testing.T) *DB {
 		db := newTestDB(t, 10)
@@ -804,14 +805,23 @@ func TestCheckFindsDrift(t *testing.T) {
 		}},
 		{"prime", func(db *DB) { db.links[j].prime += db.unitBW }},
 		{"spare total", func(db *DB) { db.totalSpare++ }},
-		{"LSET references", func(db *DB) { db.lsets[db.links[b].backups[0].lset].refs++ }},
-		{"LSET slot freed while named", func(db *DB) { db.freeLSETs = append(db.freeLSETs, db.links[b].backups[0].lset) }},
+		{"registry entry names a slot out of order", func(db *DB) {
+			// A slot of connection 3 with connection 1's LSET and reference:
+			// link b lists connection 3 before 2, and nothing else drifts.
+			s := &db.links[b]
+			db.lsets[s.backups[0]].refs--
+			db.lsets = append(db.lsets, lsetSlot{links: db.lsets[s.backups[0]].links, refs: 1, id: 3})
+			s.backups[0] = uint32(len(db.lsets) - 1)
+		}},
+		{"named slot's connection rewritten", func(db *DB) { db.lsets[db.links[b].backups[0]].id = 2 }},
+		{"LSET references", func(db *DB) { db.lsets[db.links[b].backups[0]].refs++ }},
+		{"LSET slot freed while named", func(db *DB) { db.freeLSETs = append(db.freeLSETs, db.links[b].backups[0]) }},
 		{"LSET slot live without a registration", func(db *DB) { db.lsets = append(db.lsets, lsetSlot{links: lset(2)}) }},
 		{"free LSET slot holds an LSET", func(db *DB) {
 			db.lsets = append(db.lsets, lsetSlot{links: lset(2)})
 			db.freeLSETs = append(db.freeLSETs, uint32(len(db.lsets)-1))
 		}},
-		{"LSET handle past the table", func(db *DB) { db.links[b].backups[0].lset = uint32(len(db.lsets)) }},
+		{"LSET handle past the table", func(db *DB) { db.links[b].backups[0] = uint32(len(db.lsets)) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			db := load(t)
