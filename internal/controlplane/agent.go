@@ -218,12 +218,14 @@ func (a *Agent) dispatch(env proto.Envelope) {
 // failed, or for a drain held down (Router.HoldLink), flooding a
 // link-state death and sending failure reports to the sources of the
 // connections crossing it, which switch or move their backups —
-// heartbeat-miss and drains thereby propagate into the data plane.
+// heartbeat-miss and drains thereby propagate into the data plane. The
+// coordinator re-announces an excluded node on every heartbeat tick; a
+// repeat finds the link down already, and the router does nothing.
 func (a *Agent) handleNodeDown(m proto.NodeDown) {
 	if m.Node == a.node || !slices.Contains(a.cfg.Graph.Neighbors(a.node), m.Node) {
 		return
 	}
-	a.log.Info("failing link to neighbor", "neighbor", int(m.Node), "reason", m.Reason)
+	a.log.Debug("failing link to neighbor", "neighbor", int(m.Node), "reason", m.Reason)
 	if m.Reason == "drain" {
 		a.r.HoldLink(m.Node)
 	} else {

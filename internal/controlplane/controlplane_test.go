@@ -616,13 +616,14 @@ func TestRetryAfterSwitch(t *testing.T) {
 // run on a manual clock, at 0 to begin with, and attaches a bare client
 // endpoint at a spare node ID. The client sends node 0's requests for
 // connection 1 to node 1, so its replies cross none of node 0's faulted
-// links.
-func lossyFan(t *testing.T, rpcTimeout time.Duration, rules ...faultinject.LinkRule) (*controlplane.Deployment, *faultinject.Injector, *faultinject.ManualClock, func(per time.Duration) (proto.EstablishReply, error)) {
+// links. It returns the ring the deployment traces to as well.
+func lossyFan(t *testing.T, rpcTimeout time.Duration, rules ...faultinject.LinkRule) (*controlplane.Deployment, *faultinject.Injector, *faultinject.ManualClock, func(per time.Duration) (proto.EstablishReply, error), *telemetry.Ring) {
 	t.Helper()
 	g := fan(t)
 	clock := &faultinject.ManualClock{}
 	inj := faultinject.New(&faultinject.Schedule{Seed: 1, Links: rules}, transport.NewMem(), faultinject.WithClock(clock.Now))
-	cfg := deployConfig(g, telemetry.NewRing(1<<12))
+	ring := telemetry.NewRing(1 << 12)
+	cfg := deployConfig(g, ring)
 	cfg.RPCTimeout = rpcTimeout
 	d := deploy(t, cfg, inj)
 	coord := controlplane.CoordinatorID(g)
@@ -639,7 +640,7 @@ func lossyFan(t *testing.T, rpcTimeout time.Duration, rules ...faultinject.LinkR
 		}
 		return out.(proto.EstablishReply), nil
 	}
-	return d, inj, clock, request
+	return d, inj, clock, request, ring
 }
 
 // offRoutes returns a transit node of the fan that none of the reply's
@@ -671,7 +672,7 @@ func TestLostCommandKeepsConnection(t *testing.T) {
 	coord := int(controlplane.CoordinatorID(fan(t)))
 	// From t=1 to t=2 the coordinator's messages to node 0 are lost; from
 	// t=3 on node 0's to the coordinator, its heartbeats among them.
-	d, _, clock, request := lossyFan(t, rpc,
+	d, _, clock, request, _ := lossyFan(t, rpc,
 		faultinject.LinkRule{From: coord, To: 0, Drop: 1, Start: 1, End: 2},
 		faultinject.LinkRule{From: 0, To: coord, Drop: 1, Start: 3})
 	reply, err := d.Node(0).Agent.Request(1, 1)
@@ -728,13 +729,70 @@ func TestLostCommandKeepsConnection(t *testing.T) {
 	}
 }
 
+// TestDrainAnnouncedPastLostMessages: a neighbour that misses the
+// coordinator's messages for many heartbeat ticks after a drain is
+// announced still hears it once they get through: the coordinator
+// re-announces an excluded node on every tick. Node 0 then holds its link
+// to the drained node down and routes a new connection around it, and
+// the announcements that keep arriving change nothing there: the link is
+// failed once.
+func TestDrainAnnouncedPastLostMessages(t *testing.T) {
+	const tick = 10 * time.Millisecond // deployConfig's HeartbeatInterval
+	g := fan(t)
+	coord := int(controlplane.CoordinatorID(g))
+	// From t=1 to t=2 the coordinator's messages to node 0 are lost.
+	d, _, clock, _, ring := lossyFan(t, 200*time.Millisecond,
+		faultinject.LinkRule{From: coord, To: 0, Drop: 1, Start: 1, End: 2})
+	reply, err := d.Node(0).Agent.Request(1, 1)
+	if err != nil || !reply.OK {
+		t.Fatalf("establish: err=%v reason=%s", err, reply.Reason)
+	}
+	x := offRoutes(t, reply)
+	l, _ := g.LinkBetween(0, x)
+	held := func() bool {
+		availPrim, availBackup, _ := d.Node(0).Router.View(l)
+		return availPrim == 0 && availBackup == 0
+	}
+
+	clock.Set(1)
+	dr, err := d.Node(1).Agent.DrainNode(x)
+	if err != nil || !dr.OK || dr.Dropped != 0 {
+		t.Fatalf("drain: err=%v reply=%+v, want nothing dropped", err, dr)
+	}
+	// Well past the RetryLimit-1 ticks a bounded re-announcement spends.
+	time.Sleep(20 * tick)
+	if held() {
+		t.Fatal("node 0 held its link to the drained node while the announcements to it were lost")
+	}
+
+	clock.Set(2)
+	waitFor(t, "node 0 holding its link to the drained node down", held)
+	fresh, err := d.Node(0).Agent.Request(2, 1)
+	if err != nil || !fresh.OK {
+		t.Fatalf("establish after the drain: err=%v reason=%s", err, fresh.Reason)
+	}
+	if visits(fresh.Primary, fresh.Backups, x) {
+		t.Fatalf("new connection routed %v %v through drained node %d", fresh.Primary, fresh.Backups, x)
+	}
+	time.Sleep(10 * tick)
+	fails := 0
+	for _, e := range ring.Events() {
+		if e.Kind == telemetry.EvLinkFail && e.Node == 0 && e.Link == int(l) {
+			fails++
+		}
+	}
+	if fails != 1 {
+		t.Fatalf("node 0 failed its link to the drained node %d times, want once", fails)
+	}
+}
+
 // TestDuplicateJoinsCommandInFlight: a duplicate request that arrives
 // while an earlier duplicate's command for the connection is in flight is
 // answered with that command's result.
 func TestDuplicateJoinsCommandInFlight(t *testing.T) {
 	coord := int(controlplane.CoordinatorID(fan(t)))
 	// From t=1 on, the coordinator's messages to node 0 take 400 ms.
-	d, inj, clock, request := lossyFan(t, 2*time.Second,
+	d, inj, clock, request, _ := lossyFan(t, 2*time.Second,
 		faultinject.LinkRule{From: coord, To: 0, Delay: 400, Start: 1})
 	reply, err := d.Node(0).Agent.Request(1, 1)
 	if err != nil || !reply.OK {
@@ -771,7 +829,7 @@ func TestDuplicateJoinsCommandInFlight(t *testing.T) {
 func TestDrainDuringRetryLeavesConnectionClear(t *testing.T) {
 	coord := int(controlplane.CoordinatorID(fan(t)))
 	// From t=1 on, the coordinator's messages to node 0 take 400 ms.
-	d, inj, clock, request := lossyFan(t, 2*time.Second,
+	d, inj, clock, request, _ := lossyFan(t, 2*time.Second,
 		faultinject.LinkRule{From: coord, To: 0, Delay: 400, Start: 1})
 	reply, err := d.Node(0).Agent.Request(1, 1)
 	if err != nil || !reply.OK {

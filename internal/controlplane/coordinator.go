@@ -39,11 +39,6 @@ type nodeRec struct {
 	draining   bool
 	down       bool
 	downReason string
-	// downcasts counts NodeDown broadcasts still owed for this death or
-	// drain: the announcement is the recovery trigger, so over a lossy
-	// transport it is re-broadcast on later ticks until the budget is
-	// spent (agents dedup via their routers' down-neighbor state).
-	downcasts int
 	// drainRunning marks a drain whose releases are not all answered yet;
 	// it answers its requester itself.
 	drainRunning bool
@@ -296,7 +291,6 @@ func (c *Coordinator) handleLeave(m proto.NodeDown) {
 	}
 	rec.down = true
 	rec.downReason = "leave"
-	rec.downcasts = c.cfg.RetryLimit - 1
 	c.mu.Unlock()
 	c.log.Info("node left", "node", int(m.Node))
 	c.tracer.NodeLeave(int(m.Node), "leave")
@@ -306,6 +300,11 @@ func (c *Coordinator) handleLeave(m proto.NodeDown) {
 // checkHeartbeats, run at now, declares nodes silent for HeartbeatMiss
 // intervals dead and broadcasts their death so backups activate. Nodes
 // that go silent together are declared, and announced, in ascending order.
+// The announcement is the neighbours' recovery trigger, so every node
+// still excluded — dead, or drained once its drain has announced it — is
+// announced again on every tick, however long a neighbour misses the
+// coordinator's messages; a repeat finds the link down already and does
+// nothing (Router.FailLink, Router.HoldLink).
 //
 // A check that runs later than half the deadline past its tick reads the
 // coordinator's own stall, not the nodes' silence: the heartbeats that
@@ -331,10 +330,8 @@ func (c *Coordinator) checkHeartbeats(now time.Time) {
 		if !stalled && rec.registered && !rec.down && now.Sub(rec.lastBeat) > deadline {
 			rec.down = true
 			rec.downReason = "heartbeat-miss"
-			rec.downcasts = c.cfg.RetryLimit - 1
 			dead = append(dead, n)
-		} else if rec.excluded() && rec.downcasts > 0 {
-			rec.downcasts--
+		} else if rec.down || rec.draining && !rec.drainRunning {
 			reason := rec.downReason
 			if !rec.down {
 				reason = "drain"
@@ -357,17 +354,17 @@ func (c *Coordinator) checkHeartbeats(now time.Time) {
 	}
 }
 
-// broadcastDown announces a death or a drain to every live node agent, in
-// node order; agents adjacent to the node fail their shared links, or
-// hold them down for a drain, which floods link-state deaths and reports
-// the connections crossing them to their sources.
+// broadcastDown announces a death or a drain to the agents of the node's
+// live topology neighbours, the only ones that act on it: they fail their
+// shared links, or hold them down for a drain, which floods link-state
+// deaths and reports the connections crossing them to their sources.
 func (c *Coordinator) broadcastDown(node graph.NodeID, reason string) {
 	msg := proto.NodeDown{Node: node, Reason: reason}
 	c.mu.Lock()
 	var live []graph.NodeID
-	for n, rec := range c.nodes {
-		if graph.NodeID(n) != node && rec.registered && !rec.down {
-			live = append(live, graph.NodeID(n))
+	for _, n := range c.cfg.Graph.Neighbors(node) {
+		if rec := c.nodes[n]; rec.registered && !rec.down {
+			live = append(live, n)
 		}
 	}
 	c.mu.Unlock()
@@ -562,11 +559,11 @@ func (c *Coordinator) release(src graph.NodeID, id lsdb.ConnID, tenant string, r
 // except one whose command is in flight, released when that settles
 // (ensure), and one whose source is held down, left as it is since its
 // source cannot answer. Once the releases are answered the node is
-// announced as a death is (broadcastDown), and re-announced on later ticks
-// from the same budget. Its neighbours hold their links to it down, and
-// the source of every connection crossing those links moves it off on
-// its own: a primary switches to its backup and is re-protected, a backup
-// is replaced. The reply follows the announcement and counts the
+// announced as a death is (broadcastDown), and re-announced on every
+// later tick while it stays excluded (checkHeartbeats). Its neighbours
+// hold their links to it down, and the source of every connection
+// crossing those links moves it off on its own: a primary switches to its
+// backup and is re-protected, a backup is replaced. The reply follows the announcement and counts the
 // connections released.
 func (c *Coordinator) handleDrain(from graph.NodeID, m proto.DrainRequest) {
 	if !c.inTopology(m.Node) {
@@ -628,7 +625,6 @@ func (c *Coordinator) handleDrain(from graph.NodeID, m proto.DrainRequest) {
 		c.log.Info("drain announced", "node", int(m.Node), "dropped", len(releases))
 		_ = c.ep.Send(from, proto.DrainReply{Node: m.Node, OK: true, Dropped: len(releases)})
 		c.mu.Lock()
-		c.nodes[m.Node].downcasts = c.cfg.RetryLimit - 1
 		c.nodes[m.Node].drainRunning = false
 		c.mu.Unlock()
 	}()
