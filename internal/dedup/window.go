@@ -12,6 +12,7 @@ package dedup
 import (
 	"hash/maphash"
 	"math/bits"
+	"unsafe"
 )
 
 // Window remembers the last capacity distinct keys put into it. Entries
@@ -82,6 +83,13 @@ func Mix(h, x uint64) uint64 {
 
 // Len returns the number of keys the window holds.
 func (w *Window[K, V]) Len() int { return len(w.ring) }
+
+// Bytes returns the memory the window holds: its ring's capacity times
+// the entry size, plus the index. A string or slice in an entry counts at
+// its header only.
+func (w *Window[K, V]) Bytes() int64 {
+	return int64(cap(w.ring))*int64(unsafe.Sizeof(entry[K, V]{})) + int64(cap(w.index))*int64(unsafe.Sizeof(slot{}))
+}
 
 // Get returns the value last put under k, if the window still holds it.
 func (w *Window[K, V]) Get(k K) (V, bool) {

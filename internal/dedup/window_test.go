@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 type key struct {
@@ -273,4 +274,24 @@ func BenchmarkWindow(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestWindowBytes holds Bytes to the live heap a full window adds: the
+// ring at capacity and an index at most twice as many slots, within 5 %.
+func TestWindowBytes(t *testing.T) {
+	const capacity = 8192
+	before := liveHeap()
+	w := NewWindow[key, [4]uint64](capacity, hashKey)
+	for i := uint64(0); i < 2*capacity; i++ {
+		w.Put(key{conn: i, seq: i}, [4]uint64{i})
+	}
+	got := int64(liveHeap() - before)
+	want := w.Bytes()
+	if ring := int64(capacity) * int64(unsafe.Sizeof(entry[key, [4]uint64]{})); want < ring {
+		t.Fatalf("Bytes = %d, below the ring's %d", want, ring)
+	}
+	if diff := got - want; diff < -want/20 || diff > want/20 {
+		t.Errorf("a full window holds %d B of live heap, Bytes reports %d", got, want)
+	}
+	runtime.KeepAlive(w)
 }

@@ -34,6 +34,17 @@ import (
 // cbits is masked to below 32, which it is, so that its shifts need no
 // range check: the loops keep few values live, which spill less.
 //
+// A database that owns every link keeps one column per link, at its ID. A
+// router's owns a few links, and keeps a column only for each link that
+// some owned link's LSETs name, in a sorted map: the links ascending in
+// colKeys, their columns beside them in cols. A fold finds a column by
+// binary search, adds the ones it lacks and drops the ones a release
+// empties, so the map holds what the owned links' registrations name and
+// nothing else. A dense index from every link to its column, assigned on
+// first touch, would find a column in one load, but would cost 4 bytes
+// per network link in every router: 24 KB of a router's 32 KB budget at
+// 2 000 nodes (6 000 links), before its first registration.
+//
 // A fold takes the LSET and the path's links sorted and visits each column
 // the LSET names once, a run of a repeated link as one step: a
 // registration raises the entries the column holds and counts the ones it
@@ -61,11 +72,50 @@ import (
 // l<<cbits and every entry of a smaller link below it. The caller must
 // hold db.mu.
 func (db *DB) aplvAtLocked(l, j graph.LinkID) int {
-	c := db.links[j].col
+	x, ok := db.colAt(j)
+	if !ok {
+		return 0
+	}
+	c := db.cols[x]
 	if k, _ := slices.BinarySearch(c, uint32(l)<<db.cbits); k < len(c) && c[k]>>db.cbits == uint32(l) {
 		return int(c[k] & db.maxCount)
 	}
 	return 0
+}
+
+// colAt returns the index in db.cols of link j's column, and whether it
+// exists; where it does not, the index is where it belongs. A database
+// that owns every link keeps every column, at the link's ID. The caller
+// must hold db.mu.
+func (db *DB) colAt(j graph.LinkID) (int, bool) {
+	if db.owned == nil {
+		return int(j), true
+	}
+	return slices.BinarySearch(db.colKeys, j)
+}
+
+// colLink returns the link whose column is at index x.
+func (db *DB) colLink(x int) graph.LinkID {
+	if db.owned == nil {
+		return graph.LinkID(x)
+	}
+	return db.colKeys[x]
+}
+
+// addColLocked makes an empty column for link j at index x, where colAt
+// placed it, and returns x. The caller must hold db.mu.
+func (db *DB) addColLocked(x int, j graph.LinkID) int {
+	db.colKeys = slices.Insert(db.colKeys, x, j)
+	db.cols = slices.Insert(db.cols, x, nil)
+	return x
+}
+
+// dropColLocked removes the column at index x, which a release emptied,
+// from a database that does not own every link. The caller must hold
+// db.mu.
+func (db *DB) dropColLocked(x int) {
+	db.colKeys = shrink(slices.Delete(db.colKeys, x, x+1), keepRoute)
+	db.cols = shrink(slices.Delete(db.cols, x, x+1), keepRoute)
 }
 
 // runAt returns the link at sorted[i] and the length of its run.
@@ -151,11 +201,18 @@ func (s *linkState) lowerMax(v, c int) {
 // norms and has checked that no counter passes maxCount. The caller must
 // hold db.mu.
 func (db *DB) foldInLocked(path, sorted []graph.LinkID) {
+	if len(path) == 0 {
+		return // a rollback of nothing makes no column
+	}
 	cbits, maxCount := db.cbits&31, db.maxCount
 	for i := 0; i < len(sorted); {
 		j, c := runAt(sorted, i)
 		i += c
-		col := db.links[j].col
+		x, ok := db.colAt(graph.LinkID(j))
+		if !ok {
+			x = db.addColLocked(x, graph.LinkID(j))
+		}
+		col := db.cols[x]
 		missing, k := 0, 0
 		for _, l := range path {
 			key := uint32(l) << cbits
@@ -167,7 +224,7 @@ func (db *DB) foldInLocked(path, sorted []graph.LinkID) {
 				continue
 			}
 			col[k] += uint32(c)
-			db.links[l].raiseMax(int(col[k] - key))
+			db.at(l).raiseMax(int(col[k] - key))
 			k++
 		}
 		if missing == 0 {
@@ -194,9 +251,9 @@ func (db *DB) foldInLocked(path, sorted []graph.LinkID) {
 			}
 			col[w] = key | uint32(c)
 			w--
-			db.links[l].raiseMax(c)
+			db.at(l).raiseMax(c)
 		}
-		db.links[j].col = col
+		db.cols[x] = col
 	}
 }
 
@@ -206,11 +263,15 @@ func (db *DB) foldInLocked(path, sorted []graph.LinkID) {
 // registry only where lowerMax cannot tell them; the caller keeps their
 // norms. Every LSET entry must be counted. The caller must hold db.mu.
 func (db *DB) foldOutLocked(path, sorted []graph.LinkID) {
+	if len(path) == 0 {
+		return
+	}
 	cbits, maxCount := db.cbits&31, db.maxCount
 	for i := 0; i < len(sorted); {
 		j, c := runAt(sorted, i)
 		i += c
-		col := db.links[j].col
+		x, _ := db.colAt(graph.LinkID(j))
+		col := db.cols[x]
 		zeroed := -1 // position of the first zeroed entry
 		k := 0
 		for _, l := range path {
@@ -219,7 +280,7 @@ func (db *DB) foldOutLocked(path, sorted []graph.LinkID) {
 				k++
 			}
 			v := int(col[k] - key)
-			db.links[l].lowerMax(v, c)
+			db.at(l).lowerMax(v, c)
 			if col[k] -= uint32(c); v == c && zeroed < 0 {
 				zeroed = k
 			}
@@ -235,10 +296,14 @@ func (db *DB) foldOutLocked(path, sorted []graph.LinkID) {
 				w++
 			}
 		}
-		db.links[j].col = shrink(col[:w], keepRoute)
+		if w == 0 && db.owned != nil {
+			db.dropColLocked(x)
+			continue
+		}
+		db.cols[x] = shrink(col[:w], keepRoute)
 	}
 	for _, l := range path {
-		if s := &db.links[l]; s.atMax == 0 && s.maxElem > 0 {
+		if s := db.at(l); s.atMax == 0 && s.maxElem > 0 {
 			db.recountMaxLocked(s)
 		}
 	}
@@ -246,17 +311,19 @@ func (db *DB) foldOutLocked(path, sorted []graph.LinkID) {
 
 // recountMaxLocked sets the link's maximum and the number of its counters
 // at it from its registry, folding its LSETs into the database's dense
-// scratch and clearing it after — whole where that is the shorter walk,
-// on small networks: O(‖APLV‖₁). The caller must hold db.mu.
+// scratch, one counter per column, and clearing it after — whole where
+// that is the shorter walk, on small networks: O(‖APLV‖₁). The caller
+// must hold db.mu.
 func (db *DB) recountMaxLocked(s *linkState) {
-	if len(db.recount) < db.n {
-		db.recount = make([]int32, db.n)
+	if len(db.recount) < len(db.cols) {
+		db.recount = make([]int32, len(db.cols))
 	}
 	var m, at int32
 	for _, h := range s.backups {
 		for _, j := range db.lsets[h].links {
-			db.recount[j]++
-			switch v := db.recount[j]; {
+			x, _ := db.colAt(j)
+			db.recount[x]++
+			switch v := db.recount[x]; {
 			case v > m:
 				m, at = v, 1
 			case v == m:
@@ -264,12 +331,13 @@ func (db *DB) recountMaxLocked(s *linkState) {
 			}
 		}
 	}
-	if 16*s.norm >= db.n {
+	if 16*s.norm >= len(db.cols) {
 		clear(db.recount)
 	} else {
 		for _, h := range s.backups {
 			for _, j := range db.lsets[h].links {
-				db.recount[j] = 0
+				x, _ := db.colAt(j)
+				db.recount[x] = 0
 			}
 		}
 	}

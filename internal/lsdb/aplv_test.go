@@ -3,6 +3,7 @@ package lsdb
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"slices"
 	"testing"
@@ -263,7 +264,7 @@ func longRows(t *testing.T, g *graph.Graph, seed int64) {
 		if db.SpareBW(graph.LinkID(l)) != 0 {
 			t.Fatalf("link %d keeps %d spare with no backups", l, db.SpareBW(graph.LinkID(l)))
 		}
-		if c := cap(db.links[l].col); c > keepRoute {
+		if c := cap(db.cols[l]); c > keepRoute {
 			t.Fatalf("link %d keeps an empty column of capacity %d, want at most %d", l, c, keepRoute)
 		}
 	}
@@ -300,8 +301,8 @@ func TestPostingListRepeatedLSETEntry(t *testing.T) {
 	}
 	checkDerivedState(t, db, "after releasing 1")
 	for j := range db.links {
-		if len(db.links[j].col) != 0 {
-			t.Fatalf("column %d = %x with no backup registered", j, db.links[j].col)
+		if len(db.cols[j]) != 0 {
+			t.Fatalf("column %d = %x with no backup registered", j, db.cols[j])
 		}
 	}
 }
@@ -318,7 +319,11 @@ func TestPostingListRepeatedLSETEntry(t *testing.T) {
 // spare (spare is max_j APLV[j] here), and a path call stops at its first
 // failing link, rolling back the register and promote paths. Each input
 // runs on the database as built and again on ones whose column entries are
-// narrowed to 2, 3 and 4 count bits, where that width is soon reached.
+// narrowed to 2, 3 and 4 count bits, where that width is soon reached, and
+// once more on a database that owns a random subset of the links, drawn
+// from the input, as a router's owns its out-links: there a write naming a
+// link it does not own fails like any other refusal, stopping a path call
+// at that link.
 func FuzzBackupOps(f *testing.F) {
 	f.Add([]byte{
 		0, 0, 3, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, // one registration fills a row of 9
@@ -348,20 +353,39 @@ func FuzzBackupOps(f *testing.F) {
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, k := range []uint{0, 2, 3, 4} {
-			backupOps(t, data, k)
+			backupOps(t, data, k, nil)
 		}
+		h := fnv.New64a()
+		h.Write(data)
+		r := rand.New(rand.NewSource(int64(h.Sum64())))
+		owned := make([]bool, 24) // the 3x3 grid's links
+		for l := range owned {
+			owned[l] = r.Intn(2) == 0
+		}
+		backupOps(t, data, 0, owned)
 	})
 }
 
 // backupOps is one run of FuzzBackupOps on a database whose counters are
-// narrowed to countBits, or as built at 0.
-func backupOps(t *testing.T, data []byte, countBits uint) {
+// narrowed to countBits, or as built at 0, that owns the links owned marks,
+// or every link when owned is nil.
+func backupOps(t *testing.T, data []byte, countBits uint, owned []bool) {
 	g, err := topology.Grid(3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const capacity, ids = 16, 8 // a link's primaries stay under capacity/2
+	owns := func(l graph.LinkID) bool { return owned == nil || owned[l] }
 	db, err := New(g, capacity, 1)
+	if owned != nil {
+		var mine []graph.LinkID
+		for l := 0; l < g.NumLinks(); l++ {
+			if owns(graph.LinkID(l)) {
+				mine = append(mine, graph.LinkID(l))
+			}
+		}
+		db, err = NewOwned(g, capacity, 1, mine)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,14 +450,14 @@ func backupOps(t *testing.T, data []byte, countBits uint) {
 		switch op {
 		case 0:
 			err = db.RegisterBackup(id, path[0], lset)
-			if want = inRange && !registered(id, path[0]) && fits(path[0], lset); want {
+			if want = owns(path[0]) && inRange && !registered(id, path[0]) && fits(path[0], lset); want {
 				o.register(id, path[0], lset)
 			}
 		case 1:
 			err = db.RegisterBackupPath(id, path, lset)
 			var done []graph.LinkID
 			for _, l := range path {
-				if want = inRange && !registered(id, l) && fits(l, lset); !want {
+				if want = owns(l) && inRange && !registered(id, l) && fits(l, lset); !want {
 					break
 				}
 				o.register(id, l, lset)
@@ -446,13 +470,13 @@ func backupOps(t *testing.T, data []byte, countBits uint) {
 			}
 		case 2:
 			err = db.ReleaseBackup(id, path[0])
-			if want = registered(id, path[0]); want {
+			if want = owns(path[0]) && registered(id, path[0]); want {
 				o.release(id, path[0])
 			}
 		case 3:
 			err = db.ReleaseBackupPath(id, path)
 			for _, l := range path {
-				if want = registered(id, l); !want {
+				if want = owns(l) && registered(id, l); !want {
 					break
 				}
 				o.release(id, l)
@@ -467,7 +491,7 @@ func backupOps(t *testing.T, data []byte, countBits uint) {
 			var done []undo
 			for _, l := range path {
 				shared := primaries[l][id]
-				if want = registered(id, l) && (shared || o.maxElem(l) > 0); !want {
+				if want = owns(l) && registered(id, l) && (shared || o.maxElem(l) > 0); !want {
 					break
 				}
 				primaries[l][id] = true
@@ -488,6 +512,9 @@ func backupOps(t *testing.T, data []byte, countBits uint) {
 		}
 		for l := 0; l < n; l++ {
 			lid := graph.LinkID(l)
+			if !owns(lid) {
+				continue
+			}
 			o.checkLink(t, db, lid, step)
 			prime := len(primaries[l])
 			if got := db.PrimeBW(lid); got != prime {

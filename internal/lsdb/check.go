@@ -3,6 +3,8 @@ package lsdb
 import (
 	"fmt"
 	"slices"
+
+	"github.com/rtcl/drtp/internal/graph"
 )
 
 // Check re-derives from first principles everything the database keeps up
@@ -15,9 +17,12 @@ import (
 //     naming it, a slot no registration names is on the free list, once,
 //     and a free slot holds no LSET;
 //   - every APLV column lists its links ascending, each with a nonzero
-//     count and inside the network, and holds exactly the counters the
-//     LSETs the registries store fold to: APLV_l[j] is the number of l's
+//     count and owned, and holds exactly the counters the LSETs the
+//     registries store fold to: APLV_l[j] is the number of l's
 //     registrations whose LSET holds j, with multiplicity;
+//   - a database that does not own every link keeps its columns' links
+//     ascending, and a column only for a link some owned link's LSETs
+//     name: none is empty;
 //   - every link's ‖APLV‖₁, max_j APLV[j] and number of counters at the
 //     maximum, unless it is marked not known, equal that fold's;
 //   - every link's primaries list — what failure evaluation reads in place
@@ -25,10 +30,10 @@ import (
 //     the link's primary bandwidth;
 //   - the running prime and spare totals equal the per-link sums.
 //
-// It is one pass over the links, each link's row folded from its registry
-// and matched against the columns it names at a per-column cursor, so it
-// costs O(links + stored entries) in time and scratch and can run after
-// every event. Spare is not held to max_j APLV[j]·unit: it is resized by
+// It is one pass over the owned links, each link's row folded from its
+// registry and matched against the columns it names at a per-column
+// cursor, so it costs O(links + stored entries) in time and scratch and
+// can run after every event. Spare is not held to max_j APLV[j]·unit: it is resized by
 // backup operations only, so a primary release can leave it below that
 // until the link's next backup operation.
 func (db *DB) Check() error {
@@ -36,25 +41,18 @@ func (db *DB) Check() error {
 	defer db.mu.Unlock()
 	n := db.n
 	cbits, maxCount := db.cbits, db.maxCount
-	folded := make([]int32, n) // one link's APLV row, folded from its registry; zeroed as it is matched
-	cursor := make([]int, n)   // cursor[j]: entries of column j matched so far
+	if err := db.checkColsLocked(); err != nil {
+		return err
+	}
+	folded := make([]int32, len(db.cols)) // one link's APLV row by column, folded from its registry; zeroed as it is matched
+	cursor := make([]int, len(db.cols))   // cursor[x]: entries of column x matched so far
 	var ids []ConnID
 	named := make([]int32, len(db.lsets)) // named[h]: registrations naming LSET table slot h
 	prime, spare := 0, 0
-	for l := range db.links {
-		s := &db.links[l]
+	for i := range db.links {
+		s, l := &db.links[i], int(db.linkOf(i))
 		prime += s.prime
 		spare += s.spare
-		for k, e := range s.col {
-			switch pl, c := int(e>>cbits), e&maxCount; {
-			case k > 0 && int(s.col[k-1]>>cbits) >= pl:
-				return fmt.Errorf("lsdb: column %d holds link %d after link %d", l, pl, s.col[k-1]>>cbits)
-			case pl >= n:
-				return fmt.Errorf("lsdb: column %d holds link %d, out of range [0,%d)", l, pl, n)
-			case c == 0:
-				return fmt.Errorf("lsdb: column %d holds a zero counter for link %d", l, pl)
-			}
-		}
 		for _, h := range s.backups {
 			if int(h) >= len(db.lsets) {
 				return fmt.Errorf("lsdb: link %d registers a backup under LSET slot %d, past the table's %d", l, h, len(db.lsets))
@@ -84,31 +82,36 @@ func (db *DB) Check() error {
 				if pl < 0 || int(pl) >= n {
 					return fmt.Errorf("lsdb: link %d stores LSET entry %d for connection %d, out of range [0,%d)", l, pl, db.lsets[h].id, n)
 				}
-				folded[pl]++
+				x, ok := db.colAt(pl)
+				if !ok {
+					return fmt.Errorf("lsdb: link %d's registry names link %d in an LSET, which has no column", l, pl)
+				}
+				folded[x]++
 			}
 			norm += len(lset)
 		}
 		var maxElem, atMax int32
 		for _, h := range s.backups {
 			for _, j := range db.lsets[h].links {
-				v := folded[j]
+				x, _ := db.colAt(j)
+				v := folded[x]
 				if v == 0 { // matched at an earlier entry
 					continue
 				}
-				folded[j] = 0
+				folded[x] = 0
 				switch {
 				case v > maxElem:
 					maxElem, atMax = v, 1
 				case v == maxElem:
 					atMax++
 				}
-				col, k := db.links[j].col, cursor[j]
+				col, k := db.cols[x], cursor[x]
 				switch {
 				case k < len(col) && int(col[k]>>cbits) == l:
 					if c := col[k] & maxCount; c != uint32(v) {
 						return fmt.Errorf("lsdb: column %d holds APLV_%d[%d] = %d, its registry's LSETs give %d", j, l, j, c, v)
 					}
-					cursor[j]++
+					cursor[x]++
 				case k < len(col) && int(col[k]>>cbits) < l:
 					return fmt.Errorf("lsdb: column %d holds link %d, whose registry's LSETs give APLV_%d[%d] = 0", j, col[k]>>cbits, col[k]>>cbits, j)
 				default:
@@ -125,9 +128,9 @@ func (db *DB) Check() error {
 		}
 	}
 	// Whatever a column holds past its cursor no registry counts.
-	for j := range db.links {
-		if col := db.links[j].col; cursor[j] < len(col) {
-			l := col[cursor[j]] >> cbits
+	for x, col := range db.cols {
+		if cursor[x] < len(col) {
+			l, j := col[cursor[x]]>>cbits, db.colLink(x)
 			return fmt.Errorf("lsdb: column %d holds link %d, whose registry's LSETs give APLV_%d[%d] = 0", j, l, l, j)
 		}
 	}
@@ -136,6 +139,36 @@ func (db *DB) Check() error {
 	}
 	if db.totalPrime != prime || db.totalSpare != spare {
 		return fmt.Errorf("lsdb: running totals prime=%d spare=%d, per-link sums %d and %d", db.totalPrime, db.totalSpare, prime, spare)
+	}
+	return nil
+}
+
+// checkColsLocked holds each column's entries to ascending owned links with
+// nonzero counts and, where the database does not own every link, the
+// columns to ascending links, none empty. The caller must hold db.mu.
+func (db *DB) checkColsLocked() error {
+	if db.owned != nil && len(db.colKeys) != len(db.cols) {
+		return fmt.Errorf("lsdb: %d columns under %d links", len(db.cols), len(db.colKeys))
+	}
+	for x, col := range db.cols {
+		j := db.colLink(x)
+		switch {
+		case db.owned == nil:
+		case x > 0 && db.colKeys[x-1] >= j:
+			return fmt.Errorf("lsdb: column of link %d kept after link %d's", j, db.colKeys[x-1])
+		case len(col) == 0:
+			return fmt.Errorf("lsdb: column %d is kept, but no owned link's LSETs name link %d", j, j)
+		}
+		for k, e := range col {
+			switch pl, c := graph.LinkID(e>>db.cbits), e&db.maxCount; {
+			case k > 0 && graph.LinkID(col[k-1]>>db.cbits) >= pl:
+				return fmt.Errorf("lsdb: column %d holds link %d after link %d", j, pl, col[k-1]>>db.cbits)
+			case !db.Owns(pl):
+				return fmt.Errorf("lsdb: column %d holds link %d, not one of the database's links", j, pl)
+			case c == 0:
+				return fmt.Errorf("lsdb: column %d holds a zero counter for link %d", j, pl)
+			}
+		}
 	}
 	return nil
 }

@@ -105,17 +105,14 @@ type linkState struct {
 	// primaries lists the DR-connections with a primary channel on this
 	// link, in no particular order. A link holds at most capacity/unitBW of
 	// them, so membership is a short scan.
-	primaries []ConnID
-	// col is this link's APLV column: the links l with APLV_l[this link]
-	// > 0, ascending, each packed l<<DB.cbits | count in 4 bytes (aplv.go).
 	//
-	// backups, primaries and col all give capacity back as they empty
-	// (shrink): a link holds what it carries now.
-	col []uint32
+	// backups and primaries, like the APLV columns (DB.cols), give capacity
+	// back as they empty (shrink): a link holds what it carries now.
+	primaries []ConnID
 }
 
 // entryBytes is the size of one APLV column entry.
-const entryBytes = int64(unsafe.Sizeof(linkState{}.col[0]))
+const entryBytes = int64(unsafe.Sizeof(DB{}.cols[0][0]))
 
 // findBackupLocked returns the position of id in link state s's backup registry,
 // or the position it would be inserted at, and whether it is registered;
@@ -139,26 +136,44 @@ func (db *DB) findBackupLocked(s *linkState, id ConnID) (int, bool) {
 	return lo, lsets[b[lo]].id == id
 }
 
-// DB is the aggregate link-state database over all links of a network. In
-// a deployment each router owns the records for its outgoing links and
-// advertises summaries; the simulator keeps them in one place, mirroring
-// the paper's assumption that link-state information is disseminated.
+// DB is the link-state database over the links it owns. The simulator's
+// owns every link of the network, mirroring the paper's assumption that
+// link-state information is disseminated (New); a router's owns its
+// outgoing links and advertises their summaries (NewOwned). A link's APLV
+// is built from the LSETs the register packets crossing it carry, so
+// only the link's own node needs it, and a router's database grows with
+// its own links and the primaries their backups protect, not with the
+// network.
+//
+// Every write names a link by its graph.LinkID and fails on a link the
+// database does not own; a read of one panics, as an index out of range
+// does.
 type DB struct {
 	g        *graph.Graph
 	capacity int // every link's bandwidth; immutable after construction
 	unitBW   int
 	mode     Mode
-	n        int // total links; immutable after construction
+	n        int // links in the network; immutable after construction
 	// cbits is the width of a column entry's count, below its link, and
 	// maxCount the largest count it holds: 32 − bits.Len(n) and
 	// 1<<cbits − 1, fixed at construction (aplv.go).
 	cbits    uint
 	maxCount uint32
+	// owned lists the links the database keeps records for, ascending,
+	// or is nil when it owns every link, each then at its own ID;
+	// immutable after construction.
+	owned []graph.LinkID
 
 	mu sync.Mutex
-	// links holds the per-link records, indexed by graph.LinkID;
-	// guarded by mu.
+	// links holds the records of the owned links, in owned's order (by
+	// graph.LinkID when owned is nil); guarded by mu.
 	links []linkState
+	// cols holds the APLV columns (aplv.go): owning every link, one per
+	// link at its ID; otherwise one for each link that some owned link's
+	// LSETs name, in colKeys's order, colKeys holding those links
+	// ascending. Guarded by mu.
+	cols    [][]uint32
+	colKeys []graph.LinkID
 
 	// lsets is the LSET table the registries' handles index, and
 	// freeLSETs its free slots (lset.go); guarded by mu.
@@ -188,22 +203,41 @@ type DB struct {
 
 	// changed is the change log SnapshotInto patches from: the link of
 	// every transition that moved a snapshot scalar, oldest first, entry k
-	// being change number changedBase+k. It is cut once it holds n entries
-	// (a reader that far behind refills in full as cheaply), so it is
-	// allocated at that size once; guarded by mu.
+	// being change number changedBase+k. It is cut once it holds one entry
+	// per owned link (a reader that far behind refills in full as
+	// cheaply), so it is allocated at that size once; guarded by mu.
 	changed     []int32
 	changedBase uint64
 }
 
-// New creates a database for graph g where every link has the given
-// capacity and every DR-connection reserves unitBW, with backup
-// multiplexing enabled.
+// New creates a database that owns every link of graph g, where every link
+// has the given capacity and every DR-connection reserves unitBW, with
+// backup multiplexing enabled.
 func New(g *graph.Graph, capacity, unitBW int) (*DB, error) {
 	return NewWithMode(g, capacity, unitBW, Multiplexed)
 }
 
 // NewWithMode is New with an explicit spare-sizing mode.
 func NewWithMode(g *graph.Graph, capacity, unitBW int, mode Mode) (*DB, error) {
+	return newDB(g, capacity, unitBW, mode, nil)
+}
+
+// NewOwned is New for a database that owns only the given links of g, as
+// a router owns its outgoing links (g.Out(node)).
+func NewOwned(g *graph.Graph, capacity, unitBW int, owned []graph.LinkID) (*DB, error) {
+	owned = append([]graph.LinkID{}, owned...)
+	slices.Sort(owned)
+	for k, l := range owned {
+		if l < 0 || int(l) >= g.NumLinks() || k > 0 && owned[k-1] == l {
+			return nil, fmt.Errorf("lsdb: owned link %d out of range [0,%d) or named twice", l, g.NumLinks())
+		}
+	}
+	return newDB(g, capacity, unitBW, Multiplexed, owned)
+}
+
+// newDB creates a database owning the given ascending links, or every
+// link when owned is nil.
+func newDB(g *graph.Graph, capacity, unitBW int, mode Mode, owned []graph.LinkID) (*DB, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("lsdb: capacity must be positive, got %d", capacity)
 	}
@@ -213,11 +247,68 @@ func NewWithMode(g *graph.Graph, capacity, unitBW int, mode Mode) (*DB, error) {
 	if mode != Multiplexed && mode != Dedicated {
 		return nil, fmt.Errorf("lsdb: invalid mode %d", int(mode))
 	}
-	n := g.NumLinks()
+	n, records := g.NumLinks(), len(owned)
+	var cols [][]uint32
+	if owned == nil {
+		records = n
+		cols = make([][]uint32, n)
+	}
 	cbits := uint(32 - bits.Len(uint(n)))
 	return &DB{g: g, capacity: capacity, unitBW: unitBW, mode: mode, n: n,
-		cbits: cbits, maxCount: 1<<cbits - 1,
-		links: make([]linkState, n), changed: make([]int32, 0, n), sortedFrom: noLSET}, nil
+		cbits: cbits, maxCount: 1<<cbits - 1, owned: owned, cols: cols,
+		links: make([]linkState, records), changed: make([]int32, 0, records), sortedFrom: noLSET}, nil
+}
+
+// slotOf returns the index of link l's record and whether the database
+// owns l.
+func (db *DB) slotOf(l graph.LinkID) (int, bool) {
+	if db.owned == nil {
+		return int(l), uint(l) < uint(len(db.links))
+	}
+	return slices.BinarySearch(db.owned, l)
+}
+
+// at returns the record of link l, which the database must own. The
+// caller must hold db.mu.
+func (db *DB) at(l graph.LinkID) *linkState {
+	if db.owned != nil {
+		l = graph.LinkID(db.ownedSlot(l))
+	}
+	return &db.links[l]
+}
+
+// ownedSlot is slotOf for a database that does not own every link; it
+// panics on a link the database does not own.
+func (db *DB) ownedSlot(l graph.LinkID) int {
+	k, ok := slices.BinarySearch(db.owned, l)
+	if !ok {
+		panic(fmt.Sprintf("lsdb: link %d is not one of the database's %d links", l, len(db.owned)))
+	}
+	return k
+}
+
+// linkOf returns the link whose record is at index i.
+func (db *DB) linkOf(i int) graph.LinkID {
+	if db.owned == nil {
+		return graph.LinkID(i)
+	}
+	return db.owned[i]
+}
+
+// recLocked returns the record of link l for a write, or an error when the
+// database does not own l. The caller must hold db.mu.
+func (db *DB) recLocked(l graph.LinkID) (*linkState, error) {
+	k, ok := db.slotOf(l)
+	if !ok {
+		return nil, fmt.Errorf("lsdb: link %d is not one of the database's links", l)
+	}
+	return &db.links[k], nil
+}
+
+// Owns reports whether the database keeps link l's records.
+func (db *DB) Owns(l graph.LinkID) bool {
+	_, ok := db.slotOf(l)
+	return ok
 }
 
 // Graph returns the underlying topology.
@@ -226,7 +317,8 @@ func (db *DB) Graph() *graph.Graph { return db.g }
 // UnitBW returns the bandwidth each DR-connection reserves.
 func (db *DB) UnitBW() int { return db.unitBW }
 
-// NumLinks returns the number of unidirectional links tracked.
+// NumLinks returns the number of unidirectional links in the network; the
+// database owns all of them or those it was built for (Owns).
 func (db *DB) NumLinks() int { return db.n }
 
 // Capacity returns the total bandwidth of link l: every link has the
@@ -237,14 +329,14 @@ func (db *DB) Capacity(l graph.LinkID) int { return db.capacity }
 func (db *DB) PrimeBW(l graph.LinkID) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.links[l].prime
+	return db.at(l).prime
 }
 
 // SpareBW returns the bandwidth reserved for backup channels on link l.
 func (db *DB) SpareBW(l graph.LinkID) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.links[l].spare
+	return db.at(l).spare
 }
 
 // FreeBW returns the unallocated bandwidth on link l
@@ -253,7 +345,7 @@ func (db *DB) SpareBW(l graph.LinkID) int {
 func (db *DB) FreeBW(l graph.LinkID) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s := &db.links[l]
+	s := db.at(l)
 	return db.capacity - s.prime - s.spare
 }
 
@@ -263,7 +355,7 @@ func (db *DB) FreeBW(l graph.LinkID) int {
 func (db *DB) AvailableForBackup(l graph.LinkID) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.capacity - db.links[l].prime
+	return db.capacity - db.at(l).prime
 }
 
 // ReservePrimary reserves unit bandwidth for connection id's primary
@@ -277,7 +369,10 @@ func (db *DB) ReservePrimary(id ConnID, l graph.LinkID) error {
 // reservePrimaryLocked is the reserve transition; the caller must hold
 // db.mu.
 func (db *DB) reservePrimaryLocked(id ConnID, l graph.LinkID) error {
-	s := &db.links[l]
+	s, err := db.recLocked(l)
+	if err != nil {
+		return err
+	}
 	if free := db.capacity - s.prime - s.spare; free < db.unitBW {
 		return &ErrInsufficientBandwidth{Link: l, Need: db.unitBW, Have: free}
 	}
@@ -294,7 +389,7 @@ func (db *DB) reservePrimaryLocked(id ConnID, l graph.LinkID) error {
 // touchLocked logs that link l's prime, spare or norm — what a Snapshot
 // copies — moved: every transition body ends here. Caller holds db.mu.
 func (db *DB) touchLocked(l graph.LinkID) {
-	if len(db.changed) >= db.n {
+	if len(db.changed) >= len(db.links) {
 		db.changedBase += uint64(len(db.changed))
 		db.changed = db.changed[:0]
 	}
@@ -311,7 +406,10 @@ func (db *DB) ReleasePrimary(id ConnID, l graph.LinkID) error {
 // releasePrimaryLocked is the release-primary transition; the caller must
 // hold db.mu. Spare is not resized here: it follows backup operations only.
 func (db *DB) releasePrimaryLocked(id ConnID, l graph.LinkID) error {
-	s := &db.links[l]
+	s, err := db.recLocked(l)
+	if err != nil {
+		return err
+	}
 	k := slices.Index(s.primaries, id)
 	if k < 0 {
 		return fmt.Errorf("lsdb: connection %d has no primary on link %d", id, l)
@@ -330,8 +428,9 @@ func (db *DB) releasePrimaryLocked(id ConnID, l graph.LinkID) error {
 // allows; if it does not, the backup is multiplexed on the existing spare
 // resources anyway (paper §5, choice 2) and the link runs a deficit.
 //
-// Registration fails when the link cannot hold even one activation of
-// this backup, i.e. capacity - prime < unit bandwidth, when primaryLSET
+// Registration fails when the database does not own l, when the link
+// cannot hold even one activation of this backup, i.e. capacity - prime <
+// unit bandwidth, when primaryLSET
 // names a link outside the network, or when primaryLSET is long enough to
 // lift the link's max_j APLV[j] past what an APLV counter holds
 // (2^(32−bits.Len(links)) − 1: 131 071 at 30 000 links).
@@ -375,7 +474,11 @@ func (db *DB) registerBackupsLocked(links []graph.LinkID, h uint32) error {
 // counter could overflow into its column entry's link. The caller must
 // hold db.mu.
 func (db *DB) checkRegisterLocked(l graph.LinkID, h uint32) error {
-	s, id := &db.links[l], db.lsets[h].id
+	s, err := db.recLocked(l)
+	if err != nil {
+		return err
+	}
+	id := db.lsets[h].id
 	if avail := db.capacity - s.prime; avail < db.unitBW {
 		return &ErrInsufficientBandwidth{Link: l, Need: db.unitBW, Have: avail}
 	}
@@ -410,7 +513,7 @@ func (db *DB) attachBackupLocked(path []graph.LinkID, h uint32) {
 	id := db.lsets[h].id
 	for _, l := range path {
 		db.backupOps++
-		s := &db.links[l]
+		s := db.at(l)
 		k, _ := db.findBackupLocked(s, id)
 		s.backups = slices.Insert(s.backups, k, h)
 		s.norm += len(sorted)
@@ -418,7 +521,7 @@ func (db *DB) attachBackupLocked(path []graph.LinkID, h uint32) {
 	db.lsets[h].refs += int32(len(path))
 	db.foldInLocked(path, sorted)
 	for _, l := range path {
-		db.resizeSpareLocked(&db.links[l])
+		db.resizeSpareLocked(db.at(l))
 		db.touchLocked(l)
 	}
 }
@@ -471,7 +574,7 @@ func (db *DB) detachBackupLocked(path []graph.LinkID, h uint32) {
 	id := db.lsets[h].id
 	for _, l := range path {
 		db.backupOps++
-		s := &db.links[l]
+		s := db.at(l)
 		k, _ := db.findBackupLocked(s, id)
 		s.backups = shrink(slices.Delete(s.backups, k, k+1), keepOne)
 		s.norm -= len(sorted)
@@ -479,7 +582,7 @@ func (db *DB) detachBackupLocked(path []graph.LinkID, h uint32) {
 	db.foldOutLocked(path, sorted)
 	for _, l := range path {
 		db.unrefLSETLocked(h)
-		db.resizeSpareLocked(&db.links[l])
+		db.resizeSpareLocked(db.at(l))
 		db.touchLocked(l)
 	}
 }
@@ -494,16 +597,21 @@ func (db *DB) ReleaseBackup(id ConnID, l graph.LinkID) error {
 }
 
 // releaseBackupsLocked is the release-backup transition over the links of
-// a path: when every link holds a registration of id under one LSET table
-// slot and none is named twice, all are detached at once; else the links
-// are released one by one up to the first without a registration, whose
-// error is returned (a link named again has none left). The caller must
-// hold db.mu.
+// a path: when every link is owned and holds a registration of id under
+// one LSET table slot and none is named twice, all are detached at once;
+// else the links are released one by one up to the first without a
+// registration, whose error is returned (a link named again has none
+// left). The caller must hold db.mu.
 func (db *DB) releaseBackupsLocked(id ConnID, links []graph.LinkID) error {
 	path, twice := db.sortedPathLocked(links)
 	h, batch := uint32(noLSET), !twice
 	for _, l := range path {
-		s := &db.links[l]
+		x, owned := db.slotOf(l)
+		if !owned {
+			batch = false
+			break
+		}
+		s := &db.links[x]
 		k, ok := db.findBackupLocked(s, id)
 		if batch = batch && ok && (h == noLSET || s.backups[k] == h); !batch {
 			break
@@ -517,7 +625,10 @@ func (db *DB) releaseBackupsLocked(id ConnID, links []graph.LinkID) error {
 		return nil
 	}
 	for i, l := range links {
-		s := &db.links[l]
+		s, err := db.recLocked(l)
+		if err != nil {
+			return err
+		}
 		k, ok := db.findBackupLocked(s, id)
 		if !ok {
 			return fmt.Errorf("lsdb: connection %d has no backup on link %d", id, l)
@@ -557,7 +668,10 @@ type promotion struct {
 // slot, so a rollback can re-attach it; the caller drops it
 // (unrefLSETLocked) once the promotion can no longer be undone.
 func (db *DB) promoteBackupLocked(id ConnID, l graph.LinkID) (promotion, error) {
-	s := &db.links[l]
+	s, err := db.recLocked(l)
+	if err != nil {
+		return promotion{}, err
+	}
 	k, ok := db.findBackupLocked(s, id)
 	if !ok {
 		return promotion{}, fmt.Errorf("lsdb: connection %d has no backup on link %d", id, l)
@@ -618,7 +732,7 @@ func (db *DB) APLV(l graph.LinkID) []int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	out := make([]int, db.n)
-	for _, h := range db.links[l].backups {
+	for _, h := range db.at(l).backups {
 		for _, j := range db.lsets[h].links {
 			out[j]++
 		}
@@ -630,14 +744,14 @@ func (db *DB) APLV(l graph.LinkID) []int {
 func (db *DB) APLVNorm(l graph.LinkID) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.links[l].norm
+	return db.at(l).norm
 }
 
 // APLVMax returns max_j APLV_l[j], which sizes the spare resources.
 func (db *DB) APLVMax(l graph.LinkID) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return int(db.links[l].maxElem)
+	return int(db.at(l).maxElem)
 }
 
 // CVBit returns the Conflict Vector bit c_{l,j}: true iff at least one
@@ -657,7 +771,7 @@ func (db *DB) SC(l graph.LinkID) int {
 }
 
 // scLocked is SC without locking; callers must hold db.mu.
-func (db *DB) scLocked(l graph.LinkID) int { return db.links[l].spare / db.unitBW }
+func (db *DB) scLocked(l graph.LinkID) int { return db.at(l).spare / db.unitBW }
 
 // HasDeficit reports whether link l multiplexes conflicting backups beyond
 // its spare resources, i.e. some single link failure could require more
@@ -665,7 +779,7 @@ func (db *DB) scLocked(l graph.LinkID) int { return db.links[l].spare / db.unitB
 func (db *DB) HasDeficit(l graph.LinkID) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return int(db.links[l].maxElem) > db.scLocked(l)
+	return int(db.at(l).maxElem) > db.scLocked(l)
 }
 
 // BackupsOn returns the connection IDs with backups registered on link
@@ -673,7 +787,7 @@ func (db *DB) HasDeficit(l graph.LinkID) bool {
 func (db *DB) BackupsOn(l graph.LinkID) []ConnID {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s := &db.links[l]
+	s := db.at(l)
 	out := make([]ConnID, len(s.backups))
 	for k, h := range s.backups {
 		out[k] = db.lsets[h].id
@@ -685,14 +799,14 @@ func (db *DB) BackupsOn(l graph.LinkID) []ConnID {
 func (db *DB) NumBackupsOn(l graph.LinkID) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return len(db.links[l].backups)
+	return len(db.at(l).backups)
 }
 
 // PrimariesOn returns the number of primary channels on link l.
 func (db *DB) PrimariesOn(l graph.LinkID) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return len(db.links[l].primaries)
+	return len(db.at(l).primaries)
 }
 
 // AppendPrimariesOn appends to dst the IDs of the connections with a
@@ -701,21 +815,21 @@ func (db *DB) PrimariesOn(l graph.LinkID) int {
 func (db *DB) AppendPrimariesOn(dst []ConnID, l graph.LinkID) []ConnID {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return append(dst, db.links[l].primaries...)
+	return append(dst, db.at(l).primaries...)
 }
 
 // HasPrimary reports whether connection id's primary traverses link l.
 func (db *DB) HasPrimary(id ConnID, l graph.LinkID) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return slices.Contains(db.links[l].primaries, id)
+	return slices.Contains(db.at(l).primaries, id)
 }
 
 // HasBackup reports whether connection id's backup traverses link l.
 func (db *DB) HasBackup(id ConnID, l graph.LinkID) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	_, ok := db.findBackupLocked(&db.links[l], id)
+	_, ok := db.findBackupLocked(db.at(l), id)
 	return ok
 }
 
@@ -724,7 +838,7 @@ func (db *DB) HasBackup(id ConnID, l graph.LinkID) bool {
 func (db *DB) HasBackupUnder(id ConnID, l graph.LinkID, primaryLSET []graph.LinkID) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s := &db.links[l]
+	s := db.at(l)
 	k, ok := db.findBackupLocked(s, id)
 	return ok && slices.Equal(db.lsets[s.backups[k]].links, primaryLSET)
 }
@@ -745,8 +859,8 @@ func (db *DB) TotalSpareBW() int {
 	return db.totalSpare
 }
 
-// TotalCapacity returns the sum of capacity over all links.
-func (db *DB) TotalCapacity() int { return db.capacity * db.n }
+// TotalCapacity returns the sum of capacity over the owned links.
+func (db *DB) TotalCapacity() int { return db.capacity * len(db.links) }
 
 // APLVBytes returns the bytes of APLV counter storage currently held
 // across all links: one column entry (4 bytes) per nonzero counter. This is
@@ -758,8 +872,8 @@ func (db *DB) APLVBytes() int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var total int64
-	for i := range db.links {
-		total += entryBytes * int64(len(db.links[i].col))
+	for _, col := range db.cols {
+		total += entryBytes * int64(len(col))
 	}
 	return total
 }
@@ -767,11 +881,11 @@ func (db *DB) APLVBytes() int64 {
 // Footprint is the memory a database holds by structure, in bytes: each
 // slice's capacity times its element size.
 type Footprint struct {
-	Columns     int64 `json:"columns"`
+	Columns     int64 `json:"columns"` // entries, headers and keys
 	Registries  int64 `json:"registries"`
 	Primaries   int64 `json:"primaries"`
 	LSETTable   int64 `json:"lset_table"` // slots, clones and free list
-	LinkRecords int64 `json:"link_records"`
+	LinkRecords int64 `json:"link_records"` // records and the owned list
 	ChangeLog   int64 `json:"change_log"`
 	Scratch     int64 `json:"scratch"` // the folds' sorted LSET and path, the recount
 }
@@ -781,14 +895,17 @@ func (db *DB) Footprint() Footprint {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	f := Footprint{
-		LinkRecords: int64(cap(db.links)) * int64(unsafe.Sizeof(linkState{})),
+		LinkRecords: int64(cap(db.links))*int64(unsafe.Sizeof(linkState{})) + 4*int64(cap(db.owned)),
 		ChangeLog:   4 * int64(cap(db.changed)),
+		Columns:     int64(cap(db.cols))*int64(unsafe.Sizeof(db.cols[0])) + 4*int64(cap(db.colKeys)),
 		LSETTable:   int64(cap(db.lsets))*int64(unsafe.Sizeof(lsetSlot{})) + 4*int64(cap(db.freeLSETs)),
 		Scratch:     4 * int64(cap(db.sortedLSET)+cap(db.sortedPath)+cap(db.recount)),
 	}
+	for _, col := range db.cols {
+		f.Columns += entryBytes * int64(cap(col))
+	}
 	for i := range db.links {
 		s := &db.links[i]
-		f.Columns += entryBytes * int64(cap(s.col))
 		f.Registries += int64(cap(s.backups)) * int64(unsafe.Sizeof(s.backups[0]))
 		f.Primaries += 8 * int64(cap(s.primaries))
 	}

@@ -274,20 +274,20 @@ func TestCapacityFollowsLoad(t *testing.T) {
 	}
 	caps := func() [2]int {
 		s := &db.links[b]
-		return [2]int{cap(s.backups), cap(s.col)}
+		return [2]int{cap(s.backups), cap(db.cols[b])}
 	}
 	load(false)
 	loaded := caps()
-	if s, row := &db.links[b], rowLen(db, b); len(s.backups) != k || row != k+7 || len(s.col) != k {
+	if s, row := &db.links[b], rowLen(db, b); len(s.backups) != k || row != k+7 || len(db.cols[b]) != k {
 		t.Fatalf("loaded link holds %d backups, %d APLV entries, %d column entries; want %d, %d, %d",
-			len(s.backups), row, len(s.col), k, k+7, k)
+			len(s.backups), row, len(db.cols[b]), k, k+7, k)
 	}
 	load(true)
 	if released := caps(); slices.Max(released[:]) > keepRoute {
 		t.Errorf("released link keeps capacity %v (registry, column), loaded %v; want each at most %d", released, loaded, keepRoute)
 	}
 	for j := range db.links { // the columns that held b's row among them
-		if c := cap(db.links[j].col); c > keepRoute {
+		if c := cap(db.cols[j]); c > keepRoute {
 			t.Errorf("column %d keeps capacity %d with every backup released; want at most %d", j, c, keepRoute)
 		}
 	}

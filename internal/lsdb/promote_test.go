@@ -165,11 +165,11 @@ func promoteLoop(db *DB, id ConnID, path, oldLSET []graph.LinkID) error {
 func storedLSETs(db *DB, id ConnID) [][]graph.LinkID {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	out := make([][]graph.LinkID, len(db.links))
-	for l := range db.links {
-		s := &db.links[l]
+	out := make([][]graph.LinkID, db.n)
+	for i := range db.links {
+		s := &db.links[i]
 		if k, ok := db.findBackupLocked(s, id); ok {
-			out[l] = append([]graph.LinkID{}, db.lsets[s.backups[k]].links...)
+			out[db.linkOf(i)] = append([]graph.LinkID{}, db.lsets[s.backups[k]].links...)
 		}
 	}
 	return out

@@ -54,21 +54,28 @@ type Snapshot struct {
 // logged since are rewritten, so a refresh costs what the requests in
 // between changed. Any other — a zero Snapshot, another database's, one the
 // log was cut past — is filled in full; every entry equals a fresh fill's
-// either way, and any number of snapshots may follow one database.
+// either way, and any number of snapshots may follow one database. A
+// database that does not own every link fills only its own links' entries
+// and zeroes the rest.
 func (db *DB) SnapshotInto(s *Snapshot) *Snapshot {
 	n := db.n
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if s.from == db && s.seq >= db.changedBase && len(s.AvailBackup) == n && len(s.Free) == n && len(s.Norm) == n {
 		for _, l := range db.changed[s.seq-db.changedBase:] {
-			db.links[l].copyInto(s, int(l), db.capacity)
+			db.at(graph.LinkID(l)).copyInto(s, int(l), db.capacity)
 		}
 	} else {
 		s.AvailBackup = grow(s.AvailBackup, n)
 		s.Free = grow(s.Free, n)
 		s.Norm = grow(s.Norm, n)
+		if db.owned != nil {
+			clear(s.AvailBackup)
+			clear(s.Free)
+			clear(s.Norm)
+		}
 		for i := range db.links {
-			db.links[i].copyInto(s, i, db.capacity)
+			db.links[i].copyInto(s, int(db.linkOf(i)), db.capacity)
 		}
 		s.from = db
 	}
@@ -91,7 +98,8 @@ func (ls *linkState) copyInto(s *Snapshot, i, capacity int) {
 // into dst and returns it (resized as needed). The Conflict Vectors are
 // read by column: each LSET entry's APLV column names exactly the links
 // whose count it raises, so a request costs O(links) to clear dst plus
-// the columns of its own primary, under one lock acquisition.
+// the columns of its own primary, under one lock acquisition. A link the
+// database does not own counts zero.
 func (db *DB) ConflictCountsInto(lset []graph.LinkID, dst []float64) []float64 {
 	n := db.n
 	if cap(dst) < n {
@@ -103,8 +111,10 @@ func (db *DB) ConflictCountsInto(lset []graph.LinkID, dst []float64) []float64 {
 	defer db.mu.Unlock()
 	cbits := db.cbits & 31 // below 32 already: the mask spares the shift a range check (aplv.go)
 	for _, j := range lset {
-		for _, e := range db.links[j].col {
-			dst[e>>cbits]++
+		if x, ok := db.colAt(j); ok {
+			for _, e := range db.cols[x] {
+				dst[e>>cbits]++
+			}
 		}
 	}
 	return dst
@@ -113,13 +123,17 @@ func (db *DB) ConflictCountsInto(lset []graph.LinkID, dst []float64) []float64 {
 // SCInto writes SC_l (spare/unitBW activation slots, DB.SC) for every
 // link into dst and returns it (resized as needed). A failure sweep reads
 // it once, as the baseline each evaluated failure copies, instead of
-// locking per backup link touched.
+// locking per backup link touched. A link the database does not own has
+// none.
 func (db *DB) SCInto(dst []int) []int {
 	dst = grow(dst, db.n)
+	if db.owned != nil {
+		clear(dst)
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for i := range db.links {
-		dst[i] = db.links[i].spare / db.unitBW
+		dst[db.linkOf(i)] = db.links[i].spare / db.unitBW
 	}
 	return dst
 }
@@ -138,7 +152,7 @@ func (db *DB) AppendCV(l graph.LinkID, dst []byte) []byte {
 		dst = append(dst, 0)
 	}
 	out := dst[start:]
-	for _, h := range db.links[l].backups {
+	for _, h := range db.at(l).backups {
 		for _, j := range db.lsets[h].links {
 			out[j/8] |= 1 << uint(j%8)
 		}

@@ -638,7 +638,7 @@ func benchBackupPath(b *testing.B, g *graph.Graph, loadDB loader) {
 		backupLinks += len(c.backup)
 	}
 	for l := range db.links {
-		entries += len(db.links[l].col)
+		entries += len(db.cols[l])
 	}
 
 	other, err := New(g, 40, 1)

@@ -786,14 +786,14 @@ func TestCheckFindsDrift(t *testing.T) {
 		corrupt func(db *DB)
 	}{
 		{"registry order", func(db *DB) { s := &db.links[b]; s.backups[0], s.backups[1] = s.backups[1], s.backups[0] }},
-		{"pair count", func(db *DB) { db.links[j].col[0]++ }},
-		{"pair order", func(db *DB) { p := db.links[j].col; p[0], p[1] = p[1], p[0] }},
-		{"pair missing", func(db *DB) { s := &db.links[j]; s.col = s.col[1:] }},
-		{"pair past the network", func(db *DB) { s := &db.links[j]; s.col = append(s.col, uint32(db.n)<<db.cbits|1) }},
-		{"pair twice", func(db *DB) { s := &db.links[j]; s.col = append(s.col, s.col[len(s.col)-1]) }},
-		{"pair for a zero counter", func(db *DB) { s := &db.links[j]; s.col = append(s.col, stray(db)) }},
-		{"zeroed pair", func(db *DB) { s := &db.links[j]; s.col = append(s.col, stray(db)-1) }},
-		{"column emptied", func(db *DB) { db.links[j].col = nil }},
+		{"pair count", func(db *DB) { db.cols[j][0]++ }},
+		{"pair order", func(db *DB) { p := db.cols[j]; p[0], p[1] = p[1], p[0] }},
+		{"pair missing", func(db *DB) { db.cols[j] = db.cols[j][1:] }},
+		{"pair past the network", func(db *DB) { db.cols[j] = append(db.cols[j], uint32(db.n)<<db.cbits|1) }},
+		{"pair twice", func(db *DB) { db.cols[j] = append(db.cols[j], db.cols[j][len(db.cols[j])-1]) }},
+		{"pair for a zero counter", func(db *DB) { db.cols[j] = append(db.cols[j], stray(db)) }},
+		{"zeroed pair", func(db *DB) { db.cols[j] = append(db.cols[j], stray(db)-1) }},
+		{"column emptied", func(db *DB) { db.cols[j] = nil }},
 		{"norm", func(db *DB) { db.links[b].norm++ }},
 		{"max", func(db *DB) { db.links[b].maxElem-- }},
 		{"counters at the max", func(db *DB) { db.links[b].atMax++ }},

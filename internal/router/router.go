@@ -249,17 +249,28 @@ const (
 // dedupKey identifies one hop-level processing of one signalling message;
 // a retransmission maps to the same key. The recorded sigResult lets a
 // duplicate replay the same reply (or re-forward) without touching state
-// again.
+// again. It is a sigID flattened beside the sequence and hop, so the
+// window's entry packs into 24 bytes: a hop is an index into a decoded
+// route and a channel kind is Primary or Backup, so the narrow fields
+// lose nothing a valid packet carries.
 type dedupKey struct {
-	sigID
-	seq uint64
-	hop int
+	conn    lsdb.ConnID
+	seq     uint64
+	hop     int32
+	kind    uint8
+	channel uint8
+}
+
+// key returns the dedup key of hop hop of this exchange under sequence
+// seq.
+func (id sigID) key(seq uint64, hop int) dedupKey {
+	return dedupKey{conn: id.conn, seq: seq, hop: int32(hop), kind: id.kind, channel: uint8(id.channel)}
 }
 
 // hashDedupKey mixes a dedupKey's fields for the signalling window.
 func hashDedupKey(seed uint64, k dedupKey) uint64 {
-	h := dedup.Mix(seed, uint64(k.kind)|uint64(k.channel)<<8)
-	return dedup.Mix(dedup.Mix(dedup.Mix(h, uint64(k.conn)), k.seq), uint64(k.hop))
+	h := dedup.Mix(seed, uint64(k.kind)|uint64(k.channel)<<8|uint64(uint32(k.hop))<<32)
+	return dedup.Mix(dedup.Mix(h, uint64(k.conn)), k.seq)
 }
 
 // hashConnID mixes a connection ID for the tombstone window.
@@ -341,10 +352,10 @@ type Router struct {
 	mAdvertsCoalesced  *telemetry.Counter
 	mAdvertsSent       *telemetry.Counter
 
-	// retryRNG jitters retransmission backoff; guarded by retryMu (drawn
-	// from Establish/switch goroutines, not the router loop).
-	retryMu  sync.Mutex
-	retryRNG *rng.Source
+	// retryJitter jitters retransmission backoff; guarded by retryMu
+	// (drawn from Establish/switch goroutines, not the router loop).
+	retryMu     sync.Mutex
+	retryJitter splitmix
 
 	stop chan struct{}
 	done chan struct{}
@@ -360,7 +371,7 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 	if cfg.Node < 0 || int(cfg.Node) >= cfg.Graph.NumNodes() {
 		return nil, fmt.Errorf("router: node %d out of range", cfg.Node)
 	}
-	db, err := lsdb.New(cfg.Graph, cfg.Capacity, cfg.UnitBW)
+	db, err := lsdb.NewOwned(cfg.Graph, cfg.Capacity, cfg.UnitBW, cfg.Graph.Out(cfg.Node))
 	if err != nil {
 		return nil, err
 	}
@@ -388,9 +399,7 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 	}
 	// The hold-down timer starts stopped; markDirtyLocked arms it.
 	r.holdDown.Stop()
-	// Split(label) is a pure function of the label, so each router draws
-	// its own jitter stream.
-	r.retryRNG = rng.New(0).Split(fmt.Sprintf("retry/%d", int(cfg.Node)))
+	r.retryJitter = newRetryJitter(cfg.Node)
 	r.life = lifecycle.Lifecycle{Channels: channels{r}, Tracer: r.tracer, Scheme: r.schemeName}
 	if cfg.Metrics != nil {
 		r.mEstablishSeconds = cfg.Metrics.Latency("drtp_router_establish_seconds",
@@ -611,7 +620,7 @@ func (r *Router) attemptTimeout(attempt, attempts int, remaining time.Duration) 
 	share := float64(r.cfg.SetupTimeout) *
 		float64(uint64(1)<<attempt) / float64(uint64(1)<<attempts-1)
 	r.retryMu.Lock()
-	jitter := 0.8 + 0.4*r.retryRNG.Float64()
+	jitter := 0.8 + 0.4*r.retryJitter.float64()
 	r.retryMu.Unlock()
 	d := time.Duration(share * jitter)
 	if d < time.Millisecond {
@@ -621,4 +630,25 @@ func (r *Router) attemptTimeout(attempt, attempts int, remaining time.Duration) 
 		d = remaining
 	}
 	return d
+}
+
+// splitmix is a splitmix64 stream: 8 bytes of state, where a math/rand
+// source holds 4.9 KB, for one draw per retransmission.
+type splitmix uint64
+
+// newRetryJitter seeds node's jitter stream from its own split of the
+// zero seed: Split(label) is a pure function of the label, so each router
+// draws its own stream, the same on every run.
+func newRetryJitter(node graph.NodeID) splitmix {
+	return splitmix(rng.New(0).Split(fmt.Sprintf("retry/%d", int(node))).Int63())
+}
+
+// float64 draws the next value in [0, 1).
+func (s *splitmix) float64() float64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return float64(z>>11) / (1 << 53)
 }

@@ -198,9 +198,9 @@ type signal struct {
 // sigResult is a walk's outcome: what a hop remembers for replay and what
 // the reply carries back to the source.
 type sigResult struct {
-	ok        bool
-	failedHop int
 	reason    string
+	failedHop int32
+	ok        bool
 }
 
 // packet returns the wire message carrying s.
@@ -218,7 +218,7 @@ func (s *signal) reply(res sigResult) proto.Message {
 		return proto.ActivateResult{Conn: s.conn, OK: res.ok, Reason: res.reason, Seq: s.seq}
 	}
 	return proto.SetupResult{Conn: s.conn, Channel: s.channel, OK: res.ok, Reason: res.reason,
-		FailedHop: res.failedHop, Seq: s.seq}
+		FailedHop: int(res.failedHop), Seq: s.seq}
 }
 
 // replyKey is the key s's reply is awaited under.
@@ -292,7 +292,7 @@ func resultOf(msg proto.Message) sigResult {
 		return sigResult{ok: m.OK, reason: m.Reason}
 	}
 	m := msg.(proto.SetupResult)
-	return sigResult{ok: m.OK, failedHop: m.FailedHop, reason: m.Reason}
+	return sigResult{ok: m.OK, failedHop: int32(m.FailedHop), reason: m.Reason}
 }
 
 // walk runs s along path and sweeps away what a failed walk may have left
@@ -314,7 +314,7 @@ func (r *Router) walk(s signal, path graph.Path, undo ...proto.ChannelKind) erro
 	switch {
 	case err != nil:
 	case s.kind == sigSetup:
-		upTo, lossy = res.failedHop, false
+		upTo, lossy = int(res.failedHop), false
 		err = fmt.Errorf("router: %s setup rejected at hop %d: %s", s.channel, res.failedHop, res.reason)
 	default:
 		err = fmt.Errorf("router: activation rejected: %s", res.reason)
@@ -387,7 +387,7 @@ func (r *Router) handleHop(s signal) {
 		return
 	}
 	last := i == len(s.route)-1
-	key := dedupKey{sigID: s.sigID, seq: s.seq, hop: i}
+	key := s.key(s.seq, i)
 	labels := &sigLabels[s.kind]
 
 	r.mu.Lock()
@@ -403,7 +403,7 @@ func (r *Router) handleHop(s signal) {
 		if !last {
 			var err error
 			if link, err = r.applyLinkLocked(&s, s.route[i+1]); err != nil {
-				res = sigResult{failedHop: i, reason: err.Error()}
+				res = sigResult{failedHop: int32(i), reason: err.Error()}
 			} else {
 				r.markDirtyLocked(link)
 			}
@@ -477,7 +477,7 @@ func (r *Router) handleTeardown(m proto.Teardown) {
 		return
 	}
 	next := m.Route[i+1]
-	key := dedupKey{sigID: sigID{kind: sigTeardown, conn: m.Conn, channel: m.Channel}, seq: m.Seq, hop: i}
+	key := sigID{kind: sigTeardown, conn: m.Conn, channel: m.Channel}.key(m.Seq, i)
 	released := graph.LinkID(-1)
 	r.mu.Lock()
 	r.recordTombstoneLocked(m.Conn, m.Seq)
