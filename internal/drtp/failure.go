@@ -20,7 +20,7 @@ type evalScratch struct {
 	identity []int32 // identity[r] = r: the ranks of a plan of affected connections
 	merged   []int32
 	slots    []int
-	avail    []int // the reactive evaluation's free bandwidth per link
+	avail    []int32 // the reactive evaluation's free bandwidth per link
 }
 
 // sweepPlan is what the failures of one sweep read and none of them
@@ -387,7 +387,7 @@ func (m *Manager) EvaluateLinkFailureReactive(l graph.LinkID) FailureOutcome {
 	// copy: a Snapshot is read-only to its holders.
 	avail := append(m.eval.avail[:0], snap.Free...)
 	m.eval.avail = avail
-	open := func(x graph.LinkID) bool { return x != l && avail[x] >= unit }
+	open := func(x graph.LinkID) bool { return x != l && avail[x] >= int32(unit) }
 	for _, c := range affected {
 		path, ok := sel.Scratch.MinHopPath(g, c.Src, c.Dst, open)
 		if !ok {
@@ -396,7 +396,7 @@ func (m *Manager) EvaluateLinkFailureReactive(l graph.LinkID) FailureOutcome {
 			continue
 		}
 		for _, x := range path.Links() {
-			avail[x] -= unit
+			avail[x] -= int32(unit)
 		}
 		out.Recovered++
 		m.tracer.BackupActivate(m.schemeName, c.Trace, int64(c.ID), int(l), "reactive")

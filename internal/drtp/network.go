@@ -93,8 +93,8 @@ type Network struct {
 	dist     *graph.DistanceTable
 	distOnce sync.Once
 	// failed is a dense per-link failure flag (indexed by LinkID) so the
-	// Dijkstra cost callbacks pay an array read, not a map lookup.
-	failed    []bool
+	// Dijkstra cost callbacks pay a bit test, not a map lookup.
+	failed    graph.LinkSet
 	numFailed int
 	// snap and sel are the reusable routing buffers: the link-state
 	// snapshot and the route selector reading it (which owns the Dijkstra
@@ -119,7 +119,7 @@ func NewNetworkWithMode(g *graph.Graph, capacity, unitBW int, mode lsdb.Mode) (*
 	if err != nil {
 		return nil, err
 	}
-	failed := make([]bool, g.NumLinks())
+	failed := graph.NewLinkSet(g.NumLinks())
 	return &Network{
 		g:      g,
 		db:     db,
@@ -146,13 +146,13 @@ func (n *Network) Distances() *graph.DistanceTable {
 func (n *Network) UnitBW() int { return n.db.UnitBW() }
 
 // LinkFailed reports whether link l is marked persistently failed.
-func (n *Network) LinkFailed(l graph.LinkID) bool { return n.failed[l] }
+func (n *Network) LinkFailed(l graph.LinkID) bool { return n.failed.Has(l) }
 
 // FailLink marks a unidirectional link persistently failed: routing and
 // flooding exclude it until RestoreLink.
 func (n *Network) FailLink(l graph.LinkID) {
-	if !n.failed[l] {
-		n.failed[l] = true
+	if !n.failed.Has(l) {
+		n.failed.Add(l)
 		n.numFailed++
 	}
 }
@@ -166,8 +166,8 @@ func (n *Network) FailEdge(e graph.EdgeID) {
 
 // RestoreLink repairs a failed link.
 func (n *Network) RestoreLink(l graph.LinkID) {
-	if n.failed[l] {
-		n.failed[l] = false
+	if n.failed.Has(l) {
+		n.failed.Remove(l)
 		n.numFailed--
 	}
 }

@@ -268,12 +268,12 @@ func (s *Scheme) flood(net *drtp.Network, req drtp.Request) []candidate {
 				continue
 			}
 			// Failed links carry no CDPs; bandwidth test for the rest.
-			if net.LinkFailed(l) || snap.AvailBackup[l] < unit {
+			if net.LinkFailed(l) || int(snap.AvailBackup[l]) < unit {
 				continue
 			}
 			next := cdp{
 				hcCurr:      m.hcCurr + 1,
-				primaryFlag: m.primaryFlag && snap.Free[l] >= unit,
+				primaryFlag: m.primaryFlag && int(snap.Free[l]) >= unit,
 				list:        fs.appendNode(m.list, i),
 				at:          k,
 				seq:         seq,

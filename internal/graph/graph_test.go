@@ -173,3 +173,23 @@ func TestOutSliceNotAliased(t *testing.T) {
 		t.Fatalf("Out(0) = %d links, want 2", len(g.Out(0)))
 	}
 }
+
+// TestLinkSetBits holds the bitset to a []bool model across word boundaries.
+func TestLinkSetBits(t *testing.T) {
+	const n = 130
+	s, model := NewLinkSet(n), make([]bool, n)
+	for i, l := range []LinkID{0, 63, 64, 129, 5, 64, 0} {
+		if i%3 == 2 {
+			s.Remove(l)
+			model[l] = false
+		} else {
+			s.Add(l)
+			model[l] = true
+		}
+		for k := range model {
+			if s.Has(LinkID(k)) != model[k] {
+				t.Fatalf("after step %d: Has(%d) = %v, want %v", i, k, s.Has(LinkID(k)), model[k])
+			}
+		}
+	}
+}

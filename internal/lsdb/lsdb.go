@@ -37,6 +37,7 @@ package lsdb
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -238,8 +239,8 @@ func NewOwned(g *graph.Graph, capacity, unitBW int, owned []graph.LinkID) (*DB, 
 // newDB creates a database owning the given ascending links, or every
 // link when owned is nil.
 func newDB(g *graph.Graph, capacity, unitBW int, mode Mode, owned []graph.LinkID) (*DB, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("lsdb: capacity must be positive, got %d", capacity)
+	if capacity <= 0 || capacity > math.MaxInt32 {
+		return nil, fmt.Errorf("lsdb: capacity must be positive and fit 32 bits, got %d", capacity)
 	}
 	if unitBW <= 0 || unitBW > capacity {
 		return nil, fmt.Errorf("lsdb: unit bandwidth %d out of range (0,%d]", unitBW, capacity)
@@ -884,10 +885,15 @@ type Footprint struct {
 	Columns     int64 `json:"columns"` // entries, headers and keys
 	Registries  int64 `json:"registries"`
 	Primaries   int64 `json:"primaries"`
-	LSETTable   int64 `json:"lset_table"` // slots, clones and free list
+	LSETTable   int64 `json:"lset_table"`   // slots, clones and free list
 	LinkRecords int64 `json:"link_records"` // records and the owned list
 	ChangeLog   int64 `json:"change_log"`
 	Scratch     int64 `json:"scratch"` // the folds' sorted LSET and path, the recount
+}
+
+// Total returns the bytes of every structure.
+func (f Footprint) Total() int64 {
+	return f.Columns + f.Registries + f.Primaries + f.LSETTable + f.LinkRecords + f.ChangeLog + f.Scratch
 }
 
 // Footprint returns the bytes the database holds, by structure.

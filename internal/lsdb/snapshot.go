@@ -31,10 +31,11 @@ import (
 // the entries of links that changed since the last one, so an entry a
 // holder overwrote would stay wrong. Draw down a copy instead.
 type Snapshot struct {
-	// AvailBackup[l] is capacity - prime (DB.AvailableForBackup).
-	AvailBackup []int
+	// AvailBackup[l] is capacity - prime (DB.AvailableForBackup), as the
+	// int32 the route selector reads (lsr.Selector).
+	AvailBackup []int32
 	// Free[l] is capacity - prime - spare (DB.FreeBW).
-	Free []int
+	Free []int32
 	// Norm[l] is ‖APLV_l‖₁ (DB.APLVNorm), as the float64 the route
 	// selector's metric vector holds, so P-LSR reads it in place.
 	Norm []float64
@@ -87,8 +88,8 @@ func (db *DB) SnapshotInto(s *Snapshot) *Snapshot {
 // the database's.
 func (ls *linkState) copyInto(s *Snapshot, i, capacity int) {
 	avail := capacity - ls.prime
-	s.AvailBackup[i] = avail
-	s.Free[i] = avail - ls.spare
+	s.AvailBackup[i] = int32(avail)
+	s.Free[i] = int32(avail - ls.spare)
 	s.Norm[i] = float64(ls.norm)
 }
 
@@ -253,7 +254,7 @@ func (db *DB) PromoteBackupPath(id ConnID, links []graph.LinkID) error {
 
 // grow returns s resized to n entries, reallocating only when the
 // capacity is insufficient.
-func grow[T int | float64](s []T, n int) []T {
+func grow[T int | int32 | float64](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}

@@ -45,10 +45,10 @@ func TestSnapshotIntoMatchesAccessors(t *testing.T) {
 	}
 	for l := 0; l < db.NumLinks(); l++ {
 		id := graph.LinkID(l)
-		if s.AvailBackup[l] != db.AvailableForBackup(id) {
+		if int(s.AvailBackup[l]) != db.AvailableForBackup(id) {
 			t.Errorf("link %d: AvailBackup = %d, accessor %d", l, s.AvailBackup[l], db.AvailableForBackup(id))
 		}
-		if s.Free[l] != db.FreeBW(id) {
+		if int(s.Free[l]) != db.FreeBW(id) {
 			t.Errorf("link %d: Free = %d, accessor %d", l, s.Free[l], db.FreeBW(id))
 		}
 		if s.Norm[l] != float64(db.APLVNorm(id)) {

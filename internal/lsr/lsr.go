@@ -33,9 +33,10 @@ const (
 )
 
 // Selector selects routes on one topology. G and Unit are fixed; the
-// per-link slices, all indexed by graph.LinkID with one entry per link,
-// are the owner's current link state, which the owner refreshes (or
-// re-points) before selecting. A Selector reuses its search buffers
+// per-link slices and sets, all indexed by graph.LinkID with one entry per
+// link, are the owner's current link state, which the owner refreshes (or
+// re-points) before selecting. Both state sources hold it in this one
+// form: bandwidths as int32, marks as bitsets. A Selector reuses its search buffers
 // across calls, so a selection allocates only the returned Path; it is
 // not safe for concurrent use.
 type Selector struct {
@@ -44,12 +45,12 @@ type Selector struct {
 	Unit int
 
 	// Free is the bandwidth a new primary may take on each link.
-	Free []int
+	Free []int32
 	// AvailBackup is the bandwidth a new backup may count on (spare
 	// included: backups multiplex it).
-	AvailBackup []int
+	AvailBackup []int32
 	// Down marks links no route may use.
-	Down []bool
+	Down graph.LinkSet
 	// Metric is the conflict metric of each link for the request at hand,
 	// filled by the owner once the primary is known; nil means zero
 	// everywhere (conflict-blind selection).
@@ -58,7 +59,7 @@ type Selector struct {
 	// Scratch is the path-search work space, exported so the owner's other
 	// searches on G share it.
 	Scratch graph.Scratch
-	avoid   []bool
+	avoid   graph.LinkSet
 }
 
 // Primary returns the minimum-hop route from src to dst over live links
@@ -66,8 +67,8 @@ type Selector struct {
 // within maxHops (maxHops <= 0 means unbounded; minimum-hop routing
 // already minimizes delay, so the bound is a feasibility check).
 func (s *Selector) Primary(src, dst graph.NodeID, maxHops int) graph.Path {
-	free, down, unit := s.Free, s.Down, s.Unit
-	open := func(l graph.LinkID) bool { return !down[l] && free[l] >= unit }
+	free, down, unit := s.Free, s.Down, int32(s.Unit)
+	open := func(l graph.LinkID) bool { return !down.Has(l) && free[l] >= unit }
 	p, ok := s.Scratch.MinHopPath(s.G, src, dst, open)
 	if !ok || (maxHops > 0 && p.Hops() > maxHops) {
 		return graph.Path{}
@@ -84,30 +85,29 @@ func (s *Selector) Primary(src, dst graph.NodeID, maxHops int) graph.Path {
 // in place it protects nothing the earlier channels do not, so it is
 // refused. A positive maxHops bounds the search to the QoS delay bound.
 func (s *Selector) NextBackup(primary graph.Path, existing []graph.Path, maxHops int) graph.Path {
-	n := s.G.NumLinks()
-	if cap(s.avoid) < n {
-		s.avoid = make([]bool, n)
+	if s.avoid == nil {
+		s.avoid = graph.NewLinkSet(s.G.NumLinks())
 	}
-	avoid := s.avoid[:n]
+	avoid := s.avoid
 	clear(avoid)
 	for _, l := range primary.Links() {
-		avoid[l] = true
+		avoid.Add(l)
 	}
 	for _, b := range existing {
 		for _, l := range b.Links() {
-			avoid[l] = true
+			avoid.Add(l)
 		}
 	}
-	availBackup, down, metric, unit := s.AvailBackup, s.Down, s.Metric, s.Unit
+	availBackup, down, metric, unit := s.AvailBackup, s.Down, s.Metric, int32(s.Unit)
 	cost := func(l graph.LinkID) float64 {
-		if down[l] {
+		if down.Has(l) {
 			return graph.Unreachable
 		}
 		c := Epsilon
 		if metric != nil {
 			c += metric[l]
 		}
-		if avoid[l] || availBackup[l] < unit {
+		if avoid.Has(l) || availBackup[l] < unit {
 			c += Q
 		}
 		return c

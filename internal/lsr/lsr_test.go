@@ -29,8 +29,8 @@ func build(t *testing.T, nodes int, edges [][2]int) *lsr.Selector {
 	n := g.NumLinks()
 	s := &lsr.Selector{
 		G: g, Unit: unit,
-		Free: make([]int, n), AvailBackup: make([]int, n),
-		Down: make([]bool, n), Metric: make([]float64, n),
+		Free: make([]int32, n), AvailBackup: make([]int32, n),
+		Down: graph.NewLinkSet(n), Metric: make([]float64, n),
 	}
 	for l := 0; l < n; l++ {
 		s.Free[l], s.AvailBackup[l] = capacity, capacity
@@ -84,7 +84,7 @@ func TestPrimary(t *testing.T) {
 		{name: "link without room for a primary is skipped", want: thetaMid,
 			setup: func(t *testing.T, s *lsr.Selector) { s.Free[link(t, s, 2, 1)] = unit - 1 }},
 		{name: "down link is skipped", want: thetaMid,
-			setup: func(t *testing.T, s *lsr.Selector) { s.Down[link(t, s, 0, 2)] = true }},
+			setup: func(t *testing.T, s *lsr.Selector) { s.Down.Add(link(t, s, 0, 2)) }},
 		{name: "backup bandwidth and metric do not matter", want: thetaShort,
 			setup: func(t *testing.T, s *lsr.Selector) {
 				s.AvailBackup[link(t, s, 0, 2)] = 0
@@ -92,11 +92,11 @@ func TestPrimary(t *testing.T) {
 			}},
 		{name: "hop bound met", maxHops: 2, want: thetaShort},
 		{name: "hop bound is a feasibility check", maxHops: 2, want: nil,
-			setup: func(t *testing.T, s *lsr.Selector) { s.Down[link(t, s, 0, 2)] = true }},
+			setup: func(t *testing.T, s *lsr.Selector) { s.Down.Add(link(t, s, 0, 2)) }},
 		{name: "every route cut", want: nil,
 			setup: func(t *testing.T, s *lsr.Selector) {
 				for _, l := range s.G.In(1) {
-					s.Down[l] = true
+					s.Down.Add(l)
 				}
 			}},
 	}
@@ -124,17 +124,21 @@ func TestPrimaryMatchesUnitCostDijkstra(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g.NumLinks()
-	s := &lsr.Selector{G: g, Unit: unit, Free: make([]int, n), Down: make([]bool, n)}
+	s := &lsr.Selector{G: g, Unit: unit, Free: make([]int32, n), Down: graph.NewLinkSet(n)}
 	var ref graph.Scratch
 	r := rng.New(7)
 	refused, bounded := 0, 0
 	for round := 0; round < 6; round++ {
 		for l := 0; l < n; l++ {
-			s.Down[l] = r.Intn(10) == 0
-			s.Free[l] = r.Intn(2 + round) // more rounds, fewer saturated links
+			if r.Intn(10) == 0 {
+				s.Down.Add(graph.LinkID(l))
+			} else {
+				s.Down.Remove(graph.LinkID(l))
+			}
+			s.Free[l] = int32(r.Intn(2 + round)) // more rounds, fewer saturated links
 		}
 		cost := func(l graph.LinkID) float64 {
-			if s.Down[l] || s.Free[l] < unit {
+			if s.Down.Has(l) || s.Free[l] < unit {
 				return graph.Unreachable
 			}
 			return 1
@@ -190,11 +194,11 @@ func TestNextBackup(t *testing.T) {
 			want: nil},
 		{name: "down links are never used",
 			topo: theta, primary: thetaShort,
-			setup: func(t *testing.T, s *lsr.Selector) { s.Down[link(t, s, 3, 4)] = true },
+			setup: func(t *testing.T, s *lsr.Selector) { s.Down.Add(link(t, s, 3, 4)) },
 			want:  [][]graph.NodeID{thetaLong}},
 		{name: "down links are not a last resort either",
 			topo: bridge, primary: []graph.NodeID{0, 1, 2},
-			setup: func(t *testing.T, s *lsr.Selector) { s.Down[link(t, s, 0, 1)] = true },
+			setup: func(t *testing.T, s *lsr.Selector) { s.Down.Add(link(t, s, 0, 1)) },
 			want:  nil},
 		{name: "a link short of backup bandwidth is a last resort",
 			topo: theta, primary: thetaShort,

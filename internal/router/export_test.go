@@ -14,8 +14,8 @@ const HoldDownsPerLSInterval = holdDownsPerLSInterval
 // re-encoded from its row: (links+7)/8 bytes, bit j%8 of byte j/8 set for
 // each j in the row.
 func (v *LinkStateView) CV(l graph.LinkID) []byte {
-	out := make([]byte, (len(v.conflicts)+7)/8)
-	for _, j := range v.conflicts[l] {
+	out := make([]byte, (len(v.norm)+7)/8)
+	for _, j := range v.rows.row(int(l)) {
 		out[j/8] |= 1 << uint(j%8)
 	}
 	return out

@@ -3,6 +3,7 @@ package router
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"github.com/rtcl/drtp/internal/graph"
@@ -18,23 +19,25 @@ import (
 // bandwidths directly and, as the conflict metric, the advertised ‖APLV‖₁
 // (P-LSR) or the primary's links set in each Conflict Vector (D-LSR).
 // The view keeps each link's Conflict Vector as its set bits, one
-// ascending row of link IDs per link, so it grows with the conflicts
-// advertised rather than with links²: 0.75 MB in all for a view of a
-// 2 000-node (6 000-link) simulation at steady state, against
-// 4.5 MB for links² bits. Not goroutine-safe; the owner serializes
-// access.
+// ascending row of link IDs per link in one arena (cvRows), so it grows
+// with the conflicts advertised rather than with links²: 0.75 MB in all
+// for a view of a 2 000-node (6 000-link) simulation at steady state,
+// against 4.5 MB for links² bits. Per link a fresh view holds two int32
+// bandwidths and an int32 norm, the float64 metric, a 4-byte row offset
+// and two bits, the down and LSET marks: 24.25 bytes, and the origins'
+// sequences beside them. Not goroutine-safe; the owner serializes access.
 type LinkStateView struct {
 	scheme BackupScheme
 	// sel holds the advertised bandwidths (Free is the bandwidth available
 	// to primaries) and the per-request block list and conflict metric.
 	sel  lsr.Selector
-	norm []int
-	// conflicts[l] holds, ascending, the links j whose bit is set in link
-	// l's advertised Conflict Vector.
-	conflicts [][]int32
+	norm []int32
+	// rows holds, for each link l, the links j whose bit is set in link
+	// l's advertised Conflict Vector, ascending.
+	rows cvRows
 	// inLSET marks the request's primary links while fillMetric counts;
-	// all false between calls.
-	inLSET []bool
+	// empty between calls.
+	inLSET graph.LinkSet
 	// seq[o] is the sequence of the last update installed from origin o,
 	// zero if none has been; heard counts the origins with one.
 	seq   []uint64
@@ -42,26 +45,121 @@ type LinkStateView struct {
 }
 
 // NewLinkStateView starts from the optimistic initial view: every link
-// empty until adverts arrive.
+// empty until adverts arrive. The capacity must fit 32 bits, as the link
+// database's does.
 func NewLinkStateView(g *graph.Graph, capacity, unitBW int, scheme BackupScheme) *LinkStateView {
 	n := g.NumLinks()
+	// The four int32 arrays share one allocation, and so do the two sets.
+	words, sets := make([]int32, 4*n), make(graph.LinkSet, 2*len(graph.NewLinkSet(n)))
+	part := func(k int) []int32 { return words[k*n : (k+1)*n : (k+1)*n] }
+	half := len(sets) / 2
 	v := &LinkStateView{
 		scheme: scheme,
 		sel: lsr.Selector{
 			G: g, Unit: unitBW,
-			Free: make([]int, n), AvailBackup: make([]int, n),
-			Down: make([]bool, n), Metric: make([]float64, n),
+			Free: part(0), AvailBackup: part(1),
+			Down: sets[:half:half], Metric: make([]float64, n),
 		},
-		norm:      make([]int, n),
-		conflicts: make([][]int32, n),
-		inLSET:    make([]bool, n),
-		seq:       make([]uint64, g.NumNodes()),
+		norm:   part(2),
+		rows:   cvRows{at: part(3)},
+		inLSET: sets[half:],
+		seq:    make([]uint64, g.NumNodes()),
 	}
-	for l := range v.conflicts {
-		v.sel.Free[l] = capacity
-		v.sel.AvailBackup[l] = capacity
+	for l := range n {
+		v.sel.Free[l] = int32(capacity)
+		v.sel.AvailBackup[l] = int32(capacity)
 	}
 	return v
+}
+
+// bytes returns the memory the view holds: its per-link arrays and sets,
+// the conflict arena and the origins' sequences.
+func (v *LinkStateView) bytes() int64 {
+	return 4*int64(cap(v.sel.Free)+cap(v.sel.AvailBackup)+cap(v.norm)+cap(v.rows.at)+cap(v.rows.arena)) +
+		8*int64(cap(v.sel.Metric)+cap(v.sel.Down)+cap(v.inLSET)+cap(v.seq))
+}
+
+// cvRows holds every link's Conflict Vector row in one arena. A row lives
+// in a slot: a rowHeader-word header (the link, the slot's capacity, the
+// row's length) and then the row's entries. at[l] is the arena index of
+// link l's first entry, or 0 while l has no slot: every slot's entries
+// follow its header, so none starts at 0. A row rewritten at a length its
+// slot holds stays in place, so a steady-state advert allocates nothing;
+// one that outgrows its slot moves to a new slot, with a quarter's slack,
+// at the arena's end, and the old slot dies (its header's link -1). Once
+// dead slots hold more than half the arena, the live slots slide down over
+// them in arena order, each cut to its row.
+type cvRows struct {
+	at    []int32
+	arena []int32
+	dead  int // words in dead slots
+}
+
+const rowHeader = 3
+
+// row returns link l's row.
+func (c *cvRows) row(l int) []int32 {
+	a := c.at[l]
+	if a == 0 {
+		return nil
+	}
+	return c.arena[a : a+c.arena[a-1]]
+}
+
+// slot returns link l's slot, empty, with room for n entries, to be
+// appended to and then sized with setLen.
+func (c *cvRows) slot(l, n int) []int32 {
+	a := int(c.at[l])
+	if a != 0 && int(c.arena[a-2]) >= n {
+		return c.arena[a : a : a+int(c.arena[a-2])]
+	}
+	if a != 0 {
+		c.arena[a-rowHeader] = -1
+		c.dead += rowHeader + int(c.arena[a-2])
+		c.at[l] = 0
+	}
+	if n == 0 {
+		return nil
+	}
+	if 2*c.dead > len(c.arena) {
+		c.compact()
+	}
+	room := n + n/4
+	c.arena = append(c.arena, int32(l), int32(room), 0)
+	a = len(c.arena)
+	c.arena = slices.Grow(c.arena, room)[:a+room]
+	c.at[l] = int32(a)
+	return c.arena[a : a : a+room]
+}
+
+// setLen sets the length of link l's row to n, which its slot holds.
+func (c *cvRows) setLen(l, n int) {
+	if a := c.at[l]; a != 0 {
+		c.arena[a-1] = int32(n)
+	}
+}
+
+// compact slides the live slots down over the dead ones, each cut to its
+// row; a slot with an empty row goes.
+func (c *cvRows) compact() {
+	w := 0
+	for p, next := 0, 0; p < len(c.arena); p = next {
+		l, n := c.arena[p], int(c.arena[p+2])
+		next = p + rowHeader + int(c.arena[p+1])
+		if l < 0 {
+			continue
+		}
+		if n == 0 {
+			c.at[l] = 0
+			continue
+		}
+		copy(c.arena[w:], c.arena[p:p+rowHeader+n])
+		c.arena[w+1] = int32(n)
+		c.at[l] = int32(w + rowHeader)
+		w += rowHeader + n
+	}
+	c.arena = c.arena[:w]
+	c.dead = 0
 }
 
 // Install is the intake rule for a link-state update flooded to a
@@ -113,25 +211,22 @@ func (v *LinkStateView) Apply(a proto.LinkAdvert) bool {
 // apply is Apply, except that a summary of a link leaving self is
 // skipped: reported true, the view unchanged.
 func (v *LinkStateView) apply(a proto.LinkAdvert, self graph.NodeID) bool {
-	n := len(v.conflicts)
+	n := len(v.norm)
 	if a.Link < 0 || int(a.Link) >= n {
 		return false
 	}
 	if v.sel.G.Link(a.Link).From == self {
 		return true
 	}
-	v.sel.Free[a.Link] = a.AvailPrim
-	v.sel.AvailBackup[a.Link] = a.AvailBackup
-	v.norm[a.Link] = a.Norm
+	v.sel.Free[a.Link] = int32(a.AvailPrim)
+	v.sel.AvailBackup[a.Link] = int32(a.AvailBackup)
+	v.norm[a.Link] = int32(a.Norm)
 	cv := a.CV[:min(len(a.CV), (n+7)/8)]
 	set := 0
 	for _, b := range cv {
 		set += bits.OnesCount8(b)
 	}
-	row := v.conflicts[a.Link][:0]
-	if cap(row) < set {
-		row = make([]int32, 0, set)
-	}
+	row := v.rows.slot(int(a.Link), set)
 	for i, b := range cv {
 		for ; b != 0; b &= b - 1 {
 			if j := i*8 + bits.TrailingZeros8(b); j < n {
@@ -139,7 +234,7 @@ func (v *LinkStateView) apply(a proto.LinkAdvert, self graph.NodeID) bool {
 			}
 		}
 	}
-	v.conflicts[a.Link] = row
+	v.rows.setLen(int(a.Link), len(row))
 	return true
 }
 
@@ -147,7 +242,7 @@ func (v *LinkStateView) apply(a proto.LinkAdvert, self graph.NodeID) bool {
 // primaries, the bandwidth available to backups, and the advertised
 // ‖APLV‖₁.
 func (v *LinkStateView) Link(l graph.LinkID) (availPrim, availBackup, norm int) {
-	return v.sel.Free[l], v.sel.AvailBackup[l], v.norm[l]
+	return int(v.sel.Free[l]), int(v.sel.AvailBackup[l]), int(v.norm[l])
 }
 
 // RoutePrimary computes a minimum-hop route from src to dst over links
@@ -183,8 +278,14 @@ func (v *LinkStateView) Backups(primary graph.Path, existing []graph.Path, k int
 // block marks the links blocked reports true for as down for the
 // selection that follows.
 func (v *LinkStateView) block(blocked func(graph.LinkID) bool) {
-	for l := range v.sel.Down {
-		v.sel.Down[l] = blocked != nil && blocked(graph.LinkID(l))
+	clear(v.sel.Down)
+	if blocked == nil {
+		return
+	}
+	for l := range v.norm {
+		if blocked(graph.LinkID(l)) {
+			v.sel.Down.Add(graph.LinkID(l))
+		}
 	}
 }
 
@@ -200,19 +301,19 @@ func (v *LinkStateView) fillMetric(lset []graph.LinkID) {
 		return
 	}
 	for _, pl := range lset {
-		v.inLSET[pl] = true
+		v.inLSET.Add(pl)
 	}
-	for l, row := range v.conflicts {
+	for l := range v.sel.Metric {
 		n := 0
-		for _, j := range row {
-			if v.inLSET[j] {
+		for _, j := range v.rows.row(l) {
+			if v.inLSET.Has(graph.LinkID(j)) {
 				n++
 			}
 		}
 		v.sel.Metric[l] = float64(n)
 	}
 	for _, pl := range lset {
-		v.inLSET[pl] = false
+		v.inLSET.Remove(pl)
 	}
 }
 
@@ -430,6 +531,9 @@ func newFloodTree(g *graph.Graph, self graph.NodeID, nbrs []graph.NodeID) floodT
 	}
 	return t
 }
+
+// bytes returns the memory the tree holds.
+func (t floodTree) bytes() int64 { return 4*int64(cap(t.start)) + 4*int64(cap(t.kids)) }
 
 // children lists the neighbours whose parent in origin's tree this router
 // is, ascending.

@@ -463,6 +463,33 @@ func (r *Router) Conn(id lsdb.ConnID) (ConnInfo, bool) {
 // intended for inspection in tests and tools.
 func (r *Router) DB() *lsdb.DB { return r.db }
 
+// Footprint is the memory a router holds by structure, in bytes: its link
+// database, its link-state view, its share of the flood trees and the two
+// dedup windows its signalling remembers hops and teardowns in.
+type Footprint struct {
+	DB         lsdb.Footprint `json:"db"`
+	View       int64          `json:"view"`
+	FloodTree  int64          `json:"flood_tree"`
+	SeenSig    int64          `json:"seen_sig"`
+	Tombstones int64          `json:"tombstones"`
+}
+
+// Total returns the bytes of every structure.
+func (f Footprint) Total() int64 {
+	return f.DB.Total() + f.View + f.FloodTree + f.SeenSig + f.Tombstones
+}
+
+// Footprint returns the bytes the router holds, by structure.
+func (r *Router) Footprint() Footprint {
+	f := Footprint{DB: r.db.Footprint(), FloodTree: r.tree.bytes()}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f.View = r.view.bytes()
+	f.SeenSig = r.seenSig.Bytes()
+	f.Tombstones = r.tombstones.Bytes()
+	return f
+}
+
 // Synced reports whether this router has installed at least one remote
 // link-state advertisement (trivially true on single-node topologies).
 // The node runtime's readiness probe gates on it so a freshly started

@@ -202,7 +202,7 @@ func (r *Random) Route(net *drtp.Network, req drtp.Request) (drtp.Route, error) 
 			return graph.Unreachable
 		}
 		c := 1 + jitter[l]
-		if onPrimary[l] || snap.AvailBackup[l] < unit {
+		if onPrimary[l] || int(snap.AvailBackup[l]) < unit {
 			c += lsr.Q
 		}
 		return c
