@@ -1,6 +1,9 @@
 package graph
 
-import "math"
+import (
+	"math"
+	"unsafe"
+)
 
 // Scratch holds the reusable working state for repeated shortest-path
 // queries on graphs of a bounded size: the Dijkstra dist/prev/settled
@@ -54,6 +57,22 @@ type Scratch struct {
 
 // NewScratch returns an empty scratch space.
 func NewScratch() *Scratch { return &Scratch{} }
+
+// Bytes returns the memory the scratch space holds: each buffer's capacity
+// times its element size. It grows with the largest graph searched.
+func (s *Scratch) Bytes() int64 {
+	n := 8*int64(cap(s.dist)+cap(s.rdist)) + int64(cap(s.settled)) +
+		4*int64(cap(s.prev)+cap(s.stack)+cap(s.lvl)+cap(s.rlvl)+cap(s.queue)+cap(s.rqueue)+cap(s.seen)) +
+		int64(unsafe.Sizeof(pqItem{}))*int64(cap(s.pq)+cap(s.rpq)) +
+		24*int64(cap(s.bdist)+cap(s.bprev))
+	for _, row := range s.bdist {
+		n += 8 * int64(cap(row))
+	}
+	for _, row := range s.bprev {
+		n += 4 * int64(cap(row))
+	}
+	return n
+}
 
 // ShortestPath runs Dijkstra's algorithm from src to dst under the given
 // link-cost function and returns the minimum-cost path and its cost.

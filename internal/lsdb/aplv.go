@@ -103,17 +103,23 @@ func (db *DB) colLink(x int) graph.LinkID {
 }
 
 // addColLocked makes an empty column for link j at index x, where colAt
-// placed it, and returns x. The caller must hold db.mu.
-func (db *DB) addColLocked(x int, j graph.LinkID) int {
+// placed it, on a spare array if there is one. The caller must hold db.mu.
+func (db *DB) addColLocked(x int, j graph.LinkID) {
+	var col []uint32
+	if k := len(db.spareCols) - 1; k >= 0 {
+		col, db.spareCols = db.spareCols[k], db.spareCols[:k]
+	}
 	db.colKeys = slices.Insert(db.colKeys, x, j)
-	db.cols = slices.Insert(db.cols, x, nil)
-	return x
+	db.cols = slices.Insert(db.cols, x, col)
 }
 
 // dropColLocked removes the column at index x, which a release emptied,
-// from a database that does not own every link. The caller must hold
-// db.mu.
+// from a database that does not own every link, and keeps its array
+// spare unless enough are. The caller must hold db.mu.
 func (db *DB) dropColLocked(x int) {
+	if col := db.cols[x]; len(db.spareCols) < keepRoute && cap(col) <= keepRoute {
+		db.spareCols = append(db.spareCols, col[:0])
+	}
 	db.colKeys = shrink(slices.Delete(db.colKeys, x, x+1), keepRoute)
 	db.cols = shrink(slices.Delete(db.cols, x, x+1), keepRoute)
 }
@@ -210,7 +216,7 @@ func (db *DB) foldInLocked(path, sorted []graph.LinkID) {
 		i += c
 		x, ok := db.colAt(graph.LinkID(j))
 		if !ok {
-			x = db.addColLocked(x, graph.LinkID(j))
+			db.addColLocked(x, graph.LinkID(j))
 		}
 		col := db.cols[x]
 		missing, k := 0, 0

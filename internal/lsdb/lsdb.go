@@ -175,6 +175,11 @@ type DB struct {
 	// ascending. Guarded by mu.
 	cols    [][]uint32
 	colKeys []graph.LinkID
+	// spareCols holds, emptied, the arrays of columns a release dropped,
+	// for the next columns a registration adds: a router's columns come
+	// and go with every connection through it. At most keepRoute, each
+	// of at most keepRoute entries; guarded by mu.
+	spareCols [][]uint32
 
 	// lsets is the LSET table the registries' handles index, and
 	// freeLSETs its free slots (lset.go); guarded by mu.
@@ -261,12 +266,18 @@ func newDB(g *graph.Graph, capacity, unitBW int, mode Mode, owned []graph.LinkID
 }
 
 // slotOf returns the index of link l's record and whether the database
-// owns l.
+// owns l. A router owns its out-links, a handful: a scan finds one sooner
+// than a binary search.
 func (db *DB) slotOf(l graph.LinkID) (int, bool) {
 	if db.owned == nil {
 		return int(l), uint(l) < uint(len(db.links))
 	}
-	return slices.BinarySearch(db.owned, l)
+	for k, o := range db.owned {
+		if o == l {
+			return k, true
+		}
+	}
+	return 0, false
 }
 
 // at returns the record of link l, which the database must own. The
@@ -281,7 +292,7 @@ func (db *DB) at(l graph.LinkID) *linkState {
 // ownedSlot is slotOf for a database that does not own every link; it
 // panics on a link the database does not own.
 func (db *DB) ownedSlot(l graph.LinkID) int {
-	k, ok := slices.BinarySearch(db.owned, l)
+	k, ok := db.slotOf(l)
 	if !ok {
 		panic(fmt.Sprintf("lsdb: link %d is not one of the database's %d links", l, len(db.owned)))
 	}
@@ -908,6 +919,10 @@ func (db *DB) Footprint() Footprint {
 		Scratch:     4 * int64(cap(db.sortedLSET)+cap(db.sortedPath)+cap(db.recount)),
 	}
 	for _, col := range db.cols {
+		f.Columns += entryBytes * int64(cap(col))
+	}
+	f.Columns += int64(cap(db.spareCols)) * int64(unsafe.Sizeof(db.cols[0]))
+	for _, col := range db.spareCols {
 		f.Columns += entryBytes * int64(cap(col))
 	}
 	for i := range db.links {

@@ -36,9 +36,9 @@ const (
 // per-link slices and sets, all indexed by graph.LinkID with one entry per
 // link, are the owner's current link state, which the owner refreshes (or
 // re-points) before selecting. Both state sources hold it in this one
-// form: bandwidths as int32, marks as bitsets. A Selector reuses its search buffers
-// across calls, so a selection allocates only the returned Path; it is
-// not safe for concurrent use.
+// form: bandwidths as int32, marks as bitsets. A Selector reuses its
+// search buffers across calls, so a selection allocates only the returned
+// Path; it is not safe for concurrent use.
 type Selector struct {
 	G *graph.Graph
 	// Unit is the bandwidth every channel reserves.

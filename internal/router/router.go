@@ -464,11 +464,13 @@ func (r *Router) Conn(id lsdb.ConnID) (ConnInfo, bool) {
 func (r *Router) DB() *lsdb.DB { return r.db }
 
 // Footprint is the memory a router holds by structure, in bytes: its link
-// database, its link-state view, its share of the flood trees and the two
-// dedup windows its signalling remembers hops and teardowns in.
+// database, its link-state view and the route searches' scratch space on
+// it, its share of the flood trees and the two dedup windows its
+// signalling remembers hops and teardowns in.
 type Footprint struct {
 	DB         lsdb.Footprint `json:"db"`
 	View       int64          `json:"view"`
+	Search     int64          `json:"search"`
 	FloodTree  int64          `json:"flood_tree"`
 	SeenSig    int64          `json:"seen_sig"`
 	Tombstones int64          `json:"tombstones"`
@@ -476,7 +478,7 @@ type Footprint struct {
 
 // Total returns the bytes of every structure.
 func (f Footprint) Total() int64 {
-	return f.DB.Total() + f.View + f.FloodTree + f.SeenSig + f.Tombstones
+	return f.DB.Total() + f.View + f.Search + f.FloodTree + f.SeenSig + f.Tombstones
 }
 
 // Footprint returns the bytes the router holds, by structure.
@@ -485,6 +487,7 @@ func (r *Router) Footprint() Footprint {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f.View = r.view.bytes()
+	f.Search = r.view.sel.Scratch.Bytes()
 	f.SeenSig = r.seenSig.Bytes()
 	f.Tombstones = r.tombstones.Bytes()
 	return f
