@@ -91,6 +91,14 @@ func (db *DB) colAt(j graph.LinkID) (int, bool) {
 	if db.owned == nil {
 		return int(j), true
 	}
+	return db.ownedColAt(j)
+}
+
+// ownedColAt is colAt for a database that does not own every link, kept
+// out of colAt so that the simulator's folds inline the identity.
+//
+//go:noinline
+func (db *DB) ownedColAt(j graph.LinkID) (int, bool) {
 	return slices.BinarySearch(db.colKeys, j)
 }
 
