@@ -117,8 +117,12 @@ func (db *DB) addColLocked(x int, j graph.LinkID) {
 	if k := len(db.spareCols) - 1; k >= 0 {
 		col, db.spareCols = db.spareCols[k], db.spareCols[:k]
 	}
-	db.colKeys = slices.Insert(db.colKeys, x, j)
-	db.cols = slices.Insert(db.cols, x, col)
+	db.colKeys = append(db.colKeys, 0)
+	copy(db.colKeys[x+1:], db.colKeys[x:])
+	db.colKeys[x] = j
+	db.cols = append(db.cols, nil)
+	copy(db.cols[x+1:], db.cols[x:])
+	db.cols[x] = col
 }
 
 // dropColLocked removes the column at index x, which a release emptied,
@@ -128,8 +132,12 @@ func (db *DB) dropColLocked(x int) {
 	if col := db.cols[x]; len(db.spareCols) < keepRoute && cap(col) <= keepRoute {
 		db.spareCols = append(db.spareCols, col[:0])
 	}
-	db.colKeys = shrink(slices.Delete(db.colKeys, x, x+1), keepRoute)
-	db.cols = shrink(slices.Delete(db.cols, x, x+1), keepRoute)
+	last := len(db.cols) - 1
+	copy(db.colKeys[x:], db.colKeys[x+1:])
+	copy(db.cols[x:], db.cols[x+1:])
+	db.cols[last] = nil
+	db.colKeys = shrink(db.colKeys[:last], keepRoute)
+	db.cols = shrink(db.cols[:last], keepRoute)
 }
 
 // runAt returns the link at sorted[i] and the length of its run.

@@ -146,16 +146,15 @@ func TestClusterAt2000Routers(t *testing.T) {
 	}
 	defer c.Close()
 	delta := liveHeap() - before
-	var fp Footprint
+	var views, trees, dbs int64
 	for n := 0; n < c.Size(); n++ {
 		f := c.Router(graph.NodeID(n)).Footprint()
-		fp.View += f.View
-		fp.FloodTree += f.FloodTree
-		fp.DB.LinkRecords += f.DB.Total()
+		views, trees, dbs = views+f.View, trees+f.FloodTree, dbs+f.DB.Total()
 	}
+	mb := func(b int64) float64 { return float64(b) / (1 << 20) }
 	t.Logf("%d routers: %.1f MB live heap; views %.1f MB, flood trees %.1f MB, databases %.1f MB",
-		c.Size(), float64(delta)/(1<<20), float64(fp.View)/(1<<20), float64(fp.FloodTree)/(1<<20), float64(fp.DB.LinkRecords)/(1<<20))
+		c.Size(), mb(delta), mb(views), mb(trees), mb(dbs))
 	if delta > 512<<20 {
-		t.Errorf("a 2 000-router cluster holds %.1f MB of live heap once constructed, want at most 512 MB", float64(delta)/(1<<20))
+		t.Errorf("a 2 000-router cluster holds %.1f MB of live heap once constructed, want at most 512 MB", mb(delta))
 	}
 }

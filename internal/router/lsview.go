@@ -300,20 +300,23 @@ func (v *LinkStateView) fillMetric(lset []graph.LinkID) {
 		}
 		return
 	}
+	in, metric, arena := v.inLSET, v.sel.Metric, v.rows.arena
 	for _, pl := range lset {
-		v.inLSET.Add(pl)
+		in.Add(pl)
 	}
-	for l := range v.sel.Metric {
+	for l, a := range v.rows.at {
 		n := 0
-		for _, j := range v.rows.row(l) {
-			if v.inLSET.Has(graph.LinkID(j)) {
-				n++
+		if a != 0 {
+			for _, j := range arena[a : a+arena[a-1]] {
+				if in.Has(graph.LinkID(j)) {
+					n++
+				}
 			}
 		}
-		v.sel.Metric[l] = float64(n)
+		metric[l] = float64(n)
 	}
 	for _, pl := range lset {
-		v.inLSET.Remove(pl)
+		in.Remove(pl)
 	}
 }
 
