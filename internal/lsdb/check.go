@@ -163,7 +163,7 @@ func (db *DB) checkColsLocked() error {
 			switch pl, c := graph.LinkID(e>>db.cbits), e&db.maxCount; {
 			case k > 0 && graph.LinkID(col[k-1]>>db.cbits) >= pl:
 				return fmt.Errorf("lsdb: column %d holds link %d after link %d", j, pl, col[k-1]>>db.cbits)
-			case !db.Owns(pl):
+			case !db.owns(pl):
 				return fmt.Errorf("lsdb: column %d holds link %d, not one of the database's links", j, pl)
 			case c == 0:
 				return fmt.Errorf("lsdb: column %d holds a zero counter for link %d", j, pl)

@@ -307,6 +307,12 @@ func (db *DB) linkOf(i int) graph.LinkID {
 	return db.owned[i]
 }
 
+// owns reports whether the database keeps link l's records.
+func (db *DB) owns(l graph.LinkID) bool {
+	_, ok := db.slotOf(l)
+	return ok
+}
+
 // recLocked returns the record of link l for a write, or an error when the
 // database does not own l. The caller must hold db.mu.
 func (db *DB) recLocked(l graph.LinkID) (*linkState, error) {
@@ -317,12 +323,6 @@ func (db *DB) recLocked(l graph.LinkID) (*linkState, error) {
 	return &db.links[k], nil
 }
 
-// Owns reports whether the database keeps link l's records.
-func (db *DB) Owns(l graph.LinkID) bool {
-	_, ok := db.slotOf(l)
-	return ok
-}
-
 // Graph returns the underlying topology.
 func (db *DB) Graph() *graph.Graph { return db.g }
 
@@ -330,7 +330,7 @@ func (db *DB) Graph() *graph.Graph { return db.g }
 func (db *DB) UnitBW() int { return db.unitBW }
 
 // NumLinks returns the number of unidirectional links in the network; the
-// database owns all of them or those it was built for (Owns).
+// database owns all of them or those it was built for (NewOwned).
 func (db *DB) NumLinks() int { return db.n }
 
 // Capacity returns the total bandwidth of link l: every link has the

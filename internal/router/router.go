@@ -468,12 +468,12 @@ func (r *Router) DB() *lsdb.DB { return r.db }
 // it, its share of the flood trees and the two dedup windows its
 // signalling remembers hops and teardowns in.
 type Footprint struct {
-	DB         lsdb.Footprint `json:"db"`
-	View       int64          `json:"view"`
-	Search     int64          `json:"search"`
-	FloodTree  int64          `json:"flood_tree"`
-	SeenSig    int64          `json:"seen_sig"`
-	Tombstones int64          `json:"tombstones"`
+	DB         lsdb.Footprint
+	View       int64
+	Search     int64
+	FloodTree  int64
+	SeenSig    int64
+	Tombstones int64
 }
 
 // Total returns the bytes of every structure.
