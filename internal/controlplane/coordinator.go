@@ -99,8 +99,14 @@ type Coordinator struct {
 	conns map[lsdb.ConnID]*connRec
 	// usage counts connections per tenant, pending included; guarded by mu.
 	usage map[string]int
-	// rpcID numbers node commands; guarded by mu.
+	// rpcID numbers node commands, from the wall-clock nanosecond the
+	// coordinator was built at, so a restarted coordinator numbers above
+	// anything its earlier incarnation sent; guarded by mu.
 	rpcID uint64
+	// open lists the commands in flight in issue order; the oldest bounds
+	// the low-water mark each command carries (proto.ConnCommand.Low);
+	// guarded by mu.
+	open []uint64
 	// closed is set once Close begins; guarded by mu.
 	closed bool
 	// lastCheck is when the heartbeat check last ran, or when the
@@ -132,6 +138,7 @@ func NewCoordinator(cfg DeployConfig, at Attacher) (*Coordinator, error) {
 		nodes:  make([]nodeRec, cfg.Graph.NumNodes()),
 		conns:  make(map[lsdb.ConnID]*connRec),
 		usage:  make(map[string]int),
+		rpcID:  uint64(time.Now().UnixNano()),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 
@@ -630,26 +637,38 @@ func (c *Coordinator) handleDrain(from graph.NodeID, m proto.DrainRequest) {
 	}()
 }
 
-// nextID issues the next RPC identifier, or ErrClosed once Close began.
-func (c *Coordinator) nextID() (uint64, error) {
+// nextID issues the next RPC identifier, open until closeID, and the
+// low-water mark to send with it: just below the oldest command in
+// flight. It returns ErrClosed once Close began.
+func (c *Coordinator) nextID() (seq, low uint64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return 0, ErrClosed
+		return 0, 0, ErrClosed
 	}
 	c.rpcID++
-	return c.rpcID, nil
+	c.open = append(c.open, c.rpcID)
+	return c.rpcID, c.open[0] - 1, nil
+}
+
+// closeID lets the low-water mark pass seq, whose round trip is over.
+func (c *Coordinator) closeID(seq uint64) {
+	c.mu.Lock()
+	i := slices.Index(c.open, seq)
+	c.open = slices.Delete(c.open, i, i+1)
+	c.mu.Unlock()
 }
 
 // command runs one node-command round trip. Retransmissions reuse the
 // sequence number, so the agent's dedup absorbs duplicates and replays
 // the recorded result.
 func (c *Coordinator) command(node graph.NodeID, cmd proto.ConnCommand) (proto.ConnCommandResult, error) {
-	seq, err := c.nextID()
+	seq, low, err := c.nextID()
 	if err != nil {
 		return proto.ConnCommandResult{}, err
 	}
-	cmd.Seq = seq
+	defer c.closeID(seq)
+	cmd.Seq, cmd.Low = seq, low
 	out, err := call(c.ep, node, cmd, proto.ConnCommandResult{Seq: seq}, c.cfg.RetryLimit, c.cfg.RPCTimeout, c.stop)
 	if err != nil {
 		return proto.ConnCommandResult{}, err

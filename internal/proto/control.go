@@ -261,7 +261,10 @@ func (m DrainReply) fields(c *codec) Message {
 // are unread and the coordinator sends them empty; they keep their place
 // in the layout because the wire-codec probe of the benchmark
 // (bench/cpload.go) still fills them. Retransmissions reuse Seq so the
-// agent's dedup replays the recorded result instead of re-executing.
+// agent's dedup replays the recorded result instead of re-executing. Low
+// is the coordinator's low-water mark, as Setup.Low is a source router's:
+// the agent keeps a command's result only while its Seq is above the
+// highest Low it has seen, and ignores a command at or below it.
 type ConnCommand struct {
 	Op      ConnOp
 	Conn    lsdb.ConnID
@@ -269,6 +272,7 @@ type ConnCommand struct {
 	Primary []graph.NodeID
 	Backups [][]graph.NodeID
 	Seq     uint64
+	Low     uint64
 }
 
 // Kind implements Message.
@@ -282,6 +286,7 @@ func (m ConnCommand) fields(c *codec) Message {
 	ints(c, "ConnCommand.Primary", &m.Primary)
 	slice(c, "ConnCommand.Backups", &m.Backups, ints)
 	c.uvarint("ConnCommand.Seq", &m.Seq)
+	c.uvarint("ConnCommand.Low", &m.Low)
 	return decoded(c, &m)
 }
 

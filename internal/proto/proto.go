@@ -168,6 +168,13 @@ type Setup struct {
 	// channel recognise the duplicate and forward without re-reserving
 	// (at-least-once delivery with idempotent processing).
 	Seq uint64
+	// Low is the originator's low-water mark when it sent the message:
+	// the highest sequence number at or below which it has no round trip
+	// outstanding and no retransmission scheduled, always below Seq. A hop
+	// keeps what it recorded of the source's messages only while their
+	// sequence is above the highest Low it has seen from that source, and
+	// refuses a setup or activate at or below it as stale.
+	Low uint64
 }
 
 // Kind implements Message.
@@ -182,6 +189,7 @@ func (m Setup) fields(c *codec) Message {
 	ints(c, "Setup.PrimaryLSET", &m.PrimaryLSET)
 	c.uvarint("Setup.Trace", &m.Trace)
 	c.uvarint("Setup.Seq", &m.Seq)
+	c.uvarint("Setup.Low", &m.Low)
 	return decoded(c, &m)
 }
 
@@ -226,6 +234,8 @@ type Teardown struct {
 	Trace uint64
 	// Seq is the originator's signalling sequence number (see Setup.Seq).
 	Seq uint64
+	// Low is the originator's low-water mark (see Setup.Low).
+	Low uint64
 }
 
 // Kind implements Message.
@@ -240,6 +250,7 @@ func (m Teardown) fields(c *codec) Message {
 	vint(c, "Teardown.UpTo", &m.UpTo)
 	c.uvarint("Teardown.Trace", &m.Trace)
 	c.uvarint("Teardown.Seq", &m.Seq)
+	c.uvarint("Teardown.Low", &m.Low)
 	return decoded(c, &m)
 }
 
@@ -275,6 +286,8 @@ type Activate struct {
 	Trace uint64
 	// Seq is the originator's signalling sequence number (see Setup.Seq).
 	Seq uint64
+	// Low is the originator's low-water mark (see Setup.Low).
+	Low uint64
 }
 
 // Kind implements Message.
@@ -287,6 +300,7 @@ func (m Activate) fields(c *codec) Message {
 	vint(c, "Activate.Hop", &m.Hop)
 	c.uvarint("Activate.Trace", &m.Trace)
 	c.uvarint("Activate.Seq", &m.Seq)
+	c.uvarint("Activate.Low", &m.Low)
 	return decoded(c, &m)
 }
 

@@ -78,7 +78,7 @@ type failureReport struct {
 func (r *Router) sendFailureReports(reports []failureReport) {
 	for _, rep := range reports {
 		r.send(rep.src, rep.msg)
-		r.resend(rep.src, rep.msg, 2*r.cfg.HelloInterval, 0, -1, "failure-report")
+		r.resend(rep.src, rep.msg, 2*r.cfg.HelloInterval, 0, -1, "failure-report", 0)
 	}
 }
 

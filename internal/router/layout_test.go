@@ -6,11 +6,11 @@ import (
 )
 
 // TestLayout pins the sizes of the records a router holds one of per
-// processed signalling hop: the signalling window's key is 24 bytes (a
-// connection, a sequence, and a hop, kind and channel packed in one word)
-// and its value 24 bytes (the reason's string header, the failed hop and
-// the outcome). A field that widens either multiplies by the window's
-// 8 192 entries per router.
+// processed signalling hop above its source's low-water mark: the hop
+// table's key is 24 bytes (a connection, a sequence, and a hop, kind and
+// channel packed in one word) and its value 24 bytes (the reason's string
+// header, the failed hop and the outcome). A field that widens either
+// multiplies by the records in flight at every router.
 func TestLayout(t *testing.T) {
 	for _, c := range []struct {
 		name      string
