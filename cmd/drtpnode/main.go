@@ -162,11 +162,10 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		// Schedule windows are interpreted as seconds since process start;
-		// delays use the same unit.
-		start := time.Now()
+		// Schedule windows and delays are read in seconds since the
+		// injector was built.
 		attacher = faultinject.New(sched, mesh,
-			faultinject.WithClock(func() float64 { return time.Since(start).Seconds() }),
+			faultinject.WithClock(transport.Wall),
 			faultinject.WithDelayUnit(time.Second),
 			faultinject.WithTracer(tracer))
 		fmt.Fprintf(out, "drtpnode: chaos schedule %s armed (seed %d)\n", *chaos, sched.Seed)

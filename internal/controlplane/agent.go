@@ -154,8 +154,8 @@ func (a *Agent) loop() {
 	defer close(a.done)
 	// Registration sequence: one fresh value per process incarnation so
 	// the coordinator can tell restarts from retransmissions.
-	regSeq := uint64(time.Now().UnixNano())
-	tick := time.NewTicker(a.cfg.HeartbeatInterval)
+	regSeq := uint64(a.ep.Clock().Now().UnixNano())
+	tick := a.ep.Clock().NewTicker(a.cfg.HeartbeatInterval)
 	defer tick.Stop()
 	_ = a.ep.Send(a.coord, proto.Register{Node: a.node, Seq: regSeq})
 	for {
@@ -165,7 +165,7 @@ func (a *Agent) loop() {
 				return
 			}
 			a.dispatch(env)
-		case <-tick.C:
+		case <-tick.C():
 			a.mu.Lock()
 			a.hbSeq++
 			hb := proto.Heartbeat{Node: a.node, Seq: a.hbSeq, Draining: a.draining}

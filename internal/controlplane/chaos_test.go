@@ -35,8 +35,9 @@ func TestChaosConformance(t *testing.T) {
 	if err := sched.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	clk := &faultinject.ManualClock{}
-	inj := faultinject.New(sched, transport.NewMem(), faultinject.WithClock(clk.Now))
+	start := time.Unix(0, 0)
+	clk := transport.NewManualClock(start)
+	inj := faultinject.New(sched, transport.NewMem(), faultinject.WithClock(clk))
 
 	ring := telemetry.NewRing(1 << 14)
 	cfg := deployConfig(g, ring)
@@ -82,7 +83,7 @@ func TestChaosConformance(t *testing.T) {
 	}
 
 	// Phase 2: partition node 2 away from everything.
-	clk.Set(2.5)
+	clk.Set(start.Add(2500 * time.Microsecond))
 
 	waitFor(t, "backup activation after partition", func() bool {
 		info, ok := d.Node(0).Router.Conn(1)

@@ -612,16 +612,19 @@ func TestRetryAfterSwitch(t *testing.T) {
 	}
 }
 
+// epoch is where the tests' manual clocks start.
+var epoch = time.Unix(0, 0)
+
 // lossyFan deploys the fan fixture through a fault injector whose rules
 // run on a manual clock, at 0 to begin with, and attaches a bare client
 // endpoint at a spare node ID. The client sends node 0's requests for
 // connection 1 to node 1, so its replies cross none of node 0's faulted
 // links. It returns the ring the deployment traces to as well.
-func lossyFan(t *testing.T, rpcTimeout time.Duration, rules ...faultinject.LinkRule) (*controlplane.Deployment, *faultinject.Injector, *faultinject.ManualClock, func(per time.Duration) (proto.EstablishReply, error), *telemetry.Ring) {
+func lossyFan(t *testing.T, rpcTimeout time.Duration, rules ...faultinject.LinkRule) (*controlplane.Deployment, *faultinject.Injector, *transport.ManualClock, func(per time.Duration) (proto.EstablishReply, error), *telemetry.Ring) {
 	t.Helper()
 	g := fan(t)
-	clock := &faultinject.ManualClock{}
-	inj := faultinject.New(&faultinject.Schedule{Seed: 1, Links: rules}, transport.NewMem(), faultinject.WithClock(clock.Now))
+	clock := transport.NewManualClock(epoch)
+	inj := faultinject.New(&faultinject.Schedule{Seed: 1, Links: rules}, transport.NewMem(), faultinject.WithClock(clock))
 	ring := telemetry.NewRing(1 << 12)
 	cfg := deployConfig(g, ring)
 	cfg.RPCTimeout = rpcTimeout
@@ -680,7 +683,7 @@ func TestLostCommandKeepsConnection(t *testing.T) {
 		t.Fatalf("establish: err=%v reason=%s", err, reply.Reason)
 	}
 
-	clock.Set(1)
+	clock.Set(epoch.Add(1 * time.Millisecond))
 	again, err := request(5 * rpc)
 	if err != nil {
 		t.Fatalf("duplicate request: %v", err)
@@ -699,7 +702,7 @@ func TestLostCommandKeepsConnection(t *testing.T) {
 		t.Fatalf("tenant usage = %d after the unanswered drain, want 1", got)
 	}
 
-	clock.Set(2)
+	clock.Set(epoch.Add(2 * time.Millisecond))
 	rel, err := d.Node(0).Agent.ReleaseConn(1)
 	if err != nil || !rel.OK || rel.Reason != "" {
 		t.Fatalf("release: err=%v ok=%v reason=%q, want a plain OK", err, rel.OK, rel.Reason)
@@ -714,7 +717,7 @@ func TestLostCommandKeepsConnection(t *testing.T) {
 	if reply, err := d.Node(0).Agent.Request(1, 1); err != nil || !reply.OK {
 		t.Fatalf("second establish: err=%v reason=%s", err, reply.Reason)
 	}
-	clock.Set(3)
+	clock.Set(epoch.Add(3 * time.Millisecond))
 	waitFor(t, "node 0 held down", func() bool { return excluded(d, 0) })
 	start := time.Now()
 	again, err = request(rpc)
@@ -740,9 +743,55 @@ func TestDrainAnnouncedPastLostMessages(t *testing.T) {
 	const tick = 10 * time.Millisecond // deployConfig's HeartbeatInterval
 	g := fan(t)
 	coord := int(controlplane.CoordinatorID(g))
-	// From t=1 to t=2 the coordinator's messages to node 0 are lost.
-	d, _, clock, _, ring := lossyFan(t, 200*time.Millisecond,
-		faultinject.LinkRule{From: coord, To: 0, Drop: 1, Start: 1, End: 2})
+	// The deployment runs on a manual clock, which the schedule reads in
+	// units of 21 ticks: from t=1 to t=2 the coordinator's messages to
+	// node 0 are lost.
+	const unit = 21 * tick
+	clock := transport.NewManualClock(epoch)
+	mem := transport.NewMemOn(clock)
+	inj := faultinject.New(&faultinject.Schedule{Seed: 1, Links: []faultinject.LinkRule{
+		{From: coord, To: 0, Drop: 1, Start: 1, End: 2}}}, mem,
+		faultinject.WithClock(clock), faultinject.WithDelayUnit(unit))
+	ring := telemetry.NewRing(1 << 12)
+	cfg := deployConfig(g, ring)
+	cfg.RPCTimeout = 200 * time.Millisecond
+	d, err := controlplane.Deploy(cfg, inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	// stepUntil moves the clock a tick at each poll until cond holds, each
+	// time once every tick the clock sent has been received.
+	stepUntil := func(what string, cond func() bool) {
+		t.Helper()
+		waitFor(t, what, func() bool {
+			if !clock.Idle() {
+				return false
+			}
+			if cond() {
+				return true
+			}
+			clock.Advance(tick)
+			return false
+		})
+	}
+	at := func(units int) func() bool {
+		return func() bool { return !clock.Now().Before(epoch.Add(time.Duration(units) * unit)) }
+	}
+	step := func(ticks int) {
+		t.Helper()
+		to := clock.Now().Add(time.Duration(ticks) * tick)
+		stepUntil(fmt.Sprintf("%d ticks", ticks), func() bool { return !clock.Now().Before(to) })
+	}
+	stepUntil("the deployment synced", func() bool {
+		for n := 0; n < d.Size(); n++ {
+			if !d.Node(graph.NodeID(n)).Agent.Registered() || !d.Node(graph.NodeID(n)).Router.Synced() {
+				return false
+			}
+		}
+		return true
+	})
+	step(2) // one link-state refresh over every adjacency
 	reply, err := d.Node(0).Agent.Request(1, 1)
 	if err != nil || !reply.OK {
 		t.Fatalf("establish: err=%v reason=%s", err, reply.Reason)
@@ -754,19 +803,19 @@ func TestDrainAnnouncedPastLostMessages(t *testing.T) {
 		return availPrim == 0 && availBackup == 0
 	}
 
-	clock.Set(1)
+	stepUntil("t=1", at(1))
 	dr, err := d.Node(1).Agent.DrainNode(x)
 	if err != nil || !dr.OK || dr.Dropped != 0 {
 		t.Fatalf("drain: err=%v reply=%+v, want nothing dropped", err, dr)
 	}
 	// Well past the RetryLimit-1 ticks a bounded re-announcement spends.
-	time.Sleep(20 * tick)
+	step(20)
 	if held() {
 		t.Fatal("node 0 held its link to the drained node while the announcements to it were lost")
 	}
 
-	clock.Set(2)
-	waitFor(t, "node 0 holding its link to the drained node down", held)
+	stepUntil("t=2", at(2))
+	stepUntil("node 0 holding its link to the drained node down", held)
 	fresh, err := d.Node(0).Agent.Request(2, 1)
 	if err != nil || !fresh.OK {
 		t.Fatalf("establish after the drain: err=%v reason=%s", err, fresh.Reason)
@@ -774,7 +823,7 @@ func TestDrainAnnouncedPastLostMessages(t *testing.T) {
 	if visits(fresh.Primary, fresh.Backups, x) {
 		t.Fatalf("new connection routed %v %v through drained node %d", fresh.Primary, fresh.Backups, x)
 	}
-	time.Sleep(10 * tick)
+	step(10)
 	fails := 0
 	for _, e := range ring.Events() {
 		if e.Kind == telemetry.EvLinkFail && e.Node == 0 && e.Link == int(l) {
@@ -799,7 +848,7 @@ func TestDuplicateJoinsCommandInFlight(t *testing.T) {
 		t.Fatalf("establish: err=%v reason=%s", err, reply.Reason)
 	}
 
-	clock.Set(1)
+	clock.Set(epoch.Add(1 * time.Millisecond))
 	first := make(chan error, 1)
 	go func() {
 		_, err := d.Node(0).Agent.Request(1, 1)
@@ -837,7 +886,7 @@ func TestDrainDuringRetryLeavesConnectionClear(t *testing.T) {
 	}
 	x := reply.Backups[0][1]
 
-	clock.Set(1)
+	clock.Set(epoch.Add(1 * time.Millisecond))
 	retried := make(chan error, 1)
 	go func() {
 		_, err := request(2 * time.Second)

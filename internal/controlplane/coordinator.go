@@ -99,7 +99,7 @@ type Coordinator struct {
 	conns map[lsdb.ConnID]*connRec
 	// usage counts connections per tenant, pending included; guarded by mu.
 	usage map[string]int
-	// rpcID numbers node commands, from the wall-clock nanosecond the
+	// rpcID numbers node commands, from the clock's nanosecond the
 	// coordinator was built at, so a restarted coordinator numbers above
 	// anything its earlier incarnation sent; guarded by mu.
 	rpcID uint64
@@ -138,11 +138,11 @@ func NewCoordinator(cfg DeployConfig, at Attacher) (*Coordinator, error) {
 		nodes:  make([]nodeRec, cfg.Graph.NumNodes()),
 		conns:  make(map[lsdb.ConnID]*connRec),
 		usage:  make(map[string]int),
-		rpcID:  uint64(time.Now().UnixNano()),
+		rpcID:  uint64(ep.Clock().Now().UnixNano()),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 
-		lastCheck: time.Now(),
+		lastCheck: ep.Clock().Now(),
 	}
 	c.work = newWorkers(&c.wg, c.stop)
 	stages := cfg.Metrics.LatencyVec("drtp_cp_stage_seconds",
@@ -201,7 +201,7 @@ func (c *Coordinator) TenantConns(tenant string) int {
 // reaching the loop was awaited by nobody and is dropped.
 func (c *Coordinator) loop() {
 	defer close(c.done)
-	tick := time.NewTicker(c.cfg.HeartbeatInterval)
+	tick := c.ep.Clock().NewTicker(c.cfg.HeartbeatInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -210,8 +210,8 @@ func (c *Coordinator) loop() {
 				return
 			}
 			c.dispatch(env)
-		case <-tick.C:
-			c.checkHeartbeats(time.Now())
+		case <-tick.C():
+			c.checkHeartbeats(c.ep.Clock().Now())
 		case <-c.stop:
 			return
 		}
@@ -249,7 +249,7 @@ func (c *Coordinator) handleRegister(from graph.NodeID, m proto.Register) {
 	rec.registered = true
 	rec.down = false
 	rec.downReason = ""
-	rec.lastBeat = time.Now()
+	rec.lastBeat = c.ep.Clock().Now()
 	c.mu.Unlock()
 	if joined {
 		c.log.Info("node joined", "node", int(m.Node), "seq", m.Seq)
@@ -259,19 +259,18 @@ func (c *Coordinator) handleRegister(from graph.NodeID, m proto.Register) {
 }
 
 // handleHeartbeat refreshes a node's liveness; a beat from a node
-// declared dead revives it (partition healed, process back).
+// declared dead revives it (partition healed, process back), and one from
+// a node not registered registers it, so a restarted coordinator learns
+// the nodes that registered with its earlier incarnation.
 func (c *Coordinator) handleHeartbeat(m proto.Heartbeat) {
 	if !c.inTopology(m.Node) {
 		return
 	}
 	c.mu.Lock()
 	rec := &c.nodes[m.Node]
-	if !rec.registered {
-		c.mu.Unlock()
-		return
-	}
-	rec.lastBeat = time.Now()
-	revived := rec.down
+	joined, revived := !rec.registered, rec.down
+	rec.registered = true
+	rec.lastBeat = c.ep.Clock().Now()
 	rec.down = false
 	rec.downReason = ""
 	if m.Draining {
@@ -279,7 +278,11 @@ func (c *Coordinator) handleHeartbeat(m proto.Heartbeat) {
 		rec.draining = true
 	}
 	c.mu.Unlock()
-	if revived {
+	switch {
+	case joined:
+		c.log.Info("node joined", "node", int(m.Node))
+		c.tracer.NodeJoin(int(m.Node))
+	case revived:
 		c.log.Info("node revived", "node", int(m.Node))
 		c.tracer.NodeJoin(int(m.Node))
 	}
@@ -396,7 +399,7 @@ func (c *Coordinator) inTopology(n graph.NodeID) bool {
 // again and is answered with the routes the connection holds then.
 // Client retries are thereby idempotent.
 func (c *Coordinator) handleEstablish(from graph.NodeID, m proto.EstablishRequest) {
-	start := time.Now()
+	start := c.ep.Clock().Now()
 	c.mu.Lock()
 	rec, dup := c.conns[m.Conn]
 	q, used := c.cfg.Quotas[m.Tenant], c.usage[m.Tenant] // a tenant not listed is unlimited
@@ -439,8 +442,9 @@ func (c *Coordinator) handleEstablish(from graph.NodeID, m proto.EstablishReques
 	}
 	if reason != "" {
 		c.mu.Unlock()
-		c.latAdmission.ObserveSince(start)
-		c.latTotal.ObserveSince(start)
+		elapsed := c.ep.Clock().Now().Sub(start)
+		c.latAdmission.Observe(elapsed)
+		c.latTotal.Observe(elapsed)
 		c.tracer.AdmissionReject(m.Tenant, int64(m.Conn), reason)
 		c.log.Info("establish rejected", "conn", int64(m.Conn), "tenant", m.Tenant, "reason", reason)
 		_ = c.ep.Send(from, proto.EstablishReply{Conn: m.Conn, Reason: reason})
@@ -450,13 +454,13 @@ func (c *Coordinator) handleEstablish(from graph.NodeID, m proto.EstablishReques
 	rec = &connRec{tenant: m.Tenant, src: m.Src, dst: m.Dst, pending: true, waiters: []graph.NodeID{from}}
 	c.conns[m.Conn] = rec
 	c.mu.Unlock()
-	c.latAdmission.ObserveSince(start)
+	c.latAdmission.Observe(c.ep.Clock().Now().Sub(start))
 
 	c.work.run(func() {
-		defer c.latTotal.ObserveSince(start)
-		cmdStart := time.Now()
+		defer func() { c.latTotal.Observe(c.ep.Clock().Now().Sub(start)) }()
+		cmdStart := c.ep.Clock().Now()
 		res, _ := c.ensure(m.Conn, rec, true)
-		c.latEstablish.ObserveSince(cmdStart)
+		c.latEstablish.Observe(c.ep.Clock().Now().Sub(cmdStart))
 		if res.OK {
 			c.log.Info("connection admitted", "conn", int64(m.Conn), "tenant", m.Tenant,
 				"src", int(m.Src), "dst", int(m.Dst), "backups", len(res.Backups))

@@ -185,10 +185,10 @@ func (d *Deployment) Node(n graph.NodeID) *NodeRuntime { return d.nodes[n] }
 func (d *Deployment) Size() int { return len(d.nodes) }
 
 // WaitSynced blocks until every agent is registered and every router
-// has installed a link-state advert, or the deadline passes.
+// has installed a link-state advert, or until it has waited timeout.
 func (d *Deployment) WaitSynced(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
+	const poll = 2 * time.Millisecond
+	for waited := time.Duration(0); ; waited += poll {
 		ready := true
 		for _, n := range d.nodes {
 			ready = ready && n.Agent.Registered() && n.Router.Synced()
@@ -196,10 +196,11 @@ func (d *Deployment) WaitSynced(timeout time.Duration) error {
 		if ready {
 			return nil
 		}
-		if time.Now().After(deadline) {
+		if waited >= timeout {
 			return fmt.Errorf("controlplane: deployment not synced after %v", timeout)
 		}
-		time.Sleep(2 * time.Millisecond)
+		//drtplint:ignore determinism this waits on goroutines, not on protocol time, which a manual clock would never move here
+		time.Sleep(poll)
 	}
 }
 

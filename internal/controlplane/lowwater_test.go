@@ -90,7 +90,9 @@ func TestPendingTablesBounded(t *testing.T) {
 // them and ignore commands at or below it; the new incarnation numbers its
 // commands from its own, later start, above that mark, so an agent
 // executes them and answers each with its own result, not with the one
-// an earlier command of the same number left.
+// an earlier command of the same number left. The new incarnation learns
+// every node from its heartbeats, as the agents registered with the
+// earlier one, and admits a request.
 func TestRestartedCoordinatorCommands(t *testing.T) {
 	d, g, mem, cfg := ledgerDeployment(t)
 	cycle(t, d, g, 1, 20)
@@ -111,5 +113,10 @@ func TestRestartedCoordinatorCommands(t *testing.T) {
 		if _, held := d.Node(0).Router.Conn(id); held != (op == proto.OpEstablish) {
 			t.Fatalf("after command %d (op %d) the source holds conn %d: %v", i, op, id, held)
 		}
+	}
+	waitFor(t, "the new coordinator knowing every node", func() bool { return len(coord.Nodes()) == d.Size() })
+	reply, err := d.Node(0).Agent.Request(200, 5)
+	if err != nil || !reply.OK {
+		t.Fatalf("request to the new coordinator: err=%v reason=%q", err, reply.Reason)
 	}
 }

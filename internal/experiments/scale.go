@@ -363,6 +363,7 @@ func startHeapWatcher(interval time.Duration) *heapWatcher {
 	w.sample()
 	go func() {
 		defer close(w.done)
+		//drtplint:ignore determinism the heap sampler paces itself on the host, like the wall-clock rate it sits beside; it reads no simulated time and feeds no table
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {

@@ -349,7 +349,8 @@ func TestConformanceDistributed(t *testing.T) {
 // nothing hangs past its budget.
 func TestConformanceZeroHang(t *testing.T) {
 	g := conformTheta(t)
-	clock := &faultinject.ManualClock{}
+	start := time.Unix(0, 0)
+	clock := transport.NewManualClock(start)
 	sched := &faultinject.Schedule{
 		Seed:       23,
 		Links:      []faultinject.LinkRule{{From: -1, To: -1, Drop: 0.1}},
@@ -357,7 +358,7 @@ func TestConformanceZeroHang(t *testing.T) {
 	}
 	mem := transport.NewMem()
 	c, _ := chaosCluster(t, g, router.DLSR, sched, mem,
-		func() { _ = mem.Close() }, faultinject.WithClock(clock.Now))
+		func() { _ = mem.Close() }, faultinject.WithClock(clock))
 
 	waitCond(t, "LS convergence", func() bool {
 		_, err := c.Router(0).Establish(999, 1)
@@ -404,13 +405,13 @@ func TestConformanceZeroHang(t *testing.T) {
 
 	// Partition active: source 0 is cut from destination 1. Every call
 	// must still return — cleanly rejected or timed out, never hung.
-	clock.Set(15)
+	clock.Set(start.Add(15 * time.Millisecond))
 	for _, r := range run(200, 4) {
 		t.Logf("partitioned conn %d: err=%v", r.id, r.err)
 	}
 
 	// Healed: adjacencies revive (NbrRecovery) and admission works again.
-	clock.Set(25)
+	clock.Set(start.Add(25 * time.Millisecond))
 	waitCond(t, "post-heal admission", func() bool {
 		id := lsdb.ConnID(300)
 		info, err := c.Router(0).Establish(id, 1)

@@ -31,12 +31,12 @@ func (s Stats) Total() int64 {
 // Option configures an Injector.
 type Option func(*Injector)
 
-// WithClock injects the time source used to evaluate schedule windows,
-// in the schedule's time unit. The default clock is frozen at 0 (rules
-// with Start 0 are always active); live deployments pass a wall-clock
-// offset, tests a ManualClock.
-func WithClock(fn func() float64) Option {
-	return func(in *Injector) { in.clock = fn }
+// WithClock sets the clock schedule windows are read on: time t is t
+// delay units (WithDelayUnit) after New. Without it every window is read
+// at time 0, so rules with Start 0 are always active; live deployments
+// pass transport.Wall, tests a transport.ManualClock.
+func WithClock(c transport.Clock) Option {
+	return func(in *Injector) { in.clock = c }
 }
 
 // WithTracer emits one fault-injected telemetry event per applied fault.
@@ -44,8 +44,9 @@ func WithTracer(t *telemetry.Tracer) Option {
 	return func(in *Injector) { in.tracer = t }
 }
 
-// WithDelayUnit sets the wall duration of one schedule time unit for
-// LinkRule.Delay (default time.Millisecond; drtpnode uses time.Second).
+// WithDelayUnit sets the duration of one schedule time unit, for
+// LinkRule.Delay and for windows alike (default time.Millisecond; drtpnode
+// uses time.Second).
 func WithDelayUnit(d time.Duration) Option {
 	return func(in *Injector) { in.delayUnit = d }
 }
@@ -58,14 +59,16 @@ func WithDelayUnit(d time.Duration) Option {
 type Injector struct {
 	sched     *Schedule
 	inner     transport.Attacher
-	clock     func() float64
+	clock     transport.Clock // nil: windows are read at 0
+	origin    time.Time       // the clock's time 0
 	delayUnit time.Duration
 	tracer    *telemetry.Tracer
 
 	mu    sync.Mutex
 	pairs map[pairKey]*pairState
 	// senders maps each attached node to its raw inner endpoint, so
-	// Flush can deliver held messages without re-injecting them.
+	// Flush delivers held messages without re-injecting them; a failed
+	// delivery is a fault outcome, not an error.
 	senders map[graph.NodeID]transport.Endpoint
 	stats   Stats
 }
@@ -87,7 +90,6 @@ func New(sched *Schedule, inner transport.Attacher, opts ...Option) *Injector {
 	in := &Injector{
 		sched:     sched,
 		inner:     inner,
-		clock:     func() float64 { return 0 },
 		delayUnit: time.Millisecond,
 		pairs:     make(map[pairKey]*pairState),
 		senders:   make(map[graph.NodeID]transport.Endpoint),
@@ -95,7 +97,18 @@ func New(sched *Schedule, inner transport.Attacher, opts ...Option) *Injector {
 	for _, o := range opts {
 		o(in)
 	}
+	if in.clock != nil {
+		in.origin = in.clock.Now()
+	}
 	return in
+}
+
+// now is the schedule time windows are read at.
+func (in *Injector) now() float64 {
+	if in.clock == nil {
+		return 0
+	}
+	return float64(in.clock.Now().Sub(in.origin)) / float64(in.delayUnit)
 }
 
 // Stats returns a snapshot of the applied-fault counters.
@@ -135,18 +148,19 @@ func (in *Injector) Flush() {
 		return keys[i].to < keys[j].to
 	})
 	type flush struct {
-		k   pairKey
+		ep  transport.Endpoint
+		to  graph.NodeID
 		msg proto.Message
 	}
 	out := make([]flush, 0, len(keys))
 	for _, k := range keys {
 		st := in.pairs[k]
-		out = append(out, flush{k: k, msg: st.held})
+		out = append(out, flush{ep: in.senders[k.from], to: k.to, msg: st.held})
 		st.held = nil
 	}
 	in.mu.Unlock()
 	for _, f := range out {
-		in.deliver(f.k.from, f.k.to, f.msg)
+		_ = f.ep.Send(f.to, f.msg)
 	}
 }
 
@@ -160,20 +174,6 @@ func (in *Injector) pair(from, to graph.NodeID) *pairState {
 		in.pairs[k] = st
 	}
 	return st
-}
-
-// deliver sends via the raw inner transport, bypassing injection (used
-// for duplicates, reordered releases and delayed deliveries). The inner
-// Attacher must route by sender node; both Mem and TCPMesh do, so we
-// re-attach lazily. Errors are dropped: a failed delivery is a fault
-// outcome, not a caller error.
-func (in *Injector) deliver(from, to graph.NodeID, msg proto.Message) {
-	in.mu.Lock()
-	ep := in.senders[from]
-	in.mu.Unlock()
-	if ep != nil {
-		_ = ep.Send(to, msg)
-	}
 }
 
 // note records one applied fault.
@@ -194,6 +194,10 @@ var _ transport.Endpoint = (*injEndpoint)(nil)
 
 // Node implements transport.Endpoint.
 func (e *injEndpoint) Node() graph.NodeID { return e.inner.Node() }
+
+// Clock implements transport.Endpoint: the inner transport's clock, which
+// delays run on too.
+func (e *injEndpoint) Clock() transport.Clock { return e.inner.Clock() }
 
 // Recv implements transport.Endpoint.
 func (e *injEndpoint) Recv() <-chan proto.Envelope { return e.inner.Recv() }
@@ -220,7 +224,7 @@ func (e *injEndpoint) Close() error { return e.inner.Close() }
 func (e *injEndpoint) Send(to graph.NodeID, msg proto.Message) error {
 	in := e.in
 	from := e.inner.Node()
-	now := in.clock()
+	now := in.now()
 
 	// Crash and partition windows silence everything, hellos included,
 	// so hello-based failure detection fires on the survivors.
@@ -279,7 +283,7 @@ func (e *injEndpoint) Send(to graph.NodeID, msg proto.Message) error {
 			in.note(&in.stats.Delays, from, "delay")
 			d := time.Duration(rule.Delay * float64(in.delayUnit))
 			inner := e.inner
-			time.AfterFunc(d, func() { _ = inner.Send(to, m) })
+			inner.Clock().AfterFunc(d, func() { _ = inner.Send(to, m) })
 			return nil
 		}
 		return e.inner.Send(to, m)
@@ -297,32 +301,4 @@ func (e *injEndpoint) Send(to graph.NodeID, msg proto.Message) error {
 		}
 	}
 	return err
-}
-
-// ManualClock is a thread-safe logical clock for tests: the injector
-// reads Now, the test drives Advance/Set.
-type ManualClock struct {
-	mu sync.Mutex
-	t  float64
-}
-
-// Now returns the current logical time.
-func (c *ManualClock) Now() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-// Advance moves the clock forward by dt.
-func (c *ManualClock) Advance(dt float64) {
-	c.mu.Lock()
-	c.t += dt
-	c.mu.Unlock()
-}
-
-// Set jumps the clock to t.
-func (c *ManualClock) Set(t float64) {
-	c.mu.Lock()
-	c.t = t
-	c.mu.Unlock()
 }

@@ -144,14 +144,15 @@ func TestInjectorReorderHoldsAndFlushes(t *testing.T) {
 }
 
 func TestInjectorCrashAndPartitionWindows(t *testing.T) {
-	clock := &ManualClock{}
+	start := time.Unix(0, 0)
+	clock := transport.NewManualClock(start)
 	mem := transport.NewMem()
 	defer mem.Close()
 	inj := New(&Schedule{
 		Seed:       5,
 		Crashes:    []CrashEvent{{Node: 1, At: 10, Restart: 20}},
 		Partitions: []Partition{{Group: []int{0}, At: 30, Heal: 40}},
-	}, mem, WithClock(clock.Now))
+	}, mem, WithClock(clock))
 	src, _ := inj.Attach(0)
 	dst, _ := inj.Attach(1)
 
@@ -181,17 +182,17 @@ func TestInjectorCrashAndPartitionWindows(t *testing.T) {
 	if n := recvAll(dst); n != 2 {
 		t.Fatalf("healthy window delivered %d, want 2", n)
 	}
-	clock.Set(15) // node 1 crashed
+	clock.Set(start.Add(15 * time.Millisecond)) // node 1 crashed
 	send()
 	if n := recvAll(dst); n != 0 {
 		t.Fatalf("crash window delivered %d, want 0", n)
 	}
-	clock.Set(35) // 0 and 1 on opposite sides of the partition
+	clock.Set(start.Add(35 * time.Millisecond)) // 0 and 1 on opposite sides of the partition
 	send()
 	if n := recvAll(dst); n != 0 {
 		t.Fatalf("partition window delivered %d, want 0", n)
 	}
-	clock.Set(45) // healed
+	clock.Set(start.Add(45 * time.Millisecond)) // healed
 	send()
 	if n := recvAll(dst); n != 2 {
 		t.Fatalf("healed window delivered %d, want 2", n)
@@ -244,12 +245,14 @@ func TestInjectorDelay(t *testing.T) {
 	}, mem, WithDelayUnit(10*time.Millisecond))
 	src, _ := inj.Attach(0)
 	dst, _ := inj.Attach(1)
+	//drtplint:ignore determinism the delay runs on the switchboard's wall clock, whose time the test measures
 	start := time.Now()
 	if err := src.Send(1, proto.Setup{Conn: 1}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case <-dst.Recv():
+		//drtplint:ignore determinism see start above
 		if el := time.Since(start); el < 20*time.Millisecond {
 			t.Fatalf("delayed message arrived after %v, want >=20ms", el)
 		}

@@ -246,7 +246,7 @@ func (db *DB) foldInLocked(path, sorted []graph.LinkID) {
 				continue
 			}
 			col[k] += uint32(c)
-			db.at(l).raiseMax(int(col[k] - key))
+			db.atLocked(l).raiseMax(int(col[k] - key))
 			k++
 		}
 		if missing == 0 {
@@ -273,7 +273,7 @@ func (db *DB) foldInLocked(path, sorted []graph.LinkID) {
 			}
 			col[w] = key | uint32(c)
 			w--
-			db.at(l).raiseMax(c)
+			db.atLocked(l).raiseMax(c)
 		}
 		db.cols[x] = col
 	}
@@ -302,7 +302,7 @@ func (db *DB) foldOutLocked(path, sorted []graph.LinkID) {
 				k++
 			}
 			v := int(col[k] - key)
-			db.at(l).lowerMax(v, c)
+			db.atLocked(l).lowerMax(v, c)
 			if col[k] -= uint32(c); v == c && zeroed < 0 {
 				zeroed = k
 			}
@@ -325,7 +325,7 @@ func (db *DB) foldOutLocked(path, sorted []graph.LinkID) {
 		db.cols[x] = shrink(col[:w], keepRoute)
 	}
 	for _, l := range path {
-		if s := db.at(l); s.atMax == 0 && s.maxElem > 0 {
+		if s := db.atLocked(l); s.atMax == 0 && s.maxElem > 0 {
 			db.recountMaxLocked(s)
 		}
 	}

@@ -270,7 +270,7 @@ func newDB(g *graph.Graph, capacity, unitBW int, mode Mode, owned []graph.LinkID
 // than a binary search.
 func (db *DB) slotOf(l graph.LinkID) (int, bool) {
 	if db.owned == nil {
-		return int(l), uint(l) < uint(len(db.links))
+		return int(l), uint(l) < uint(db.n)
 	}
 	for k, o := range db.owned {
 		if o == l {
@@ -280,9 +280,9 @@ func (db *DB) slotOf(l graph.LinkID) (int, bool) {
 	return 0, false
 }
 
-// at returns the record of link l, which the database must own. The
+// atLocked returns the record of link l, which the database must own. The
 // caller must hold db.mu.
-func (db *DB) at(l graph.LinkID) *linkState {
+func (db *DB) atLocked(l graph.LinkID) *linkState {
 	if db.owned != nil {
 		l = graph.LinkID(db.ownedSlot(l))
 	}
@@ -341,14 +341,14 @@ func (db *DB) Capacity(l graph.LinkID) int { return db.capacity }
 func (db *DB) PrimeBW(l graph.LinkID) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.at(l).prime
+	return db.atLocked(l).prime
 }
 
 // SpareBW returns the bandwidth reserved for backup channels on link l.
 func (db *DB) SpareBW(l graph.LinkID) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.at(l).spare
+	return db.atLocked(l).spare
 }
 
 // FreeBW returns the unallocated bandwidth on link l
@@ -357,7 +357,7 @@ func (db *DB) SpareBW(l graph.LinkID) int {
 func (db *DB) FreeBW(l graph.LinkID) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s := db.at(l)
+	s := db.atLocked(l)
 	return db.capacity - s.prime - s.spare
 }
 
@@ -367,7 +367,7 @@ func (db *DB) FreeBW(l graph.LinkID) int {
 func (db *DB) AvailableForBackup(l graph.LinkID) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.capacity - db.at(l).prime
+	return db.capacity - db.atLocked(l).prime
 }
 
 // ReservePrimary reserves unit bandwidth for connection id's primary
@@ -525,7 +525,7 @@ func (db *DB) attachBackupLocked(path []graph.LinkID, h uint32) {
 	id := db.lsets[h].id
 	for _, l := range path {
 		db.backupOps++
-		s := db.at(l)
+		s := db.atLocked(l)
 		k, _ := db.findBackupLocked(s, id)
 		s.backups = slices.Insert(s.backups, k, h)
 		s.norm += len(sorted)
@@ -533,7 +533,7 @@ func (db *DB) attachBackupLocked(path []graph.LinkID, h uint32) {
 	db.lsets[h].refs += int32(len(path))
 	db.foldInLocked(path, sorted)
 	for _, l := range path {
-		db.resizeSpareLocked(db.at(l))
+		db.resizeSpareLocked(db.atLocked(l))
 		db.touchLocked(l)
 	}
 }
@@ -586,7 +586,7 @@ func (db *DB) detachBackupLocked(path []graph.LinkID, h uint32) {
 	id := db.lsets[h].id
 	for _, l := range path {
 		db.backupOps++
-		s := db.at(l)
+		s := db.atLocked(l)
 		k, _ := db.findBackupLocked(s, id)
 		s.backups = shrink(slices.Delete(s.backups, k, k+1), keepOne)
 		s.norm -= len(sorted)
@@ -594,7 +594,7 @@ func (db *DB) detachBackupLocked(path []graph.LinkID, h uint32) {
 	db.foldOutLocked(path, sorted)
 	for _, l := range path {
 		db.unrefLSETLocked(h)
-		db.resizeSpareLocked(db.at(l))
+		db.resizeSpareLocked(db.atLocked(l))
 		db.touchLocked(l)
 	}
 }
@@ -744,7 +744,7 @@ func (db *DB) APLV(l graph.LinkID) []int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	out := make([]int, db.n)
-	for _, h := range db.at(l).backups {
+	for _, h := range db.atLocked(l).backups {
 		for _, j := range db.lsets[h].links {
 			out[j]++
 		}
@@ -756,14 +756,14 @@ func (db *DB) APLV(l graph.LinkID) []int {
 func (db *DB) APLVNorm(l graph.LinkID) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.at(l).norm
+	return db.atLocked(l).norm
 }
 
 // APLVMax returns max_j APLV_l[j], which sizes the spare resources.
 func (db *DB) APLVMax(l graph.LinkID) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return int(db.at(l).maxElem)
+	return int(db.atLocked(l).maxElem)
 }
 
 // CVBit returns the Conflict Vector bit c_{l,j}: true iff at least one
@@ -783,7 +783,7 @@ func (db *DB) SC(l graph.LinkID) int {
 }
 
 // scLocked is SC without locking; callers must hold db.mu.
-func (db *DB) scLocked(l graph.LinkID) int { return db.at(l).spare / db.unitBW }
+func (db *DB) scLocked(l graph.LinkID) int { return db.atLocked(l).spare / db.unitBW }
 
 // HasDeficit reports whether link l multiplexes conflicting backups beyond
 // its spare resources, i.e. some single link failure could require more
@@ -791,7 +791,7 @@ func (db *DB) scLocked(l graph.LinkID) int { return db.at(l).spare / db.unitBW }
 func (db *DB) HasDeficit(l graph.LinkID) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return int(db.at(l).maxElem) > db.scLocked(l)
+	return int(db.atLocked(l).maxElem) > db.scLocked(l)
 }
 
 // BackupsOn returns the connection IDs with backups registered on link
@@ -799,7 +799,7 @@ func (db *DB) HasDeficit(l graph.LinkID) bool {
 func (db *DB) BackupsOn(l graph.LinkID) []ConnID {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s := db.at(l)
+	s := db.atLocked(l)
 	out := make([]ConnID, len(s.backups))
 	for k, h := range s.backups {
 		out[k] = db.lsets[h].id
@@ -811,14 +811,14 @@ func (db *DB) BackupsOn(l graph.LinkID) []ConnID {
 func (db *DB) NumBackupsOn(l graph.LinkID) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return len(db.at(l).backups)
+	return len(db.atLocked(l).backups)
 }
 
 // PrimariesOn returns the number of primary channels on link l.
 func (db *DB) PrimariesOn(l graph.LinkID) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return len(db.at(l).primaries)
+	return len(db.atLocked(l).primaries)
 }
 
 // AppendPrimariesOn appends to dst the IDs of the connections with a
@@ -827,21 +827,21 @@ func (db *DB) PrimariesOn(l graph.LinkID) int {
 func (db *DB) AppendPrimariesOn(dst []ConnID, l graph.LinkID) []ConnID {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return append(dst, db.at(l).primaries...)
+	return append(dst, db.atLocked(l).primaries...)
 }
 
 // HasPrimary reports whether connection id's primary traverses link l.
 func (db *DB) HasPrimary(id ConnID, l graph.LinkID) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return slices.Contains(db.at(l).primaries, id)
+	return slices.Contains(db.atLocked(l).primaries, id)
 }
 
 // HasBackup reports whether connection id's backup traverses link l.
 func (db *DB) HasBackup(id ConnID, l graph.LinkID) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	_, ok := db.findBackupLocked(db.at(l), id)
+	_, ok := db.findBackupLocked(db.atLocked(l), id)
 	return ok
 }
 
@@ -850,7 +850,7 @@ func (db *DB) HasBackup(id ConnID, l graph.LinkID) bool {
 func (db *DB) HasBackupUnder(id ConnID, l graph.LinkID, primaryLSET []graph.LinkID) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s := db.at(l)
+	s := db.atLocked(l)
 	k, ok := db.findBackupLocked(s, id)
 	return ok && slices.Equal(db.lsets[s.backups[k]].links, primaryLSET)
 }
@@ -872,7 +872,12 @@ func (db *DB) TotalSpareBW() int {
 }
 
 // TotalCapacity returns the sum of capacity over the owned links.
-func (db *DB) TotalCapacity() int { return db.capacity * len(db.links) }
+func (db *DB) TotalCapacity() int {
+	if db.owned != nil {
+		return db.capacity * len(db.owned)
+	}
+	return db.capacity * db.n
+}
 
 // APLVBytes returns the bytes of APLV counter storage currently held
 // across all links: one column entry (4 bytes) per nonzero counter. This is

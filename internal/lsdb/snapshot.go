@@ -64,7 +64,7 @@ func (db *DB) SnapshotInto(s *Snapshot) *Snapshot {
 	defer db.mu.Unlock()
 	if s.from == db && s.seq >= db.changedBase && len(s.AvailBackup) == n && len(s.Free) == n && len(s.Norm) == n {
 		for _, l := range db.changed[s.seq-db.changedBase:] {
-			db.at(graph.LinkID(l)).copyInto(s, int(l), db.capacity)
+			db.atLocked(graph.LinkID(l)).copyInto(s, int(l), db.capacity)
 		}
 	} else {
 		s.AvailBackup = grow(s.AvailBackup, n)
@@ -153,7 +153,7 @@ func (db *DB) AppendCV(l graph.LinkID, dst []byte) []byte {
 		dst = append(dst, 0)
 	}
 	out := dst[start:]
-	for _, h := range db.at(l).backups {
+	for _, h := range db.atLocked(l).backups {
 		for _, j := range db.lsets[h].links {
 			out[j/8] |= 1 << uint(j%8)
 		}

@@ -52,7 +52,7 @@ func (r *Router) handleHello(from graph.NodeID) {
 		r.markDirtyLocked(l)
 		recovered = true
 	}
-	r.lastHello[from] = time.Now()
+	r.lastHello[from] = r.clock.Now()
 	r.mu.Unlock()
 	if recovered {
 		r.log.Info("neighbor recovered", "neighbor", int(from))
@@ -173,7 +173,7 @@ type report struct {
 // handleFailureReport queues the report for each connection it names, for
 // the goroutine moving that connection (moveOff), started if none runs.
 func (r *Router) handleFailureReport(m proto.FailureReport) {
-	rep := report{link: m.Link, at: time.Now()}
+	rep := report{link: m.Link, at: r.clock.Now()}
 	for _, id := range m.Conns {
 		r.mu.Lock()
 		if c := r.conns[id]; c != nil && !r.closed {
@@ -241,7 +241,7 @@ func (r *Router) runSwitch(c *conn, rep report) {
 		return
 	}
 	r.log.Warn("channel switched to backup", "conn", int64(c.ID))
-	r.mDisruptionSeconds.ObserveSince(rep.at)
+	r.observe(r.mDisruptionSeconds, rep.at)
 	r.mu.Lock()
 	c.info.Switched = true
 	c.publish(r.g)

@@ -236,13 +236,14 @@ func TestFloodOrphansHealWithinLSInterval(t *testing.T) {
 // the next refresh heals whatever copy the tree lost.
 func TestFloodConvergesAfterLoss(t *testing.T) {
 	g := theta(t)
-	clock := &faultinject.ManualClock{}
+	start := time.Unix(0, 0)
+	clock := transport.NewManualClock(start)
 	var inj *faultinject.Injector
 	c, m, _ := newHoldDownCluster(t, g, func(mem *transport.Mem) transport.Attacher {
 		inj = faultinject.New(&faultinject.Schedule{
 			Seed:  37,
 			Links: []faultinject.LinkRule{{From: -1, To: -1, Drop: 0.1, End: 1}},
-		}, mem, faultinject.WithClock(clock.Now))
+		}, mem, faultinject.WithClock(clock))
 		return inj
 	})
 	quiet()
@@ -261,7 +262,7 @@ func TestFloodConvergesAfterLoss(t *testing.T) {
 	// The last changes' adverts, the hold-down's trailing edge included,
 	// go out under loss too.
 	quiet()
-	clock.Set(1)
+	clock.Set(start.Add(time.Millisecond))
 	ended := time.Now()
 	if inj.Stats().Drops == 0 {
 		t.Fatal("the schedule dropped nothing")

@@ -350,7 +350,7 @@ func (r *Router) markDirtyLocked(l graph.LinkID) {
 // holdDownLeftLocked is how long the hold-down of the last advert still
 // runs; zero or less once it has closed. Callers must hold r.mu.
 func (r *Router) holdDownLeftLocked() time.Duration {
-	return r.cfg.LSInterval/holdDownsPerLSInterval - time.Since(r.lastAdvert)
+	return r.cfg.LSInterval/holdDownsPerLSInterval - r.clock.Now().Sub(r.lastAdvert)
 }
 
 // flushAdverts is the one trigger path for triggered adverts, run by the
@@ -381,7 +381,7 @@ func (r *Router) flushAdverts() {
 func (r *Router) advertise(refresh bool) {
 	r.mu.Lock()
 	r.mySeq++
-	r.dirty, r.lastAdvert = false, time.Now()
+	r.dirty, r.lastAdvert = false, r.clock.Now()
 	update := proto.LSUpdate{Origin: r.cfg.Node, Seq: r.mySeq, Refresh: refresh}
 	for _, l := range r.g.Out(r.cfg.Node) {
 		update.Links = append(update.Links, r.advertForLocked(l))

@@ -283,9 +283,10 @@ type sigMemory = dedup.Window[graph.NodeID, dedupKey, sigResult]
 
 // Router is one DRTP node.
 type Router struct {
-	cfg Config
-	ep  transport.Endpoint
-	g   *graph.Graph
+	cfg   Config
+	ep    transport.Endpoint
+	clock transport.Clock // the endpoint's, for every time read and timer
+	g     *graph.Graph
 	// nbrs is the sorted neighbour list; the graph is static for a
 	// router's lifetime.
 	nbrs []graph.NodeID
@@ -305,12 +306,12 @@ type Router struct {
 	// hold-down runs from it (flushAdverts); guarded by mu.
 	lastAdvert time.Time
 	// holdDown tells the loop to flush a pending advert (markDirtyLocked
-	// arms it, flushAdverts runs when it fires); holdArmed is set while it
-	// runs, so one timer is pending at most; guarded by mu.
-	holdDown  *time.Timer
+	// arms it, flushAdverts runs when it fires); it is set once, in New.
+	holdDown transport.Timer
+	// holdArmed is set while holdDown runs; guarded by mu.
 	holdArmed bool
 	// sigSeq numbers the signalling messages originated here, from the
-	// wall-clock nanosecond the router was built at, so a restarted router
+	// clock's nanosecond the router was built at, so a restarted router
 	// numbers above anything its earlier incarnation sent (it issues fewer
 	// than one a nanosecond); guarded by mu.
 	sigSeq uint64
@@ -388,13 +389,14 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 	r := &Router{
 		cfg:        cfg,
 		ep:         ep,
+		clock:      ep.Clock(),
 		g:          cfg.Graph,
 		nbrs:       nbrs,
 		tree:       newFloodTree(cfg.Graph, cfg.Node, nbrs),
 		db:         db,
 		view:       NewLinkStateView(cfg.Graph, cfg.Capacity, cfg.UnitBW, cfg.Scheme),
-		holdDown:   time.NewTimer(time.Hour),
-		sigSeq:     uint64(time.Now().UnixNano()),
+		holdDown:   ep.Clock().NewTimer(time.Hour),
+		sigSeq:     uint64(ep.Clock().Now().UnixNano()),
 		sig:        dedup.NewWindow[graph.NodeID, dedupKey, sigResult](),
 		conns:      make(map[lsdb.ConnID]*conn),
 		transit:    make(map[graph.LinkID]map[lsdb.ConnID]graph.NodeID),
@@ -430,7 +432,7 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 		r.mAdvertsCoalesced = adverts.With("coalesced")
 		r.mAdvertsSent = adverts.With("sent")
 	}
-	now := time.Now()
+	now := r.clock.Now()
 	for _, nbr := range r.nbrs {
 		r.lastHello[nbr] = now
 	}
@@ -548,9 +550,9 @@ func (r *Router) View(l graph.LinkID) (availPrim, availBackup, norm int) {
 func (r *Router) loop() {
 	defer close(r.done)
 	defer r.holdDown.Stop()
-	hello := time.NewTicker(r.cfg.HelloInterval)
+	hello := r.clock.NewTicker(r.cfg.HelloInterval)
 	defer hello.Stop()
-	ls := time.NewTicker(r.cfg.LSInterval)
+	ls := r.clock.NewTicker(r.cfg.LSInterval)
 	defer ls.Stop()
 
 	r.sendHellos()
@@ -562,12 +564,12 @@ func (r *Router) loop() {
 				return
 			}
 			r.dispatch(env)
-		case <-hello.C:
+		case <-hello.C():
 			r.sendHellos()
-			r.checkNeighbors(time.Now())
-		case <-r.holdDown.C:
+			r.checkNeighbors(r.clock.Now())
+		case <-r.holdDown.C():
 			r.flushAdverts()
-		case <-ls.C:
+		case <-ls.C():
 			r.advertise(true)
 		case <-r.stop:
 			return
@@ -593,16 +595,16 @@ func (r *Router) dispatch(env proto.Envelope) {
 			route: m.Route, hop: m.Hop, lset: m.PrimaryLSET, trace: m.Trace, seq: m.Seq, low: m.Low,
 		})
 		if m.Channel == proto.Primary {
-			r.mHopPrimary.ObserveSince(start)
+			r.observe(r.mHopPrimary, start)
 		} else {
-			r.mHopBackup.ObserveSince(start)
+			r.observe(r.mHopBackup, start)
 		}
 	case proto.SetupResult:
 		r.tracer.DedupHit(0, int64(m.Conn), int(r.cfg.Node), sigLabels[sigSetup].staleResult)
 	case proto.Teardown:
 		start := r.hopStart()
 		r.handleTeardown(m)
-		r.mHopTeardown.ObserveSince(start)
+		r.observe(r.mHopTeardown, start)
 	case proto.FailureReport:
 		r.handleFailureReport(m)
 	case proto.Activate:
@@ -611,19 +613,27 @@ func (r *Router) dispatch(env proto.Envelope) {
 			sigID: sigID{kind: sigActivate, conn: m.Conn},
 			route: m.Route, hop: m.Hop, trace: m.Trace, seq: m.Seq, low: m.Low,
 		})
-		r.mHopActivate.ObserveSince(start)
+		r.observe(r.mHopActivate, start)
 	case proto.ActivateResult:
 		r.tracer.DedupHit(0, int64(m.Conn), int(r.cfg.Node), sigLabels[sigActivate].staleResult)
 	}
 }
 
-// hopStart starts a per-hop signalling clock, reading the wall clock only
-// when the hop histograms exist.
+// hopStart starts a per-hop signalling clock, reading the clock only when
+// the hop histograms exist.
 func (r *Router) hopStart() time.Time {
 	if r.mHopPrimary == nil {
 		return time.Time{}
 	}
-	return time.Now()
+	return r.clock.Now()
+}
+
+// observe records on h the clock's time since start; a nil h reads no
+// clock.
+func (r *Router) observe(h *telemetry.LatencyHist, start time.Time) {
+	if h != nil {
+		h.Observe(r.clock.Now().Sub(start))
+	}
 }
 
 // send transmits best-effort; signalling losses surface as timeouts. A

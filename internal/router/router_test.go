@@ -213,6 +213,65 @@ func TestSecondBackupAvoidsConflict(t *testing.T) {
 	}
 }
 
+// TestDisruptionOnManualClock: on a manual clock the disruption histogram
+// holds exactly the time the clock moved between a failure report and the
+// backup's activation. The activation is held on its way from the source
+// to the backup's next hop for 3 ms of the clock's time, and nothing else
+// moves the clock meanwhile.
+func TestDisruptionOnManualClock(t *testing.T) {
+	g := theta(t)
+	start := time.Unix(0, 0)
+	clock := transport.NewManualClock(start)
+	mem := transport.NewMemOn(clock)
+	// From t=110 ms on, between refreshes, messages from node 0 to node 2
+	// take 3 ms.
+	inj := faultinject.New(&faultinject.Schedule{Seed: 1, Links: []faultinject.LinkRule{
+		{From: 0, To: 2, Delay: 3, Start: 110}}}, mem, faultinject.WithClock(clock))
+	reg := telemetry.NewRegistry()
+	c, err := router.NewCluster(router.Config{
+		Graph: g, Capacity: 10, UnitBW: 1, Metrics: reg,
+		HelloInterval: time.Hour, HelloMiss: noDetector,
+		LSInterval: 20 * time.Millisecond, SetupTimeout: 3 * time.Second,
+	}, inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		c.Close()
+		_ = mem.Close()
+	})
+	// advanceTo moves the clock one refresh at each poll, once every tick
+	// it sent has been received, until it reaches t.
+	advanceTo := func(to time.Time) {
+		waitFor(t, "the clock at "+to.Sub(start).String(), func() bool {
+			if !clock.Idle() {
+				return false
+			}
+			if !clock.Now().Before(to) {
+				return true
+			}
+			clock.Advance(min(20*time.Millisecond, to.Sub(clock.Now())))
+			return false
+		})
+	}
+	advanceTo(start.Add(60 * time.Millisecond)) // refreshes reach every view
+	if _, err := c.Router(0).Establish(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	advanceTo(start.Add(110 * time.Millisecond))
+	c.Router(0).FailLink(1)
+	waitFor(t, "the activation held", func() bool { return inj.Stats().Delays > 0 })
+	clock.Advance(3 * time.Millisecond)
+	waitFor(t, "connection switched to backup", func() bool {
+		info, ok := c.Router(0).Conn(1)
+		return ok && info.Switched && !info.Dead
+	})
+	h := reg.Latency("drtp_router_disruption_seconds", "")
+	if h.Count() != 1 || h.Sum() != 3*time.Millisecond {
+		t.Fatalf("disruption histogram: %d observations summing to %v, want one of 3ms", h.Count(), h.Sum())
+	}
+}
+
 func TestFailureSwitchesToBackup(t *testing.T) {
 	g := theta(t)
 	c := newCluster(t, g, 10)

@@ -42,7 +42,7 @@ func (r *Router) Establish(id lsdb.ConnID, dst graph.NodeID) (ConnInfo, error) {
 	if dst < 0 || int(dst) >= r.g.NumNodes() {
 		return ConnInfo{}, fmt.Errorf("%w: destination %d outside the topology", ErrNoRoute, dst)
 	}
-	start := time.Now()
+	start := r.clock.Now()
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -93,7 +93,7 @@ func (r *Router) Establish(id lsdb.ConnID, dst graph.NodeID) (ConnInfo, error) {
 	r.conns[id] = c
 	info := c.info
 	r.mu.Unlock()
-	r.mEstablishSeconds.ObserveSince(start)
+	r.observe(r.mEstablishSeconds, start)
 	r.mActiveConns.Add(1)
 	return info, nil
 }
@@ -275,13 +275,13 @@ func (r *Router) roundTrip(s signal) (sigResult, error) {
 
 	msg := s.packet()
 	attempts := max(r.cfg.RetryLimit, 1)
-	deadline := time.Now().Add(r.cfg.SetupTimeout)
+	deadline := r.clock.Now().Add(r.cfg.SetupTimeout)
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			r.tracer.Retry(r.schemeName, s.trace, int64(s.conn), sigLabels[s.kind].dup)
 		}
 		r.send(r.cfg.Node, msg)
-		reply, err := w.Next(r.attemptTimeout(a, attempts, time.Until(deadline)), r.stop)
+		reply, err := w.Next(r.attemptTimeout(a, attempts, deadline.Sub(r.clock.Now())), r.stop)
 		switch {
 		case err == nil:
 			return resultOf(reply), nil
@@ -373,7 +373,7 @@ func (r *Router) teardownChannel(id lsdb.ConnID, kind proto.ChannelKind, path gr
 func (r *Router) resend(to graph.NodeID, msg proto.Message, first time.Duration, trace uint64, conn int64, op string, seq uint64) {
 	for a := 1; a < r.cfg.RetryLimit; a++ {
 		last := a == r.cfg.RetryLimit-1
-		time.AfterFunc(first<<(a-1), func() {
+		r.clock.AfterFunc(first<<(a-1), func() {
 			r.mu.Lock()
 			closed := r.closed
 			r.mu.Unlock()

@@ -57,15 +57,6 @@ func (h *LatencyHist) Observe(d time.Duration) {
 	h.sum.Add(int64(d))
 }
 
-// ObserveSince records the elapsed wall time since start. A nil
-// histogram returns before reading the clock.
-func (h *LatencyHist) ObserveSince(start time.Time) {
-	if h == nil {
-		return
-	}
-	h.Observe(time.Since(start))
-}
-
 // add merges n observations of duration d in one step; the runtime
 // sampler uses it to fold runtime/metrics histogram deltas in bulk.
 func (h *LatencyHist) add(d time.Duration, n int64) {

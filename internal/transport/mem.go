@@ -15,14 +15,18 @@ import (
 // block on slow receivers. Mem injects no loss of its own; wrap it in a
 // faultinject.Injector for a lossy signalling network.
 type Mem struct {
+	clock     Clock
 	mu        sync.Mutex
 	endpoints map[graph.NodeID]*memEndpoint
 	closed    bool
 }
 
-// NewMem creates an empty switchboard.
-func NewMem() *Mem {
-	return &Mem{endpoints: make(map[graph.NodeID]*memEndpoint)}
+// NewMem creates an empty switchboard on the wall clock.
+func NewMem() *Mem { return NewMemOn(Wall) }
+
+// NewMemOn creates an empty switchboard whose endpoints carry clock.
+func NewMemOn(clock Clock) *Mem {
+	return &Mem{clock: clock, endpoints: make(map[graph.NodeID]*memEndpoint)}
 }
 
 // Attach creates the endpoint for a node. Attaching the same node twice
@@ -94,6 +98,9 @@ var _ Endpoint = (*memEndpoint)(nil)
 
 // Node implements Endpoint.
 func (e *memEndpoint) Node() graph.NodeID { return e.node }
+
+// Clock implements Endpoint.
+func (e *memEndpoint) Clock() Clock { return e.mem.clock }
 
 // Send implements Endpoint.
 func (e *memEndpoint) Send(to graph.NodeID, msg proto.Message) error {

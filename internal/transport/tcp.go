@@ -123,6 +123,9 @@ var _ Endpoint = (*tcpEndpoint)(nil)
 // Node implements Endpoint.
 func (e *tcpEndpoint) Node() graph.NodeID { return e.node }
 
+// Clock implements Endpoint: a TCP mesh runs on the wall clock.
+func (e *tcpEndpoint) Clock() Clock { return Wall }
+
 // Send implements Endpoint. A write failure on an established cached
 // connection is evidence of a peer restart: the broken connection is
 // dropped and the address redialed with bounded backoff, so a peer that
@@ -137,7 +140,7 @@ func (e *tcpEndpoint) Send(to graph.NodeID, msg proto.Message) error {
 	}
 	lastErr := err
 	for attempt := 1; attempt <= defaultRedials; attempt++ {
-		time.Sleep(defaultRedialsBackoff << (attempt - 1))
+		<-e.Clock().NewTimer(defaultRedialsBackoff << (attempt - 1)).C()
 		err, _ := e.sendOnce(to, msg)
 		if err == nil {
 			return nil

@@ -51,6 +51,9 @@ var ErrAwaited = errors.New("transport: reply already awaited")
 type Endpoint interface {
 	// Node returns the ID this endpoint belongs to.
 	Node() graph.NodeID
+	// Clock returns the transport's clock, which whatever attaches to
+	// the endpoint reads its time and arms its timers on.
+	Clock() Clock
 	// Send delivers a message to another node's endpoint. Delivery is
 	// asynchronous: Send does not wait for the receiver to read it.
 	Send(to graph.NodeID, msg proto.Message) error

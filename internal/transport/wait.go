@@ -12,22 +12,23 @@ import (
 var ErrTimeout = errors.New("transport: no reply in time")
 
 // Wait is one round trip's wait for its reply: the channel the reply is
-// awaited on and the timer that bounds each attempt. Both come from a
-// pool and go back to it with Done, so a round trip allocates neither.
+// awaited on and the timer that bounds each attempt, on the endpoint's
+// clock. Both come from a pool and go back to it with Done, so a round
+// trip allocates neither; a wait taken for an endpoint on another clock
+// than its last one arms a new timer.
 type Wait struct {
 	ep    Endpoint
 	key   proto.ReplyKey
 	reply chan proto.Envelope
-	timer *time.Timer
+	clock Clock
+	timer Timer
 	// ticking is set while the timer runs, or has fired with its tick
 	// not yet received.
 	ticking bool
 }
 
 var waits = sync.Pool{New: func() any {
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return &Wait{reply: make(chan proto.Envelope, 1), timer: t}
+	return &Wait{reply: make(chan proto.Envelope, 1)}
 }}
 
 // Await starts waiting for the reply keyed k on ep (see Endpoint.Await,
@@ -37,6 +38,10 @@ func Await(ep Endpoint, k proto.ReplyKey) (*Wait, error) {
 	if err := ep.Await(k, w.reply); err != nil {
 		waits.Put(w)
 		return nil, err
+	}
+	if c := ep.Clock(); w.clock != c {
+		w.clock, w.timer = c, c.NewTimer(time.Hour)
+		w.timer.Stop()
 	}
 	w.ep, w.key = ep, k
 	return w, nil
@@ -51,7 +56,7 @@ func (w *Wait) Next(d time.Duration, stop <-chan struct{}) (proto.Message, error
 	select {
 	case env := <-w.reply:
 		return env.Msg, nil
-	case <-w.timer.C:
+	case <-w.timer.C():
 		w.ticking = false
 		return nil, ErrTimeout
 	case <-stop:
@@ -69,7 +74,7 @@ func (w *Wait) Done() {
 		// (go.mod's go 1.22 selects them) its tick is buffered or on its
 		// way, and Reset would not discard it; with synchronous ones Stop
 		// discards it and reports true instead.
-		<-w.timer.C
+		<-w.timer.C()
 	}
 	w.ticking = false
 	// With the wait cancelled no delivery touches the channel again: take

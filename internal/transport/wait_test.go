@@ -55,3 +55,35 @@ func TestWaitReusesCleanly(t *testing.T) {
 		w.Done()
 	}
 }
+
+// TestWaitAllocs: a round trip's wait takes its reply channel and its
+// attempt timer from the pool, on its endpoint's clock, whether the wall
+// clock or a manual one: a warm Await, Next and Done allocate nothing.
+func TestWaitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled waits at random")
+	}
+	for _, mem := range []*transport.Mem{transport.NewMem(), transport.NewMemOn(transport.NewManualClock(time.Unix(0, 0)))} {
+		ep, err := mem.Attach(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep.Recv() // start delivery
+		k, _ := proto.ReplyKeyOf(proto.ConnCommandResult{Seq: 1})
+		round := func() {
+			w, err := transport.Await(ep, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Next(0, nil); !errors.Is(err, transport.ErrTimeout) {
+				t.Fatalf("wait with no time left: %v, want a timeout", err)
+			}
+			w.Done()
+		}
+		round()
+		if avg := testing.AllocsPerRun(100, round); avg > 0 {
+			t.Errorf("a round trip's wait on %T allocates %.1f objects, want 0", ep.Clock(), avg)
+		}
+		_ = mem.Close()
+	}
+}

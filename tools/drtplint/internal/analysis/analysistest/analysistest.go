@@ -55,6 +55,10 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 			t.Errorf("load %s: %v", path, err)
 			continue
 		}
+		if strings.HasSuffix(pkg.Pkg.Name(), "_test") {
+			t.Errorf("load %s: got its external test package %s, whose files are out of scope", path, pkg.Pkg.Name())
+			continue
+		}
 		diags, err := analysis.Run(a, pkg)
 		if err != nil {
 			t.Errorf("run %s on %s: %v", a.Name, path, err)

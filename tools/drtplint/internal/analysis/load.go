@@ -199,22 +199,14 @@ func (l *Loader) check(path, dir string, includeTests bool, wantInfo *types.Info
 		return nil, nil, err
 	}
 	var files []*ast.File
-	pkgName := ""
 	for _, name := range names {
 		f, err := parser.ParseFile(l.Fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, nil, err
 		}
-		// In-package test files share the package clause; external test
-		// packages (package foo_test) are out of scope for analysis.
-		if pkgName == "" {
-			pkgName = f.Name.Name
-		}
-		if f.Name.Name != pkgName && f.Name.Name == pkgName+"_test" {
-			continue
-		}
 		files = append(files, f)
 	}
+	files = packageFiles(files)
 	var softErrs []error
 	conf := types.Config{
 		Importer: l,
@@ -244,20 +236,14 @@ func (l *Loader) Load(path, dir string) (*Package, error) {
 		return nil, err
 	}
 	var files []*ast.File
-	pkgName := ""
 	for _, name := range names {
 		f, err := parser.ParseFile(l.Fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
-		if pkgName == "" {
-			pkgName = f.Name.Name
-		}
-		if f.Name.Name != pkgName {
-			continue
-		}
 		files = append(files, f)
 	}
+	files = packageFiles(files)
 	conf := types.Config{
 		Importer: l,
 		Error:    func(err error) { softErrs = append(softErrs, err) },
@@ -293,4 +279,27 @@ func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 	diags = append(diags, sup.BareDirectives(a.Name)...)
 	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
 	return diags, nil
+}
+
+// packageFiles keeps the files of the package proper: in-package test
+// files share its package clause, and an external test package (package
+// foo_test) is out of scope for analysis. The package's name is read off
+// a file that is not a test, whichever file sorts first.
+func packageFiles(files []*ast.File) []*ast.File {
+	name := ""
+	for _, f := range files {
+		if name == "" || !strings.HasSuffix(f.Name.Name, "_test") {
+			name = f.Name.Name
+		}
+		if !strings.HasSuffix(name, "_test") {
+			break
+		}
+	}
+	out := files[:0]
+	for _, f := range files {
+		if f.Name.Name == name {
+			out = append(out, f)
+		}
+	}
+	return out
 }

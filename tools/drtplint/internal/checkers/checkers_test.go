@@ -7,7 +7,7 @@ import (
 )
 
 func TestDeterminism(t *testing.T) {
-	analysistest.Run(t, "testdata", Determinism, "experiments", "sim", "webserver", "faultinject")
+	analysistest.Run(t, "testdata", Determinism, "experiments", "sim", "webserver", "faultinject", "router")
 }
 
 // TestLockOrder covers both halves of the analyzer: the acquisition graph

@@ -15,8 +15,8 @@ import (
 // and never let Go's randomized map iteration order reach results or
 // telemetry. The chaos layer (faultinject) is in the domain too: its
 // replayability contract hinges on the injected clock and label-split rng
-// streams. Live-protocol packages (router, transport, telemetry's wall
-// clock) are deliberately outside the domain.
+// streams. Live-protocol packages are outside the domain, held to the
+// wall-clock half of the rule only (clockDomain).
 var determinismDomain = map[string]bool{
 	"experiments": true,
 	"sim":         true,
@@ -32,6 +32,25 @@ var determinismDomain = map[string]bool{
 	"faultinject": true,
 }
 
+// clockDomain names the live-protocol packages: they read the time and
+// arm their timers on the transport's Clock, so that a manual clock moves
+// all of it, and never on package time's wall clock. Their map iteration
+// and randomness are their own business; their tests, which wait on
+// goroutines, may use the wall clock.
+var clockDomain = map[string]bool{
+	"router":       true,
+	"controlplane": true,
+	"transport":    true,
+}
+
+// wallClockFuncs are package time's functions that read the wall clock
+// (true) or arm a timer on it or sleep on it (false).
+var wallClockFuncs = map[string]bool{
+	"Now": true, "Since": true, "Until": true,
+	"NewTimer": false, "NewTicker": false, "AfterFunc": false,
+	"After": false, "Tick": false, "Sleep": false,
+}
+
 // globalRandFuncs are the math/rand package-level functions backed by the
 // shared, non-reproducible global source. Constructors (New, NewSource,
 // NewZipf) are fine: they build explicit, seedable streams.
@@ -45,66 +64,97 @@ var globalRandFuncs = map[string]bool{
 }
 
 // Determinism flags nondeterminism sources inside the simulation core:
-// wall-clock reads (time.Now/Since/Until), global math/rand draws, and
-// map iterations whose order can leak into results or telemetry (an
-// append not followed by a sort, a telemetry emission, an output write,
-// or a channel send inside the loop body).
+// wall-clock reads (time.Now/Since/Until) and, outside tests, wall-clock
+// timers and sleeps, global math/rand draws, and map iterations whose
+// order can leak into results or telemetry (an append not followed by a
+// sort, a telemetry emission, an output write, or a channel send inside
+// the loop body). The live-protocol packages are held to the wall-clock
+// rule outside their tests.
 var Determinism = &analysis.Analyzer{
 	Name: "determinism",
-	Doc: "flags wall-clock reads, global math/rand use, and order-leaking " +
-		"map iteration in the deterministic simulation packages",
+	Doc: "flags wall-clock reads and timers, global math/rand use, and order-leaking " +
+		"map iteration in the deterministic simulation packages, and wall-clock use " +
+		"in the protocol packages",
 	Run: runDeterminism,
 }
 
-// inDeterminismDomain reports whether the package path's last segment is
-// part of the deterministic core (fixtures use bare segment names).
-func inDeterminismDomain(path string) bool {
+// inDomain reports whether the package path's last segment is in domain
+// (fixtures use bare segment names).
+func inDomain(path string, domain map[string]bool) bool {
 	seg := path
 	if i := strings.LastIndex(path, "/"); i >= 0 {
 		seg = path[i+1:]
 	}
-	return determinismDomain[seg]
+	return domain[seg]
 }
 
 func runDeterminism(pass *analysis.Pass) error {
-	if !inDeterminismDomain(pass.Path) {
+	core := inDomain(pass.Path, determinismDomain)
+	if !core && !inDomain(pass.Path, clockDomain) {
 		return nil
 	}
 	for _, file := range pass.Files {
+		test := strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go")
+		if test && !core {
+			continue
+		}
 		for _, fd := range funcDecls(file) {
-			checkDeterminismFunc(pass, fd)
+			checkDeterminismFunc(pass, fd, core, test)
 		}
 	}
 	return nil
 }
 
-func checkDeterminismFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
+func checkDeterminismFunc(pass *analysis.Pass, fd *ast.FuncDecl, core, test bool) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			checkWallClockAndRand(pass, n)
+			checkWallClock(pass, n, core, test)
+			if core {
+				checkGlobalRand(pass, n)
+			}
 		case *ast.RangeStmt:
-			checkMapRange(pass, fd, n)
+			if core {
+				checkMapRange(pass, fd, n)
+			}
 		}
 		return true
 	})
 }
 
-// checkWallClockAndRand reports time.Now-style reads and global math/rand
-// draws.
-func checkWallClockAndRand(pass *analysis.Pass, call *ast.CallExpr) {
+// checkWallClock reports wall-clock reads, and outside tests wall-clock
+// timers and sleeps: a test may wait on goroutines in wall time.
+func checkWallClock(pass *analysis.Pass, call *ast.CallExpr, core, test bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || pkgNameOf(pass.TypesInfo, sel.X) != "time" {
+		return
+	}
+	read, found := wallClockFuncs[sel.Sel.Name]
+	if !found || test && !read {
+		return
+	}
+	what := "read"
+	if !read {
+		what = "timer"
+	}
+	if core {
+		pass.Reportf(call.Pos(),
+			"wall-clock %s time.%s in deterministic simulation code; derive time from simulated time or an injected clock",
+			what, sel.Sel.Name)
+		return
+	}
+	pass.Reportf(call.Pos(),
+		"wall-clock %s time.%s in protocol code; use the endpoint's transport.Clock",
+		what, sel.Sel.Name)
+}
+
+// checkGlobalRand reports global math/rand draws.
+func checkGlobalRand(pass *analysis.Pass, call *ast.CallExpr) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
 	switch pkgNameOf(pass.TypesInfo, sel.X) {
-	case "time":
-		switch sel.Sel.Name {
-		case "Now", "Since", "Until":
-			pass.Reportf(call.Pos(),
-				"wall-clock read time.%s in deterministic simulation code; derive timestamps from simulated time",
-				sel.Sel.Name)
-		}
 	case "math/rand", "math/rand/v2":
 		if globalRandFuncs[sel.Sel.Name] {
 			pass.Reportf(call.Pos(),

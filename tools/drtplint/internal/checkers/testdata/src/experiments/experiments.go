@@ -21,6 +21,11 @@ func Elapsed(start time.Time) float64 {
 	return time.Since(start).Seconds() // want "wall-clock read time.Since"
 }
 
+// Pause sleeps on the wall clock.
+func Pause() {
+	time.Sleep(time.Millisecond) // want "wall-clock timer time.Sleep"
+}
+
 // Draw uses the shared global math/rand source.
 func Draw() int {
 	return rand.Intn(10) // want "global math/rand call rand.Intn"

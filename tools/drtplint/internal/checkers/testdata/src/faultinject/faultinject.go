@@ -64,8 +64,8 @@ func (in *Injector) LeakyFlush(ch chan int) {
 	}
 }
 
-// Delay schedules a deferred delivery; time.AfterFunc is not a clock
-// read, so the analyzer leaves it alone.
+// Delay schedules a deferred delivery on the wall clock instead of the
+// transport's.
 func Delay(d time.Duration, fn func()) *time.Timer {
-	return time.AfterFunc(d, fn)
+	return time.AfterFunc(d, fn) // want "wall-clock timer time.AfterFunc"
 }
